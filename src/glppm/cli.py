@@ -147,7 +147,7 @@ def _load_filter_bundle(path):
             at_risk = _parse_at_risk(raw["at_risk"])
     else:
         raise ConfigError(f"{path}: neither a filter payload nor a filter wrapper")
-    g = FilterFunction.from_json(json.dumps(payload))
+    g = FilterFunction.from_dict(payload)
     if link_raw is None:
         raise ConfigError(f"{path}: no link recorded with the filter")
     return g, _parse_link(link_raw), at_risk
@@ -209,7 +209,7 @@ def cmd_simulate(args) -> int:
     if isinstance(raw_f, str):
         g = FilterFunction.load(Path(args.config).parent / raw_f)
     elif isinstance(raw_f, dict) and raw_f.get("format"):
-        g = FilterFunction.from_json(json.dumps(raw_f))
+        g = FilterFunction.from_dict(raw_f)
     else:
         raise ConfigError("filters must be a filter JSON payload or a path to one")
 
@@ -326,7 +326,7 @@ def cmd_fit(args) -> int:
         )
 
     out = Path(args.out)
-    payload = json.loads(res.g_hat.to_json())
+    payload = res.g_hat.to_dict()
     payload["link"] = _link_dict(link)
     _write_json(out / "filter.json", payload)
 

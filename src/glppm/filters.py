@@ -14,12 +14,21 @@ polynomials.  With this split the H1/H0 projection is exact (drop or keep
 ``h0``), and all inner products reduce to closed-form kernel evaluations:
 section-section pairs hit R1 itself, anything involving a segment hits the
 once- or twice-integrated kernel.
+
+Atom operations are linear, so a whole filter has the same normal form:
+``FilterFunction.normal_forms`` holds one atom per channel that merges the
+sections, segments and h0 of every atom there, scaled by its coefficient.
+Filters are immutable and the forms are cached.  Evaluation, inner
+products, the H1 seminorm and the projection each take one prefix-sum pass
+per channel over them, and so do the likelihood's predictors and exact
+compensator.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -30,18 +39,14 @@ from .kernel import SobolevKernel, _cross_weighted_sum
 __all__ = [
     "Atom",
     "FilterFunction",
-    "evaluate",
     "full_gram",
     "full_inner_row",
     "h0_poly",
     "h1_gram",
     "h1_inner_row",
-    "h1_seminorm_sq",
-    "inner_product",
     "integrated_points",
     "integrated_segments",
     "kernel_section",
-    "project_p",
     "section_sum",
 ]
 
@@ -75,7 +80,7 @@ class Atom:
     """One basis element of a filter function.  Use the constructors below."""
 
     channel: int
-    kind: str  # "h0" | "section" | "integrated"
+    kind: str  # "h0" | "section" | "integrated" | "normal"
     part: str  # "h0" | "r1" | "r"
     m: int
     sec_lags: np.ndarray
@@ -328,19 +333,38 @@ class FilterFunction:
     def zero(cls, kernel: SobolevKernel, n_channels: int = 1) -> "FilterFunction":
         return cls(kernel, n_channels, (), np.empty(0))
 
-    # -- evaluation ----------------------------------------------------------
+    # -- normal form ---------------------------------------------------------
+
+    @cached_property
+    def normal_forms(self) -> tuple[Atom, ...]:
+        """One atom per channel equal to the whole filter there: the sections
+        and segments of its atoms, weighted by their coefficients, sorted and
+        merged, and ``h0`` the combined polynomial coefficients."""
+        forms = []
+        for ch in range(self.n_channels):
+            on = [
+                i for i, a in enumerate(self.atoms)
+                if a.channel == ch and self.coefficients[i] != 0.0
+            ]
+            c = self.coefficients[on]
+            sec_lags, sec_w, sec_owner, seg_nodes, seg_w, seg_owner = _flatten(
+                [self.atoms[i] for i in on]
+            )
+            # an r1 atom of the merged support, then given the combined h0
+            form = _normal_form_atom(
+                self.kernel, ch, "normal", "r1",
+                sec_lags, c[sec_owner] * sec_w, seg_nodes, c[seg_owner] * seg_w,
+            )
+            h0 = c @ np.array([self.atoms[i].h0 for i in on]).reshape(-1, self.kernel.m)
+            forms.append(replace(form, part="r", h0=_ro(h0)))
+        return tuple(forms)
 
     def evaluate(self, channel: int, u):
         """g_channel(u) for scalar or array lags u in [0, horizon]."""
         if not 0 <= channel < self.n_channels:
             raise DomainError(f"unknown channel {channel}")
-        self.kernel._check_domain(u)
-        arr = np.asarray(u, dtype=float)
-        out = np.zeros(arr.shape)
-        for atom, c in zip(self.atoms, self.coefficients):
-            if atom.channel == channel and c != 0.0:
-                out = out + c * atom.value(self.kernel, arr)
-        return float(out) if out.ndim == 0 else out
+        out = self.normal_forms[channel].value(self.kernel, u)
+        return float(out) if np.ndim(out) == 0 else out
 
     # -- linear structure ------------------------------------------------------
 
@@ -365,53 +389,30 @@ class FilterFunction:
     # -- geometry ---------------------------------------------------------------
 
     def project(self) -> "FilterFunction":
-        """Projection onto H1: drop polynomial atoms and polynomial content."""
-        atoms = []
-        coeffs = []
-        for atom, c in zip(self.atoms, self.coefficients):
-            if atom.kind == "h0":
-                continue
-            proj = atom.projected()
-            if proj.is_zero:
-                continue
-            atoms.append(proj)
-            coeffs.append(c)
-        return FilterFunction(self.kernel, self.n_channels, tuple(atoms), np.array(coeffs))
+        """Projection onto H1: the normal forms without their polynomial part."""
+        forms = tuple(
+            f.projected() for f in self.normal_forms if f.sec_lags.size or f.seg_nodes.size
+        )
+        return FilterFunction(self.kernel, self.n_channels, forms, np.ones(len(forms)))
 
     def h1_seminorm_sq(self) -> float:
         """||P g||^2 = sum over channels of the H1 norm of the smooth part."""
-        total = 0.0
-        for i, (a, ca) in enumerate(zip(self.atoms, self.coefficients)):
-            if ca == 0.0:
-                continue
-            total += ca * ca * a.h1_inner(a)
-            for b, cb in zip(self.atoms[i + 1:], self.coefficients[i + 1:]):
-                if cb != 0.0 and b.channel == a.channel:
-                    total += 2.0 * ca * cb * a.h1_inner(b)
-        return total
+        return sum(f.h1_inner(f) for f in self.normal_forms)
 
     def inner_product(self, other: "FilterFunction") -> float:
         """Full Sobolev inner product; exactly symmetric in its arguments."""
         if other.kernel != self.kernel or other.n_channels != self.n_channels:
             raise ConfigError("cannot pair filters over different spaces")
-
-        def bilinear(f, g):
-            total = 0.0
-            for a, ca in zip(f.atoms, f.coefficients):
-                if ca == 0.0:
-                    continue
-                for b, cb in zip(g.atoms, g.coefficients):
-                    if cb == 0.0 or b.channel != a.channel:
-                        continue
-                    total += ca * cb * (a.h1_inner(b) + float(a.h0 @ b.h0))
-            return total
-
-        return 0.5 * (bilinear(self, other) + bilinear(other, self))
+        return sum(
+            0.5 * (a.h1_inner(b) + b.h1_inner(a)) + float(a.h0 @ b.h0)
+            for a, b in zip(self.normal_forms, other.normal_forms)
+        )
 
     # -- serialization ----------------------------------------------------------
 
-    def to_json(self) -> str:
-        payload = {
+    def to_dict(self) -> dict:
+        """The ``glppm.filter.v1`` payload."""
+        return {
             "format": "glppm.filter.v1",
             "kernel": {"m": self.kernel.m, "horizon": self.kernel.horizon},
             "n_channels": self.n_channels,
@@ -420,16 +421,16 @@ class FilterFunction:
                 for atom, c in zip(self.atoms, self.coefficients)
             ],
         }
-        return json.dumps(payload, indent=2)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
     @staticmethod
-    def from_json(text: str) -> "FilterFunction":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"bad filter JSON: {exc}") from exc
-        if payload.get("format") != "glppm.filter.v1":
-            raise DataError(f"unrecognized filter format {payload.get('format')!r}")
+    def from_dict(payload) -> "FilterFunction":
+        """Inverse of ``to_dict``; extra keys are ignored."""
+        fmt = payload.get("format") if isinstance(payload, dict) else None
+        if fmt != "glppm.filter.v1":
+            raise DataError(f"unrecognized filter format {fmt!r}")
         kernel = SobolevKernel(int(payload["kernel"]["m"]), float(payload["kernel"]["horizon"]))
         atoms = []
         coeffs = []
@@ -439,6 +440,14 @@ class FilterFunction:
         return FilterFunction(kernel, int(payload["n_channels"]), tuple(atoms), np.array(coeffs))
 
     @staticmethod
+    def from_json(text: str) -> "FilterFunction":
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"bad filter JSON: {exc}") from exc
+        return FilterFunction.from_dict(payload)
+
+    @staticmethod
     def load(path) -> "FilterFunction":
         return FilterFunction.from_json(Path(path).read_text())
 
@@ -446,67 +455,51 @@ class FilterFunction:
         Path(path).write_text(self.to_json())
 
 
-# -- module-level operation aliases ------------------------------------------
-
-
-def evaluate(g: FilterFunction, channel: int, u):
-    return g.evaluate(channel, u)
-
-
-def inner_product(a: FilterFunction, b: FilterFunction) -> float:
-    return a.inner_product(b)
-
-
-def project_p(g: FilterFunction) -> FilterFunction:
-    return g.project()
-
-
-def h1_seminorm_sq(g: FilterFunction) -> float:
-    return g.h1_seminorm_sq()
-
-
 # -- Gram matrices over atom lists ---------------------------------------------
 
 
-def h1_gram(atoms) -> np.ndarray:
-    """Matrix of H1 inner products <P a_i, P a_j> over a list of atoms.
+def _flatten(atoms) -> tuple[np.ndarray, ...]:
+    """Sections and segments of ``atoms`` laid end to end, each entry tagged
+    with the index of its atom: (sec_lags, sec_w, sec_owner, seg_nodes,
+    seg_w, seg_owner)."""
+    empty = [np.empty(0)]
+    idx = np.arange(len(atoms))
+    return (
+        np.concatenate(empty + [a.sec_lags for a in atoms]),
+        np.concatenate(empty + [a.sec_weights for a in atoms]),
+        np.repeat(idx, [a.sec_lags.size for a in atoms]),
+        np.concatenate(empty + [a.seg_nodes for a in atoms]),
+        np.concatenate(empty + [a.seg_weights for a in atoms]),
+        np.repeat(idx, [a.seg_nodes.size for a in atoms]),
+    )
 
-    Grouped by channel; within a channel all section lags and segment nodes
-    are flattened into single support arrays so each row is one prefix-sum
-    evaluation over the whole channel instead of a pairwise loop.
-    """
+
+def _h1_rows(probes, atoms) -> np.ndarray:
+    """<P p, P b> for every probe p and every b in ``atoms``, all on one
+    channel: the support of ``atoms`` is flattened once, so each row is one
+    prefix-sum pass instead of a pairwise loop."""
+    sec_lags, sec_w, sec_owner, seg_nodes, seg_w, seg_owner = _flatten(atoms)
+    rows = np.zeros((len(probes), len(atoms)))
+    for row, p in zip(rows, probes):
+        if sec_lags.size:
+            row += np.bincount(
+                sec_owner, weights=sec_w * p.h1_value(sec_lags), minlength=len(atoms)
+            )
+        if seg_nodes.size:
+            row += np.bincount(
+                seg_owner, weights=seg_w * p.h1_antiderivative(seg_nodes), minlength=len(atoms)
+            )
+    return rows
+
+
+def h1_gram(atoms) -> np.ndarray:
+    """Matrix of H1 inner products <P a_i, P a_j> over a list of atoms."""
     atoms = list(atoms)
-    n = len(atoms)
-    G = np.zeros((n, n))
-    by_channel: dict[int, list[int]] = {}
-    for i, a in enumerate(atoms):
-        by_channel.setdefault(a.channel, []).append(i)
-    for idxs in by_channel.values():
-        local = {i: li for li, i in enumerate(idxs)}
-        sec_lags = np.concatenate([atoms[i].sec_lags for i in idxs])
-        sec_w = np.concatenate([atoms[i].sec_weights for i in idxs])
-        sec_owner = np.concatenate(
-            [np.full(atoms[i].sec_lags.size, local[i], dtype=int) for i in idxs]
-        )
-        seg_nodes = np.concatenate([atoms[i].seg_nodes for i in idxs])
-        seg_w = np.concatenate([atoms[i].seg_weights for i in idxs])
-        seg_owner = np.concatenate(
-            [np.full(atoms[i].seg_nodes.size, local[i], dtype=int) for i in idxs]
-        )
-        for i in idxs:
-            a = atoms[i]
-            row = np.zeros(len(idxs))
-            if sec_lags.size:
-                row += np.bincount(
-                    sec_owner, weights=sec_w * a.h1_value(sec_lags), minlength=len(idxs)
-                )
-            if seg_nodes.size:
-                row += np.bincount(
-                    seg_owner,
-                    weights=seg_w * a.h1_antiderivative(seg_nodes),
-                    minlength=len(idxs),
-                )
-            G[i, idxs] = row
+    G = np.zeros((len(atoms), len(atoms)))
+    for ch in {a.channel for a in atoms}:
+        idxs = [i for i, a in enumerate(atoms) if a.channel == ch]
+        block = [atoms[i] for i in idxs]
+        G[np.ix_(idxs, idxs)] = _h1_rows(block, block)
     return 0.5 * (G + G.T)
 
 
@@ -525,28 +518,9 @@ def full_gram(atoms) -> np.ndarray:
 def h1_inner_row(atom: Atom, atoms) -> np.ndarray:
     """<P atom, P b> for every b in atoms, in one prefix-sum pass."""
     atoms = list(atoms)
-    out = np.zeros(len(atoms))
     idxs = [i for i, b in enumerate(atoms) if b.channel == atom.channel]
-    if not idxs:
-        return out
-    sec_lags = np.concatenate([atoms[i].sec_lags for i in idxs])
-    if sec_lags.size:
-        sec_w = np.concatenate([atoms[i].sec_weights for i in idxs])
-        owner = np.concatenate(
-            [np.full(atoms[i].sec_lags.size, li, dtype=int) for li, i in enumerate(idxs)]
-        )
-        out[idxs] += np.bincount(
-            owner, weights=sec_w * atom.h1_value(sec_lags), minlength=len(idxs)
-        )
-    seg_nodes = np.concatenate([atoms[i].seg_nodes for i in idxs])
-    if seg_nodes.size:
-        seg_w = np.concatenate([atoms[i].seg_weights for i in idxs])
-        owner = np.concatenate(
-            [np.full(atoms[i].seg_nodes.size, li, dtype=int) for li, i in enumerate(idxs)]
-        )
-        out[idxs] += np.bincount(
-            owner, weights=seg_w * atom.h1_antiderivative(seg_nodes), minlength=len(idxs)
-        )
+    out = np.zeros(len(atoms))
+    out[idxs] = _h1_rows([atom], [atoms[i] for i in idxs])[0]
     return out
 
 
@@ -554,8 +528,7 @@ def full_inner_row(atom: Atom, atoms) -> np.ndarray:
     """Full Sobolev inner products of one atom against a list of atoms."""
     atoms = list(atoms)
     out = h1_inner_row(atom, atoms)
-    if np.any(atom.h0):
-        for i, b in enumerate(atoms):
-            if b.channel == atom.channel and np.any(b.h0):
-                out[i] += float(atom.h0 @ b.h0)
+    if atoms and np.any(atom.h0):
+        same = np.array([b.channel == atom.channel for b in atoms])
+        out += same * (np.stack([b.h0 for b in atoms]) @ atom.h0)
     return out

@@ -20,6 +20,13 @@ quadrature on a partition split at every event, driver jump and at-risk
 breakpoint; the reported gradient is then the exact gradient of the
 discretized objective, which keeps line searches and finite-difference
 checks sharp in both regimes.
+
+A filter enters through its normal form, one merged atom per channel
+(``FilterFunction.normal_forms``): its predictors are one column per
+channel and its exact compensator one antiderivative pass per channel.
+``compensator`` evaluates Lambda at one time or at an array of times with
+one partition and one cumulative pass, exactly for the linear link and by
+the same Gauss-Legendre rule otherwise.
 """
 
 from __future__ import annotations
@@ -39,6 +46,8 @@ __all__ = [
     "LinkSpec",
     "Objective",
     "QuadratureConfig",
+    "build_f_atoms",
+    "build_h_atoms",
     "compensator",
     "exponential_link",
     "gradient",
@@ -165,35 +174,60 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _partition(horizon: float, events: EventSeries, drivers: DriverSeries, at_risk: AtRiskProcess) -> np.ndarray:
-    pts = [np.array([0.0, horizon]), events.times]
-    for ch in drivers.channels:
-        pts.append(ch.times)
-    pts.append(at_risk.breakpoints)
-    edges = np.unique(np.concatenate(pts))
-    return edges[(edges >= 0.0) & (edges <= horizon)]
+def _partition(end: float, *cuts) -> np.ndarray:
+    """Sorted edges of [0, end], split at every time in ``cuts`` inside it."""
+    edges = np.unique(np.concatenate([[0.0, end], *cuts]))
+    return edges[(edges >= 0.0) & (edges <= end)]
 
 
-def _gauss_nodes(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _gauss_nodes(a: np.ndarray, b: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n Gauss-Legendre nodes and weights on each interval [a_i, b_i], interval-major."""
     x, w = _leggauss(n)
-    a = edges[:-1]
-    width = np.diff(edges)
-    keep = width > 0
-    a, width = a[keep], width[keep]
+    width = b - a
     nodes = (a[:, None] + (x[None, :] + 1.0) * width[:, None] / 2.0).ravel()
     weights = (w[None, :] * width[:, None] / 2.0).ravel()
     return nodes, weights
 
 
 def _history_pairs(eval_times: np.ndarray, times: np.ndarray, sizes: np.ndarray):
-    """Flatten all (evaluation point, strictly earlier jump) pairs."""
+    """Flatten all (evaluation point, strictly earlier jump) pairs into
+    (evaluation index, jump index, lag, jump size), evaluation-major."""
     counts = np.searchsorted(times, eval_times, side="left")
     total = int(counts.sum())
     eval_idx = np.repeat(np.arange(eval_times.size), counts)
     offsets = np.repeat(np.cumsum(counts) - counts, counts)
     jump_idx = np.arange(total) - offsets
     lags = eval_times[eval_idx] - times[jump_idx]
-    return eval_idx, counts, lags, sizes[jump_idx]
+    return eval_idx, jump_idx, lags, sizes[jump_idx]
+
+
+def _lag_segments(a: np.ndarray, b: np.ndarray, levels: np.ndarray, times: np.ndarray, sizes: np.ndarray):
+    """Lag segments carrying int Y_s X_s-(.) ds over each interval.
+
+    Over (a_k, b_k], where Y = levels[k], a jump at sigma < b_k contributes
+    the lag interval (max(a_k - sigma, 0), b_k - sigma] with weight Y * dZ.
+    Returns (k, lo, hi, weight), interval-major, with the intervals where
+    Y = 0 left out.
+    """
+    k, j, hi, dz = _history_pairs(b, times, sizes)
+    keep = levels[k] != 0.0
+    k, j = k[keep], j[keep]
+    return k, np.maximum(a[k] - times[j], 0.0), hi[keep], levels[k] * dz[keep]
+
+
+def _check_channels(g, drivers: DriverSeries) -> None:
+    """Reject a filter whose channel count differs from the data's; ``g`` is
+    a FilterFunction or a sequence of callables, one per channel."""
+    n = g.n_channels if isinstance(g, FilterFunction) else len(g)
+    if n != drivers.n_channels:
+        raise ConfigError(f"filter has {n} channels, data has {drivers.n_channels}")
+
+
+def _filter_values(g, channel: int, lags: np.ndarray) -> np.ndarray:
+    """Channel ``channel`` of a FilterFunction or of per-channel callables."""
+    if isinstance(g, FilterFunction):
+        return np.asarray(g.evaluate(channel, lags), dtype=float)
+    return np.asarray(g[channel](lags), dtype=float)
 
 
 # -- the objective -------------------------------------------------------------
@@ -204,8 +238,10 @@ class Objective:
 
     Precomputes the quadrature grid and, for every driver channel, the flat
     arrays of (evaluation point, earlier jump) pairs at both the quadrature
-    nodes and the event times.  Per-atom predictor columns and compensator
-    rows are then single vectorized passes.
+    nodes and the event times, and the lag segments of the exact
+    compensator.  Predictor columns and compensator rows of an atom are then
+    single vectorized passes; a filter takes one per channel, on its normal
+    form.
     """
 
     def __init__(
@@ -230,8 +266,13 @@ class Objective:
         self.horizon = float(events.horizon)
         self.n_channels = drivers.n_channels
 
-        edges = _partition(self.horizon, events, drivers, self.at_risk)
-        self.nodes, self.weights = _gauss_nodes(edges, self.quadrature.nodes_per_interval)
+        edges = _partition(
+            self.horizon, events.times, self.at_risk.breakpoints,
+            *(ch.times for ch in drivers.channels),
+        )
+        self.nodes, self.weights = _gauss_nodes(
+            edges[:-1], edges[1:], self.quadrature.nodes_per_interval
+        )
         self.y_nodes = self.at_risk.at(self.nodes)
         self.y_events = self.at_risk.at(events.times)
         self.int_y = self.at_risk.integral(self.horizon)
@@ -249,37 +290,17 @@ class Objective:
         self._event_pairs = [
             _history_pairs(events.times, ch.times, ch.sizes) for ch in drivers.channels
         ]
+        # lag segments over the constancy pieces of Y
+        a, b, levels = np.array(self.pieces).T
         self._segment_support = [
-            self._build_segment_support(j) for j in range(self.n_channels)
+            _lag_segments(a, b, levels, ch.times, ch.sizes)[1:] for ch in drivers.channels
         ]
-
-    def _build_segment_support(self, channel: int):
-        """Lag segments carrying int_0^t Y_s X_s-(.) ds on one channel.
-
-        Over each constancy piece (a, b] of Y, a jump at sigma < b contributes
-        the lag interval (max(a - sigma, 0), b - sigma] with weight Y * dZ.
-        """
-        ch = self.drivers.channels[channel]
-        lo_all, hi_all, w_all = [], [], []
-        for a, b, y in self.pieces:
-            if y == 0.0:
-                continue
-            mask = ch.times < b
-            if not mask.any():
-                continue
-            sigma = ch.times[mask]
-            lo_all.append(np.maximum(a - sigma, 0.0))
-            hi_all.append(b - sigma)
-            w_all.append(y * ch.sizes[mask])
-        if not lo_all:
-            return np.empty(0), np.empty(0), np.empty(0)
-        return np.concatenate(lo_all), np.concatenate(hi_all), np.concatenate(w_all)
 
     def integral_support(self, channel: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(lo, hi, weights) arrays of the exact compensator support."""
         return self._segment_support[channel]
 
-    # -- per-atom structural columns ------------------------------------------
+    # -- structural columns of one atom ---------------------------------------
 
     def _column(self, pairs, size: int, kernel: SobolevKernel, atom: Atom) -> np.ndarray:
         eval_idx, _, lags, dz = pairs[atom.channel]
@@ -309,33 +330,28 @@ class Objective:
     def _check_filter(self, g: FilterFunction) -> None:
         if g.kernel.horizon != self.horizon:
             raise ConfigError("filter kernel horizon does not match the data horizon")
-        if g.n_channels != self.n_channels:
-            raise ConfigError(
-                f"filter has {g.n_channels} channels, data has {self.n_channels}"
-            )
+        _check_channels(g, self.drivers)
 
     def predictor_nodes(self, g: FilterFunction) -> np.ndarray:
+        """X(g) at all quadrature nodes, one column per channel."""
         self._check_filter(g)
-        out = np.zeros(self.nodes.size)
-        for atom, c in zip(g.atoms, g.coefficients):
-            if c != 0.0:
-                out += c * self.node_column(g.kernel, atom)
-        return out
+        return sum(self.node_column(g.kernel, f) for f in g.normal_forms)
 
     def predictor_events(self, g: FilterFunction) -> np.ndarray:
+        """X(g) at all event times, one column per channel."""
         self._check_filter(g)
-        out = np.zeros(len(self.events))
-        for atom, c in zip(g.atoms, g.coefficients):
-            if c != 0.0:
-                out += c * self.event_column(g.kernel, atom)
-        return out
+        return sum(self.event_column(g.kernel, f) for f in g.normal_forms)
 
 
 # -- public operations ----------------------------------------------------------
 
 
-def linear_predictor(g: FilterFunction, drivers: DriverSeries, s) -> np.ndarray:
-    """X_s-(g) = sum_j sum_{sigma < s} dZ g_j(s - sigma) at the given times."""
+def linear_predictor(g, drivers: DriverSeries, s) -> np.ndarray:
+    """X_s-(g) = sum_j sum_{sigma < s} dZ g_j(s - sigma) at the given times.
+
+    ``g`` is a FilterFunction or one vectorized callable per channel.
+    """
+    _check_channels(g, drivers)
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
     if s_arr.size and (s_arr.min() < 0.0 or s_arr.max() > drivers.horizon):
         raise DomainError("evaluation times must lie in [0, horizon]")
@@ -343,7 +359,7 @@ def linear_predictor(g: FilterFunction, drivers: DriverSeries, s) -> np.ndarray:
     for j, ch in enumerate(drivers.channels):
         eval_idx, _, lags, dz = _history_pairs(s_arr, ch.times, ch.sizes)
         if lags.size:
-            vals = g.evaluate(j, lags) * dz
+            vals = _filter_values(g, j, lags) * dz
             out += np.bincount(eval_idx, weights=vals, minlength=s_arr.size)
     return float(out[0]) if np.isscalar(s) or np.ndim(s) == 0 else out
 
@@ -398,15 +414,11 @@ def _check_node_domain(obj: Objective, x_nodes: np.ndarray) -> None:
 def neg_log_lik(g: FilterFunction, obj: Objective) -> float:
     """Minus log-likelihood; exact compensator for the linear link."""
     x_events, phi_events = _event_terms(g, obj)
+    x_nodes = obj.predictor_nodes(g)
     if obj.link.kind == "linear":
-        x_nodes = obj.predictor_nodes(g)
         _check_node_domain(obj, x_nodes)
-        comp = obj.link.d * obj.int_y
-        for atom, c in zip(g.atoms, g.coefficients):
-            if c != 0.0:
-                comp += c * obj.comp_row(g.kernel, atom)
+        comp = obj.link.d * obj.int_y + sum(obj.comp_row(g.kernel, f) for f in g.normal_forms)
     else:
-        x_nodes = obj.predictor_nodes(g)
         comp = float(obj.weights @ (obj.y_nodes * obj.link.value(x_nodes)))
     event_term = float(np.sum(np.log(obj.y_events * phi_events))) if phi_events.size else 0.0
     return comp - event_term
@@ -417,54 +429,59 @@ def objective_value(g: FilterFunction, obj: Objective) -> float:
     return neg_log_lik(g, obj) + obj.penalty_weight * g.h1_seminorm_sq()
 
 
-def _gradient_event_atoms(g: FilterFunction, obj: Objective, rho: np.ndarray):
-    """Event atoms of the gradient: full-kernel history sums per event."""
-    atoms = []
-    coeffs = []
-    for ch in range(obj.n_channels):
-        eval_idx, counts, lags, dz = obj._event_pairs[ch]
-        bounds = np.concatenate(([0], np.cumsum(counts)))
-        for i in range(len(obj.events)):
-            lo, hi = bounds[i], bounds[i + 1]
-            if hi == lo:
-                continue
-            atoms.append(section_sum(g.kernel, ch, lags[lo:hi], dz[lo:hi], part="r"))
-            coeffs.append(-float(rho[i]))
-    return atoms, coeffs
+# -- representer atoms ----------------------------------------------------------
 
 
-def _gradient_integral_atoms(g: FilterFunction, obj: Objective, x_nodes: np.ndarray):
-    """Integral atoms of the gradient, one per channel.
+def build_h_atoms(
+    kernel: SobolevKernel,
+    events: EventSeries,
+    drivers: DriverSeries,
+    part: str = "r1",
+) -> list[Atom]:
+    """Event history atoms, event-major then channel-minor.
 
-    Linear link: the weight Y_s phi'(X) = Y_s is piecewise constant, so the
-    atom is an exact integrated-segment atom.  Other links: pointwise
-    quadrature weights at the (node, jump) pairs, making the result the exact
-    gradient of the discretized compensator.
+    Atom (i, j) is sum_{sigma < tau_i} dZ_j R^part(tau_i - sigma, .) on
+    channel j; zero (empty) when the event has no earlier jumps there.
     """
     atoms = []
-    coeffs = []
-    if obj.link.kind == "linear":
-        for ch_idx in range(obj.n_channels):
-            lo, hi, w = obj._segment_support[ch_idx]
-            if w.size == 0:
-                continue
-            atom = integrated_segments(g.kernel, ch_idx, lo, hi, w, part="r")
-            if not atom.is_zero:
-                atoms.append(atom)
-                coeffs.append(1.0)
-    else:
-        node_weight = obj.weights * obj.y_nodes * obj.link.deriv(x_nodes)
-        for ch_idx in range(obj.n_channels):
-            eval_idx, _, lags, dz = obj._node_pairs[ch_idx]
-            if lags.size == 0:
-                continue
-            atom = integrated_points(
-                g.kernel, ch_idx, lags, node_weight[eval_idx] * dz, part="r"
+    for t in events.times:
+        for j, ch in enumerate(drivers.channels):
+            n = int(np.searchsorted(ch.times, t, side="left"))
+            atoms.append(
+                section_sum(kernel, j, t - ch.times[:n], ch.sizes[:n], part=part)
             )
-            if not atom.is_zero:
-                atoms.append(atom)
-                coeffs.append(1.0)
-    return atoms, coeffs
+    return atoms
+
+
+def build_f_atoms(
+    kernel: SobolevKernel,
+    obj: Objective,
+    part: str = "r1",
+    link_weights: np.ndarray | None = None,
+) -> list[Atom]:
+    """Integral atoms, one per channel.
+
+    Without ``link_weights`` the compensator weight Y_s is piecewise constant
+    and the atom is an exact integrated-segment atom.  With ``link_weights``
+    (one value per quadrature node, e.g. w_q Y_q phi'(X_q)) the atom is the
+    pointwise sum over (node, jump) pairs, the exact gradient of the
+    quadrature-discretized compensator.
+    """
+    atoms = []
+    if link_weights is None:
+        for j in range(obj.n_channels):
+            lo, hi, w = obj.integral_support(j)
+            atoms.append(integrated_segments(kernel, j, lo, hi, w, part=part))
+    else:
+        link_weights = np.asarray(link_weights, dtype=float)
+        if link_weights.shape != obj.nodes.shape:
+            raise ConfigError("need one link weight per quadrature node")
+        for j in range(obj.n_channels):
+            eval_idx, _, lags, dz = obj._node_pairs[j]
+            atoms.append(
+                integrated_points(kernel, j, lags, link_weights[eval_idx] * dz, part=part)
+            )
+    return atoms
 
 
 def gradient(g: FilterFunction, obj: Objective) -> FilterFunction:
@@ -472,28 +489,28 @@ def gradient(g: FilterFunction, obj: Objective) -> FilterFunction:
 
     Consists of one integral atom per channel, one full-kernel history atom
     per event with coefficient -phi'/phi(X_tau-), and the penalty part
-    2 lam P g.
+    2 lam P g as one projected normal form per channel.
     """
     x_events, phi_events = _event_terms(g, obj)
     x_nodes = obj.predictor_nodes(g)
     _check_node_domain(obj, x_nodes)
     rho = obj.link.deriv(x_events) / phi_events if phi_events.size else np.empty(0)
 
-    atoms, coeffs = _gradient_integral_atoms(g, obj, x_nodes)
-    ev_atoms, ev_coeffs = _gradient_event_atoms(g, obj, rho)
-    atoms.extend(ev_atoms)
-    coeffs.extend(ev_coeffs)
-
+    # integral atoms: exact segments for the linear link, whose weight Y_s is
+    # piecewise constant; pointwise quadrature weights Y phi'(X) otherwise,
+    # the exact gradient of the discretized compensator
+    link_weights = None
+    if obj.link.kind != "linear":
+        link_weights = obj.weights * obj.y_nodes * obj.link.deriv(x_nodes)
+    h_atoms = build_h_atoms(g.kernel, obj.events, obj.drivers, part="r")
+    terms = [(a, 1.0) for a in build_f_atoms(g.kernel, obj, part="r", link_weights=link_weights)]
+    terms += [(a, -rho[pos // obj.n_channels]) for pos, a in enumerate(h_atoms)]
     if obj.penalty_weight != 0.0:
-        for atom, c in zip(g.atoms, g.coefficients):
-            if c == 0.0 or atom.kind == "h0":
-                continue
-            proj = atom.projected()
-            if not proj.is_zero:
-                atoms.append(proj)
-                coeffs.append(2.0 * obj.penalty_weight * c)
-
-    return FilterFunction(g.kernel, obj.n_channels, tuple(atoms), np.array(coeffs))
+        terms += [(a, 2.0 * obj.penalty_weight) for a in g.project().atoms]
+    terms = [(a, c) for a, c in terms if not a.is_zero]
+    return FilterFunction(
+        g.kernel, obj.n_channels, tuple(a for a, _ in terms), np.array([c for _, c in terms])
+    )
 
 
 def hessian_coords(g: FilterFunction, obj: Objective, basis_atoms, kernel: SobolevKernel | None = None) -> np.ndarray:
@@ -530,43 +547,52 @@ def hessian_coords(g: FilterFunction, obj: Objective, basis_atoms, kernel: Sobol
 
 
 def compensator(
-    g: FilterFunction,
+    g,
     link: LinkSpec,
     at_risk: AtRiskProcess,
     drivers: DriverSeries,
-    s: float,
+    s,
     nodes_per_interval: int = 8,
-) -> float:
-    """Lambda(s) = int_0^s Y phi(X) du; exact for the linear link."""
-    s = float(s)
-    if not 0.0 <= s <= drivers.horizon:
+):
+    """Lambda(s) = int_0^s Y phi(X) du at one time or an array of times.
+
+    ``g`` is a FilterFunction or one vectorized callable per channel.  One
+    partition of [0, max s] at every driver jump and at-risk breakpoint, and
+    one cumulative pass over its intervals; an s strictly inside an interval
+    adds the piece from the interval's left end to s.  So each Lambda(s)
+    depends on s alone, not on the other times asked for.  A linear link
+    with a FilterFunction integrates exactly: antiderivatives of the normal
+    forms over the lag segments of each interval.  Anything else uses
+    composite Gauss-Legendre quadrature with this many nodes per interval.
+    """
+    _check_channels(g, drivers)
+    s_arr = np.asarray(s, dtype=float)
+    if not np.all((s_arr >= 0.0) & (s_arr <= drivers.horizon)):
         raise DomainError(f"compensator endpoint {s} outside [0, horizon]")
-    if s == 0.0:
-        return 0.0
-    pieces = [(a, min(b, s), y) for a, b, y in at_risk.pieces(drivers.horizon) if a < s]
-    if link.kind == "linear":
-        total = link.d * sum(y * (b - a) for a, b, y in pieces)
-        for atom, c in zip(g.atoms, g.coefficients):
-            if c == 0.0:
-                continue
-            ch = drivers.channels[atom.channel]
-            for a, b, y in pieces:
-                if y == 0.0:
-                    continue
-                mask = ch.times < b
-                if not mask.any():
-                    continue
-                sigma = ch.times[mask]
-                dz = ch.sizes[mask]
-                hi = b - sigma
-                lo = np.maximum(a - sigma, 0.0)
-                vals = atom.antiderivative(g.kernel, hi) - atom.antiderivative(g.kernel, lo)
-                total += c * y * float(dz @ vals)
-        return float(total)
-    edges = [0.0, s]
-    edges.extend(t for t in np.concatenate([ch.times for ch in drivers.channels]) if 0.0 < t < s)
-    edges.extend(b for b in at_risk.breakpoints if 0.0 < b < s)
-    nodes, weights = _gauss_nodes(np.unique(np.array(edges)), nodes_per_interval)
-    x = linear_predictor(g, drivers, nodes)
-    y = at_risk.at(nodes)
-    return float(weights @ (y * link.value(x)))
+    q = s_arr.ravel()
+    edges = _partition(
+        float(q.max()) if q.size else 0.0, at_risk.breakpoints,
+        *(ch.times for ch in drivers.channels),
+    )
+    k = np.searchsorted(edges, q, side="right") - 1
+    inside = q > edges[k]
+    # every interval of the partition, then (edges[k], s] for each s inside one
+    a = np.concatenate([edges[:-1], edges[k[inside]]])
+    b = np.concatenate([edges[1:], q[inside]])
+    if isinstance(g, FilterFunction) and link.kind == "linear":
+        levels = at_risk.at(0.5 * (a + b))
+        inc = link.d * levels * (b - a)
+        for ch, form in zip(drivers.channels, g.normal_forms):
+            idx, lo, hi, w = _lag_segments(a, b, levels, ch.times, ch.sizes)
+            if w.size:
+                vals = form.antiderivative(g.kernel, hi) - form.antiderivative(g.kernel, lo)
+                inc += np.bincount(idx, weights=w * vals, minlength=inc.size)
+    else:
+        nodes, weights = _gauss_nodes(a, b, nodes_per_interval)
+        lam = at_risk.at(nodes) * link.value(linear_predictor(g, drivers, nodes))
+        inc = (weights * lam).reshape(-1, nodes_per_interval).sum(axis=1)
+    n_full = edges.size - 1
+    cum = np.concatenate(([0.0], np.cumsum(inc[:n_full])))
+    out = cum[k]
+    out[inside] += inc[n_full:]
+    return float(out[0]) if s_arr.ndim == 0 else out.reshape(s_arr.shape)

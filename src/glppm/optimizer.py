@@ -575,7 +575,10 @@ def fit_descent(
     no node force is active.
 
     The default start is f_0 scaled by a one-dimensional minimization of the
-    objective along it; pass ``init`` to start elsewhere.
+    objective along it; pass ``init`` to start elsewhere.  A non-linear fit
+    whose dictionary has no room left for the next integral atom stops as
+    "stalled" with ``atom_cap_reached``, reporting the norm of the gradient
+    filter at its result.
     """
     cfg = line_search if line_search is not None else LineSearchConfig()
     if tol <= 0 or max_iter < 1:
@@ -783,15 +786,28 @@ def fit_descent(
         if not linear:
             w_link = obj.weights * obj.y_nodes * link.deriv(Xn)
             if not np.array_equal(w_link, last_f_weights):
-                if len(ws) + obj.n_channels <= max_atoms:
-                    cols, chans, comps = add_f_atoms(w_link - last_f_weights)
-                    f_cols, f_chans, f_comps = f_cols + cols, f_chans + chans, f_comps + comps
-                    gamma = pad(gamma)
-                    Xn = ws.U @ gamma
-                    Xe = ws.E @ gamma
-                    last_f_weights = w_link
-                else:
+                if len(ws) + obj.n_channels > max_atoms:
+                    # no room for the integral atom of the new weights: the
+                    # dictionary no longer spans the gradient, and its
+                    # coordinates would measure a stale one.  Stop, and
+                    # report the norm of the true gradient.
                     cap_reached = True
+                    status = "stalled"
+                    val_plain = value_at(gamma, check_nodes=False)
+                    grad = gradient(
+                        FilterFunction(kernel, obj.n_channels, tuple(ws.atoms), gamma), obj
+                    )
+                    gn_plain = float(np.sqrt(max(grad.inner_product(grad), 0.0)))
+                    obj_trace.append(val_plain)
+                    gn_trace.append(gn_plain)
+                    dict_size_trace.append(len(ws))
+                    break
+                cols, chans, comps = add_f_atoms(w_link - last_f_weights)
+                f_cols, f_chans, f_comps = f_cols + cols, f_chans + chans, f_comps + comps
+                gamma = pad(gamma)
+                Xn = ws.U @ gamma
+                Xe = ws.E @ gamma
+                last_f_weights = w_link
 
         # structural coordinates of grad Lambda on the dictionary
         gam_grad = np.zeros(len(ws))

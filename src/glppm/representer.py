@@ -12,9 +12,11 @@ are the smooth parts of the event and compensator design functionals; events
 with no strictly earlier jumps on a channel contribute identically zero atoms,
 which are kept in place (flagged) so indexing stays uniform.
 
-The same constructors also serve general links: feeding per-node quadrature
-weights to ``build_f_atoms`` yields the pointwise-quadrature integral atom
-used by dictionary descent, and ``part="r"`` requests full-kernel variants.
+The atom constructors live in ``likelihood``, whose gradient is built from
+the same atoms, and are re-exported here.  They also serve general links:
+feeding per-node quadrature weights to ``build_f_atoms`` yields the
+pointwise-quadrature integral atom used by dictionary descent, and
+``part="r"`` requests full-kernel variants.
 """
 
 from __future__ import annotations
@@ -23,74 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DriverSeries, EventSeries
 from .errors import ConfigError
-from .filters import (
-    Atom,
-    FilterFunction,
-    full_gram,
-    h0_poly,
-    h1_gram,
-    integrated_points,
-    integrated_segments,
-    section_sum,
-)
+from .filters import Atom, FilterFunction, full_gram, h0_poly, h1_gram
 from .kernel import SobolevKernel
-from .likelihood import Objective
+from .likelihood import Objective, build_f_atoms, build_h_atoms
 
 __all__ = ["RepresenterBasis", "assemble", "build_f_atoms", "build_h_atoms"]
-
-
-def build_h_atoms(
-    kernel: SobolevKernel,
-    events: EventSeries,
-    drivers: DriverSeries,
-    part: str = "r1",
-) -> list[Atom]:
-    """Event history atoms, event-major then channel-minor.
-
-    Atom (i, j) is sum_{sigma < tau_i} dZ_j R^part(tau_i - sigma, .) on
-    channel j; zero (empty) when the event has no earlier jumps there.
-    """
-    atoms = []
-    for t in events.times:
-        for j, ch in enumerate(drivers.channels):
-            n = int(np.searchsorted(ch.times, t, side="left"))
-            atoms.append(
-                section_sum(kernel, j, t - ch.times[:n], ch.sizes[:n], part=part)
-            )
-    return atoms
-
-
-def build_f_atoms(
-    kernel: SobolevKernel,
-    obj: Objective,
-    part: str = "r1",
-    link_weights: np.ndarray | None = None,
-) -> list[Atom]:
-    """Integral atoms, one per channel.
-
-    Without ``link_weights`` the compensator weight Y_s is piecewise constant
-    and the atom is an exact integrated-segment atom.  With ``link_weights``
-    (one value per quadrature node, e.g. w_q Y_q phi'(X_q)) the atom is the
-    pointwise sum over (node, jump) pairs, the exact gradient of the
-    quadrature-discretized compensator.
-    """
-    atoms = []
-    if link_weights is None:
-        for j in range(obj.n_channels):
-            lo, hi, w = obj.integral_support(j)
-            atoms.append(integrated_segments(kernel, j, lo, hi, w, part=part))
-    else:
-        link_weights = np.asarray(link_weights, dtype=float)
-        if link_weights.shape != obj.nodes.shape:
-            raise ConfigError("need one link weight per quadrature node")
-        for j in range(obj.n_channels):
-            eval_idx, _, lags, dz = obj._node_pairs[j]
-            atoms.append(
-                integrated_points(kernel, j, lags, link_weights[eval_idx] * dz, part=part)
-            )
-    return atoms
 
 
 @dataclass(frozen=True)

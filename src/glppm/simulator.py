@@ -8,10 +8,11 @@ and accepted with probability lambda/bound.  Accepting a self-exciting
 event raises the bound, which is recomputed at every step.
 
 ``time_rescale`` maps observed events through the fitted compensator; under
-a correct model the rescaled gaps are unit exponentials.  The linear link
-with a filter built from kernel atoms integrates exactly; any other
-combination uses composite Gauss-Legendre quadrature on a partition split
-at events, jumps and at-risk breakpoints.
+a correct model the rescaled gaps are unit exponentials.  It is the
+difference of one array call of ``likelihood.compensator`` at the event
+times: exact for the linear link with a filter built from kernel atoms,
+composite Gauss-Legendre quadrature between consecutive jumps, at-risk
+breakpoints and events for any other combination.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from .data import AtRiskProcess, DriverChannel, DriverSeries, EventSeries
 from .errors import ConfigError, SolverError
 from .filters import FilterFunction
-from .likelihood import LinkSpec, _gauss_nodes, _history_pairs, compensator
+from .likelihood import LinkSpec, _filter_values, _partition, compensator
 
 __all__ = ["SimSpec", "simulate", "time_rescale"]
 
@@ -90,9 +91,7 @@ class SimSpec:
         return (self.drivers.n_channels if self.drivers else 0) + int(self.self_exciting)
 
     def filter_values(self, channel: int, lags: np.ndarray) -> np.ndarray:
-        if isinstance(self.filters, FilterFunction):
-            return np.asarray(self.filters.evaluate(channel, lags), dtype=float)
-        return np.asarray(self.filters[channel](lags), dtype=float)
+        return _filter_values(self.filters, channel, lags)
 
 
 def _channel_sups(spec: SimSpec) -> np.ndarray:
@@ -114,11 +113,7 @@ def simulate(spec: SimSpec, seed=None) -> tuple[EventSeries, DriverSeries]:
     exo = list(spec.drivers.channels) if spec.drivers else []
     self_ch = spec.n_channels - 1 if spec.self_exciting else None
 
-    edges = [horizon]
-    edges.extend(b for b in spec.at_risk.breakpoints if 0.0 < b < horizon)
-    for ch in exo:
-        edges.extend(t for t in ch.times if 0.0 < t < horizon)
-    edges = np.unique(np.array(edges))
+    edges = _partition(horizon, spec.at_risk.breakpoints, *(ch.times for ch in exo))
 
     events: list[float] = []
     cur = 0.0
@@ -199,33 +194,5 @@ def time_rescale(
     callables (quadrature).
     """
     at_risk = at_risk if at_risk is not None else AtRiskProcess.unit()
-    if len(events) == 0:
-        return np.empty(0)
-    if isinstance(g, FilterFunction) and link.kind == "linear":
-        vals = np.array(
-            [compensator(g, link, at_risk, drivers, t) for t in events.times]
-        )
-        return np.diff(np.concatenate(([0.0], vals)))
-
-    pts = [np.array([0.0, drivers.horizon]), events.times]
-    for ch in drivers.channels:
-        pts.append(ch.times)
-    pts.append(at_risk.breakpoints)
-    all_edges = np.unique(np.concatenate(pts))
-    all_edges = all_edges[(all_edges >= 0.0) & (all_edges <= drivers.horizon)]
-    nodes, weights = _gauss_nodes(all_edges, nodes_per_interval)
-
-    x = np.zeros(nodes.size)
-    for j, ch in enumerate(drivers.channels):
-        eval_idx, _, lags, dz = _history_pairs(nodes, ch.times, ch.sizes)
-        if lags.size:
-            if isinstance(g, FilterFunction):
-                vals = g.evaluate(j, lags) * dz
-            else:
-                vals = np.asarray(g[j](lags), dtype=float) * dz
-            x += np.bincount(eval_idx, weights=vals, minlength=nodes.size)
-    lam = at_risk.at(nodes) * link.value(x)
-    cum = np.concatenate(([0.0], np.cumsum(weights * lam)))
-    pos = np.searchsorted(nodes, events.times, side="right")
-    vals = cum[pos]
-    return np.diff(np.concatenate(([0.0], vals)))
+    vals = compensator(g, link, at_risk, drivers, events.times, nodes_per_interval)
+    return np.diff(vals, prepend=0.0)

@@ -14,7 +14,6 @@ from glppm.filters import (
     integrated_points,
     integrated_segments,
     kernel_section,
-    project_p,
     section_sum,
 )
 from glppm.kernel import SobolevKernel
@@ -237,7 +236,7 @@ class TestProjection:
     def test_poly_projects_to_zero(self):
         k = SobolevKernel(m=2, horizon=4.0)
         g = FilterFunction(k, 1, (h0_poly(k, 0, 1), h0_poly(k, 0, 2)), np.array([3.0, -1.0]))
-        pg = project_p(g)
+        pg = g.project()
         u = np.linspace(0, 4, 9)
         assert_allclose(pg.evaluate(0, u), np.zeros_like(u), atol=1e-15)
         assert pg.h1_seminorm_sq() == 0.0

@@ -463,3 +463,31 @@ class TestCompensator:
         g = FilterFunction.zero(k, 2)
         with pytest.raises(DomainError):
             compensator(g, linear_link(1.0), AtRiskProcess.unit(), drivers, 8.5)
+
+    @pytest.mark.parametrize("link", [linear_link(1.0), exponential_link()])
+    def test_array_call_matches_scalar_calls(self, tiny, link):
+        events, drivers = tiny
+        k = SobolevKernel(m=2, horizon=8.0)
+        g = small_filter(k, np.random.default_rng(45), 2)
+        y = AtRiskProcess([4.0], [1.0, 0.5])
+        s = np.array([0.0, 0.7, 2.0, 2.0, 3.0, 5.5, 8.0])
+        got = compensator(g, link, y, drivers, s)
+        want = [compensator(g, link, y, drivers, float(t)) for t in s]
+        assert got.shape == s.shape
+        assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("link", [linear_link(1.0), exponential_link()])
+    def test_channel_count_must_match_the_data(self, tiny, link):
+        from glppm.simulator import time_rescale
+
+        events, drivers = tiny
+        one = DriverSeries(8.0, drivers.channels[1:])
+        k = SobolevKernel(m=1, horizon=8.0)
+        g = FilterFunction(k, 2, (kernel_section(k, 1, 1.0),), np.array([0.1]))
+        y = AtRiskProcess.unit()
+        with pytest.raises(ConfigError):
+            time_rescale(g, link, events, one)
+        with pytest.raises(ConfigError):
+            intensity(g, link, y, one, 3.0)
+        with pytest.raises(ConfigError):
+            compensator(g, link, y, one, 3.0)

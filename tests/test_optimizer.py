@@ -272,6 +272,17 @@ class TestFitDescent:
         gn0 = res.grad_norm_trace[0]
         assert res.grad_norm <= 1e-6 * max(1.0, gn0)
 
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9])
+    def test_gradient_filter_norm_matches_the_fit(self, tol):
+        # near the optimum the gradient is a filter of many cancelling atoms;
+        # its norm must agree with the one the fit measured in coordinates
+        k, obj = dense_objective(lam=2.0, link=exponential_link(), m=1)
+        res = fit_descent(k, obj, tol=tol, max_iter=300)
+        assert res.converged
+        grad = gradient(res.g_hat, obj)
+        gn = float(np.sqrt(max(grad.inner_product(grad), 0.0)))
+        assert gn == pytest.approx(res.grad_norm, rel=0.01)
+
     def test_warm_start_reaches_same_optimum(self):
         k, obj = dense_objective(lam=5.0)
         res_cold = fit_descent(k, obj, tol=1e-6, max_iter=300)
@@ -285,6 +296,15 @@ class TestFitDescent:
         res = fit_descent(k, obj, tol=1e-10, max_iter=60, max_atoms=20)
         assert res.diagnostics["atom_cap_reached"] is True
         assert res.diagnostics["n_atoms"] <= 20
+        # the fit stops at the cap and reports the true gradient norm, read
+        # here off a fine grid: |g(0)|^2 + int g'^2 for m = 1
+        assert res.status == "stalled"
+        assert res.n_iter < 60
+        u = np.linspace(0.0, 8.0, 80_001)
+        v = gradient(res.g_hat, obj).evaluate(0, u)
+        grid_norm = np.sqrt(v[0] ** 2 + np.sum(np.diff(v) ** 2) / (u[1] - u[0]))
+        assert res.grad_norm == pytest.approx(grid_norm, rel=0.02)
+        assert res.grad_norm_trace[-1] == res.grad_norm
 
     def test_unpenalized_flagged(self):
         k, obj = dense_objective(lam=0.0, m=1)
