@@ -353,7 +353,7 @@ def linear_predictor(g, drivers: DriverSeries, s) -> np.ndarray:
     """
     _check_channels(g, drivers)
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    if s_arr.size and (s_arr.min() < 0.0 or s_arr.max() > drivers.horizon):
+    if not np.all((s_arr >= 0.0) & (s_arr <= drivers.horizon)):  # NaN fails too
         raise DomainError("evaluation times must lie in [0, horizon]")
     out = np.zeros(s_arr.shape)
     for j, ch in enumerate(drivers.channels):

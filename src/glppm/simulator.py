@@ -1,11 +1,16 @@
 """Simulation by thinning and goodness-of-fit time rescaling.
 
-Events are drawn by Ogata thinning: on each window where the at-risk level
-is constant and no exogenous jump occurs, the intensity is bounded by
-Y * phi(sum_ch mass_ch * sup g_ch) with the channel sups taken on a dense
-lag grid (times a small safety margin), candidates are drawn at that rate
-and accepted with probability lambda/bound.  Accepting a self-exciting
-event raises the bound, which is recomputed at every step.
+Events are drawn by Ogata's (1981) modified thinning.  Each channel's
+filter gets a nonincreasing upper envelope, g_ch(u) <= env_ch(u) =
+max(0, max_{v >= u} g_ch(v)) times a small safety margin, taken once per
+spec on a dense lag grid.  On a window where the at-risk level is constant
+and no exogenous jump occurs, the intensity after the current time t is
+bounded by Y * phi(sum_ch sum_{sigma <= t} dZ * env_ch(t - sigma)), the
+envelope read at the grid point at or below each lag: until the next event,
+jump or breakpoint the lags only grow, so the envelope terms only fall.  A
+candidate is drawn at that rate and accepted with probability
+lambda/bound; the bound is recomputed at every step, so it decays with the
+age of the past jumps instead of holding the sup of g for every one of them.
 
 ``time_rescale`` maps observed events through the fitted compensator; under
 a correct model the rescaled gaps are unit exponentials.  It is the
@@ -18,6 +23,7 @@ breakpoints and events for any other combination.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -42,10 +48,14 @@ class SimSpec:
     channels of ``drivers`` first, then, when ``self_exciting``, the target
     itself with unit jumps as the last channel.
 
-    The automatic dominating rate assumes nonnegative jump sizes and a
-    nondecreasing link; drivers with negative jumps need an explicit
+    The automatic dominating rate is the envelope bound of the module
+    docstring, read from ``envelopes``.  It assumes nonnegative jump sizes
+    and a nondecreasing link; drivers with negative jumps need an explicit
     ``bound`` on the intensity, otherwise thinning would silently bias the
-    law.
+    law.  A grid envelope too tight for a narrow peak of g between grid
+    points raises ``SolverError`` (bound exceeded) at the first candidate
+    that meets it.  The envelope is computed on first use and kept, so the
+    filters must not change after the spec is built.
     """
 
     link: LinkSpec
@@ -93,14 +103,39 @@ class SimSpec:
     def filter_values(self, channel: int, lags: np.ndarray) -> np.ndarray:
         return _filter_values(self.filters, channel, lags)
 
+    @cached_property
+    def envelopes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The lag grid, one nonincreasing upper envelope per channel on it,
+        and each channel's reach; computed once per spec.
 
-def _channel_sups(spec: SimSpec) -> np.ndarray:
-    grid = np.linspace(0.0, spec.horizon, _BOUND_GRID)
-    sups = np.empty(spec.n_channels)
-    for ch in range(spec.n_channels):
-        vals = spec.filter_values(ch, grid)
-        sups[ch] = max(0.0, float(np.max(vals))) * _BOUND_MARGIN
-    return sups
+        ``env[ch, i] = max(0, max_{j >= i} g_ch(grid[j])) * _BOUND_MARGIN``,
+        so ``env[ch, i]`` bounds g_ch at every lag from ``grid[i]`` on.  Read
+        at the grid point at or below a lag, it stays valid while that lag
+        grows.  ``reach[ch]`` is the first lag from which the envelope is 0:
+        jumps older than that add nothing to the bound.
+        """
+        grid = np.linspace(0.0, self.horizon, _BOUND_GRID)
+        env = np.empty((self.n_channels, grid.size))
+        reach = np.full(self.n_channels, np.inf)
+        for ch in range(self.n_channels):
+            vals = np.maximum(self.filter_values(ch, grid), 0.0)
+            env[ch] = np.maximum.accumulate(vals[::-1])[::-1] * _BOUND_MARGIN
+            if env[ch, -1] == 0.0:
+                reach[ch] = grid[int(np.argmin(env[ch] > 0.0))]
+        return grid, env, reach
+
+
+def _envelope_sum(grid, env, reach, times, sizes, t: float) -> float:
+    """sum over jumps sigma <= t of dZ * env(t - sigma), env read at the grid
+    point at or below each lag; ``sizes`` None means unit jumps."""
+    if env[0] == 0.0:  # a nonincreasing envelope that starts at 0 is 0
+        return 0.0
+    lo = times.searchsorted(t - reach)
+    hi = times.searchsorted(t, side="right")
+    if lo == hi:
+        return 0.0
+    vals = env[grid.searchsorted(t - times[lo:hi], side="right") - 1]
+    return float(vals.sum() if sizes is None else sizes[lo:hi] @ vals)
 
 
 def simulate(spec: SimSpec, seed=None) -> tuple[EventSeries, DriverSeries]:
@@ -108,14 +143,15 @@ def simulate(spec: SimSpec, seed=None) -> tuple[EventSeries, DriverSeries]:
     (exogenous channels plus, when self-exciting, the target as a driver)."""
     rng = np.random.default_rng(seed)
     horizon = spec.horizon
-    sups = _channel_sups(spec) if spec.bound is None else np.zeros(spec.n_channels)
-    n_exo = spec.drivers.n_channels if spec.drivers else 0
+    if spec.bound is None:
+        grid, env, reach = spec.envelopes
     exo = list(spec.drivers.channels) if spec.drivers else []
     self_ch = spec.n_channels - 1 if spec.self_exciting else None
 
     edges = _partition(horizon, spec.at_risk.breakpoints, *(ch.times for ch in exo))
 
-    events: list[float] = []
+    events = np.empty(64)  # self-exciting event times, events[:n_events] filled
+    n_events = 0
     cur = 0.0
     candidate_budget = 50 * spec.max_events + 1_000_000
 
@@ -125,9 +161,16 @@ def simulate(spec: SimSpec, seed=None) -> tuple[EventSeries, DriverSeries]:
             n = int(np.searchsorted(ch.times, s, side="left"))
             if n:
                 x += float(ch.sizes[:n] @ spec.filter_values(j, s - ch.times[:n]))
-        if self_ch is not None and events:
-            past = np.asarray(events)
-            x += float(np.sum(spec.filter_values(self_ch, s - past)))
+        if self_ch is not None and n_events:
+            x += float(np.sum(spec.filter_values(self_ch, s - events[:n_events])))
+        return x
+
+    def x_bound(t: float) -> float:
+        x = 0.0
+        for j, ch in enumerate(exo):
+            x += _envelope_sum(grid, env[j], reach[j], ch.times, ch.sizes, t)
+        if self_ch is not None:
+            x += _envelope_sum(grid, env[self_ch], reach[self_ch], events[:n_events], None, t)
         return x
 
     while cur < horizon:
@@ -139,14 +182,7 @@ def simulate(spec: SimSpec, seed=None) -> tuple[EventSeries, DriverSeries]:
         if spec.bound is not None:
             bound = spec.bound
         else:
-            x_cap = 0.0
-            for j, ch in enumerate(exo):
-                n = int(np.searchsorted(ch.times, cur, side="right"))
-                if n:
-                    x_cap += float(np.sum(ch.sizes[:n])) * sups[j]
-            if self_ch is not None:
-                x_cap += len(events) * sups[self_ch]
-            bound = y_val * float(spec.link.value(x_cap))
+            bound = y_val * float(spec.link.value(x_bound(cur)))
         if bound <= 0.0:
             cur = nxt
             continue
@@ -163,15 +199,18 @@ def simulate(spec: SimSpec, seed=None) -> tuple[EventSeries, DriverSeries]:
                 f"thinning bound {bound} exceeded by intensity {lam} at t={cand}"
             )
         if lam > 0.0 and rng.uniform() * bound <= lam:
-            events.append(cand)
-            if len(events) > spec.max_events:
+            if n_events == spec.max_events:
                 raise SolverError(
                     f"simulation exceeded max_events={spec.max_events}; "
                     "the process may be explosive"
                 )
+            if n_events == events.size:
+                events = np.concatenate([events, np.empty(events.size)])
+            events[n_events] = cand
+            n_events += 1
         cur = cand
 
-    ev = EventSeries(horizon, np.array(events))
+    ev = EventSeries(horizon, events[:n_events].copy())
     channels = list(exo)
     if spec.self_exciting:
         channels.append(DriverChannel(spec.target_name, ev.times.copy(), np.ones(len(ev))))

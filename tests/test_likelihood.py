@@ -93,6 +93,15 @@ class TestLinearPredictor:
         with pytest.raises(DomainError):
             linear_predictor(g, drivers, 9.0)
 
+    def test_nan_time_rejected(self, tiny):
+        events, drivers = tiny
+        k = SobolevKernel(m=1, horizon=8.0)
+        g = FilterFunction.zero(k, 2)
+        with pytest.raises(DomainError):
+            linear_predictor(g, drivers, float("nan"))
+        with pytest.raises(DomainError):
+            intensity(g, linear_link(1.0), AtRiskProcess.unit(), drivers, [2.0, float("nan")])
+
 
 class TestLinkSpec:
     def test_exp_spelling_is_the_exponential_link_with_offset(self):

@@ -115,6 +115,38 @@ class TestSimulate:
         rates = [len(simulate(spec, seed=s)[0].times) / 600.0 for s in range(4)]
         assert abs(np.mean(rates) - 2.0 / 3.0) <= 0.1 * 2.0 / 3.0
 
+    @pytest.mark.parametrize("horizon", [100.0, 400.0])
+    def test_candidates_per_event_do_not_grow_with_horizon(self, horizon):
+        # every candidate evaluates the filter once (plus one call for the
+        # bound envelope); a bound that ignores how old past events are
+        # draws more candidates per event the longer the run
+        calls = 0
+
+        def g(u):
+            nonlocal calls
+            calls += 1
+            return 0.5 * np.exp(-2.0 * u)
+
+        spec = SimSpec(link=linear_link(0.5), filters=[g], horizon=horizon)
+        n_events = sum(len(simulate(spec, seed=s)[0].times) for s in range(3))
+        assert n_events > 0.5 * horizon
+        assert calls <= 3 * n_events
+
+    def test_exogenous_driver_mean_count(self):
+        # zero self filter: Poisson with rate d + sum_k z_k exp(-(s - sigma_k))
+        d, t, n_seeds = 0.5, 20.0, 40
+        sigma, z = np.array([2.0, 5.0, 9.0, 15.0]), np.array([1.0, 2.0, 0.5, 3.0])
+        drivers = DriverSeries(t, (DriverChannel("z", sigma, z),))
+        spec = SimSpec(
+            link=linear_link(d),
+            filters=[lambda u: np.exp(-u), lambda u: 0 * u],
+            horizon=t,
+            drivers=drivers,
+        )
+        counts = [len(simulate(spec, seed=200 + s)[0].times) for s in range(n_seeds)]
+        mean = d * t + float(z @ (1.0 - np.exp(-(t - sigma))))
+        assert abs(np.mean(counts) - mean) <= 4 * np.sqrt(mean / n_seeds)
+
     def test_explosive_process_raises(self):
         spec = SimSpec(
             link=linear_link(1.0),
@@ -187,6 +219,35 @@ class TestThinningLaw:
         decay = np.exp(-b * dt)
         for _ in range(n_steps):
             p = np.clip((d + state) * dt, 0.0, 1.0)
+            fired = rng.uniform(size=n_runs) < p
+            counts_grid += fired
+            state = decay * (state + a * fired)
+        kmax = int(max(counts_thin.max(), counts_grid.max())) + 1
+        p_thin = np.bincount(counts_thin, minlength=kmax) / n_runs
+        p_grid = np.bincount(counts_grid, minlength=kmax) / n_runs
+        tv = 0.5 * np.abs(p_thin - p_grid).sum()
+        assert tv <= 0.05
+
+    def test_rising_then_falling_filter(self):
+        # g(u) = a (e^{-b1 u} - e^{-b2 u}) is 0 at lag 0 and peaks later, so
+        # the bound envelope differs from g; the grid scheme carries the two
+        # exponential states exactly
+        a, b1, b2, d, t = 3.0, 1.0, 5.0, 0.5, 1.0
+        n_runs, dt = 10_000, 1e-3
+        spec = SimSpec(
+            link=linear_link(d),
+            filters=[lambda u: a * (np.exp(-b1 * u) - np.exp(-b2 * u))],
+            horizon=t,
+        )
+        counts_thin = np.array(
+            [len(simulate(spec, seed=s)[0].times) for s in range(n_runs)]
+        )
+        rng = np.random.default_rng(24680)
+        state = np.zeros((2, n_runs))
+        counts_grid = np.zeros(n_runs, dtype=int)
+        decay = np.exp(-np.array([[b1], [b2]]) * dt)
+        for _ in range(int(round(t / dt))):
+            p = np.clip((d + state[0] - state[1]) * dt, 0.0, 1.0)
             fired = rng.uniform(size=n_runs) < p
             counts_grid += fired
             state = decay * (state + a * fired)
