@@ -8,8 +8,9 @@ modelled through the intensity
 
 where phi is a monotone link and the filter g lives coordinate-wise in an
 order-m Sobolev space.  The package estimates g by minimizing the penalized
-minus-log-likelihood over a finite representer basis (linear link) or a
-growing dictionary driven by gradient atoms (general links).
+minus-log-likelihood: exactly in a finite representer basis for the linear
+link (``fit_linear``), and by descent over a growing dictionary driven by
+gradient atoms for the exponential and softplus links (``fit_descent``).
 """
 
 from .data import AtRiskProcess, DatasetManifest, DriverSeries, EventSeries, load_events, save_events

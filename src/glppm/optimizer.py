@@ -1,6 +1,4 @@
-"""Solvers for the penalized likelihood.
-
-Two routes to the minimizer:
+"""Solvers for the penalized likelihood: one per kind of link.
 
 * ``fit_linear``: for the linear link the minimizer lies in the finite
   representer basis, so a damped Newton iteration on the coefficients is
@@ -8,17 +6,19 @@ Two routes to the minimizer:
   intensity between events is restored, when violated, by a few passes of a
   quadratically-penalized hinge on the quadrature-node predictors.
 
-* ``fit_descent``: for any link, descent over a growing atom dictionary.
-  The gradient of the objective is itself a finite combination of kernel
-  atoms (event history atoms, one integral atom per channel, and the
-  penalty part), so each iteration appends integral atoms for the change
-  of the link weights since the last iteration, forms the exact gradient
-  coordinates on the dictionary, takes a subspace Newton step (steepest
-  descent when that fails the angle test) and moves along it with a weak
-  Wolfe line search.
+* ``fit_descent``: for the exponential and softplus links, descent over a
+  growing atom dictionary.  The gradient of the objective is itself a
+  finite combination of kernel atoms (event history atoms, one integral
+  atom per channel, and the penalty part), so each iteration appends
+  integral atoms for the change of the link weights since the last
+  iteration, forms the exact gradient coordinates on the dictionary, takes
+  a subspace Newton step (steepest descent when that fails the angle test)
+  and moves along it with a weak Wolfe line search.
 
 Both report convergence in the function-space gradient norm
-||grad Lambda(g)|| <= tol * max(1, ||grad Lambda(g_0)||).
+||grad Lambda(g)|| <= tol * max(1, ||grad Lambda(g_0)||), where g_0 is the
+solver's default start; when ``fit_descent`` is given an ``init``, g_0 is the
+zero filter instead, so that the start cannot set its own stopping scale.
 """
 
 from __future__ import annotations
@@ -97,6 +97,14 @@ class FitResult:
     @property
     def converged(self) -> bool:
         return self.status == "converged"
+
+
+def _check_stopping(tol: float, max_iter: int) -> None:
+    """Reject a stopping rule that can never be met or never runs."""
+    if not (np.isfinite(tol) and tol > 0.0) or max_iter < 1:
+        raise ConfigError(
+            f"need a finite tol > 0 and max_iter >= 1, got tol={tol}, max_iter={max_iter}"
+        )
 
 
 def _weak_wolfe_search(trial, f0: float, d0: float, cfg: LineSearchConfig):
@@ -241,6 +249,7 @@ def fit_linear(
     optimum lies in this enlarged span rather than in the unconstrained
     representer span.
     """
+    _check_stopping(tol, max_iter)
     if obj.link.kind != "linear":
         raise ConfigError("fit_linear requires the linear link")
     lam = obj.penalty_weight
@@ -487,7 +496,7 @@ def fit_linear(
     )
 
 
-# -- general links: dictionary descent ------------------------------------------
+# -- exponential and softplus links: dictionary descent ------------------------
 
 
 class _Workspace:
@@ -545,47 +554,39 @@ def fit_descent(
     max_atoms: int = 200,
     line_search: LineSearchConfig | None = None,
 ) -> FitResult:
-    """Dictionary descent for any link.
+    """Dictionary descent for the exponential and softplus links.
+
+    The linear link is solved exactly in the representer basis by
+    ``fit_linear``; passing it here raises ConfigError.
 
     The dictionary holds the polynomial atoms, one full-kernel history atom
     per (event, channel), and a growing family of smooth-part integral atoms
-    produced by the gradient: the data-independent weight set for the linear
-    link (added once), or, for non-linear links, the weights Y phi'(X) at the
-    start followed by one difference atom per iteration for the change of
-    those weights since the previous one.  The gradient's integral atom is
-    then the sum of all integral atoms, with coordinate +1 on each; adding
-    the weights themselves instead would leave nearly collinear atoms whose
-    Newton systems are singular to working precision near the optimum.
-    Each iteration expresses the exact gradient in dictionary coordinates,
+    produced by the gradient: the weights Y phi'(X) at the start, followed
+    by one difference atom per iteration for the change of those weights
+    since the previous one.  The gradient's integral atom is then the sum
+    of all integral atoms, with coordinate +1 on each; adding the weights
+    themselves instead would leave nearly collinear atoms whose Newton
+    systems are singular to working precision near the optimum.  Each
+    iteration expresses the exact gradient in dictionary coordinates,
     solves the subspace Newton system, falls back to steepest descent when
     the Newton direction fails the descent or angle test, and moves by a
     weak Wolfe step whose trials and reference value f(0) share one
     expression.
 
-    For the linear link the intensity must stay nonnegative between events.
-    Node feasibility is kept by hinge-squared terms on the violating nodes,
-    warm-started with multiplier estimates (an augmented Lagrangian): the
-    multipliers drive the violation to zero while the penalty weight stays
-    bounded, so the inner problems remain well enough conditioned for the
-    angle-safeguarded Newton steps.  Atoms for the forced nodes join the
-    dictionary, which makes the constraint force representable and lets the
-    subspace Newton direction steer along the boundary.  Convergence is
-    always measured in the function-space norm of the gradient of the
-    objective currently minimized, which coincides with grad Lambda whenever
-    no node force is active.
-
     The default start is f_0 scaled by a one-dimensional minimization of the
-    objective along it; pass ``init`` to start elsewhere.  A non-linear fit
-    whose dictionary has no room left for the next integral atom stops as
-    "stalled" with ``atom_cap_reached``, reporting the norm of the gradient
-    filter at its result.
+    objective along it; pass ``init`` to start elsewhere.  The stopping
+    scale ||grad Lambda(g_0)|| is taken at the default start, or at the zero
+    filter when ``init`` is given, so a poor start cannot loosen the test.
+    A fit whose dictionary has no room left for the next integral atom
+    stops as "stalled" with ``atom_cap_reached``, reporting the norm of the
+    gradient filter at its result.
     """
     cfg = line_search if line_search is not None else LineSearchConfig()
-    if tol <= 0 or max_iter < 1:
-        raise ConfigError("need tol > 0 and max_iter >= 1")
+    _check_stopping(tol, max_iter)
     link = obj.link
+    if link.kind == "linear":
+        raise ConfigError("fit_descent serves the non-linear links; use fit_linear")
     lam = obj.penalty_weight
-    linear = link.kind == "linear"
     ws = _Workspace(kernel, obj)
 
     phi_cols = np.zeros((obj.n_channels, kernel.m), dtype=int)
@@ -605,9 +606,9 @@ def fit_descent(
     # integral atoms are kept as their smooth parts; completions[i] is the
     # polynomial content that, added on the phi columns, restores the
     # full-kernel gradient atom
-    def add_f_atoms(link_weights, part="r1"):
+    def add_f_atoms(link_weights):
         cols, chans, comps = [], [], []
-        for atom in build_f_atoms(kernel, obj, part=part, link_weights=link_weights):
+        for atom in build_f_atoms(kernel, obj, part="r1", link_weights=link_weights):
             if not atom.is_zero:
                 cols.append(ws.add(atom))
                 chans.append(atom.channel)
@@ -619,12 +620,8 @@ def fit_descent(
     def pad(vec: np.ndarray) -> np.ndarray:
         return np.append(vec, np.zeros(len(ws) - vec.size))
 
-    init_f_weights = None
-    if linear:
-        f_cols, f_chans, f_comps = add_f_atoms(None)
-    else:
-        init_f_weights = obj.weights * obj.y_nodes * link.deriv(np.zeros(obj.nodes.size))
-        f_cols, f_chans, f_comps = add_f_atoms(init_f_weights)
+    last_f_weights = obj.weights * obj.y_nodes * link.deriv(np.zeros(obj.nodes.size))
+    f_cols, f_chans, f_comps = add_f_atoms(last_f_weights)
     gamma = pad(gamma)
     if len(ws) + obj.n_channels > max_atoms:
         raise ConfigError(
@@ -644,30 +641,20 @@ def fit_descent(
 
     log_y = float(np.sum(np.log(obj.y_events))) if len(obj.events) else 0.0
 
-    def value_at(gam_vec: np.ndarray, check_nodes: bool = True) -> float:
-        """Plain objective at dictionary coefficients; +inf when infeasible.
-
-        ``check_nodes`` rejects linear-link predictors below -d; used only
-        for the initialization search, which must start feasible.
-        """
+    def value_at(gam_vec: np.ndarray) -> float:
+        """Objective at dictionary coefficients; +inf when infeasible."""
         xe = ws.E @ gam_vec
         phi_e = link.value(xe)
         if phi_e.size and (obj.y_events * phi_e).min() <= 0.0:
             return np.inf
         pen = lam * float(gam_vec @ ws.Gp @ gam_vec)
         xn = ws.U @ gam_vec
-        if linear:
-            if check_nodes and xn.size and xn.min() < -link.d - _FEAS_SLACK * max(
-                1.0, link.d
-            ):
-                return np.inf
-            val = float(ws.comp @ gam_vec) + link.d * obj.int_y + pen
-        else:
-            val = float(obj.weights @ (obj.y_nodes * link.value(xn))) + pen
+        val = float(obj.weights @ (obj.y_nodes * link.value(xn))) + pen
         if phi_e.size:
             val -= float(np.sum(np.log(phi_e))) + log_y
         return val
 
+    gn0 = None
     if init is not None:
         if init.kernel != kernel or init.n_channels != obj.n_channels:
             raise ConfigError("init filter does not match the kernel/data")
@@ -676,6 +663,8 @@ def fit_descent(
                 idx = ws.add(atom)
                 gamma = pad(gamma)
                 gamma[idx] = coeff
+        grad0 = gradient(FilterFunction.zero(kernel, obj.n_channels), obj)
+        gn0 = float(np.sqrt(max(grad0.inner_product(grad0), 0.0)))
     elif f_cols:
         # default start: f_0 scaled by a 1-D minimization of the objective
         direction = np.zeros(len(ws))
@@ -701,81 +690,13 @@ def fit_descent(
     gn_trace: list[float] = []
     wolfe_log: list[dict] = []
     dict_size_trace: list[int] = []
-    pass_starts: list[int] = []
     status = "max_iter"
-    gn0 = None
     ridge_used = False
     cap_reached = False
     n_iter = 0
-    n_eval = 0
-    # Linear link: augmented Lagrangian on the node constraints X_q + d >= 0.
-    # The force weight on node q is w_q = max(0, y_q - 2 mu (X_q + d)); the
-    # term added to the objective is sum_q (w_q^2 - y_q^2) / (4 mu), which at
-    # y = 0 reduces to the plain hinge square mu min(X_q + d, 0)^2.  The term
-    # vanishes identically on the feasible region when y = 0, so interior
-    # problems never see it.
-    n_nodes = obj.nodes.size
-    y_mult = np.zeros(n_nodes)
-    mu = 1.0 if linear else 0.0
-    n_pass = 0
-    mu_raises = 0
-    viol_prev = np.inf
-    pass_tol = max(tol, 1e-3)
-    node_cols: list[int] = []
-    node_idx: list[int] = []
-    node_added = np.zeros(n_nodes, dtype=bool)
-    last_f_weights = init_f_weights
-    val_plain = np.inf
-    gn_plain = np.inf
-    viol_inf = 0.0
-    w_force = np.zeros(0)
-    c_nodes = np.zeros(0)
-
-    def pass_update() -> None:
-        """Multiplier update, with a penalty raise when violation stalls."""
-        nonlocal y_mult, mu, n_pass, mu_raises, viol_prev, pass_tol
-        y_new = w_force.copy()
-        infeasible = viol_inf > _FEAS_SLACK * max(1.0, link.d)
-        # keep mu moderate: a stiff hinge Hessian makes the Newton direction
-        # fail the search-direction angle test, and the damped fallback
-        # crawls; extra multiplier passes are much cheaper
-        if infeasible and viol_inf > 0.25 * viol_prev and mu_raises < 20 and mu < 1e2:
-            mu *= 10.0
-            mu_raises += 1
-        if viol_inf > 0.0:
-            viol_prev = viol_inf
-        y_mult = y_new
-        n_pass += 1
-        pass_starts.append(len(obj_trace) - 1)
-        pass_tol = max(tol, 0.1 * pass_tol)
 
     while True:
         Xn = ws.U @ gamma
-        if linear:
-            c_nodes = Xn + link.d
-            w_force = np.maximum(0.0, y_mult - 2.0 * mu * c_nodes)
-            viol_inf = float(max(0.0, -c_nodes.min())) if c_nodes.size else 0.0
-            if w_force.size and w_force.max() > 0.0:
-                wanted = (~node_added) & (w_force > 1e-2 * w_force.max())
-                room = max_atoms - len(ws) - obj.n_channels
-                if wanted.any() and room > 0:
-                    cand = np.flatnonzero(wanted)
-                    cand = cand[np.argsort(w_force[cand])[::-1]][: min(room, 64)]
-                    onehot = np.zeros(n_nodes)
-                    for q in cand:
-                        node_added[q] = True
-                        onehot[q] = 1.0
-                        for atom in build_f_atoms(
-                            kernel, obj, part="r", link_weights=onehot
-                        ):
-                            if not atom.is_zero:
-                                node_idx.append(int(q))
-                                node_cols.append(ws.add(atom))
-                        onehot[q] = 0.0
-                    gamma = pad(gamma)
-                    Xn = ws.U @ gamma
-                elif wanted.any():
-                    cap_reached = True
         Xe = ws.E @ gamma
         phi_e = event_terms(Xe)
         rho = link.deriv(Xe) / phi_e if phi_e.size else np.empty(0)
@@ -783,31 +704,30 @@ def fit_descent(
         # integral atoms of the gradient at the current iterate: the atom for
         # the weights Y phi'(X) is the sum of all integral atoms so far, the
         # newest one carrying only the change of weights since the last
-        if not linear:
-            w_link = obj.weights * obj.y_nodes * link.deriv(Xn)
-            if not np.array_equal(w_link, last_f_weights):
-                if len(ws) + obj.n_channels > max_atoms:
-                    # no room for the integral atom of the new weights: the
-                    # dictionary no longer spans the gradient, and its
-                    # coordinates would measure a stale one.  Stop, and
-                    # report the norm of the true gradient.
-                    cap_reached = True
-                    status = "stalled"
-                    val_plain = value_at(gamma, check_nodes=False)
-                    grad = gradient(
-                        FilterFunction(kernel, obj.n_channels, tuple(ws.atoms), gamma), obj
-                    )
-                    gn_plain = float(np.sqrt(max(grad.inner_product(grad), 0.0)))
-                    obj_trace.append(val_plain)
-                    gn_trace.append(gn_plain)
-                    dict_size_trace.append(len(ws))
-                    break
-                cols, chans, comps = add_f_atoms(w_link - last_f_weights)
-                f_cols, f_chans, f_comps = f_cols + cols, f_chans + chans, f_comps + comps
-                gamma = pad(gamma)
-                Xn = ws.U @ gamma
-                Xe = ws.E @ gamma
-                last_f_weights = w_link
+        w_link = obj.weights * obj.y_nodes * link.deriv(Xn)
+        if not np.array_equal(w_link, last_f_weights):
+            if len(ws) + obj.n_channels > max_atoms:
+                # no room for the integral atom of the new weights: the
+                # dictionary no longer spans the gradient, and its
+                # coordinates would measure a stale one.  Stop, and
+                # report the norm of the true gradient.
+                cap_reached = True
+                status = "stalled"
+                val = value_at(gamma)
+                grad = gradient(
+                    FilterFunction(kernel, obj.n_channels, tuple(ws.atoms), gamma), obj
+                )
+                gn = float(np.sqrt(max(grad.inner_product(grad), 0.0)))
+                obj_trace.append(val)
+                gn_trace.append(gn)
+                dict_size_trace.append(len(ws))
+                break
+            cols, chans, comps = add_f_atoms(w_link - last_f_weights)
+            f_cols, f_chans, f_comps = f_cols + cols, f_chans + chans, f_comps + comps
+            gamma = pad(gamma)
+            Xn = ws.U @ gamma
+            Xe = ws.E @ gamma
+            last_f_weights = w_link
 
         # structural coordinates of grad Lambda on the dictionary
         gam_grad = np.zeros(len(ws))
@@ -827,64 +747,25 @@ def fit_descent(
                         ws.h0_mat[mask].T @ gamma[mask]
                     )
 
-        gn_plain = float(np.sqrt(max(gam_grad @ ws.G @ gam_grad, 0.0)))
-        val_plain = value_at(gamma, check_nodes=False)
-        val = val_plain
-        w_rem = np.zeros(0)
-        force_on = linear and w_force.size and w_force.max() > 0.0
-        if force_on:
-            # constraint force -sum_q w_q eta_q: exact coordinates on the
-            # node atoms in the dictionary, norm corrections for the rest
-            if node_cols:
-                np.subtract.at(
-                    gam_grad,
-                    np.asarray(node_cols),
-                    w_force[np.asarray(node_idx)],
-                )
-            w_rem = np.where(node_added, 0.0, w_force)
-            gn2 = float(gam_grad @ ws.G @ gam_grad)
-            if w_rem.max() > 0.0:
-                gn2 -= 2.0 * float(w_rem @ (ws.U @ gam_grad))
-                for atom in build_f_atoms(kernel, obj, part="r", link_weights=w_rem):
-                    gn2 += float(full_inner_row(atom, [atom])[0])
-            gn = float(np.sqrt(max(gn2, 0.0)))
-        else:
-            gn = gn_plain
-        if linear and mu > 0.0 and (force_on or y_mult.max() > 0.0):
-            val += float(np.sum(w_force**2 - y_mult**2)) / (4.0 * mu)
-
+        gn = float(np.sqrt(max(gam_grad @ ws.G @ gam_grad, 0.0)))
+        val = value_at(gamma)
         obj_trace.append(val)
         gn_trace.append(gn)
         dict_size_trace.append(len(ws))
-        n_eval += 1
         if gn0 is None:
             gn0 = gn
 
-        feasible_now = not linear or viol_inf <= _FEAS_SLACK * max(1.0, link.d)
-        comp_ok = True
-        if linear and w_force.size:
-            comp = float(np.max(np.minimum(w_force, np.maximum(c_nodes, 0.0))))
-            comp_ok = comp <= 1e-6 * max(1.0, float(w_force.max()))
-        if feasible_now and comp_ok and gn <= tol * max(1.0, gn0):
+        if gn <= tol * max(1.0, gn0):
             status = "converged"
             break
-        if linear and n_pass < 60 and gn <= pass_tol * max(1.0, gn0):
-            # the current multiplier problem is solved to its pass tolerance
-            pass_update()
-            continue
-        if n_iter >= max_iter or n_eval > max_iter + 80:
+        if n_iter >= max_iter:
             break
 
-        # coordinate gradient of the current objective
-        if linear:
-            d_vec = ws.comp + 2.0 * lam * (ws.Gp @ gamma)
-        else:
-            wq = obj.weights * obj.y_nodes * link.deriv(Xn)
-            d_vec = ws.U.T @ wq + 2.0 * lam * (ws.Gp @ gamma)
+        # coordinate gradient of the objective
+        wq = obj.weights * obj.y_nodes * link.deriv(Xn)
+        d_vec = ws.U.T @ wq + 2.0 * lam * (ws.Gp @ gamma)
         if rho.size:
             d_vec -= ws.E.T @ rho
-        if force_on:
-            d_vec -= ws.U.T @ w_force
 
         wq2 = obj.weights * obj.y_nodes * link.deriv2(Xn)
         H = (ws.U * wq2[:, None]).T @ ws.U + 2.0 * lam * ws.Gp
@@ -892,11 +773,6 @@ def fit_descent(
             dphi = link.deriv(Xe)
             b_ev = (link.deriv2(Xe) * phi_e - dphi**2) / phi_e**2
             H -= (ws.E * b_ev[:, None]).T @ ws.E
-        if linear and mu > 0.0:
-            act = (y_mult - 2.0 * mu * c_nodes) > 0.0
-            if act.any():
-                Ua = ws.U[act]
-                H += 2.0 * mu * Ua.T @ Ua
         H = 0.5 * (H + H.T)
 
         def _dir_cosine(slope: float, norm2: float) -> float:
@@ -929,34 +805,11 @@ def fit_descent(
                 sigma *= 10.0
         if not good_dir:
             direction_kind = "steepest"
-            if force_on and w_rem.size and w_rem.max() > 0.0:
-                # -grad needs the unrepresented part of the constraint force
-                # in the dictionary; add it as one combined atom per channel
-                if len(ws) + obj.n_channels <= max_atoms:
-                    rem_cols, _, _ = add_f_atoms(w_rem, part="r")
-                    gamma = pad(gamma)
-                    gam_grad = pad(gam_grad)
-                    delta = -gam_grad
-                    delta[rem_cols] = 1.0
-                    Xn = ws.U @ gamma
-                    Xe = ws.E @ gamma
-                    d0 = -float(gn**2)
-                else:
-                    cap_reached = True
-                    delta = -gam_grad
-                    d0 = float(d_vec @ delta)
-                    if d0 >= 0.0:
-                        status = "converged" if gn <= tol * max(1.0, gn0) else "stalled"
-                        break
-            else:
-                delta = -gam_grad
-                d0 = -float(gn**2)
+            delta = -gam_grad
+            d0 = -float(gn**2)
             cosine = -d0 / max(gn, 1e-300) / max(
                 float(np.sqrt(max(delta @ ws.G @ delta, 0.0))), 1e-300
             )
-            if d0 >= 0.0:
-                status = "converged" if gn <= tol * max(1.0, gn0) else "stalled"
-                break
 
         Ud = ws.U @ delta
         Ed = ws.E @ delta
@@ -964,8 +817,6 @@ def fit_descent(
         g_gp_d = float(gamma @ Gp_d)
         d_gp_d = float(delta @ Gp_d)
         g_gp_g = float(gamma @ (ws.Gp @ gamma))
-        comp_d = float(ws.comp @ delta) if linear else 0.0
-        comp_g = float(ws.comp @ gamma) if linear else 0.0
 
         def trial(alpha: float):
             xe = Xe + alpha * Ed
@@ -975,16 +826,8 @@ def fit_descent(
             pen = lam * (g_gp_g + 2.0 * alpha * g_gp_d + alpha**2 * d_gp_d)
             pen_d = 2.0 * lam * (g_gp_d + alpha * d_gp_d)
             xn = Xn + alpha * Ud
-            if linear:
-                f_a = comp_g + alpha * comp_d + link.d * obj.int_y + pen
-                df = comp_d + pen_d
-                if mu > 0.0:
-                    w_a = np.maximum(0.0, y_mult - 2.0 * mu * (xn + link.d))
-                    f_a += float(np.sum(w_a**2 - y_mult**2)) / (4.0 * mu)
-                    df -= float(w_a @ Ud)
-            else:
-                f_a = float(obj.weights @ (obj.y_nodes * link.value(xn))) + pen
-                df = float((obj.weights * obj.y_nodes * link.deriv(xn)) @ Ud) + pen_d
+            f_a = float(obj.weights @ (obj.y_nodes * link.value(xn))) + pen
+            df = float((obj.weights * obj.y_nodes * link.deriv(xn)) @ Ud) + pen_d
             if phi_a.size:
                 f_a -= float(np.sum(np.log(phi_a))) + log_y
                 df -= float((link.deriv(xe) / phi_a) @ Ed)
@@ -998,7 +841,6 @@ def fit_descent(
         wolfe_log.append(
             {
                 "iteration": n_iter,
-                "mu": mu,
                 "direction": direction_kind,
                 "cosine": float(cosine),
                 "f0": f0,
@@ -1017,14 +859,6 @@ def fit_descent(
                     if best is None or entry["value"] < best["value"]:
                         best = entry
             if best is None:
-                if linear and n_pass < 60 and (
-                    force_on or viol_inf > _FEAS_SLACK * max(1.0, link.d)
-                ):
-                    # stalled under an active constraint force: updating the
-                    # multipliers changes the landscape, so try that before
-                    # giving up
-                    pass_update()
-                    continue
                 status = "stalled"
                 break
             alpha = best["alpha"]
@@ -1036,8 +870,8 @@ def fit_descent(
         g_hat=g_hat,
         status=status,
         n_iter=n_iter,
-        objective=float(val_plain),
-        grad_norm=float(gn_trace[-1]) if gn_trace else 0.0,
+        objective=float(val),
+        grad_norm=float(gn_trace[-1]),
         objective_trace=np.array(obj_trace),
         grad_norm_trace=np.array(gn_trace),
         diagnostics={
@@ -1046,13 +880,6 @@ def fit_descent(
             "n_atoms": len(ws),
             "dict_size_trace": dict_size_trace,
             "wolfe_log": wolfe_log,
-            "hinge_passes": n_pass,
-            "hinge_mu": mu,
-            "hinge_starts": pass_starts,
-            "max_node_violation": viol_inf,
-            "plain_grad_norm": float(gn_plain),
-            "multiplier_max": float(y_mult.max()) if y_mult.size else 0.0,
-            "n_node_atoms": len(node_cols),
             "unpenalized": lam == 0.0,
         },
     )

@@ -215,6 +215,13 @@ class TestFitCommand:
         cfg = fit_config(tmp_path, line_search={"c1": 0.5, "c2": 0.1})
         assert run("fit", "--data", data, "--config", cfg, "--out", tmp_path / "o") == 2
 
+    @pytest.mark.parametrize("kind", ["linear", "exponential"])
+    def test_zero_tolerance_exits_2(self, tmp_path, kind):
+        # one argument check for both fitters: a tolerance of 0 cannot be met
+        data = make_dataset(tmp_path, DENSE_TIMES)
+        cfg = fit_config(tmp_path, link={"kind": kind, "d": 0.5}, tol=0)
+        assert run("fit", "--data", data, "--config", cfg, "--out", tmp_path / "o") == 2
+
     def test_unknown_config_key_exits_2(self, tmp_path):
         data = make_dataset(tmp_path, DENSE_TIMES)
         cfg = fit_config(tmp_path, penalty=1.0)

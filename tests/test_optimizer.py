@@ -14,6 +14,7 @@ from glppm.likelihood import (
     gradient,
     linear_link,
     objective_value,
+    softplus_link,
 )
 from glppm.optimizer import (
     FitResult,
@@ -213,16 +214,11 @@ class TestFitLinear:
 
 
 class TestFitDescent:
-    def test_interior_linear_matches_newton_route(self):
+    def test_linear_link_rejected(self):
+        # the linear link has its own exact solver
         k, obj = dense_objective(lam=5.0)
-        res_lin = fit_linear(assemble(k, obj), obj)
-        res_desc = fit_descent(k, obj, tol=1e-6, max_iter=300)
-        assert res_desc.converged
-        assert abs(res_lin.objective - res_desc.objective) <= 1e-6
-        u = np.linspace(0, 8, 81)
-        assert_allclose(
-            res_lin.g_hat.evaluate(0, u), res_desc.g_hat.evaluate(0, u), atol=1e-3
-        )
+        with pytest.raises(ConfigError, match="fit_linear"):
+            fit_descent(k, obj)
 
     def test_every_accepted_step_verifies_wolfe_conditions(self):
         k, obj = dense_objective(lam=2.0, link=exponential_link(), m=1)
@@ -284,12 +280,23 @@ class TestFitDescent:
         assert gn == pytest.approx(res.grad_norm, rel=0.01)
 
     def test_warm_start_reaches_same_optimum(self):
-        k, obj = dense_objective(lam=5.0)
+        k, obj = dense_objective(lam=2.0, link=exponential_link(), m=1)
         res_cold = fit_descent(k, obj, tol=1e-6, max_iter=300)
         init = FilterFunction(k, 1, (h0_poly(k, 0, 1),), np.array([0.4]))
         res_warm = fit_descent(k, obj, init=init, tol=1e-6, max_iter=300)
         assert res_warm.converged
         assert abs(res_warm.objective - res_cold.objective) <= 1e-6
+
+    def test_poor_warm_start_does_not_loosen_the_stopping_test(self):
+        # the gradient at this start is about 7e7; measured against it, a
+        # fit far from the optimum would pass the relative test
+        k, obj = dense_objective(lam=2.0, link=exponential_link(), m=1)
+        res_cold = fit_descent(k, obj, tol=1e-6, max_iter=300)
+        init = FilterFunction(k, 1, (h0_poly(k, 0, 1),), np.array([1.0]))
+        res_warm = fit_descent(k, obj, init=init, tol=1e-6, max_iter=300)
+        assert not res_warm.converged or (
+            abs(res_warm.objective - res_cold.objective) <= 1e-6
+        )
 
     def test_atom_cap_reported(self):
         k, obj = dense_objective(lam=2.0, link=exponential_link(), m=1)
@@ -307,7 +314,7 @@ class TestFitDescent:
         assert res.grad_norm_trace[-1] == res.grad_norm
 
     def test_unpenalized_flagged(self):
-        k, obj = dense_objective(lam=0.0, m=1)
+        k, obj = dense_objective(lam=0.0, link=softplus_link(), m=1)
         res = fit_descent(k, obj, tol=1e-4, max_iter=30)
         assert res.diagnostics["unpenalized"] is True
 
@@ -333,7 +340,26 @@ class TestFitResult:
         assert res.objective == res.objective_trace[-1]
 
     def test_iteration_budget_respected(self):
-        k, obj = dense_objective(lam=1.0, m=1)
+        k, obj = dense_objective(lam=1.0, link=exponential_link(), m=1)
         res = fit_descent(k, obj, tol=1e-12, max_iter=5)
         assert res.n_iter <= 5
         assert not res.converged
+
+
+BAD_STOPPING = [(0.0, 100), (-1.0, 100), (np.nan, 100), (np.inf, 100), (1e-6, 0)]
+
+
+class TestStoppingArguments:
+    """Both fitters share one check of tol and max_iter."""
+
+    @pytest.mark.parametrize("tol, max_iter", BAD_STOPPING)
+    def test_fit_linear_rejects(self, tol, max_iter):
+        k, obj = dense_objective(lam=5.0)
+        with pytest.raises(ConfigError):
+            fit_linear(assemble(k, obj), obj, tol=tol, max_iter=max_iter)
+
+    @pytest.mark.parametrize("tol, max_iter", BAD_STOPPING)
+    def test_fit_descent_rejects(self, tol, max_iter):
+        k, obj = dense_objective(lam=2.0, link=exponential_link(), m=1)
+        with pytest.raises(ConfigError):
+            fit_descent(k, obj, tol=tol, max_iter=max_iter)
