@@ -1,5 +1,13 @@
 """Command line front end: simulate, fit, intensity, gof and basis dumps.
 
+``fit`` writes the fitted filter to ``filter.json`` in its normal form
+(``FilterFunction.compact``): per channel, one ``r1`` atom that merges the
+smooth part of every dictionary atom, and one ``h0`` atom per nonzero
+polynomial coefficient, all in the ``glppm.filter.v1`` schema.  It is the
+same function as the fit's full dictionary, so ``gof`` and ``intensity``
+give the same numbers from it; ``fit_result.json`` records the dictionary
+size as ``diagnostics.n_atoms``.  All JSON outputs are written compactly.
+
 Every run writes ``run_manifest.json`` into the output directory with the
 command name, resolved input paths and their content hashes, the embedded
 configuration, the seed, the tool version and the wall time, which is
@@ -52,7 +60,7 @@ def _read_json(path) -> dict:
 
 
 def _write_json(path, payload) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    Path(path).write_text(json.dumps(payload) + "\n")
 
 
 def _write_csv(path, header: list[str], rows) -> None:
@@ -326,7 +334,7 @@ def cmd_fit(args) -> int:
         )
 
     out = Path(args.out)
-    payload = res.g_hat.to_dict()
+    payload = res.g_hat.compact().to_dict()
     payload["link"] = _link_dict(link)
     _write_json(out / "filter.json", payload)
 

@@ -21,7 +21,8 @@ sections, segments and h0 of every atom there, scaled by its coefficient.
 Filters are immutable and the forms are cached.  Evaluation, inner
 products, the H1 seminorm and the projection each take one prefix-sum pass
 per channel over them, and so do the likelihood's predictors and exact
-compensator.
+compensator.  ``FilterFunction.compact`` rewrites a filter as its normal
+forms in at most 1 + m serializable atoms per channel.
 """
 
 from __future__ import annotations
@@ -171,6 +172,17 @@ class Atom:
     # -- serialization -------------------------------------------------------
 
     def to_dict(self) -> dict:
+        """The ``glppm.filter.v1`` entry of this atom, which ``from_dict``
+        reads back as the same function.  The entry has no ``h0`` field, as
+        the reader derives ``h0`` from the part.  A merged normal form (kind
+        "normal", part "r") carries its own ``h0``, so it has no entry and
+        raises ConfigError; ``FilterFunction.compact`` splits it into atoms
+        that have one."""
+        if self.kind == "normal" and self.part == "r":
+            raise ConfigError(
+                "a merged normal form carries its own h0, which a glppm.filter.v1 "
+                "entry cannot hold; serialize FilterFunction.compact() instead"
+            )
         out: dict = {"channel": self.channel, "kind": self.kind, "part": self.part}
         if self.kind == "h0":
             out["k"] = self.k
@@ -394,6 +406,22 @@ class FilterFunction:
             f.projected() for f in self.normal_forms if f.sec_lags.size or f.seg_nodes.size
         )
         return FilterFunction(self.kernel, self.n_channels, forms, np.ones(len(forms)))
+
+    def compact(self) -> "FilterFunction":
+        """The same function in at most 1 + m atoms per channel: the H1 part
+        of each normal form with coefficient 1, then one ``h0`` atom per
+        nonzero polynomial coefficient.  Its normal forms equal this
+        filter's bit for bit, so it evaluates, predicts and integrates the
+        same, and it serializes where the normal forms themselves cannot."""
+        atoms, coeffs = [], []
+        for f in self.normal_forms:
+            if f.sec_lags.size or f.seg_nodes.size:
+                atoms.append(f.projected())
+                coeffs.append(1.0)
+            for k in np.flatnonzero(f.h0):
+                atoms.append(h0_poly(self.kernel, f.channel, int(k) + 1))
+                coeffs.append(float(f.h0[k]))
+        return FilterFunction(self.kernel, self.n_channels, tuple(atoms), np.array(coeffs))
 
     def h1_seminorm_sq(self) -> float:
         """||P g||^2 = sum over channels of the H1 norm of the smooth part."""

@@ -491,6 +491,7 @@ def fit_linear(
             "coefficients": c,
             "kkt_residual": current_gn(c, rho, mu),
             "n_node_atoms": len(hinge_cols),
+            "n_atoms": len(ws),
             "unpenalized": lam == 0.0,
         },
     )
@@ -500,7 +501,11 @@ def fit_linear(
 
 
 class _Workspace:
-    """Growing dictionary with cached predictor columns and Gram matrices."""
+    """Growing dictionary with cached predictor columns and Gram matrices.
+
+    ``comp`` holds the exact compensator row of each atom on the linear link,
+    the only one whose compensator is linear in the coefficients; on the
+    other links it is None."""
 
     def __init__(self, kernel: SobolevKernel, obj: Objective):
         self.kernel = kernel
@@ -508,7 +513,7 @@ class _Workspace:
         self.atoms: list[Atom] = []
         self.U = np.zeros((obj.nodes.size, 0))
         self.E = np.zeros((len(obj.events), 0))
-        self.comp = np.zeros(0)
+        self.comp = np.zeros(0) if obj.link.kind == "linear" else None
         self.G = np.zeros((0, 0))
         self.Gp = np.zeros((0, 0))
         self.h0_mat = np.zeros((0, kernel.m))
@@ -522,13 +527,24 @@ class _Workspace:
         n = len(self.atoms)
         u = self.obj.node_column(self.kernel, atom)
         e = self.obj.event_column(self.kernel, atom)
-        cr = self.obj.comp_row(self.kernel, atom)
+        comp = self.comp
+        if comp is not None:
+            comp = np.append(comp, self.obj.comp_row(self.kernel, atom))
+        h0_mat = np.vstack([self.h0_mat, atom.h0])
+        channel = np.append(self.channel, atom.channel)
+        # the full row is the H1 row plus the same-channel h0 term, with the
+        # arithmetic of full_inner_row
         row_p = h1_inner_row(atom, self.atoms + [atom])
-        row_f = full_inner_row(atom, self.atoms + [atom])
+        row_f = row_p.copy()
+        if np.any(atom.h0):
+            row_f += (channel == atom.channel) * (h0_mat @ atom.h0)
         self.atoms.append(atom)
+        self.comp = comp
+        self.h0_mat = h0_mat
+        self.channel = channel
+        self.non_poly = np.append(self.non_poly, atom.kind != "h0")
         self.U = np.column_stack([self.U, u]) if n else u[:, None]
         self.E = np.column_stack([self.E, e]) if n else e[:, None]
-        self.comp = np.append(self.comp, cr)
         G = np.zeros((n + 1, n + 1))
         G[:n, :n] = self.G
         G[n, :] = row_f
@@ -539,9 +555,6 @@ class _Workspace:
         Gp[n, :] = row_p
         Gp[:, n] = row_p
         self.Gp = Gp
-        self.h0_mat = np.vstack([self.h0_mat, atom.h0])
-        self.channel = np.append(self.channel, atom.channel)
-        self.non_poly = np.append(self.non_poly, atom.kind != "h0")
         return n
 
 

@@ -15,6 +15,10 @@ from glppm.cli import main
 from glppm.data import load_events, load_manifest
 from glppm.filters import FilterFunction
 from glppm.kernel import SobolevKernel
+from glppm.likelihood import Objective, exponential_link, linear_link
+from glppm.optimizer import fit_descent, fit_linear
+from glppm.representer import assemble
+from glppm.simulator import time_rescale
 
 
 def run(*argv):
@@ -236,6 +240,69 @@ class TestFitCommand:
         cfg = fit_config(tmp_path)
         missing = tmp_path / "nope.json"
         assert run("fit", "--data", missing, "--config", cfg, "--out", tmp_path / "o") == 2
+
+
+def library_fit(data, link):
+    """The fit ``fit`` runs on ``data`` under ``fit_config(link=link,
+    max_iter=100, max_atoms=60)``, through the library."""
+    manifest = load_manifest(data)
+    events, drivers = load_events(data.parent / "events.csv", manifest)
+    obj = Objective(link, 5.0, events, drivers)
+    kernel = SobolevKernel(m=1, horizon=events.horizon)
+    if link.kind == "linear":
+        res = fit_linear(assemble(kernel, obj), obj, tol=1e-6, max_iter=100)
+    else:
+        res = fit_descent(kernel, obj, tol=1e-6, max_iter=100, max_atoms=60)
+    return res, obj, kernel
+
+
+LINKS = [
+    ({"kind": "linear", "d": 0.5}, linear_link(0.5)),
+    ({"kind": "exp", "d": float(np.log(0.5))}, exponential_link(float(np.log(0.5)))),
+]
+
+
+class TestFilterFile:
+    """``filter.json`` holds the normal form of the fit: the same function in
+    at most 1 + m atoms per channel, whatever the size of the dictionary."""
+
+    @staticmethod
+    def fit(tmp_path, raw, link):
+        data = make_dataset(tmp_path, DENSE_TIMES)
+        cfg = fit_config(tmp_path, link=raw, max_iter=100, max_atoms=60)
+        out = tmp_path / "out"
+        assert run("fit", "--data", data, "--config", cfg, "--out", out) == 0
+        res, obj, kernel = library_fit(data, link)
+        return out, res, obj, kernel
+
+    @pytest.fixture(params=LINKS, ids=["linear", "exp"])
+    def fitted(self, request, tmp_path):
+        return self.fit(tmp_path, *request.param)
+
+    def test_holds_the_normal_form(self, fitted):
+        out, res, _, _ = fitted
+        payload = json.loads((out / "filter.json").read_text())
+        assert payload["n_channels"] == 1
+        assert 1 <= len(payload["atoms"]) <= 2
+        assert len(res.g_hat.atoms) > len(payload["atoms"])
+        result = json.loads((out / "fit_result.json").read_text())
+        assert result["diagnostics"]["n_atoms"] == len(res.g_hat.atoms)
+
+    def test_reloads_as_the_same_function(self, fitted):
+        out, res, obj, _ = fitted
+        g = FilterFunction.load(out / "filter.json")
+        u = np.linspace(0.0, obj.horizon, 2001)
+        assert np.array_equal(g.evaluate(0, u), res.g_hat.evaluate(0, u))
+        gaps = time_rescale(g, obj.link, obj.events, obj.drivers)
+        expected = time_rescale(res.g_hat, obj.link, obj.events, obj.drivers)
+        assert np.array_equal(gaps, expected)
+
+    def test_warm_starts_the_descent_at_its_optimum(self, tmp_path):
+        out, res, obj, kernel = self.fit(tmp_path, *LINKS[1])
+        g = FilterFunction.load(out / "filter.json")
+        again = fit_descent(kernel, obj, init=g, tol=1e-6, max_iter=100, max_atoms=60)
+        assert again.converged and again.n_iter == 0
+        assert abs(again.objective - res.objective) <= 1e-9
 
 
 class TestIntensityCommand:

@@ -1,5 +1,7 @@
 """Filter atoms: evaluation, inner products, projection, serialization."""
 
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -318,9 +320,41 @@ class TestSerialization:
         u = np.linspace(0, 3, 11)
         assert np.array_equal(g2.evaluate(0, u), g.evaluate(0, u))
 
-    def test_extra_keys_ignored(self):
-        import json
+    def test_merged_normal_form_is_not_written_lossily(self):
+        # the v1 entry of a part="r" atom makes the reader recompute h0 from
+        # the sections, which is not the merged h0 of a normal form
+        k = SobolevKernel(m=2, horizon=5.0)
+        g = random_filter(k, np.random.default_rng(14), n_channels=2)
+        merged = FilterFunction(k, 2, g.normal_forms, np.ones(2))
+        with pytest.raises(ConfigError):
+            merged.to_dict()
 
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_compact_keeps_the_normal_forms_bit_for_bit(self, m):
+        k = SobolevKernel(m=m, horizon=5.0)
+        g = random_filter(k, np.random.default_rng(15), n_channels=2)
+        c = g.compact()
+        assert all(
+            sum(a.channel == ch for a in c.atoms) <= 1 + m for ch in range(2)
+        )
+        reread = FilterFunction.from_json(json.dumps(c.to_dict()))
+        u = np.linspace(0.0, 5.0, 2001)
+        for h in (c, reread):
+            for f, f0 in zip(h.normal_forms, g.normal_forms):
+                for name in ("sec_lags", "sec_weights", "seg_nodes", "seg_weights", "h0"):
+                    assert np.array_equal(getattr(f, name), getattr(f0, name))
+            for ch in range(2):
+                assert np.array_equal(h.evaluate(ch, u), g.evaluate(ch, u))
+
+    def test_compact_of_a_polynomial_has_no_r1_atom(self):
+        k = SobolevKernel(m=2, horizon=5.0)
+        g = FilterFunction(k, 1, (h0_poly(k, 0, 2),), np.array([0.75]))
+        c = g.compact()
+        assert [a.kind for a in c.atoms] == ["h0"]
+        assert c.atoms[0].k == 2 and c.coefficients.tolist() == [0.75]
+        assert FilterFunction.zero(k, 2).compact().atoms == ()
+
+    def test_extra_keys_ignored(self):
         k = SobolevKernel(m=1, horizon=3.0)
         g = FilterFunction(k, 1, (kernel_section(k, 0, 1.0),), np.array([0.5]))
         payload = json.loads(g.to_json())

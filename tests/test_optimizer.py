@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from glppm.data import DriverChannel, DriverSeries, EventSeries
 from glppm.errors import ConfigError, InfeasibleError, SolverError
-from glppm.filters import FilterFunction, h0_poly, kernel_section
+from glppm.filters import FilterFunction, full_gram, h0_poly, h1_gram, kernel_section
 from glppm.kernel import SobolevKernel
 from glppm.likelihood import (
     Objective,
@@ -19,11 +19,12 @@ from glppm.likelihood import (
 from glppm.optimizer import (
     FitResult,
     LineSearchConfig,
+    _Workspace,
     fit_descent,
     fit_linear,
     wolfe_angle_step,
 )
-from glppm.representer import assemble
+from glppm.representer import assemble, build_f_atoms, build_h_atoms
 
 C1, C2, DELTA = 1e-4, 0.4, 0.1
 
@@ -169,6 +170,13 @@ class TestFitLinear:
         k, obj = dense_objective(lam=5.0)
         res = fit_linear(assemble(k, obj), obj)
         assert res.diagnostics["unpenalized"] is False
+
+    def test_reports_its_dictionary_size(self):
+        kernel, obj = dense_objective(m=1)
+        basis = assemble(kernel, obj)
+        res = fit_linear(basis, obj)
+        assert res.diagnostics["n_atoms"] == len(res.g_hat.atoms)
+        assert res.diagnostics["n_atoms"] == basis.dim + res.diagnostics["n_node_atoms"]
 
     def test_empty_data_returns_zero_filter(self):
         events = EventSeries(6.0, np.empty(0))
@@ -328,6 +336,33 @@ class TestFitDescent:
         except SolverError:
             return
         assert not res.converged or res.diagnostics["unpenalized"]
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("link", [linear_link(0.5), exponential_link(-0.5)])
+    def test_grown_grams_and_compensator_rows_match_direct_ones(self, link):
+        # two channels and every kind of atom the fitters add: polynomials,
+        # full-kernel history atoms, integral atoms of either part, sections
+        events, z, tgt, lam = two_channel_objective()
+        drivers = DriverSeries(8.0, (z, tgt))
+        obj = Objective(link, lam, events, drivers)
+        kernel = SobolevKernel(m=2, horizon=8.0)
+        weights = np.random.default_rng(16).uniform(0.1, 1.0, obj.nodes.size)
+        atoms = [h0_poly(kernel, ch, k) for ch in range(2) for k in (1, 2)]
+        atoms += [a for a in build_h_atoms(kernel, events, drivers, part="r") if not a.is_zero]
+        atoms += build_f_atoms(kernel, obj, part="r")
+        atoms += build_f_atoms(kernel, obj, part="r1", link_weights=weights)
+        atoms += [kernel_section(kernel, 1, 2.5, part="r"), kernel_section(kernel, 0, 7.0)]
+        ws = _Workspace(kernel, obj)
+        for a in atoms:
+            ws.add(a)
+        assert_allclose(ws.G, full_gram(atoms), rtol=1e-12, atol=1e-12)
+        assert_allclose(ws.Gp, h1_gram(atoms), rtol=1e-12, atol=1e-12)
+        if link.kind == "linear":
+            assert ws.comp.tolist() == [obj.comp_row(kernel, a) for a in atoms]
+        else:
+            # only the linear link's compensator is linear in the coefficients
+            assert ws.comp is None
 
 
 class TestFitResult:
