@@ -290,6 +290,9 @@ class Objective:
         self._event_pairs = [
             _history_pairs(events.times, ch.times, ch.sizes) for ch in drivers.channels
         ]
+        # stable sort of each channel's node-pair lags, the order integral
+        # atoms keep their sections in
+        self._node_order = [np.argsort(p[2], kind="stable") for p in self._node_pairs]
         # lag segments over the constancy pieces of Y
         a, b, levels = np.array(self.pieces).T
         self._segment_support = [
@@ -478,9 +481,10 @@ def build_f_atoms(
             raise ConfigError("need one link weight per quadrature node")
         for j in range(obj.n_channels):
             eval_idx, _, lags, dz = obj._node_pairs[j]
-            atoms.append(
-                integrated_points(kernel, j, lags, link_weights[eval_idx] * dz, part=part)
-            )
+            order = obj._node_order[j]
+            atoms.append(integrated_points(
+                kernel, j, lags[order], link_weights[eval_idx[order]] * dz[order], part=part
+            ))
     return atoms
 
 

@@ -13,7 +13,12 @@
   integral atoms for the change of the link weights since the last
   iteration, forms the exact gradient coordinates on the dictionary, takes
   a subspace Newton step (steepest descent when that fails the angle test)
-  and moves along it with a weak Wolfe line search.
+  and moves along it with a weak Wolfe line search.  Its history and
+  integral atoms are the Riesz representers of data functionals: eta_i of
+  the predictor at event i, f_w of sum_q w_q X(s_q) over the quadrature
+  nodes.  So <P a, P eta_i> = E1(a)_i and <P a, P f_w> = w . U1(a), with
+  U1 and E1 the H1 parts of a's predictor columns, and the dictionary's
+  Gram rows come from the columns it computes anyway (Wahba 1990, ch. 1).
 
 Both report convergence in the function-space gradient norm
 ||grad Lambda(g)|| <= tol * max(1, ||grad Lambda(g_0)||), where g_0 is the
@@ -503,58 +508,179 @@ def fit_linear(
 class _Workspace:
     """Growing dictionary with cached predictor columns and Gram matrices.
 
+    ``U`` and ``E`` hold each atom's predictor at the quadrature nodes and at
+    the events, ``G`` and ``Gp`` its full and H1 inner products with every
+    atom, all in buffers that double in capacity as the dictionary grows.
     ``comp`` holds the exact compensator row of each atom on the linear link,
     the only one whose compensator is linear in the coefficients; on the
-    other links it is None."""
+    other links it is None.
+
+    An atom added by ``add_history_atoms`` or ``add_integral_atoms`` is the
+    Riesz representer of a data functional on the H1 parts of predictor
+    columns: the history atom of event i and channel j represents the
+    predictor at event i, and the integral atom of node weights w
+    represents sum_q w_q X(s_q).  For any atom a on channel j, then,
+
+        <P a, P eta_i> = E1(a)_i,    <P a, P f_w> = w . U1(a),
+
+    where U1 and E1 are the H1 parts of a's columns.  Each added atom is
+    evaluated once, at every node-pair and event-pair lag of its channel,
+    and that one evaluation gives U, E, U1 and E1; its Gram row against a
+    represented atom is one dot product.  Only pairs of atoms that represent
+    nothing (polynomials, warm starts, ``fit_linear``'s basis) take
+    ``h1_inner_row``.
+    """
 
     def __init__(self, kernel: SobolevKernel, obj: Objective):
         self.kernel = kernel
         self.obj = obj
         self.atoms: list[Atom] = []
-        self.U = np.zeros((obj.nodes.size, 0))
-        self.E = np.zeros((len(obj.events), 0))
-        self.comp = np.zeros(0) if obj.link.kind == "linear" else None
-        self.G = np.zeros((0, 0))
-        self.Gp = np.zeros((0, 0))
-        self.h0_mat = np.zeros((0, kernel.m))
-        self.channel = np.zeros(0, dtype=int)
-        self.non_poly = np.zeros(0, dtype=bool)
+        self._n_nodes = obj.nodes.size
+        self._n_points = obj.nodes.size + len(obj.events)
+        # per channel, the node-pair and event-pair lags end to end, and the
+        # polynomial basis at each half (as the predictor columns build it)
+        self._pairs = []
+        for (n_idx, _, n_lags, n_dz), (e_idx, _, e_lags, e_dz) in zip(
+            obj._node_pairs, obj._event_pairs
+        ):
+            self._pairs.append((
+                np.concatenate([n_lags, e_lags]), n_idx, n_dz, e_idx, e_dz,
+                kernel.h0_basis(n_lags), kernel.h0_basis(e_lags),
+            ))
+        self._reserve(32)
+        self._expose()
+
+    def _reserve(self, cap: int) -> None:
+        """Buffers for ``cap`` atoms, keeping the rows and columns in use:
+        predictor columns X (nodes, then events) and their H1 parts X1, the
+        functional weights F of each atom over the same points (a zero row
+        when it represents none), and the per-atom attributes."""
+        n, p, m = len(self.atoms), self._n_points, self.kernel.m
+        old = getattr(self, "_buf", None)
+        buf = {
+            "X": np.zeros((p, cap)), "X1": np.zeros((p, cap)), "F": np.zeros((cap, p)),
+            "G": np.zeros((cap, cap)), "Gp": np.zeros((cap, cap)),
+            "h0": np.zeros((cap, m)), "comp": np.zeros(cap),
+            "channel": np.zeros(cap, dtype=int), "non_poly": np.zeros(cap, dtype=bool),
+            "rep": np.zeros(cap, dtype=bool),
+        }
+        if old is not None:
+            for key in ("X", "X1"):
+                buf[key][:, :n] = old[key][:, :n]
+            for key in ("G", "Gp"):
+                buf[key][:n, :n] = old[key][:n, :n]
+            for key in ("F", "h0", "comp", "channel", "non_poly", "rep"):
+                buf[key][:n] = old[key][:n]
+        self._buf = buf
 
     def __len__(self) -> int:
         return len(self.atoms)
 
+    def _expose(self) -> None:
+        """Point the public arrays at the buffers' rows and columns in use."""
+        n, b, q = len(self.atoms), self._buf, self._n_nodes
+        self.U, self.E = b["X"][:q, :n], b["X"][q:, :n]
+        self.G, self.Gp = b["G"][:n, :n], b["Gp"][:n, :n]
+        self.comp = b["comp"][:n] if self.obj.link.kind == "linear" else None
+        self.h0_mat, self.channel = b["h0"][:n], b["channel"][:n]
+        self.non_poly = b["non_poly"][:n]
+
     def add(self, atom: Atom) -> int:
+        """Append an atom that represents no functional; returns its column."""
+        return self._add(atom, None)
+
+    def add_history_atoms(self) -> tuple[np.ndarray, np.ndarray]:
+        """Append the full-kernel history atom of every (event, channel)
+        with earlier jumps, each representing its event's predictor.
+        Returns the event index and the column of each."""
+        events, cols = [], []
+        n_ch = self.obj.n_channels
+        atoms = build_h_atoms(self.kernel, self.obj.events, self.obj.drivers, part="r")
+        for pos, atom in enumerate(atoms):
+            if not atom.is_zero:
+                functional = np.zeros(self._n_points)
+                functional[self._n_nodes + pos // n_ch] = 1.0
+                events.append(pos // n_ch)
+                cols.append(self._add(atom, functional))
+        return np.array(events, dtype=int), np.array(cols, dtype=int)
+
+    def add_integral_atoms(self, link_weights: np.ndarray) -> list[int]:
+        """Append the nonzero smooth-part integral atoms of these node
+        weights, each representing sum_q w_q X(s_q) on its channel.
+        Returns their columns."""
+        functional = np.zeros(self._n_points)
+        functional[: self._n_nodes] = link_weights
+        return [
+            self._add(atom, functional)
+            for atom in build_f_atoms(self.kernel, self.obj, part="r1", link_weights=link_weights)
+            if not atom.is_zero
+        ]
+
+    def _columns(self, atom: Atom) -> tuple[np.ndarray, np.ndarray]:
+        """The atom's predictor at the nodes and then at the events, and its
+        H1 part, from one evaluation of its smooth part.  The predictor is
+        bit-identical to ``Objective.node_column`` / ``event_column``."""
+        lags, n_idx, n_dz, e_idx, e_dz, phi_n, phi_e = self._pairs[atom.channel]
+        n_ev = self._n_points - self._n_nodes
+        h1 = atom.h1_value(lags)
+        h1_n, h1_e = h1[: n_idx.size], h1[n_idx.size :]
+        x1 = np.concatenate([
+            np.bincount(n_idx, weights=h1_n * n_dz, minlength=self._n_nodes),
+            np.bincount(e_idx, weights=h1_e * e_dz, minlength=n_ev),
+        ])
+        if not np.any(atom.h0):
+            return x1, x1
+        vals_n = h1_n + np.tensordot(atom.h0, phi_n, axes=(0, 0))
+        vals_e = h1_e + np.tensordot(atom.h0, phi_e, axes=(0, 0))
+        x = np.concatenate([
+            np.bincount(n_idx, weights=vals_n * n_dz, minlength=self._n_nodes),
+            np.bincount(e_idx, weights=vals_e * e_dz, minlength=n_ev),
+        ])
+        return x, x1
+
+    def _add(self, atom: Atom, functional: np.ndarray | None) -> int:
         n = len(self.atoms)
-        u = self.obj.node_column(self.kernel, atom)
-        e = self.obj.event_column(self.kernel, atom)
-        comp = self.comp
-        if comp is not None:
-            comp = np.append(comp, self.obj.comp_row(self.kernel, atom))
-        h0_mat = np.vstack([self.h0_mat, atom.h0])
-        channel = np.append(self.channel, atom.channel)
+        k = n + 1
+        if k > self._buf["G"].shape[0]:
+            self._reserve(2 * self._buf["G"].shape[0])
+        b = self._buf
+        x, x1 = self._columns(atom)
+        b["X"][:, n] = x
+        b["X1"][:, n] = x1
+        if functional is not None:
+            b["F"][n] = functional
+        b["rep"][n] = functional is not None
+        b["h0"][n] = atom.h0
+        b["channel"][n] = atom.channel
+        b["non_poly"][n] = atom.kind != "h0"
+        if self.obj.link.kind == "linear":
+            b["comp"][n] = self.obj.comp_row(self.kernel, atom)
+        self.atoms.append(atom)
+
+        # H1 row: a represented b gives b's functional of the new atom's
+        # columns, a represented new atom its functional of b's; pairs that
+        # represent nothing take h1_inner_row
+        rep = b["rep"][:k]
+        row_p = np.zeros(k)
+        if rep.any():
+            row_p[rep] = b["F"][:k][rep] @ x1
+        if rep[n]:
+            row_p[~rep] = b["F"][n] @ b["X1"][:, :k][:, ~rep]
+        else:
+            others = np.flatnonzero(~rep)
+            row_p[others] = h1_inner_row(atom, [self.atoms[i] for i in others])
+        same = b["channel"][:k] == atom.channel
+        row_p[~same] = 0.0
         # the full row is the H1 row plus the same-channel h0 term, with the
         # arithmetic of full_inner_row
-        row_p = h1_inner_row(atom, self.atoms + [atom])
         row_f = row_p.copy()
         if np.any(atom.h0):
-            row_f += (channel == atom.channel) * (h0_mat @ atom.h0)
-        self.atoms.append(atom)
-        self.comp = comp
-        self.h0_mat = h0_mat
-        self.channel = channel
-        self.non_poly = np.append(self.non_poly, atom.kind != "h0")
-        self.U = np.column_stack([self.U, u]) if n else u[:, None]
-        self.E = np.column_stack([self.E, e]) if n else e[:, None]
-        G = np.zeros((n + 1, n + 1))
-        G[:n, :n] = self.G
-        G[n, :] = row_f
-        G[:, n] = row_f
-        self.G = G
-        Gp = np.zeros((n + 1, n + 1))
-        Gp[:n, :n] = self.Gp
-        Gp[n, :] = row_p
-        Gp[:, n] = row_p
-        self.Gp = Gp
+            row_f += same * (b["h0"][:k] @ atom.h0)
+        b["G"][n, :k] = row_f
+        b["G"][:k, n] = row_f
+        b["Gp"][n, :k] = row_p
+        b["Gp"][:k, n] = row_p
+        self._expose()
         return n
 
 
@@ -607,25 +733,15 @@ def fit_descent(
         for k in range(1, kernel.m + 1):
             phi_cols[ch, k - 1] = ws.add(h0_poly(kernel, ch, k))
 
-    eta_events: list[int] = []
-    eta_cols: list[int] = []
-    for pos, atom in enumerate(build_h_atoms(kernel, obj.events, obj.drivers, part="r")):
-        if not atom.is_zero:
-            eta_events.append(pos // obj.n_channels)
-            eta_cols.append(ws.add(atom))
-    eta_events_arr = np.array(eta_events, dtype=int)
-    eta_cols_arr = np.array(eta_cols, dtype=int)
+    eta_events_arr, eta_cols_arr = ws.add_history_atoms()
 
     # integral atoms are kept as their smooth parts; completions[i] is the
     # polynomial content that, added on the phi columns, restores the
     # full-kernel gradient atom
     def add_f_atoms(link_weights):
-        cols, chans, comps = [], [], []
-        for atom in build_f_atoms(kernel, obj, part="r1", link_weights=link_weights):
-            if not atom.is_zero:
-                cols.append(ws.add(atom))
-                chans.append(atom.channel)
-                comps.append(atom.sections_h0(kernel))
+        cols = ws.add_integral_atoms(link_weights)
+        chans = [ws.atoms[c].channel for c in cols]
+        comps = [ws.atoms[c].sections_h0(kernel) for c in cols]
         return cols, chans, comps
 
     gamma = np.zeros(len(ws))
@@ -682,16 +798,28 @@ def fit_descent(
         # default start: f_0 scaled by a 1-D minimization of the objective
         direction = np.zeros(len(ws))
         direction[f_cols] = 1.0
+        u_dir, e_dir = ws.U @ direction, ws.E @ direction
+        pen_dir = lam * float(direction @ ws.Gp @ direction)
+
+        def along_all(a: np.ndarray) -> np.ndarray:
+            """Objective at a * direction for every a; +inf when infeasible."""
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                val = link.value(np.multiply.outer(a, u_dir)) @ (obj.weights * obj.y_nodes)
+                val += a**2 * pen_dir
+                if e_dir.size:
+                    phi_e = link.value(np.multiply.outer(a, e_dir))
+                    val -= np.log(phi_e).sum(axis=1) + log_y
+                    val[(obj.y_events * phi_e).min(axis=1) <= 0.0] = np.inf
+            return val
 
         def along(a: float) -> float:
-            with np.errstate(over="ignore"):
-                return value_at(a * direction)
+            return float(along_all(np.array([a]))[0])
 
-        best_a, best_f = 0.0, along(0.0)
-        for a in np.concatenate([np.geomspace(1e-4, 1e4, 33), -np.geomspace(1e-4, 1e4, 33)]):
-            fa = along(float(a))
-            if fa < best_f:
-                best_a, best_f = float(a), fa
+        grid = np.concatenate([[0.0], np.geomspace(1e-4, 1e4, 33), -np.geomspace(1e-4, 1e4, 33)])
+        vals = along_all(grid)
+        # the first smallest value, as a scan that keeps strict improvements
+        best = int(np.argmin(np.where(np.isnan(vals), np.inf, vals)))
+        best_a, best_f = float(grid[best]), float(vals[best])
         if best_a != 0.0:
             lo, hi = sorted((best_a / 8.0, best_a * 8.0))
             res = scipy.optimize.minimize_scalar(along, bounds=(lo, hi), method="bounded")
@@ -828,7 +956,10 @@ def fit_descent(
         Ed = ws.E @ delta
         Gp_d = ws.Gp @ delta
         g_gp_d = float(gamma @ Gp_d)
-        d_gp_d = float(delta @ Gp_d)
+        # Gp is positive semidefinite, but along a direction in its near
+        # null space rounding can give negative curvature, which the line
+        # search would follow to an unbounded step
+        d_gp_d = max(float(delta @ Gp_d), 0.0)
         g_gp_g = float(gamma @ (ws.Gp @ gamma))
 
         def trial(alpha: float):

@@ -6,7 +6,15 @@ from numpy.testing import assert_allclose
 
 from glppm.data import DriverChannel, DriverSeries, EventSeries
 from glppm.errors import ConfigError, InfeasibleError, SolverError
-from glppm.filters import FilterFunction, full_gram, h0_poly, h1_gram, kernel_section
+from glppm.filters import (
+    FilterFunction,
+    full_gram,
+    full_inner_row,
+    h0_poly,
+    h1_gram,
+    h1_inner_row,
+    kernel_section,
+)
 from glppm.kernel import SobolevKernel
 from glppm.likelihood import (
     Objective,
@@ -354,15 +362,52 @@ class TestWorkspace:
         atoms += build_f_atoms(kernel, obj, part="r1", link_weights=weights)
         atoms += [kernel_section(kernel, 1, 2.5, part="r"), kernel_section(kernel, 0, 7.0)]
         ws = _Workspace(kernel, obj)
-        for a in atoms:
+        for i, a in enumerate(atoms):
             ws.add(a)
+            # atoms added with no functional, as fit_linear's are, keep the
+            # pairwise rows bit for bit
+            assert np.array_equal(ws.Gp[i], h1_inner_row(a, atoms[: i + 1]))
+            assert np.array_equal(ws.G[i], full_inner_row(a, atoms[: i + 1]))
         assert_allclose(ws.G, full_gram(atoms), rtol=1e-12, atol=1e-12)
         assert_allclose(ws.Gp, h1_gram(atoms), rtol=1e-12, atol=1e-12)
+        assert np.array_equal(ws.U, np.column_stack([obj.node_column(kernel, a) for a in atoms]))
+        assert np.array_equal(ws.E, np.column_stack([obj.event_column(kernel, a) for a in atoms]))
         if link.kind == "linear":
             assert ws.comp.tolist() == [obj.comp_row(kernel, a) for a in atoms]
         else:
             # only the linear link's compensator is linear in the coefficients
             assert ws.comp is None
+
+    @pytest.mark.parametrize("link", [linear_link(0.5), exponential_link(-0.5)])
+    def test_representers_and_plain_atoms_mixed(self, link):
+        # m=2, two channels: atoms that represent a functional (history
+        # atoms, integral atoms of random node weights) interleaved with
+        # atoms that represent none (polynomials, sections, the normal form
+        # of a compacted filter)
+        events, z, tgt, lam = two_channel_objective()
+        drivers = DriverSeries(8.0, (z, tgt))
+        obj = Objective(link, lam, events, drivers)
+        kernel = SobolevKernel(m=2, horizon=8.0)
+        rng = np.random.default_rng(17)
+        h_atoms = build_h_atoms(kernel, events, drivers, part="r")
+        compact = FilterFunction(kernel, 2, tuple(h_atoms[4:10]), rng.normal(size=6)).compact()
+        ws = _Workspace(kernel, obj)
+        for ch in range(2):
+            ws.add(h0_poly(kernel, ch, 1))
+        ws.add(kernel_section(kernel, 1, 2.5, part="r"))
+        ws.add_integral_atoms(rng.uniform(0.1, 1.0, obj.nodes.size))
+        ws.add_history_atoms()
+        ws.add(kernel_section(kernel, 0, 7.0))
+        for a in compact.atoms:
+            ws.add(a)
+        ws.add(h0_poly(kernel, 1, 2))
+        ws.add_integral_atoms(rng.uniform(-1.0, 1.0, obj.nodes.size))
+        atoms = ws.atoms
+        assert len(atoms) > 32  # past the first capacity of the buffers
+        assert_allclose(ws.G, full_gram(atoms), rtol=1e-12, atol=1e-12)
+        assert_allclose(ws.Gp, h1_gram(atoms), rtol=1e-12, atol=1e-12)
+        assert np.array_equal(ws.U, np.column_stack([obj.node_column(kernel, a) for a in atoms]))
+        assert np.array_equal(ws.E, np.column_stack([obj.event_column(kernel, a) for a in atoms]))
 
 
 class TestFitResult:

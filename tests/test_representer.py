@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from glppm.data import DriverChannel, DriverSeries, EventSeries
-from glppm.filters import FilterFunction, full_gram, h1_gram
+from glppm.filters import FilterFunction, full_gram, h1_gram, integrated_points
 from glppm.kernel import SobolevKernel
 from glppm.likelihood import Objective, linear_link, linear_predictor
 from glppm.representer import assemble, build_f_atoms, build_h_atoms
@@ -164,6 +164,20 @@ class TestCompensatorAtom:
             eta = FilterFunction(k, 2, tuple(atoms), np.ones(len(atoms)))
             want = linear_predictor(h, drivers, float(obj.nodes[q]))
             assert_allclose(eta.inner_product(h), want, rtol=1e-11, atol=1e-12)
+
+    @pytest.mark.parametrize("part", ["r1", "r"])
+    def test_pointwise_atoms_equal_the_unsorted_construction(self, tiny, part):
+        # the objective sorts its node-pair lags once; the atoms built from
+        # that order equal, bit for bit, those built from the pairs as drawn
+        events, drivers = tiny
+        k = SobolevKernel(m=2, horizon=8.0)
+        obj = Objective(linear_link(0.5), 1.0, events, drivers)
+        w = np.random.default_rng(5).uniform(-1.0, 1.0, obj.nodes.size)
+        for j, atom in enumerate(build_f_atoms(k, obj, part=part, link_weights=w)):
+            eval_idx, _, lags, dz = obj._node_pairs[j]
+            want = integrated_points(k, j, lags, w[eval_idx] * dz, part=part)
+            for name in ("sec_lags", "sec_weights", "h0"):
+                assert np.array_equal(getattr(atom, name), getattr(want, name))
 
 
 class TestDesignAndGram:
