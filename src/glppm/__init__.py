@@ -31,7 +31,6 @@ from .likelihood import (
     compensator,
     exponential_link,
     gradient,
-    hessian_coords,
     intensity,
     linear_link,
     linear_predictor,
@@ -39,7 +38,7 @@ from .likelihood import (
     objective_value,
     softplus_link,
 )
-from .optimizer import FitResult, LineSearchConfig, fit_descent, fit_linear, wolfe_angle_step
+from .optimizer import FitResult, LineSearchConfig, fit_descent, fit_linear
 from .representer import RepresenterBasis, assemble, build_f_atoms, build_h_atoms
 from .simulator import SimSpec, simulate, time_rescale
 
@@ -74,7 +73,6 @@ __all__ = [
     "fit_descent",
     "fit_linear",
     "gradient",
-    "hessian_coords",
     "intensity",
     "linear_link",
     "linear_predictor",
@@ -85,5 +83,4 @@ __all__ = [
     "simulate",
     "softplus_link",
     "time_rescale",
-    "wolfe_angle_step",
 ]

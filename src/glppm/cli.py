@@ -6,7 +6,10 @@ smooth part of every dictionary atom, and one ``h0`` atom per nonzero
 polynomial coefficient, all in the ``glppm.filter.v1`` schema.  It is the
 same function as the fit's full dictionary, so ``gof`` and ``intensity``
 give the same numbers from it; ``fit_result.json`` records the dictionary
-size as ``diagnostics.n_atoms``.  All JSON outputs are written compactly.
+size as ``diagnostics.n_atoms`` and the solver's stop ``reason``.
+``trace.csv`` has one row per traced iterate, with the fields of the step
+taken from it (``optimizer.STEP_FIELDS``).  All JSON outputs are written
+compactly.
 
 Every run writes ``run_manifest.json`` into the output directory with the
 command name, resolved input paths and their content hashes, the embedded
@@ -310,7 +313,7 @@ def cmd_fit(args) -> int:
 
     from .kernel import SobolevKernel
     from .likelihood import Objective
-    from .optimizer import fit_descent, fit_linear
+    from .optimizer import STEP_FIELDS, fit_descent, fit_linear
     from .representer import assemble
 
     cfg = _read_json(args.config)
@@ -321,7 +324,11 @@ def cmd_fit(args) -> int:
     kernel = SobolevKernel(m=m, horizon=events.horizon)
     if link.kind == "linear":
         res = fit_linear(
-            assemble(kernel, obj), obj, tol=tol, max_iter=int(cfg.get("max_iter", 100))
+            assemble(kernel, obj),
+            obj,
+            tol=tol,
+            max_iter=int(cfg.get("max_iter", 100)),
+            line_search=line_search,
         )
     else:
         res = fit_descent(
@@ -347,11 +354,15 @@ def cmd_fit(args) -> int:
             ((repr(float(u)), repr(float(v))) for u, v in zip(lags, vals)),
         )
 
+    # one row per traced iterate; the step taken from it, if any, fills the
+    # remaining columns (empty otherwise)
+    steps = {rec["iteration"]: rec for rec in res.diagnostics["iterations"]}
     _write_csv(
         out / "trace.csv",
-        ["iteration", "objective", "grad_norm"],
+        ["iteration", "objective", "grad_norm", *STEP_FIELDS],
         (
-            (i, repr(float(o)), repr(float(gn)))
+            (i, repr(float(o)), repr(float(gn)),
+             *(steps.get(i, {}).get(key) for key in STEP_FIELDS))
             for i, (o, gn) in enumerate(zip(res.objective_trace, res.grad_norm_trace))
         ),
     )
@@ -371,6 +382,7 @@ def cmd_fit(args) -> int:
         out / "fit_result.json",
         {
             "status": res.status,
+            "reason": res.reason,
             "converged": res.converged,
             "n_iter": res.n_iter,
             "objective": res.objective,

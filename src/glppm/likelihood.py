@@ -51,7 +51,6 @@ __all__ = [
     "compensator",
     "exponential_link",
     "gradient",
-    "hessian_coords",
     "intensity",
     "linear_link",
     "linear_predictor",
@@ -515,39 +514,6 @@ def gradient(g: FilterFunction, obj: Objective) -> FilterFunction:
     return FilterFunction(
         g.kernel, obj.n_channels, tuple(a for a, _ in terms), np.array([c for _, c in terms])
     )
-
-
-def hessian_coords(g: FilterFunction, obj: Objective, basis_atoms, kernel: SobolevKernel | None = None) -> np.ndarray:
-    """Hessian of the penalized objective restricted to span(basis_atoms).
-
-    H_ab = int Y phi''(X) X(a) X(b) ds
-         - sum_i (phi'' phi - phi'^2)/phi^2 (X_tau-) X_tau-(a) X_tau-(b)
-         + 2 lam <P a, P b>.
-    """
-    from .filters import h1_gram  # local import to avoid cycle at module load
-
-    basis_atoms = list(basis_atoms)
-    kernel = kernel if kernel is not None else g.kernel
-    n = len(basis_atoms)
-    if n == 0:
-        return np.zeros((0, 0))
-    x_events, phi_events = _event_terms(g, obj)
-    x_nodes = obj.predictor_nodes(g)
-
-    U = np.column_stack([obj.node_column(kernel, a) for a in basis_atoms])
-    E = (
-        np.column_stack([obj.event_column(kernel, a) for a in basis_atoms])
-        if len(obj.events)
-        else np.zeros((0, n))
-    )
-    w_nodes = obj.weights * obj.y_nodes * obj.link.deriv2(x_nodes)
-    H = U.T @ (w_nodes[:, None] * U)
-    if len(obj.events):
-        dphi = obj.link.deriv(x_events)
-        b_ev = (obj.link.deriv2(x_events) * phi_events - dphi**2) / phi_events**2
-        H -= E.T @ (b_ev[:, None] * E)
-    H += 2.0 * obj.penalty_weight * h1_gram(basis_atoms)
-    return 0.5 * (H + H.T)
 
 
 def compensator(

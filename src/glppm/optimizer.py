@@ -1,29 +1,34 @@
-"""Solvers for the penalized likelihood: one per kind of link.
+"""Solvers for the penalized likelihood: one Newton core, two dictionaries.
 
-* ``fit_linear``: for the linear link the minimizer lies in the finite
-  representer basis, so a damped Newton iteration on the coefficients is
-  exact (closed-form compensator, no quadrature).  Nonnegativity of the
-  intensity between events is restored, when violated, by a few passes of a
-  quadratically-penalized hinge on the quadrature-node predictors.
+Both fitters minimize, over the coefficients c of an atom dictionary,
 
-* ``fit_descent``: for the exponential and softplus links, descent over a
-  growing atom dictionary.  The gradient of the objective is itself a
-  finite combination of kernel atoms (event history atoms, one integral
-  atom per channel, and the penalty part), so each iteration appends
-  integral atoms for the change of the link weights since the last
-  iteration, forms the exact gradient coordinates on the dictionary, takes
-  a subspace Newton step (steepest descent when that fails the angle test)
-  and moves along it with a weak Wolfe line search.  Its history and
-  integral atoms are the Riesz representers of data functionals: eta_i of
-  the predictor at event i, f_w of sum_q w_q X(s_q) over the quadrature
-  nodes.  So <P a, P eta_i> = E1(a)_i and <P a, P f_w> = w . U1(a), with
-  U1 and E1 the H1 parts of a's predictor columns, and the dictionary's
-  Gram rows come from the columns it computes anyway (Wahba 1990, ch. 1).
+    F(c) = sum_q psi_q((U c)_q) + r . c + lam c' Gp c
+           - sum_i log(y_i phi((E c)_i)) + const,
 
-Both report convergence in the function-space gradient norm
-||grad Lambda(g)|| <= tol * max(1, ||grad Lambda(g_0)||), where g_0 is the
-solver's default start; when ``fit_descent`` is given an ``init``, g_0 is the
-zero filter instead, so that the start cannot set its own stopping scale.
+with U and E each atom's predictor at the quadrature nodes and at the
+events, and Gp the dictionary's H1 Gram.  Only psi, r and the atoms differ:
+
+* ``fit_descent`` (exponential and softplus links): psi_q = w_q y_q phi,
+  the quadrature compensator, and r = 0, over polynomials, history atoms
+  and integral atoms that grow with the gradient.
+* ``fit_linear`` (linear link): r is the exact compensator row, const =
+  d int Y, and psi_q(x) = (max(0, y_q - 2 mu (x + d))^2 - y_q^2) / (4 mu)
+  is the augmented-Lagrangian hinge of the node constraint x + d >= 0 with
+  multipliers y_q, over the representer basis and one atom per forced node.
+
+The core (``_Core.run``) forms the coordinate gradient and Hessian of F,
+takes a direction that passes the angle test cos(direction, -gradient) >=
+delta (Newton, else Levenberg-damped in the function-space metric, else
+function-space steepest descent), and moves by a weak Wolfe step on F's
+closed form along it; Zoutendijk's argument needs both conditions (Nocedal &
+Wright 2006, ch. 3).  It stops with a reason: "grad" when ||grad F|| <= tol
+* max(1, ||grad F(g_0)||), "stationary" when no trial decreases F and the
+directional derivative is at rounding level, "stall" when no trial
+decreases F otherwise, "max_iter" at the step budget, and "atom_cap" when
+``fit_descent``'s dictionary is full.  Only "grad" gives the status
+"converged", on the linear link only with feasible nodes.  g_0 is the
+solver's default start, or the zero filter when ``fit_descent`` is given an
+``init``, so that the start cannot set its own stopping scale.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from .errors import ConfigError, DomainError, InfeasibleError, SolverError
+from .errors import ConfigError, InfeasibleError, SolverError
 from .filters import (
     Atom,
     FilterFunction,
@@ -43,15 +48,15 @@ from .filters import (
     h1_inner_row,
 )
 from .kernel import SobolevKernel
-from .likelihood import Objective, _BOUNDARY_SLACK, gradient, objective_value
+from .likelihood import LinkSpec, Objective, _BOUNDARY_SLACK, gradient
 from .representer import RepresenterBasis, build_f_atoms, build_h_atoms
 
 __all__ = [
+    "STEP_FIELDS",
     "FitResult",
     "LineSearchConfig",
     "fit_descent",
     "fit_linear",
-    "wolfe_angle_step",
 ]
 
 # numerical slack on node feasibility: the multiplier iteration leaves a
@@ -59,6 +64,14 @@ __all__ = [
 # which floors near 1e-8 on unit-scale problems.  Shared with the likelihood
 # domain checks so converged fits always evaluate cleanly.
 _FEAS_SLACK = _BOUNDARY_SLACK
+
+# scalar fields of each record in diagnostics["iterations"] besides its
+# iteration, objective and gradient norm; each record also lists its line
+# search trials
+STEP_FIELDS = (
+    "pass", "mu", "direction", "cosine", "accepted_alpha",
+    "n_trials", "deriv0", "step_norm", "n_atoms",
+)
 
 
 @dataclass(frozen=True)
@@ -88,10 +101,16 @@ class LineSearchConfig:
 
 @dataclass
 class FitResult:
-    """Outcome of a fit: estimate, traces and solver diagnostics."""
+    """Outcome of a fit: estimate, stop reason, traces and diagnostics.
+
+    ``diagnostics["iterations"]`` holds one record per line search: the
+    iteration (the trace row it starts from), the fields in
+    ``STEP_FIELDS``, the objective and gradient norm there, and its trials.
+    """
 
     g_hat: FilterFunction
     status: str  # "converged" | "max_iter" | "stalled"
+    reason: str  # "grad" | "stationary" | "stall" | "max_iter" | "atom_cap"
     n_iter: int
     objective: float
     grad_norm: float
@@ -102,14 +121,6 @@ class FitResult:
     @property
     def converged(self) -> bool:
         return self.status == "converged"
-
-
-def _check_stopping(tol: float, max_iter: int) -> None:
-    """Reject a stopping rule that can never be met or never runs."""
-    if not (np.isfinite(tol) and tol > 0.0) or max_iter < 1:
-        raise ConfigError(
-            f"need a finite tol > 0 and max_iter >= 1, got tol={tol}, max_iter={max_iter}"
-        )
 
 
 def _weak_wolfe_search(trial, f0: float, d0: float, cfg: LineSearchConfig):
@@ -146,65 +157,6 @@ def _weak_wolfe_search(trial, f0: float, d0: float, cfg: LineSearchConfig):
     return alpha, np.nan, np.nan, log, False
 
 
-def wolfe_angle_step(
-    g: FilterFunction,
-    direction: FilterFunction,
-    obj: Objective,
-    config: LineSearchConfig | None = None,
-) -> tuple[FilterFunction, dict]:
-    """One safeguarded line search step along a filter-space direction.
-
-    Verifies the angle condition against the gradient at ``g``, then finds a
-    weak Wolfe step alpha and returns (g + alpha * direction, stats).  The
-    stats record alpha, the cosine, the directional derivatives and the full
-    trial log.  Raises SolverError for non-descent directions, angle
-    failures or exhausted trials (reporting the last bracket).
-    """
-    cfg = config if config is not None else LineSearchConfig()
-    grad = gradient(g, obj)
-    gn = np.sqrt(max(grad.inner_product(grad), 0.0))
-    dn = np.sqrt(max(direction.inner_product(direction), 0.0))
-    if dn == 0.0:
-        raise SolverError("line search direction is zero")
-    d0 = grad.inner_product(direction)
-    if d0 >= 0.0:
-        raise SolverError(f"not a descent direction: directional derivative {d0}")
-    cosine = -d0 / (gn * dn) if gn > 0 else 1.0
-    if cosine < cfg.delta:
-        raise SolverError(
-            f"angle condition failed: cos {cosine:.3g} < delta {cfg.delta}"
-        )
-    f0 = objective_value(g, obj)
-
-    def trial(alpha: float):
-        g_a = g + direction.scale(alpha)
-        try:
-            f_a = objective_value(g_a, obj)
-            grad_a = gradient(g_a, obj)
-        except (InfeasibleError, DomainError):
-            return False, np.nan, np.nan
-        return True, f_a, grad_a.inner_product(direction)
-
-    alpha, f_a, d_a, log, ok = _weak_wolfe_search(trial, f0, d0, cfg)
-    if not ok:
-        raise SolverError(
-            f"no weak Wolfe step within {cfg.max_step_trials} trials; "
-            f"last bracket near alpha={log[-1]['alpha']:.3g}"
-        )
-    stats = {
-        "alpha": float(alpha),
-        "cosine": float(cosine),
-        "value": float(f_a),
-        "deriv": float(d_a),
-        "deriv0": float(d0),
-        "wolfe_log": log,
-    }
-    return g + direction.scale(alpha), stats
-
-
-# -- linear link: Newton in the representer basis -------------------------------
-
-
 def _solve_spd(H: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
     """Solve H x = rhs for symmetric positive semidefinite H.
 
@@ -232,277 +184,6 @@ def _solve_spd(H: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
         return scipy.linalg.cho_solve((c, low), rs) / s, True
     except (np.linalg.LinAlgError, ValueError):
         return np.linalg.lstsq(Hr, rs, rcond=None)[0] / s, True
-
-
-def fit_linear(
-    basis: RepresenterBasis,
-    obj: Objective,
-    tol: float = 1e-6,
-    max_iter: int = 100,
-) -> FitResult:
-    """Exact penalized fit for the linear link in the representer basis.
-
-    Damped Newton on the coefficients with backtracking that keeps every
-    event intensity positive.  If the minimizer would let the predictor dip
-    below -d between events, hinge-squared penalties on the violating
-    quadrature nodes push it back.  The penalties are warm-started with
-    multiplier estimates updated after every pass (an augmented Lagrangian),
-    so the penalty weight stays bounded and the passes converge to exact
-    node feasibility.  Each pass also grows the basis by one kernel atom
-    per newly forced node and channel: an active node constraint
-    contributes its own representer to the solution, so the constrained
-    optimum lies in this enlarged span rather than in the unconstrained
-    representer span.
-    """
-    _check_stopping(tol, max_iter)
-    if obj.link.kind != "linear":
-        raise ConfigError("fit_linear requires the linear link")
-    lam = obj.penalty_weight
-    d = obj.link.d
-    kernel = basis.kernel
-    n_ch = basis.n_channels
-    h_sl = basis.h_slice
-    f_sl = basis.f_slice
-
-    ws = _Workspace(kernel, obj)
-    active: list[bool] = []
-    for atom, zero in zip(basis.atoms, basis.zero_mask):
-        ws.add(atom)
-        active.append(not zero)
-    phi_cols = {
-        (a.channel, a.k): i for i, a in enumerate(basis.atoms) if a.kind == "h0"
-    }
-    completions = np.stack([a.sections_h0(kernel) for a in basis.atoms])
-    hinge_cols: list[int] = []
-    hinge_nodes: list[int] = []
-    node_added = np.zeros(obj.nodes.size, dtype=bool)
-    y_mult = np.zeros(obj.nodes.size)
-    mu = 1.0
-
-    def force_weights(c: np.ndarray) -> np.ndarray:
-        """Augmented-Lagrangian force on each node, max(0, y - 2 mu gap)."""
-        return np.maximum(0.0, y_mult - 2.0 * mu * node_gap(c))
-
-    def add_node_atoms(c: np.ndarray, nodes_new: np.ndarray) -> np.ndarray:
-        nonlocal completions
-        onehot = np.zeros(obj.nodes.size)
-        for q in nodes_new:
-            node_added[q] = True
-            onehot[q] = 1.0
-            for atom in build_f_atoms(kernel, obj, part="r", link_weights=onehot):
-                if atom.is_zero:
-                    continue
-                hinge_nodes.append(int(q))
-                hinge_cols.append(ws.add(atom))
-                active.append(True)
-                completions = np.vstack([completions, atom.sections_h0(kernel)])
-            onehot[q] = 0.0
-        return np.append(c, np.zeros(len(ws) - c.size))
-
-    def node_gap(c: np.ndarray) -> np.ndarray:
-        return ws.U @ c + d
-
-    def worst_violation(c: np.ndarray) -> float:
-        if not ws.U.size:
-            return 0.0
-        return float(max(0.0, -node_gap(c).min()))
-
-    def grad_coords(c: np.ndarray, rho: np.ndarray, mu: float) -> np.ndarray:
-        """Function-space gradient of the current objective in atom
-        coordinates; exact once every forced node carries an atom."""
-        n = len(ws)
-        gam = np.zeros(n)
-        comp_coeff = np.zeros(n)
-        if rho.size:
-            gam[h_sl] -= np.repeat(rho, n_ch)
-            comp_coeff[h_sl] -= np.repeat(rho, n_ch)
-        gam[f_sl] += 1.0
-        comp_coeff[f_sl] += 1.0
-        gam += 2.0 * lam * np.where(ws.non_poly, c, 0.0)
-        if mu > 0.0 and hinge_cols:
-            w = force_weights(c)
-            if w.any():
-                np.subtract.at(
-                    gam, np.asarray(hinge_cols), w[np.asarray(hinge_nodes)]
-                )
-        # completion of the H1-pure gradient atoms onto the phi columns, and
-        # the polynomial strip of the penalty for atoms storing h0 content
-        for (ch, k), col in phi_cols.items():
-            mask = ws.non_poly & (ws.channel == ch)
-            gam[col] += float(comp_coeff[mask] @ completions[mask, k - 1])
-            gam[col] -= 2.0 * lam * float(c[mask] @ ws.h0_mat[mask, k - 1])
-        return gam
-
-    def current_gn(c: np.ndarray, rho: np.ndarray, mu: float) -> float:
-        """Norm of the gradient of the current objective, with corrections
-        for forced nodes that do not have a basis atom yet."""
-        gam = grad_coords(c, rho, mu)
-        gn2 = float(gam @ ws.G @ gam)
-        if mu > 0.0:
-            w_rem = np.where(node_added, 0.0, force_weights(c))
-            if w_rem.any():
-                gn2 -= 2.0 * float(w_rem @ (ws.U @ gam))
-                for atom in build_f_atoms(kernel, obj, part="r", link_weights=w_rem):
-                    gn2 += float(full_inner_row(atom, [atom])[0])
-        return float(np.sqrt(max(gn2, 0.0)))
-
-    def value(c: np.ndarray, mu: float) -> float:
-        phi = ws.E @ c + d
-        if phi.size and phi.min() <= 0.0:
-            return np.inf
-        val = ws.comp @ c + d * obj.int_y + lam * c @ ws.Gp @ c
-        if phi.size:
-            val -= float(np.sum(np.log(obj.y_events * phi)))
-        if mu > 0.0:
-            w = force_weights(c)
-            if w.any() or y_mult.any():
-                val += float(np.sum(w**2 - y_mult**2)) / (4.0 * mu)
-        return float(val)
-
-    c = np.zeros(len(ws))
-    if d == 0.0 and len(obj.events):
-        for ch in range(n_ch):
-            c[phi_cols[(ch, 1)]] = 1.0
-        if (ws.E @ c).min() <= 0.0:
-            i = int(np.argmin(ws.E @ c))
-            raise InfeasibleError(
-                f"event t={obj.events.times[i]} has no driver history and d=0"
-            )
-
-    def newton_pass(c: np.ndarray, mu: float):
-        """Minimize the (possibly hinged) objective from c.
-
-        Returns (c, reason), reason one of "grad" (function-space gradient
-        test met), "stationary" (Newton decrement at rounding level),
-        "stall" (no backtracking decrease) or "max_iter".
-        """
-        nonlocal ridge_used, newton_iters, gn0
-        idx_active = np.flatnonzero(active)
-        for _ in range(max_iter):
-            phi = ws.E @ c + d
-            if phi.size and phi.min() <= 0.0:
-                raise InfeasibleError("event intensity vanished during Newton")
-            rho = 1.0 / phi if phi.size else np.empty(0)
-            grad_c = ws.comp + 2.0 * lam * (ws.Gp @ c)
-            if phi.size:
-                grad_c -= ws.E.T @ rho
-            if mu > 0.0:
-                w = force_weights(c)
-                if w.any():
-                    grad_c -= ws.U.T @ w
-
-            gn = current_gn(c, rho, mu)
-            obj_trace.append(value(c, mu))
-            gn_trace.append(gn)
-            if gn0 is None:
-                gn0 = gn
-            if gn <= tol * max(1.0, gn0):
-                return c, "grad"
-
-            H = 2.0 * lam * ws.Gp.copy()
-            if phi.size:
-                H += (ws.E * (rho**2)[:, None]).T @ ws.E
-            if mu > 0.0:
-                act = (y_mult - 2.0 * mu * node_gap(c)) > 0.0
-                if act.any():
-                    Ua = ws.U[act]
-                    H += 2.0 * mu * Ua.T @ Ua
-            step = np.zeros(len(ws))
-            sol, used = _solve_spd(
-                H[np.ix_(idx_active, idx_active)], -grad_c[idx_active]
-            )
-            ridge_used = ridge_used or used
-            step[idx_active] = sol
-            slope = float(grad_c @ step)
-            if slope >= 0.0:
-                step[idx_active] = -grad_c[idx_active]
-                slope = float(grad_c @ step)
-            f_here = value(c, mu)
-            if slope >= 0.0 or -slope <= 1e-14 * max(1.0, abs(f_here)):
-                return c, "stationary"
-            t = 1.0
-            accepted = False
-            for _ in range(60):
-                f_trial = value(c + t * step, mu)
-                if f_trial <= f_here + 1e-4 * t * slope:
-                    accepted = True
-                    break
-                t *= 0.5
-            if not accepted:
-                return c, "stall"
-            c = c + t * step
-            newton_iters += 1
-        return c, "max_iter"
-
-    obj_trace: list[float] = []
-    gn_trace: list[float] = []
-    pass_starts: list[int] = [0]
-    ridge_used = False
-    newton_iters = 0
-    gn0 = None
-
-    slack = _FEAS_SLACK * max(1.0, d)
-    hinge_passes = 0
-    viol_prev = np.inf
-    while True:
-        c, reason = newton_pass(c, mu)
-        hinge_passes += 1
-        v = worst_violation(c)
-        w = force_weights(c)
-        y_top = float(w.max()) if w.size else 0.0
-        gaps = np.maximum(node_gap(c), 0.0)
-        comp = float(np.max(np.minimum(w, gaps))) if w.size else 0.0
-        kkt_ok = (
-            v <= slack
-            and comp <= 1e-6 * max(1.0, y_top)
-            and reason in ("grad", "stationary")
-        )
-        if kkt_ok or hinge_passes >= 20:
-            break
-        grow = np.flatnonzero((w > 0.0) & ~node_added)
-        if grow.size:
-            c = add_node_atoms(c, grow)
-        y_mult = w
-        if v > slack and v > 0.25 * viol_prev and mu < 1e4:
-            mu *= 10.0
-        if v > 0.0:
-            viol_prev = v
-        pass_starts.append(len(obj_trace))
-    status = "converged" if kkt_ok else "max_iter"
-
-    phi = ws.E @ c + d
-    rho = 1.0 / phi if phi.size else np.empty(0)
-    gam = grad_coords(c, rho, 0.0)
-    gn = float(np.sqrt(max(gam @ ws.G @ gam, 0.0)))
-    final_val = value(c, 0.0)
-    obj_trace.append(final_val)
-    gn_trace.append(gn)
-    g_hat = FilterFunction(kernel, n_ch, tuple(ws.atoms), c)
-    return FitResult(
-        g_hat=g_hat,
-        status=status,
-        n_iter=newton_iters,
-        objective=float(final_val),
-        grad_norm=gn,
-        objective_trace=np.array(obj_trace),
-        grad_norm_trace=np.array(gn_trace),
-        diagnostics={
-            "ridge_used": ridge_used,
-            "hinge_passes": hinge_passes,
-            "hinge_mu": mu,
-            "pass_starts": pass_starts,
-            "max_node_violation": worst_violation(c),
-            "newton_exit": reason,
-            "coefficients": c,
-            "kkt_residual": current_gn(c, rho, mu),
-            "n_node_atoms": len(hinge_cols),
-            "n_atoms": len(ws),
-            "unpenalized": lam == 0.0,
-        },
-    )
-
-
-# -- exponential and softplus links: dictionary descent ------------------------
 
 
 class _Workspace:
@@ -585,10 +266,6 @@ class _Workspace:
         self.h0_mat, self.channel = b["h0"][:n], b["channel"][:n]
         self.non_poly = b["non_poly"][:n]
 
-    def add(self, atom: Atom) -> int:
-        """Append an atom that represents no functional; returns its column."""
-        return self._add(atom, None)
-
     def add_history_atoms(self) -> tuple[np.ndarray, np.ndarray]:
         """Append the full-kernel history atom of every (event, channel)
         with earlier jumps, each representing its event's predictor.
@@ -601,7 +278,7 @@ class _Workspace:
                 functional = np.zeros(self._n_points)
                 functional[self._n_nodes + pos // n_ch] = 1.0
                 events.append(pos // n_ch)
-                cols.append(self._add(atom, functional))
+                cols.append(self.add(atom, functional))
         return np.array(events, dtype=int), np.array(cols, dtype=int)
 
     def add_integral_atoms(self, link_weights: np.ndarray) -> list[int]:
@@ -611,7 +288,7 @@ class _Workspace:
         functional = np.zeros(self._n_points)
         functional[: self._n_nodes] = link_weights
         return [
-            self._add(atom, functional)
+            self.add(atom, functional)
             for atom in build_f_atoms(self.kernel, self.obj, part="r1", link_weights=link_weights)
             if not atom.is_zero
         ]
@@ -638,7 +315,9 @@ class _Workspace:
         ])
         return x, x1
 
-    def _add(self, atom: Atom, functional: np.ndarray | None) -> int:
+    def add(self, atom: Atom, functional: np.ndarray | None = None) -> int:
+        """Append an atom, with the weights over nodes and events of the
+        functional it represents, if any; returns its column."""
         n = len(self.atoms)
         k = n + 1
         if k > self._buf["G"].shape[0]:
@@ -684,6 +363,436 @@ class _Workspace:
         return n
 
 
+@dataclass(frozen=True)
+class _QuadratureCompensator:
+    """psi_q(x) = w_q y_q phi(x): the quadrature compensator of a link."""
+
+    obj: Objective
+
+    def value(self, x: np.ndarray) -> float:
+        return float(self.obj.weights @ (self.obj.y_nodes * self.obj.link.value(x)))
+
+    def deriv(self, x: np.ndarray) -> np.ndarray:
+        return self.obj.weights * self.obj.y_nodes * self.obj.link.deriv(x)
+
+    def deriv2(self, x: np.ndarray) -> np.ndarray:
+        return self.obj.weights * self.obj.y_nodes * self.obj.link.deriv2(x)
+
+
+@dataclass(frozen=True)
+class _Hinge:
+    """psi_q(x) = (max(0, y_q - 2 mu phi(x))^2 - y_q^2) / (4 mu): the
+    augmented-Lagrangian term of the node constraint phi(x) = x + d >= 0,
+    with multipliers y.  -psi' is the force max(0, y - 2 mu phi) on each
+    node."""
+
+    y: np.ndarray
+    mu: float
+    link: LinkSpec
+
+    def force(self, x: np.ndarray) -> np.ndarray:
+        return np.maximum(0.0, self.y - 2.0 * self.mu * self.link.value(x))
+
+    def value(self, x: np.ndarray) -> float:
+        return float(np.sum(self.force(x) ** 2 - self.y**2)) / (4.0 * self.mu)
+
+    def deriv(self, x: np.ndarray) -> np.ndarray:
+        return -self.force(x)
+
+    def deriv2(self, x: np.ndarray) -> np.ndarray:
+        return 2.0 * self.mu * (self.force(x) > 0.0)
+
+
+class _Core:
+    """Safeguarded Newton descent on F over a workspace dictionary.
+
+    The dictionary starts with the polynomial atoms phi_1..phi_m of every
+    channel, channel-major.  The fitter lists where the data atoms of the
+    gradient sit: ``eta_cols`` hold the history atoms of events
+    ``eta_events`` (coefficient -phi'/phi(X) there), ``integral_cols`` the
+    integral atoms (coefficient 1), and ``node_cols`` the atoms of nodes
+    ``node_idx`` (coefficient psi' there).  A data atom stored as its smooth
+    part (part "r1") stands for its full-kernel version, whose polynomial
+    content goes on the phi columns.
+
+    One core serves all passes of a fit and keeps their traces, step
+    records and iteration count.
+    """
+
+    def __init__(
+        self, ws: "_Workspace", line_search: LineSearchConfig | None, tol: float, max_iter: int
+    ):
+        # one check of the stopping rule for both fitters: reject one that
+        # can never be met or never runs
+        if not (np.isfinite(tol) and tol > 0.0) or max_iter < 1:
+            raise ConfigError(
+                f"need a finite tol > 0 and max_iter >= 1, got tol={tol}, max_iter={max_iter}"
+            )
+        self.ws, self.tol, self.max_iter = ws, tol, max_iter
+        self.cfg = line_search if line_search is not None else LineSearchConfig()
+        obj = ws.obj
+        self.link, self.lam = obj.link, obj.penalty_weight
+        m = ws.kernel.m
+        self.phi_cols = np.arange(obj.n_channels * m).reshape(obj.n_channels, m)
+        self.eta_cols = self.eta_events = np.empty(0, dtype=int)
+        self.integral_cols: list[int] = []
+        self.node_cols: list[int] = []
+        self.node_idx: list[int] = []
+        self._completions = np.zeros((0, m))
+        self.log_y = float(np.sum(np.log(obj.y_events))) if len(obj.events) else 0.0
+        self.const = obj.link.d * obj.int_y if ws.comp is not None else 0.0
+        self.gn0: float | None = None
+        self.objective_trace: list[float] = []
+        self.grad_norm_trace: list[float] = []
+        self.records: list[dict] = []
+        self.n_iter = 0
+        self.ridge_used = False
+
+    def event_terms(self, xe: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(phi, phi'/phi) at the events; raises when an intensity is not
+        positive."""
+        obj = self.ws.obj
+        phi_e = self.link.value(xe)
+        lam_e = obj.y_events * phi_e
+        if lam_e.size and lam_e.min() <= 0.0:
+            i = int(np.argmin(lam_e))
+            raise InfeasibleError(
+                f"non-positive intensity {lam_e[i]} at event t={obj.events.times[i]}"
+            )
+        rho = self.link.deriv(xe) / phi_e if phi_e.size else np.empty(0)
+        return phi_e, rho
+
+    def value(self, gamma: np.ndarray, psi) -> float:
+        """F at gamma, without the node term when psi is None."""
+        ws = self.ws
+        phi_e, _ = self.event_terms(ws.E @ gamma)
+        pen = self.lam * float(gamma @ ws.Gp @ gamma)
+        val = pen if psi is None else psi.value(ws.U @ gamma) + pen
+        if ws.comp is not None:
+            val += float(ws.comp @ gamma) + self.const
+        if phi_e.size:
+            val -= float(np.sum(np.log(phi_e))) + self.log_y
+        return val
+
+    def gradient_coords(self, gamma: np.ndarray, rho: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
+        """Function-space gradient of F in dictionary coordinates: the data
+        atoms' coefficients, their completions onto the phi columns, and
+        the penalty 2 lam P g less the polynomial content that full-kernel
+        atoms carry.  Exact when the dictionary spans the gradient."""
+        ws, lam = self.ws, self.lam
+        n = len(ws)
+        if self._completions.shape[0] < n:
+            m = ws.kernel.m
+            self._completions = np.vstack([self._completions] + [
+                a.sections_h0(ws.kernel) if a.part == "r1" else np.zeros(m)
+                for a in ws.atoms[self._completions.shape[0]:]
+            ])
+        coeff = np.zeros(n)
+        if rho.size and self.eta_cols.size:
+            coeff[self.eta_cols] -= rho[self.eta_events]
+        coeff[self.integral_cols] += 1.0
+        coeff[self.node_cols] += dpsi[self.node_idx]
+        gam = coeff.copy()
+        if lam != 0.0:
+            gam += 2.0 * lam * np.where(ws.non_poly, gamma, 0.0)
+        for ch, cols in enumerate(self.phi_cols):
+            mask = ws.non_poly & (ws.channel == ch)
+            if mask.any():
+                gam[cols] += self._completions[:n][mask].T @ coeff[mask]
+                if lam != 0.0:
+                    gam[cols] -= 2.0 * lam * (ws.h0_mat[mask].T @ gamma[mask])
+        return gam
+
+    def hessian(self, psi, xn: np.ndarray, xe: np.ndarray, phi_e: np.ndarray) -> np.ndarray:
+        """Coordinate Hessian of F at predictors xn (nodes) and xe (events)."""
+        ws, link = self.ws, self.link
+        H = (ws.U * psi.deriv2(xn)[:, None]).T @ ws.U + 2.0 * self.lam * ws.Gp
+        if phi_e.size:
+            dphi = link.deriv(xe)
+            b_ev = (link.deriv2(xe) * phi_e - dphi**2) / phi_e**2
+            H -= (ws.E * b_ev[:, None]).T @ ws.E
+        return 0.5 * (H + H.T)
+
+    def run(self, gamma, psi, tag: dict, grow=None, unrepresented=None):
+        """Descend from gamma for at most ``max_iter`` steps.
+
+        ``grow(psi')`` may append atoms before each iterate is measured, and
+        returns False to stop with "atom_cap".  ``unrepresented(gam, psi')``
+        corrects the squared gradient norm for gradient atoms the dictionary
+        lacks.  ``tag`` ("pass" and "mu") goes into every step record.
+        Returns (gamma, reason).
+        """
+        ws, obj, link, lam, cfg = self.ws, self.ws.obj, self.link, self.lam, self.cfg
+        steps = 0
+        while True:
+            # coefficients of atoms added since gamma was set start at 0
+            gamma = np.append(gamma, np.zeros(len(ws) - gamma.size))
+            xn, xe = ws.U @ gamma, ws.E @ gamma
+            phi_e, rho = self.event_terms(xe)
+            if grow is not None and not grow(psi.deriv(xn)):
+                return gamma, "atom_cap"
+            if len(ws) > gamma.size:
+                gamma = np.append(gamma, np.zeros(len(ws) - gamma.size))
+                xn, xe = ws.U @ gamma, ws.E @ gamma
+
+            dpsi = psi.deriv(xn)
+            gam = self.gradient_coords(gamma, rho, dpsi)
+            gn2 = float(gam @ ws.G @ gam)
+            if unrepresented is not None:
+                gn2 += unrepresented(gam, dpsi)
+            gn = float(np.sqrt(max(gn2, 0.0)))
+            self.objective_trace.append(self.value(gamma, psi))
+            self.grad_norm_trace.append(gn)
+            if self.gn0 is None:
+                self.gn0 = gn
+            if gn <= self.tol * max(1.0, self.gn0):
+                return gamma, "grad"
+            if steps >= self.max_iter:
+                return gamma, "max_iter"
+
+            grad_c = ws.U.T @ dpsi + 2.0 * lam * (ws.Gp @ gamma)
+            if ws.comp is not None:
+                grad_c += ws.comp
+            if rho.size:
+                grad_c -= ws.E.T @ rho
+            H = self.hessian(psi, xn, xe, phi_e)
+            # identically zero atoms (kept in place in the representer
+            # basis) have no row in any Gram; solve on the others
+            free = np.diag(ws.G) > 0.0
+
+            def solve(M: np.ndarray) -> tuple[np.ndarray, bool]:
+                x = np.zeros(len(ws))
+                x[free], used = _solve_spd(M[np.ix_(free, free)], -grad_c[free])
+                return x, used
+
+            def cosine(slope: float, norm2: float) -> float:
+                return -slope / max(gn * np.sqrt(max(norm2, 0.0)), 1e-300)
+
+            # Newton (sigma = 0), then Levenberg damping in the function-space
+            # metric: sigma sweeps the direction from Newton toward the best
+            # in-span descent direction, which raises the angle with -grad
+            # without growing the dictionary
+            sigma = 0.0
+            for _ in range(15):
+                delta, used = solve(H + sigma * ws.G)
+                d0 = float(grad_c @ delta)
+                dn2 = float(delta @ ws.G @ delta)
+                cos = cosine(d0, dn2)
+                if d0 < 0.0 and dn2 > 0.0 and cos >= cfg.delta:
+                    direction_kind = "damped_newton" if sigma else "newton"
+                    self.ridge_used = self.ridge_used or used
+                    break
+                sigma = 10.0 * sigma if sigma else 1e-6 * max(float(np.trace(H)) / len(ws), 1.0)
+            else:  # no sigma passed the angle test
+                direction_kind = "steepest"
+                delta = -gam
+                d0 = float(grad_c @ delta)
+                cos = cosine(d0, float(delta @ ws.G @ delta))
+            if not d0 < 0.0:
+                return gamma, "stationary"
+
+            Ud = ws.U @ delta
+            Ed = ws.E @ delta
+            Gp_d = ws.Gp @ delta
+            g_gp_d = float(gamma @ Gp_d)
+            # Gp is positive semidefinite, but along a direction in its near
+            # null space rounding can give negative curvature, which the line
+            # search would follow to an unbounded step
+            d_gp_d = max(float(delta @ Gp_d), 0.0)
+            g_gp_g = float(gamma @ (ws.Gp @ gamma))
+            if ws.comp is not None:
+                r_g, r_d = float(ws.comp @ gamma) + self.const, float(ws.comp @ delta)
+
+            def trial(alpha: float):
+                xe_a = xe + alpha * Ed
+                phi_a = link.value(xe_a)
+                if phi_a.size and (obj.y_events * phi_a).min() <= 0.0:
+                    return False, np.nan, np.nan
+                pen = lam * (g_gp_g + 2.0 * alpha * g_gp_d + alpha**2 * d_gp_d)
+                pen_d = 2.0 * lam * (g_gp_d + alpha * d_gp_d)
+                xn_a = xn + alpha * Ud
+                f_a = psi.value(xn_a) + pen
+                df = float(psi.deriv(xn_a) @ Ud) + pen_d
+                if ws.comp is not None:
+                    f_a += r_g + alpha * r_d
+                    df += r_d
+                if phi_a.size:
+                    f_a -= float(np.sum(np.log(phi_a))) + self.log_y
+                    df -= float((link.deriv(xe_a) / phi_a) @ Ed)
+                return True, f_a, df
+
+            # compare trials with the same expression at alpha = 0: value()
+            # sums in another order, and near the optimum that rounding gap
+            # can exceed the decrease still available
+            f0 = trial(0.0)[1]
+            alpha, f_a, d_a, log, ok = _weak_wolfe_search(trial, f0, d0, cfg)
+            self.records.append({
+                "iteration": len(self.objective_trace) - 1,
+                **tag,
+                "direction": direction_kind,
+                "cosine": float(cos),
+                "accepted_alpha": float(alpha) if ok else None,
+                "n_trials": len(log),
+                "objective": f0,
+                "deriv0": d0,
+                "grad_norm": gn,
+                "step_norm": float(np.sqrt(max(delta @ ws.G @ delta, 0.0))),
+                "n_atoms": len(ws),
+                "trials": log,
+            })
+            if not ok:
+                # fall back on the best trial that decreased F
+                lower = [e for e in log if e["feasible"] and e["value"] < f0]
+                if not lower:
+                    # a directional derivative at rounding level explains
+                    # why no trial decreases F
+                    if -d0 <= 1e-14 * max(1.0, abs(f0)):
+                        return gamma, "stationary"
+                    return gamma, "stall"
+                alpha = min(lower, key=lambda e: e["value"])["alpha"]
+            gamma = gamma + alpha * delta
+            self.n_iter += 1
+            steps += 1
+
+    def result(
+        self, gamma: np.ndarray, reason: str, feasible: bool = True, **diagnostics
+    ) -> FitResult:
+        """The fit at gamma, stopped for ``reason``; objective and gradient
+        norm are the traces' last entries.  The one status rule: only the
+        gradient test converges, and an infeasible fit ran out of passes."""
+        ws = self.ws
+        if not feasible:
+            status = "max_iter"
+        else:
+            status = {"grad": "converged", "max_iter": "max_iter"}.get(reason, "stalled")
+        return FitResult(
+            g_hat=FilterFunction(ws.kernel, ws.obj.n_channels, tuple(ws.atoms), gamma),
+            status=status,
+            reason=reason,
+            n_iter=self.n_iter,
+            objective=float(self.objective_trace[-1]),
+            grad_norm=float(self.grad_norm_trace[-1]),
+            objective_trace=np.array(self.objective_trace),
+            grad_norm_trace=np.array(self.grad_norm_trace),
+            diagnostics={
+                "ridge_used": self.ridge_used,
+                "n_atoms": len(ws),
+                "iterations": self.records,
+                "unpenalized": self.lam == 0.0,
+                **diagnostics,
+            },
+        )
+
+
+def fit_linear(
+    basis: RepresenterBasis,
+    obj: Objective,
+    tol: float = 1e-6,
+    max_iter: int = 100,
+    line_search: LineSearchConfig | None = None,
+) -> FitResult:
+    """Exact penalized fit for the linear link in the representer basis.
+
+    Runs the Newton core on the basis, with at most ``max_iter`` steps per
+    pass.  If the minimizer would let the predictor dip below -d between
+    events, hinge-squared penalties on the violating quadrature nodes push
+    it back.  The penalties are warm-started with multiplier estimates
+    updated after every pass (an augmented Lagrangian), so the penalty
+    weight stays bounded and the passes converge to exact node feasibility.
+    Each pass also grows the basis by one kernel atom per newly forced node
+    and channel: an active node constraint contributes its own representer
+    to the solution, so the constrained optimum lies in this enlarged span
+    rather than in the unconstrained representer span.
+
+    The fit converges when a pass ends on the gradient test of its KKT
+    residual with the nodes feasible and complementary.
+    """
+    if obj.link.kind != "linear":
+        raise ConfigError("fit_linear requires the linear link")
+    d = obj.link.d
+    kernel = basis.kernel
+    n_ch = basis.n_channels
+
+    ws = _Workspace(kernel, obj)
+    core = _Core(ws, line_search, tol, max_iter)
+    for atom in basis.atoms:
+        ws.add(atom)
+    core.eta_cols = np.arange(basis.h_slice.start, basis.h_slice.stop)
+    core.eta_events = np.arange(core.eta_cols.size) // n_ch
+    core.integral_cols = list(range(basis.f_slice.start, basis.f_slice.stop))
+    node_added = np.zeros(obj.nodes.size, dtype=bool)
+
+    def add_node_atoms(nodes_new: np.ndarray) -> None:
+        onehot = np.zeros(obj.nodes.size)
+        for q in nodes_new:
+            node_added[q] = True
+            onehot[q] = 1.0
+            for atom in build_f_atoms(kernel, obj, part="r", link_weights=onehot):
+                if not atom.is_zero:
+                    core.node_idx.append(int(q))
+                    core.node_cols.append(ws.add(atom))
+            onehot[q] = 0.0
+
+    def unrepresented(gam: np.ndarray, dpsi: np.ndarray) -> float:
+        """Squared-norm terms of the forces on nodes that have no atom yet:
+        the gradient holds their integral atom f_w besides gam."""
+        w_rem = np.where(node_added, 0.0, -dpsi)
+        if not w_rem.any():
+            return 0.0
+        out = -2.0 * float(w_rem @ (ws.U @ gam))
+        for atom in build_f_atoms(kernel, obj, part="r", link_weights=w_rem):
+            out += float(full_inner_row(atom, [atom])[0])
+        return out
+
+    # with d = 0 start at phi_1 = 1, positive at every event with some
+    # driver history; the core rejects an event with none
+    c = np.zeros(len(ws))
+    if d == 0.0 and len(obj.events):
+        c[core.phi_cols[:, 0]] = 1.0
+
+    y_mult = np.zeros(obj.nodes.size)
+    mu = 1.0
+    slack = _FEAS_SLACK * max(1.0, d)
+    passes = 0
+    viol_prev = np.inf
+    while True:
+        hinge = _Hinge(y_mult, mu, obj.link)
+        c, reason = core.run(c, hinge, {"pass": passes, "mu": mu}, unrepresented=unrepresented)
+        passes += 1
+        xn = ws.U @ c
+        gaps = obj.link.value(xn)
+        v = float(max(0.0, -gaps.min())) if gaps.size else 0.0
+        w = hinge.force(xn)
+        y_top = float(w.max()) if w.size else 0.0
+        comp = float(np.max(np.minimum(w, np.maximum(gaps, 0.0)))) if w.size else 0.0
+        feasible = v <= slack and comp <= 1e-6 * max(1.0, y_top)
+        if (feasible and reason in ("grad", "stationary")) or passes >= 20:
+            break
+        add_node_atoms(np.flatnonzero((w > 0.0) & ~node_added))
+        y_mult = w
+        if v > slack and v > 0.25 * viol_prev and mu < 1e4:
+            mu *= 10.0
+        if v > 0.0:
+            viol_prev = v
+    kkt = core.grad_norm_trace[-1]
+
+    # the fit reports the plain objective and gradient, without the hinge
+    _, rho = core.event_terms(ws.E @ c)
+    gam = core.gradient_coords(c, rho, np.zeros(obj.nodes.size))
+    core.objective_trace.append(core.value(c, None))
+    core.grad_norm_trace.append(float(np.sqrt(max(gam @ ws.G @ gam, 0.0))))
+    return core.result(
+        c,
+        reason,
+        feasible,
+        hinge_passes=passes,
+        hinge_mu=mu,
+        max_node_violation=v,
+        kkt_residual=kkt,
+        n_node_atoms=len(core.node_cols),
+    )
+
+
 def fit_descent(
     kernel: SobolevKernel,
     obj: Objective,
@@ -705,99 +814,51 @@ def fit_descent(
     since the previous one.  The gradient's integral atom is then the sum
     of all integral atoms, with coordinate +1 on each; adding the weights
     themselves instead would leave nearly collinear atoms whose Newton
-    systems are singular to working precision near the optimum.  Each
-    iteration expresses the exact gradient in dictionary coordinates,
-    solves the subspace Newton system, falls back to steepest descent when
-    the Newton direction fails the descent or angle test, and moves by a
-    weak Wolfe step whose trials and reference value f(0) share one
-    expression.
+    systems are singular to working precision near the optimum.  The Newton
+    core runs on this dictionary, growing it before each iterate.
 
     The default start is f_0 scaled by a one-dimensional minimization of the
     objective along it; pass ``init`` to start elsewhere.  The stopping
     scale ||grad Lambda(g_0)|| is taken at the default start, or at the zero
     filter when ``init`` is given, so a poor start cannot loosen the test.
     A fit whose dictionary has no room left for the next integral atom
-    stops as "stalled" with ``atom_cap_reached``, reporting the norm of the
+    stops as "stalled" with reason "atom_cap", reporting the norm of the
     gradient filter at its result.
     """
-    cfg = line_search if line_search is not None else LineSearchConfig()
-    _check_stopping(tol, max_iter)
     link = obj.link
     if link.kind == "linear":
         raise ConfigError("fit_descent serves the non-linear links; use fit_linear")
     lam = obj.penalty_weight
     ws = _Workspace(kernel, obj)
-
-    phi_cols = np.zeros((obj.n_channels, kernel.m), dtype=int)
+    core = _Core(ws, line_search, tol, max_iter)
     for ch in range(obj.n_channels):
         for k in range(1, kernel.m + 1):
-            phi_cols[ch, k - 1] = ws.add(h0_poly(kernel, ch, k))
+            ws.add(h0_poly(kernel, ch, k))
+    core.eta_events, core.eta_cols = ws.add_history_atoms()
+    psi = _QuadratureCompensator(obj)
 
-    eta_events_arr, eta_cols_arr = ws.add_history_atoms()
-
-    # integral atoms are kept as their smooth parts; completions[i] is the
-    # polynomial content that, added on the phi columns, restores the
-    # full-kernel gradient atom
-    def add_f_atoms(link_weights):
-        cols = ws.add_integral_atoms(link_weights)
-        chans = [ws.atoms[c].channel for c in cols]
-        comps = [ws.atoms[c].sections_h0(kernel) for c in cols]
-        return cols, chans, comps
-
-    gamma = np.zeros(len(ws))
-
-    def pad(vec: np.ndarray) -> np.ndarray:
-        return np.append(vec, np.zeros(len(ws) - vec.size))
-
-    last_f_weights = obj.weights * obj.y_nodes * link.deriv(np.zeros(obj.nodes.size))
-    f_cols, f_chans, f_comps = add_f_atoms(last_f_weights)
-    gamma = pad(gamma)
+    last_f_weights = psi.deriv(np.zeros(obj.nodes.size))
+    core.integral_cols += ws.add_integral_atoms(last_f_weights)
     if len(ws) + obj.n_channels > max_atoms:
         raise ConfigError(
             f"max_atoms={max_atoms} cannot hold the initial dictionary "
             f"({len(ws)} atoms) plus one integral atom per channel"
         )
+    gamma = np.zeros(len(ws))
 
-    def event_terms(x_events: np.ndarray):
-        phi_e = link.value(x_events)
-        lam_e = obj.y_events * phi_e
-        if lam_e.size and lam_e.min() <= 0.0:
-            i = int(np.argmin(lam_e))
-            raise InfeasibleError(
-                f"non-positive intensity {lam_e[i]} at event t={obj.events.times[i]}"
-            )
-        return phi_e
-
-    log_y = float(np.sum(np.log(obj.y_events))) if len(obj.events) else 0.0
-
-    def value_at(gam_vec: np.ndarray) -> float:
-        """Objective at dictionary coefficients; +inf when infeasible."""
-        xe = ws.E @ gam_vec
-        phi_e = link.value(xe)
-        if phi_e.size and (obj.y_events * phi_e).min() <= 0.0:
-            return np.inf
-        pen = lam * float(gam_vec @ ws.Gp @ gam_vec)
-        xn = ws.U @ gam_vec
-        val = float(obj.weights @ (obj.y_nodes * link.value(xn))) + pen
-        if phi_e.size:
-            val -= float(np.sum(np.log(phi_e))) + log_y
-        return val
-
-    gn0 = None
     if init is not None:
         if init.kernel != kernel or init.n_channels != obj.n_channels:
             raise ConfigError("init filter does not match the kernel/data")
         for atom, coeff in zip(init.atoms, init.coefficients):
             if coeff != 0.0:
-                idx = ws.add(atom)
-                gamma = pad(gamma)
-                gamma[idx] = coeff
+                ws.add(atom)
+                gamma = np.append(gamma, coeff)
         grad0 = gradient(FilterFunction.zero(kernel, obj.n_channels), obj)
-        gn0 = float(np.sqrt(max(grad0.inner_product(grad0), 0.0)))
-    elif f_cols:
+        core.gn0 = float(np.sqrt(max(grad0.inner_product(grad0), 0.0)))
+    elif core.integral_cols:
         # default start: f_0 scaled by a 1-D minimization of the objective
         direction = np.zeros(len(ws))
-        direction[f_cols] = 1.0
+        direction[core.integral_cols] = 1.0
         u_dir, e_dir = ws.U @ direction, ws.E @ direction
         pen_dir = lam * float(direction @ ws.Gp @ direction)
 
@@ -808,7 +869,7 @@ def fit_descent(
                 val += a**2 * pen_dir
                 if e_dir.size:
                     phi_e = link.value(np.multiply.outer(a, e_dir))
-                    val -= np.log(phi_e).sum(axis=1) + log_y
+                    val -= np.log(phi_e).sum(axis=1) + core.log_y
                     val[(obj.y_events * phi_e).min(axis=1) <= 0.0] = np.inf
             return val
 
@@ -827,203 +888,25 @@ def fit_descent(
                 best_a = float(res.x)
         gamma = best_a * direction
 
-    obj_trace: list[float] = []
-    gn_trace: list[float] = []
-    wolfe_log: list[dict] = []
-    dict_size_trace: list[int] = []
-    status = "max_iter"
-    ridge_used = False
-    cap_reached = False
-    n_iter = 0
+    def grow(w_link: np.ndarray) -> bool:
+        """Integral atom of the gradient at the current iterate: the atom
+        for the weights Y phi'(X) is the sum of all integral atoms so far,
+        the newest one carrying only the change of weights since the last.
+        False when the dictionary has no room for it."""
+        nonlocal last_f_weights
+        if np.array_equal(w_link, last_f_weights):
+            return True
+        if len(ws) + obj.n_channels > max_atoms:
+            return False
+        core.integral_cols += ws.add_integral_atoms(w_link - last_f_weights)
+        last_f_weights = w_link
+        return True
 
-    while True:
-        Xn = ws.U @ gamma
-        Xe = ws.E @ gamma
-        phi_e = event_terms(Xe)
-        rho = link.deriv(Xe) / phi_e if phi_e.size else np.empty(0)
-
-        # integral atoms of the gradient at the current iterate: the atom for
-        # the weights Y phi'(X) is the sum of all integral atoms so far, the
-        # newest one carrying only the change of weights since the last
-        w_link = obj.weights * obj.y_nodes * link.deriv(Xn)
-        if not np.array_equal(w_link, last_f_weights):
-            if len(ws) + obj.n_channels > max_atoms:
-                # no room for the integral atom of the new weights: the
-                # dictionary no longer spans the gradient, and its
-                # coordinates would measure a stale one.  Stop, and
-                # report the norm of the true gradient.
-                cap_reached = True
-                status = "stalled"
-                val = value_at(gamma)
-                grad = gradient(
-                    FilterFunction(kernel, obj.n_channels, tuple(ws.atoms), gamma), obj
-                )
-                gn = float(np.sqrt(max(grad.inner_product(grad), 0.0)))
-                obj_trace.append(val)
-                gn_trace.append(gn)
-                dict_size_trace.append(len(ws))
-                break
-            cols, chans, comps = add_f_atoms(w_link - last_f_weights)
-            f_cols, f_chans, f_comps = f_cols + cols, f_chans + chans, f_comps + comps
-            gamma = pad(gamma)
-            Xn = ws.U @ gamma
-            Xe = ws.E @ gamma
-            last_f_weights = w_link
-
-        # structural coordinates of grad Lambda on the dictionary
-        gam_grad = np.zeros(len(ws))
-        if rho.size and eta_cols_arr.size:
-            gam_grad[eta_cols_arr] -= rho[eta_events_arr]
-        for col, ch, comp_vec in zip(f_cols, f_chans, f_comps):
-            gam_grad[col] += 1.0
-            gam_grad[phi_cols[ch]] += comp_vec
-        if lam != 0.0:
-            gam_grad += 2.0 * lam * np.where(ws.non_poly, gamma, 0.0)
-            # the penalty gradient is 2 lam P g: strip the polynomial content
-            # that full-kernel atoms carry
-            for ch in range(obj.n_channels):
-                mask = ws.non_poly & (ws.channel == ch)
-                if mask.any():
-                    gam_grad[phi_cols[ch]] -= 2.0 * lam * (
-                        ws.h0_mat[mask].T @ gamma[mask]
-                    )
-
-        gn = float(np.sqrt(max(gam_grad @ ws.G @ gam_grad, 0.0)))
-        val = value_at(gamma)
-        obj_trace.append(val)
-        gn_trace.append(gn)
-        dict_size_trace.append(len(ws))
-        if gn0 is None:
-            gn0 = gn
-
-        if gn <= tol * max(1.0, gn0):
-            status = "converged"
-            break
-        if n_iter >= max_iter:
-            break
-
-        # coordinate gradient of the objective
-        wq = obj.weights * obj.y_nodes * link.deriv(Xn)
-        d_vec = ws.U.T @ wq + 2.0 * lam * (ws.Gp @ gamma)
-        if rho.size:
-            d_vec -= ws.E.T @ rho
-
-        wq2 = obj.weights * obj.y_nodes * link.deriv2(Xn)
-        H = (ws.U * wq2[:, None]).T @ ws.U + 2.0 * lam * ws.Gp
-        if phi_e.size:
-            dphi = link.deriv(Xe)
-            b_ev = (link.deriv2(Xe) * phi_e - dphi**2) / phi_e**2
-            H -= (ws.E * b_ev[:, None]).T @ ws.E
-        H = 0.5 * (H + H.T)
-
-        def _dir_cosine(slope: float, norm2: float) -> float:
-            return -slope / max(gn * np.sqrt(max(norm2, 0.0)), 1e-300)
-
-        delta, used = _solve_spd(H, -d_vec)
-        ridge_used = ridge_used or used
-        d0 = float(d_vec @ delta)
-        dn2 = float(delta @ ws.G @ delta)
-        direction_kind = "newton"
-        cosine = _dir_cosine(d0, dn2)
-        good_dir = d0 < 0.0 and dn2 > 0.0 and cosine >= cfg.delta
-        if not good_dir:
-            # Levenberg damping in the function-space metric: sigma sweeps
-            # the direction from Newton toward the best in-span descent
-            # direction, which raises the angle with -grad without growing
-            # the dictionary
-            sigma = 1e-6 * max(float(np.trace(H)) / max(len(ws), 1), 1.0)
-            for _ in range(14):
-                delta_t, used = _solve_spd(H + sigma * ws.G, -d_vec)
-                d0_t = float(d_vec @ delta_t)
-                dn2_t = float(delta_t @ ws.G @ delta_t)
-                cos_t = _dir_cosine(d0_t, dn2_t)
-                if d0_t < 0.0 and dn2_t > 0.0 and cos_t >= cfg.delta:
-                    delta, d0, dn2, cosine = delta_t, d0_t, dn2_t, cos_t
-                    direction_kind = "damped_newton"
-                    ridge_used = ridge_used or used
-                    good_dir = True
-                    break
-                sigma *= 10.0
-        if not good_dir:
-            direction_kind = "steepest"
-            delta = -gam_grad
-            d0 = -float(gn**2)
-            cosine = -d0 / max(gn, 1e-300) / max(
-                float(np.sqrt(max(delta @ ws.G @ delta, 0.0))), 1e-300
-            )
-
-        Ud = ws.U @ delta
-        Ed = ws.E @ delta
-        Gp_d = ws.Gp @ delta
-        g_gp_d = float(gamma @ Gp_d)
-        # Gp is positive semidefinite, but along a direction in its near
-        # null space rounding can give negative curvature, which the line
-        # search would follow to an unbounded step
-        d_gp_d = max(float(delta @ Gp_d), 0.0)
-        g_gp_g = float(gamma @ (ws.Gp @ gamma))
-
-        def trial(alpha: float):
-            xe = Xe + alpha * Ed
-            phi_a = link.value(xe)
-            if phi_a.size and (obj.y_events * phi_a).min() <= 0.0:
-                return False, np.nan, np.nan
-            pen = lam * (g_gp_g + 2.0 * alpha * g_gp_d + alpha**2 * d_gp_d)
-            pen_d = 2.0 * lam * (g_gp_d + alpha * d_gp_d)
-            xn = Xn + alpha * Ud
-            f_a = float(obj.weights @ (obj.y_nodes * link.value(xn))) + pen
-            df = float((obj.weights * obj.y_nodes * link.deriv(xn)) @ Ud) + pen_d
-            if phi_a.size:
-                f_a -= float(np.sum(np.log(phi_a))) + log_y
-                df -= float((link.deriv(xe) / phi_a) @ Ed)
-            return True, f_a, df
-
-        # compare trials with the same expression at alpha = 0: value_at sums
-        # in another order, and near the optimum that rounding gap can exceed
-        # the decrease still available
-        f0 = trial(0.0)[1]
-        alpha, f_a, d_a, log, ok = _weak_wolfe_search(trial, f0, d0, cfg)
-        wolfe_log.append(
-            {
-                "iteration": n_iter,
-                "direction": direction_kind,
-                "cosine": float(cosine),
-                "f0": f0,
-                "deriv0": d0,
-                "grad_norm": gn,
-                "step_norm": float(np.sqrt(max(delta @ ws.G @ delta, 0.0))),
-                "accepted_alpha": float(alpha) if ok else None,
-                "n_trials": len(log),
-                "trials": log,
-            }
-        )
-        if not ok:
-            best = None
-            for entry in log:
-                if entry["feasible"] and entry["value"] < f0:
-                    if best is None or entry["value"] < best["value"]:
-                        best = entry
-            if best is None:
-                status = "stalled"
-                break
-            alpha = best["alpha"]
-        gamma = gamma + alpha * delta
-        n_iter += 1
-
-    g_hat = FilterFunction(kernel, obj.n_channels, tuple(ws.atoms), gamma)
-    return FitResult(
-        g_hat=g_hat,
-        status=status,
-        n_iter=n_iter,
-        objective=float(val),
-        grad_norm=float(gn_trace[-1]),
-        objective_trace=np.array(obj_trace),
-        grad_norm_trace=np.array(gn_trace),
-        diagnostics={
-            "ridge_used": ridge_used,
-            "atom_cap_reached": cap_reached,
-            "n_atoms": len(ws),
-            "dict_size_trace": dict_size_trace,
-            "wolfe_log": wolfe_log,
-            "unpenalized": lam == 0.0,
-        },
-    )
+    gamma, reason = core.run(gamma, psi, {"pass": 0, "mu": None}, grow=grow)
+    if reason == "atom_cap":
+        # the dictionary no longer spans the gradient, and its coordinates
+        # would measure a stale one: report the norm of the true gradient
+        grad = gradient(FilterFunction(kernel, obj.n_channels, tuple(ws.atoms), gamma), obj)
+        core.objective_trace.append(core.value(gamma, psi))
+        core.grad_norm_trace.append(float(np.sqrt(max(grad.inner_product(grad), 0.0))))
+    return core.result(gamma, reason)

@@ -5,6 +5,7 @@ code plus the files written into a temporary output directory.  The output
 files are re-parsed with the library loaders so the round trips stay honest.
 """
 
+import csv
 import hashlib
 import json
 
@@ -16,7 +17,7 @@ from glppm.data import load_events, load_manifest
 from glppm.filters import FilterFunction
 from glppm.kernel import SobolevKernel
 from glppm.likelihood import Objective, exponential_link, linear_link
-from glppm.optimizer import fit_descent, fit_linear
+from glppm.optimizer import STEP_FIELDS, fit_descent, fit_linear
 from glppm.representer import assemble
 from glppm.simulator import time_rescale
 
@@ -44,6 +45,11 @@ def make_dataset(dirpath, times, horizon=8.0):
     lines += [f"{float(t)!r},target,1.0" for t in times]
     (dirpath / "events.csv").write_text("\n".join(lines) + "\n")
     return dirpath / "dataset.json"
+
+
+def trace_rows(out):
+    with open(out / "trace.csv", newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 def zero_filter_payload(m=1, horizon=12.0, link=None):
@@ -158,6 +164,7 @@ class TestFitCommand:
 
         result = json.loads((out / "fit_result.json").read_text())
         assert result["status"] == "converged"
+        assert result["reason"] == "grad"
         assert result["converged"] is True
         assert result["stationarity_residual"] <= 1e-6
         assert result["n_events"] == DENSE_TIMES.size
@@ -172,9 +179,19 @@ class TestFitCommand:
         np.testing.assert_allclose(float(value), g_hat.evaluate(0, 0.0))
 
         trace_lines = (out / "trace.csv").read_text().strip().split("\n")
-        assert trace_lines[0] == "iteration,objective,grad_norm"
+        assert trace_lines[0] == ",".join(["iteration", "objective", "grad_norm", *STEP_FIELDS])
         objectives = [float(row.split(",")[1]) for row in trace_lines[1:]]
         np.testing.assert_allclose(objectives[-1], result["objective"], rtol=1e-12)
+        # every step fills the row of the iterate it starts from; the final
+        # iterate has none
+        rows = trace_rows(out)
+        assert len([row for row in rows if row["direction"]]) == result["n_iter"]
+        assert not any(rows[-1][key] for key in STEP_FIELDS)
+        res, _, _ = library_fit(data, linear_link(0.5))
+        for rec in res.diagnostics["iterations"]:
+            row = rows[rec["iteration"]]
+            assert row["direction"] == rec["direction"]
+            assert float(row["cosine"]) == rec["cosine"]
 
         meta = json.loads((out / "run_manifest.json").read_text())
         assert set(meta["inputs"]) == {"data", "config"}
@@ -206,6 +223,17 @@ class TestFitCommand:
         assert result["status"] in ("max_iter", "stalled")
         FilterFunction.load(out / "filter.json")
         assert (out / "trace.csv").exists()
+
+    def test_linear_fit_honors_line_search(self, tmp_path):
+        # at the default delta = 0.1 this fit takes Newton steps at cosines
+        # 0.16 and 0.40
+        data = make_dataset(tmp_path, DENSE_TIMES)
+        cfg = fit_config(tmp_path, line_search={"delta": 0.5})
+        out = tmp_path / "out"
+        assert run("fit", "--data", data, "--config", cfg, "--out", out) == 0
+        cosines = [float(row["cosine"]) for row in trace_rows(out) if row["cosine"]]
+        assert cosines
+        assert min(cosines) >= 0.5
 
     def test_infeasible_model_exits_5(self, tmp_path):
         # zero baseline and no history before the first event: the intensity

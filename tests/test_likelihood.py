@@ -17,7 +17,6 @@ from glppm.likelihood import (
     compensator,
     exponential_link,
     gradient,
-    hessian_coords,
     intensity,
     linear_link,
     linear_predictor,
@@ -25,6 +24,8 @@ from glppm.likelihood import (
     objective_value,
     softplus_link,
 )
+
+from oracles import hessian_coords
 
 
 def small_filter(kernel, rng, n_channels, scale=0.01):

@@ -27,12 +27,15 @@ from glppm.likelihood import (
 from glppm.optimizer import (
     FitResult,
     LineSearchConfig,
+    _Core,
+    _QuadratureCompensator,
     _Workspace,
     fit_descent,
     fit_linear,
-    wolfe_angle_step,
 )
 from glppm.representer import assemble, build_f_atoms, build_h_atoms
+
+from oracles import hessian_coords, wolfe_angle_step
 
 C1, C2, DELTA = 1e-4, 0.4, 0.1
 
@@ -236,20 +239,29 @@ class TestFitDescent:
         with pytest.raises(ConfigError, match="fit_linear"):
             fit_descent(k, obj)
 
-    def test_every_accepted_step_verifies_wolfe_conditions(self):
-        k, obj = dense_objective(lam=2.0, link=exponential_link(), m=1)
-        res = fit_descent(k, obj, tol=1e-6, max_iter=300)
+    @pytest.mark.parametrize("fitter", ["descent", "linear"])
+    def test_every_accepted_step_verifies_wolfe_conditions(self, fitter):
+        # on the linear link the node constraint binds at lam=1, so the
+        # steps also run on the hinge term
+        if fitter == "descent":
+            k, obj = dense_objective(lam=2.0, link=exponential_link(), m=1)
+            res = fit_descent(k, obj, tol=1e-6, max_iter=300)
+        else:
+            k, obj = dense_objective(lam=1.0, m=1)
+            res = fit_linear(assemble(k, obj), obj)
+            assert res.diagnostics["n_node_atoms"] > 0
+            assert max(e["pass"] for e in res.diagnostics["iterations"]) > 0
         assert res.converged
-        entries = [e for e in res.diagnostics["wolfe_log"] if e["accepted_alpha"] is not None]
+        entries = [e for e in res.diagnostics["iterations"] if e["accepted_alpha"] is not None]
         assert entries
         for e in entries:
             a = e["accepted_alpha"]
             tri = [t for t in e["trials"] if t["alpha"] == a][-1]
             assert tri["feasible"]
-            assert tri["value"] <= e["f0"] + C1 * a * e["deriv0"]
+            assert tri["value"] <= e["objective"] + C1 * a * e["deriv0"]
             assert tri["deriv"] >= C2 * e["deriv0"]
             assert e["cosine"] >= DELTA
-            assert tri["value"] < e["f0"]
+            assert tri["value"] < e["objective"]
 
     def test_objective_trace_non_increasing(self):
         k, obj = dense_objective(lam=2.0, link=exponential_link(), m=1)
@@ -264,7 +276,7 @@ class TestFitDescent:
         # with C read off the observed gradient Lipschitz ratios
         k, obj = dense_objective(lam=2.0, link=exponential_link(), m=1)
         res = fit_descent(k, obj, tol=1e-6, max_iter=300)
-        entries = [e for e in res.diagnostics["wolfe_log"] if e["accepted_alpha"] is not None]
+        entries = [e for e in res.diagnostics["iterations"] if e["accepted_alpha"] is not None]
         gns = [e["grad_norm"] for e in entries]
         steps = [e["accepted_alpha"] * e["step_norm"] for e in entries]
         ratios = [
@@ -317,7 +329,7 @@ class TestFitDescent:
     def test_atom_cap_reported(self):
         k, obj = dense_objective(lam=2.0, link=exponential_link(), m=1)
         res = fit_descent(k, obj, tol=1e-10, max_iter=60, max_atoms=20)
-        assert res.diagnostics["atom_cap_reached"] is True
+        assert res.reason == "atom_cap"
         assert res.diagnostics["n_atoms"] <= 20
         # the fit stops at the cap and reports the true gradient norm, read
         # here off a fine grid: |g(0)|^2 + int g'^2 for m = 1
@@ -410,6 +422,24 @@ class TestWorkspace:
         assert np.array_equal(ws.E, np.column_stack([obj.event_column(kernel, a) for a in atoms]))
 
 
+class TestCoreHessian:
+    @pytest.mark.parametrize("link", [exponential_link(), softplus_link()], ids=["exp", "softplus"])
+    def test_matches_the_oracle_on_a_fitted_dictionary(self, link):
+        k, obj = dense_objective(lam=2.0, link=link, m=1)
+        res = fit_descent(k, obj, tol=1e-6, max_iter=300)
+        assert res.converged
+        ws = _Workspace(k, obj)
+        for a in res.g_hat.atoms:
+            ws.add(a)
+        gamma = res.g_hat.coefficients
+        xn, xe = ws.U @ gamma, ws.E @ gamma
+        core = _Core(ws, None, 1e-6, 1)
+        H = core.hessian(_QuadratureCompensator(obj), xn, xe, link.value(xe))
+        want = hessian_coords(res.g_hat, obj, res.g_hat.atoms)
+        assert H.shape == (len(res.g_hat.atoms),) * 2
+        assert_allclose(H, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
+
+
 class TestFitResult:
     def test_converged_property(self):
         k, obj = dense_objective(lam=5.0)
@@ -418,6 +448,25 @@ class TestFitResult:
         assert res.converged == (res.status == "converged")
         assert len(res.objective_trace) == len(res.grad_norm_trace)
         assert res.objective == res.objective_trace[-1]
+
+    @pytest.mark.parametrize("tol", [1e-13, 1e-15])
+    @pytest.mark.parametrize("fitter", ["descent", "linear"])
+    def test_converged_only_within_tolerance(self, fitter, tol):
+        # one status rule for both fitters: "converged" exactly when the
+        # stopping quantity (the KKT residual on the linear link) meets
+        # tol, with feasible nodes; a fit that ends above it has not
+        if fitter == "descent":
+            k, obj = dense_objective(lam=5.0, link=exponential_link(), m=2)
+            res = fit_descent(k, obj, tol=tol)
+            residual, feasible = res.grad_norm, True
+        else:
+            k, obj = dense_objective(lam=5.0, m=2)
+            res = fit_linear(assemble(k, obj), obj, tol=tol)
+            residual = res.diagnostics["kkt_residual"]
+            feasible = res.diagnostics["max_node_violation"] <= 1e-7
+        met = residual <= tol * max(1.0, res.grad_norm_trace[0]) and feasible
+        assert res.converged == met
+        assert res.converged == (res.reason == "grad")
 
     def test_iteration_budget_respected(self):
         k, obj = dense_objective(lam=1.0, link=exponential_link(), m=1)
