@@ -18,13 +18,14 @@ events, and Gp the dictionary's H1 Gram.  Only psi, r and the atoms differ:
 
 The core (``_Core.run``) forms the coordinate gradient and Hessian of F,
 takes a direction that passes the angle test cos(direction, -gradient) >=
-delta (Newton, else Levenberg-damped in the function-space metric, else
-function-space steepest descent), and moves by a weak Wolfe step on F's
-closed form along it; Zoutendijk's argument needs both conditions (Nocedal &
-Wright 2006, ch. 3).  It stops with a reason: "grad" when ||grad F|| <= tol
-* max(1, ||grad F(g_0)||), "stationary" when no trial decreases F and the
-directional derivative is at rounding level, "stall" when no trial
-decreases F otherwise, "max_iter" at the step budget, and "atom_cap" when
+delta (Newton, else Levenberg-damped in the function-space metric G with
+sigma rising tenfold from 1e-6 tr(H) / tr(G), else function-space steepest
+descent), and moves by a weak Wolfe step on F's closed form along it;
+Zoutendijk's argument needs both conditions (Nocedal & Wright 2006, ch. 3).
+It stops with a reason: "grad" when ||grad F|| <= tol * max(1, ||grad
+F(g_0)||), "stationary" when no trial decreases F and the directional
+derivative is at rounding level, "stall" when no trial decreases F
+otherwise, "max_iter" at the step budget, and "atom_cap" when
 ``fit_descent``'s dictionary is full.  Only "grad" gives the status
 "converged", on the linear link only with feasible nodes.  g_0 is the
 solver's default start, or the zero filter when ``fit_descent`` is given an
@@ -368,6 +369,7 @@ class _QuadratureCompensator:
     """psi_q(x) = w_q y_q phi(x): the quadrature compensator of a link."""
 
     obj: Objective
+    mu = None  # no multiplier passes
 
     def value(self, x: np.ndarray) -> float:
         return float(self.obj.weights @ (self.obj.y_nodes * self.obj.link.value(x)))
@@ -445,7 +447,7 @@ class _Core:
         self.objective_trace: list[float] = []
         self.grad_norm_trace: list[float] = []
         self.records: list[dict] = []
-        self.n_iter = 0
+        self.n_iter = self.passes = 0
         self.ridge_used = False
 
     def event_terms(self, xe: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -462,17 +464,43 @@ class _Core:
         rho = self.link.deriv(xe) / phi_e if phi_e.size else np.empty(0)
         return phi_e, rho
 
-    def value(self, gamma: np.ndarray, psi) -> float:
-        """F at gamma, without the node term when psi is None."""
-        ws = self.ws
-        phi_e, _ = self.event_terms(ws.E @ gamma)
-        pen = self.lam * float(gamma @ ws.Gp @ gamma)
-        val = pen if psi is None else psi.value(ws.U @ gamma) + pen
+    def value(self, psi, gamma: np.ndarray, xn: np.ndarray, xe: np.ndarray) -> float:
+        """F at gamma, whose predictors are xn and xe, by the line search's
+        expression at alpha = 0, so that every trial compares with it in
+        the same arithmetic."""
+        return self.line(psi, gamma, np.zeros(gamma.size), xn, xe)(0.0)[1]
+
+    def line(self, psi, gamma: np.ndarray, delta: np.ndarray, xn: np.ndarray, xe: np.ndarray):
+        """F and its derivative along gamma + alpha delta in closed form, as
+        ``trial(alpha) -> (feasible, value, deriv)``, from the predictors xn
+        and xe at gamma; infeasible where an intensity is not positive."""
+        ws, obj, link, lam = self.ws, self.ws.obj, self.link, self.lam
+        Ud, Ed, Gp_d = ws.U @ delta, ws.E @ delta, ws.Gp @ delta
+        g_gp_d = float(gamma @ Gp_d)
+        # Gp is positive semidefinite, but along a direction in its near
+        # null space rounding can give negative curvature, which the line
+        # search would follow to an unbounded step
+        d_gp_d = max(float(delta @ Gp_d), 0.0)
+        g_gp_g = float(gamma @ (ws.Gp @ gamma))
+        r_g = r_d = 0.0
         if ws.comp is not None:
-            val += float(ws.comp @ gamma) + self.const
-        if phi_e.size:
-            val -= float(np.sum(np.log(phi_e))) + self.log_y
-        return val
+            r_g, r_d = float(ws.comp @ gamma) + self.const, float(ws.comp @ delta)
+
+        def trial(alpha: float):
+            xe_a = xe + alpha * Ed
+            phi_a = link.value(xe_a)
+            if phi_a.size and (obj.y_events * phi_a).min() <= 0.0:
+                return False, np.nan, np.nan
+            xn_a = xn + alpha * Ud
+            f_a = psi.value(xn_a) + lam * (g_gp_g + 2.0 * alpha * g_gp_d + alpha**2 * d_gp_d)
+            f_a += r_g + alpha * r_d
+            df = float(psi.deriv(xn_a) @ Ud) + 2.0 * lam * (g_gp_d + alpha * d_gp_d) + r_d
+            if phi_a.size:
+                f_a -= float(np.sum(np.log(phi_a))) + self.log_y
+                df -= float((link.deriv(xe_a) / phi_a) @ Ed)
+            return True, f_a, df
+
+        return trial
 
     def gradient_coords(self, gamma: np.ndarray, rho: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
         """Function-space gradient of F in dictionary coordinates: the data
@@ -513,16 +541,54 @@ class _Core:
             H -= (ws.E * b_ev[:, None]).T @ ws.E
         return 0.5 * (H + H.T)
 
-    def run(self, gamma, psi, tag: dict, grow=None, unrepresented=None):
-        """Descend from gamma for at most ``max_iter`` steps.
+    def direction(self, H: np.ndarray, grad_c: np.ndarray, gam: np.ndarray, gn: float):
+        """A descent direction that passes the angle test, given the
+        coordinate Hessian H and gradient grad_c of F, and the gradient's
+        coordinates gam and norm gn.  Returns (delta, grad_c . delta,
+        cosine, kind)."""
+        ws = self.ws
+        # identically zero atoms (kept in place in the representer basis)
+        # have no row in any Gram; solve on the others
+        free = np.diag(ws.G) > 0.0
+
+        def cosine(slope: float, norm2: float) -> float:
+            return -slope / max(gn * np.sqrt(max(norm2, 0.0)), 1e-300)
+
+        # Newton (sigma = 0), then Levenberg damping in the function-space
+        # metric: sigma sweeps the direction from Newton toward the best
+        # in-span descent direction, which raises the angle with -grad
+        # without growing the dictionary.  sigma multiplies G, so the sweep
+        # starts below tr(H) / tr(G), a scale of the eigenvalues of (H, G)
+        # that stays put when all atoms are scaled alike; a start in units
+        # of H alone can lie past the whole spectrum, where every rung is
+        # already steepest descent
+        sigma = 0.0
+        for _ in range(15):
+            delta = np.zeros(len(ws))
+            M = H + sigma * ws.G
+            delta[free], used = _solve_spd(M[np.ix_(free, free)], -grad_c[free])
+            d0 = float(grad_c @ delta)
+            dn2 = float(delta @ ws.G @ delta)
+            cos = cosine(d0, dn2)
+            if d0 < 0.0 and dn2 > 0.0 and cos >= self.cfg.delta:
+                self.ridge_used = self.ridge_used or used
+                return delta, d0, cos, "damped_newton" if sigma else "newton"
+            sigma = 10.0 * sigma if sigma else 1e-6 * float(np.trace(H) / np.trace(ws.G))
+        # no sigma passed the angle test
+        d0 = -float(grad_c @ gam)
+        return -gam, d0, cosine(d0, float(gam @ ws.G @ gam)), "steepest"
+
+    def run(self, gamma, psi, grow=None, unrepresented=None):
+        """Descend from gamma, as the next pass of the fit, for at most
+        ``max_iter`` steps.
 
         ``grow(psi')`` may append atoms before each iterate is measured, and
         returns False to stop with "atom_cap".  ``unrepresented(gam, psi')``
         corrects the squared gradient norm for gradient atoms the dictionary
-        lacks.  ``tag`` ("pass" and "mu") goes into every step record.
-        Returns (gamma, reason).
+        lacks.  Returns (gamma, reason).
         """
-        ws, obj, link, lam, cfg = self.ws, self.ws.obj, self.link, self.lam, self.cfg
+        ws, lam, cfg = self.ws, self.lam, self.cfg
+        self.passes += 1
         steps = 0
         while True:
             # coefficients of atoms added since gamma was set start at 0
@@ -534,14 +600,14 @@ class _Core:
             if len(ws) > gamma.size:
                 gamma = np.append(gamma, np.zeros(len(ws) - gamma.size))
                 xn, xe = ws.U @ gamma, ws.E @ gamma
-
             dpsi = psi.deriv(xn)
             gam = self.gradient_coords(gamma, rho, dpsi)
             gn2 = float(gam @ ws.G @ gam)
             if unrepresented is not None:
                 gn2 += unrepresented(gam, dpsi)
             gn = float(np.sqrt(max(gn2, 0.0)))
-            self.objective_trace.append(self.value(gamma, psi))
+            f0 = self.value(psi, gamma, xn, xe)
+            self.objective_trace.append(f0)
             self.grad_norm_trace.append(gn)
             if self.gn0 is None:
                 self.gn0 = gn
@@ -555,80 +621,19 @@ class _Core:
                 grad_c += ws.comp
             if rho.size:
                 grad_c -= ws.E.T @ rho
-            H = self.hessian(psi, xn, xe, phi_e)
-            # identically zero atoms (kept in place in the representer
-            # basis) have no row in any Gram; solve on the others
-            free = np.diag(ws.G) > 0.0
-
-            def solve(M: np.ndarray) -> tuple[np.ndarray, bool]:
-                x = np.zeros(len(ws))
-                x[free], used = _solve_spd(M[np.ix_(free, free)], -grad_c[free])
-                return x, used
-
-            def cosine(slope: float, norm2: float) -> float:
-                return -slope / max(gn * np.sqrt(max(norm2, 0.0)), 1e-300)
-
-            # Newton (sigma = 0), then Levenberg damping in the function-space
-            # metric: sigma sweeps the direction from Newton toward the best
-            # in-span descent direction, which raises the angle with -grad
-            # without growing the dictionary
-            sigma = 0.0
-            for _ in range(15):
-                delta, used = solve(H + sigma * ws.G)
-                d0 = float(grad_c @ delta)
-                dn2 = float(delta @ ws.G @ delta)
-                cos = cosine(d0, dn2)
-                if d0 < 0.0 and dn2 > 0.0 and cos >= cfg.delta:
-                    direction_kind = "damped_newton" if sigma else "newton"
-                    self.ridge_used = self.ridge_used or used
-                    break
-                sigma = 10.0 * sigma if sigma else 1e-6 * max(float(np.trace(H)) / len(ws), 1.0)
-            else:  # no sigma passed the angle test
-                direction_kind = "steepest"
-                delta = -gam
-                d0 = float(grad_c @ delta)
-                cos = cosine(d0, float(delta @ ws.G @ delta))
+            delta, d0, cos, direction_kind = self.direction(
+                self.hessian(psi, xn, xe, phi_e), grad_c, gam, gn
+            )
             if not d0 < 0.0:
                 return gamma, "stationary"
 
-            Ud = ws.U @ delta
-            Ed = ws.E @ delta
-            Gp_d = ws.Gp @ delta
-            g_gp_d = float(gamma @ Gp_d)
-            # Gp is positive semidefinite, but along a direction in its near
-            # null space rounding can give negative curvature, which the line
-            # search would follow to an unbounded step
-            d_gp_d = max(float(delta @ Gp_d), 0.0)
-            g_gp_g = float(gamma @ (ws.Gp @ gamma))
-            if ws.comp is not None:
-                r_g, r_d = float(ws.comp @ gamma) + self.const, float(ws.comp @ delta)
-
-            def trial(alpha: float):
-                xe_a = xe + alpha * Ed
-                phi_a = link.value(xe_a)
-                if phi_a.size and (obj.y_events * phi_a).min() <= 0.0:
-                    return False, np.nan, np.nan
-                pen = lam * (g_gp_g + 2.0 * alpha * g_gp_d + alpha**2 * d_gp_d)
-                pen_d = 2.0 * lam * (g_gp_d + alpha * d_gp_d)
-                xn_a = xn + alpha * Ud
-                f_a = psi.value(xn_a) + pen
-                df = float(psi.deriv(xn_a) @ Ud) + pen_d
-                if ws.comp is not None:
-                    f_a += r_g + alpha * r_d
-                    df += r_d
-                if phi_a.size:
-                    f_a -= float(np.sum(np.log(phi_a))) + self.log_y
-                    df -= float((link.deriv(xe_a) / phi_a) @ Ed)
-                return True, f_a, df
-
-            # compare trials with the same expression at alpha = 0: value()
-            # sums in another order, and near the optimum that rounding gap
-            # can exceed the decrease still available
-            f0 = trial(0.0)[1]
-            alpha, f_a, d_a, log, ok = _weak_wolfe_search(trial, f0, d0, cfg)
+            alpha, f_a, d_a, log, ok = _weak_wolfe_search(
+                self.line(psi, gamma, delta, xn, xe), f0, d0, cfg
+            )
             self.records.append({
                 "iteration": len(self.objective_trace) - 1,
-                **tag,
+                "pass": self.passes - 1,
+                "mu": psi.mu,
                 "direction": direction_kind,
                 "cosine": float(cos),
                 "accepted_alpha": float(alpha) if ok else None,
@@ -753,12 +758,10 @@ def fit_linear(
     y_mult = np.zeros(obj.nodes.size)
     mu = 1.0
     slack = _FEAS_SLACK * max(1.0, d)
-    passes = 0
     viol_prev = np.inf
     while True:
         hinge = _Hinge(y_mult, mu, obj.link)
-        c, reason = core.run(c, hinge, {"pass": passes, "mu": mu}, unrepresented=unrepresented)
-        passes += 1
+        c, reason = core.run(c, hinge, unrepresented=unrepresented)
         xn = ws.U @ c
         gaps = obj.link.value(xn)
         v = float(max(0.0, -gaps.min())) if gaps.size else 0.0
@@ -766,7 +769,7 @@ def fit_linear(
         y_top = float(w.max()) if w.size else 0.0
         comp = float(np.max(np.minimum(w, np.maximum(gaps, 0.0)))) if w.size else 0.0
         feasible = v <= slack and comp <= 1e-6 * max(1.0, y_top)
-        if (feasible and reason in ("grad", "stationary")) or passes >= 20:
+        if (feasible and reason in ("grad", "stationary")) or core.passes >= 20:
             break
         add_node_atoms(np.flatnonzero((w > 0.0) & ~node_added))
         y_mult = w
@@ -779,13 +782,13 @@ def fit_linear(
     # the fit reports the plain objective and gradient, without the hinge
     _, rho = core.event_terms(ws.E @ c)
     gam = core.gradient_coords(c, rho, np.zeros(obj.nodes.size))
-    core.objective_trace.append(core.value(c, None))
+    core.objective_trace.append(core.objective_trace[-1] - hinge.value(xn))
     core.grad_norm_trace.append(float(np.sqrt(max(gam @ ws.G @ gam, 0.0))))
     return core.result(
         c,
         reason,
         feasible,
-        hinge_passes=passes,
+        hinge_passes=core.passes,
         hinge_mu=mu,
         max_node_violation=v,
         kkt_residual=kkt,
@@ -850,7 +853,11 @@ def fit_descent(
         if init.kernel != kernel or init.n_channels != obj.n_channels:
             raise ConfigError("init filter does not match the kernel/data")
         for atom, coeff in zip(init.atoms, init.coefficients):
-            if coeff != 0.0:
+            if atom.kind == "h0":
+                # a polynomial is already spanned by the phi columns; a
+                # second copy would leave the Newton systems singular
+                gamma[core.phi_cols[atom.channel]] += coeff * atom.h0
+            elif coeff != 0.0:
                 ws.add(atom)
                 gamma = np.append(gamma, coeff)
         grad0 = gradient(FilterFunction.zero(kernel, obj.n_channels), obj)
@@ -902,11 +909,11 @@ def fit_descent(
         last_f_weights = w_link
         return True
 
-    gamma, reason = core.run(gamma, psi, {"pass": 0, "mu": None}, grow=grow)
+    gamma, reason = core.run(gamma, psi, grow=grow)
     if reason == "atom_cap":
         # the dictionary no longer spans the gradient, and its coordinates
         # would measure a stale one: report the norm of the true gradient
         grad = gradient(FilterFunction(kernel, obj.n_channels, tuple(ws.atoms), gamma), obj)
-        core.objective_trace.append(core.value(gamma, psi))
+        core.objective_trace.append(core.value(psi, gamma, ws.U @ gamma, ws.E @ gamma))
         core.grad_norm_trace.append(float(np.sqrt(max(grad.inner_product(grad), 0.0))))
     return core.result(gamma, reason)

@@ -1,5 +1,7 @@
 """Fitters: line search safeguards, Newton route, dictionary descent."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -315,6 +317,14 @@ class TestFitDescent:
         assert res_warm.converged
         assert abs(res_warm.objective - res_cold.objective) <= 1e-6
 
+    def test_polynomial_init_adds_no_second_copy(self):
+        # the polynomial of an init is already spanned by the phi columns
+        k, obj = dense_objective(lam=2.0, link=exponential_link(), m=2)
+        init = FilterFunction(k, 1, (h0_poly(k, 0, 1), h0_poly(k, 0, 2)), np.array([0.4, 0.0]))
+        res = fit_descent(k, obj, init=init, tol=1e-6, max_iter=300)
+        assert [a.kind for a in res.g_hat.atoms].count("h0") == 2
+        assert res.converged
+
     def test_poor_warm_start_does_not_loosen_the_stopping_test(self):
         # the gradient at this start is about 7e7; measured against it, a
         # fit far from the optimum would pass the relative test
@@ -438,6 +448,43 @@ class TestCoreHessian:
         want = hessian_coords(res.g_hat, obj, res.g_hat.atoms)
         assert H.shape == (len(res.g_hat.atoms),) * 2
         assert_allclose(H, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
+
+
+class TestCoreDirection:
+    def test_damped_direction_does_not_depend_on_the_atoms_scale(self):
+        # scaling every atom by s scales G and H by s^2; the damping ladder
+        # must then give the same function-space direction, as Newton does
+        k, obj = dense_objective(lam=2.0, link=exponential_link(), m=1)
+        atoms = fit_descent(k, obj, tol=1e-6, max_iter=300).g_hat.atoms[:6]
+        s = 1e3
+        ws1, ws2 = _Workspace(k, obj), _Workspace(k, obj)
+        for a in atoms:
+            ws1.add(a)
+            ws2.add(dataclasses.replace(
+                a, sec_weights=s * a.sec_weights, seg_weights=s * a.seg_weights, h0=s * a.h0
+            ))
+        # a Hessian whose eigenvalues relative to G span 1e-4..1e4, and a
+        # gradient mostly along the stiffest of them: Newton fails the
+        # angle test
+        rng = np.random.default_rng(0)
+        w, V = np.linalg.eigh(ws1.G)
+        L = V * np.sqrt(w)
+        Q, _ = np.linalg.qr(rng.standard_normal((len(atoms),) * 2))
+        H = L @ Q @ np.diag(np.logspace(-4, 4, len(atoms))) @ Q.T @ L.T
+        H = 0.5 * (H + H.T)
+        e = np.zeros(len(atoms))
+        e[0], e[-1] = 0.01, 1.0
+        gam = V @ ((Q @ e) / np.sqrt(w))
+        gn = float(np.sqrt(gam @ ws1.G @ gam))
+        d1, d0_1, cos1, kind1 = _Core(ws1, None, 1e-6, 1).direction(H, ws1.G @ gam, gam, gn)
+        d2, d0_2, cos2, kind2 = _Core(ws2, None, 1e-6, 1).direction(
+            s * s * H, s * (ws1.G @ gam), gam / s, gn
+        )
+        assert kind1 == kind2 == "damped_newton"
+        assert cos1 >= DELTA
+        assert cos2 == pytest.approx(cos1, rel=1e-9)
+        assert d0_2 == pytest.approx(d0_1, rel=1e-9)
+        assert_allclose(s * d2, d1, rtol=0, atol=1e-9 * np.abs(d1).max())
 
 
 class TestFitResult:
