@@ -29,6 +29,7 @@ of at module top.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -485,7 +486,10 @@ def cmd_basis(args) -> int:
 # -- argument parsing and dispatch ----------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process; each ``parse_args``
+    returns a fresh namespace, so commands share nothing through it."""
     parser = argparse.ArgumentParser(
         prog="glppm",
         description="Point-process filter estimation: simulate, fit, evaluate.",

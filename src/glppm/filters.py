@@ -21,21 +21,24 @@ sections, segments and h0 of every atom there, scaled by its coefficient.
 Filters are immutable and the forms are cached.  Evaluation, inner
 products, the H1 seminorm and the projection each take one prefix-sum pass
 per channel over them, and so do the likelihood's predictors and exact
-compensator.  ``FilterFunction.compact`` rewrites a filter as its normal
-forms in at most 1 + m serializable atoms per channel.
+compensator.  An atom builds the prefix table of each of its kernel sums
+(``kernel._prefix_table``) on first use and keeps it, so evaluating a fixed
+filter again, as the thinning simulator does at every candidate, reads the
+tables instead of summing anew.  ``FilterFunction.compact`` rewrites a
+filter as its normal forms in at most 1 + m serializable atoms per channel.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DataError, DomainError
-from .kernel import SobolevKernel, _cross_weighted_sum
+from .kernel import SobolevKernel, _cross_weighted_sum, _h0_stack, _prefix_table
 
 __all__ = [
     "Atom",
@@ -90,6 +93,8 @@ class Atom:
     seg_weights: np.ndarray  # signed: +w at hi, -w at lo
     h0: np.ndarray
     k: int | None = None  # 1-based polynomial index for kind "h0"
+    # prefix tables of the kernel sums, per (p, q), built on first use
+    _tables: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def is_zero(self) -> bool:
@@ -101,27 +106,40 @@ class Atom:
 
     # -- H1 algebra ----------------------------------------------------------
 
+    def _kernel_sum(self, p: int, q: int, lags, weights, x):
+        """``_cross_weighted_sum`` of K[p,q] over the sections or segments,
+        from their prefix table.  Sections and segments never share a
+        (p, q), so it keys the table."""
+        table = self._tables.get((p, q))
+        if table is None:
+            table = self._tables[p, q] = _prefix_table(p, q, lags, weights)
+        return _cross_weighted_sum(p, q, lags, weights, x, table=table)
+
     def h1_value(self, u):
         """Smooth-part value at lag(s) u."""
         m = self.m
-        out = _cross_weighted_sum(m, m, self.sec_lags, self.sec_weights, u)
+        out = self._kernel_sum(m, m, self.sec_lags, self.sec_weights, u)
         if self.seg_nodes.size:
-            out = out + _cross_weighted_sum(m + 1, m, self.seg_nodes, self.seg_weights, u)
+            out = out + self._kernel_sum(m + 1, m, self.seg_nodes, self.seg_weights, u)
         return out
 
     def h1_antiderivative(self, x):
         """int_0^x of the smooth part, exactly (cross-order kernels)."""
         m = self.m
-        out = _cross_weighted_sum(m, m + 1, self.sec_lags, self.sec_weights, x)
+        out = self._kernel_sum(m, m + 1, self.sec_lags, self.sec_weights, x)
         if self.seg_nodes.size:
-            out = out + _cross_weighted_sum(m + 1, m + 1, self.seg_nodes, self.seg_weights, x)
+            out = out + self._kernel_sum(m + 1, m + 1, self.seg_nodes, self.seg_weights, x)
         return out
 
     def value(self, kernel: SobolevKernel, u):
+        """Value at lag(s) u; the polynomial part is the ``np.dot`` that
+        ``np.tensordot(h0, kernel.h0_basis(u), axes=(0, 0))`` makes."""
         kernel._check_domain(u)
         out = self.h1_value(u)
-        if np.any(self.h0):
-            out = out + np.tensordot(self.h0, kernel.h0_basis(u), axes=(0, 0))
+        if self.h0.any():
+            u = np.asarray(u, dtype=float)
+            basis = _h0_stack(u, self.m).reshape(self.m, u.size)
+            out = out + np.dot(self.h0.reshape(1, self.m), basis).reshape(u.shape)
         return out
 
     def antiderivative(self, kernel: SobolevKernel, x):
@@ -478,9 +496,6 @@ class FilterFunction:
     @staticmethod
     def load(path) -> "FilterFunction":
         return FilterFunction.from_json(Path(path).read_text())
-
-    def save(self, path) -> None:
-        Path(path).write_text(self.to_json())
 
 
 # -- Gram matrices over atom lists ---------------------------------------------

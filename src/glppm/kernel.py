@@ -20,6 +20,14 @@ polynomial.  R1 is K[m,m]; integrating R1 once in its first slot raises p by
 one (K[m+1,m]); integrating both slots gives K[m+1,m+1].  All evaluations are
 closed-form polynomials, exact up to rounding, which keeps Gram matrices,
 design rows and compensator integrals free of quadrature error.
+
+A weighted family of kernel slices, sum_l w_l K[p,q](lag_l, .), is
+evaluated by prefix sums over the sorted lags (``_cross_weighted_sum``).
+The prefix sums, scaled by the branch coefficients, do not depend on the
+query points: ``_prefix_table`` builds them once, and a caller that
+evaluates the same family again passes the table back, so each later call
+is one ``searchsorted`` plus one gather and multiply-add per term.  Both
+ways give the same bits.
 """
 
 from __future__ import annotations
@@ -65,40 +73,57 @@ def _branch_coeffs(p: int, q: int) -> tuple[tuple[float, ...], tuple[float, ...]
     return tuple(low), tuple(high)
 
 
-def _cross_eval(p: int, q: int, x, y):
-    """Evaluate K[p,q](x, y) with numpy broadcasting."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+def _prefix_table(p: int, q: int, lags, weights) -> tuple[tuple[np.ndarray, int], ...]:
+    """The query-independent half of ``_cross_weighted_sum``: one entry
+    (table, e) per term of K[p,q], in its order.  ``table[n]`` is the term's
+    coefficient times its prefix sum over the lags below (low branch) or at
+    and above (high branch) position n, and ``e`` the query's exponent."""
+    lags = np.asarray(lags, dtype=float)
+    weights = np.asarray(weights, dtype=float)
     low, high = _branch_coeffs(p, q)
-    shape = np.broadcast_shapes(x.shape, y.shape)
-    below = np.zeros(shape)
+    terms = []
     for j, cj in enumerate(low):
-        below = below + cj * x ** (p + j) * y ** (q - 1 - j)
-    above = np.zeros(shape)
+        pre = np.concatenate(([0.0], np.cumsum(weights * lags ** (p + j))))
+        terms.append((cj * pre, q - 1 - j))
     for i, ci in enumerate(high):
-        above = above + ci * x ** (p - 1 - i) * y ** (q + i)
-    return np.where(x <= y, below, above)
+        pre = np.concatenate(([0.0], np.cumsum(weights * lags ** (p - 1 - i))))
+        terms.append((ci * (pre[-1] - pre), q + i))
+    return tuple(terms)
 
 
-def _cross_weighted_sum(p: int, q: int, lags, weights, queries):
+def _cross_weighted_sum(p: int, q: int, lags, weights, queries, table=None):
     """sum_l weights[l] * K[p,q](lags[l], query) for each query.
 
     ``lags`` must be sorted ascending.  Runs in O((L + M)(p + q)) via prefix
     sums over each side of the diagonal, so large weighted families of kernel
-    sections (quadrature atoms, event histories) stay linear-time.
+    sections (quadrature atoms, event histories) stay linear-time.  A
+    ``table`` from ``_prefix_table(p, q, lags, weights)`` saves rebuilding
+    the prefix sums and gives the same bits.
     """
     lags = np.asarray(lags, dtype=float)
-    weights = np.asarray(weights, dtype=float)
+    if table is None:
+        table = _prefix_table(p, q, lags, weights)
     queries = np.asarray(queries, dtype=float)
-    low, high = _branch_coeffs(p, q)
     pos = np.searchsorted(lags, queries, side="right")
     out = np.zeros(queries.shape)
-    for j, cj in enumerate(low):
-        pre = np.concatenate(([0.0], np.cumsum(weights * lags ** (p + j))))
-        out += cj * pre[pos] * queries ** (q - 1 - j)
-    for i, ci in enumerate(high):
-        pre = np.concatenate(([0.0], np.cumsum(weights * lags ** (p - 1 - i))))
-        out += ci * (pre[-1] - pre[pos]) * queries ** (q + i)
+    for scaled, e in table:
+        # x ** 0 is 1 and x ** 1 is x exactly, so those products are skipped
+        if e == 0:
+            out += scaled[pos]
+        elif e == 1:
+            out += scaled[pos] * queries
+        else:
+            out += scaled[pos] * queries**e
+    return out
+
+
+def _h0_stack(r: np.ndarray, m: int) -> np.ndarray:
+    """phi_k(r) = r^(k-1)/(k-1)! for k = 1..m stacked on axis 0, unchecked.
+    phi_1 is r**0 / 0! = 1 for every r, NaN included."""
+    out = np.empty((m,) + r.shape)
+    out[0] = 1.0
+    for k in range(1, m):
+        out[k] = r**k / factorial(k)
     return out
 
 
@@ -147,71 +172,10 @@ class SobolevKernel:
         Returns an array of shape (m,) + shape(r).
         """
         self._check_domain(r)
-        r = np.asarray(r, dtype=float)
-        return np.stack([r**k / factorial(k) for k in range(self.m)])
+        return _h0_stack(np.asarray(r, dtype=float), self.m)
 
     def h0_antiderivative(self, x):
         """Running integrals int_0^x phi_k = x^k/k!, stacked on axis 0."""
         self._check_domain(x)
         x = np.asarray(x, dtype=float)
         return np.stack([x**k / factorial(k) for k in range(1, self.m + 1)])
-
-    def r0(self, s, r):
-        """Kernel of the polynomial part H0."""
-        self._check_domain(s, r)
-        s = np.asarray(s, dtype=float)
-        r = np.asarray(r, dtype=float)
-        out = np.zeros(np.broadcast_shapes(s.shape, r.shape))
-        for k in range(self.m):
-            fk = factorial(k)
-            out = out + (s**k / fk) * (r**k / fk)
-        return out
-
-    def r1(self, s, r):
-        """Kernel of the smooth part H1.
-
-        Closed-form fast paths for m = 1 (s ^ r) and m = 2 (piecewise cubic);
-        the general order falls back to the expanded two-branch polynomial.
-        """
-        self._check_domain(s, r)
-        s = np.asarray(s, dtype=float)
-        r = np.asarray(r, dtype=float)
-        if self.m == 1:
-            return np.minimum(s, r)
-        if self.m == 2:
-            w = np.minimum(s, r)
-            return s * r * w - (s + r) * w**2 / 2.0 + w**3 / 3.0
-        return _cross_eval(self.m, self.m, s, r)
-
-    def r(self, s, r):
-        """Full reproducing kernel R = R0 + R1."""
-        return self.r0(s, r) + self.r1(s, r)
-
-    # -- integrated kernels -------------------------------------------------
-
-    def r1_time_integral(self, a, r):
-        """int_0^a R1(s, r) ds, exactly.
-
-        For m = 2 this is the familiar two-branch quartic
-            a < r:   a^3 r / 6 - a^4 / 24
-            a >= r:  r^4 / 24 + r^2 a^2 / 4 - r^3 a / 6
-        and in general it is the cross-order kernel K[m+1, m](a, r).
-        """
-        self._check_domain(a, r)
-        a = np.asarray(a, dtype=float)
-        r = np.asarray(r, dtype=float)
-        if self.m == 2:
-            below = a**3 * r / 6.0 - a**4 / 24.0
-            above = r**4 / 24.0 + r**2 * a**2 / 4.0 - r**3 * a / 6.0
-            return np.where(a < r, below, above)
-        return _cross_eval(self.m + 1, self.m, a, r)
-
-    def r1_double_integral(self, a, b):
-        """int_0^a int_0^b R1(s, r) dr ds, exactly.
-
-        Swapping the order of integration with the defining integral shows
-        this equals K[m+1, m+1](a, b): integrating each slot of R1 once
-        raises the corresponding order by one.
-        """
-        self._check_domain(a, b)
-        return _cross_eval(self.m + 1, self.m + 1, a, b)

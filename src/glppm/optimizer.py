@@ -23,7 +23,8 @@ sigma rising tenfold from 1e-6 tr(H) / tr(G), else function-space steepest
 descent), and moves by a weak Wolfe step on F's closed form along it;
 Zoutendijk's argument needs both conditions (Nocedal & Wright 2006, ch. 3).
 It stops with a reason: "grad" when ||grad F|| <= tol * max(1, ||grad
-F(g_0)||), "stationary" when no trial decreases F and the directional
+F(g_0)||), "noise_floor" when the squared gradient norm rounds below
+zero, "stationary" when no trial decreases F and the directional
 derivative is at rounding level, "stall" when no trial decreases F
 otherwise, "max_iter" at the step budget, and "atom_cap" when
 ``fit_descent``'s dictionary is full.  Only "grad" gives the status
@@ -111,7 +112,7 @@ class FitResult:
 
     g_hat: FilterFunction
     status: str  # "converged" | "max_iter" | "stalled"
-    reason: str  # "grad" | "stationary" | "stall" | "max_iter" | "atom_cap"
+    reason: str  # "grad" | "noise_floor" | "stationary" | "stall" | "max_iter" | "atom_cap"
     n_iter: int
     objective: float
     grad_norm: float
@@ -611,6 +612,10 @@ class _Core:
             self.grad_norm_trace.append(gn)
             if self.gn0 is None:
                 self.gn0 = gn
+            if gn2 < 0.0:
+                # only rounding makes a squared norm negative; an exact 0
+                # can be a true one, as zero atoms stay in the dictionary
+                return gamma, "noise_floor"
             if gn <= self.tol * max(1.0, self.gn0):
                 return gamma, "grad"
             if steps >= self.max_iter:
@@ -769,7 +774,7 @@ def fit_linear(
         y_top = float(w.max()) if w.size else 0.0
         comp = float(np.max(np.minimum(w, np.maximum(gaps, 0.0)))) if w.size else 0.0
         feasible = v <= slack and comp <= 1e-6 * max(1.0, y_top)
-        if (feasible and reason in ("grad", "stationary")) or core.passes >= 20:
+        if (feasible and reason in ("grad", "noise_floor", "stationary")) or core.passes >= 20:
             break
         add_node_atoms(np.flatnonzero((w > 0.0) & ~node_added))
         y_mult = w

@@ -11,6 +11,11 @@ jump or breakpoint the lags only grow, so the envelope terms only fall.  A
 candidate is drawn at that rate and accepted with probability
 lambda/bound; the bound is recomputed at every step, so it decays with the
 age of the past jumps instead of holding the sup of g for every one of them.
+The next window edge and the at-risk level change only at an edge, and are
+kept until the next one.  Each candidate evaluates the filter once per
+channel at the lags of the past jumps; a FilterFunction does so from the
+prefix tables its normal forms keep (``filters``), so the per-candidate
+cost is a lookup, not a rebuild of the kernel sums.
 
 ``time_rescale`` maps observed events through the fitted compensator; under
 a correct model the rescaled gaps are unit exponentials.  It is the
@@ -173,9 +178,12 @@ def simulate(spec: SimSpec, seed=None) -> tuple[EventSeries, DriverSeries]:
             x += _envelope_sum(grid, env[self_ch], reach[self_ch], events[:n_events], None, t)
         return x
 
+    nxt = cur
     while cur < horizon:
-        nxt = float(edges[np.searchsorted(edges, cur, side="right")]) if cur < edges[-1] else horizon
-        y_val = float(spec.at_risk.at(0.5 * (cur + nxt)))
+        if cur == nxt:
+            # at a window edge: the next edge, and the at-risk level up to it
+            nxt = float(edges[edges.searchsorted(cur, side="right")])  # edges[-1] is horizon
+            y_val = float(spec.at_risk.at(0.5 * (cur + nxt)))
         if y_val == 0.0:
             cur = nxt
             continue

@@ -1,16 +1,139 @@
 """Reference implementations the tests check the library against.
 
-They work on whole filter functions through the public operations
-(``gradient``, ``objective_value``, predictor columns), independently of
-the solvers' dictionary workspace.
+The kernel functions evaluate R0, R1, R = R0 + R1 and the once- and
+twice-integrated R1 pointwise, from the closed forms of ``glppm.kernel``'s
+docstring, with no prefix sums.  The fitting oracles work on whole filter
+functions through the public operations (``gradient``, ``objective_value``,
+predictor columns), independently of the solvers' dictionary workspace.
 """
+
+from math import factorial
 
 import numpy as np
 
 from glppm.errors import DomainError, InfeasibleError, SolverError
 from glppm.filters import FilterFunction, h1_gram
+from glppm.kernel import SobolevKernel, _branch_coeffs, _cross_weighted_sum
 from glppm.likelihood import Objective, gradient, objective_value
 from glppm.optimizer import LineSearchConfig, _weak_wolfe_search
+
+
+def cross_eval(p: int, q: int, x, y):
+    """K[p,q](x, y) with numpy broadcasting, branch by branch."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    low, high = _branch_coeffs(p, q)
+    shape = np.broadcast_shapes(x.shape, y.shape)
+    below = np.zeros(shape)
+    for j, cj in enumerate(low):
+        below = below + cj * x ** (p + j) * y ** (q - 1 - j)
+    above = np.zeros(shape)
+    for i, ci in enumerate(high):
+        above = above + ci * x ** (p - 1 - i) * y ** (q + i)
+    return np.where(x <= y, below, above)
+
+
+def r0(kernel: SobolevKernel, s, r):
+    """Kernel of the polynomial part H0."""
+    kernel._check_domain(s, r)
+    s = np.asarray(s, dtype=float)
+    r = np.asarray(r, dtype=float)
+    out = np.zeros(np.broadcast_shapes(s.shape, r.shape))
+    for k in range(kernel.m):
+        fk = factorial(k)
+        out = out + (s**k / fk) * (r**k / fk)
+    return out
+
+
+def r1(kernel: SobolevKernel, s, r):
+    """Kernel of the smooth part H1: s ^ r for m = 1, the piecewise cubic
+    for m = 2, the expanded two-branch polynomial otherwise."""
+    kernel._check_domain(s, r)
+    s = np.asarray(s, dtype=float)
+    r = np.asarray(r, dtype=float)
+    if kernel.m == 1:
+        return np.minimum(s, r)
+    if kernel.m == 2:
+        w = np.minimum(s, r)
+        return s * r * w - (s + r) * w**2 / 2.0 + w**3 / 3.0
+    return cross_eval(kernel.m, kernel.m, s, r)
+
+
+def r_full(kernel: SobolevKernel, s, r):
+    """Full reproducing kernel R = R0 + R1."""
+    return r0(kernel, s, r) + r1(kernel, s, r)
+
+
+def r1_time_integral(kernel: SobolevKernel, a, r):
+    """int_0^a R1(s, r) ds: for m = 2 the two-branch quartic
+        a < r:   a^3 r / 6 - a^4 / 24
+        a >= r:  r^4 / 24 + r^2 a^2 / 4 - r^3 a / 6
+    and in general the cross-order kernel K[m+1, m](a, r)."""
+    kernel._check_domain(a, r)
+    a = np.asarray(a, dtype=float)
+    r = np.asarray(r, dtype=float)
+    if kernel.m == 2:
+        below = a**3 * r / 6.0 - a**4 / 24.0
+        above = r**4 / 24.0 + r**2 * a**2 / 4.0 - r**3 * a / 6.0
+        return np.where(a < r, below, above)
+    return cross_eval(kernel.m + 1, kernel.m, a, r)
+
+
+def r1_double_integral(kernel: SobolevKernel, a, b):
+    """int_0^a int_0^b R1(s, r) dr ds = K[m+1, m+1](a, b)."""
+    kernel._check_domain(a, b)
+    return cross_eval(kernel.m + 1, kernel.m + 1, a, b)
+
+
+def prefix_sum_reference(p: int, q: int, lags, weights, queries):
+    """sum_l weights[l] K[p,q](lags[l], query) by prefix sums, every term
+    built and applied in one pass, with ``queries ** e`` for every
+    exponent: the reference for ``_cross_weighted_sum`` bit for bit."""
+    lags = np.asarray(lags, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    queries = np.asarray(queries, dtype=float)
+    low, high = _branch_coeffs(p, q)
+    pos = np.searchsorted(lags, queries, side="right")
+    out = np.zeros(queries.shape)
+    for j, cj in enumerate(low):
+        pre = np.concatenate(([0.0], np.cumsum(weights * lags ** (p + j))))
+        out += cj * pre[pos] * queries ** (q - 1 - j)
+    for i, ci in enumerate(high):
+        pre = np.concatenate(([0.0], np.cumsum(weights * lags ** (p - 1 - i))))
+        out += ci * (pre[-1] - pre[pos]) * queries ** (q + i)
+    return out
+
+
+def fresh_value(g: FilterFunction, channel: int, u):
+    """g_channel(u) from the normal form with no prefix table: each kernel
+    sum is built for the call, and the polynomial part is ``np.tensordot``
+    over ``kernel.h0_basis``."""
+    f, k = g.normal_forms[channel], g.kernel
+    k._check_domain(u)
+    out = _cross_weighted_sum(k.m, k.m, f.sec_lags, f.sec_weights, u)
+    if f.seg_nodes.size:
+        out = out + _cross_weighted_sum(k.m + 1, k.m, f.seg_nodes, f.seg_weights, u)
+    if np.any(f.h0):
+        out = out + np.tensordot(f.h0, k.h0_basis(u), axes=(0, 0))
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def fresh_antiderivative(g: FilterFunction, channel: int, x):
+    """int_0^x g_channel like ``fresh_value``: no prefix table."""
+    f, k = g.normal_forms[channel], g.kernel
+    k._check_domain(x)
+    out = _cross_weighted_sum(k.m, k.m + 1, f.sec_lags, f.sec_weights, x)
+    if f.seg_nodes.size:
+        out = out + _cross_weighted_sum(k.m + 1, k.m + 1, f.seg_nodes, f.seg_weights, x)
+    if np.any(f.h0):
+        out = out + np.tensordot(f.h0, k.h0_antiderivative(x), axes=(0, 0))
+    return out
+
+
+def same_bits(a, b) -> bool:
+    """Equal shape, dtype and bytes: -0.0 differs from 0.0, NaN equals NaN."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def hessian_coords(g: FilterFunction, obj: Objective, basis_atoms, kernel=None) -> np.ndarray:

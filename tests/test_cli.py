@@ -12,6 +12,7 @@ import json
 import numpy as np
 import pytest
 
+from glppm import cli
 from glppm.cli import main
 from glppm.data import load_events, load_manifest
 from glppm.filters import FilterFunction
@@ -466,3 +467,55 @@ class TestDispatch:
         )
         rc = run("simulate", "--config", cfg, "--seed", 1, "--threads", 1, "--out", tmp_path / "o")
         assert rc == 0
+
+    def test_one_parser_serves_a_sequence_of_commands(self, tmp_path, capsys):
+        # the parser is built once per process; commands run one after the
+        # other on it give the codes, messages and files that each gives on
+        # a parser of its own
+        data = make_dataset(tmp_path, DENSE_TIMES)
+        sim = write_json(
+            tmp_path / "sim.json",
+            {
+                "link": {"kind": "linear", "d": 0.5},
+                "filters": zero_filter_payload(horizon=8.0),
+                "horizon": 8.0,
+            },
+        )
+        good = fit_config(tmp_path, link={"kind": "exp", "d": np.log(0.5)}, max_atoms=60)
+        bad = write_json(tmp_path / "bad.json", {"link": {"kind": "linear"}, "penalty": 1.0})
+
+        def commands(out):
+            return [
+                ("simulate", "--config", sim, "--seed", 3, "--out", out / "sim"),
+                ("fit", "--data", data, "--config", good, "--out", out / "fit"),
+                ("gof", "--data", data, "--config", out / "fit" / "filter.json",
+                 "--out", out / "gof"),
+                ("fit", "--data", data, "--config", bad, "--out", out / "bad"),
+                ("fit", "--data", data, "--config", good, "--out", out / "refit"),
+            ]
+
+        def outputs(out):
+            # run_manifest.json holds the output path and the wall time
+            return {
+                p.relative_to(out): p.read_bytes()
+                for p in sorted(out.rglob("*"))
+                if p.is_file() and p.name != "run_manifest.json"
+            }
+
+        cli._build_parser.cache_clear()
+        seq = []
+        for argv in commands(tmp_path / "seq"):
+            seq.append((run(*argv), capsys.readouterr()))
+        assert cli._build_parser.cache_info().misses == 1
+
+        fresh = []
+        for argv in commands(tmp_path / "fresh"):
+            cli._build_parser.cache_clear()
+            fresh.append((run(*argv), capsys.readouterr()))
+
+        assert [rc for rc, _ in seq] == [0, 0, 0, 2, 0]
+        assert seq == fresh
+        files = outputs(tmp_path / "seq")
+        assert {p.parts[0] for p in files} == {"sim", "fit", "gof", "refit"}
+        assert files == outputs(tmp_path / "fresh")
+        assert outputs(tmp_path / "seq" / "fit") == outputs(tmp_path / "seq" / "refit")

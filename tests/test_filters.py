@@ -7,6 +7,8 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
+from glppm import filters
+from glppm.data import DriverChannel, DriverSeries
 from glppm.errors import ConfigError, DomainError
 from glppm.filters import (
     FilterFunction,
@@ -18,7 +20,18 @@ from glppm.filters import (
     kernel_section,
     section_sum,
 )
-from glppm.kernel import SobolevKernel
+from glppm.kernel import SobolevKernel, _cross_weighted_sum, _prefix_table
+from glppm.likelihood import linear_predictor
+
+from oracles import (
+    fresh_antiderivative,
+    fresh_value,
+    prefix_sum_reference,
+    r1,
+    r1_time_integral,
+    r_full,
+    same_bits,
+)
 
 
 def random_filter(kernel, rng, n_channels=1, scale=1.0):
@@ -66,9 +79,9 @@ class TestEvaluate:
         for _ in range(20):
             s, r = rng.uniform(0, 6, 2)
             g = FilterFunction(k, 1, (kernel_section(k, 0, s),), np.ones(1))
-            assert_allclose(g.evaluate(0, r), k.r1(s, r), rtol=1e-13, atol=1e-14)
+            assert_allclose(g.evaluate(0, r), r1(k, s, r), rtol=1e-13, atol=1e-14)
             gf = FilterFunction(k, 1, (kernel_section(k, 0, s, part="r"),), np.ones(1))
-            assert_allclose(gf.evaluate(0, r), k.r(s, r), rtol=1e-13, atol=1e-14)
+            assert_allclose(gf.evaluate(0, r), r_full(k, s, r), rtol=1e-13, atol=1e-14)
 
     def test_poly_values(self):
         k = SobolevKernel(m=3, horizon=5.0)
@@ -96,7 +109,7 @@ class TestEvaluate:
         atoms = (h0_poly(k, 0, 1), kernel_section(k, 1, 1.0))
         g = FilterFunction(k, 2, atoms, np.array([2.0, 1.0]))
         assert g.evaluate(0, 0.7) == 2.0
-        assert_allclose(g.evaluate(1, 0.5), k.r1(1.0, 0.5))
+        assert_allclose(g.evaluate(1, 0.5), r1(k, 1.0, 0.5))
 
     def test_domain_checks(self):
         k = SobolevKernel(m=1, horizon=3.0)
@@ -115,7 +128,7 @@ class TestEvaluate:
             atom = integrated_segments(k, 0, [0.0], [t], [1.0])
             g = FilterFunction(k, 1, (atom,), np.ones(1))
             assert_allclose(g.evaluate(0, r), want, rtol=0, atol=1e-14)
-            assert_allclose(g.evaluate(0, r), k.r1_time_integral(t, r), rtol=0, atol=1e-14)
+            assert_allclose(g.evaluate(0, r), r1_time_integral(k, t, r), rtol=0, atol=1e-14)
 
     def test_integrated_points_match_sections(self):
         k = SobolevKernel(m=2, horizon=5.0)
@@ -128,6 +141,79 @@ class TestEvaluate:
         ga = FilterFunction(k, 1, (a,), np.ones(1))
         gb = FilterFunction(k, 1, (b,), np.ones(1))
         assert_allclose(ga.evaluate(0, u), gb.evaluate(0, u), rtol=1e-13, atol=1e-14)
+
+
+class TestPrefixTables:
+    """A filter's normal forms keep the prefix tables of their kernel sums;
+    evaluating from them gives the same bits as building them per call."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_kernel_sums_match_the_one_pass_loop(self, m):
+        rng = np.random.default_rng(20 + m)
+        lags = np.sort(rng.uniform(0, 5, 9))
+        w = rng.normal(size=9)
+        queries = [rng.uniform(0, 5, 40), 2.5, lags[3], lags[:4], np.empty(0)]
+        for p, q in [(m, m), (m + 1, m), (m, m + 1), (m + 1, m + 1)]:
+            table = _prefix_table(p, q, lags, w)
+            for u in queries:
+                want = prefix_sum_reference(p, q, lags, w, u)
+                assert same_bits(_cross_weighted_sum(p, q, lags, w, u), want)
+                assert same_bits(_cross_weighted_sum(p, q, lags, w, u, table=table), want)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_cached_evaluation_matches_a_fresh_one(self, m):
+        rng = np.random.default_rng(30 + m)
+        k = SobolevKernel(m=m, horizon=5.0)
+        g = random_filter(k, rng, n_channels=2)
+        queries = [rng.uniform(0, 5, 40), 1.7, np.array([0.0, 5.0]), np.empty(0)]
+        for ch, form in enumerate(g.normal_forms):
+            assert form.sec_lags.size and form.seg_nodes.size and form.h0.any()
+            assert not form._tables
+            for call in ("builds", "reads"):
+                for u in queries:
+                    assert same_bits(g.evaluate(ch, u), fresh_value(g, ch, u)), (ch, call, u)
+                    assert same_bits(form.antiderivative(k, u), fresh_antiderivative(g, ch, u))
+                assert sorted(form._tables) == [(m, m), (m, m + 1), (m + 1, m), (m + 1, m + 1)]
+
+    def test_a_hundred_evaluations_build_each_table_once(self, monkeypatch):
+        k = SobolevKernel(m=2, horizon=5.0)
+        g = random_filter(k, np.random.default_rng(7))
+        built = []
+
+        def counting(p, q, lags, weights):
+            built.append((p, q))
+            return _prefix_table(p, q, lags, weights)
+
+        monkeypatch.setattr(filters, "_prefix_table", counting)
+        u = np.linspace(0, 5, 40)
+        first = g.evaluate(0, u)
+        for _ in range(99):
+            assert same_bits(g.evaluate(0, u), first)
+        # sections take K[m,m], segments K[m+1,m]
+        assert sorted(built) == [(2, 2), (3, 2)]
+        assert same_bits(first, fresh_value(g, 0, u))
+
+    def test_domain_and_nan_behaviour_is_unchanged(self):
+        k = SobolevKernel(m=2, horizon=5.0)
+        g = random_filter(k, np.random.default_rng(8))
+        g.evaluate(0, np.linspace(0, 5, 7))
+        for bad in ([1.0, -0.1], 5.5):
+            with pytest.raises(DomainError) as exc:
+                g.evaluate(0, bad)
+            with pytest.raises(DomainError) as fresh:
+                fresh_value(g, 0, bad)
+            assert str(exc.value) == str(fresh.value)
+            assert exc.value.at == fresh.value.at
+        with pytest.raises(DomainError):
+            g.evaluate(1, 1.0)
+        # a NaN lag passes the range check and gives a NaN value, as before;
+        # the predictor rejects a NaN time
+        got = g.evaluate(0, np.array([1.0, np.nan]))
+        assert same_bits(got, fresh_value(g, 0, np.array([1.0, np.nan])))
+        assert np.isnan(got[1]) and not np.isnan(got[0])
+        drivers = DriverSeries(5.0, (DriverChannel("z", np.array([0.5]), np.ones(1)),))
+        with pytest.raises(DomainError):
+            linear_predictor(g, drivers, float("nan"))
 
 
 class TestInnerProduct:
@@ -154,10 +240,10 @@ class TestInnerProduct:
                 s, r = rng.uniform(0, 5, 2)
                 a = FilterFunction(k, 1, (kernel_section(k, 0, s),), np.ones(1))
                 b = FilterFunction(k, 1, (kernel_section(k, 0, r),), np.ones(1))
-                assert_allclose(a.inner_product(b), k.r1(s, r), rtol=1e-12, atol=1e-13)
+                assert_allclose(a.inner_product(b), r1(k, s, r), rtol=1e-12, atol=1e-13)
                 af = FilterFunction(k, 1, (kernel_section(k, 0, s, part="r"),), np.ones(1))
                 bf = FilterFunction(k, 1, (kernel_section(k, 0, r, part="r"),), np.ones(1))
-                assert_allclose(af.inner_product(bf), k.r(s, r), rtol=1e-12, atol=1e-13)
+                assert_allclose(af.inner_product(bf), r_full(k, s, r), rtol=1e-12, atol=1e-13)
 
     def test_symmetry_and_psd(self):
         rng = np.random.default_rng(5)
@@ -314,7 +400,7 @@ class TestSerialization:
         rng = np.random.default_rng(13)
         g = random_filter(k, rng)
         p = tmp_path / "g.json"
-        g.save(p)
+        p.write_text(g.to_json())
         g2 = FilterFunction.load(p)
         assert np.array_equal(g2.coefficients, g.coefficients)
         u = np.linspace(0, 3, 11)

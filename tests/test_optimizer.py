@@ -487,6 +487,34 @@ class TestCoreDirection:
         assert_allclose(s * d2, d1, rtol=0, atol=1e-9 * np.abs(d1).max())
 
 
+class TestCoreNoiseFloor:
+    def test_a_norm_that_rounds_below_zero_stops_the_core(self):
+        # a gam'G gam that rounds below zero must not read as a zero norm
+        # and pass the gradient test
+        k, obj = dense_objective(lam=2.0, link=exponential_link(), m=1)
+        ws = _Workspace(k, obj)
+        for a in fit_descent(k, obj, tol=1e-6, max_iter=300).g_hat.atoms:
+            ws.add(a)
+        psi = _QuadratureCompensator(obj)
+        gamma = np.full(len(ws), 0.01)
+        core = _Core(ws, None, 1e-6, 50)
+        _, rho = core.event_terms(ws.E @ gamma)
+        gam = core.gradient_coords(gamma, rho, psi.deriv(ws.U @ gamma))
+        gn2 = gam @ ws.G @ gam
+        assert gam.any() and gn2 > 0.0
+        # a Gram that takes a hair more than gam'G gam off along gam
+        u = gam / (gam @ gam)
+        ws.G[...] -= gn2 * (1.0 + 1e-9) * np.outer(u, u)
+        assert gam @ ws.G @ gam < 0.0
+
+        gamma_out, reason = core.run(gamma, psi)
+        res = core.result(gamma_out, reason)
+        assert reason == "noise_floor"
+        assert res.status == "stalled" and not res.converged
+        assert res.n_iter == 0 and res.grad_norm == 0.0
+        assert np.array_equal(res.g_hat.coefficients, gamma)
+
+
 class TestFitResult:
     def test_converged_property(self):
         k, obj = dense_objective(lam=5.0)

@@ -7,10 +7,12 @@ from scipy.stats import kstest
 
 from glppm.data import AtRiskProcess, DriverChannel, DriverSeries, EventSeries
 from glppm.errors import ConfigError, SolverError
-from glppm.filters import FilterFunction
+from glppm.filters import FilterFunction, h0_poly, kernel_section
 from glppm.kernel import SobolevKernel
 from glppm.likelihood import exponential_link, linear_link
 from glppm.simulator import SimSpec, simulate, time_rescale
+
+from oracles import fresh_value, r1, same_bits
 
 
 class TestSpecValidation:
@@ -198,6 +200,37 @@ class TestSimulate:
         assert np.array_equal(dr.channels[1].times, ev.times)
 
 
+class TestFilterSpec:
+    def test_draws_the_events_of_fresh_evaluations(self):
+        # the predictor evaluates a FilterFunction spec from the prefix
+        # tables its normal forms keep; callables that build every kernel
+        # sum afresh must draw the same events, bit for bit
+        k = SobolevKernel(m=1, horizon=40.0)
+        atoms = (
+            h0_poly(k, 0, 1), kernel_section(k, 0, 1.5),
+            h0_poly(k, 1, 1), kernel_section(k, 1, 1.0),
+        )
+        g = FilterFunction(k, 2, atoms, np.array([0.4, -0.4 / 1.5, 0.5, -0.5]))
+        z = DriverChannel("z", np.array([3.0, 11.0, 12.5, 30.0]), np.array([1.0, 2.0, 0.5, 1.5]))
+        fresh = [lambda u, ch=ch: fresh_value(g, ch, u) for ch in range(2)]
+
+        def spec(filters):
+            return SimSpec(
+                link=linear_link(0.5),
+                filters=filters,
+                horizon=40.0,
+                drivers=DriverSeries(40.0, (z,)),
+                at_risk=AtRiskProcess([15.0, 20.0], [1.0, 0.0, 1.0]),
+            )
+
+        for seed in range(5):
+            ev, _ = simulate(spec(g), seed=seed)
+            ev_fresh, _ = simulate(spec(fresh), seed=seed)
+            assert len(ev) > 10
+            assert same_bits(ev.times, ev_fresh.times)
+        assert sorted(g.normal_forms[1]._tables) == [(1, 1)]
+
+
 class TestThinningLaw:
     def test_matches_bernoulli_grid_discretization(self):
         # compare the law of N_1 against a fine Bernoulli grid scheme that
@@ -293,7 +326,7 @@ class TestTimeRescale:
         g = FilterFunction(k, 1, (kernel_section(k, 0, 2.0),), np.array([0.01]))
         gaps_filter = time_rescale(g, linear_link(0.5), events, drivers)
         gaps_callable = time_rescale(
-            [lambda u: 0.01 * np.asarray([k.r1(2.0, float(v)) for v in np.atleast_1d(u)])],
+            [lambda u: 0.01 * np.asarray([r1(k, 2.0, float(v)) for v in np.atleast_1d(u)])],
             linear_link(0.5),
             events,
             drivers,
