@@ -28,6 +28,8 @@ from .likelihood import (
     LinkSpec,
     Objective,
     QuadratureConfig,
+    build_f_atoms,
+    build_h_atoms,
     compensator,
     exponential_link,
     gradient,
@@ -39,7 +41,6 @@ from .likelihood import (
     softplus_link,
 )
 from .optimizer import FitResult, LineSearchConfig, fit_descent, fit_linear
-from .representer import RepresenterBasis, assemble, build_f_atoms, build_h_atoms
 from .simulator import SimSpec, simulate, time_rescale
 
 __version__ = "0.1.0"
@@ -61,11 +62,9 @@ __all__ = [
     "LinkSpec",
     "Objective",
     "QuadratureConfig",
-    "RepresenterBasis",
     "SimSpec",
     "SobolevKernel",
     "SolverError",
-    "assemble",
     "build_f_atoms",
     "build_h_atoms",
     "compensator",

@@ -315,7 +315,6 @@ def cmd_fit(args) -> int:
     from .kernel import SobolevKernel
     from .likelihood import Objective
     from .optimizer import STEP_FIELDS, fit_descent, fit_linear
-    from .representer import assemble
 
     cfg = _read_json(args.config)
     link, lam, m, tol, quad, line_search, at_risk = _fit_config(cfg)
@@ -325,7 +324,7 @@ def cmd_fit(args) -> int:
     kernel = SobolevKernel(m=m, horizon=events.horizon)
     if link.kind == "linear":
         res = fit_linear(
-            assemble(kernel, obj),
+            kernel,
             obj,
             tol=tol,
             max_iter=int(cfg.get("max_iter", 100)),
@@ -453,30 +452,32 @@ def cmd_gof(args) -> int:
 def cmd_basis(args) -> int:
     from .kernel import SobolevKernel
     from .likelihood import Objective
-    from .representer import assemble
+    from .optimizer import _Workspace
 
     cfg = _read_json(args.config)
     link, lam, m, _, quad, _, at_risk = _fit_config(cfg)
     _, _, events, drivers = _load_dataset(args.data)
     obj = Objective(link, lam, events, drivers, at_risk=at_risk, quadrature=quad)
     kernel = SobolevKernel(m=m, horizon=events.horizon)
-    basis = assemble(kernel, obj)
+    ws = _Workspace(kernel, obj)
+    h_cols, f_cols = ws.add_representers()
     _write_json(
         Path(args.out) / "basis.json",
         {
             "kernel": {"m": kernel.m, "horizon": kernel.horizon},
-            "n_channels": basis.n_channels,
-            "atoms": [a.to_dict() for a in basis.atoms],
+            "n_channels": obj.n_channels,
+            "atoms": [a.to_dict() for a in ws.atoms],
             "slices": {
-                "h0": [basis.h0_slice.start, basis.h0_slice.stop],
-                "h": [basis.h_slice.start, basis.h_slice.stop],
-                "f": [basis.f_slice.start, basis.f_slice.stop],
+                "h0": [0, h_cols.start],
+                "h": [h_cols.start, h_cols.stop],
+                "f": [f_cols.start, f_cols.stop],
             },
-            "design": basis.design.tolist(),
-            "compensator": basis.comp.tolist(),
-            "gram": basis.gram.tolist(),
-            "gram_penalty": basis.gram_p.tolist(),
-            "zero_mask": basis.zero_mask.tolist(),
+            "design": ws.E.tolist(),
+            # the exact compensator row, on every link
+            "compensator": [obj.comp_row(kernel, a) for a in ws.atoms],
+            "gram": ws.G.tolist(),
+            "gram_penalty": ws.Gp.tolist(),
+            "zero_mask": [a.is_zero for a in ws.atoms],
         },
     )
     _write_run_manifest(args, "basis", cfg)

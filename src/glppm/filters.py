@@ -43,10 +43,8 @@ from .kernel import SobolevKernel, _cross_weighted_sum, _h0_stack, _prefix_table
 __all__ = [
     "Atom",
     "FilterFunction",
-    "full_gram",
     "full_inner_row",
     "h0_poly",
-    "h1_gram",
     "h1_inner_row",
     "integrated_points",
     "integrated_segments",
@@ -498,7 +496,7 @@ class FilterFunction:
         return FilterFunction.from_json(Path(path).read_text())
 
 
-# -- Gram matrices over atom lists ---------------------------------------------
+# -- inner products over atom lists --------------------------------------------
 
 
 def _flatten(atoms) -> tuple[np.ndarray, ...]:
@@ -517,53 +515,22 @@ def _flatten(atoms) -> tuple[np.ndarray, ...]:
     )
 
 
-def _h1_rows(probes, atoms) -> np.ndarray:
-    """<P p, P b> for every probe p and every b in ``atoms``, all on one
-    channel: the support of ``atoms`` is flattened once, so each row is one
-    prefix-sum pass instead of a pairwise loop."""
-    sec_lags, sec_w, sec_owner, seg_nodes, seg_w, seg_owner = _flatten(atoms)
-    rows = np.zeros((len(probes), len(atoms)))
-    for row, p in zip(rows, probes):
-        if sec_lags.size:
-            row += np.bincount(
-                sec_owner, weights=sec_w * p.h1_value(sec_lags), minlength=len(atoms)
-            )
-        if seg_nodes.size:
-            row += np.bincount(
-                seg_owner, weights=seg_w * p.h1_antiderivative(seg_nodes), minlength=len(atoms)
-            )
-    return rows
-
-
-def h1_gram(atoms) -> np.ndarray:
-    """Matrix of H1 inner products <P a_i, P a_j> over a list of atoms."""
-    atoms = list(atoms)
-    G = np.zeros((len(atoms), len(atoms)))
-    for ch in {a.channel for a in atoms}:
-        idxs = [i for i, a in enumerate(atoms) if a.channel == ch]
-        block = [atoms[i] for i in idxs]
-        G[np.ix_(idxs, idxs)] = _h1_rows(block, block)
-    return 0.5 * (G + G.T)
-
-
-def full_gram(atoms) -> np.ndarray:
-    """Matrix of full Sobolev inner products (H0 part plus H1 part)."""
-    atoms = list(atoms)
-    G = h1_gram(atoms)
-    if not atoms:
-        return G
-    h0 = np.stack([a.h0 for a in atoms])
-    channels = np.array([a.channel for a in atoms])
-    same = channels[:, None] == channels[None, :]
-    return G + (h0 @ h0.T) * same
-
-
 def h1_inner_row(atom: Atom, atoms) -> np.ndarray:
-    """<P atom, P b> for every b in atoms, in one prefix-sum pass."""
+    """<P atom, P b> for every b in atoms: the support of the atoms on
+    atom's channel is flattened once, so the row is one prefix-sum pass
+    instead of a pairwise loop."""
     atoms = list(atoms)
     idxs = [i for i, b in enumerate(atoms) if b.channel == atom.channel]
+    sec_lags, sec_w, sec_owner, seg_nodes, seg_w, seg_owner = _flatten([atoms[i] for i in idxs])
+    row = np.zeros(len(idxs))
+    if sec_lags.size:
+        row += np.bincount(sec_owner, weights=sec_w * atom.h1_value(sec_lags), minlength=len(idxs))
+    if seg_nodes.size:
+        row += np.bincount(
+            seg_owner, weights=seg_w * atom.h1_antiderivative(seg_nodes), minlength=len(idxs)
+        )
     out = np.zeros(len(atoms))
-    out[idxs] = _h1_rows([atom], [atoms[i] for i in idxs])[0]
+    out[idxs] = row
     return out
 
 

@@ -158,6 +158,14 @@ class SobolevKernel:
                 continue
             lo = a.min()
             hi = a.max()
+            if lo >= 0.0 and hi <= self.horizon:
+                continue
+            if np.isnan(lo):
+                # a NaN makes both reductions NaN: it evaluates to NaN on
+                # its own, but must not hide an out-of-range value beside it
+                a = a[~np.isnan(a)]
+                lo = a.min(initial=0.0)
+                hi = a.max(initial=0.0)
             if lo < 0.0 or hi > self.horizon:
                 bad = float(lo if lo < 0.0 else hi)
                 raise DomainError(

@@ -14,7 +14,8 @@ events, and Gp the dictionary's H1 Gram.  Only psi, r and the atoms differ:
 * ``fit_linear`` (linear link): r is the exact compensator row, const =
   d int Y, and psi_q(x) = (max(0, y_q - 2 mu (x + d))^2 - y_q^2) / (4 mu)
   is the augmented-Lagrangian hinge of the node constraint x + d >= 0 with
-  multipliers y_q, over the representer basis and one atom per forced node.
+  multipliers y_q, over the representer basis (``_Workspace.add_representers``)
+  and one atom per forced node.
 
 The core (``_Core.run``) forms the coordinate gradient and Hessian of F,
 takes a direction that passes the angle test cos(direction, -gradient) >=
@@ -50,8 +51,7 @@ from .filters import (
     h1_inner_row,
 )
 from .kernel import SobolevKernel
-from .likelihood import LinkSpec, Objective, _BOUNDARY_SLACK, gradient
-from .representer import RepresenterBasis, build_f_atoms, build_h_atoms
+from .likelihood import LinkSpec, Objective, _BOUNDARY_SLACK, build_f_atoms, build_h_atoms, gradient
 
 __all__ = [
     "STEP_FIELDS",
@@ -210,8 +210,8 @@ class _Workspace:
     evaluated once, at every node-pair and event-pair lag of its channel,
     and that one evaluation gives U, E, U1 and E1; its Gram row against a
     represented atom is one dot product.  Only pairs of atoms that represent
-    nothing (polynomials, warm starts, ``fit_linear``'s basis) take
-    ``h1_inner_row``.
+    nothing (polynomials, warm starts, the representer basis of
+    ``add_representers``) take ``h1_inner_row``.
     """
 
     def __init__(self, kernel: SobolevKernel, obj: Objective):
@@ -267,6 +267,43 @@ class _Workspace:
         self.comp = b["comp"][:n] if self.obj.link.kind == "linear" else None
         self.h0_mat, self.channel = b["h0"][:n], b["channel"][:n]
         self.non_poly = b["non_poly"][:n]
+
+    def add_polynomials(self) -> None:
+        """Append phi_1..phi_m of every channel, channel-major, where
+        ``_Core.phi_cols`` expects them."""
+        for ch in range(self.obj.n_channels):
+            for k in range(1, self.kernel.m + 1):
+                self.add(h0_poly(self.kernel, ch, k))
+
+    def add_representers(self) -> tuple[slice, slice]:
+        """Append the finite representer basis of the linear link, in which
+        the minimizer of the penalized objective lies.  Per channel it is
+        spanned by
+
+        * the m polynomials phi_1..phi_m (``add_polynomials``),
+        * one history atom per event:
+          h_i(u) = sum_{sigma < tau_i} dZ R1(tau_i - sigma, u),
+        * one integral atom:
+          f(u) = int_0^t Y_s sum_{sigma < s} dZ R1(s - sigma, u) ds,
+
+        d(m + N + 1) atoms in all for N events, in that order: polynomials
+        channel-major, then history atoms event-major with the channels
+        side by side, then one integral atom per channel.  The h and f atoms
+        are the smooth parts of the event and compensator design
+        functionals.  An event with no strictly earlier jump on a channel
+        gives an identically zero atom, which is kept in place so that the
+        indexing stays uniform; it has no row in any Gram.  The atoms
+        declare no functional, so every Gram row comes from
+        ``h1_inner_row``.  Returns the columns of the history atoms and of
+        the integral atoms."""
+        self.add_polynomials()
+        start = len(self)
+        for atom in build_h_atoms(self.kernel, self.obj.events, self.obj.drivers, part="r1"):
+            self.add(atom)
+        mid = len(self)
+        for atom in build_f_atoms(self.kernel, self.obj, part="r1"):
+            self.add(atom)
+        return slice(start, mid), slice(mid, len(self))
 
     def add_history_atoms(self) -> tuple[np.ndarray, np.ndarray]:
         """Append the full-kernel history atom of every (event, channel)
@@ -695,7 +732,7 @@ class _Core:
 
 
 def fit_linear(
-    basis: RepresenterBasis,
+    kernel: SobolevKernel,
     obj: Objective,
     tol: float = 1e-6,
     max_iter: int = 100,
@@ -703,15 +740,17 @@ def fit_linear(
 ) -> FitResult:
     """Exact penalized fit for the linear link in the representer basis.
 
-    Runs the Newton core on the basis, with at most ``max_iter`` steps per
-    pass.  If the minimizer would let the predictor dip below -d between
-    events, hinge-squared penalties on the violating quadrature nodes push
-    it back.  The penalties are warm-started with multiplier estimates
-    updated after every pass (an augmented Lagrangian), so the penalty
-    weight stays bounded and the passes converge to exact node feasibility.
-    Each pass also grows the basis by one kernel atom per newly forced node
-    and channel: an active node constraint contributes its own representer
-    to the solution, so the constrained optimum lies in this enlarged span
+    Builds the d(m + N + 1) atoms of the finite representer basis, in which
+    the unconstrained minimizer lies (``_Workspace.add_representers``), and
+    runs the Newton core on them, with at most ``max_iter`` steps per pass.
+    If the minimizer would let the predictor dip below -d between events,
+    hinge-squared penalties on the violating quadrature nodes push it back.
+    The penalties are warm-started with multiplier estimates updated after
+    every pass (an augmented Lagrangian), so the penalty weight stays
+    bounded and the passes converge to exact node feasibility.  Each pass
+    also grows the basis by one kernel atom per newly forced node and
+    channel: an active node constraint contributes its own representer to
+    the solution, so the constrained optimum lies in this enlarged span
     rather than in the unconstrained representer span.
 
     The fit converges when a pass ends on the gradient test of its KKT
@@ -720,16 +759,13 @@ def fit_linear(
     if obj.link.kind != "linear":
         raise ConfigError("fit_linear requires the linear link")
     d = obj.link.d
-    kernel = basis.kernel
-    n_ch = basis.n_channels
 
     ws = _Workspace(kernel, obj)
     core = _Core(ws, line_search, tol, max_iter)
-    for atom in basis.atoms:
-        ws.add(atom)
-    core.eta_cols = np.arange(basis.h_slice.start, basis.h_slice.stop)
-    core.eta_events = np.arange(core.eta_cols.size) // n_ch
-    core.integral_cols = list(range(basis.f_slice.start, basis.f_slice.stop))
+    h_cols, f_cols = ws.add_representers()
+    core.eta_cols = np.arange(h_cols.start, h_cols.stop)
+    core.eta_events = np.arange(core.eta_cols.size) // obj.n_channels
+    core.integral_cols = list(range(f_cols.start, f_cols.stop))
     node_added = np.zeros(obj.nodes.size, dtype=bool)
 
     def add_node_atoms(nodes_new: np.ndarray) -> None:
@@ -839,9 +875,7 @@ def fit_descent(
     lam = obj.penalty_weight
     ws = _Workspace(kernel, obj)
     core = _Core(ws, line_search, tol, max_iter)
-    for ch in range(obj.n_channels):
-        for k in range(1, kernel.m + 1):
-            ws.add(h0_poly(kernel, ch, k))
+    ws.add_polynomials()
     core.eta_events, core.eta_cols = ws.add_history_atoms()
     psi = _QuadratureCompensator(obj)
 

@@ -2,9 +2,11 @@
 
 The kernel functions evaluate R0, R1, R = R0 + R1 and the once- and
 twice-integrated R1 pointwise, from the closed forms of ``glppm.kernel``'s
-docstring, with no prefix sums.  The fitting oracles work on whole filter
-functions through the public operations (``gradient``, ``objective_value``,
-predictor columns), independently of the solvers' dictionary workspace.
+docstring, with no prefix sums.  The Gram oracles build H1 and full Sobolev
+Grams row by row from ``h1_inner_row``, outside the solvers' workspace.
+The fitting oracles work on whole filter functions through the public
+operations (``gradient``, ``objective_value``, predictor columns),
+independently of the solvers' dictionary workspace.
 """
 
 from math import factorial
@@ -12,7 +14,7 @@ from math import factorial
 import numpy as np
 
 from glppm.errors import DomainError, InfeasibleError, SolverError
-from glppm.filters import FilterFunction, h1_gram
+from glppm.filters import FilterFunction, h1_inner_row
 from glppm.kernel import SobolevKernel, _branch_coeffs, _cross_weighted_sum
 from glppm.likelihood import Objective, gradient, objective_value
 from glppm.optimizer import LineSearchConfig, _weak_wolfe_search
@@ -134,6 +136,27 @@ def same_bits(a, b) -> bool:
     """Equal shape, dtype and bytes: -0.0 differs from 0.0, NaN equals NaN."""
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def h1_gram(atoms) -> np.ndarray:
+    """Matrix of H1 inner products <P a_i, P a_j> over a list of atoms."""
+    atoms = list(atoms)
+    G = np.zeros((len(atoms), len(atoms)))
+    for row, a in zip(G, atoms):
+        row[:] = h1_inner_row(a, atoms)
+    return 0.5 * (G + G.T)
+
+
+def full_gram(atoms) -> np.ndarray:
+    """Matrix of full Sobolev inner products (H0 part plus H1 part)."""
+    atoms = list(atoms)
+    G = h1_gram(atoms)
+    if not atoms:
+        return G
+    h0 = np.stack([a.h0 for a in atoms])
+    channels = np.array([a.channel for a in atoms])
+    same = channels[:, None] == channels[None, :]
+    return G + (h0 @ h0.T) * same
 
 
 def hessian_coords(g: FilterFunction, obj: Objective, basis_atoms, kernel=None) -> np.ndarray:

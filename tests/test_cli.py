@@ -15,12 +15,19 @@ import pytest
 from glppm import cli
 from glppm.cli import main
 from glppm.data import load_events, load_manifest
-from glppm.filters import FilterFunction
+from glppm.filters import FilterFunction, h0_poly
 from glppm.kernel import SobolevKernel
-from glppm.likelihood import Objective, exponential_link, linear_link
+from glppm.likelihood import (
+    Objective,
+    build_f_atoms,
+    build_h_atoms,
+    exponential_link,
+    linear_link,
+)
 from glppm.optimizer import STEP_FIELDS, fit_descent, fit_linear
-from glppm.representer import assemble
 from glppm.simulator import time_rescale
+
+from oracles import full_gram, h1_gram, same_bits
 
 
 def run(*argv):
@@ -279,7 +286,7 @@ def library_fit(data, link):
     obj = Objective(link, 5.0, events, drivers)
     kernel = SobolevKernel(m=1, horizon=events.horizon)
     if link.kind == "linear":
-        res = fit_linear(assemble(kernel, obj), obj, tol=1e-6, max_iter=100)
+        res = fit_linear(kernel, obj, tol=1e-6, max_iter=100)
     else:
         res = fit_descent(kernel, obj, tol=1e-6, max_iter=100, max_atoms=60)
     return res, obj, kernel
@@ -443,6 +450,41 @@ class TestBasisCommand:
         assert len(basis["design"]) == len(times)
         assert all(len(row) == dim for row in basis["design"])
         assert all("kind" in atom for atom in basis["atoms"])
+
+    @pytest.mark.parametrize("raw,link", LINKS, ids=["linear", "exp"])
+    def test_dump_values_match_the_library(self, tmp_path, raw, link):
+        # the representer atoms in order, each atom's predictor at the
+        # events and exact compensator, and the Grams of the oracle; the
+        # exponential link writes the same compensator row as the linear one
+        times = [1.0, 2.5, 4.0, 6.0]
+        data = make_dataset(tmp_path, times)
+        cfg = fit_config(tmp_path, m=2, link=raw)
+        out = tmp_path / "out"
+        assert run("basis", "--data", data, "--config", cfg, "--out", out) == 0
+        basis = json.loads((out / "basis.json").read_text())
+
+        manifest = load_manifest(data)
+        events, drivers = load_events(data.parent / "events.csv", manifest)
+        obj = Objective(link, 5.0, events, drivers)
+        k = SobolevKernel(m=2, horizon=8.0)
+        poly = [h0_poly(k, 0, i) for i in (1, 2)]
+        h_atoms = build_h_atoms(k, events, drivers, part="r1")
+        atoms = poly + h_atoms + build_f_atoms(k, obj, part="r1")
+        assert basis["atoms"] == [a.to_dict() for a in atoms]
+        assert basis["slices"] == {
+            "h0": [0, 2], "h": [2, 2 + len(h_atoms)], "f": [2 + len(h_atoms), len(atoms)]
+        }
+        design = np.column_stack([obj.event_column(k, a) for a in atoms])
+        assert same_bits(np.array(basis["design"]), design)
+        comp = np.array([obj.comp_row(k, a) for a in atoms])
+        assert same_bits(np.array(basis["compensator"]), comp)
+        assert np.any(comp != 0.0)
+        assert basis["zero_mask"] == [a.is_zero for a in atoms]
+        assert basis["zero_mask"][2]  # the first event has no history
+        for key, oracle in (("gram", full_gram), ("gram_penalty", h1_gram)):
+            G = np.array(basis[key])
+            assert np.array_equal(G, G.T)
+            np.testing.assert_allclose(G, oracle(atoms), rtol=1e-12, atol=0.0)
 
 
 class TestDispatch:

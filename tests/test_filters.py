@@ -12,9 +12,7 @@ from glppm.data import DriverChannel, DriverSeries
 from glppm.errors import ConfigError, DomainError
 from glppm.filters import (
     FilterFunction,
-    full_gram,
     h0_poly,
-    h1_gram,
     integrated_points,
     integrated_segments,
     kernel_section,
@@ -26,6 +24,8 @@ from glppm.likelihood import linear_predictor
 from oracles import (
     fresh_antiderivative,
     fresh_value,
+    full_gram,
+    h1_gram,
     prefix_sum_reference,
     r1,
     r1_time_integral,
@@ -214,6 +214,22 @@ class TestPrefixTables:
         drivers = DriverSeries(5.0, (DriverChannel("z", np.array([0.5]), np.ones(1)),))
         with pytest.raises(DomainError):
             linear_predictor(g, drivers, float("nan"))
+
+    @pytest.mark.parametrize("bad", [[5.5, np.nan], [np.nan, 5.5], [np.nan, -0.1, 1.0]])
+    def test_nan_does_not_hide_an_out_of_range_value(self, bad):
+        # min and max of an array with a NaN are NaN, which compares false
+        k = SobolevKernel(m=2, horizon=5.0)
+        g = random_filter(k, np.random.default_rng(8))
+        out = 5.5 if 5.5 in bad else -0.1
+        for call in (
+            lambda u: g.evaluate(0, u),
+            lambda u: g.normal_forms[0].antiderivative(k, u),
+        ):
+            with pytest.raises(DomainError) as exc:
+                call(np.array(bad))
+            assert exc.value.at == out
+            with pytest.raises(DomainError):
+                call(out)
 
 
 class TestInnerProduct:

@@ -154,6 +154,21 @@ class TestValidation:
         with pytest.raises(DomainError):
             r1_time_integral(k, 1.2, 0.5)
 
+    @pytest.mark.parametrize("bad", [[1.5, np.nan], [np.nan, 1.5], [np.nan, -0.1, 0.5]])
+    def test_nan_does_not_hide_an_out_of_range_value(self, bad):
+        k = SobolevKernel(2, 1.0)
+        out = 1.5 if 1.5 in bad else -0.1
+        for call in (k.h0_basis, k.h0_antiderivative):
+            with pytest.raises(DomainError) as exc:
+                call(np.array(bad))
+            assert exc.value.at == out
+
+    def test_nan_alone_gives_nan(self):
+        k = SobolevKernel(2, 1.0)
+        got = k.h0_basis(np.array([0.5, np.nan]))
+        assert np.isnan(got[1, 1]) and got[1, 0] == 0.5
+        assert np.isnan(k.h0_basis(np.array([np.nan, np.nan]))[1]).all()
+
     def test_bad_construction(self):
         with pytest.raises(ConfigError):
             SobolevKernel(0, 1.0)

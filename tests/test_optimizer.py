@@ -10,16 +10,16 @@ from glppm.data import DriverChannel, DriverSeries, EventSeries
 from glppm.errors import ConfigError, InfeasibleError, SolverError
 from glppm.filters import (
     FilterFunction,
-    full_gram,
     full_inner_row,
     h0_poly,
-    h1_gram,
     h1_inner_row,
     kernel_section,
 )
 from glppm.kernel import SobolevKernel
 from glppm.likelihood import (
     Objective,
+    build_f_atoms,
+    build_h_atoms,
     exponential_link,
     gradient,
     linear_link,
@@ -35,9 +35,8 @@ from glppm.optimizer import (
     fit_descent,
     fit_linear,
 )
-from glppm.representer import assemble, build_f_atoms, build_h_atoms
 
-from oracles import hessian_coords, wolfe_angle_step
+from oracles import full_gram, h1_gram, hessian_coords, wolfe_angle_step
 
 C1, C2, DELTA = 1e-4, 0.4, 0.1
 
@@ -131,8 +130,7 @@ class TestWolfeAngleStep:
 class TestFitLinear:
     def test_interior_optimum_is_stationary(self):
         k, obj = dense_objective(lam=5.0)
-        basis = assemble(k, obj)
-        res = fit_linear(basis, obj)
+        res = fit_linear(k, obj)
         assert res.converged
         assert res.status == "converged"
         # no node constraint active at this penalty level
@@ -149,8 +147,7 @@ class TestFitLinear:
     def test_boundary_active_fit_is_feasible_and_complementary(self):
         # small penalty: the zero-intensity constraint binds on the gaps
         k, obj = dense_objective(lam=1.0, m=1)
-        basis = assemble(k, obj)
-        res = fit_linear(basis, obj)
+        res = fit_linear(k, obj)
         assert res.converged
         d = res.diagnostics
         assert d["n_node_atoms"] > 0
@@ -169,34 +166,34 @@ class TestFitLinear:
     def test_penalty_limit_flattens_the_fit(self):
         k, obj1 = dense_objective(lam=1.0)
         _, obj6 = dense_objective(lam=1e6)
-        b = assemble(k, obj1)
-        r1 = fit_linear(b, obj1)
-        r6 = fit_linear(assemble(k, obj6), obj6)
+        r1 = fit_linear(k, obj1)
+        r6 = fit_linear(k, obj6)
         s1 = r1.g_hat.h1_seminorm_sq()
         s6 = r6.g_hat.h1_seminorm_sq()
         assert s6 <= 1e-6 * s1
 
     def test_unpenalized_flagged(self):
         k, obj = dense_objective(lam=0.0)
-        res = fit_linear(assemble(k, obj), obj)
+        res = fit_linear(k, obj)
         assert res.diagnostics["unpenalized"] is True
         k, obj = dense_objective(lam=5.0)
-        res = fit_linear(assemble(k, obj), obj)
+        res = fit_linear(k, obj)
         assert res.diagnostics["unpenalized"] is False
 
     def test_reports_its_dictionary_size(self):
         kernel, obj = dense_objective(m=1)
-        basis = assemble(kernel, obj)
-        res = fit_linear(basis, obj)
+        res = fit_linear(kernel, obj)
+        # the representer basis holds d(m + N + 1) atoms
+        dim = obj.n_channels * (kernel.m + len(obj.events) + 1)
         assert res.diagnostics["n_atoms"] == len(res.g_hat.atoms)
-        assert res.diagnostics["n_atoms"] == basis.dim + res.diagnostics["n_node_atoms"]
+        assert res.diagnostics["n_atoms"] == dim + res.diagnostics["n_node_atoms"]
 
     def test_empty_data_returns_zero_filter(self):
         events = EventSeries(6.0, np.empty(0))
         drivers = DriverSeries(6.0, (DriverChannel("target", np.empty(0), np.empty(0)),))
         obj = Objective(linear_link(0.3), 1.0, events, drivers)
         k = SobolevKernel(m=2, horizon=6.0)
-        res = fit_linear(assemble(k, obj), obj)
+        res = fit_linear(k, obj)
         assert res.converged
         assert_allclose(res.objective, 0.3 * 6.0, rtol=1e-12)
         u = np.linspace(0, 6, 13)
@@ -208,7 +205,7 @@ class TestFitLinear:
         obj = Objective(linear_link(0.0), 1.0, events, drivers)
         k = SobolevKernel(m=1, horizon=6.0)
         with pytest.raises(InfeasibleError):
-            fit_linear(assemble(k, obj), obj)
+            fit_linear(k, obj)
 
     def test_channel_order_invariance(self):
         events, z, tgt, lam = two_channel_objective()
@@ -218,7 +215,7 @@ class TestFitLinear:
             chans = tuple(z if n == "z" else tgt for n in order)
             drivers = DriverSeries(8.0, chans)
             obj = Objective(linear_link(0.5), lam, events, drivers)
-            res = fit_linear(assemble(k, obj), obj)
+            res = fit_linear(k, obj)
             assert res.converged
             fits[order] = (res, drivers)
         u = np.linspace(0, 8, 81)
@@ -250,7 +247,7 @@ class TestFitDescent:
             res = fit_descent(k, obj, tol=1e-6, max_iter=300)
         else:
             k, obj = dense_objective(lam=1.0, m=1)
-            res = fit_linear(assemble(k, obj), obj)
+            res = fit_linear(k, obj)
             assert res.diagnostics["n_node_atoms"] > 0
             assert max(e["pass"] for e in res.diagnostics["iterations"]) > 0
         assert res.converged
@@ -518,7 +515,7 @@ class TestCoreNoiseFloor:
 class TestFitResult:
     def test_converged_property(self):
         k, obj = dense_objective(lam=5.0)
-        res = fit_linear(assemble(k, obj), obj)
+        res = fit_linear(k, obj)
         assert isinstance(res, FitResult)
         assert res.converged == (res.status == "converged")
         assert len(res.objective_trace) == len(res.grad_norm_trace)
@@ -536,7 +533,7 @@ class TestFitResult:
             residual, feasible = res.grad_norm, True
         else:
             k, obj = dense_objective(lam=5.0, m=2)
-            res = fit_linear(assemble(k, obj), obj, tol=tol)
+            res = fit_linear(k, obj, tol=tol)
             residual = res.diagnostics["kkt_residual"]
             feasible = res.diagnostics["max_node_violation"] <= 1e-7
         met = residual <= tol * max(1.0, res.grad_norm_trace[0]) and feasible
@@ -560,7 +557,7 @@ class TestStoppingArguments:
     def test_fit_linear_rejects(self, tol, max_iter):
         k, obj = dense_objective(lam=5.0)
         with pytest.raises(ConfigError):
-            fit_linear(assemble(k, obj), obj, tol=tol, max_iter=max_iter)
+            fit_linear(k, obj, tol=tol, max_iter=max_iter)
 
     @pytest.mark.parametrize("tol, max_iter", BAD_STOPPING)
     def test_fit_descent_rejects(self, tol, max_iter):

@@ -1,14 +1,35 @@
-"""Representer basis assembly: event atoms, compensator atoms, design, Gram."""
+"""The linear link's representer basis, as ``fit_linear`` builds it in its
+workspace: event atoms, compensator atoms, design, Gram."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from glppm.data import DriverChannel, DriverSeries, EventSeries
-from glppm.filters import FilterFunction, full_gram, h1_gram, integrated_points
+from glppm.filters import FilterFunction, integrated_points
 from glppm.kernel import SobolevKernel
-from glppm.likelihood import Objective, linear_link, linear_predictor
-from glppm.representer import assemble, build_f_atoms, build_h_atoms
+from glppm.likelihood import (
+    Objective,
+    build_f_atoms,
+    build_h_atoms,
+    linear_link,
+    linear_predictor,
+)
+from glppm.optimizer import _Workspace
+
+from oracles import full_gram, h1_gram
+
+
+def representer_basis(kernel, obj):
+    """The workspace holding the representer basis, and the columns of its
+    history and integral atoms."""
+    ws = _Workspace(kernel, obj)
+    h_cols, f_cols = ws.add_representers()
+    return ws, h_cols, f_cols
+
+
+def basis_filter(ws, c):
+    return FilterFunction(ws.kernel, ws.obj.n_channels, tuple(ws.atoms), c)
 
 
 def two_event_objective():
@@ -32,34 +53,33 @@ class TestBasisShape:
         # order + one section per event + one compensator atom
         ev, dr, obj = two_event_objective()
         k = SobolevKernel(m=2, horizon=4.0)
-        b = assemble(k, obj)
-        assert b.dim == 2 + 2 + 1
-        assert len(b.atoms) == b.dim
-        assert b.h0_slice == slice(0, 2)
-        assert b.h_slice == slice(2, 4)
-        assert b.f_slice == slice(4, 5)
-        assert b.design.shape == (2, 5)
-        assert b.comp.shape == (5,)
-        assert b.gram.shape == (5, 5)
-        assert b.gram_p.shape == (5, 5)
+        ws, h_cols, f_cols = representer_basis(k, obj)
+        assert len(ws) == 2 + 2 + 1
+        assert len(ws.atoms) == len(ws)
+        assert h_cols == slice(2, 4)
+        assert f_cols == slice(4, 5)
+        assert ws.E.shape == (2, 5)
+        assert ws.comp.shape == (5,)
+        assert ws.G.shape == (5, 5)
+        assert ws.Gp.shape == (5, 5)
 
     def test_two_channel_count(self, tiny):
         events, drivers = tiny
         k = SobolevKernel(m=2, horizon=8.0)
         obj = Objective(linear_link(0.5), 1.0, events, drivers)
-        b = assemble(k, obj)
+        ws, _, _ = representer_basis(k, obj)
         # per channel: m polynomials, one section per event, one compensator
-        assert b.dim == 2 * (2 + 3 + 1)
+        assert len(ws) == 2 * (2 + 3 + 1)
 
     def test_zero_atom_flagged(self):
         # the first event has an empty strict history, so its atom vanishes
         ev, dr, obj = two_event_objective()
         k = SobolevKernel(m=2, horizon=4.0)
-        b = assemble(k, obj)
-        zero_idx = np.flatnonzero(b.zero_mask)
+        ws, _, _ = representer_basis(k, obj)
+        zero_idx = np.flatnonzero([a.is_zero for a in ws.atoms])
         assert list(zero_idx) == [2]
-        assert_allclose(b.gram[2], np.zeros(5), atol=1e-15)
-        assert_allclose(b.design[:, 2], np.zeros(2), atol=1e-15)
+        assert_allclose(ws.G[2], np.zeros(5), atol=1e-15)
+        assert_allclose(ws.E[:, 2], np.zeros(2), atol=1e-15)
 
 
 class TestEventAtoms:
@@ -185,13 +205,13 @@ class TestDesignAndGram:
         events, drivers = tiny
         k = SobolevKernel(m=2, horizon=8.0)
         obj = Objective(linear_link(0.5), 1.0, events, drivers)
-        b = assemble(k, obj)
+        ws, _, _ = representer_basis(k, obj)
         rng = np.random.default_rng(5)
-        c = rng.normal(size=b.dim)
-        g = b.filter_from(c)
+        c = rng.normal(size=len(ws))
+        g = basis_filter(ws, c)
         for i, tau in enumerate(events.times):
             assert_allclose(
-                float(b.design[i] @ c),
+                float(ws.E[i] @ c),
                 linear_predictor(g, drivers, float(tau)),
                 rtol=1e-11,
                 atol=1e-12,
@@ -201,29 +221,29 @@ class TestDesignAndGram:
         events, drivers = tiny
         k = SobolevKernel(m=2, horizon=8.0)
         obj = Objective(linear_link(0.5), 1.0, events, drivers)
-        b = assemble(k, obj)
+        ws, _, _ = representer_basis(k, obj)
         rng = np.random.default_rng(6)
-        c = rng.normal(size=b.dim)
-        g = b.filter_from(c)
+        c = rng.normal(size=len(ws))
+        g = basis_filter(ws, c)
         n = 200_000
         mid = (np.arange(n) + 0.5) * (8.0 / n)
         want = float(np.sum(linear_predictor(g, drivers, mid))) * (8.0 / n)
-        assert_allclose(float(b.comp @ c), want, rtol=1e-6)
+        assert_allclose(float(ws.comp @ c), want, rtol=1e-6)
 
     def test_grams_match_filter_helpers(self, tiny):
         events, drivers = tiny
         k = SobolevKernel(m=2, horizon=8.0)
         obj = Objective(linear_link(0.5), 1.0, events, drivers)
-        b = assemble(k, obj)
-        assert_allclose(b.gram, full_gram(list(b.atoms)), rtol=1e-12, atol=1e-13)
-        assert_allclose(b.gram_p, h1_gram(list(b.atoms)), rtol=1e-12, atol=1e-13)
+        ws, _, _ = representer_basis(k, obj)
+        assert_allclose(ws.G, full_gram(ws.atoms), rtol=1e-12, atol=1e-13)
+        assert_allclose(ws.Gp, h1_gram(ws.atoms), rtol=1e-12, atol=1e-13)
 
     def test_gram_symmetric_psd(self, tiny):
         events, drivers = tiny
         k = SobolevKernel(m=2, horizon=8.0)
         obj = Objective(linear_link(0.5), 1.0, events, drivers)
-        b = assemble(k, obj)
-        for G in (b.gram, b.gram_p):
+        ws, _, _ = representer_basis(k, obj)
+        for G in (ws.G, ws.Gp):
             assert_allclose(G, G.T, atol=1e-11)
             assert np.linalg.eigvalsh(G).min() >= -1e-9
 
@@ -269,7 +289,7 @@ class TestSplineStructure:
         u_in = np.linspace(0.0, cut, 60)
         vals_in = g.evaluate(0, u_in)
         resid4 = np.polyfit(u_in, vals_in, 4, full=True)[1]
-        assert float(resid4[0]) if resid4.size else 0.0 <= 1e-18
+        assert (float(resid4[0]) if resid4.size else 0.0) <= 1e-18
         u_out = np.linspace(cut + 1e-9, 4.0, 40)
         vals_out = g.evaluate(0, u_out)
         resid1 = np.polyfit(u_out, vals_out, 1, full=True)[1]
