@@ -32,7 +32,6 @@ from .likelihood import (
     build_h_atoms,
     compensator,
     exponential_link,
-    gradient,
     intensity,
     linear_link,
     linear_predictor,
@@ -71,7 +70,6 @@ __all__ = [
     "exponential_link",
     "fit_descent",
     "fit_linear",
-    "gradient",
     "intensity",
     "linear_link",
     "linear_predictor",

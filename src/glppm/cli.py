@@ -88,19 +88,22 @@ def _sha256(path) -> str:
 def _check_keys(cfg: dict, allowed: set, what: str) -> None:
     from .errors import ConfigError
 
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {cfg!r}")
     unknown = set(cfg) - allowed
     if unknown:
         raise ConfigError(f"unknown {what} keys {sorted(unknown)}")
 
 
 def _parse_link(raw):
+    from .data import _as_number
     from .errors import ConfigError
     from .likelihood import LinkSpec
 
     if not isinstance(raw, dict) or "kind" not in raw:
         raise ConfigError("link must be an object with a 'kind' field")
     _check_keys(raw, {"kind", "d"}, "link")
-    return LinkSpec(str(raw["kind"]), float(raw.get("d", 0.0)))
+    return LinkSpec(str(raw["kind"]), _as_number(raw.get("d", 0.0), "link d"))
 
 
 def _link_dict(link) -> dict:
@@ -111,8 +114,6 @@ def _parse_at_risk(raw):
     from .data import AtRiskProcess
     from .errors import ConfigError, DataError
 
-    if not isinstance(raw, dict):
-        raise ConfigError("at_risk must be an object with breakpoints and values")
     _check_keys(raw, {"breakpoints", "values"}, "at_risk")
     try:
         return AtRiskProcess(raw.get("breakpoints", ()), raw.get("values", ()))
@@ -192,7 +193,7 @@ def _write_run_manifest(args, command: str, config_obj, seed=None) -> None:
 def cmd_simulate(args) -> int:
     import numpy as np
 
-    from .data import DatasetManifest, save_events
+    from .data import DatasetManifest, _as_number, save_events
     from .errors import ConfigError
     from .filters import FilterFunction
     from .simulator import SimSpec, simulate
@@ -235,15 +236,15 @@ def cmd_simulate(args) -> int:
     if "at_risk" in cfg:
         kwargs["at_risk"] = _parse_at_risk(cfg["at_risk"])
     if "max_events" in cfg:
-        kwargs["max_events"] = int(cfg["max_events"])
+        kwargs["max_events"] = _as_number(cfg["max_events"], "max_events", integer=True)
     if "bound" in cfg:
-        kwargs["bound"] = float(cfg["bound"])
+        kwargs["bound"] = _as_number(cfg["bound"], "bound")
     if "target_name" in cfg:
         kwargs["target_name"] = str(cfg["target_name"])
     spec = SimSpec(
         link=link,
         filters=g,
-        horizon=float(cfg["horizon"]),
+        horizon=_as_number(cfg["horizon"], "horizon"),
         self_exciting=bool(cfg.get("self_exciting", True)),
         drivers=drivers,
         **kwargs,
@@ -270,6 +271,7 @@ def cmd_simulate(args) -> int:
 
 def _fit_config(cfg):
     """Validated pieces of a fit/basis config, with defaults filled in."""
+    from .data import _as_number
     from .errors import ConfigError
     from .likelihood import QuadratureConfig
     from .optimizer import LineSearchConfig
@@ -292,18 +294,25 @@ def _fit_config(cfg):
     if "link" not in cfg:
         raise ConfigError("fit config needs a link")
     link = _parse_link(cfg["link"])
-    lam = float(cfg.get("penalty_weight", 1.0))
-    m = int(cfg.get("m", 1))
-    tol = float(cfg.get("tol", 1e-6))
+    lam = _as_number(cfg.get("penalty_weight", 1.0), "penalty_weight")
+    m = _as_number(cfg.get("m", 1), "m", integer=True)
+    tol = _as_number(cfg.get("tol", 1e-6), "tol")
 
     quad = None
     if "quadrature" in cfg:
         _check_keys(cfg["quadrature"], {"nodes_per_interval"}, "quadrature")
-        quad = QuadratureConfig(int(cfg["quadrature"]["nodes_per_interval"]))
+        if "nodes_per_interval" not in cfg["quadrature"]:
+            raise ConfigError("quadrature needs nodes_per_interval")
+        quad = QuadratureConfig(_as_number(
+            cfg["quadrature"]["nodes_per_interval"], "nodes_per_interval", integer=True
+        ))
 
     ls_raw = cfg.get("line_search", {})
     _check_keys(ls_raw, {"c1", "c2", "delta", "max_step_trials"}, "line_search")
-    line_search = LineSearchConfig(**{k: v for k, v in ls_raw.items()})
+    line_search = LineSearchConfig(**{
+        k: _as_number(v, f"line_search {k}", integer=k == "max_step_trials")
+        for k, v in ls_raw.items()
+    })
 
     at_risk = _parse_at_risk(cfg["at_risk"]) if "at_risk" in cfg else None
     return link, lam, m, tol, quad, line_search, at_risk
@@ -312,6 +321,7 @@ def _fit_config(cfg):
 def cmd_fit(args) -> int:
     import numpy as np
 
+    from .data import _as_number
     from .kernel import SobolevKernel
     from .likelihood import Objective
     from .optimizer import STEP_FIELDS, fit_descent, fit_linear
@@ -327,7 +337,7 @@ def cmd_fit(args) -> int:
             kernel,
             obj,
             tol=tol,
-            max_iter=int(cfg.get("max_iter", 100)),
+            max_iter=_as_number(cfg.get("max_iter", 100), "max_iter", integer=True),
             line_search=line_search,
         )
     else:
@@ -335,8 +345,8 @@ def cmd_fit(args) -> int:
             kernel,
             obj,
             tol=tol,
-            max_iter=int(cfg.get("max_iter", 500)),
-            max_atoms=int(cfg.get("max_atoms", 200)),
+            max_iter=_as_number(cfg.get("max_iter", 500), "max_iter", integer=True),
+            max_atoms=_as_number(cfg.get("max_atoms", 200), "max_atoms", integer=True),
             line_search=line_search,
         )
 
@@ -367,7 +377,7 @@ def cmd_fit(args) -> int:
         ),
     )
 
-    gn0 = float(res.grad_norm_trace[0]) if res.grad_norm_trace.size else 0.0
+    gn0 = res.diagnostics["grad_norm_scale"]
     # at a boundary-active optimum the plain gradient equals the constraint
     # force, so stationarity is measured on the KKT residual when the solver
     # reports one

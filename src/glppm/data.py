@@ -30,8 +30,29 @@ __all__ = [
 ]
 
 
+def _as_number(raw, what: str, error=ConfigError, integer: bool = False):
+    """``raw`` as a float, or as an int when ``integer``.  A value that is
+    not a number, a JSON boolean included, or not integral where an integer
+    is asked for raises ``error``: read as another value, it would run
+    another model silently."""
+    try:
+        if isinstance(raw, bool):
+            raise TypeError
+        value = float(raw)
+    except (TypeError, ValueError):
+        raise error(f"{what} must be a number, got {raw!r}") from None
+    if not integer:
+        return value
+    if not value.is_integer():
+        raise error(f"{what} must be an integer, got {raw!r}")
+    return int(value)
+
+
 def _as_float_array(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise DataError(f"{name} must be numbers, got {values!r}") from None
     if arr.ndim != 1:
         raise DataError(f"{name} must be one-dimensional")
     if arr.size and not np.isfinite(arr).all():
@@ -206,11 +227,16 @@ def load_manifest(path) -> DatasetManifest:
         raw = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read dataset manifest {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"dataset manifest {path}: expected a JSON object at top level")
+    drivers = raw.get("driver_channels", ())
+    if not isinstance(drivers, (list, tuple)) or not all(isinstance(n, str) for n in drivers):
+        raise ConfigError(f"dataset manifest {path}: driver_channels must be a list of names")
     try:
         return DatasetManifest(
-            horizon=float(raw["horizon"]),
+            horizon=_as_number(raw["horizon"], f"dataset manifest {path} horizon"),
             target_channel=str(raw["target_channel"]),
-            driver_channels=tuple(raw.get("driver_channels", ())),
+            driver_channels=tuple(drivers),
             self_exciting=bool(raw.get("self_exciting", True)),
             csv=raw.get("csv"),
         )

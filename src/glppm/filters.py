@@ -37,6 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import _as_number
 from .errors import ConfigError, DataError, DomainError
 from .kernel import SobolevKernel, _cross_weighted_sum, _h0_stack, _prefix_table
 
@@ -218,9 +219,9 @@ class Atom:
     @staticmethod
     def from_dict(kernel: SobolevKernel, d: dict) -> "Atom":
         kind = d["kind"]
-        channel = int(d["channel"])
+        channel = _as_number(d["channel"], "atom channel", DataError, integer=True)
         if kind == "h0":
-            return h0_poly(kernel, channel, int(d["k"]))
+            return h0_poly(kernel, channel, _as_number(d["k"], "atom k", DataError, integer=True))
         part = d["part"]
         sec = d.get("sections", {"lags": [], "weights": []})
         seg = d.get("segments", {"nodes": [], "weights": []})
@@ -471,17 +472,27 @@ class FilterFunction:
 
     @staticmethod
     def from_dict(payload) -> "FilterFunction":
-        """Inverse of ``to_dict``; extra keys are ignored."""
+        """Inverse of ``to_dict``; extra keys are ignored, and a missing or
+        mistyped field raises DataError."""
         fmt = payload.get("format") if isinstance(payload, dict) else None
         if fmt != "glppm.filter.v1":
             raise DataError(f"unrecognized filter format {fmt!r}")
-        kernel = SobolevKernel(int(payload["kernel"]["m"]), float(payload["kernel"]["horizon"]))
-        atoms = []
-        coeffs = []
-        for entry in payload["atoms"]:
-            atoms.append(Atom.from_dict(kernel, entry))
-            coeffs.append(float(entry["coefficient"]))
-        return FilterFunction(kernel, int(payload["n_channels"]), tuple(atoms), np.array(coeffs))
+        try:
+            kernel = SobolevKernel(
+                _as_number(payload["kernel"]["m"], "filter kernel m", DataError, integer=True),
+                _as_number(payload["kernel"]["horizon"], "filter kernel horizon", DataError),
+            )
+            n_channels = _as_number(
+                payload["n_channels"], "filter n_channels", DataError, integer=True
+            )
+            atoms = []
+            coeffs = []
+            for entry in payload["atoms"]:
+                atoms.append(Atom.from_dict(kernel, entry))
+                coeffs.append(_as_number(entry["coefficient"], "atom coefficient", DataError))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"malformed filter payload: {exc!r}") from None
+        return FilterFunction(kernel, n_channels, tuple(atoms), np.array(coeffs))
 
     @staticmethod
     def from_json(text: str) -> "FilterFunction":

@@ -50,7 +50,6 @@ __all__ = [
     "build_h_atoms",
     "compensator",
     "exponential_link",
-    "gradient",
     "intensity",
     "linear_link",
     "linear_predictor",
@@ -485,35 +484,6 @@ def build_f_atoms(
                 kernel, j, lags[order], link_weights[eval_idx[order]] * dz[order], part=part
             ))
     return atoms
-
-
-def gradient(g: FilterFunction, obj: Objective) -> FilterFunction:
-    """Gradient of the penalized objective as a filter function.
-
-    Consists of one integral atom per channel, one full-kernel history atom
-    per event with coefficient -phi'/phi(X_tau-), and the penalty part
-    2 lam P g as one projected normal form per channel.
-    """
-    x_events, phi_events = _event_terms(g, obj)
-    x_nodes = obj.predictor_nodes(g)
-    _check_node_domain(obj, x_nodes)
-    rho = obj.link.deriv(x_events) / phi_events if phi_events.size else np.empty(0)
-
-    # integral atoms: exact segments for the linear link, whose weight Y_s is
-    # piecewise constant; pointwise quadrature weights Y phi'(X) otherwise,
-    # the exact gradient of the discretized compensator
-    link_weights = None
-    if obj.link.kind != "linear":
-        link_weights = obj.weights * obj.y_nodes * obj.link.deriv(x_nodes)
-    h_atoms = build_h_atoms(g.kernel, obj.events, obj.drivers, part="r")
-    terms = [(a, 1.0) for a in build_f_atoms(g.kernel, obj, part="r", link_weights=link_weights)]
-    terms += [(a, -rho[pos // obj.n_channels]) for pos, a in enumerate(h_atoms)]
-    if obj.penalty_weight != 0.0:
-        terms += [(a, 2.0 * obj.penalty_weight) for a in g.project().atoms]
-    terms = [(a, c) for a, c in terms if not a.is_zero]
-    return FilterFunction(
-        g.kernel, obj.n_channels, tuple(a for a, _ in terms), np.array([c for _, c in terms])
-    )
 
 
 def compensator(

@@ -28,10 +28,12 @@ F(g_0)||), "noise_floor" when the squared gradient norm rounds below
 zero, "stationary" when no trial decreases F and the directional
 derivative is at rounding level, "stall" when no trial decreases F
 otherwise, "max_iter" at the step budget, and "atom_cap" when
-``fit_descent``'s dictionary is full.  Only "grad" gives the status
-"converged", on the linear link only with feasible nodes.  g_0 is the
-solver's default start, or the zero filter when ``fit_descent`` is given an
-``init``, so that the start cannot set its own stopping scale.
+``fit_descent``'s dictionary is full and the iterate, measured with the
+gradient atom it could not add, fails the gradient test.  Only "grad"
+gives the status "converged", on the linear link only with feasible nodes.
+g_0 is the solver's start: the zero filter, or phi_1 = 1 for ``fit_linear``
+when d = 0.  ``fit_descent`` takes it at the zero filter also when given an
+``init``, so that a warm start cannot set its own stopping scale.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from .errors import ConfigError, InfeasibleError, SolverError
 from .filters import (
@@ -51,7 +52,7 @@ from .filters import (
     h1_inner_row,
 )
 from .kernel import SobolevKernel
-from .likelihood import LinkSpec, Objective, _BOUNDARY_SLACK, build_f_atoms, build_h_atoms, gradient
+from .likelihood import LinkSpec, Objective, _BOUNDARY_SLACK, build_f_atoms, build_h_atoms
 
 __all__ = [
     "STEP_FIELDS",
@@ -616,14 +617,28 @@ class _Core:
         d0 = -float(grad_c @ gam)
         return -gam, d0, cosine(d0, float(gam @ ws.G @ gam)), "steepest"
 
-    def run(self, gamma, psi, grow=None, unrepresented=None):
+    def unrepresented(self, gam: np.ndarray, w: np.ndarray) -> float:
+        """The squared-norm terms of the gradient's integral mass that the
+        dictionary lacks: with f_w the full-kernel integral atom of node
+        weights w, ||gam + f_w||^2 - gam'G gam = 2 w.(U gam) + ||f_w||^2,
+        as f_w represents sum_q w_q X(s_q)."""
+        if not w.any():
+            return 0.0
+        out = 2.0 * float(w @ (self.ws.U @ gam))
+        for atom in build_f_atoms(self.ws.kernel, self.ws.obj, part="r", link_weights=w):
+            out += float(full_inner_row(atom, [atom])[0])
+        return out
+
+    def run(self, gamma, psi, grow=None):
         """Descend from gamma, as the next pass of the fit, for at most
         ``max_iter`` steps.
 
-        ``grow(psi')`` may append atoms before each iterate is measured, and
-        returns False to stop with "atom_cap".  ``unrepresented(gam, psi')``
-        corrects the squared gradient norm for gradient atoms the dictionary
-        lacks.  Returns (gamma, reason).
+        ``grow(psi')`` may append atoms before each iterate is measured.  It
+        returns the node weights of the gradient's integral mass that the
+        dictionary still lacks (None for none), whose atom ``unrepresented``
+        adds to the measured norm, and whether the dictionary is full; a
+        full dictionary stops with "atom_cap" once the iterate fails the
+        gradient test.  Returns (gamma, reason).
         """
         ws, lam, cfg = self.ws, self.lam, self.cfg
         self.passes += 1
@@ -633,16 +648,16 @@ class _Core:
             gamma = np.append(gamma, np.zeros(len(ws) - gamma.size))
             xn, xe = ws.U @ gamma, ws.E @ gamma
             phi_e, rho = self.event_terms(xe)
-            if grow is not None and not grow(psi.deriv(xn)):
-                return gamma, "atom_cap"
+            dpsi = psi.deriv(xn)
+            lacking, full = grow(dpsi) if grow is not None else (None, False)
             if len(ws) > gamma.size:
                 gamma = np.append(gamma, np.zeros(len(ws) - gamma.size))
                 xn, xe = ws.U @ gamma, ws.E @ gamma
-            dpsi = psi.deriv(xn)
+                dpsi = psi.deriv(xn)
             gam = self.gradient_coords(gamma, rho, dpsi)
             gn2 = float(gam @ ws.G @ gam)
-            if unrepresented is not None:
-                gn2 += unrepresented(gam, dpsi)
+            if lacking is not None:
+                gn2 += self.unrepresented(gam, lacking)
             gn = float(np.sqrt(max(gn2, 0.0)))
             f0 = self.value(psi, gamma, xn, xe)
             self.objective_trace.append(f0)
@@ -655,6 +670,8 @@ class _Core:
                 return gamma, "noise_floor"
             if gn <= self.tol * max(1.0, self.gn0):
                 return gamma, "grad"
+            if full:
+                return gamma, "atom_cap"
             if steps >= self.max_iter:
                 return gamma, "max_iter"
 
@@ -705,7 +722,8 @@ class _Core:
         self, gamma: np.ndarray, reason: str, feasible: bool = True, **diagnostics
     ) -> FitResult:
         """The fit at gamma, stopped for ``reason``; objective and gradient
-        norm are the traces' last entries.  The one status rule: only the
+        norm are the traces' last entries, and ``grad_norm_scale`` is the
+        stopping scale ||grad F(g_0)||.  The one status rule: only the
         gradient test converges, and an infeasible fit ran out of passes."""
         ws = self.ws
         if not feasible:
@@ -724,6 +742,7 @@ class _Core:
             diagnostics={
                 "ridge_used": self.ridge_used,
                 "n_atoms": len(ws),
+                "grad_norm_scale": self.gn0,
                 "iterations": self.records,
                 "unpenalized": self.lam == 0.0,
                 **diagnostics,
@@ -779,17 +798,6 @@ def fit_linear(
                     core.node_cols.append(ws.add(atom))
             onehot[q] = 0.0
 
-    def unrepresented(gam: np.ndarray, dpsi: np.ndarray) -> float:
-        """Squared-norm terms of the forces on nodes that have no atom yet:
-        the gradient holds their integral atom f_w besides gam."""
-        w_rem = np.where(node_added, 0.0, -dpsi)
-        if not w_rem.any():
-            return 0.0
-        out = -2.0 * float(w_rem @ (ws.U @ gam))
-        for atom in build_f_atoms(kernel, obj, part="r", link_weights=w_rem):
-            out += float(full_inner_row(atom, [atom])[0])
-        return out
-
     # with d = 0 start at phi_1 = 1, positive at every event with some
     # driver history; the core rejects an event with none
     c = np.zeros(len(ws))
@@ -802,7 +810,8 @@ def fit_linear(
     viol_prev = np.inf
     while True:
         hinge = _Hinge(y_mult, mu, obj.link)
-        c, reason = core.run(c, hinge, unrepresented=unrepresented)
+        # the forces on nodes with no atom yet are gradient mass the basis lacks
+        c, reason = core.run(c, hinge, grow=lambda dpsi: (np.where(node_added, 0.0, dpsi), False))
         xn = ws.U @ c
         gaps = obj.link.value(xn)
         v = float(max(0.0, -gaps.min())) if gaps.size else 0.0
@@ -861,18 +870,15 @@ def fit_descent(
     systems are singular to working precision near the optimum.  The Newton
     core runs on this dictionary, growing it before each iterate.
 
-    The default start is f_0 scaled by a one-dimensional minimization of the
-    objective along it; pass ``init`` to start elsewhere.  The stopping
-    scale ||grad Lambda(g_0)|| is taken at the default start, or at the zero
-    filter when ``init`` is given, so a poor start cannot loosen the test.
-    A fit whose dictionary has no room left for the next integral atom
-    stops as "stalled" with reason "atom_cap", reporting the norm of the
-    gradient filter at its result.
+    The fit starts at the zero filter, or at ``init``.  The stopping scale
+    ||grad F(0)|| is taken at the zero filter either way, so a poor start
+    cannot loosen the test.  When the dictionary has no room left for the
+    next integral atom, the iterate is measured with the gradient mass that
+    atom would carry; unless it passes the gradient test, the fit stops as
+    "stalled" with reason "atom_cap".
     """
-    link = obj.link
-    if link.kind == "linear":
+    if obj.link.kind == "linear":
         raise ConfigError("fit_descent serves the non-linear links; use fit_linear")
-    lam = obj.penalty_weight
     ws = _Workspace(kernel, obj)
     core = _Core(ws, line_search, tol, max_iter)
     ws.add_polynomials()
@@ -891,6 +897,10 @@ def fit_descent(
     if init is not None:
         if init.kernel != kernel or init.n_channels != obj.n_channels:
             raise ConfigError("init filter does not match the kernel/data")
+        # the initial dictionary spans the gradient at the zero filter
+        _, rho0 = core.event_terms(np.zeros(len(obj.events)))
+        gam0 = core.gradient_coords(gamma, rho0, last_f_weights)
+        core.gn0 = float(np.sqrt(max(float(gam0 @ ws.G @ gam0), 0.0)))
         for atom, coeff in zip(init.atoms, init.coefficients):
             if atom.kind == "h0":
                 # a polynomial is already spanned by the phi columns; a
@@ -899,60 +909,21 @@ def fit_descent(
             elif coeff != 0.0:
                 ws.add(atom)
                 gamma = np.append(gamma, coeff)
-        grad0 = gradient(FilterFunction.zero(kernel, obj.n_channels), obj)
-        core.gn0 = float(np.sqrt(max(grad0.inner_product(grad0), 0.0)))
-    elif core.integral_cols:
-        # default start: f_0 scaled by a 1-D minimization of the objective
-        direction = np.zeros(len(ws))
-        direction[core.integral_cols] = 1.0
-        u_dir, e_dir = ws.U @ direction, ws.E @ direction
-        pen_dir = lam * float(direction @ ws.Gp @ direction)
 
-        def along_all(a: np.ndarray) -> np.ndarray:
-            """Objective at a * direction for every a; +inf when infeasible."""
-            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                val = link.value(np.multiply.outer(a, u_dir)) @ (obj.weights * obj.y_nodes)
-                val += a**2 * pen_dir
-                if e_dir.size:
-                    phi_e = link.value(np.multiply.outer(a, e_dir))
-                    val -= np.log(phi_e).sum(axis=1) + core.log_y
-                    val[(obj.y_events * phi_e).min(axis=1) <= 0.0] = np.inf
-            return val
-
-        def along(a: float) -> float:
-            return float(along_all(np.array([a]))[0])
-
-        grid = np.concatenate([[0.0], np.geomspace(1e-4, 1e4, 33), -np.geomspace(1e-4, 1e4, 33)])
-        vals = along_all(grid)
-        # the first smallest value, as a scan that keeps strict improvements
-        best = int(np.argmin(np.where(np.isnan(vals), np.inf, vals)))
-        best_a, best_f = float(grid[best]), float(vals[best])
-        if best_a != 0.0:
-            lo, hi = sorted((best_a / 8.0, best_a * 8.0))
-            res = scipy.optimize.minimize_scalar(along, bounds=(lo, hi), method="bounded")
-            if np.isfinite(res.fun) and res.fun < best_f:
-                best_a = float(res.x)
-        gamma = best_a * direction
-
-    def grow(w_link: np.ndarray) -> bool:
+    def grow(w_link: np.ndarray):
         """Integral atom of the gradient at the current iterate: the atom
         for the weights Y phi'(X) is the sum of all integral atoms so far,
         the newest one carrying only the change of weights since the last.
-        False when the dictionary has no room for it."""
+        When the dictionary has no room for it, that change is what the
+        dictionary lacks, and it is full."""
         nonlocal last_f_weights
         if np.array_equal(w_link, last_f_weights):
-            return True
+            return None, False
         if len(ws) + obj.n_channels > max_atoms:
-            return False
+            return w_link - last_f_weights, True
         core.integral_cols += ws.add_integral_atoms(w_link - last_f_weights)
         last_f_weights = w_link
-        return True
+        return None, False
 
     gamma, reason = core.run(gamma, psi, grow=grow)
-    if reason == "atom_cap":
-        # the dictionary no longer spans the gradient, and its coordinates
-        # would measure a stale one: report the norm of the true gradient
-        grad = gradient(FilterFunction(kernel, obj.n_channels, tuple(ws.atoms), gamma), obj)
-        core.objective_trace.append(core.value(psi, gamma, ws.U @ gamma, ws.E @ gamma))
-        core.grad_norm_trace.append(float(np.sqrt(max(grad.inner_product(grad), 0.0))))
     return core.result(gamma, reason)

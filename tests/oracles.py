@@ -4,9 +4,10 @@ The kernel functions evaluate R0, R1, R = R0 + R1 and the once- and
 twice-integrated R1 pointwise, from the closed forms of ``glppm.kernel``'s
 docstring, with no prefix sums.  The Gram oracles build H1 and full Sobolev
 Grams row by row from ``h1_inner_row``, outside the solvers' workspace.
-The fitting oracles work on whole filter functions through the public
-operations (``gradient``, ``objective_value``, predictor columns),
-independently of the solvers' dictionary workspace.
+The fitting oracles work on whole filter functions, independently of the
+solvers' dictionary workspace: ``gradient`` builds the gradient of the
+penalized objective as one filter from the likelihood's atom builders, and
+the others use it with ``objective_value`` and the predictor columns.
 """
 
 from math import factorial
@@ -16,7 +17,14 @@ import numpy as np
 from glppm.errors import DomainError, InfeasibleError, SolverError
 from glppm.filters import FilterFunction, h1_inner_row
 from glppm.kernel import SobolevKernel, _branch_coeffs, _cross_weighted_sum
-from glppm.likelihood import Objective, gradient, objective_value
+from glppm.likelihood import (
+    Objective,
+    _check_node_domain,
+    _event_terms,
+    build_f_atoms,
+    build_h_atoms,
+    objective_value,
+)
 from glppm.optimizer import LineSearchConfig, _weak_wolfe_search
 
 
@@ -157,6 +165,35 @@ def full_gram(atoms) -> np.ndarray:
     channels = np.array([a.channel for a in atoms])
     same = channels[:, None] == channels[None, :]
     return G + (h0 @ h0.T) * same
+
+
+def gradient(g: FilterFunction, obj: Objective) -> FilterFunction:
+    """Gradient of the penalized objective as a filter function.
+
+    Consists of one integral atom per channel, one full-kernel history atom
+    per event with coefficient -phi'/phi(X_tau-), and the penalty part
+    2 lam P g as one projected normal form per channel.
+    """
+    x_events, phi_events = _event_terms(g, obj)
+    x_nodes = obj.predictor_nodes(g)
+    _check_node_domain(obj, x_nodes)
+    rho = obj.link.deriv(x_events) / phi_events if phi_events.size else np.empty(0)
+
+    # integral atoms: exact segments for the linear link, whose weight Y_s is
+    # piecewise constant; pointwise quadrature weights Y phi'(X) otherwise,
+    # the exact gradient of the discretized compensator
+    link_weights = None
+    if obj.link.kind != "linear":
+        link_weights = obj.weights * obj.y_nodes * obj.link.deriv(x_nodes)
+    h_atoms = build_h_atoms(g.kernel, obj.events, obj.drivers, part="r")
+    terms = [(a, 1.0) for a in build_f_atoms(g.kernel, obj, part="r", link_weights=link_weights)]
+    terms += [(a, -rho[pos // obj.n_channels]) for pos, a in enumerate(h_atoms)]
+    if obj.penalty_weight != 0.0:
+        terms += [(a, 2.0 * obj.penalty_weight) for a in g.project().atoms]
+    terms = [(a, c) for a, c in terms if not a.is_zero]
+    return FilterFunction(
+        g.kernel, obj.n_channels, tuple(a for a, _ in terms), np.array([c for _, c in terms])
+    )
 
 
 def hessian_coords(g: FilterFunction, obj: Objective, basis_atoms, kernel=None) -> np.ndarray:

@@ -195,6 +195,13 @@ class TestFitCommand:
         rows = trace_rows(out)
         assert len([row for row in rows if row["direction"]]) == result["n_iter"]
         assert not any(rows[-1][key] for key in STEP_FIELDS)
+        # stationarity is measured against the fit's stopping scale, the
+        # norm at its start
+        scale = result["diagnostics"]["grad_norm_scale"]
+        assert scale == float(rows[0]["grad_norm"])
+        assert result["stationarity_residual"] == (
+            result["diagnostics"]["kkt_residual"] / max(1.0, scale)
+        )
         res, _, _ = library_fit(data, linear_link(0.5))
         for rec in res.diagnostics["iterations"]:
             row = rows[rec["iteration"]]
@@ -485,6 +492,65 @@ class TestBasisCommand:
             G = np.array(basis[key])
             assert np.array_equal(G, G.T)
             np.testing.assert_allclose(G, oracle(atoms), rtol=1e-12, atol=0.0)
+
+
+def set_key(path, value):
+    """A change to a JSON object that sets the key at ``path`` (dotted)."""
+
+    def change(obj):
+        *head, last = path.split(".")
+        inner = obj
+        for key in head:
+            inner = inner[key]
+        inner[last] = value
+        return obj
+
+    return change
+
+
+# (input, change, exit code): configs and manifests exit 2 (ConfigError),
+# filter payloads 3 (DataError)
+MALFORMED = {
+    "quadrature-empty": ("fit", set_key("quadrature", {}), 2),
+    "line_search-int": ("fit", set_key("line_search", 3), 2),
+    "line_search-c1-str": ("fit", set_key("line_search", {"c1": "a"}), 2),
+    "penalty_weight-str": ("fit", set_key("penalty_weight", "x"), 2),
+    "m-str": ("fit", set_key("m", "x"), 2),
+    "m-fraction": ("fit", set_key("m", 1.7), 2),
+    "max_iter-str": ("fit", set_key("max_iter", "x"), 2),
+    "link-d-str": ("fit", set_key("link.d", "x"), 2),
+    "at_risk-values-str": ("fit", set_key("at_risk", {"breakpoints": [], "values": "x"}), 2),
+    "manifest-horizon-str": ("manifest", set_key("horizon", "x"), 2),
+    "manifest-list": ("manifest", lambda raw: [raw], 2),
+    "manifest-drivers-int": ("manifest", set_key("driver_channels", 5), 2),
+    "simulate-horizon-str": ("simulate", set_key("horizon", "x"), 2),
+    "simulate-max_events-str": ("simulate", set_key("max_events", "x"), 2),
+    "filter-atom-no-channel": ("simulate", set_key("filters.atoms", [{"kind": "h0"}]), 3),
+    "filter-kernel-m-str": ("simulate", set_key("filters.kernel.m", "x"), 3),
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("target, change, code", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_exits_with_its_code(self, tmp_path, target, change, code):
+        # a malformed value is an input error with its exit code, never a
+        # traceback, and never read as another value (m = 1.7 as m = 1)
+        data = make_dataset(tmp_path, DENSE_TIMES)
+        if target == "simulate":
+            sim = {
+                "link": {"kind": "linear", "d": 0.7},
+                "filters": zero_filter_payload(),
+                "horizon": 12.0,
+            }
+            argv = ["simulate", "--config", write_json(tmp_path / "sim.json", change(sim))]
+        else:
+            cfg = {"link": {"kind": "linear", "d": 0.5}, "penalty_weight": 5.0, "m": 1}
+            if target == "fit":
+                cfg = change(cfg)
+            else:
+                write_json(data, change(json.loads(data.read_text())))
+            argv = ["fit", "--data", data, "--config", write_json(tmp_path / "fit.json", cfg)]
+        assert run(*argv, "--out", tmp_path / "o") == code
 
 
 class TestDispatch:

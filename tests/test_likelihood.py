@@ -16,7 +16,6 @@ from glppm.likelihood import (
     QuadratureConfig,
     compensator,
     exponential_link,
-    gradient,
     intensity,
     linear_link,
     linear_predictor,
@@ -25,7 +24,7 @@ from glppm.likelihood import (
     softplus_link,
 )
 
-from oracles import hessian_coords
+from oracles import gradient, hessian_coords
 
 
 def small_filter(kernel, rng, n_channels, scale=0.01):

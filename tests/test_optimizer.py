@@ -21,7 +21,6 @@ from glppm.likelihood import (
     build_f_atoms,
     build_h_atoms,
     exponential_link,
-    gradient,
     linear_link,
     objective_value,
     softplus_link,
@@ -36,7 +35,7 @@ from glppm.optimizer import (
     fit_linear,
 )
 
-from oracles import full_gram, h1_gram, hessian_coords, wolfe_angle_step
+from oracles import full_gram, gradient, h1_gram, hessian_coords, wolfe_angle_step
 
 C1, C2, DELTA = 1e-4, 0.4, 0.1
 
@@ -306,6 +305,21 @@ class TestFitDescent:
         gn = float(np.sqrt(max(grad.inner_product(grad), 0.0)))
         assert gn == pytest.approx(res.grad_norm, rel=0.01)
 
+    @pytest.mark.parametrize("link", [exponential_link(), softplus_link()], ids=["exp", "softplus"])
+    def test_cold_start_is_the_zero_filter(self, link):
+        # without init the fit starts at the zero filter: its first trace
+        # entries are the objective and the gradient norm there, and that
+        # norm is the stopping scale
+        k, obj = dense_objective(lam=2.0, link=link, m=1)
+        res = fit_descent(k, obj, tol=1e-6, max_iter=300)
+        zero = FilterFunction.zero(k, 1)
+        grad = gradient(zero, obj)
+        assert res.objective_trace[0] == pytest.approx(objective_value(zero, obj), rel=1e-12)
+        assert res.grad_norm_trace[0] == pytest.approx(
+            np.sqrt(grad.inner_product(grad)), rel=1e-8
+        )
+        assert res.diagnostics["grad_norm_scale"] == res.grad_norm_trace[0]
+
     def test_warm_start_reaches_same_optimum(self):
         k, obj = dense_objective(lam=2.0, link=exponential_link(), m=1)
         res_cold = fit_descent(k, obj, tol=1e-6, max_iter=300)
@@ -313,6 +327,10 @@ class TestFitDescent:
         res_warm = fit_descent(k, obj, init=init, tol=1e-6, max_iter=300)
         assert res_warm.converged
         assert abs(res_warm.objective - res_cold.objective) <= 1e-6
+        # the stopping scale is the cold fit's, taken at the zero filter
+        assert res_warm.diagnostics["grad_norm_scale"] == pytest.approx(
+            res_cold.diagnostics["grad_norm_scale"], rel=1e-12
+        )
 
     def test_polynomial_init_adds_no_second_copy(self):
         # the polynomial of an init is already spanned by the phi columns
@@ -332,21 +350,43 @@ class TestFitDescent:
         assert not res_warm.converged or (
             abs(res_warm.objective - res_cold.objective) <= 1e-6
         )
+        assert res_warm.diagnostics["grad_norm_scale"] == pytest.approx(
+            res_cold.diagnostics["grad_norm_scale"], rel=1e-12
+        )
 
-    def test_atom_cap_reported(self):
-        k, obj = dense_objective(lam=2.0, link=exponential_link(), m=1)
-        res = fit_descent(k, obj, tol=1e-10, max_iter=60, max_atoms=20)
+    @pytest.mark.parametrize(
+        "link, m, max_atoms",
+        [
+            (exponential_link(), 1, 20),
+            (exponential_link(), 2, 22),
+            (softplus_link(), 1, 17),
+            (softplus_link(), 2, 21),
+        ],
+        ids=["exp-m1", "exp-m2", "softplus-m1", "softplus-m2"],
+    )
+    def test_atom_cap_reported(self, link, m, max_atoms):
+        # each cap stops the fit while its gradient norm is >= 1e-4
+        k, obj = dense_objective(lam=2.0, link=link, m=m)
+        res = fit_descent(k, obj, tol=1e-10, max_iter=60, max_atoms=max_atoms)
         assert res.reason == "atom_cap"
-        assert res.diagnostics["n_atoms"] <= 20
-        # the fit stops at the cap and reports the true gradient norm, read
-        # here off a fine grid: |g(0)|^2 + int g'^2 for m = 1
+        assert res.diagnostics["n_atoms"] <= max_atoms
         assert res.status == "stalled"
         assert res.n_iter < 60
-        u = np.linspace(0.0, 8.0, 80_001)
-        v = gradient(res.g_hat, obj).evaluate(0, u)
-        grid_norm = np.sqrt(v[0] ** 2 + np.sum(np.diff(v) ** 2) / (u[1] - u[0]))
-        assert res.grad_norm == pytest.approx(grid_norm, rel=0.02)
         assert res.grad_norm_trace[-1] == res.grad_norm
+        # the fit reports the norm of the true gradient, with the mass of
+        # the integral atom it had no room for
+        grad = gradient(res.g_hat, obj)
+        assert res.grad_norm == pytest.approx(np.sqrt(grad.inner_product(grad)), rel=1e-6)
+        # and read off a fine grid: sum_{k<m} |D^k g(0)|^2 + int |D^m g|^2
+        u = np.linspace(0.0, 8.0, 80_001)
+        h = u[1] - u[0]
+        v = grad.evaluate(0, u)
+        grid_sq = 0.0
+        for _ in range(m):
+            grid_sq += v[0] ** 2
+            v = np.diff(v) / h
+        grid_sq += np.sum(v**2) * h
+        assert res.grad_norm == pytest.approx(np.sqrt(grid_sq), rel=0.02)
 
     def test_unpenalized_flagged(self):
         k, obj = dense_objective(lam=0.0, link=softplus_link(), m=1)
@@ -520,6 +560,7 @@ class TestFitResult:
         assert res.converged == (res.status == "converged")
         assert len(res.objective_trace) == len(res.grad_norm_trace)
         assert res.objective == res.objective_trace[-1]
+        assert res.diagnostics["grad_norm_scale"] == res.grad_norm_trace[0]
 
     @pytest.mark.parametrize("tol", [1e-13, 1e-15])
     @pytest.mark.parametrize("fitter", ["descent", "linear"])
