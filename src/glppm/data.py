@@ -48,6 +48,14 @@ def _as_number(raw, what: str, error=ConfigError, integer: bool = False):
     return int(value)
 
 
+def _as_bool(raw, what: str) -> bool:
+    """``raw`` if it is a JSON boolean, else ConfigError: ``bool("false")``
+    is true."""
+    if not isinstance(raw, bool):
+        raise ConfigError(f"{what} must be true or false, got {raw!r}")
+    return raw
+
+
 def _as_float_array(values, name: str) -> np.ndarray:
     try:
         arr = np.asarray(values, dtype=float)
@@ -237,7 +245,9 @@ def load_manifest(path) -> DatasetManifest:
             horizon=_as_number(raw["horizon"], f"dataset manifest {path} horizon"),
             target_channel=str(raw["target_channel"]),
             driver_channels=tuple(drivers),
-            self_exciting=bool(raw.get("self_exciting", True)),
+            self_exciting=_as_bool(
+                raw.get("self_exciting", True), f"dataset manifest {path} self_exciting"
+            ),
             csv=raw.get("csv"),
         )
     except KeyError as exc:

@@ -26,10 +26,19 @@ compensator.  An atom builds the prefix table of each of its kernel sums
 filter again, as the thinning simulator does at every candidate, reads the
 tables instead of summing anew.  ``FilterFunction.compact`` rewrites a
 filter as its normal forms in at most 1 + m serializable atoms per channel.
+
+In a ``glppm.filter.v1`` payload each array of an atom entry
+(``sections.lags/weights``, ``segments.nodes/weights``) is spelled either
+as a JSON list of numbers or as a base64 string of little-endian float64
+bytes.  ``to_dict`` writes the bytes, which round-trip exactly and cost a
+fraction of the text conversion; the reader takes both, so hand-written
+filters and files from earlier versions load as before.  Either way the
+arrays must be one-dimensional, finite and paired in equal lengths.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -37,7 +46,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import _as_number
+from .data import _as_float_array, _as_number
 from .errors import ConfigError, DataError, DomainError
 from .kernel import SobolevKernel, _cross_weighted_sum, _h0_stack, _prefix_table
 
@@ -70,6 +79,31 @@ def _merge_sorted(lags: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np
     merged_lags = lags[keep]
     merged_weights = np.bincount(group, weights=weights)
     return merged_lags, merged_weights
+
+
+def _to_b64(arr: np.ndarray) -> str:
+    """``arr`` as base64 of its little-endian float64 bytes."""
+    return base64.b64encode(np.asarray(arr, "<f8").tobytes()).decode("ascii")
+
+
+def _read_array(raw, what: str) -> np.ndarray:
+    """An atom array from its list or base64 ``<f8`` spelling: read-only,
+    one-dimensional and finite, or DataError."""
+    if isinstance(raw, str):
+        try:
+            raw = np.frombuffer(base64.b64decode(raw, validate=True), "<f8")
+        except ValueError as exc:  # binascii.Error is a ValueError
+            raise DataError(f"{what} is not base64 of float64 bytes: {exc}") from None
+    return _as_float_array(raw, what)
+
+
+def _read_pair(raw, first: str) -> tuple[np.ndarray, np.ndarray]:
+    """The (``first``, weights) arrays of a sections or segments entry."""
+    a = _read_array(raw[first], f"atom {first}")
+    w = _read_array(raw["weights"], "atom weights")
+    if a.size != w.size:
+        raise DataError(f"atom {first} and weights differ in length: {a.size} and {w.size}")
+    return a, w
 
 
 def _ro(arr) -> np.ndarray:
@@ -190,11 +224,12 @@ class Atom:
 
     def to_dict(self) -> dict:
         """The ``glppm.filter.v1`` entry of this atom, which ``from_dict``
-        reads back as the same function.  The entry has no ``h0`` field, as
-        the reader derives ``h0`` from the part.  A merged normal form (kind
-        "normal", part "r") carries its own ``h0``, so it has no entry and
-        raises ConfigError; ``FilterFunction.compact`` splits it into atoms
-        that have one."""
+        reads back as the same function.  Its arrays are base64 strings of
+        little-endian float64 bytes; the reader also takes JSON lists.  The
+        entry has no ``h0`` field, as the reader derives ``h0`` from the
+        part.  A merged normal form (kind "normal", part "r") carries its
+        own ``h0``, so it has no entry and raises ConfigError;
+        ``FilterFunction.compact`` splits it into atoms that have one."""
         if self.kind == "normal" and self.part == "r":
             raise ConfigError(
                 "a merged normal form carries its own h0, which a glppm.filter.v1 "
@@ -206,13 +241,13 @@ class Atom:
             return out
         if self.sec_lags.size:
             out["sections"] = {
-                "lags": self.sec_lags.tolist(),
-                "weights": self.sec_weights.tolist(),
+                "lags": _to_b64(self.sec_lags),
+                "weights": _to_b64(self.sec_weights),
             }
         if self.seg_nodes.size:
             out["segments"] = {
-                "nodes": self.seg_nodes.tolist(),
-                "weights": self.seg_weights.tolist(),
+                "nodes": _to_b64(self.seg_nodes),
+                "weights": _to_b64(self.seg_weights),
             }
         return out
 
@@ -222,18 +257,10 @@ class Atom:
         channel = _as_number(d["channel"], "atom channel", DataError, integer=True)
         if kind == "h0":
             return h0_poly(kernel, channel, _as_number(d["k"], "atom k", DataError, integer=True))
-        part = d["part"]
         sec = d.get("sections", {"lags": [], "weights": []})
         seg = d.get("segments", {"nodes": [], "weights": []})
         return _normal_form_atom(
-            kernel,
-            channel,
-            kind,
-            part,
-            np.asarray(sec["lags"], dtype=float),
-            np.asarray(sec["weights"], dtype=float),
-            np.asarray(seg["nodes"], dtype=float),
-            np.asarray(seg["weights"], dtype=float),
+            kernel, channel, kind, d["part"], *_read_pair(sec, "lags"), *_read_pair(seg, "nodes")
         )
 
 

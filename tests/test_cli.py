@@ -5,14 +5,21 @@ code plus the files written into a temporary output directory.  The output
 files are re-parsed with the library loaders so the round trips stay honest.
 """
 
+import base64
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.stats import kstest
 
-from glppm import cli
+import glppm
+from glppm import cli, simulator
 from glppm.cli import main
 from glppm.data import load_events, load_manifest
 from glppm.filters import FilterFunction, h0_poly
@@ -394,6 +401,27 @@ class TestIntensityCommand:
         assert run("intensity", "--data", data, "--config", cfg, "--out", tmp_path / "o") == 2
 
 
+def _ks_gaps() -> dict:
+    """Rescaled gap sets for the KS record, with ties, negative gaps and a
+    gap of 1e-300."""
+    rng = np.random.default_rng(23)
+    n20 = rng.exponential(size=20)
+    n20[5] = n20[11]
+    n20[0] = -0.25
+    n65 = rng.exponential(1.3, size=65)
+    n65[10:13] = n65[40]
+    n65[2], n65[3] = 1e-300, -1e-3
+    return {
+        "n1": np.array([0.7]),
+        "n1-negative": np.array([-0.3]),
+        "n20-tie-negative": n20,
+        "n65-ties-tiny-negative": n65,
+    }
+
+
+KS_GAPS = _ks_gaps()
+
+
 class TestGofCommand:
     def test_true_model_passes_ks_on_homogeneous_data(self, tmp_path):
         sim_cfg = write_json(
@@ -423,6 +451,22 @@ class TestGofCommand:
         manifest = load_manifest(sim_out / "dataset.json")
         events, _ = load_events(sim_out / "events.csv", manifest)
         assert ks["n"] == len(events)
+
+    @pytest.mark.parametrize("gaps", KS_GAPS.values(), ids=KS_GAPS.keys())
+    def test_ks_record_is_kstest_bit_for_bit(self, tmp_path, monkeypatch, gaps):
+        monkeypatch.setattr(simulator, "time_rescale", lambda *args, **kwargs: gaps)
+        data = make_dataset(tmp_path, DENSE_TIMES)
+        cfg = write_json(
+            tmp_path / "g.json",
+            zero_filter_payload(horizon=8.0, link={"kind": "linear", "d": 0.5}),
+        )
+        out = tmp_path / "out"
+        assert run("gof", "--data", data, "--config", cfg, "--out", out) == 0
+        ks = json.loads((out / "ks.json").read_text())
+        ref = kstest(gaps, "expon")
+        assert ks["n"] == gaps.size and ks["undefined"] is False
+        assert same_bits(ks["statistic"], float(ref.statistic))
+        assert same_bits(ks["p_value"], float(ref.pvalue))
 
     def test_empty_dataset_reports_undefined(self, tmp_path):
         data = make_dataset(tmp_path, [], horizon=5.0)
@@ -508,6 +552,18 @@ def set_key(path, value):
     return change
 
 
+def b64(values) -> str:
+    """A filter array as base64 of little-endian float64 bytes."""
+    return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode("ascii")
+
+
+def section_atom(lags, weights) -> list:
+    """The atom list of a filter payload holding one section entry."""
+    sections = {"lags": lags, "weights": weights}
+    return [{"channel": 0, "kind": "section", "part": "r1", "sections": sections,
+             "coefficient": 1.0}]
+
+
 # (input, change, exit code): configs and manifests exit 2 (ConfigError),
 # filter payloads 3 (DataError)
 MALFORMED = {
@@ -527,6 +583,26 @@ MALFORMED = {
     "simulate-max_events-str": ("simulate", set_key("max_events", "x"), 2),
     "filter-atom-no-channel": ("simulate", set_key("filters.atoms", [{"kind": "h0"}]), 3),
     "filter-kernel-m-str": ("simulate", set_key("filters.kernel.m", "x"), 3),
+    # without validation the decoder would drop the "!" and read 1.0
+    "filter-lags-not-base64": (
+        "simulate", set_key("filters.atoms", section_atom("AAAA!AAAA8D8=", b64([1.0]))), 3
+    ),
+    "filter-lags-ragged-bytes": (
+        "simulate",
+        set_key("filters.atoms", section_atom(base64.b64encode(bytes(12)).decode(), b64([1.0]))),
+        3,
+    ),
+    "filter-lengths-differ": (
+        "simulate", set_key("filters.atoms", section_atom([1.0, 2.0], [1.0])), 3
+    ),
+    "filter-lag-nan": (
+        "simulate", set_key("filters.atoms", section_atom(b64([np.nan]), b64([1.0]))), 3
+    ),
+    **{
+        f"{target}-self_exciting-{name}": (target, set_key("self_exciting", value), 2)
+        for target in ("manifest", "simulate")
+        for name, value in (("str", "false"), ("int", 0), ("null", None))
+    },
 }
 
 
@@ -551,6 +627,44 @@ class TestMalformedInput:
                 write_json(data, change(json.loads(data.read_text())))
             argv = ["fit", "--data", data, "--config", write_json(tmp_path / "fit.json", cfg)]
         assert run(*argv, "--out", tmp_path / "o") == code
+
+
+class TestImports:
+    def test_only_gof_loads_scipy_stats(self, tmp_path):
+        # in real use each command runs in its own process, where importing
+        # scipy.stats costs most of a second; fit and simulate must not pay it
+        data = make_dataset(tmp_path, DENSE_TIMES)
+        fit = fit_config(tmp_path, link={"kind": "exp", "d": float(np.log(0.5))}, max_atoms=60)
+        sim = write_json(
+            tmp_path / "sim.json",
+            {
+                "link": {"kind": "linear", "d": 0.5},
+                "filters": zero_filter_payload(horizon=8.0),
+                "horizon": 8.0,
+            },
+        )
+        out = tmp_path / "out"
+        commands = [
+            ["fit", "--data", data, "--config", fit, "--out", out / "fit"],
+            ["simulate", "--config", sim, "--seed", 3, "--out", out / "sim"],
+            ["gof", "--data", data, "--config", out / "fit" / "filter.json", "--out", out / "gof"],
+        ]
+        script = (
+            "import json, sys\n"
+            "from glppm.cli import main\n"
+            "seen = [(main(argv), 'scipy.stats' in sys.modules)"
+            " for argv in json.loads(sys.argv[1])]\n"
+            "print(json.dumps(seen))\n"
+        )
+        src = str(Path(glppm.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps([[str(a) for a in c] for c in commands])],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+            timeout=300, check=True,
+        )
+        seen = json.loads(proc.stdout.splitlines()[-1])
+        assert seen == [[0, False], [0, False], [0, True]]
 
 
 class TestDispatch:

@@ -1,5 +1,6 @@
 """Filter atoms: evaluation, inner products, projection, serialization."""
 
+import base64
 import json
 
 import numpy as np
@@ -9,7 +10,7 @@ from scipy.integrate import quad
 
 from glppm import filters
 from glppm.data import DriverChannel, DriverSeries
-from glppm.errors import ConfigError, DomainError
+from glppm.errors import ConfigError, DataError, DomainError
 from glppm.filters import (
     FilterFunction,
     h0_poly,
@@ -32,6 +33,17 @@ from oracles import (
     r_full,
     same_bits,
 )
+
+
+def spell(values, spelling: str):
+    """An atom array as a filter payload spells it: a JSON list, or base64
+    of little-endian float64 bytes."""
+    if spelling == "list":
+        return np.asarray(values, dtype=float).tolist()
+    return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode("ascii")
+
+
+FORM_FIELDS = ("sec_lags", "sec_weights", "seg_nodes", "seg_weights", "h0")
 
 
 def random_filter(kernel, rng, n_channels=1, scale=1.0):
@@ -456,6 +468,49 @@ class TestSerialization:
         assert c.atoms[0].k == 2 and c.coefficients.tolist() == [0.75]
         assert FilterFunction.zero(k, 2).compact().atoms == ()
 
+    @staticmethod
+    def as_lists(payload) -> dict:
+        """The payload with every base64 array spelled as a JSON list."""
+        out = json.loads(json.dumps(payload))
+        for entry in out["atoms"]:
+            for key in ("sections", "segments"):
+                for name, raw in entry.get(key, {}).items():
+                    entry[key][name] = np.frombuffer(base64.b64decode(raw), "<f8").tolist()
+        return out
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_arrays_are_written_as_float64_bytes(self, m):
+        # a list-spelled payload loads to the same atoms and normal forms as
+        # its bytes-spelled twin, and both to those of the written filter
+        k = SobolevKernel(m=m, horizon=5.0)
+        g = random_filter(k, np.random.default_rng(16 + m), n_channels=2)
+        for h in (g, g.compact()):
+            payload = h.to_dict()
+            arrays = [
+                raw for e in payload["atoms"] for key in ("sections", "segments")
+                for raw in e.get(key, {}).values()
+            ]
+            assert {key for e in payload["atoms"] for key in e} >= {"sections", "segments"}
+            assert arrays and all(isinstance(raw, str) for raw in arrays)
+            for twin in (payload, self.as_lists(payload)):
+                reread = FilterFunction.from_json(json.dumps(twin))
+                for a, a0 in zip(reread.atoms + reread.normal_forms, h.atoms + h.normal_forms):
+                    for name in FORM_FIELDS:
+                        assert same_bits(getattr(a, name), getattr(a0, name))
+
+    @pytest.mark.parametrize("spelling", ["list", "bytes"])
+    def test_empty_arrays_load_as_no_entry(self, spelling):
+        k = SobolevKernel(m=2, horizon=5.0)
+        g = FilterFunction(k, 1, (kernel_section(k, 0, 1.0, part="r"),), np.array([0.5]))
+        payload = g.to_dict()
+        empty = spell([], spelling)
+        payload["atoms"][0]["segments"] = {"nodes": empty, "weights": empty}
+        reread = FilterFunction.from_dict(payload)
+        (f,), (f0,) = reread.normal_forms, g.normal_forms
+        assert all(same_bits(getattr(f, name), getattr(f0, name)) for name in FORM_FIELDS)
+        payload["atoms"][0]["sections"] = {"lags": empty, "weights": empty}
+        assert FilterFunction.from_dict(payload).atoms[0].is_zero
+
     def test_extra_keys_ignored(self):
         k = SobolevKernel(m=1, horizon=3.0)
         g = FilterFunction(k, 1, (kernel_section(k, 0, 1.0),), np.array([0.5]))
@@ -463,6 +518,21 @@ class TestSerialization:
         payload["link"] = {"kind": "linear", "d": 0.5}
         g2 = FilterFunction.from_json(json.dumps(payload))
         assert np.array_equal(g2.coefficients, g.coefficients)
+
+
+# (spelling, points, weights) of a sections or segments entry that does not
+# load; bytes always spell a flat array
+BAD_ARRAYS = {
+    f"{spelling}-{name}": (spelling, points, weights)
+    for spelling in ("list", "bytes")
+    for name, points, weights in (
+        ("points-longer", [1.0, 2.0], [1.0]),
+        ("weights-longer", [1.0], [1.0, 2.0]),
+        ("nan-point", [np.nan], [1.0]),
+        ("inf-weight", [1.0], [np.inf]),
+    )
+}
+BAD_ARRAYS["list-two-dimensional"] = ("list", [[1.0]], [[1.0]])
 
 
 class TestValidation:
@@ -495,6 +565,22 @@ class TestValidation:
         k = SobolevKernel(m=1, horizon=3.0)
         with pytest.raises(ConfigError):
             integrated_segments(k, 0, [1.0], [0.5], [1.0])
+
+    @pytest.mark.parametrize("key, first", [("sections", "lags"), ("segments", "nodes")])
+    @pytest.mark.parametrize(
+        "spelling, points, weights", BAD_ARRAYS.values(), ids=BAD_ARRAYS.keys()
+    )
+    def test_malformed_arrays_raise_data_error(self, key, first, spelling, points, weights):
+        # read as they stand, a short weight array indexes out of range, a
+        # long one loses its tail, and a NaN lag evaluates as no lag at all
+        k = SobolevKernel(m=1, horizon=3.0)
+        payload = json.loads(FilterFunction.zero(k).to_json())
+        entry = {first: spell(points, spelling), "weights": spell(weights, spelling)}
+        payload["atoms"] = [
+            {"channel": 0, "kind": "section", "part": "r1", key: entry, "coefficient": 1.0}
+        ]
+        with pytest.raises(DataError):
+            FilterFunction.from_dict(payload)
 
     def test_cancellation_gives_zero_function(self):
         k = SobolevKernel(m=2, horizon=4.0)
