@@ -65,20 +65,26 @@ __all__ = [
 _MERGE_TOL = 1e-12
 
 
+def _merge_starts(lags: np.ndarray, owner: np.ndarray | None = None) -> np.ndarray:
+    """Where each merge group of these sorted lags starts, as
+    ``_merge_sorted`` forms them: a lag within 1e-12 of the one before it
+    joins its group.  With ``owner``, lags sorted within each owner, no
+    group spans two owners."""
+    starts = np.ones(lags.size, dtype=bool)
+    np.greater(np.diff(lags), _MERGE_TOL, out=starts[1:])
+    if owner is not None:
+        starts[1:] |= owner[1:] != owner[:-1]
+    return starts
+
+
 def _merge_sorted(lags: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sort ascending and merge entries whose lags agree within 1e-12."""
     if lags.size == 0:
         return lags, weights
     order = np.argsort(lags, kind="stable")
     lags = lags[order]
-    weights = weights[order]
-    keep = np.empty(lags.size, dtype=bool)
-    keep[0] = True
-    np.greater(np.diff(lags), _MERGE_TOL, out=keep[1:])
-    group = np.cumsum(keep) - 1
-    merged_lags = lags[keep]
-    merged_weights = np.bincount(group, weights=weights)
-    return merged_lags, merged_weights
+    starts = _merge_starts(lags)
+    return lags[starts], np.bincount(np.cumsum(starts) - 1, weights=weights[order])
 
 
 def _to_b64(arr: np.ndarray) -> str:
@@ -139,19 +145,23 @@ class Atom:
 
     # -- H1 algebra ----------------------------------------------------------
 
-    def _kernel_sum(self, p: int, q: int, lags, weights, x):
+    def _kernel_sum(self, p: int, q: int, lags, weights, x, pos=None):
         """``_cross_weighted_sum`` of K[p,q] over the sections or segments,
-        from their prefix table.  Sections and segments never share a
-        (p, q), so it keys the table."""
+        from their prefix table, and from the search positions ``pos`` of x
+        when they are known.  Sections and segments never share a (p, q),
+        so it keys the table."""
         table = self._tables.get((p, q))
         if table is None:
             table = self._tables[p, q] = _prefix_table(p, q, lags, weights)
-        return _cross_weighted_sum(p, q, lags, weights, x, table=table)
+        return _cross_weighted_sum(p, q, lags, weights, x, table=table, pos=pos)
 
-    def h1_value(self, u):
-        """Smooth-part value at lag(s) u."""
+    def h1_value(self, u, pos=None):
+        """Smooth-part value at lag(s) u.  An atom of sections alone may be
+        given ``pos``, the positions of u in its section lags as
+        ``searchsorted(sec_lags, u, side="right")`` finds them, which saves
+        the search and gives the same bits."""
         m = self.m
-        out = self._kernel_sum(m, m, self.sec_lags, self.sec_weights, u)
+        out = self._kernel_sum(m, m, self.sec_lags, self.sec_weights, u, pos)
         if self.seg_nodes.size:
             out = out + self._kernel_sum(m + 1, m, self.seg_nodes, self.seg_weights, u)
         return out
@@ -265,11 +275,19 @@ class Atom:
 
 
 def _normal_form_atom(kernel, channel, kind, part, sec_lags, sec_weights, seg_nodes, seg_weights) -> Atom:
+    kernel._check_domain(sec_lags, seg_nodes)
+    return _merged_atom(
+        kernel, channel, kind, part,
+        *_merge_sorted(sec_lags, sec_weights), *_merge_sorted(seg_nodes, seg_weights),
+    )
+
+
+def _merged_atom(kernel, channel, kind, part, sec_lags, sec_weights, seg_nodes=(), seg_weights=()) -> Atom:
+    """The atom of sections and segments already sorted, merged and inside
+    the kernel's domain, kept read-only; part "r" gives it the polynomial
+    content of its sections and segments as ``h0``."""
     if part not in ("r1", "r"):
         raise ConfigError(f"atom part must be 'r1' or 'r', got {part!r}")
-    kernel._check_domain(sec_lags, seg_nodes)
-    sec_lags, sec_weights = _merge_sorted(sec_lags, sec_weights)
-    seg_nodes, seg_weights = _merge_sorted(seg_nodes, seg_weights)
     atom = Atom(
         channel=int(channel),
         kind=kind,

@@ -27,7 +27,10 @@ The prefix sums, scaled by the branch coefficients, do not depend on the
 query points: ``_prefix_table`` builds them once, and a caller that
 evaluates the same family again passes the table back, so each later call
 is one ``searchsorted`` plus one gather and multiply-add per term.  Both
-ways give the same bits.
+ways give the same bits, and so does passing the queries' search positions
+when the caller knows them.  Weights with one row per family give one
+table for many families over a shared sorted lag array, each row with the
+bits of that family's own table (``_family_sums``).
 """
 
 from __future__ import annotations
@@ -77,34 +80,46 @@ def _prefix_table(p: int, q: int, lags, weights) -> tuple[tuple[np.ndarray, int]
     """The query-independent half of ``_cross_weighted_sum``: one entry
     (table, e) per term of K[p,q], in its order.  ``table[n]`` is the term's
     coefficient times its prefix sum over the lags below (low branch) or at
-    and above (high branch) position n, and ``e`` the query's exponent."""
+    and above (high branch) position n, and ``e`` the query's exponent.
+    Weights of shape (families, lags) give one table row per family: a
+    family with zero weight on the other families' lags has the prefix sums
+    of its own lags alone, since x + 0.0 is x."""
     lags = np.asarray(lags, dtype=float)
     weights = np.asarray(weights, dtype=float)
     low, high = _branch_coeffs(p, q)
     terms = []
     for j, cj in enumerate(low):
-        pre = np.concatenate(([0.0], np.cumsum(weights * lags ** (p + j))))
-        terms.append((cj * pre, q - 1 - j))
+        terms.append((cj * _prefix_sums(weights * lags ** (p + j)), q - 1 - j))
     for i, ci in enumerate(high):
-        pre = np.concatenate(([0.0], np.cumsum(weights * lags ** (p - 1 - i))))
-        terms.append((ci * (pre[-1] - pre), q + i))
+        pre = _prefix_sums(weights * lags ** (p - 1 - i))
+        terms.append((ci * (pre[..., -1:] - pre), q + i))
     return tuple(terms)
 
 
-def _cross_weighted_sum(p: int, q: int, lags, weights, queries, table=None):
+def _prefix_sums(values: np.ndarray) -> np.ndarray:
+    """0, then the running sums of ``values`` along the last axis."""
+    pre = np.zeros(values.shape[:-1] + (values.shape[-1] + 1,))
+    np.cumsum(values, axis=-1, out=pre[..., 1:])
+    return pre
+
+
+def _cross_weighted_sum(p: int, q: int, lags, weights, queries, table=None, pos=None):
     """sum_l weights[l] * K[p,q](lags[l], query) for each query.
 
     ``lags`` must be sorted ascending.  Runs in O((L + M)(p + q)) via prefix
     sums over each side of the diagonal, so large weighted families of kernel
     sections (quadrature atoms, event histories) stay linear-time.  A
     ``table`` from ``_prefix_table(p, q, lags, weights)`` saves rebuilding
-    the prefix sums and gives the same bits.
+    the prefix sums, and ``pos``, the queries' positions
+    ``searchsorted(lags, queries, side="right")``, saves the search; both
+    give the same bits.
     """
     lags = np.asarray(lags, dtype=float)
     if table is None:
         table = _prefix_table(p, q, lags, weights)
     queries = np.asarray(queries, dtype=float)
-    pos = np.searchsorted(lags, queries, side="right")
+    if pos is None:
+        pos = np.searchsorted(lags, queries, side="right")
     out = np.zeros(queries.shape)
     for scaled, e in table:
         # x ** 0 is 1 and x ** 1 is x exactly, so those products are skipped
@@ -114,6 +129,17 @@ def _cross_weighted_sum(p: int, q: int, lags, weights, queries, table=None):
             out += scaled[pos] * queries
         else:
             out += scaled[pos] * queries**e
+    return out
+
+
+def _family_sums(table, pos, queries) -> np.ndarray:
+    """``_cross_weighted_sum`` of every family of a ``_prefix_table`` built
+    with one row of weights per family, at queries whose search positions
+    in its lags are ``pos``: one row of sums per family, each with the
+    bits of that family's own sum, as x ** 0 is 1 and x ** 1 is x."""
+    out = np.zeros((table[0][0].shape[0],) + pos.shape)
+    for scaled, e in table:
+        out += scaled.take(pos, axis=-1) * queries**e
     return out
 
 

@@ -39,7 +39,7 @@ from scipy.special import expit
 
 from .data import AtRiskProcess, DriverSeries, EventSeries
 from .errors import ConfigError, DomainError, InfeasibleError
-from .filters import Atom, FilterFunction, integrated_points, integrated_segments, section_sum
+from .filters import Atom, FilterFunction, _merge_starts, _merged_atom, integrated_segments
 from .kernel import SobolevKernel
 
 __all__ = [
@@ -213,6 +213,23 @@ def _lag_segments(a: np.ndarray, b: np.ndarray, levels: np.ndarray, times: np.nd
     return k, np.maximum(a[k] - times[j], 0.0), hi[keep], levels[k] * dz[keep]
 
 
+@dataclass(frozen=True)
+class _NodeLagIndex:
+    """A channel's node-pair lags as every integral atom of node weights
+    holds them: in a stable sort, merged.
+    ``lags`` are the merged lags, read-only and shared by the atoms;
+    ``group``, ``node`` and ``dz`` give the merge group, quadrature node and
+    jump size of each sorted pair, so that an atom's section weights are
+    one ``bincount``; ``pos`` holds the search position in ``lags`` of each
+    node-pair lag and then each event-pair lag, in the pairs' own order."""
+
+    lags: np.ndarray
+    group: np.ndarray
+    node: np.ndarray
+    dz: np.ndarray
+    pos: np.ndarray
+
+
 def _check_channels(g, drivers: DriverSeries) -> None:
     """Reject a filter whose channel count differs from the data's; ``g`` is
     a FilterFunction or a sequence of callables, one per channel."""
@@ -288,14 +305,33 @@ class Objective:
         self._event_pairs = [
             _history_pairs(events.times, ch.times, ch.sizes) for ch in drivers.channels
         ]
-        # stable sort of each channel's node-pair lags, the order integral
-        # atoms keep their sections in
-        self._node_order = [np.argsort(p[2], kind="stable") for p in self._node_pairs]
+        self._node_index: list[_NodeLagIndex | None] = [None] * self.n_channels
         # lag segments over the constancy pieces of Y
         a, b, levels = np.array(self.pieces).T
         self._segment_support = [
             _lag_segments(a, b, levels, ch.times, ch.sizes)[1:] for ch in drivers.channels
         ]
+
+    def node_lag_index(self, channel: int) -> _NodeLagIndex:
+        """The channel's ``_NodeLagIndex``, built on first use."""
+        index = self._node_index[channel]
+        if index is None:
+            node, _, lags, dz = self._node_pairs[channel]
+            order = np.argsort(lags, kind="stable")
+            starts = _merge_starts(lags[order])
+            merged = lags[order][starts]
+            merged.setflags(write=False)
+            group = np.cumsum(starts) - 1
+            # a node-pair lag lies at or above its group's first lag and
+            # below the next group's, so its position is its group + 1
+            e_lags = self._event_pairs[channel][2]
+            pos = np.empty(lags.size + e_lags.size, dtype=np.intp)
+            pos[order] = group + 1
+            pos[lags.size :] = np.searchsorted(merged, e_lags, side="right")
+            index = self._node_index[channel] = _NodeLagIndex(
+                merged, group, node[order], dz[order], pos
+            )
+        return index
 
     def integral_support(self, channel: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(lo, hi, weights) arrays of the exact compensator support."""
@@ -442,14 +478,26 @@ def build_h_atoms(
     """Event history atoms, event-major then channel-minor.
 
     Atom (i, j) is sum_{sigma < tau_i} dZ_j R^part(tau_i - sigma, .) on
-    channel j; zero (empty) when the event has no earlier jumps there.
+    channel j; zero (empty) when the event has no earlier jumps there.  All
+    atoms of a channel come from one pass: its event-pair lags are sorted
+    once by event and then lag, stably, and merged with one ``bincount``,
+    which sums each atom's sections in the order ``section_sum`` does.
     """
-    atoms = []
-    for t in events.times:
-        for j, ch in enumerate(drivers.channels):
-            n = int(np.searchsorted(ch.times, t, side="left"))
-            atoms.append(
-                section_sum(kernel, j, t - ch.times[:n], ch.sizes[:n], part=part)
+    n_ev, n_ch = len(events), drivers.n_channels
+    atoms: list = [None] * (n_ev * n_ch)
+    for j, ch in enumerate(drivers.channels):
+        owner, _, lags, dz = _history_pairs(events.times, ch.times, ch.sizes)
+        kernel._check_domain(lags)
+        order = np.lexsort((lags, owner))
+        owner, lags = owner[order], lags[order]
+        starts = _merge_starts(lags, owner)
+        merged_lags, merged_owner = lags[starts], owner[starts]
+        merged_w = np.bincount(np.cumsum(starts) - 1, weights=dz[order])
+        bounds = np.searchsorted(merged_owner, np.arange(n_ev + 1))
+        for i in range(n_ev):
+            cut = slice(bounds[i], bounds[i + 1])
+            atoms[i * n_ch + j] = _merged_atom(
+                kernel, j, "section", part, merged_lags[cut], merged_w[cut]
             )
     return atoms
 
@@ -466,7 +514,9 @@ def build_f_atoms(
     and the atom is an exact integrated-segment atom.  With ``link_weights``
     (one value per quadrature node, e.g. w_q Y_q phi'(X_q)) the atom is the
     pointwise sum over (node, jump) pairs, the exact gradient of the
-    quadrature-discretized compensator.
+    quadrature-discretized compensator; its sections are the channel's
+    merged node-pair lags (``Objective.node_lag_index``), shared by every
+    such atom, with weights summed by one ``bincount``.
     """
     atoms = []
     if link_weights is None:
@@ -478,11 +528,13 @@ def build_f_atoms(
         if link_weights.shape != obj.nodes.shape:
             raise ConfigError("need one link weight per quadrature node")
         for j in range(obj.n_channels):
-            eval_idx, _, lags, dz = obj._node_pairs[j]
-            order = obj._node_order[j]
-            atoms.append(integrated_points(
-                kernel, j, lags[order], link_weights[eval_idx[order]] * dz[order], part=part
-            ))
+            index = obj.node_lag_index(j)
+            kernel._check_domain(index.lags)
+            weights = np.bincount(
+                index.group, weights=link_weights[index.node] * index.dz,
+                minlength=index.lags.size,
+            )
+            atoms.append(_merged_atom(kernel, j, "integrated", part, index.lags, weights))
     return atoms
 
 

@@ -47,11 +47,12 @@ from .errors import ConfigError, InfeasibleError, SolverError
 from .filters import (
     Atom,
     FilterFunction,
+    _flatten,
     full_inner_row,
     h0_poly,
     h1_inner_row,
 )
-from .kernel import SobolevKernel
+from .kernel import SobolevKernel, _family_sums, _prefix_table
 from .likelihood import LinkSpec, Objective, _BOUNDARY_SLACK, build_f_atoms, build_h_atoms
 
 __all__ = [
@@ -75,6 +76,13 @@ STEP_FIELDS = (
     "pass", "mu", "direction", "cosine", "accepted_alpha",
     "n_trials", "deriv0", "step_norm", "n_atoms",
 )
+
+# entries of each temporary of the bulk history pass (a prefix table or the
+# values at the pair lags, one row per atom): a channel's history atoms are
+# evaluated in chunks of atoms that keep within it.  Fits on 20 events ran
+# the pass about a fifth faster in chunks of 2**15 entries than in one
+# chunk of 2**20: fresh pages of large temporaries fault on first touch.
+_HISTORY_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -160,6 +168,18 @@ def _weak_wolfe_search(trial, f0: float, d0: float, cfg: LineSearchConfig):
     return alpha, np.nan, np.nan, log, False
 
 
+def _cholesky_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """x with A x = b by LAPACK's Cholesky factorization (``dpotrf`` on the
+    upper triangle, then ``dpotrs``), or None when A is not numerically
+    positive definite.  The same calls ``scipy.linalg.cho_factor`` /
+    ``cho_solve`` make, without their checks."""
+    c, info = scipy.linalg.lapack.dpotrf(A, lower=0, clean=0)
+    if info != 0:
+        return None
+    x, info = scipy.linalg.lapack.dpotrs(c, b, lower=0)
+    return x if info == 0 else None
+
+
 def _solve_spd(H: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
     """Solve H x = rhs for symmetric positive semidefinite H.
 
@@ -175,18 +195,15 @@ def _solve_spd(H: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
     s = np.sqrt(np.maximum(np.diag(H), 1e-300))
     Hs = H / np.outer(s, s)
     rs = rhs / s
-    try:
-        c, low = scipy.linalg.cho_factor(Hs)
-        return scipy.linalg.cho_solve((c, low), rs) / s, False
-    except (np.linalg.LinAlgError, ValueError):
-        pass
+    x = _cholesky_solve(Hs, rs)
+    if x is not None:
+        return x / s, False
     ridge = 1e-10 * max(np.trace(Hs) / Hs.shape[0], 1.0)
     Hr = Hs + ridge * np.eye(Hs.shape[0])
-    try:
-        c, low = scipy.linalg.cho_factor(Hr)
-        return scipy.linalg.cho_solve((c, low), rs) / s, True
-    except (np.linalg.LinAlgError, ValueError):
-        return np.linalg.lstsq(Hr, rs, rcond=None)[0] / s, True
+    x = _cholesky_solve(Hr, rs)
+    if x is None:
+        x = np.linalg.lstsq(Hr, rs, rcond=None)[0]
+    return x / s, True
 
 
 class _Workspace:
@@ -207,12 +224,17 @@ class _Workspace:
 
         <P a, P eta_i> = E1(a)_i,    <P a, P f_w> = w . U1(a),
 
-    where U1 and E1 are the H1 parts of a's columns.  Each added atom is
-    evaluated once, at every node-pair and event-pair lag of its channel,
-    and that one evaluation gives U, E, U1 and E1; its Gram row against a
-    represented atom is one dot product.  Only pairs of atoms that represent
-    nothing (polynomials, warm starts, the representer basis of
-    ``add_representers``) take ``h1_inner_row``.
+    where U1 and E1 are the H1 parts of a's columns.  Atoms join in blocks
+    (``_append``; ``add`` appends a block of one).  A block is evaluated at
+    every node-pair and event-pair lag of its channel, and that evaluation
+    gives U, E, U1 and E1; its Gram entries against represented atoms are
+    then products of functionals with columns.  ``add_history_atoms``
+    evaluates all history atoms of a channel from one prefix table with a
+    row per atom, and ``add_integral_atoms`` reads the search positions
+    of the pair lags from ``Objective.node_lag_index``.  Both give every
+    column and Gram entry the bits of appending the atoms one at a time.
+    Only pairs of atoms that represent nothing (polynomials, warm starts,
+    the representer basis of ``add_representers``) take ``h1_inner_row``.
     """
 
     def __init__(self, kernel: SobolevKernel, obj: Objective):
@@ -221,14 +243,17 @@ class _Workspace:
         self.atoms: list[Atom] = []
         self._n_nodes = obj.nodes.size
         self._n_points = obj.nodes.size + len(obj.events)
-        # per channel, the node-pair and event-pair lags end to end, and the
-        # polynomial basis at each half (as the predictor columns build it)
+        # per channel, the node-pair and event-pair lags end to end, with the
+        # point and jump size of each pair, and the polynomial basis at each
+        # half (as the predictor columns build it)
         self._pairs = []
         for (n_idx, _, n_lags, n_dz), (e_idx, _, e_lags, e_dz) in zip(
             obj._node_pairs, obj._event_pairs
         ):
             self._pairs.append((
-                np.concatenate([n_lags, e_lags]), n_idx, n_dz, e_idx, e_dz,
+                np.concatenate([n_lags, e_lags]),
+                np.concatenate([n_idx, self._n_nodes + e_idx]),
+                np.concatenate([n_dz, e_dz]),
                 kernel.h0_basis(n_lags), kernel.h0_basis(e_lags),
             ))
         self._reserve(32)
@@ -308,18 +333,42 @@ class _Workspace:
 
     def add_history_atoms(self) -> tuple[np.ndarray, np.ndarray]:
         """Append the full-kernel history atom of every (event, channel)
-        with earlier jumps, each representing its event's predictor.
-        Returns the event index and the column of each."""
-        events, cols = [], []
-        n_ch = self.obj.n_channels
+        with earlier jumps, each representing its event's predictor, as one
+        block.  Each channel's atoms are evaluated together: their sections
+        sorted by lag into one prefix table with a row per atom, searched
+        once by every pair lag, in chunks of at most ``_HISTORY_BLOCK``
+        table and value entries.  Returns the event index and the column of
+        each."""
+        n_ch, p, m = self.obj.n_channels, self._n_points, self.kernel.m
         atoms = build_h_atoms(self.kernel, self.obj.events, self.obj.drivers, part="r")
-        for pos, atom in enumerate(atoms):
-            if not atom.is_zero:
-                functional = np.zeros(self._n_points)
-                functional[self._n_nodes + pos // n_ch] = 1.0
-                events.append(pos // n_ch)
-                cols.append(self.add(atom, functional))
-        return np.array(events, dtype=int), np.array(cols, dtype=int)
+        keep = [pos for pos, atom in enumerate(atoms) if not atom.is_zero]
+        block = [atoms[pos] for pos in keep]
+        events = np.array(keep, dtype=int) // n_ch
+        x, x1 = np.zeros((p, len(block))), np.zeros((p, len(block)))
+        for ch in range(n_ch):
+            cols = [c for c, atom in enumerate(block) if atom.channel == ch]
+            if not cols:
+                continue
+            lags = self._pairs[ch][0]
+            # every section of the channel's atoms in one stable sort by lag,
+            # tagged with its atom, and the one search of every pair lag
+            sec_lags, sec_w, owner = _flatten([block[c] for c in cols])[:3]
+            order = np.argsort(sec_lags, kind="stable")
+            sec_lags, sec_w, owner = sec_lags[order], sec_w[order], owner[order]
+            pos = np.searchsorted(sec_lags, lags, side="right")
+            step = max(1, _HISTORY_BLOCK // (sec_lags.size + 1 + lags.size))
+            for start in range(0, len(cols), step):
+                chunk = cols[start : start + step]
+                mine = np.flatnonzero((owner >= start) & (owner < start + len(chunk)))
+                weights = np.zeros((len(chunk), sec_lags.size))
+                weights[owner[mine] - start, mine] = sec_w[mine]
+                h1 = _family_sums(_prefix_table(m, m, sec_lags, weights), pos, lags)
+                x[:, chunk], x1[:, chunk] = self._columns(
+                    ch, h1, np.array([block[c].h0 for c in chunk])
+                )
+        functionals = np.zeros((len(block), p))
+        functionals[np.arange(len(block)), self._n_nodes + events] = 1.0
+        return events, self._append(block, x, x1, functionals)
 
     def add_integral_atoms(self, link_weights: np.ndarray) -> list[int]:
         """Append the nonzero smooth-part integral atoms of these node
@@ -333,74 +382,104 @@ class _Workspace:
             if not atom.is_zero
         ]
 
-    def _columns(self, atom: Atom) -> tuple[np.ndarray, np.ndarray]:
-        """The atom's predictor at the nodes and then at the events, and its
-        H1 part, from one evaluation of its smooth part.  The predictor is
+    def _columns(self, channel: int, h1: np.ndarray, h0: np.ndarray):
+        """Predictor columns (nodes, then events) and their H1 parts of atoms
+        on ``channel``, one column per atom, from the values h1 of their
+        smooth parts at the channel's pair lags and their polynomial
+        coefficients h0, one row of each per atom.  One ``bincount`` sums
+        each (point, atom) bin in pair order, so the predictor is
         bit-identical to ``Objective.node_column`` / ``event_column``."""
-        lags, n_idx, n_dz, e_idx, e_dz, phi_n, phi_e = self._pairs[atom.channel]
-        n_ev = self._n_points - self._n_nodes
-        h1 = atom.h1_value(lags)
-        h1_n, h1_e = h1[: n_idx.size], h1[n_idx.size :]
-        x1 = np.concatenate([
-            np.bincount(n_idx, weights=h1_n * n_dz, minlength=self._n_nodes),
-            np.bincount(e_idx, weights=h1_e * e_dz, minlength=n_ev),
-        ])
-        if not np.any(atom.h0):
+        _, point, dz, phi_n, phi_e = self._pairs[channel]
+        p, k = self._n_points, h1.shape[0]
+        bins = (point + p * np.arange(k)[:, None]).ravel()
+        scaled = np.empty_like(h1)
+
+        def columns(vals):
+            np.multiply(vals, dz, out=scaled)
+            sums = np.bincount(bins, weights=scaled.ravel(), minlength=p * k)
+            return sums.reshape(k, p).T
+
+        x1 = columns(h1)
+        poly = np.flatnonzero(h0.any(axis=1))
+        if not poly.size:
             return x1, x1
-        vals_n = h1_n + np.tensordot(atom.h0, phi_n, axes=(0, 0))
-        vals_e = h1_e + np.tensordot(atom.h0, phi_e, axes=(0, 0))
-        x = np.concatenate([
-            np.bincount(n_idx, weights=vals_n * n_dz, minlength=self._n_nodes),
-            np.bincount(e_idx, weights=vals_e * e_dz, minlength=n_ev),
-        ])
-        return x, x1
+        n_np = phi_n.shape[1]
+        for a in poly:
+            h1[a, :n_np] += np.dot(h0[a : a + 1], phi_n)[0]
+            h1[a, n_np:] += np.dot(h0[a : a + 1], phi_e)[0]
+        return columns(h1), x1
 
     def add(self, atom: Atom, functional: np.ndarray | None = None) -> int:
         """Append an atom, with the weights over nodes and events of the
-        functional it represents, if any; returns its column."""
-        n = len(self.atoms)
-        k = n + 1
-        if k > self._buf["G"].shape[0]:
-            self._reserve(2 * self._buf["G"].shape[0])
-        b = self._buf
-        x, x1 = self._columns(atom)
-        b["X"][:, n] = x
-        b["X1"][:, n] = x1
-        if functional is not None:
-            b["F"][n] = functional
-        b["rep"][n] = functional is not None
-        b["h0"][n] = atom.h0
-        b["channel"][n] = atom.channel
-        b["non_poly"][n] = atom.kind != "h0"
-        if self.obj.link.kind == "linear":
-            b["comp"][n] = self.obj.comp_row(self.kernel, atom)
-        self.atoms.append(atom)
+        functional it represents, if any; returns its column.  An integral
+        atom of node weights evaluates at the search positions its
+        ``Objective.node_lag_index`` keeps."""
+        index = self.obj.node_lag_index(atom.channel)
+        pos = index.pos if atom.sec_lags is index.lags and not atom.seg_nodes.size else None
+        h1 = atom.h1_value(self._pairs[atom.channel][0], pos)
+        x, x1 = self._columns(atom.channel, h1[None, :], atom.h0[None, :])
+        rows = None if functional is None else functional[None, :]
+        return int(self._append([atom], x, x1, rows)[0])
 
-        # H1 row: a represented b gives b's functional of the new atom's
-        # columns, a represented new atom its functional of b's; pairs that
-        # represent nothing take h1_inner_row
-        rep = b["rep"][:k]
-        row_p = np.zeros(k)
+    def _append(self, atoms: list[Atom], x, x1, functionals=None) -> np.ndarray:
+        """Append a block of atoms with their predictor columns x and H1
+        parts x1, and the weights of the functionals they represent (one row
+        per atom), if any; returns their columns.
+
+        The one Gram rule: for atoms i <= a, <P i, P a> is i's functional of
+        a's H1 columns when i represents one, else a's functional of i's
+        when a does, else ``h1_inner_row``; 0 across channels.  The full
+        Gram adds the same-channel h0 term with the arithmetic of
+        ``full_inner_row``.  A block takes its atoms' entries against every
+        atom in one product and keeps, within the block, the upper
+        triangle: each atom's entries against itself and the atoms before
+        it.  One-hot functionals, as the history atoms have, make every
+        product exact, so such a block stores the bits that appending its
+        atoms one at a time stores."""
+        n0, k = len(self.atoms), len(atoms)
+        n = n0 + k
+        cap = self._buf["G"].shape[0]
+        while cap < n:
+            cap *= 2
+        if cap > self._buf["G"].shape[0]:
+            self._reserve(cap)
+        b = self._buf
+        b["X"][:, n0:n] = x
+        b["X1"][:, n0:n] = x1
+        if functionals is not None:
+            b["F"][n0:n] = functionals
+        b["rep"][n0:n] = functionals is not None
+        for i, atom in enumerate(atoms, start=n0):
+            b["h0"][i] = atom.h0
+            b["channel"][i] = atom.channel
+            b["non_poly"][i] = atom.kind != "h0"
+            if self.obj.link.kind == "linear":
+                b["comp"][i] = self.obj.comp_row(self.kernel, atom)
+        self.atoms.extend(atoms)
+
+        rep, channel = b["rep"][:n], b["channel"][:n]
+        rows_p = np.zeros((n, k))
         if rep.any():
-            row_p[rep] = b["F"][:k][rep] @ x1
-        if rep[n]:
-            row_p[~rep] = b["F"][n] @ b["X1"][:, :k][:, ~rep]
+            rows_p[rep] = b["F"][:n][rep] @ x1
+        if functionals is not None:
+            rows_p[~rep] = (functionals @ b["X1"][:, :n][:, ~rep]).T
         else:
-            others = np.flatnonzero(~rep)
-            row_p[others] = h1_inner_row(atom, [self.atoms[i] for i in others])
-        same = b["channel"][:k] == atom.channel
-        row_p[~same] = 0.0
-        # the full row is the H1 row plus the same-channel h0 term, with the
-        # arithmetic of full_inner_row
-        row_f = row_p.copy()
-        if np.any(atom.h0):
-            row_f += same * (b["h0"][:k] @ atom.h0)
-        b["G"][n, :k] = row_f
-        b["G"][:k, n] = row_f
-        b["Gp"][n, :k] = row_p
-        b["Gp"][:k, n] = row_p
+            for a, atom in enumerate(atoms):
+                others = np.flatnonzero(~rep[: n0 + a + 1])
+                rows_p[others, a] = h1_inner_row(atom, [self.atoms[i] for i in others])
+        same = channel[:, None] == channel[n0:]
+        rows_p[~same] = 0.0
+        rows_f = rows_p.copy()
+        for a in np.flatnonzero(b["h0"][n0:n].any(axis=1)):
+            i = n0 + a + 1
+            rows_f[:i, a] += same[:i, a] * (b["h0"][:i] @ b["h0"][i - 1])
+        upper = np.tri(k, dtype=bool).T
+        for key, rows in (("G", rows_f), ("Gp", rows_p)):
+            rows[n0:] = np.where(upper, rows[n0:], rows[n0:].T)
+            b[key][:n, n0:n] = rows
+            b[key][n0:n, :n] = rows.T
         self._expose()
-        return n
+        return np.arange(n0, n)
 
 
 @dataclass(frozen=True)
@@ -875,10 +954,24 @@ def fit_descent(
     cannot loosen the test.  When the dictionary has no room left for the
     next integral atom, the iterate is measured with the gradient mass that
     atom would carry; unless it passes the gradient test, the fit stops as
-    "stalled" with reason "atom_cap".
+    "stalled" with reason "atom_cap".  A ``max_atoms`` that cannot hold the
+    initial dictionary plus one integral atom per channel raises
+    ConfigError before any predictor column is evaluated.
     """
     if obj.link.kind == "linear":
         raise ConfigError("fit_descent serves the non-linear links; use fit_linear")
+    # the initial dictionary, counted from the pairs before any column is
+    # evaluated: the polynomials, a history atom per event with an earlier
+    # jump on its channel, and an integral atom per channel with node pairs
+    n_init = obj.n_channels * kernel.m + sum(
+        np.unique(e_idx).size + bool(n_lags.size)
+        for (e_idx, *_), (_, _, n_lags, _) in zip(obj._event_pairs, obj._node_pairs)
+    )
+    if n_init + obj.n_channels > max_atoms:
+        raise ConfigError(
+            f"max_atoms={max_atoms} cannot hold the initial dictionary "
+            f"({n_init} atoms) plus one integral atom per channel"
+        )
     ws = _Workspace(kernel, obj)
     core = _Core(ws, line_search, tol, max_iter)
     ws.add_polynomials()
@@ -887,11 +980,6 @@ def fit_descent(
 
     last_f_weights = psi.deriv(np.zeros(obj.nodes.size))
     core.integral_cols += ws.add_integral_atoms(last_f_weights)
-    if len(ws) + obj.n_channels > max_atoms:
-        raise ConfigError(
-            f"max_atoms={max_atoms} cannot hold the initial dictionary "
-            f"({len(ws)} atoms) plus one integral atom per channel"
-        )
     gamma = np.zeros(len(ws))
 
     if init is not None:

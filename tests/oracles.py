@@ -8,14 +8,19 @@ The fitting oracles work on whole filter functions, independently of the
 solvers' dictionary workspace: ``gradient`` builds the gradient of the
 penalized objective as one filter from the likelihood's atom builders, and
 the others use it with ``objective_value`` and the predictor columns.
+The atom builders construct the history and integral atoms one at a time
+from the public constructors, and ``solve_spd_cho_factor`` solves a Newton
+system through ``scipy.linalg``'s Cholesky wrappers, as references for the
+library's bulk builders and direct LAPACK calls.
 """
 
 from math import factorial
 
 import numpy as np
+import scipy.linalg
 
 from glppm.errors import DomainError, InfeasibleError, SolverError
-from glppm.filters import FilterFunction, h1_inner_row
+from glppm.filters import FilterFunction, h1_inner_row, integrated_points, section_sum
 from glppm.kernel import SobolevKernel, _branch_coeffs, _cross_weighted_sum
 from glppm.likelihood import (
     Objective,
@@ -144,6 +149,50 @@ def same_bits(a, b) -> bool:
     """Equal shape, dtype and bytes: -0.0 differs from 0.0, NaN equals NaN."""
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def history_atoms_one_by_one(kernel: SobolevKernel, events, drivers, part: str):
+    """``build_h_atoms`` atom by atom: the ``section_sum`` of each event's
+    strictly earlier jumps on each channel, event-major."""
+    atoms = []
+    for t in events.times:
+        for j, ch in enumerate(drivers.channels):
+            n = int(np.searchsorted(ch.times, t, side="left"))
+            atoms.append(section_sum(kernel, j, t - ch.times[:n], ch.sizes[:n], part=part))
+    return atoms
+
+
+def integral_atoms_one_by_one(kernel: SobolevKernel, obj: Objective, link_weights, part: str):
+    """``build_f_atoms(link_weights=...)`` atom by atom: the
+    ``integrated_points`` of each channel's node pairs, their lags in a
+    stable sort."""
+    atoms = []
+    for j in range(obj.n_channels):
+        node, _, lags, dz = obj._node_pairs[j]
+        order = np.argsort(lags, kind="stable")
+        atoms.append(integrated_points(
+            kernel, j, lags[order], link_weights[node[order]] * dz[order], part=part
+        ))
+    return atoms
+
+
+def solve_spd_cho_factor(H: np.ndarray, rhs: np.ndarray):
+    """``_solve_spd`` of a finite system through ``scipy.linalg.cho_factor``
+    / ``cho_solve``: Jacobi scaling, then Cholesky, a tiny ridge, and least
+    squares.  Returns (x, ridge_used)."""
+    s = np.sqrt(np.maximum(np.diag(H), 1e-300))
+    Hs = H / np.outer(s, s)
+    rs = rhs / s
+    try:
+        return scipy.linalg.cho_solve(scipy.linalg.cho_factor(Hs), rs) / s, False
+    except (np.linalg.LinAlgError, ValueError):
+        pass
+    ridge = 1e-10 * max(np.trace(Hs) / Hs.shape[0], 1.0)
+    Hr = Hs + ridge * np.eye(Hs.shape[0])
+    try:
+        return scipy.linalg.cho_solve(scipy.linalg.cho_factor(Hr), rs) / s, True
+    except (np.linalg.LinAlgError, ValueError):
+        return np.linalg.lstsq(Hr, rs, rcond=None)[0] / s, True
 
 
 def h1_gram(atoms) -> np.ndarray:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from glppm.data import DriverChannel, DriverSeries, EventSeries
+from glppm import optimizer
+from glppm.data import AtRiskProcess, DriverChannel, DriverSeries, EventSeries
 from glppm.errors import ConfigError, InfeasibleError, SolverError
 from glppm.filters import (
     FilterFunction,
@@ -31,11 +32,22 @@ from glppm.optimizer import (
     _Core,
     _QuadratureCompensator,
     _Workspace,
+    _solve_spd,
     fit_descent,
     fit_linear,
 )
 
-from oracles import full_gram, gradient, h1_gram, hessian_coords, wolfe_angle_step
+from oracles import (
+    full_gram,
+    gradient,
+    h1_gram,
+    hessian_coords,
+    history_atoms_one_by_one,
+    integral_atoms_one_by_one,
+    same_bits,
+    solve_spd_cho_factor,
+    wolfe_angle_step,
+)
 
 C1, C2, DELTA = 1e-4, 0.4, 0.1
 
@@ -57,6 +69,42 @@ def two_channel_objective(lam=5.0):
     tgt = DriverChannel("target", times, np.ones(times.size))
     drivers = DriverSeries(8.0, (z, tgt))
     return events, z, tgt, lam
+
+
+def history_objective(m: int, quiet_channel: bool = False):
+    """An exogenous driver and the self-exciting target, with an at-risk
+    process that is zero on (3.2, 3.6].  The first event has no earlier
+    jump on either channel.  The driver holds an exact tie, and three jumps
+    within 1e-12 whose sections merge; their sizes sum to different bits in
+    the order of the jumps and in the order of the lags.  A quiet third
+    channel has no jumps, so no node pairs."""
+    events = EventSeries(8.0, np.array([0.3, 1.5, 2.0, 3.0, 4.1, 5.5, 6.5, 7.25]))
+    z = DriverChannel(
+        "z", np.array([0.5, 1.0, 1.0, 2.5, 2.5 + 5e-13, 2.5 + 9e-13, 5.0]),
+        np.array([1.0, 0.5, 2.0, 1.0, 1e-16, 1e-16, 2.0]),
+    )
+    channels = (z, DriverChannel("target", events.times, np.ones(events.times.size)))
+    if quiet_channel:
+        channels += (DriverChannel("quiet", np.empty(0), np.empty(0)),)
+    obj = Objective(
+        exponential_link(-0.5), 2.0, events, DriverSeries(8.0, channels),
+        at_risk=AtRiskProcess([3.2, 3.6], [1.0, 0.0, 2.0]),
+    )
+    return SobolevKernel(m=m, horizon=8.0), obj
+
+
+WORKSPACE_BUFFERS = ("X", "X1", "F", "G", "Gp", "h0", "comp", "channel", "non_poly", "rep")
+
+
+def assert_same_workspace(ws, ref):
+    """Every buffer and every atom's arrays equal, bit for bit."""
+    assert len(ws) == len(ref)
+    for key in WORKSPACE_BUFFERS:
+        assert same_bits(ws._buf[key], ref._buf[key]), key
+    for a, b in zip(ws.atoms, ref.atoms):
+        assert (a.channel, a.kind, a.part, a.m, a.k) == (b.channel, b.kind, b.part, b.m, b.k)
+        for name in ("sec_lags", "sec_weights", "seg_nodes", "seg_weights", "h0"):
+            assert same_bits(getattr(a, name), getattr(b, name)), name
 
 
 class TestLineSearchConfig:
@@ -467,6 +515,166 @@ class TestWorkspace:
         assert_allclose(ws.Gp, h1_gram(atoms), rtol=1e-12, atol=1e-12)
         assert np.array_equal(ws.U, np.column_stack([obj.node_column(kernel, a) for a in atoms]))
         assert np.array_equal(ws.E, np.column_stack([obj.event_column(kernel, a) for a in atoms]))
+
+
+class TestBulkDictionary:
+    """The bulk builders give the bits of atoms added one at a time."""
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("block", [None, 1, 2000], ids=["one-chunk", "atom-chunks", "chunks"])
+    def test_history_block_equals_atoms_added_one_at_a_time(self, m, block, monkeypatch):
+        if block is not None:
+            # 1 entry leaves one atom per chunk, 2000 a few
+            monkeypatch.setattr(optimizer, "_HISTORY_BLOCK", block)
+        kernel, obj = history_objective(m)
+        ws = _Workspace(kernel, obj)
+        ws.add_polynomials()
+        events, cols = ws.add_history_atoms()
+
+        ref = _Workspace(kernel, obj)
+        ref.add_polynomials()
+        atoms = history_atoms_one_by_one(kernel, obj.events, obj.drivers, part="r")
+        n_ch = obj.n_channels
+        want_events, want_cols = [], []
+        for pos, atom in enumerate(atoms):
+            if not atom.is_zero:
+                functional = np.zeros(ref._n_points)
+                functional[ref._n_nodes + pos // n_ch] = 1.0
+                want_events.append(pos // n_ch)
+                want_cols.append(ref.add(atom, functional))
+        # the first event has no history, so its atoms are skipped
+        assert 0 not in want_events and len(want_cols) < len(atoms)
+        assert events.tolist() == want_events and cols.tolist() == want_cols
+        assert_same_workspace(ws, ref)
+        # event 3 (t = 3.0) has six jumps on z before it in three groups
+        z_atom = [ws.atoms[c] for e, c in zip(events, cols) if e == 3][0]
+        assert z_atom.channel == 0 and z_atom.sec_lags.size == 3
+
+    def test_history_chunks_split_the_atoms(self, monkeypatch):
+        # 2000 entries split each channel's atoms into several chunks, as
+        # the test above assumes
+        kernel, obj = history_objective(1)
+        sizes = []
+        real = _Workspace._columns
+
+        def spy(self, channel, h1, h0):
+            sizes.append(h1.shape[0])
+            return real(self, channel, h1, h0)
+
+        monkeypatch.setattr(_Workspace, "_columns", spy)
+        monkeypatch.setattr(optimizer, "_HISTORY_BLOCK", 2000)
+        ws = _Workspace(kernel, obj)
+        ws.add_history_atoms()
+        assert len(sizes) > obj.n_channels and sum(sizes) == len(ws)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_representer_basis_equals_atoms_added_one_at_a_time(self, m):
+        # fit_linear's basis: history atoms of the smooth part, zero ones
+        # kept in place, without functionals
+        kernel, obj = history_objective(m)
+        obj = Objective(linear_link(0.5), 2.0, obj.events, obj.drivers, at_risk=obj.at_risk)
+        ws = _Workspace(kernel, obj)
+        ws.add_representers()
+        ref = _Workspace(kernel, obj)
+        ref.add_polynomials()
+        for atom in history_atoms_one_by_one(kernel, obj.events, obj.drivers, part="r1"):
+            ref.add(atom)
+        for atom in build_f_atoms(kernel, obj, part="r1"):
+            ref.add(atom)
+        assert_same_workspace(ws, ref)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_integral_atoms_from_the_index_equal_atoms_added_one_at_a_time(self, m):
+        kernel, obj = history_objective(m, quiet_channel=True)
+        rng = np.random.default_rng(23)
+        steps = [
+            rng.uniform(0.1, 1.0, obj.nodes.size),
+            np.zeros(obj.nodes.size),
+            rng.uniform(-1.0, 1.0, obj.nodes.size),
+            np.where(rng.uniform(size=obj.nodes.size) < 0.5, 0.0, 1.0),
+        ]
+        ws, ref = _Workspace(kernel, obj), _Workspace(kernel, obj)
+        for w in (ws, ref):
+            w.add_polynomials()
+            w.add_history_atoms()
+        for weights in steps:
+            cols = ws.add_integral_atoms(weights)
+            functional = np.zeros(ref._n_points)
+            functional[: ref._n_nodes] = weights
+            want = [
+                ref.add(atom, functional)
+                for atom in integral_atoms_one_by_one(kernel, obj, weights, "r1")
+                if not atom.is_zero
+            ]
+            # the quiet channel has no node pairs, so no integral atom
+            assert cols == want and len(cols) == obj.n_channels - 1
+        assert_same_workspace(ws, ref)
+        u = np.linspace(0.0, 8.0, 41)
+        for a, b in zip(ws.atoms, ref.atoms):
+            if a.kind != "integrated":
+                continue
+            # every integral atom of a channel shares its read-only lags
+            assert a.sec_lags is obj.node_lag_index(a.channel).lags
+            assert not a.sec_lags.flags.writeable
+            assert same_bits(a.sections_h0(kernel), b.sections_h0(kernel))
+            assert same_bits(a.h1_value(u), b.h1_value(u))
+            lags = ws._pairs[a.channel][0]
+            pos = obj.node_lag_index(a.channel).pos
+            assert same_bits(a.h1_value(lags, pos), b.h1_value(lags))
+        # the full-kernel atoms carry the same polynomial content
+        for a, b in zip(
+            build_f_atoms(kernel, obj, part="r", link_weights=steps[2]),
+            integral_atoms_one_by_one(kernel, obj, steps[2], "r"),
+        ):
+            assert same_bits(a.h0, b.h0) and same_bits(a.sec_weights, b.sec_weights)
+
+    @pytest.mark.parametrize("quiet", [False, True])
+    def test_max_atoms_is_checked_before_any_column(self, quiet, monkeypatch):
+        kernel, obj = history_objective(1, quiet_channel=quiet)
+        ws = _Workspace(kernel, obj)
+        ws.add_polynomials()
+        ws.add_history_atoms()
+        ws.add_integral_atoms(np.ones(obj.nodes.size))
+        n_init = len(ws)
+
+        def no_columns(*args, **kwargs):
+            raise AssertionError("a predictor column was evaluated")
+
+        monkeypatch.setattr(_Workspace, "_columns", no_columns)
+        # the initial dictionary plus one integral atom per channel is one
+        # more than the cap; the message keeps the dictionary's count
+        cap = n_init + obj.n_channels - 1
+        with pytest.raises(ConfigError, match=rf"max_atoms={cap} .*\({n_init} atoms\)"):
+            fit_descent(kernel, obj, max_atoms=cap)
+        # with room for it the fit goes on to evaluate columns
+        with pytest.raises(AssertionError, match="column"):
+            fit_descent(kernel, obj, max_atoms=n_init + obj.n_channels)
+
+
+class TestSolveSpd:
+    @pytest.mark.parametrize("kind, ridge", [("spd", False), ("singular", True), ("indefinite", True)])
+    def test_matches_cho_factor_bit_for_bit(self, kind, ridge):
+        rng = np.random.default_rng(29)
+        A = rng.standard_normal((12, 12))
+        if kind == "spd":
+            H = A @ A.T + 0.1 * np.eye(12)
+        elif kind == "singular":
+            B = A[:, :7]
+            B[5] = B[2]
+            H = B @ B.T
+        else:
+            H = A + A.T
+        rhs = rng.standard_normal(12)
+        x, used = _solve_spd(H, rhs)
+        want, want_used = solve_spd_cho_factor(H, rhs)
+        assert used == want_used == ridge
+        assert same_bits(x, want)
+
+    def test_non_finite_system_raises(self):
+        H = np.eye(3)
+        H[0, 1] = np.nan
+        with pytest.raises(SolverError):
+            _solve_spd(H, np.ones(3))
 
 
 class TestCoreHessian:
