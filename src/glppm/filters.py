@@ -145,23 +145,25 @@ class Atom:
 
     # -- H1 algebra ----------------------------------------------------------
 
-    def _kernel_sum(self, p: int, q: int, lags, weights, x, pos=None):
-        """``_cross_weighted_sum`` of K[p,q] over the sections or segments,
-        from their prefix table, and from the search positions ``pos`` of x
-        when they are known.  Sections and segments never share a (p, q),
+    def _table(self, p: int, q: int, lags, weights):
+        """The prefix table of K[p,q] over the sections or segments, built
+        on first use and kept.  Sections and segments never share a (p, q),
         so it keys the table."""
         table = self._tables.get((p, q))
         if table is None:
             table = self._tables[p, q] = _prefix_table(p, q, lags, weights)
-        return _cross_weighted_sum(p, q, lags, weights, x, table=table, pos=pos)
+        return table
 
-    def h1_value(self, u, pos=None):
-        """Smooth-part value at lag(s) u.  An atom of sections alone may be
-        given ``pos``, the positions of u in its section lags as
-        ``searchsorted(sec_lags, u, side="right")`` finds them, which saves
-        the search and gives the same bits."""
+    def _kernel_sum(self, p: int, q: int, lags, weights, x):
+        """``_cross_weighted_sum`` of K[p,q] over the sections or segments,
+        from their kept prefix table."""
+        table = self._table(p, q, lags, weights)
+        return _cross_weighted_sum(p, q, lags, weights, x, table=table)
+
+    def h1_value(self, u):
+        """Smooth-part value at lag(s) u."""
         m = self.m
-        out = self._kernel_sum(m, m, self.sec_lags, self.sec_weights, u, pos)
+        out = self._kernel_sum(m, m, self.sec_lags, self.sec_weights, u)
         if self.seg_nodes.size:
             out = out + self._kernel_sum(m + 1, m, self.seg_nodes, self.seg_weights, u)
         return out

@@ -27,10 +27,10 @@ The prefix sums, scaled by the branch coefficients, do not depend on the
 query points: ``_prefix_table`` builds them once, and a caller that
 evaluates the same family again passes the table back, so each later call
 is one ``searchsorted`` plus one gather and multiply-add per term.  Both
-ways give the same bits, and so does passing the queries' search positions
-when the caller knows them.  Weights with one row per family give one
-table for many families over a shared sorted lag array, each row with the
-bits of that family's own table (``_family_sums``).
+ways give the same bits.  Weights with one row per family give one table
+for many families over a shared sorted lag array, each row with the bits
+of that family's own table; ``_family_sums`` evaluates such a table, or a
+family's own, at queries whose search positions the caller has found.
 """
 
 from __future__ import annotations
@@ -103,23 +103,20 @@ def _prefix_sums(values: np.ndarray) -> np.ndarray:
     return pre
 
 
-def _cross_weighted_sum(p: int, q: int, lags, weights, queries, table=None, pos=None):
+def _cross_weighted_sum(p: int, q: int, lags, weights, queries, table=None):
     """sum_l weights[l] * K[p,q](lags[l], query) for each query.
 
     ``lags`` must be sorted ascending.  Runs in O((L + M)(p + q)) via prefix
     sums over each side of the diagonal, so large weighted families of kernel
     sections (quadrature atoms, event histories) stay linear-time.  A
     ``table`` from ``_prefix_table(p, q, lags, weights)`` saves rebuilding
-    the prefix sums, and ``pos``, the queries' positions
-    ``searchsorted(lags, queries, side="right")``, saves the search; both
-    give the same bits.
+    the prefix sums and gives the same bits.
     """
     lags = np.asarray(lags, dtype=float)
     if table is None:
         table = _prefix_table(p, q, lags, weights)
     queries = np.asarray(queries, dtype=float)
-    if pos is None:
-        pos = np.searchsorted(lags, queries, side="right")
+    pos = np.searchsorted(lags, queries, side="right")
     out = np.zeros(queries.shape)
     for scaled, e in table:
         # x ** 0 is 1 and x ** 1 is x exactly, so those products are skipped
@@ -133,13 +130,17 @@ def _cross_weighted_sum(p: int, q: int, lags, weights, queries, table=None, pos=
 
 
 def _family_sums(table, pos, queries) -> np.ndarray:
-    """``_cross_weighted_sum`` of every family of a ``_prefix_table`` built
-    with one row of weights per family, at queries whose search positions
-    in its lags are ``pos``: one row of sums per family, each with the
-    bits of that family's own sum, as x ** 0 is 1 and x ** 1 is x."""
-    out = np.zeros((table[0][0].shape[0],) + pos.shape)
+    """``_cross_weighted_sum`` of every family of a ``_prefix_table`` at
+    queries whose search positions in its lags are ``pos``: one row of sums
+    per row of weights, each with the bits of that family's own sum, or the
+    sums alone for a table of one family's own weights."""
+    out = np.zeros(table[0][0].shape[:-1] + pos.shape)
     for scaled, e in table:
-        out += scaled.take(pos, axis=-1) * queries**e
+        vals = scaled.take(pos, axis=-1)
+        # x ** 0 is 1 and x ** 1 is x exactly, so those products are skipped
+        if e:
+            vals *= queries if e == 1 else queries**e
+        out += vals
     return out
 
 

@@ -39,8 +39,8 @@ from scipy.special import expit
 
 from .data import AtRiskProcess, DriverSeries, EventSeries
 from .errors import ConfigError, DomainError, InfeasibleError
-from .filters import Atom, FilterFunction, _merge_starts, _merged_atom, integrated_segments
-from .kernel import SobolevKernel
+from .filters import Atom, FilterFunction, _flatten, _merge_starts, _merged_atom, integrated_segments
+from .kernel import SobolevKernel, _family_sums, _h0_stack, _prefix_table
 
 __all__ = [
     "LinkSpec",
@@ -62,6 +62,13 @@ __all__ = [
 # on the constraint up to the solvers' feasibility tolerance, and evaluating
 # them must not fail there
 _BOUNDARY_SLACK = 1e-7
+
+# entries of each temporary of ``Objective.columns`` (a prefix table or the
+# values at the pair lags, one row per atom), which evaluates a channel's
+# atoms in chunks that keep within it.  Fits on 20 events ran their history
+# block about a fifth faster in chunks of 2**15 entries than in one chunk of
+# 2**20: fresh pages of large temporaries fault on first touch.
+_HISTORY_BLOCK = 1 << 15
 
 
 # -- link functions -----------------------------------------------------------
@@ -245,18 +252,52 @@ def _filter_values(g, channel: int, lags: np.ndarray) -> np.ndarray:
     return np.asarray(g[channel](lags), dtype=float)
 
 
+def _smooth_values(m: int, atoms, lags: np.ndarray, pos: np.ndarray | None):
+    """(start, values): the smooth parts of atoms on one channel at its pair
+    lags, one row per atom from ``atoms[start]`` on, as ``Atom.h1_value``
+    sums them.  A family's sums over another atom's lags add zeros, which
+    keep its bits."""
+    if len(atoms) == 1:  # sorted and merged already, with its own tables
+        a, h1 = atoms[0], np.zeros(lags.size)
+        if a.sec_lags.size:
+            pos = np.searchsorted(a.sec_lags, lags, side="right") if pos is None else pos
+            h1 = _family_sums(a._table(m, m, a.sec_lags, a.sec_weights), pos, lags)
+        if a.seg_nodes.size:
+            seg_pos = np.searchsorted(a.seg_nodes, lags, side="right")
+            h1 = h1 + _family_sums(a._table(m + 1, m, a.seg_nodes, a.seg_weights), seg_pos, lags)
+        yield 0, h1[None, :]
+        return
+    flat, parts = _flatten(atoms), []
+    for p, (a_lags, a_w, owner) in ((m, flat[:3]), (m + 1, flat[3:])):
+        if a_lags.size:  # one stable sort by lag and one search per kind
+            order = np.argsort(a_lags, kind="stable")
+            a_lags, a_w, owner = a_lags[order], a_w[order], owner[order]
+            parts.append((p, a_lags, a_w, owner, np.searchsorted(a_lags, lags, side="right")))
+    step = max(1, _HISTORY_BLOCK // (sum(part[1].size for part in parts) + 1 + lags.size))
+    for start in range(0, len(atoms), step):
+        k, h1 = min(step, len(atoms) - start), None
+        for p, a_lags, a_w, owner, a_pos in parts:
+            mine = np.flatnonzero((owner >= start) & (owner < start + k))
+            weights = np.zeros((k, a_lags.size))
+            weights[owner[mine] - start, mine] = a_w[mine]
+            vals = _family_sums(_prefix_table(p, m, a_lags, weights), a_pos, lags)
+            h1 = vals if h1 is None else np.add(h1, vals, out=h1)
+        yield start, np.zeros((k, lags.size)) if h1 is None else h1
+
+
 # -- the objective -------------------------------------------------------------
 
 
 class Objective:
     """Data, link, penalty weight and quadrature bundled for repeated evaluation.
 
-    Precomputes the quadrature grid and, for every driver channel, the flat
-    arrays of (evaluation point, earlier jump) pairs at both the quadrature
-    nodes and the event times, and the lag segments of the exact
-    compensator.  Predictor columns and compensator rows of an atom are then
-    single vectorized passes; a filter takes one per channel, on its normal
-    form.
+    Precomputes the quadrature grid, the lag segments of the exact
+    compensator and, for every driver channel, one store of the (evaluation
+    point, earlier jump) pairs: the pairs of the quadrature nodes, then those
+    of the event times, each as its lag, point and jump size.
+    ``_node_pairs`` and ``_event_pairs`` view its two halves.  ``columns``
+    turns any block of atoms into predictor columns from this store, and a
+    filter's predictors take one column per channel, of its normal form.
     """
 
     def __init__(
@@ -299,18 +340,28 @@ class Objective:
                 f"at-risk process is zero at observed event t={events.times[i]}"
             )
 
-        self._node_pairs = [
-            _history_pairs(self.nodes, ch.times, ch.sizes) for ch in drivers.channels
-        ]
-        self._event_pairs = [
-            _history_pairs(events.times, ch.times, ch.sizes) for ch in drivers.channels
-        ]
+        # per channel (point, lag, jump size) of every pair, node pairs first;
+        # an event's point is its index after the nodes
+        self._pairs, self._node_pairs, self._event_pairs = [], [], []
+        for ch in drivers.channels:
+            node, event = (_history_pairs(t, ch.times, ch.sizes) for t in (self.nodes, events.times))
+            point, jump, lags, dz = (np.concatenate(arrs) for arrs in zip(node, event))
+            k = node[2].size
+            point[k:] += self.nodes.size
+            self._pairs.append((point, lags, dz))
+            self._node_pairs.append((point[:k], jump[:k], lags[:k], dz[:k]))
+            self._event_pairs.append((event[0], jump[k:], lags[k:], dz[k:]))
         self._node_index: list[_NodeLagIndex | None] = [None] * self.n_channels
         # lag segments over the constancy pieces of Y
         a, b, levels = np.array(self.pieces).T
         self._segment_support = [
             _lag_segments(a, b, levels, ch.times, ch.sizes)[1:] for ch in drivers.channels
         ]
+
+    def _check_kernel(self, kernel: SobolevKernel) -> None:
+        """ConfigError unless the kernel's domain is the data's lag range."""
+        if kernel.horizon != self.horizon:
+            raise ConfigError("filter kernel horizon does not match the data horizon")
 
     def node_lag_index(self, channel: int) -> _NodeLagIndex:
         """The channel's ``_NodeLagIndex``, built on first use."""
@@ -337,22 +388,49 @@ class Objective:
         """(lo, hi, weights) arrays of the exact compensator support."""
         return self._segment_support[channel]
 
-    # -- structural columns of one atom ---------------------------------------
+    # -- predictor columns ---------------------------------------------------
 
-    def _column(self, pairs, size: int, kernel: SobolevKernel, atom: Atom) -> np.ndarray:
-        eval_idx, _, lags, dz = pairs[atom.channel]
-        if lags.size == 0:
-            return np.zeros(size)
-        vals = atom.value(kernel, lags) * dz
-        return np.bincount(eval_idx, weights=vals, minlength=size)
+    def columns(self, kernel: SobolevKernel, atoms, pos: np.ndarray | None = None):
+        """(X, X1): the predictors of a block of atoms at the quadrature
+        nodes, then the events (strict left limits), one column per atom,
+        and their H1 parts.  Per channel, the block's sections and its
+        segments each form one prefix table with a row per atom (K[m,m],
+        K[m+1,m]); each pair lag is searched once, or read from ``pos`` for
+        the sections of a block of one atom, which reads its own tables.
+        ``_family_sums`` gives the values in chunks of ``_HISTORY_BLOCK``
+        entries, the polynomial parts follow per atom and half, and one
+        ``bincount`` sums each (point, atom) bin in pair order: the bits of
+        ``atom.value`` at the pair lags times the jump sizes."""
+        self._check_kernel(kernel)
+        m, n_pts = kernel.m, self.nodes.size + len(self.events)
+        xt, x1t = np.empty((len(atoms), n_pts)), np.empty((len(atoms), n_pts))
+        for ch in sorted({a.channel for a in atoms}):
+            cols = [c for c, a in enumerate(atoms) if a.channel == ch]
+            point, lags, dz = self._pairs[ch]
+            n_node, phi = self._node_pairs[ch][2].size, None
+            for start, h1 in _smooth_values(m, [atoms[c] for c in cols], lags, pos):
+                chunk = cols[start : start + len(h1)]
+                rows = slice(chunk[0], chunk[-1] + 1) if len(cols) == len(atoms) else chunk
+                bins = point if len(chunk) == 1 else (point + n_pts * np.arange(len(chunk))[:, None])
+                size, scaled = n_pts * len(chunk), np.multiply(h1, dz)
+                xt[rows] = x1t[rows] = np.bincount(bins.ravel(), scaled.ravel(), size).reshape(-1, n_pts)
+                poly = [(i, atoms[c].h0[None, :]) for i, c in enumerate(chunk) if atoms[c].h0.any()]
+                if poly:
+                    phi = phi or (_h0_stack(lags[:n_node], m), _h0_stack(lags[n_node:], m))
+                    for i, h0 in poly:
+                        h1[i, :n_node] += np.dot(h0, phi[0])[0]
+                        h1[i, n_node:] += np.dot(h0, phi[1])[0]
+                    np.multiply(h1, dz, out=scaled)
+                    xt[rows] = np.bincount(bins.ravel(), scaled.ravel(), size).reshape(-1, n_pts)
+        return xt.T, x1t.T
 
     def node_column(self, kernel: SobolevKernel, atom: Atom) -> np.ndarray:
         """Predictor of the atom at all quadrature nodes."""
-        return self._column(self._node_pairs, self.nodes.size, kernel, atom)
+        return self.columns(kernel, [atom])[0][: self.nodes.size, 0]
 
     def event_column(self, kernel: SobolevKernel, atom: Atom) -> np.ndarray:
         """Predictor of the atom at all event times (strict left limits)."""
-        return self._column(self._event_pairs, len(self.events), kernel, atom)
+        return self.columns(kernel, [atom])[0][self.nodes.size :, 0]
 
     def comp_row(self, kernel: SobolevKernel, atom: Atom) -> float:
         """Exact int_0^t Y_s X_s-(atom) ds via atom antiderivatives."""
@@ -365,8 +443,7 @@ class Objective:
     # -- predictors of a full filter -------------------------------------------
 
     def _check_filter(self, g: FilterFunction) -> None:
-        if g.kernel.horizon != self.horizon:
-            raise ConfigError("filter kernel horizon does not match the data horizon")
+        self._check_kernel(g.kernel)
         _check_channels(g, self.drivers)
 
     def predictor_nodes(self, g: FilterFunction) -> np.ndarray:

@@ -44,15 +44,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConfigError, InfeasibleError, SolverError
-from .filters import (
-    Atom,
-    FilterFunction,
-    _flatten,
-    full_inner_row,
-    h0_poly,
-    h1_inner_row,
-)
-from .kernel import SobolevKernel, _family_sums, _prefix_table
+from .filters import Atom, FilterFunction, full_inner_row, h0_poly, h1_inner_row
+from .kernel import SobolevKernel
 from .likelihood import LinkSpec, Objective, _BOUNDARY_SLACK, build_f_atoms, build_h_atoms
 
 __all__ = [
@@ -76,13 +69,6 @@ STEP_FIELDS = (
     "pass", "mu", "direction", "cosine", "accepted_alpha",
     "n_trials", "deriv0", "step_norm", "n_atoms",
 )
-
-# entries of each temporary of the bulk history pass (a prefix table or the
-# values at the pair lags, one row per atom): a channel's history atoms are
-# evaluated in chunks of atoms that keep within it.  Fits on 20 events ran
-# the pass about a fifth faster in chunks of 2**15 entries than in one
-# chunk of 2**20: fresh pages of large temporaries fault on first touch.
-_HISTORY_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -224,17 +210,16 @@ class _Workspace:
 
         <P a, P eta_i> = E1(a)_i,    <P a, P f_w> = w . U1(a),
 
-    where U1 and E1 are the H1 parts of a's columns.  Atoms join in blocks
-    (``_append``; ``add`` appends a block of one).  A block is evaluated at
-    every node-pair and event-pair lag of its channel, and that evaluation
-    gives U, E, U1 and E1; its Gram entries against represented atoms are
-    then products of functionals with columns.  ``add_history_atoms``
-    evaluates all history atoms of a channel from one prefix table with a
-    row per atom, and ``add_integral_atoms`` reads the search positions
-    of the pair lags from ``Objective.node_lag_index``.  Both give every
-    column and Gram entry the bits of appending the atoms one at a time.
-    Only pairs of atoms that represent nothing (polynomials, warm starts,
-    the representer basis of ``add_representers``) take ``h1_inner_row``.
+    where U1 and E1 are the H1 parts of a's columns.  Atoms join in blocks:
+    one ``Objective.columns`` call gives a block's U, E, U1 and E1, and
+    ``_append`` its Gram entries, which against represented atoms are
+    products of functionals with columns.  ``add`` appends a block of one,
+    ``add_history_atoms`` and ``add_representers`` each kind of data atom as
+    one block, and ``add_integral_atoms`` each integral atom with the search
+    positions that ``Objective.node_lag_index`` keeps.  Every column and
+    Gram entry has the bits of appending the atoms one at a time.  Only
+    pairs of atoms that represent nothing (polynomials, warm starts, the
+    representer basis of ``add_representers``) take ``h1_inner_row``.
     """
 
     def __init__(self, kernel: SobolevKernel, obj: Objective):
@@ -243,19 +228,6 @@ class _Workspace:
         self.atoms: list[Atom] = []
         self._n_nodes = obj.nodes.size
         self._n_points = obj.nodes.size + len(obj.events)
-        # per channel, the node-pair and event-pair lags end to end, with the
-        # point and jump size of each pair, and the polynomial basis at each
-        # half (as the predictor columns build it)
-        self._pairs = []
-        for (n_idx, _, n_lags, n_dz), (e_idx, _, e_lags, e_dz) in zip(
-            obj._node_pairs, obj._event_pairs
-        ):
-            self._pairs.append((
-                np.concatenate([n_lags, e_lags]),
-                np.concatenate([n_idx, self._n_nodes + e_idx]),
-                np.concatenate([n_dz, e_dz]),
-                kernel.h0_basis(n_lags), kernel.h0_basis(e_lags),
-            ))
         self._reserve(32)
         self._expose()
 
@@ -321,103 +293,47 @@ class _Workspace:
         indexing stays uniform; it has no row in any Gram.  The atoms
         declare no functional, so every Gram row comes from
         ``h1_inner_row``.  Returns the columns of the history atoms and of
-        the integral atoms."""
+        the integral atoms, each kind appended as one block."""
         self.add_polynomials()
-        start = len(self)
-        for atom in build_h_atoms(self.kernel, self.obj.events, self.obj.drivers, part="r1"):
-            self.add(atom)
-        mid = len(self)
-        for atom in build_f_atoms(self.kernel, self.obj, part="r1"):
-            self.add(atom)
-        return slice(start, mid), slice(mid, len(self))
+        cols = []
+        for atoms in (
+            build_h_atoms(self.kernel, self.obj.events, self.obj.drivers, part="r1"),
+            build_f_atoms(self.kernel, self.obj, part="r1"),
+        ):
+            cols.append(slice(len(self), len(self) + len(atoms)))
+            self._append(atoms, *self.obj.columns(self.kernel, atoms))
+        return tuple(cols)
 
     def add_history_atoms(self) -> tuple[np.ndarray, np.ndarray]:
         """Append the full-kernel history atom of every (event, channel)
         with earlier jumps, each representing its event's predictor, as one
-        block.  Each channel's atoms are evaluated together: their sections
-        sorted by lag into one prefix table with a row per atom, searched
-        once by every pair lag, in chunks of at most ``_HISTORY_BLOCK``
-        table and value entries.  Returns the event index and the column of
-        each."""
-        n_ch, p, m = self.obj.n_channels, self._n_points, self.kernel.m
+        block.  Returns the event index and the column of each."""
         atoms = build_h_atoms(self.kernel, self.obj.events, self.obj.drivers, part="r")
         keep = [pos for pos, atom in enumerate(atoms) if not atom.is_zero]
         block = [atoms[pos] for pos in keep]
-        events = np.array(keep, dtype=int) // n_ch
-        x, x1 = np.zeros((p, len(block))), np.zeros((p, len(block)))
-        for ch in range(n_ch):
-            cols = [c for c, atom in enumerate(block) if atom.channel == ch]
-            if not cols:
-                continue
-            lags = self._pairs[ch][0]
-            # every section of the channel's atoms in one stable sort by lag,
-            # tagged with its atom, and the one search of every pair lag
-            sec_lags, sec_w, owner = _flatten([block[c] for c in cols])[:3]
-            order = np.argsort(sec_lags, kind="stable")
-            sec_lags, sec_w, owner = sec_lags[order], sec_w[order], owner[order]
-            pos = np.searchsorted(sec_lags, lags, side="right")
-            step = max(1, _HISTORY_BLOCK // (sec_lags.size + 1 + lags.size))
-            for start in range(0, len(cols), step):
-                chunk = cols[start : start + step]
-                mine = np.flatnonzero((owner >= start) & (owner < start + len(chunk)))
-                weights = np.zeros((len(chunk), sec_lags.size))
-                weights[owner[mine] - start, mine] = sec_w[mine]
-                h1 = _family_sums(_prefix_table(m, m, sec_lags, weights), pos, lags)
-                x[:, chunk], x1[:, chunk] = self._columns(
-                    ch, h1, np.array([block[c].h0 for c in chunk])
-                )
-        functionals = np.zeros((len(block), p))
+        events = np.array(keep, dtype=int) // self.obj.n_channels
+        functionals = np.zeros((len(block), self._n_points))
         functionals[np.arange(len(block)), self._n_nodes + events] = 1.0
+        x, x1 = self.obj.columns(self.kernel, block)
         return events, self._append(block, x, x1, functionals)
 
     def add_integral_atoms(self, link_weights: np.ndarray) -> list[int]:
         """Append the nonzero smooth-part integral atoms of these node
         weights, each representing sum_q w_q X(s_q) on its channel.
         Returns their columns."""
-        functional = np.zeros(self._n_points)
-        functional[: self._n_nodes] = link_weights
-        return [
-            self.add(atom, functional)
-            for atom in build_f_atoms(self.kernel, self.obj, part="r1", link_weights=link_weights)
-            if not atom.is_zero
-        ]
-
-    def _columns(self, channel: int, h1: np.ndarray, h0: np.ndarray):
-        """Predictor columns (nodes, then events) and their H1 parts of atoms
-        on ``channel``, one column per atom, from the values h1 of their
-        smooth parts at the channel's pair lags and their polynomial
-        coefficients h0, one row of each per atom.  One ``bincount`` sums
-        each (point, atom) bin in pair order, so the predictor is
-        bit-identical to ``Objective.node_column`` / ``event_column``."""
-        _, point, dz, phi_n, phi_e = self._pairs[channel]
-        p, k = self._n_points, h1.shape[0]
-        bins = (point + p * np.arange(k)[:, None]).ravel()
-        scaled = np.empty_like(h1)
-
-        def columns(vals):
-            np.multiply(vals, dz, out=scaled)
-            sums = np.bincount(bins, weights=scaled.ravel(), minlength=p * k)
-            return sums.reshape(k, p).T
-
-        x1 = columns(h1)
-        poly = np.flatnonzero(h0.any(axis=1))
-        if not poly.size:
-            return x1, x1
-        n_np = phi_n.shape[1]
-        for a in poly:
-            h1[a, :n_np] += np.dot(h0[a : a + 1], phi_n)[0]
-            h1[a, n_np:] += np.dot(h0[a : a + 1], phi_e)[0]
-        return columns(h1), x1
+        functional = np.zeros((1, self._n_points))
+        functional[0, : self._n_nodes] = link_weights
+        cols = []
+        for atom in build_f_atoms(self.kernel, self.obj, part="r1", link_weights=link_weights):
+            if not atom.is_zero:
+                x, x1 = self.obj.columns(self.kernel, [atom], self.obj.node_lag_index(atom.channel).pos)
+                cols += self._append([atom], x, x1, functional).tolist()
+        return cols
 
     def add(self, atom: Atom, functional: np.ndarray | None = None) -> int:
         """Append an atom, with the weights over nodes and events of the
-        functional it represents, if any; returns its column.  An integral
-        atom of node weights evaluates at the search positions its
-        ``Objective.node_lag_index`` keeps."""
-        index = self.obj.node_lag_index(atom.channel)
-        pos = index.pos if atom.sec_lags is index.lags and not atom.seg_nodes.size else None
-        h1 = atom.h1_value(self._pairs[atom.channel][0], pos)
-        x, x1 = self._columns(atom.channel, h1[None, :], atom.h0[None, :])
+        functional it represents, if any; returns its column."""
+        x, x1 = self.obj.columns(self.kernel, [atom])
         rows = None if functional is None else functional[None, :]
         return int(self._append([atom], x, x1, rows)[0])
 
@@ -856,6 +772,7 @@ def fit_linear(
     """
     if obj.link.kind != "linear":
         raise ConfigError("fit_linear requires the linear link")
+    obj._check_kernel(kernel)
     d = obj.link.d
 
     ws = _Workspace(kernel, obj)
@@ -960,6 +877,7 @@ def fit_descent(
     """
     if obj.link.kind == "linear":
         raise ConfigError("fit_descent serves the non-linear links; use fit_linear")
+    obj._check_kernel(kernel)
     # the initial dictionary, counted from the pairs before any column is
     # evaluated: the polynomials, a history atom per event with an earlier
     # jump on its channel, and an integral atom per channel with node pairs

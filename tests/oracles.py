@@ -11,7 +11,9 @@ the others use it with ``objective_value`` and the predictor columns.
 The atom builders construct the history and integral atoms one at a time
 from the public constructors, and ``solve_spd_cho_factor`` solves a Newton
 system through ``scipy.linalg``'s Cholesky wrappers, as references for the
-library's bulk builders and direct LAPACK calls.
+library's bulk builders and direct LAPACK calls.  ``atom_columns`` builds
+predictor columns atom by atom from ``Atom.value`` and ``Atom.h1_value``,
+the reference for ``Objective.columns``.
 """
 
 from math import factorial
@@ -174,6 +176,28 @@ def integral_atoms_one_by_one(kernel: SobolevKernel, obj: Objective, link_weight
             kernel, j, lags[order], link_weights[node[order]] * dz[order], part=part
         ))
     return atoms
+
+
+def atom_columns(kernel: SobolevKernel, obj: Objective, atoms):
+    """(X, X1) as ``Objective.columns`` gives them: each atom's value (and
+    smooth-part value) at each half's pair lags times the jump sizes, summed
+    per node and per event by one ``bincount`` per half, stacked nodes
+    first."""
+    halves = ((obj._node_pairs, obj.nodes.size), (obj._event_pairs, len(obj.events)))
+    out = []
+    for value in (lambda a, u: a.value(kernel, u), lambda a, u: a.h1_value(u)):
+        cols = []
+        for a in atoms:
+            col = []
+            for pairs, size in halves:
+                idx, _, lags, dz = pairs[a.channel]
+                if lags.size == 0:
+                    col.append(np.zeros(size))
+                else:
+                    col.append(np.bincount(idx, weights=value(a, lags) * dz, minlength=size))
+            cols.append(np.concatenate(col))
+        out.append(np.column_stack(cols))
+    return tuple(out)
 
 
 def solve_spd_cho_factor(H: np.ndarray, rhs: np.ndarray):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from glppm import optimizer
+from glppm import likelihood, optimizer
 from glppm.data import AtRiskProcess, DriverChannel, DriverSeries, EventSeries
 from glppm.errors import ConfigError, InfeasibleError, SolverError
 from glppm.filters import (
@@ -38,6 +38,7 @@ from glppm.optimizer import (
 )
 
 from oracles import (
+    atom_columns,
     full_gram,
     gradient,
     h1_gram,
@@ -477,8 +478,9 @@ class TestWorkspace:
             assert np.array_equal(ws.G[i], full_inner_row(a, atoms[: i + 1]))
         assert_allclose(ws.G, full_gram(atoms), rtol=1e-12, atol=1e-12)
         assert_allclose(ws.Gp, h1_gram(atoms), rtol=1e-12, atol=1e-12)
-        assert np.array_equal(ws.U, np.column_stack([obj.node_column(kernel, a) for a in atoms]))
-        assert np.array_equal(ws.E, np.column_stack([obj.event_column(kernel, a) for a in atoms]))
+        X = atom_columns(kernel, obj, atoms)[0]
+        assert np.array_equal(ws.U, X[: obj.nodes.size])
+        assert np.array_equal(ws.E, X[obj.nodes.size :])
         if link.kind == "linear":
             assert ws.comp.tolist() == [obj.comp_row(kernel, a) for a in atoms]
         else:
@@ -513,8 +515,9 @@ class TestWorkspace:
         assert len(atoms) > 32  # past the first capacity of the buffers
         assert_allclose(ws.G, full_gram(atoms), rtol=1e-12, atol=1e-12)
         assert_allclose(ws.Gp, h1_gram(atoms), rtol=1e-12, atol=1e-12)
-        assert np.array_equal(ws.U, np.column_stack([obj.node_column(kernel, a) for a in atoms]))
-        assert np.array_equal(ws.E, np.column_stack([obj.event_column(kernel, a) for a in atoms]))
+        X = atom_columns(kernel, obj, atoms)[0]
+        assert np.array_equal(ws.U, X[: obj.nodes.size])
+        assert np.array_equal(ws.E, X[obj.nodes.size :])
 
 
 class TestBulkDictionary:
@@ -525,7 +528,7 @@ class TestBulkDictionary:
     def test_history_block_equals_atoms_added_one_at_a_time(self, m, block, monkeypatch):
         if block is not None:
             # 1 entry leaves one atom per chunk, 2000 a few
-            monkeypatch.setattr(optimizer, "_HISTORY_BLOCK", block)
+            monkeypatch.setattr(likelihood, "_HISTORY_BLOCK", block)
         kernel, obj = history_objective(m)
         ws = _Workspace(kernel, obj)
         ws.add_polynomials()
@@ -555,14 +558,15 @@ class TestBulkDictionary:
         # the test above assumes
         kernel, obj = history_objective(1)
         sizes = []
-        real = _Workspace._columns
+        real = likelihood._family_sums
 
-        def spy(self, channel, h1, h0):
-            sizes.append(h1.shape[0])
-            return real(self, channel, h1, h0)
+        def spy(table, pos, queries):
+            out = real(table, pos, queries)
+            sizes.append(out.shape[0])
+            return out
 
-        monkeypatch.setattr(_Workspace, "_columns", spy)
-        monkeypatch.setattr(optimizer, "_HISTORY_BLOCK", 2000)
+        monkeypatch.setattr(likelihood, "_family_sums", spy)
+        monkeypatch.setattr(likelihood, "_HISTORY_BLOCK", 2000)
         ws = _Workspace(kernel, obj)
         ws.add_history_atoms()
         assert len(sizes) > obj.n_channels and sum(sizes) == len(ws)
@@ -618,9 +622,10 @@ class TestBulkDictionary:
             assert not a.sec_lags.flags.writeable
             assert same_bits(a.sections_h0(kernel), b.sections_h0(kernel))
             assert same_bits(a.h1_value(u), b.h1_value(u))
-            lags = ws._pairs[a.channel][0]
+            # the index's search positions of the pair lags give the bits
+            # of the search
             pos = obj.node_lag_index(a.channel).pos
-            assert same_bits(a.h1_value(lags, pos), b.h1_value(lags))
+            assert same_bits(obj.columns(kernel, [a], pos), obj.columns(kernel, [b]))
         # the full-kernel atoms carry the same polynomial content
         for a, b in zip(
             build_f_atoms(kernel, obj, part="r", link_weights=steps[2]),
@@ -640,7 +645,7 @@ class TestBulkDictionary:
         def no_columns(*args, **kwargs):
             raise AssertionError("a predictor column was evaluated")
 
-        monkeypatch.setattr(_Workspace, "_columns", no_columns)
+        monkeypatch.setattr(Objective, "columns", no_columns)
         # the initial dictionary plus one integral atom per channel is one
         # more than the cap; the message keeps the dictionary's count
         cap = n_init + obj.n_channels - 1
@@ -649,6 +654,135 @@ class TestBulkDictionary:
         # with room for it the fit goes on to evaluate columns
         with pytest.raises(AssertionError, match="column"):
             fit_descent(kernel, obj, max_atoms=n_init + obj.n_channels)
+
+
+class TestColumns:
+    """``Objective.columns`` is the one route from atoms to predictor
+    columns, and it gives the columns of ``Atom.value`` atom by atom."""
+
+    @staticmethod
+    def mixed_block(kernel, obj):
+        """Per channel: a polynomial, part "r" history atoms, the
+        segment-only integral atom, the normal form of a compacted filter
+        (sections, segments and h0), a kernel section and integral atoms of
+        node weights; the quiet channel has no pairs at all."""
+        rng = np.random.default_rng(31)
+        h_atoms = [
+            a for a in build_h_atoms(kernel, obj.events, obj.drivers, part="r") if not a.is_zero
+        ]
+        segments = build_f_atoms(kernel, obj, part="r1")
+        weights = rng.uniform(0.1, 1.0, obj.nodes.size)
+        integral = build_f_atoms(kernel, obj, part="r1", link_weights=weights)
+        mix = h_atoms[:4] + segments + [h0_poly(kernel, ch, kernel.m) for ch in range(2)]
+        forms = FilterFunction(
+            kernel, obj.n_channels, tuple(mix), rng.normal(size=len(mix))
+        ).compact().normal_forms
+        block = []
+        for ch in range(obj.n_channels):
+            block += [h0_poly(kernel, ch, 1)]
+            block += [a for a in h_atoms if a.channel == ch][:3]
+            block += [segments[ch], forms[ch], kernel_section(kernel, ch, 2.5, part="r")]
+            block += [integral[ch]]
+        for f in forms[:2]:
+            assert f.sec_lags.size and f.seg_nodes.size and f.h0.any()
+        assert segments[0].seg_nodes.size and not segments[0].sec_lags.size
+        return block, integral
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("block_size", [None, 1, 2000], ids=["one-chunk", "atom-chunks", "chunks"])
+    def test_mixed_block_equals_the_atoms_one_by_one(self, m, block_size, monkeypatch):
+        if block_size is not None:
+            monkeypatch.setattr(likelihood, "_HISTORY_BLOCK", block_size)
+        kernel, obj = history_objective(m, quiet_channel=True)
+        block, integral = self.mixed_block(kernel, obj)
+        X, X1 = obj.columns(kernel, block)
+        want = atom_columns(kernel, obj, block)
+        assert same_bits(X, want[0]) and same_bits(X1, want[1])
+        q = obj.nodes.size
+        for a in block:
+            want = atom_columns(kernel, obj, [a])
+            assert same_bits(obj.columns(kernel, [a]), want)
+            # node_column and event_column are the two halves
+            assert same_bits(obj.node_column(kernel, a), want[0][:q, 0])
+            assert same_bits(obj.event_column(kernel, a), want[0][q:, 0])
+        for a in integral:
+            pos = obj.node_lag_index(a.channel).pos
+            assert same_bits(obj.columns(kernel, [a], pos), atom_columns(kernel, obj, [a]))
+        # a block's smooth part drops each atom's polynomial part, and only
+        # that: the full-kernel atoms differ from their smooth parts
+        assert not same_bits(X, X1)
+        assert same_bits(obj.columns(kernel, [a.projected() for a in block])[0], X1)
+
+    def test_every_column_goes_through_objective_columns(self, monkeypatch):
+        kernel, obj = history_objective(2, quiet_channel=True)
+        calls = []
+        real = Objective.columns
+
+        def spy(self, kernel, atoms, pos=None):
+            calls.append((len(atoms), pos is not None))
+            return real(self, kernel, atoms, pos)
+
+        monkeypatch.setattr(Objective, "columns", spy)
+        ws = _Workspace(kernel, obj)
+        ws.add_polynomials()
+        assert calls == [(1, False)] * (obj.n_channels * kernel.m)
+        del calls[:]
+        events, _ = ws.add_history_atoms()
+        assert calls == [(events.size, False)]
+        del calls[:]
+        cols = ws.add_integral_atoms(np.ones(obj.nodes.size))
+        assert len(cols) == 2 and calls == [(1, True)] * 2
+        del calls[:]
+        ws.add(kernel_section(kernel, 1, 2.5))
+        assert calls == [(1, False)]
+        del calls[:]
+        obj.node_column(kernel, ws.atoms[-1])
+        obj.event_column(kernel, ws.atoms[-1])
+        assert calls == [(1, False)] * 2
+        del calls[:]
+        # the representer basis: its history and integral atoms as one block each
+        _Workspace(kernel, obj).add_representers()
+        n_poly, n_ch = obj.n_channels * kernel.m, obj.n_channels
+        assert calls == [(1, False)] * n_poly + [(len(obj.events) * n_ch, False), (n_ch, False)]
+
+
+class TestKernelHorizon:
+    """A kernel whose horizon is not the data's is a ConfigError, raised
+    before any atom is built: a longer one would fit and then fail to
+    evaluate, and a shorter one cannot hold the data's lags."""
+
+    @staticmethod
+    def objective(link, monkeypatch=None):
+        times = np.array([0.4, 1.1, 1.5, 2.6, 3.0, 3.9, 4.7, 5.5])
+        events = EventSeries(6.0, times)
+        drivers = DriverSeries(6.0, (DriverChannel("target", times, np.ones(times.size)),))
+        if monkeypatch is not None:
+            def no_atoms(*args, **kwargs):
+                raise AssertionError("an atom or a column was built")
+
+            for name in ("build_h_atoms", "build_f_atoms", "h0_poly"):
+                monkeypatch.setattr(optimizer, name, no_atoms)
+            monkeypatch.setattr(Objective, "columns", no_atoms)
+        return Objective(link, 2.0, events, drivers)
+
+    @pytest.mark.parametrize("horizon", [12.0, 3.0])
+    def test_fit_linear_rejects(self, horizon, monkeypatch):
+        obj = self.objective(linear_link(0.5), monkeypatch)
+        with pytest.raises(ConfigError, match="horizon"):
+            fit_linear(SobolevKernel(1, horizon), obj)
+
+    @pytest.mark.parametrize("horizon", [12.0, 3.0])
+    def test_fit_descent_rejects(self, horizon, monkeypatch):
+        obj = self.objective(exponential_link(-0.5), monkeypatch)
+        with pytest.raises(ConfigError, match="horizon"):
+            fit_descent(SobolevKernel(1, horizon), obj)
+
+    @pytest.mark.parametrize("horizon", [12.0, 3.0])
+    def test_columns_reject(self, horizon):
+        obj = self.objective(exponential_link(-0.5))
+        kernel = SobolevKernel(1, horizon)
+        with pytest.raises(ConfigError, match="horizon"):
+            obj.columns(kernel, [h0_poly(kernel, 0, 1)])
 
 
 class TestSolveSpd:
