@@ -80,6 +80,18 @@ def _write_csv(path, header: list[str], rows) -> None:
             writer.writerow(row)
 
 
+def _write_float_csv(path, header: list[str], *columns) -> None:
+    """A CSV of float columns, byte for byte what ``_write_csv`` writes of
+    the reprs of their values: a float's repr never needs quoting, so each
+    line is the reprs joined by commas and ended by csv's "\r\n"."""
+    import numpy as np
+
+    cells = (map(repr, np.asarray(c, dtype=float).tolist()) for c in columns)
+    lines = [",".join(header), *map(",".join, zip(*cells)), ""]
+    with open(path, "w", newline="") as fh:
+        fh.write("\r\n".join(lines))
+
+
 def _sha256(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -360,11 +372,8 @@ def cmd_fit(args) -> int:
 
     lags = np.linspace(0.0, events.horizon, _GRID_POINTS)
     for j, name in enumerate(manifest.driver_names()):
-        vals = np.asarray(res.g_hat.evaluate(j, lags), dtype=float)
-        _write_csv(
-            out / f"filter_grid_{name}.csv",
-            ["lag", "value"],
-            ((repr(float(u)), repr(float(v))) for u, v in zip(lags, vals)),
+        _write_float_csv(
+            out / f"filter_grid_{name}.csv", ["lag", "value"], lags, res.g_hat.evaluate(j, lags)
         )
 
     # one row per traced iterate; the step taken from it, if any, fills the
@@ -427,12 +436,8 @@ def cmd_intensity(args) -> int:
     _, _, events, drivers = _load_dataset(args.data)
     grid = np.linspace(0.0, events.horizon, args.grid)
     s_all = np.unique(np.concatenate([grid, events.times]))
-    lam = np.asarray(intensity(g, link, at_risk, drivers, s_all), dtype=float)
-    _write_csv(
-        Path(args.out) / "intensity.csv",
-        ["s", "lambda"],
-        ((repr(float(s)), repr(float(v))) for s, v in zip(s_all, lam)),
-    )
+    lam = intensity(g, link, at_risk, drivers, s_all)
+    _write_float_csv(Path(args.out) / "intensity.csv", ["s", "lambda"], s_all, lam)
     _write_run_manifest(args, "intensity", {"grid": args.grid})
     return 0
 
@@ -447,7 +452,7 @@ def cmd_gof(args) -> int:
     _, _, events, drivers = _load_dataset(args.data)
     gaps = time_rescale(g, link, events, drivers, at_risk=at_risk)
     out = Path(args.out)
-    _write_csv(out / "gaps.csv", ["gap"], ((repr(float(v)),) for v in gaps))
+    _write_float_csv(out / "gaps.csv", ["gap"], gaps)
     if gaps.size:
         # the two-sided exact test of scipy.stats.kstest(gaps, "expon"), with
         # its arithmetic, without its argument and result machinery

@@ -24,7 +24,9 @@ per channel over them, and so do the likelihood's predictors and exact
 compensator.  An atom builds the prefix table of each of its kernel sums
 (``kernel._prefix_table``) on first use and keeps it, so evaluating a fixed
 filter again, as the thinning simulator does at every candidate, reads the
-tables instead of summing anew.  ``FilterFunction.compact`` rewrites a
+tables instead of summing anew; the simulator also skips the domain check
+(``Atom._value``), as its lags lie in the domain by construction.
+``FilterFunction.compact`` rewrites a
 filter as its normal forms in at most 1 + m serializable atoms per channel.
 
 In a ``glppm.filter.v1`` payload each array of an atom entry
@@ -177,15 +179,26 @@ class Atom:
         return out
 
     def value(self, kernel: SobolevKernel, u):
-        """Value at lag(s) u; the polynomial part is the ``np.dot`` that
-        ``np.tensordot(h0, kernel.h0_basis(u), axes=(0, 0))`` makes."""
+        """Value at lag(s) u in [0, horizon]: the domain check, then
+        ``_value``."""
         kernel._check_domain(u)
+        return self._value(u)
+
+    def _value(self, u):
+        """Value at lag(s) u, unchecked.  Only a caller whose lags lie in
+        [0, horizon] by construction calls it directly: the thinning
+        simulator, once per candidate.  The polynomial part is the
+        ``np.dot`` that ``np.tensordot(h0, kernel.h0_basis(u), axes=(0, 0))``
+        makes; at m = 1 that product is h0[0] * phi_1 with phi_1 = 1, which
+        is h0[0] exactly, so it is added as such."""
         out = self.h1_value(u)
-        if self.h0.any():
-            u = np.asarray(u, dtype=float)
-            basis = _h0_stack(u, self.m).reshape(self.m, u.size)
-            out = out + np.dot(self.h0.reshape(1, self.m), basis).reshape(u.shape)
-        return out
+        if self.m == 1:
+            return out + self.h0[0] if self.h0[0] else out
+        if not self.h0.any():
+            return out
+        u = np.asarray(u, dtype=float)
+        basis = _h0_stack(u, self.m).reshape(self.m, u.size)
+        return out + np.dot(self.h0.reshape(1, self.m), basis).reshape(u.shape)
 
     def antiderivative(self, kernel: SobolevKernel, x):
         """int_0^x atom(v) dv including the polynomial part, exactly."""

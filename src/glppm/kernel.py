@@ -116,7 +116,7 @@ def _cross_weighted_sum(p: int, q: int, lags, weights, queries, table=None):
     if table is None:
         table = _prefix_table(p, q, lags, weights)
     queries = np.asarray(queries, dtype=float)
-    pos = np.searchsorted(lags, queries, side="right")
+    pos = lags.searchsorted(queries, side="right")
     out = np.zeros(queries.shape)
     for scaled, e in table:
         # x ** 0 is 1 and x ** 1 is x exactly, so those products are skipped

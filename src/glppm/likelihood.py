@@ -22,8 +22,9 @@ discretized objective, which keeps line searches and finite-difference
 checks sharp in both regimes.
 
 A filter enters through its normal form, one merged atom per channel
-(``FilterFunction.normal_forms``): its predictors are one column per
-channel and its exact compensator one antiderivative pass per channel.
+(``FilterFunction.normal_forms``): its predictors at the nodes and the
+events are one ``Objective.columns`` call over them, and its exact
+compensator one antiderivative pass per channel.
 ``compensator`` evaluates Lambda at one time or at an array of times with
 one partition and one cumulative pass, exactly for the linear link and by
 the same Gauss-Legendre rule otherwise.
@@ -296,8 +297,8 @@ class Objective:
     point, earlier jump) pairs: the pairs of the quadrature nodes, then those
     of the event times, each as its lag, point and jump size.
     ``_node_pairs`` and ``_event_pairs`` view its two halves.  ``columns``
-    turns any block of atoms into predictor columns from this store, and a
-    filter's predictors take one column per channel, of its normal form.
+    turns any block of atoms into predictor columns from this store, and
+    ``predictors`` gives a filter's from one call over its normal forms.
     """
 
     def __init__(
@@ -446,15 +447,14 @@ class Objective:
         self._check_kernel(g.kernel)
         _check_channels(g, self.drivers)
 
-    def predictor_nodes(self, g: FilterFunction) -> np.ndarray:
-        """X(g) at all quadrature nodes, one column per channel."""
+    def predictors(self, g: FilterFunction) -> tuple[np.ndarray, np.ndarray]:
+        """X(g) at all quadrature nodes and at all event times (strict left
+        limits): one ``columns`` call over the normal forms, whose columns
+        are summed in channel order."""
         self._check_filter(g)
-        return sum(self.node_column(g.kernel, f) for f in g.normal_forms)
-
-    def predictor_events(self, g: FilterFunction) -> np.ndarray:
-        """X(g) at all event times, one column per channel."""
-        self._check_filter(g)
-        return sum(self.event_column(g.kernel, f) for f in g.normal_forms)
+        x = self.columns(g.kernel, g.normal_forms)[0]
+        x = sum(x[:, ch] for ch in range(g.n_channels))
+        return x[: self.nodes.size], x[self.nodes.size :]
 
 
 # -- public operations ----------------------------------------------------------
@@ -498,9 +498,9 @@ def intensity(g: FilterFunction, link: LinkSpec, at_risk: AtRiskProcess, drivers
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _event_terms(g: FilterFunction, obj: Objective) -> tuple[np.ndarray, np.ndarray]:
-    """(X at events, phi(X) at events), with feasibility checks."""
-    x = obj.predictor_events(g)
+def _event_phi(obj: Objective, x: np.ndarray) -> np.ndarray:
+    """phi(X) at the events, given X there; InfeasibleError where the
+    intensity is not positive."""
     phi = obj.link.value(x)
     lam = obj.y_events * phi
     if lam.size and lam.min() <= 0.0:
@@ -508,7 +508,7 @@ def _event_terms(g: FilterFunction, obj: Objective) -> tuple[np.ndarray, np.ndar
         raise InfeasibleError(
             f"non-positive intensity {lam[i]} at event t={obj.events.times[i]}"
         )
-    return x, phi
+    return phi
 
 
 def _check_node_domain(obj: Objective, x_nodes: np.ndarray) -> None:
@@ -527,8 +527,8 @@ def _check_node_domain(obj: Objective, x_nodes: np.ndarray) -> None:
 
 def neg_log_lik(g: FilterFunction, obj: Objective) -> float:
     """Minus log-likelihood; exact compensator for the linear link."""
-    x_events, phi_events = _event_terms(g, obj)
-    x_nodes = obj.predictor_nodes(g)
+    x_nodes, x_events = obj.predictors(g)
+    phi_events = _event_phi(obj, x_events)
     if obj.link.kind == "linear":
         _check_node_domain(obj, x_nodes)
         comp = obj.link.d * obj.int_y + sum(obj.comp_row(g.kernel, f) for f in g.normal_forms)

@@ -13,9 +13,11 @@ lambda/bound; the bound is recomputed at every step, so it decays with the
 age of the past jumps instead of holding the sup of g for every one of them.
 The next window edge and the at-risk level change only at an edge, and are
 kept until the next one.  Each candidate evaluates the filter once per
-channel at the lags of the past jumps; a FilterFunction does so from the
-prefix tables its normal forms keep (``filters``), so the per-candidate
-cost is a lookup, not a rebuild of the kernel sums.
+channel at the lags of the past jumps, through ``SimSpec.filter_values``.
+A FilterFunction does so from the prefix tables its normal forms keep
+(``filters``), with no domain check: every lag lies in [0, horizon] by
+construction.  So the per-candidate cost is one search and a multiply-add
+per kernel term, not a rebuild of the kernel sums.
 
 ``time_rescale`` maps observed events through the fitted compensator; under
 a correct model the rescaled gaps are unit exponentials.  It is the
@@ -36,7 +38,7 @@ import numpy as np
 from .data import AtRiskProcess, DriverChannel, DriverSeries, EventSeries
 from .errors import ConfigError, SolverError
 from .filters import FilterFunction
-from .likelihood import LinkSpec, _filter_values, _partition, compensator
+from .likelihood import LinkSpec, _partition, compensator
 
 __all__ = ["SimSpec", "simulate", "time_rescale"]
 
@@ -106,7 +108,18 @@ class SimSpec:
         return (self.drivers.n_channels if self.drivers else 0) + int(self.self_exciting)
 
     def filter_values(self, channel: int, lags: np.ndarray) -> np.ndarray:
-        return _filter_values(self.filters, channel, lags)
+        """g_channel at an array of lags in [0, horizon].
+
+        The envelope grid and every thinning candidate read the filter
+        here.  A FilterFunction is read from its normal form with no domain
+        check (``Atom._value``): candidates lie below the horizon, driver
+        and event times are >= 0, and ``__post_init__`` rejects a kernel
+        whose horizon is shorter than the simulation, so every lag is in
+        the kernel's domain.
+        """
+        if isinstance(self.filters, FilterFunction):
+            return self.filters.normal_forms[channel]._value(lags)
+        return np.asarray(self.filters[channel](lags), dtype=float)
 
     @cached_property
     def envelopes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -163,11 +176,11 @@ def simulate(spec: SimSpec, seed=None) -> tuple[EventSeries, DriverSeries]:
     def predictor(s: float) -> float:
         x = 0.0
         for j, ch in enumerate(exo):
-            n = int(np.searchsorted(ch.times, s, side="left"))
+            n = int(ch.times.searchsorted(s))
             if n:
                 x += float(ch.sizes[:n] @ spec.filter_values(j, s - ch.times[:n]))
         if self_ch is not None and n_events:
-            x += float(np.sum(spec.filter_values(self_ch, s - events[:n_events])))
+            x += float(spec.filter_values(self_ch, s - events[:n_events]).sum())
         return x
 
     def x_bound(t: float) -> float:

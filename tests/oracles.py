@@ -27,7 +27,7 @@ from glppm.kernel import SobolevKernel, _branch_coeffs, _cross_weighted_sum
 from glppm.likelihood import (
     Objective,
     _check_node_domain,
-    _event_terms,
+    _event_phi,
     build_f_atoms,
     build_h_atoms,
     objective_value,
@@ -247,8 +247,8 @@ def gradient(g: FilterFunction, obj: Objective) -> FilterFunction:
     per event with coefficient -phi'/phi(X_tau-), and the penalty part
     2 lam P g as one projected normal form per channel.
     """
-    x_events, phi_events = _event_terms(g, obj)
-    x_nodes = obj.predictor_nodes(g)
+    x_nodes, x_events = obj.predictors(g)
+    phi_events = _event_phi(obj, x_events)
     _check_node_domain(obj, x_nodes)
     rho = obj.link.deriv(x_events) / phi_events if phi_events.size else np.empty(0)
 
@@ -282,9 +282,8 @@ def hessian_coords(g: FilterFunction, obj: Objective, basis_atoms, kernel=None) 
     n = len(basis_atoms)
     if n == 0:
         return np.zeros((0, 0))
-    x_events = obj.predictor_events(g)
+    x_nodes, x_events = obj.predictors(g)
     phi_events = obj.link.value(x_events)
-    x_nodes = obj.predictor_nodes(g)
 
     U = np.column_stack([obj.node_column(kernel, a) for a in basis_atoms])
     E = (

@@ -606,6 +606,22 @@ MALFORMED = {
 }
 
 
+class TestFloatTables:
+    @pytest.mark.parametrize("n_rows", [0, 1, 7])
+    def test_bytes_equal_the_csv_writer(self, tmp_path, n_rows):
+        # fit's filter grids, gof's gaps and intensity's table are written
+        # as one join of float reprs, with the bytes csv.writer gives
+        values = np.array([0.1, -0.0, 5e-324, 1e16, np.nan, np.inf, -np.inf])
+        cols = (values[:n_rows], np.linspace(0.0, 1.0, 7)[:n_rows] / 3.0)
+        for header, columns in ((["gap"], cols[:1]), (["lag", "value"], cols)):
+            cli._write_float_csv(tmp_path / "join.csv", header, *columns)
+            rows = ((repr(float(v)) for v in row) for row in zip(*columns))
+            cli._write_csv(tmp_path / "writer.csv", header, rows)
+            want = (tmp_path / "writer.csv").read_bytes()
+            assert (tmp_path / "join.csv").read_bytes() == want
+            assert want.endswith(b"\r\n") and want.count(b"\r\n") == n_rows + 1
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize("target, change, code", MALFORMED.values(), ids=MALFORMED.keys())
     def test_exits_with_its_code(self, tmp_path, target, change, code):

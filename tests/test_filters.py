@@ -2,6 +2,7 @@
 
 import base64
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -242,6 +243,53 @@ class TestPrefixTables:
             assert exc.value.at == out
             with pytest.raises(DomainError):
                 call(out)
+
+
+class TestUncheckedValue:
+    """``Atom.value`` is the domain check, then the unchecked ``Atom._value``
+    that the thinning simulator reads directly; at m = 1 the polynomial
+    part is h0[0], added as such."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_value_equals_a_fresh_evaluation(self, m):
+        rng = np.random.default_rng(40 + m)
+        k = SobolevKernel(m=m, horizon=5.0)
+        g = random_filter(k, rng, n_channels=2)
+        # the smooth part is 0.0 at lag 0, where every R1 slice vanishes
+        queries = [rng.uniform(0, 5, 40), 1.7, 0.0, np.array([0.0, 5.0]), np.empty(0)]
+        for f, has_h0 in ((g, True), (g.project(), False)):
+            for ch, form in enumerate(f.normal_forms):
+                assert bool(form.h0.any()) == has_h0
+                for u in queries:
+                    want = fresh_value(f, ch, u)
+                    assert same_bits(form.value(k, u), want), (m, has_h0, u)
+                    assert same_bits(form._value(u), want), (m, has_h0, u)
+        assert same_bits(g.normal_forms[0].value(k, 0.0), g.normal_forms[0].h0[0])
+
+    def test_a_signed_zero_h0_adds_nothing(self):
+        k = SobolevKernel(m=1, horizon=5.0)
+        g = FilterFunction(k, 1, (kernel_section(k, 0, 2.0),), np.array([-1.0]))
+        form = g.normal_forms[0]
+        signed = replace(form, h0=np.array([-0.0]))
+        for u in (np.array([0.0, 1.0, 3.0]), 0.0, 3.0):
+            assert same_bits(signed.value(k, u), fresh_value(g, 0, u))
+            assert same_bits(signed.value(k, u), form.h1_value(u))
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_public_evaluations_still_check_the_domain(self, m):
+        k = SobolevKernel(m=m, horizon=5.0)
+        g = random_filter(k, np.random.default_rng(50 + m))
+        form = g.normal_forms[0]
+        for bad in (-0.1, 5.5, np.array([1.0, -1e-12]), np.array([5.0 + 1e-9, 2.0])):
+            with pytest.raises(DomainError):
+                g.evaluate(0, bad)
+            with pytest.raises(DomainError):
+                form.value(k, bad)
+        # data on a longer window than the kernel's: a lag of 8.5 > 5
+        drivers = DriverSeries(10.0, (DriverChannel("z", np.array([0.5]), np.ones(1)),))
+        assert linear_predictor(g, drivers, 5.5) == g.evaluate(0, 5.0)
+        with pytest.raises(DomainError):
+            linear_predictor(g, drivers, np.array([1.0, 9.0]))
 
 
 class TestInnerProduct:

@@ -24,7 +24,7 @@ from glppm.likelihood import (
     softplus_link,
 )
 
-from oracles import gradient, hessian_coords
+from oracles import atom_columns, gradient, hessian_coords, same_bits
 
 
 def small_filter(kernel, rng, n_channels, scale=0.01):
@@ -261,6 +261,36 @@ class TestObjective:
         assert_allclose(objective_value(g, obj), want, rtol=1e-15)
         obj0 = Objective(linear_link(1.0), 0.0, events, drivers)
         assert objective_value(g, obj0) == neg_log_lik(g, obj0)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_predictors_are_the_per_form_columns(self, tiny, m, monkeypatch):
+        # both predictors come from one columns call over the normal forms,
+        # each channel's column summed in channel order as the per-form
+        # oracle sums them
+        events, drivers = tiny
+        k = SobolevKernel(m=m, horizon=8.0)
+        g = small_filter(k, np.random.default_rng(4 + m), 2)
+        obj = Objective(exponential_link(0.1), 1.0, events, drivers)
+        x_nodes, x_events = obj.predictors(g)
+        assert all(f.h0.any() for f in g.normal_forms)
+        want = sum(atom_columns(k, obj, [f])[0][:, 0] for f in g.normal_forms)
+        q = obj.nodes.size
+        assert same_bits(x_nodes, want[:q]) and same_bits(x_events, want[q:])
+        assert same_bits(x_nodes, sum(obj.node_column(k, f) for f in g.normal_forms))
+        assert same_bits(x_events, sum(obj.event_column(k, f) for f in g.normal_forms))
+
+        calls = []
+        columns = Objective.columns
+
+        def counting(self, kernel, atoms, pos=None):
+            calls.append(len(atoms))
+            return columns(self, kernel, atoms, pos)
+
+        monkeypatch.setattr(Objective, "columns", counting)
+        for link in (exponential_link(0.1), linear_link(1.0)):
+            calls.clear()
+            neg_log_lik(g, Objective(link, 1.0, events, drivers))
+            assert calls == [2]
 
     def test_horizon_mismatch(self, tiny):
         events, drivers = tiny

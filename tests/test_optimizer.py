@@ -208,7 +208,7 @@ class TestFitLinear:
         gn_indep = float(np.sqrt(max(grad.inner_product(grad), 0.0)))
         assert_allclose(res.grad_norm, gn_indep, rtol=1e-6)
         # fitted intensity stays nonnegative on the quadrature grid
-        x_nodes = obj.predictor_nodes(res.g_hat)
+        x_nodes = obj.predictors(res.g_hat)[0]
         assert float(x_nodes.min()) >= -0.5 - 1e-7
 
     def test_penalty_limit_flattens_the_fit(self):

@@ -63,6 +63,16 @@ class TestSpecValidation:
         ev, dr = simulate(spec, seed=0)
         assert ev.horizon == 5.0
 
+    def test_filter_kernel_shorter_than_the_simulation(self):
+        # the thinning predictor reads a FilterFunction without a domain
+        # check, so a lag beyond the kernel's horizon must be ruled out here
+        k = SobolevKernel(m=1, horizon=10.0)
+        g = FilterFunction(k, 1, (h0_poly(k, 0, 1),), np.array([0.1]))
+        with pytest.raises(ConfigError, match="horizon shorter"):
+            SimSpec(link=linear_link(1.0), filters=g, horizon=10.5)
+        for horizon in (10.0, 4.0):
+            assert SimSpec(link=linear_link(1.0), filters=g, horizon=horizon).horizon == horizon
+
     def test_max_events_validation(self):
         with pytest.raises(ConfigError):
             SimSpec(
@@ -200,19 +210,20 @@ class TestSimulate:
         assert np.array_equal(dr.channels[1].times, ev.times)
 
 
+def fresh_filters(g: FilterFunction):
+    """One callable per channel that builds every kernel sum of ``g`` afresh."""
+    return [lambda u, ch=ch: fresh_value(g, ch, u) for ch in range(g.n_channels)]
+
+
 class TestFilterSpec:
     def test_draws_the_events_of_fresh_evaluations(self):
         # the predictor evaluates a FilterFunction spec from the prefix
-        # tables its normal forms keep; callables that build every kernel
-        # sum afresh must draw the same events, bit for bit
-        k = SobolevKernel(m=1, horizon=40.0)
-        atoms = (
-            h0_poly(k, 0, 1), kernel_section(k, 0, 1.5),
-            h0_poly(k, 1, 1), kernel_section(k, 1, 1.0),
-        )
-        g = FilterFunction(k, 2, atoms, np.array([0.4, -0.4 / 1.5, 0.5, -0.5]))
+        # tables its normal forms keep, unchecked; callables that build
+        # every kernel sum afresh must draw the same events, bit for bit.
+        # g_ch falls from h at lag 0 to 0 at lag s and stays there:
+        # h - (h/s) R1(s, .) = h (1 - u/s)+ at m = 1, and at m = 2
+        # h - (3h/s) phi_2 + (6h/s^3) R1(s, .) = h ((1 - u/s)+)^3
         z = DriverChannel("z", np.array([3.0, 11.0, 12.5, 30.0]), np.array([1.0, 2.0, 0.5, 1.5]))
-        fresh = [lambda u, ch=ch: fresh_value(g, ch, u) for ch in range(2)]
 
         def spec(filters):
             return SimSpec(
@@ -223,12 +234,94 @@ class TestFilterSpec:
                 at_risk=AtRiskProcess([15.0, 20.0], [1.0, 0.0, 1.0]),
             )
 
+        for m in (1, 2):
+            k = SobolevKernel(m=m, horizon=40.0)
+            atoms = (
+                h0_poly(k, 0, 1), kernel_section(k, 0, 1.5),
+                h0_poly(k, 1, 1), kernel_section(k, 1, 1.0),
+            )
+            coeffs = [0.4, -0.4 / 1.5, 0.5, -0.5]
+            if m == 2:
+                atoms += (h0_poly(k, 0, 2), h0_poly(k, 1, 2))
+                coeffs = [0.4, 2.4 / 1.5**3, 0.5, 3.0, -1.2 / 1.5, -1.5]
+            g = FilterFunction(k, 2, atoms, np.array(coeffs))
+            for seed in range(5):
+                ev, _ = simulate(spec(g), seed=seed)
+                ev_fresh, _ = simulate(spec(fresh_filters(g)), seed=seed)
+                assert len(ev) > (10 if m == 1 else 5)
+                assert same_bits(ev.times, ev_fresh.times), (m, seed)
+            assert all(f.h0.any() for f in g.normal_forms)
+            assert sorted(g.normal_forms[1]._tables) == [(m, m)]
+
+    def test_self_exciting_filter_draws_the_events_of_fresh_evaluations(self):
+        # the benchmark's simulations: self-exciting only, m = 1, and the
+        # triangle 0.5 phi_1 - 0.5 R1(1, .), whose h0 is not zero
+        k = SobolevKernel(m=1, horizon=60.0)
+        g = FilterFunction(
+            k, 1, (h0_poly(k, 0, 1), kernel_section(k, 0, 1.0)), np.array([0.5, -0.5])
+        )
+        assert g.normal_forms[0].h0[0] == 0.5
         for seed in range(5):
-            ev, _ = simulate(spec(g), seed=seed)
-            ev_fresh, _ = simulate(spec(fresh), seed=seed)
-            assert len(ev) > 10
-            assert same_bits(ev.times, ev_fresh.times)
-        assert sorted(g.normal_forms[1]._tables) == [(1, 1)]
+            ev, _ = simulate(SimSpec(link=linear_link(0.5), filters=g, horizon=60.0), seed=seed)
+            spec = SimSpec(link=linear_link(0.5), filters=fresh_filters(g), horizon=60.0)
+            assert len(ev) > 30
+            assert same_bits(ev.times, simulate(spec, seed=seed)[0].times)
+
+    def test_candidates_skip_the_domain_check(self, monkeypatch):
+        # each candidate reads every channel's filter once through
+        # SimSpec.filter_values, and the kernel's domain check runs a
+        # bounded number of times, however many candidates there are
+        checks, values, links = [], [], []
+        check, filter_values, link_value = (
+            SobolevKernel._check_domain, SimSpec.filter_values, type(linear_link(0.5)).value
+        )
+
+        def counting_check(kernel, *points):
+            checks.append(len(points))
+            return check(kernel, *points)
+
+        def counting_values(spec, channel, lags):
+            values.append(np.size(lags))
+            return filter_values(spec, channel, lags)
+
+        def counting_link(link, x):
+            links.append(x)
+            return link_value(link, x)
+
+        monkeypatch.setattr(SobolevKernel, "_check_domain", counting_check)
+        monkeypatch.setattr(SimSpec, "filter_values", counting_values)
+        monkeypatch.setattr(type(linear_link(0.5)), "value", counting_link)
+        k = SobolevKernel(m=1, horizon=50.0)
+        atoms = (h0_poly(k, 0, 1), kernel_section(k, 0, 1.0), h0_poly(k, 1, 1))
+        g = FilterFunction(k, 2, atoms, np.array([0.3, -0.3, 0.2]))
+        z = DriverChannel("z", np.array([0.0, 7.0, 20.0]), np.ones(3))
+        w = DriverChannel("w", np.array([0.0, 35.0]), np.ones(2))
+
+        # with an explicit bound the link is read once per candidate, at
+        # its predictor; both drivers jump at 0, so every candidate has a
+        # past jump on each channel
+        spec = SimSpec(
+            link=linear_link(0.5), filters=g, horizon=50.0,
+            self_exciting=False, drivers=DriverSeries(50.0, (z, w)), bound=5.0,
+        )
+        checks.clear()
+        simulate(spec, seed=0)
+        assert len(links) > 100
+        assert len(values) == 2 * len(links)
+        assert len(checks) <= 2  # building the normal forms, once per channel
+
+        # with the automatic bound, the envelope grid adds one call per
+        # channel and still no check
+        g = FilterFunction(k, 3, atoms + (h0_poly(k, 2, 1),), np.array([0.3, -0.3, 0.2, 0.1]))
+        spec = SimSpec(
+            link=linear_link(0.5), filters=g, horizon=50.0, drivers=DriverSeries(50.0, (z, w)),
+        )
+        checks.clear(), values.clear()
+        ev, _ = simulate(spec, seed=0)
+        grid = [n for n in values if n == values[0]]
+        assert len(grid) == 3 and len(ev) > 20
+        assert len(values) - len(grid) >= 3 * len(ev) - 1
+        assert len(checks) <= 3
 
 
 class TestThinningLaw:
