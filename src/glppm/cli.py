@@ -16,22 +16,33 @@ written compactly.
 
 Every run writes ``run_manifest.json`` into the output directory with the
 command name, resolved input paths and their content hashes, the embedded
-configuration, the seed, the tool version and the wall time, which is
-enough to reproduce the outputs exactly.
+configuration, the seed, the tool version, the wall time and the BLAS
+thread variables the process saw (``thread_env``), which is enough to
+reproduce the outputs exactly.
 
-Exit codes: 0 success, 2 bad configuration, 3 bad or out-of-domain data,
-4 solver non-convergence (the fit outputs are still written), 5 infeasible
-model.
+Exit codes: 0 success; 2 a usage error (argparse's, such as a negative
+``--grid``), bad configuration, a missing or unreadable config or dataset
+manifest, or an ``--out`` that cannot be made a directory; 3 bad or
+out-of-domain data, including a dataset CSV or a filter file that cannot
+be read; 4 solver non-convergence (the fit outputs are still written);
+5 infeasible model.
 
-``--threads`` caps BLAS parallelism through the usual environment
-variables.  Those are read when the numerical libraries load, so this
-module keeps its heavyweight imports inside the command functions instead
-of at module top.
+BLAS and OpenMP read ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
+``MKL_NUM_THREADS`` once, when numpy loads, and importing this package
+loads numpy; so the thread count is set by those variables before Python
+starts, as ``bench/run.py`` does.  The commands reach the traced layer
+functions through their modules (``data.load_events``,
+``optimizer.fit_descent``, ``simulator.time_rescale``, ...), looked up at
+each call, so that a tracer or a test can replace them there.  Only ``gof``
+imports ``scipy.stats``, inside the command: the import costs most of a
+second, which the other commands should not pay.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import dataclasses
 import functools
 import hashlib
 import json
@@ -40,22 +51,32 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
+from . import __version__, data, optimizer, simulator
+from .data import AtRiskProcess, DatasetManifest, _as_bool, _as_number
+from .errors import ConfigError, DataError, DomainError, InfeasibleError, SolverError
+from .filters import FilterFunction
+from .kernel import SobolevKernel
+from .likelihood import LinkSpec, Objective, QuadratureConfig, intensity
+from .optimizer import STEP_FIELDS, LineSearchConfig, _Workspace
+from .simulator import SimSpec
+
 __all__ = ["main"]
 
-_EXIT_CONFIG = 2
-_EXIT_DATA = 3
-_EXIT_SOLVER = 4
-_EXIT_INFEASIBLE = 5
+# the exit code of each typed error; a fit that stops unconverged exits with
+# SolverError's, after writing its outputs
+_EXIT_CODES = {ConfigError: 2, DataError: 3, DomainError: 3, SolverError: 4, InfeasibleError: 5}
 
 _GRID_POINTS = 512  # lag grid resolution of the fitted-filter CSV
+
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 # -- small shared helpers -------------------------------------------------------
 
 
 def _read_json(path) -> dict:
-    from .errors import ConfigError
-
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
@@ -71,8 +92,6 @@ def _write_json(path, payload) -> None:
 
 
 def _write_csv(path, header: list[str], rows) -> None:
-    import csv
-
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -84,8 +103,6 @@ def _write_float_csv(path, header: list[str], *columns) -> None:
     """A CSV of float columns, byte for byte what ``_write_csv`` writes of
     the reprs of their values: a float's repr never needs quoting, so each
     line is the reprs joined by commas and ended by csv's "\r\n"."""
-    import numpy as np
-
     cells = (map(repr, np.asarray(c, dtype=float).tolist()) for c in columns)
     lines = [",".join(header), *map(",".join, zip(*cells)), ""]
     with open(path, "w", newline="") as fh:
@@ -101,8 +118,6 @@ def _sha256(path) -> str:
 
 
 def _check_keys(cfg: dict, allowed: set, what: str) -> None:
-    from .errors import ConfigError
-
     if not isinstance(cfg, dict):
         raise ConfigError(f"{what} must be a JSON object, got {cfg!r}")
     unknown = set(cfg) - allowed
@@ -111,24 +126,13 @@ def _check_keys(cfg: dict, allowed: set, what: str) -> None:
 
 
 def _parse_link(raw):
-    from .data import _as_number
-    from .errors import ConfigError
-    from .likelihood import LinkSpec
-
     if not isinstance(raw, dict) or "kind" not in raw:
         raise ConfigError("link must be an object with a 'kind' field")
     _check_keys(raw, {"kind", "d"}, "link")
     return LinkSpec(str(raw["kind"]), _as_number(raw.get("d", 0.0), "link d"))
 
 
-def _link_dict(link) -> dict:
-    return {"kind": link.kind, "d": link.d}
-
-
 def _parse_at_risk(raw):
-    from .data import AtRiskProcess
-    from .errors import ConfigError, DataError
-
     _check_keys(raw, {"breakpoints", "values"}, "at_risk")
     try:
         return AtRiskProcess(raw.get("breakpoints", ()), raw.get("values", ()))
@@ -138,16 +142,12 @@ def _parse_at_risk(raw):
 
 def _load_dataset(data_path):
     """Dataset manifest plus the events/drivers from the CSV it names."""
-    from .data import load_events, load_manifest
-
     data_path = Path(data_path)
-    manifest = load_manifest(data_path)
-    csv_name = manifest.csv or data_path.with_suffix(".csv").name
-    csv_path = Path(csv_name)
-    if not csv_path.is_absolute():
-        csv_path = data_path.parent / csv_path
-    events, drivers = load_events(csv_path, manifest)
-    return manifest, csv_path, events, drivers
+    manifest = data.load_manifest(data_path)
+    # an absolute CSV path replaces the manifest's directory
+    csv_path = data_path.parent / (manifest.csv or data_path.with_suffix(".csv").name)
+    events, drivers = data.load_events(csv_path, manifest)
+    return manifest, events, drivers
 
 
 def _load_filter_bundle(path):
@@ -157,10 +157,6 @@ def _load_filter_bundle(path):
     ``link`` key) or a wrapper object {"filter": payload-or-path, "link":
     {...}, "at_risk": {...}}.
     """
-    from .data import AtRiskProcess
-    from .errors import ConfigError
-    from .filters import FilterFunction
-
     raw = _read_json(path)
     at_risk = AtRiskProcess.unit()
     if "format" in raw:
@@ -182,8 +178,6 @@ def _load_filter_bundle(path):
 
 
 def _write_run_manifest(args, command: str, config_obj, seed=None) -> None:
-    from . import __version__
-
     inputs = {}
     for name in ("data", "config"):
         p = getattr(args, name, None)
@@ -196,7 +190,7 @@ def _write_run_manifest(args, command: str, config_obj, seed=None) -> None:
         "config": config_obj,
         "seed": seed,
         "output_dir": str(Path(args.out).resolve()),
-        "threads": args.threads,
+        "thread_env": {var: os.environ.get(var) for var in _THREAD_VARS},
         "wall_time_s": time.perf_counter() - args.t0,
     }
     _write_json(Path(args.out) / "run_manifest.json", payload)
@@ -206,13 +200,6 @@ def _write_run_manifest(args, command: str, config_obj, seed=None) -> None:
 
 
 def cmd_simulate(args) -> int:
-    import numpy as np
-
-    from .data import DatasetManifest, _as_bool, _as_number, save_events
-    from .errors import ConfigError
-    from .filters import FilterFunction
-    from .simulator import SimSpec, simulate
-
     cfg = _read_json(args.config)
     _check_keys(
         cfg,
@@ -245,7 +232,7 @@ def cmd_simulate(args) -> int:
     if "drivers" in cfg:
         if not isinstance(cfg["drivers"], str):
             raise ConfigError("drivers must be a path to a dataset manifest")
-        _, _, _, drivers = _load_dataset(Path(args.config).parent / cfg["drivers"])
+        _, _, drivers = _load_dataset(Path(args.config).parent / cfg["drivers"])
 
     kwargs = {}
     if "at_risk" in cfg:
@@ -266,7 +253,7 @@ def cmd_simulate(args) -> int:
     )
 
     seed = args.seed if args.seed is not None else int.from_bytes(os.urandom(4), "little")
-    events, drv = simulate(spec, seed=seed)
+    events, drv = simulator.simulate(spec, seed=seed)
 
     out = Path(args.out)
     exo_names = tuple(ch.name for ch in drivers.channels) if drivers else ()
@@ -277,7 +264,7 @@ def cmd_simulate(args) -> int:
         self_exciting=spec.self_exciting,
         csv="events.csv",
     )
-    save_events(out / "events.csv", events, drv, manifest)
+    data.save_events(out / "events.csv", events, drv, manifest)
     _write_json(out / "dataset.json", manifest.to_dict())
     _write_run_manifest(args, "simulate", cfg, seed=seed)
     print(f"simulated {len(events)} events over horizon {spec.horizon}")
@@ -286,11 +273,6 @@ def cmd_simulate(args) -> int:
 
 def _fit_config(cfg):
     """Validated pieces of a fit/basis config, with defaults filled in."""
-    from .data import _as_number
-    from .errors import ConfigError
-    from .likelihood import QuadratureConfig
-    from .optimizer import LineSearchConfig
-
     _check_keys(
         cfg,
         {
@@ -334,21 +316,14 @@ def _fit_config(cfg):
 
 
 def cmd_fit(args) -> int:
-    import numpy as np
-
-    from .data import _as_number
-    from .kernel import SobolevKernel
-    from .likelihood import Objective
-    from .optimizer import STEP_FIELDS, fit_descent, fit_linear
-
     cfg = _read_json(args.config)
     link, lam, m, tol, quad, line_search, at_risk = _fit_config(cfg)
-    manifest, _, events, drivers = _load_dataset(args.data)
+    manifest, events, drivers = _load_dataset(args.data)
 
     obj = Objective(link, lam, events, drivers, at_risk=at_risk, quadrature=quad)
     kernel = SobolevKernel(m=m, horizon=events.horizon)
     if link.kind == "linear":
-        res = fit_linear(
+        res = optimizer.fit_linear(
             kernel,
             obj,
             tol=tol,
@@ -356,7 +331,7 @@ def cmd_fit(args) -> int:
             line_search=line_search,
         )
     else:
-        res = fit_descent(
+        res = optimizer.fit_descent(
             kernel,
             obj,
             tol=tol,
@@ -367,7 +342,7 @@ def cmd_fit(args) -> int:
 
     out = Path(args.out)
     payload = res.g_hat.compact().to_dict()
-    payload["link"] = _link_dict(link)
+    payload["link"] = dataclasses.asdict(link)
     _write_json(out / "filter.json", payload)
 
     lags = np.linspace(0.0, events.horizon, _GRID_POINTS)
@@ -412,7 +387,7 @@ def cmd_fit(args) -> int:
             "stationarity_residual": gn_res / max(1.0, gn0),
             "n_events": len(events),
             "n_channels": drivers.n_channels,
-            "link": _link_dict(link),
+            "link": dataclasses.asdict(link),
             "penalty_weight": lam,
             "m": m,
             "tol": tol,
@@ -424,16 +399,12 @@ def cmd_fit(args) -> int:
         f"fit {res.status}: objective {res.objective:.6f}, "
         f"grad norm {res.grad_norm:.3e}, {res.n_iter} iterations"
     )
-    return 0 if res.converged else _EXIT_SOLVER
+    return 0 if res.converged else _EXIT_CODES[SolverError]
 
 
 def cmd_intensity(args) -> int:
-    import numpy as np
-
-    from .likelihood import intensity
-
     g, link, at_risk = _load_filter_bundle(args.config)
-    _, _, events, drivers = _load_dataset(args.data)
+    _, events, drivers = _load_dataset(args.data)
     grid = np.linspace(0.0, events.horizon, args.grid)
     s_all = np.unique(np.concatenate([grid, events.times]))
     lam = intensity(g, link, at_risk, drivers, s_all)
@@ -443,14 +414,11 @@ def cmd_intensity(args) -> int:
 
 
 def cmd_gof(args) -> int:
-    import numpy as np
     from scipy.stats import expon, kstwo
 
-    from .simulator import time_rescale
-
     g, link, at_risk = _load_filter_bundle(args.config)
-    _, _, events, drivers = _load_dataset(args.data)
-    gaps = time_rescale(g, link, events, drivers, at_risk=at_risk)
+    _, events, drivers = _load_dataset(args.data)
+    gaps = simulator.time_rescale(g, link, events, drivers, at_risk=at_risk)
     out = Path(args.out)
     _write_float_csv(out / "gaps.csv", ["gap"], gaps)
     if gaps.size:
@@ -475,13 +443,9 @@ def cmd_gof(args) -> int:
 
 
 def cmd_basis(args) -> int:
-    from .kernel import SobolevKernel
-    from .likelihood import Objective
-    from .optimizer import _Workspace
-
     cfg = _read_json(args.config)
     link, lam, m, _, quad, _, at_risk = _fit_config(cfg)
-    _, _, events, drivers = _load_dataset(args.data)
+    _, events, drivers = _load_dataset(args.data)
     obj = Objective(link, lam, events, drivers, at_risk=at_risk, quadrature=quad)
     kernel = SobolevKernel(m=m, horizon=events.horizon)
     ws = _Workspace(kernel, obj)
@@ -512,6 +476,17 @@ def cmd_basis(args) -> int:
 # -- argument parsing and dispatch ----------------------------------------------
 
 
+def _grid_points(text: str) -> int:
+    """``--grid``: the number of evenly spaced evaluation times, 0 or more."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected a count of 0 or more, got {text!r}")
+    return n
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command line parser, built once per process; each ``parse_args``
@@ -522,70 +497,51 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, data=False, config=False, seed=False, grid=False):
-        if data:
+    def common(p, dataset=False, config=False, seed=False, grid=False):
+        if dataset:
             p.add_argument("--data", required=True, help="dataset manifest JSON")
         if config:
             p.add_argument("--config", required=True, help="configuration JSON")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--threads", type=int, default=None, help="BLAS thread cap")
         if seed:
             p.add_argument("--seed", type=int, default=None, help="RNG seed")
         if grid:
-            p.add_argument("--grid", type=int, default=_GRID_POINTS, help="grid points")
+            p.add_argument("--grid", type=_grid_points, default=_GRID_POINTS, help="grid points")
 
     p = sub.add_parser("simulate", help="draw events from a model spec")
     common(p, config=True, seed=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("fit", help="penalized maximum likelihood fit")
-    common(p, data=True, config=True)
+    common(p, dataset=True, config=True)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("intensity", help="evaluate the fitted intensity on a grid")
-    common(p, data=True, config=True, grid=True)
+    common(p, dataset=True, config=True, grid=True)
     p.set_defaults(func=cmd_intensity)
 
     p = sub.add_parser("gof", help="time-rescaling goodness of fit")
-    common(p, data=True, config=True)
+    common(p, dataset=True, config=True)
     p.set_defaults(func=cmd_gof)
 
     p = sub.add_parser("basis", help="dump the representer basis and Grams")
-    common(p, data=True, config=True)
+    common(p, dataset=True, config=True)
     p.set_defaults(func=cmd_basis)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(int(args.threads)))
     args.t0 = time.perf_counter()
-
-    from .errors import (
-        ConfigError,
-        DataError,
-        DomainError,
-        InfeasibleError,
-        SolverError,
-    )
-
     try:
-        Path(args.out).mkdir(parents=True, exist_ok=True)
+        try:
+            Path(args.out).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot make output directory {args.out}: {exc}") from exc
         return args.func(args)
-    except ConfigError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_CONFIG
-    except (DataError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_DATA
-    except InfeasibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_INFEASIBLE
-    except SolverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_SOLVER
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

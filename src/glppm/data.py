@@ -255,7 +255,11 @@ def load_manifest(path) -> DatasetManifest:
 
 
 def _parse_rows(path: Path):
-    with open(path, newline="") as fh:
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise DataError(f"cannot read dataset CSV {path}: {exc}") from exc
+    with fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:

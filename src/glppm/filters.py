@@ -564,7 +564,11 @@ class FilterFunction:
 
     @staticmethod
     def load(path) -> "FilterFunction":
-        return FilterFunction.from_json(Path(path).read_text())
+        try:
+            text = Path(path).read_text()
+        except OSError as exc:
+            raise DataError(f"cannot read filter {path}: {exc}") from exc
+        return FilterFunction.from_json(text)
 
 
 # -- inner products over atom lists --------------------------------------------

@@ -59,11 +59,6 @@ __all__ = [
     "softplus_link",
 ]
 
-# numerical slack on the linear-link domain boundary: fitted filters may sit
-# on the constraint up to the solvers' feasibility tolerance, and evaluating
-# them must not fail there
-_BOUNDARY_SLACK = 1e-7
-
 # entries of each temporary of ``Objective.columns`` (a prefix table or the
 # values at the pair lags, one row per atom), which evaluates a channel's
 # atoms in chunks that keep within it.  Fits on 20 events ran their history
@@ -478,19 +473,35 @@ def linear_predictor(g, drivers: DriverSeries, s) -> np.ndarray:
     return float(out[0]) if np.isscalar(s) or np.ndim(s) == 0 else out
 
 
+def _boundary_slack(d: float) -> float:
+    """Numerical slack on the linear-link domain boundary X >= -d.  The
+    linear fitter's multiplier iteration leaves a residual violation of
+    about (inner gradient tolerance) / penalty weight, which floors near
+    1e-8 on unit-scale problems; a fit it accepts within this slack must
+    evaluate cleanly in the likelihood and ``intensity``."""
+    return 1e-7 * max(1.0, d)
+
+
+def _check_domain(link: LinkSpec, x: np.ndarray, s: np.ndarray) -> None:
+    """DomainError where the linear-link predictor x at the times s lies
+    below the domain minimum by more than the boundary slack."""
+    if link.kind != "linear" or not x.size:
+        return
+    if x.min() < link.domain_min - _boundary_slack(link.d):
+        i = int(np.argmin(x))
+        raise DomainError(
+            f"predictor {x[i]} below domain minimum {link.domain_min} at s={s[i]}",
+            at=float(s[i]),
+            value=float(x[i]),
+        )
+
+
 def intensity(g: FilterFunction, link: LinkSpec, at_risk: AtRiskProcess, drivers: DriverSeries, s):
     """lambda_s = Y_s phi(X_s-) at the given times."""
     x = linear_predictor(g, drivers, s)
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    slack = _BOUNDARY_SLACK * max(1.0, link.d)
-    if link.kind == "linear" and x_arr.size and x_arr.min() < link.domain_min - slack:
-        i = int(np.argmin(x_arr))
-        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        raise DomainError(
-            f"predictor {x_arr[i]} below domain minimum {link.domain_min} at s={s_arr[i]}",
-            at=float(s_arr[i]),
-            value=float(x_arr[i]),
-        )
+    _check_domain(
+        link, np.atleast_1d(np.asarray(x, dtype=float)), np.atleast_1d(np.asarray(s, dtype=float))
+    )
     y = at_risk.at(s)
     out = y * link.value(x)
     if link.kind == "linear":
@@ -511,26 +522,12 @@ def _event_phi(obj: Objective, x: np.ndarray) -> np.ndarray:
     return phi
 
 
-def _check_node_domain(obj: Objective, x_nodes: np.ndarray) -> None:
-    if obj.link.kind != "linear" or not x_nodes.size:
-        return
-    # tolerate rounding at an active boundary; matches the fitters' slack
-    slack = _BOUNDARY_SLACK * max(1.0, obj.link.d)
-    if x_nodes.min() < obj.link.domain_min - slack:
-        i = int(np.argmin(x_nodes))
-        raise DomainError(
-            f"predictor {x_nodes[i]} below domain minimum at s={obj.nodes[i]}",
-            at=float(obj.nodes[i]),
-            value=float(x_nodes[i]),
-        )
-
-
 def neg_log_lik(g: FilterFunction, obj: Objective) -> float:
     """Minus log-likelihood; exact compensator for the linear link."""
     x_nodes, x_events = obj.predictors(g)
     phi_events = _event_phi(obj, x_events)
     if obj.link.kind == "linear":
-        _check_node_domain(obj, x_nodes)
+        _check_domain(obj.link, x_nodes, obj.nodes)
         comp = obj.link.d * obj.int_y + sum(obj.comp_row(g.kernel, f) for f in g.normal_forms)
     else:
         comp = float(obj.weights @ (obj.y_nodes * obj.link.value(x_nodes)))

@@ -43,10 +43,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import ConfigError, InfeasibleError, SolverError
+from .errors import ConfigError, SolverError
 from .filters import Atom, FilterFunction, full_inner_row, h0_poly, h1_inner_row
 from .kernel import SobolevKernel
-from .likelihood import LinkSpec, Objective, _BOUNDARY_SLACK, build_f_atoms, build_h_atoms
+from .likelihood import LinkSpec, Objective, _boundary_slack, _event_phi, build_f_atoms, build_h_atoms
 
 __all__ = [
     "STEP_FIELDS",
@@ -55,12 +55,6 @@ __all__ = [
     "fit_descent",
     "fit_linear",
 ]
-
-# numerical slack on node feasibility: the multiplier iteration leaves a
-# residual violation of about (inner gradient tolerance) / penalty weight,
-# which floors near 1e-8 on unit-scale problems.  Shared with the likelihood
-# domain checks so converged fits always evaluate cleanly.
-_FEAS_SLACK = _BOUNDARY_SLACK
 
 # scalar fields of each record in diagnostics["iterations"] besides its
 # iteration, objective and gradient norm; each record also lists its line
@@ -487,14 +481,7 @@ class _Core:
     def event_terms(self, xe: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(phi, phi'/phi) at the events; raises when an intensity is not
         positive."""
-        obj = self.ws.obj
-        phi_e = self.link.value(xe)
-        lam_e = obj.y_events * phi_e
-        if lam_e.size and lam_e.min() <= 0.0:
-            i = int(np.argmin(lam_e))
-            raise InfeasibleError(
-                f"non-positive intensity {lam_e[i]} at event t={obj.events.times[i]}"
-            )
+        phi_e = _event_phi(self.ws.obj, xe)
         rho = self.link.deriv(xe) / phi_e if phi_e.size else np.empty(0)
         return phi_e, rho
 
@@ -802,7 +789,7 @@ def fit_linear(
 
     y_mult = np.zeros(obj.nodes.size)
     mu = 1.0
-    slack = _FEAS_SLACK * max(1.0, d)
+    slack = _boundary_slack(d)
     viol_prev = np.inf
     while True:
         hinge = _Hinge(y_mult, mu, obj.link)

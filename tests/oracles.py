@@ -26,7 +26,7 @@ from glppm.filters import FilterFunction, h1_inner_row, integrated_points, secti
 from glppm.kernel import SobolevKernel, _branch_coeffs, _cross_weighted_sum
 from glppm.likelihood import (
     Objective,
-    _check_node_domain,
+    _check_domain,
     _event_phi,
     build_f_atoms,
     build_h_atoms,
@@ -249,7 +249,7 @@ def gradient(g: FilterFunction, obj: Objective) -> FilterFunction:
     """
     x_nodes, x_events = obj.predictors(g)
     phi_events = _event_phi(obj, x_events)
-    _check_node_domain(obj, x_nodes)
+    _check_domain(obj.link, x_nodes, obj.nodes)
     rho = obj.link.deriv(x_events) / phi_events if phi_events.size else np.empty(0)
 
     # integral atoms: exact segments for the linear link, whose weight Y_s is

@@ -19,7 +19,7 @@ import pytest
 from scipy.stats import kstest
 
 import glppm
-from glppm import cli, simulator
+from glppm import cli, data as data_module, optimizer, simulator
 from glppm.cli import main
 from glppm.data import load_events, load_manifest
 from glppm.filters import FilterFunction, h0_poly
@@ -88,9 +88,18 @@ def fit_config(dirpath, **overrides):
 
 DENSE_TIMES = np.arange(0.5, 8.0, 0.5)
 
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def thread_env():
+    """The BLAS thread variables as ``run_manifest.json`` records them."""
+    return {var: os.environ.get(var) for var in THREAD_VARS}
+
 
 class TestSimulateCommand:
-    def test_writes_reloadable_dataset_and_manifest(self, tmp_path):
+    def test_writes_reloadable_dataset_and_manifest(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         cfg = write_json(
             tmp_path / "sim.json",
             {
@@ -115,6 +124,9 @@ class TestSimulateCommand:
         assert meta["seed"] == 3
         assert meta["wall_time_s"] > 0.0
         assert "tool_version" in meta
+        assert meta["thread_env"] == thread_env()
+        assert meta["thread_env"]["OMP_NUM_THREADS"] == "3"
+        assert meta["thread_env"]["MKL_NUM_THREADS"] is None
         digest = hashlib.sha256(cfg.read_bytes()).hexdigest()
         assert meta["inputs"]["config"]["sha256"] == digest
 
@@ -220,6 +232,7 @@ class TestFitCommand:
         assert meta["inputs"]["data"]["sha256"] == hashlib.sha256(
             data.read_bytes()
         ).hexdigest()
+        assert meta["thread_env"] == thread_env()
 
     def test_exponential_link_fit_converges(self, tmp_path):
         data = make_dataset(tmp_path, DENSE_TIMES)
@@ -394,6 +407,20 @@ class TestIntensityCommand:
         lam = np.array([float(row.split(",")[1]) for row in lines])
         np.testing.assert_allclose(lam[s <= 4.0], 1.0)
         np.testing.assert_allclose(lam[s > 4.0], 0.0)
+
+    def test_manifest_may_name_an_absolute_csv(self, tmp_path):
+        data = make_dataset(tmp_path, [1.0, 2.5, 6.0])
+        (tmp_path / "elsewhere").mkdir()
+        csv_path = (tmp_path / "events.csv").rename(tmp_path / "elsewhere" / "events.csv")
+        write_json(data, {**json.loads(data.read_text()), "csv": str(csv_path)})
+        cfg = write_json(
+            tmp_path / "g.json",
+            zero_filter_payload(horizon=8.0, link={"kind": "linear", "d": 0.7}),
+        )
+        out = tmp_path / "out"
+        assert run("intensity", "--data", data, "--config", cfg, "--grid", 0, "--out", out) == 0
+        lines = (out / "intensity.csv").read_text().strip().split("\n")[1:]
+        assert [float(row.split(",")[0]) for row in lines] == [1.0, 2.5, 6.0]
 
     def test_filter_without_link_exits_2(self, tmp_path):
         data = make_dataset(tmp_path, [1.0])
@@ -645,6 +672,38 @@ class TestMalformedInput:
         assert run(*argv, "--out", tmp_path / "o") == code
 
 
+class TestUnreadableInput:
+    @pytest.mark.parametrize("command", ["fit", "gof", "intensity", "simulate"])
+    def test_missing_dataset_csv_exits_3(self, tmp_path, capsys, command):
+        # the manifest reads, but the CSV it names is gone; simulate reads
+        # it as its driver dataset
+        data = make_dataset(tmp_path, DENSE_TIMES)
+        (tmp_path / "events.csv").unlink()
+        if command == "fit":
+            argv = ["--data", data, "--config", fit_config(tmp_path)]
+        elif command == "simulate":
+            sim = {
+                "link": {"kind": "linear", "d": 0.5},
+                "filters": zero_filter_payload(horizon=8.0),
+                "horizon": 8.0,
+                "drivers": "dataset.json",
+            }
+            argv = ["--config", write_json(tmp_path / "sim.json", sim)]
+        else:
+            g = zero_filter_payload(horizon=8.0, link={"kind": "linear", "d": 0.5})
+            argv = ["--data", data, "--config", write_json(tmp_path / "g.json", g)]
+        assert run(command, *argv, "--out", tmp_path / "o") == 3
+        assert "events.csv" in capsys.readouterr().err
+
+    def test_missing_filter_file_exits_3(self, tmp_path, capsys):
+        cfg = write_json(
+            tmp_path / "sim.json",
+            {"link": {"kind": "linear", "d": 0.5}, "filters": "gone.json", "horizon": 8.0},
+        )
+        assert run("simulate", "--config", cfg, "--out", tmp_path / "o") == 3
+        assert "gone.json" in capsys.readouterr().err
+
+
 class TestImports:
     def test_only_gof_loads_scipy_stats(self, tmp_path):
         # in real use each command runs in its own process, where importing
@@ -694,7 +753,17 @@ class TestDispatch:
             run("fit", "--data", "x.json")
         assert exc.value.code == 2
 
-    def test_threads_flag_is_accepted(self, tmp_path):
+    def test_negative_grid_is_usage_error(self, tmp_path):
+        data = make_dataset(tmp_path, [1.0])
+        cfg = write_json(
+            tmp_path / "g.json",
+            zero_filter_payload(horizon=8.0, link={"kind": "linear", "d": 0.7}),
+        )
+        with pytest.raises(SystemExit) as exc:
+            run("intensity", "--data", data, "--config", cfg, "--grid", -5, "--out", tmp_path / "o")
+        assert exc.value.code == 2
+
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys):
         cfg = write_json(
             tmp_path / "sim.json",
             {
@@ -703,8 +772,61 @@ class TestDispatch:
                 "horizon": 3.0,
             },
         )
-        rc = run("simulate", "--config", cfg, "--seed", 1, "--threads", 1, "--out", tmp_path / "o")
-        assert rc == 0
+        out = tmp_path / "taken"
+        out.write_text("not a directory")
+        assert run("simulate", "--config", cfg, "--seed", 1, "--out", out) == 2
+        assert "output directory" in capsys.readouterr().err
+        assert out.read_text() == "not a directory"
+
+    def test_layers_are_reached_through_their_modules(self, tmp_path, monkeypatch):
+        # the commands look up each traced layer function on its module at
+        # call time, so that a tracer or a test can replace it there; a name
+        # bound into the CLI at import would bypass these spies
+        seen = []
+
+        def spy(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                seen.append(name)
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module, names in (
+            (data_module, ("load_manifest", "load_events", "save_events")),
+            (optimizer, ("fit_descent",)),
+            (simulator, ("simulate", "time_rescale")),
+        ):
+            for name in names:
+                spy(module, name)
+
+        sim = write_json(
+            tmp_path / "sim.json",
+            {
+                "link": {"kind": "linear", "d": 1.0},
+                "filters": zero_filter_payload(horizon=8.0),
+                "horizon": 8.0,
+            },
+        )
+        fit = fit_config(tmp_path, link={"kind": "exp", "d": 0.0}, max_atoms=60)
+        out = tmp_path / "out"
+        stages = [
+            ("simulate", "--config", sim, "--seed", 5, "--out", out / "sim"),
+            ("fit", "--data", out / "sim" / "dataset.json", "--config", fit, "--out", out / "fit"),
+            ("gof", "--data", out / "sim" / "dataset.json",
+             "--config", out / "fit" / "filter.json", "--out", out / "gof"),
+        ]
+        calls = []
+        for argv in stages:
+            seen.clear()
+            assert run(*argv) in (0, 4)
+            calls.append(sorted(seen))
+        assert calls == [
+            ["save_events", "simulate"],
+            ["fit_descent", "load_events", "load_manifest"],
+            ["load_events", "load_manifest", "time_rescale"],
+        ]
 
     def test_one_parser_serves_a_sequence_of_commands(self, tmp_path, capsys):
         # the parser is built once per process; commands run one after the
