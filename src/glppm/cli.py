@@ -52,6 +52,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+from scipy.special import expm1
 
 from . import __version__, data, optimizer, simulator
 from .data import AtRiskProcess, DatasetManifest, _as_bool, _as_number
@@ -76,14 +77,14 @@ _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # -- small shared helpers -------------------------------------------------------
 
 
-def _read_json(path) -> dict:
+def _read_json(path, error=ConfigError) -> dict:
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read JSON {path}: {exc}") from exc
+        raise error(f"cannot read JSON {path}: {exc}") from exc
     if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: expected a JSON object at top level")
+        raise error(f"{path}: expected a JSON object at top level")
     return raw
 
 
@@ -155,7 +156,8 @@ def _load_filter_bundle(path):
 
     Accepts the payload written by ``fit`` (a filter with an embedded
     ``link`` key) or a wrapper object {"filter": payload-or-path, "link":
-    {...}, "at_risk": {...}}.
+    {...}, "at_risk": {...}}; a filter file it names that cannot be read is
+    a DataError, as in ``FilterFunction.load``.
     """
     raw = _read_json(path)
     at_risk = AtRiskProcess.unit()
@@ -165,7 +167,7 @@ def _load_filter_bundle(path):
     elif "filter" in raw:
         _check_keys(raw, {"filter", "link", "at_risk"}, "filter wrapper")
         inner = raw["filter"]
-        payload = _read_json(Path(path).parent / inner) if isinstance(inner, str) else inner
+        payload = _read_json(Path(path).parent / inner, DataError) if isinstance(inner, str) else inner
         link_raw = raw.get("link", payload.get("link") if isinstance(payload, dict) else None)
         if "at_risk" in raw:
             at_risk = _parse_at_risk(raw["at_risk"])
@@ -414,7 +416,7 @@ def cmd_intensity(args) -> int:
 
 
 def cmd_gof(args) -> int:
-    from scipy.stats import expon, kstwo
+    from scipy.stats import kstwo
 
     g, link, at_risk = _load_filter_bundle(args.config)
     _, events, drivers = _load_dataset(args.data)
@@ -422,10 +424,10 @@ def cmd_gof(args) -> int:
     out = Path(args.out)
     _write_float_csv(out / "gaps.csv", ["gap"], gaps)
     if gaps.size:
-        # the two-sided exact test of scipy.stats.kstest(gaps, "expon"), with
-        # its arithmetic, without its argument and result machinery
+        # kstest(gaps, "expon")'s exact two-sided test in its arithmetic, less
+        # its machinery: expon.cdf is +0.0 up to 0 and its _cdf -expm1(-x) above
         n = gaps.size
-        cdf = expon.cdf(np.sort(gaps))
+        cdf = 0.0 - expm1(np.minimum(-np.sort(gaps), 0.0))
         d_plus = (np.arange(1.0, n + 1) / n - cdf).max()
         d_minus = (cdf - np.arange(0.0, n) / n).max()
         d = d_plus if d_plus > d_minus else d_minus

@@ -17,7 +17,9 @@ once- or twice-integrated kernel.
 
 Atom operations are linear, so a whole filter has the same normal form:
 ``FilterFunction.normal_forms`` holds one atom per channel that merges the
-sections, segments and h0 of every atom there, scaled by its coefficient.
+sections, segments and h0 of every atom there, scaled by its coefficient;
+atoms that share one sections array, as a fit's integral atoms share their
+node lags, are summed on it first, so that it is sorted once.
 Filters are immutable and the forms are cached.  Evaluation, inner
 products, the H1 seminorm and the projection each take one prefix-sum pass
 per channel over them, and so do the likelihood's predictors and exact
@@ -87,6 +89,33 @@ def _merge_sorted(lags: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np
     lags = lags[order]
     starts = _merge_starts(lags)
     return lags[starts], np.bincount(np.cumsum(starts) - 1, weights=weights[order])
+
+
+def _merged_sections(kernel: SobolevKernel, atoms, c: np.ndarray, seg_nodes: np.ndarray):
+    """``_merge_sorted`` of the sections of atoms with coefficients c, after
+    one domain check of them and of ``seg_nodes``.  Atoms that share one
+    sections array, as a fit's integral atoms do, enter as one copy of it
+    that carries their weights summed in atom order, as the stable sort and
+    ``bincount`` sum them; where a merge group holds one of its lags and any
+    other lag, every copy takes the sort instead."""
+    groups: dict = {}
+    for k, a in enumerate(atoms):
+        groups.setdefault(id(a.sec_lags), []).append(k)
+    shared = max(groups.values(), key=len, default=[])
+    keep = [k for k in range(len(atoms)) if k not in shared[1:]]
+    lags, weights, owner = _flatten([atoms[k] for k in keep])[:3]
+    kernel._check_domain(lags, seg_nodes)
+    weights = c[keep][owner] * weights
+    if len(shared) > 1:
+        mine = owner == keep.index(shared[0])
+        weights[mine] = sum((c[k] * atoms[k].sec_weights for k in shared), np.zeros(mine.sum()))
+        order = np.argsort(lags, kind="stable")
+        starts, mark = _merge_starts(lags[order]), mine[order]
+        if not (~starts[1:] & (mark[1:] | mark[:-1])).any():
+            return lags[order][starts], np.bincount(np.cumsum(starts) - 1, weights=weights[order])
+        lags, weights, owner = _flatten(atoms)[:3]
+        weights = c[owner] * weights
+    return _merge_sorted(lags, weights)
 
 
 def _to_b64(arr: np.ndarray) -> str:
@@ -428,23 +457,20 @@ class FilterFunction:
     def normal_forms(self) -> tuple[Atom, ...]:
         """One atom per channel equal to the whole filter there: the sections
         and segments of its atoms, weighted by their coefficients, sorted and
-        merged, and ``h0`` the combined polynomial coefficients."""
+        merged (``_merged_sections``), and ``h0`` the combined polynomial
+        coefficients."""
         forms = []
         for ch in range(self.n_channels):
-            on = [
-                i for i, a in enumerate(self.atoms)
-                if a.channel == ch and self.coefficients[i] != 0.0
-            ]
+            on = [i for i, a in enumerate(self.atoms) if a.channel == ch and self.coefficients[i] != 0.0]
             c = self.coefficients[on]
-            sec_lags, sec_w, sec_owner, seg_nodes, seg_w, seg_owner = _flatten(
-                [self.atoms[i] for i in on]
-            )
+            atoms = [self.atoms[i] for i in on]
+            seg_nodes, seg_w, seg_owner = _flatten(atoms)[3:]
             # an r1 atom of the merged support, then given the combined h0
-            form = _normal_form_atom(
-                self.kernel, ch, "normal", "r1",
-                sec_lags, c[sec_owner] * sec_w, seg_nodes, c[seg_owner] * seg_w,
+            form = _merged_atom(
+                self.kernel, ch, "normal", "r1", *_merged_sections(self.kernel, atoms, c, seg_nodes),
+                *_merge_sorted(seg_nodes, c[seg_owner] * seg_w),
             )
-            h0 = c @ np.array([self.atoms[i].h0 for i in on]).reshape(-1, self.kernel.m)
+            h0 = c @ np.array([a.h0 for a in atoms]).reshape(-1, self.kernel.m)
             forms.append(replace(form, part="r", h0=_ro(h0)))
         return tuple(forms)
 

@@ -248,7 +248,7 @@ def _filter_values(g, channel: int, lags: np.ndarray) -> np.ndarray:
     return np.asarray(g[channel](lags), dtype=float)
 
 
-def _smooth_values(m: int, atoms, lags: np.ndarray, pos: np.ndarray | None):
+def _smooth_values(m: int, atoms, lags: np.ndarray):
     """(start, values): the smooth parts of atoms on one channel at its pair
     lags, one row per atom from ``atoms[start]`` on, as ``Atom.h1_value``
     sums them.  A family's sums over another atom's lags add zeros, which
@@ -256,7 +256,7 @@ def _smooth_values(m: int, atoms, lags: np.ndarray, pos: np.ndarray | None):
     if len(atoms) == 1:  # sorted and merged already, with its own tables
         a, h1 = atoms[0], np.zeros(lags.size)
         if a.sec_lags.size:
-            pos = np.searchsorted(a.sec_lags, lags, side="right") if pos is None else pos
+            pos = np.searchsorted(a.sec_lags, lags, side="right")
             h1 = _family_sums(a._table(m, m, a.sec_lags, a.sec_weights), pos, lags)
         if a.seg_nodes.size:
             seg_pos = np.searchsorted(a.seg_nodes, lags, side="right")
@@ -380,19 +380,15 @@ class Objective:
             )
         return index
 
-    def integral_support(self, channel: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(lo, hi, weights) arrays of the exact compensator support."""
-        return self._segment_support[channel]
-
     # -- predictor columns ---------------------------------------------------
 
-    def columns(self, kernel: SobolevKernel, atoms, pos: np.ndarray | None = None):
+    def columns(self, kernel: SobolevKernel, atoms):
         """(X, X1): the predictors of a block of atoms at the quadrature
         nodes, then the events (strict left limits), one column per atom,
         and their H1 parts.  Per channel, the block's sections and its
         segments each form one prefix table with a row per atom (K[m,m],
-        K[m+1,m]); each pair lag is searched once, or read from ``pos`` for
-        the sections of a block of one atom, which reads its own tables.
+        K[m+1,m]), and each pair lag is searched once; a block of one atom
+        reads its own tables.
         ``_family_sums`` gives the values in chunks of ``_HISTORY_BLOCK``
         entries, the polynomial parts follow per atom and half, and one
         ``bincount`` sums each (point, atom) bin in pair order: the bits of
@@ -404,7 +400,7 @@ class Objective:
             cols = [c for c, a in enumerate(atoms) if a.channel == ch]
             point, lags, dz = self._pairs[ch]
             n_node, phi = self._node_pairs[ch][2].size, None
-            for start, h1 in _smooth_values(m, [atoms[c] for c in cols], lags, pos):
+            for start, h1 in _smooth_values(m, [atoms[c] for c in cols], lags):
                 chunk = cols[start : start + len(h1)]
                 rows = slice(chunk[0], chunk[-1] + 1) if len(cols) == len(atoms) else chunk
                 bins = point if len(chunk) == 1 else (point + n_pts * np.arange(len(chunk))[:, None])
@@ -419,6 +415,15 @@ class Objective:
                     np.multiply(h1, dz, out=scaled)
                     xt[rows] = np.bincount(bins.ravel(), scaled.ravel(), size).reshape(-1, n_pts)
         return xt.T, x1t.T
+
+    def integral_column(self, atom: Atom) -> np.ndarray:
+        """``columns`` of a nonzero part "r1" integral atom of node weights
+        alone, whose X and X1 agree, as a (points, 1) array: its sections are
+        the merged node lags, so each search position is read from the index."""
+        point, lags, dz = self._pairs[atom.channel]
+        table = atom._table(atom.m, atom.m, atom.sec_lags, atom.sec_weights)
+        h1 = _family_sums(table, self.node_lag_index(atom.channel).pos, lags)
+        return np.bincount(point, h1 * dz, self.nodes.size + len(self.events)).reshape(-1, 1)
 
     def node_column(self, kernel: SobolevKernel, atom: Atom) -> np.ndarray:
         """Predictor of the atom at all quadrature nodes."""
@@ -438,15 +443,11 @@ class Objective:
 
     # -- predictors of a full filter -------------------------------------------
 
-    def _check_filter(self, g: FilterFunction) -> None:
-        self._check_kernel(g.kernel)
-        _check_channels(g, self.drivers)
-
     def predictors(self, g: FilterFunction) -> tuple[np.ndarray, np.ndarray]:
         """X(g) at all quadrature nodes and at all event times (strict left
         limits): one ``columns`` call over the normal forms, whose columns
         are summed in channel order."""
-        self._check_filter(g)
+        _check_channels(g, self.drivers)
         x = self.columns(g.kernel, g.normal_forms)[0]
         x = sum(x[:, ch] for ch in range(g.n_channels))
         return x[: self.nodes.size], x[self.nodes.size :]
@@ -589,21 +590,21 @@ def build_f_atoms(
     (one value per quadrature node, e.g. w_q Y_q phi'(X_q)) the atom is the
     pointwise sum over (node, jump) pairs, the exact gradient of the
     quadrature-discretized compensator; its sections are the channel's
-    merged node-pair lags (``Objective.node_lag_index``), shared by every
-    such atom, with weights summed by one ``bincount``.
+    merged node-pair lags (``Objective.node_lag_index``), in the domain by
+    construction and shared by every such atom, weights summed by ``bincount``.
     """
     atoms = []
     if link_weights is None:
         for j in range(obj.n_channels):
-            lo, hi, w = obj.integral_support(j)
+            lo, hi, w = obj._segment_support[j]
             atoms.append(integrated_segments(kernel, j, lo, hi, w, part=part))
     else:
         link_weights = np.asarray(link_weights, dtype=float)
         if link_weights.shape != obj.nodes.shape:
             raise ConfigError("need one link weight per quadrature node")
+        obj._check_kernel(kernel)
         for j in range(obj.n_channels):
             index = obj.node_lag_index(j)
-            kernel._check_domain(index.lags)
             weights = np.bincount(
                 index.group, weights=link_weights[index.node] * index.dz,
                 minlength=index.lags.size,

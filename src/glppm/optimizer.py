@@ -19,8 +19,9 @@ events, and Gp the dictionary's H1 Gram.  Only psi, r and the atoms differ:
 
 The core (``_Core.run``) forms the coordinate gradient and Hessian of F,
 takes a direction that passes the angle test cos(direction, -gradient) >=
-delta (Newton, else Levenberg-damped in the function-space metric G with
-sigma rising tenfold from 1e-6 tr(H) / tr(G), else function-space steepest
+delta (Newton, else Levenberg-damped in the function-space metric G on a
+ladder of sigma rising tenfold from 1e-6 tr(H) / tr(G), searched from one
+rung below the rung it last accepted, else function-space steepest
 descent), and moves by a weak Wolfe step on F's closed form along it;
 Zoutendijk's argument needs both conditions (Nocedal & Wright 2006, ch. 3).
 It stops with a reason: "grad" when ||grad F|| <= tol * max(1, ||grad
@@ -56,9 +57,9 @@ __all__ = [
     "fit_linear",
 ]
 
-# scalar fields of each record in diagnostics["iterations"] besides its
-# iteration, objective and gradient norm; each record also lists its line
-# search trials
+# the fields of each record in diagnostics["iterations"] that trace.csv
+# writes besides its iteration, objective and gradient norm; each record
+# also holds its damping sigma and lists its line search trials
 STEP_FIELDS = (
     "pass", "mu", "direction", "cosine", "accepted_alpha",
     "n_trials", "deriv0", "step_norm", "n_atoms",
@@ -96,7 +97,9 @@ class FitResult:
 
     ``diagnostics["iterations"]`` holds one record per line search: the
     iteration (the trace row it starts from), the fields in
-    ``STEP_FIELDS``, the objective and gradient norm there, and its trials.
+    ``STEP_FIELDS``, the damping ``sigma`` of its direction (0.0 for Newton,
+    None for steepest descent), the objective and gradient norm there, and
+    its trials.
     """
 
     g_hat: FilterFunction
@@ -128,43 +131,24 @@ def _weak_wolfe_search(trial, f0: float, d0: float, cfg: LineSearchConfig):
         feasible, f_a, d_a = trial(alpha)
         armijo = feasible and f_a <= f0 + cfg.c1 * alpha * d0
         curvature = feasible and d_a >= cfg.c2 * d0
-        log.append(
-            {
-                "alpha": alpha,
-                "value": f_a if feasible else np.nan,
-                "deriv": d_a if feasible else np.nan,
-                "feasible": feasible,
-                "armijo": bool(armijo),
-                "curvature": bool(curvature),
-            }
-        )
+        log.append({
+            "alpha": alpha, "value": f_a if feasible else np.nan, "deriv": d_a if feasible else np.nan,
+            "feasible": feasible, "armijo": bool(armijo), "curvature": bool(curvature),
+        })
         if armijo and curvature:
             return alpha, f_a, d_a, log, True
-        if not armijo:
-            hi = alpha
-        else:
-            lo = alpha
+        lo, hi = (alpha, hi) if armijo else (lo, alpha)
         alpha = 2.0 * alpha if np.isinf(hi) else 0.5 * (lo + hi)
     return alpha, np.nan, np.nan, log, False
-
-
-def _cholesky_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """x with A x = b by LAPACK's Cholesky factorization (``dpotrf`` on the
-    upper triangle, then ``dpotrs``), or None when A is not numerically
-    positive definite.  The same calls ``scipy.linalg.cho_factor`` /
-    ``cho_solve`` make, without their checks."""
-    c, info = scipy.linalg.lapack.dpotrf(A, lower=0, clean=0)
-    if info != 0:
-        return None
-    x, info = scipy.linalg.lapack.dpotrs(c, b, lower=0)
-    return x if info == 0 else None
 
 
 def _solve_spd(H: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
     """Solve H x = rhs for symmetric positive semidefinite H.
 
     Jacobi-scales the system first (kernel Grams over long horizons are
-    badly conditioned), then tries Cholesky, a tiny ridge, and least
+    badly conditioned), then tries Cholesky (LAPACK's ``dpotrf`` on the
+    upper triangle and ``dpotrs``, as ``scipy.linalg.cho_factor`` /
+    ``cho_solve`` call them, without their checks), a tiny ridge, and least
     squares in that order.  Returns (x, ridge_used).
     """
     if not (np.isfinite(H).all() and np.isfinite(rhs).all()):
@@ -175,15 +159,15 @@ def _solve_spd(H: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
     s = np.sqrt(np.maximum(np.diag(H), 1e-300))
     Hs = H / np.outer(s, s)
     rs = rhs / s
-    x = _cholesky_solve(Hs, rs)
-    if x is not None:
-        return x / s, False
-    ridge = 1e-10 * max(np.trace(Hs) / Hs.shape[0], 1.0)
-    Hr = Hs + ridge * np.eye(Hs.shape[0])
-    x = _cholesky_solve(Hr, rs)
-    if x is None:
-        x = np.linalg.lstsq(Hr, rs, rcond=None)[0]
-    return x / s, True
+    for ridge_used in (False, True):
+        if ridge_used:
+            Hs = Hs + 1e-10 * max(np.trace(Hs) / Hs.shape[0], 1.0) * np.eye(Hs.shape[0])
+        c, info = scipy.linalg.lapack.dpotrf(Hs, lower=0, clean=0)
+        if info == 0:
+            x, info = scipy.linalg.lapack.dpotrs(c, rs, lower=0)
+            if info == 0:
+                return x / s, ridge_used
+    return np.linalg.lstsq(Hs, rs, rcond=None)[0] / s, True
 
 
 class _Workspace:
@@ -209,8 +193,8 @@ class _Workspace:
     ``_append`` its Gram entries, which against represented atoms are
     products of functionals with columns.  ``add`` appends a block of one,
     ``add_history_atoms`` and ``add_representers`` each kind of data atom as
-    one block, and ``add_integral_atoms`` each integral atom with the search
-    positions that ``Objective.node_lag_index`` keeps.  Every column and
+    one block, and ``add_integral_atoms`` each integral atom as a block of
+    one whose column is ``Objective.integral_column``.  Every column and
     Gram entry has the bits of appending the atoms one at a time.  Only
     pairs of atoms that represent nothing (polynomials, warm starts, the
     representer basis of ``add_representers``) take ``h1_inner_row``.
@@ -222,14 +206,15 @@ class _Workspace:
         self.atoms: list[Atom] = []
         self._n_nodes = obj.nodes.size
         self._n_points = obj.nodes.size + len(obj.events)
+        self._n_rep = 0
         self._reserve(32)
         self._expose()
 
     def _reserve(self, cap: int) -> None:
         """Buffers for ``cap`` atoms, keeping the rows and columns in use:
         predictor columns X (nodes, then events) and their H1 parts X1, the
-        functional weights F of each atom over the same points (a zero row
-        when it represents none), and the per-atom attributes."""
+        functional weights F over the same points of the atoms that
+        represent one, in column order, and the per-atom attributes."""
         n, p, m = len(self.atoms), self._n_points, self.kernel.m
         old = getattr(self, "_buf", None)
         buf = {
@@ -257,8 +242,7 @@ class _Workspace:
         self.U, self.E = b["X"][:q, :n], b["X"][q:, :n]
         self.G, self.Gp = b["G"][:n, :n], b["Gp"][:n, :n]
         self.comp = b["comp"][:n] if self.obj.link.kind == "linear" else None
-        self.h0_mat, self.channel = b["h0"][:n], b["channel"][:n]
-        self.non_poly = b["non_poly"][:n]
+        self.h0_mat, self.channel, self.non_poly = b["h0"][:n], b["channel"][:n], b["non_poly"][:n]
 
     def add_polynomials(self) -> None:
         """Append phi_1..phi_m of every channel, channel-major, where
@@ -284,10 +268,9 @@ class _Workspace:
         are the smooth parts of the event and compensator design
         functionals.  An event with no strictly earlier jump on a channel
         gives an identically zero atom, which is kept in place so that the
-        indexing stays uniform; it has no row in any Gram.  The atoms
-        declare no functional, so every Gram row comes from
-        ``h1_inner_row``.  Returns the columns of the history atoms and of
-        the integral atoms, each kind appended as one block."""
+        indexing stays uniform; it has no row in any Gram.  Returns the
+        columns of the history atoms and of the integral atoms, each kind
+        appended as one block."""
         self.add_polynomials()
         cols = []
         for atoms in (
@@ -308,8 +291,7 @@ class _Workspace:
         events = np.array(keep, dtype=int) // self.obj.n_channels
         functionals = np.zeros((len(block), self._n_points))
         functionals[np.arange(len(block)), self._n_nodes + events] = 1.0
-        x, x1 = self.obj.columns(self.kernel, block)
-        return events, self._append(block, x, x1, functionals)
+        return events, self._append(block, *self.obj.columns(self.kernel, block), functionals)
 
     def add_integral_atoms(self, link_weights: np.ndarray) -> list[int]:
         """Append the nonzero smooth-part integral atoms of these node
@@ -320,16 +302,15 @@ class _Workspace:
         cols = []
         for atom in build_f_atoms(self.kernel, self.obj, part="r1", link_weights=link_weights):
             if not atom.is_zero:
-                x, x1 = self.obj.columns(self.kernel, [atom], self.obj.node_lag_index(atom.channel).pos)
-                cols += self._append([atom], x, x1, functional).tolist()
+                x = self.obj.integral_column(atom)
+                cols += self._append([atom], x, x, functional).tolist()
         return cols
 
     def add(self, atom: Atom, functional: np.ndarray | None = None) -> int:
         """Append an atom, with the weights over nodes and events of the
         functional it represents, if any; returns its column."""
-        x, x1 = self.obj.columns(self.kernel, [atom])
         rows = None if functional is None else functional[None, :]
-        return int(self._append([atom], x, x1, rows)[0])
+        return int(self._append([atom], *self.obj.columns(self.kernel, [atom]), rows)[0])
 
     def _append(self, atoms: list[Atom], x, x1, functionals=None) -> np.ndarray:
         """Append a block of atoms with their predictor columns x and H1
@@ -357,7 +338,8 @@ class _Workspace:
         b["X"][:, n0:n] = x
         b["X1"][:, n0:n] = x1
         if functionals is not None:
-            b["F"][n0:n] = functionals
+            b["F"][self._n_rep : self._n_rep + k] = functionals
+            self._n_rep += k
         b["rep"][n0:n] = functionals is not None
         for i, atom in enumerate(atoms, start=n0):
             b["h0"][i] = atom.h0
@@ -366,11 +348,12 @@ class _Workspace:
             if self.obj.link.kind == "linear":
                 b["comp"][i] = self.obj.comp_row(self.kernel, atom)
         self.atoms.extend(atoms)
+        with_h0 = [i for i, atom in enumerate(atoms, start=n0) if atom.h0.any()]
 
         rep, channel = b["rep"][:n], b["channel"][:n]
         rows_p = np.zeros((n, k))
-        if rep.any():
-            rows_p[rep] = b["F"][:n][rep] @ x1
+        if self._n_rep:
+            rows_p[rep] = b["F"][: self._n_rep] @ x1
         if functionals is not None:
             rows_p[~rep] = (functionals @ b["X1"][:, :n][:, ~rep]).T
         else:
@@ -379,13 +362,12 @@ class _Workspace:
                 rows_p[others, a] = h1_inner_row(atom, [self.atoms[i] for i in others])
         same = channel[:, None] == channel[n0:]
         rows_p[~same] = 0.0
-        rows_f = rows_p.copy()
-        for a in np.flatnonzero(b["h0"][n0:n].any(axis=1)):
-            i = n0 + a + 1
-            rows_f[:i, a] += same[:i, a] * (b["h0"][:i] @ b["h0"][i - 1])
-        upper = np.tri(k, dtype=bool).T
+        rows_f = rows_p.copy() if with_h0 else rows_p
+        for i in with_h0:
+            rows_f[: i + 1, i - n0] += same[: i + 1, i - n0] * (b["h0"][: i + 1] @ b["h0"][i])
         for key, rows in (("G", rows_f), ("Gp", rows_p)):
-            rows[n0:] = np.where(upper, rows[n0:], rows[n0:].T)
+            if k > 1:
+                rows[n0:] = np.where(np.tri(k, dtype=bool).T, rows[n0:], rows[n0:].T)
             b[key][:n, n0:n] = rows
             b[key][n0:n, :n] = rows.T
         self._expose()
@@ -469,6 +451,7 @@ class _Core:
         self.node_cols: list[int] = []
         self.node_idx: list[int] = []
         self._completions = np.zeros((0, m))
+        self._channel_rows: list[tuple] = []
         self.log_y = float(np.sum(np.log(obj.y_events))) if len(obj.events) else 0.0
         self.const = obj.link.d * obj.int_y if ws.comp is not None else 0.0
         self.gn0: float | None = None
@@ -477,6 +460,7 @@ class _Core:
         self.records: list[dict] = []
         self.n_iter = self.passes = 0
         self.ridge_used = False
+        self._rung = 0  # the last damped rung that direction accepted
 
     def event_terms(self, xe: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(phi, phi'/phi) at the events; raises when an intensity is not
@@ -485,16 +469,25 @@ class _Core:
         rho = self.link.deriv(xe) / phi_e if phi_e.size else np.empty(0)
         return phi_e, rho
 
-    def value(self, psi, gamma: np.ndarray, xn: np.ndarray, xe: np.ndarray) -> float:
-        """F at gamma, whose predictors are xn and xe, by the line search's
-        expression at alpha = 0, so that every trial compares with it in
-        the same arithmetic."""
-        return self.line(psi, gamma, np.zeros(gamma.size), xn, xe)(0.0)[1]
+    def value(self, psi, gamma: np.ndarray, xn: np.ndarray, xe: np.ndarray, g_gp_g: float) -> float:
+        """F at a gamma with positive intensities at the events, from its
+        predictors xn, xe and penalty form gamma' Gp gamma, with the bits of
+        ``line(..., delta=0, ...)(0.0)``, to which every trial compares: its
+        zero products only turn a sum's -0.0 into +0.0, as ``+ 0.0`` does."""
+        phi = self.link.value(xe)
+        f = psi.value(xn) + self.lam * (g_gp_g + 0.0)
+        f += (float(self.ws.comp @ gamma) + self.const if self.ws.comp is not None else 0.0) + 0.0
+        if phi.size:
+            f -= float(np.sum(np.log(phi))) + self.log_y
+        return f
 
-    def line(self, psi, gamma: np.ndarray, delta: np.ndarray, xn: np.ndarray, xe: np.ndarray):
+    def line(
+        self, psi, gamma: np.ndarray, delta: np.ndarray, xn: np.ndarray, xe: np.ndarray, g_gp_g: float
+    ):
         """F and its derivative along gamma + alpha delta in closed form, as
         ``trial(alpha) -> (feasible, value, deriv)``, from the predictors xn
-        and xe at gamma; infeasible where an intensity is not positive."""
+        and xe and the penalty form g_gp_g at gamma; infeasible where an
+        intensity is not positive."""
         ws, obj, link, lam = self.ws, self.ws.obj, self.link, self.lam
         Ud, Ed, Gp_d = ws.U @ delta, ws.E @ delta, ws.Gp @ delta
         g_gp_d = float(gamma @ Gp_d)
@@ -502,7 +495,6 @@ class _Core:
         # null space rounding can give negative curvature, which the line
         # search would follow to an unbounded step
         d_gp_d = max(float(delta @ Gp_d), 0.0)
-        g_gp_g = float(gamma @ (ws.Gp @ gamma))
         r_g = r_d = 0.0
         if ws.comp is not None:
             r_g, r_d = float(ws.comp @ gamma) + self.const, float(ws.comp @ delta)
@@ -531,11 +523,13 @@ class _Core:
         ws, lam = self.ws, self.lam
         n = len(ws)
         if self._completions.shape[0] < n:
-            m = ws.kernel.m
+            # once per dictionary size: each channel's data atoms, completions and h0 rows
             self._completions = np.vstack([self._completions] + [
-                a.sections_h0(ws.kernel) if a.part == "r1" else np.zeros(m)
+                a.sections_h0(ws.kernel) if a.part == "r1" else np.zeros(ws.kernel.m)
                 for a in ws.atoms[self._completions.shape[0]:]
             ])
+            idxs = [np.flatnonzero(ws.non_poly & (ws.channel == ch)) for ch in range(len(self.phi_cols))]
+            self._channel_rows = [(idx, self._completions[idx], ws.h0_mat[idx]) for idx in idxs]
         coeff = np.zeros(n)
         if rho.size and self.eta_cols.size:
             coeff[self.eta_cols] -= rho[self.eta_events]
@@ -544,12 +538,11 @@ class _Core:
         gam = coeff.copy()
         if lam != 0.0:
             gam += 2.0 * lam * np.where(ws.non_poly, gamma, 0.0)
-        for ch, cols in enumerate(self.phi_cols):
-            mask = ws.non_poly & (ws.channel == ch)
-            if mask.any():
-                gam[cols] += self._completions[:n][mask].T @ coeff[mask]
+        for cols, (idx, completions, h0) in zip(self.phi_cols, self._channel_rows):
+            if idx.size:
+                gam[cols] += completions.T @ coeff[idx]
                 if lam != 0.0:
-                    gam[cols] -= 2.0 * lam * (ws.h0_mat[mask].T @ gamma[mask])
+                    gam[cols] -= 2.0 * lam * (h0.T @ gamma[idx])
         return gam
 
     def hessian(self, psi, xn: np.ndarray, xe: np.ndarray, phi_e: np.ndarray) -> np.ndarray:
@@ -566,38 +559,51 @@ class _Core:
         """A descent direction that passes the angle test, given the
         coordinate Hessian H and gradient grad_c of F, and the gradient's
         coordinates gam and norm gn.  Returns (delta, grad_c . delta,
-        cosine, kind)."""
+        cosine, kind, sigma), sigma None for steepest descent."""
         ws = self.ws
         # identically zero atoms (kept in place in the representer basis)
         # have no row in any Gram; solve on the others
         free = np.diag(ws.G) > 0.0
+        free = slice(None) if free.all() else free
+        H_free, G_free = H[free][:, free], ws.G[free][:, free]
 
         def cosine(slope: float, norm2: float) -> float:
             return -slope / max(gn * np.sqrt(max(norm2, 0.0)), 1e-300)
 
-        # Newton (sigma = 0), then Levenberg damping in the function-space
-        # metric: sigma sweeps the direction from Newton toward the best
-        # in-span descent direction, which raises the angle with -grad
-        # without growing the dictionary.  sigma multiplies G, so the sweep
-        # starts below tr(H) / tr(G), a scale of the eigenvalues of (H, G)
-        # that stays put when all atoms are scaled alike; a start in units
-        # of H alone can lie past the whole spectrum, where every rung is
-        # already steepest descent
-        sigma = 0.0
-        for _ in range(15):
+        def attempt(sigma: float):
             delta = np.zeros(len(ws))
-            M = H + sigma * ws.G
-            delta[free], used = _solve_spd(M[np.ix_(free, free)], -grad_c[free])
-            d0 = float(grad_c @ delta)
-            dn2 = float(delta @ ws.G @ delta)
+            delta[free], used = _solve_spd(H_free + sigma * G_free, -grad_c[free])
+            d0, dn2 = float(grad_c @ delta), float(delta @ ws.G @ delta)
             cos = cosine(d0, dn2)
-            if d0 < 0.0 and dn2 > 0.0 and cos >= self.cfg.delta:
-                self.ridge_used = self.ridge_used or used
-                return delta, d0, cos, "damped_newton" if sigma else "newton"
-            sigma = 10.0 * sigma if sigma else 1e-6 * float(np.trace(H) / np.trace(ws.G))
-        # no sigma passed the angle test
-        d0 = -float(grad_c @ gam)
-        return -gam, d0, cosine(d0, float(gam @ ws.G @ gam)), "steepest"
+            return (delta, d0, cos, used, sigma) if d0 < 0.0 and dn2 > 0.0 and cos >= self.cfg.delta else None
+
+        # Newton (sigma = 0), then Levenberg damping in the function-space
+        # metric G, which turns the direction toward the best in-span descent
+        # direction without growing the dictionary.  1e-6 tr(H) / tr(G) stays
+        # put when all atoms are scaled alike; a start in units of H alone can
+        # lie past the whole spectrum, where every rung is steepest descent.
+        # Resumed one rung below the last accepted rung, the search steps down
+        # while rungs pass and up while they fail: the rung a climb from the
+        # bottom finds, when passing is monotone in sigma
+        found, kind = attempt(0.0), "newton"
+        if found is None:
+            ladder = [1e-6 * float(np.trace(H) / np.trace(ws.G))]
+            while len(ladder) < 14:
+                ladder.append(10.0 * ladder[-1])
+            r, kind = max(self._rung - 1, 0), "damped_newton"
+            found = attempt(ladder[r])
+            while found is not None and r > 0 and (lower := attempt(ladder[r - 1])) is not None:
+                r, found = r - 1, lower
+            while found is None and r + 1 < len(ladder):
+                r += 1
+                found = attempt(ladder[r])
+            self._rung = r if found is not None else self._rung
+        if found is None:
+            d0 = -float(grad_c @ gam)
+            return -gam, d0, cosine(d0, float(gam @ ws.G @ gam)), "steepest", None
+        delta, d0, cos, used, sigma = found
+        self.ridge_used = self.ridge_used or used
+        return delta, d0, cos, kind, sigma
 
     def unrepresented(self, gam: np.ndarray, w: np.ndarray) -> float:
         """The squared-norm terms of the gradient's integral mass that the
@@ -641,7 +647,9 @@ class _Core:
             if lacking is not None:
                 gn2 += self.unrepresented(gam, lacking)
             gn = float(np.sqrt(max(gn2, 0.0)))
-            f0 = self.value(psi, gamma, xn, xe)
+            gp_g = ws.Gp @ gamma
+            g_gp_g = float(gamma @ gp_g)
+            f0 = self.value(psi, gamma, xn, xe, g_gp_g)
             self.objective_trace.append(f0)
             self.grad_norm_trace.append(gn)
             if self.gn0 is None:
@@ -657,25 +665,26 @@ class _Core:
             if steps >= self.max_iter:
                 return gamma, "max_iter"
 
-            grad_c = ws.U.T @ dpsi + 2.0 * lam * (ws.Gp @ gamma)
+            grad_c = ws.U.T @ dpsi + 2.0 * lam * gp_g
             if ws.comp is not None:
                 grad_c += ws.comp
             if rho.size:
                 grad_c -= ws.E.T @ rho
-            delta, d0, cos, direction_kind = self.direction(
+            delta, d0, cos, direction_kind, sigma = self.direction(
                 self.hessian(psi, xn, xe, phi_e), grad_c, gam, gn
             )
             if not d0 < 0.0:
                 return gamma, "stationary"
 
             alpha, f_a, d_a, log, ok = _weak_wolfe_search(
-                self.line(psi, gamma, delta, xn, xe), f0, d0, cfg
+                self.line(psi, gamma, delta, xn, xe, g_gp_g), f0, d0, cfg
             )
             self.records.append({
                 "iteration": len(self.objective_trace) - 1,
                 "pass": self.passes - 1,
                 "mu": psi.mu,
                 "direction": direction_kind,
+                "sigma": sigma,
                 "cosine": float(cos),
                 "accepted_alpha": float(alpha) if ok else None,
                 "n_trials": len(log),
@@ -708,10 +717,7 @@ class _Core:
         stopping scale ||grad F(g_0)||.  The one status rule: only the
         gradient test converges, and an infeasible fit ran out of passes."""
         ws = self.ws
-        if not feasible:
-            status = "max_iter"
-        else:
-            status = {"grad": "converged", "max_iter": "max_iter"}.get(reason, "stalled")
+        status = {"grad": "converged", "max_iter": "max_iter"}.get(reason, "stalled") if feasible else "max_iter"
         return FitResult(
             g_hat=FilterFunction(ws.kernel, ws.obj.n_channels, tuple(ws.atoms), gamma),
             status=status,
@@ -818,14 +824,8 @@ def fit_linear(
     core.objective_trace.append(core.objective_trace[-1] - hinge.value(xn))
     core.grad_norm_trace.append(float(np.sqrt(max(gam @ ws.G @ gam, 0.0))))
     return core.result(
-        c,
-        reason,
-        feasible,
-        hinge_passes=core.passes,
-        hinge_mu=mu,
-        max_node_violation=v,
-        kkt_residual=kkt,
-        n_node_atoms=len(core.node_cols),
+        c, reason, feasible, hinge_passes=core.passes, hinge_mu=mu, max_node_violation=v,
+        kkt_residual=kkt, n_node_atoms=len(core.node_cols),
     )
 
 

@@ -13,7 +13,11 @@ from the public constructors, and ``solve_spd_cho_factor`` solves a Newton
 system through ``scipy.linalg``'s Cholesky wrappers, as references for the
 library's bulk builders and direct LAPACK calls.  ``atom_columns`` builds
 predictor columns atom by atom from ``Atom.value`` and ``Atom.h1_value``,
-the reference for ``Objective.columns``.
+the reference for ``Objective.columns``.  ``ascending_ladder`` finds a
+damped Newton direction by a climb from the bottom of the damping ladder,
+the reference for ``_Core.direction``'s resumed search, and
+``sorted_normal_forms`` merges every section of a filter in one stable
+sort, the reference for ``FilterFunction.normal_forms``.
 """
 
 from math import factorial
@@ -22,7 +26,14 @@ import numpy as np
 import scipy.linalg
 
 from glppm.errors import DomainError, InfeasibleError, SolverError
-from glppm.filters import FilterFunction, h1_inner_row, integrated_points, section_sum
+from glppm.filters import (
+    FilterFunction,
+    _flatten,
+    _merge_sorted,
+    h1_inner_row,
+    integrated_points,
+    section_sum,
+)
 from glppm.kernel import SobolevKernel, _branch_coeffs, _cross_weighted_sum
 from glppm.likelihood import (
     Objective,
@@ -32,7 +43,7 @@ from glppm.likelihood import (
     build_h_atoms,
     objective_value,
 )
-from glppm.optimizer import LineSearchConfig, _weak_wolfe_search
+from glppm.optimizer import LineSearchConfig, _solve_spd, _weak_wolfe_search
 
 
 def cross_eval(p: int, q: int, x, y):
@@ -354,3 +365,49 @@ def wolfe_angle_step(
         "trials": log,
     }
     return g + direction.scale(alpha), stats
+
+
+def ascending_ladder(core, H: np.ndarray, grad_c: np.ndarray, gam: np.ndarray, gn: float):
+    """``_Core.direction`` by a climb from the bottom of the damping ladder:
+    Newton, then sigma = 1e-6 tr(H) / tr(G) rising tenfold by repeated
+    ``10.0 * sigma`` over 14 rungs, the first that passes the angle test,
+    else steepest descent.  Returns (delta, slope, cosine, kind, sigma),
+    sigma None for steepest descent, and leaves the core as it was."""
+    ws = core.ws
+    free = np.diag(ws.G) > 0.0
+
+    def cosine(slope: float, norm2: float) -> float:
+        return -slope / max(gn * np.sqrt(max(norm2, 0.0)), 1e-300)
+
+    sigma = 0.0
+    for _ in range(15):
+        delta = np.zeros(len(ws))
+        M = H + sigma * ws.G
+        delta[free] = _solve_spd(M[np.ix_(free, free)], -grad_c[free])[0]
+        d0 = float(grad_c @ delta)
+        dn2 = float(delta @ ws.G @ delta)
+        cos = cosine(d0, dn2)
+        if d0 < 0.0 and dn2 > 0.0 and cos >= core.cfg.delta:
+            return delta, d0, cos, "damped_newton" if sigma else "newton", sigma
+        sigma = 10.0 * sigma if sigma else 1e-6 * float(np.trace(H) / np.trace(ws.G))
+    d0 = -float(grad_c @ gam)
+    return -gam, d0, cosine(d0, float(gam @ ws.G @ gam)), "steepest", None
+
+
+def sorted_normal_forms(g: FilterFunction):
+    """Per channel, (sec_lags, sec_weights, seg_nodes, seg_weights, h0) of
+    the normal form: the sections and segments of every atom with a nonzero
+    coefficient, weighted by it, laid end to end and merged by one stable
+    sort and ``bincount`` each (``_merge_sorted``)."""
+    forms = []
+    for ch in range(g.n_channels):
+        on = [i for i, a in enumerate(g.atoms) if a.channel == ch and g.coefficients[i] != 0.0]
+        c = g.coefficients[on]
+        sec_lags, sec_w, sec_owner, seg_nodes, seg_w, seg_owner = _flatten([g.atoms[i] for i in on])
+        h0 = c @ np.array([g.atoms[i].h0 for i in on]).reshape(-1, g.kernel.m)
+        forms.append((
+            *_merge_sorted(sec_lags, c[sec_owner] * sec_w),
+            *_merge_sorted(seg_nodes, c[seg_owner] * seg_w),
+            h0,
+        ))
+    return forms

@@ -703,6 +703,20 @@ class TestUnreadableInput:
         assert run("simulate", "--config", cfg, "--out", tmp_path / "o") == 3
         assert "gone.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["gof", "intensity"])
+    @pytest.mark.parametrize("text", [None, "{not json", "[1, 2]"], ids=["missing", "bad-json", "not-object"])
+    def test_wrapper_naming_an_unreadable_filter_exits_3(self, tmp_path, capsys, command, text):
+        # a filter file the wrapper names is data, as simulate's "filters"
+        # file is: one that cannot be read exits 3, not 2
+        data = make_dataset(tmp_path, DENSE_TIMES)
+        if text is not None:
+            (tmp_path / "gone.json").write_text(text)
+        wrap = write_json(
+            tmp_path / "wrap.json", {"filter": "gone.json", "link": {"kind": "linear", "d": 0.5}}
+        )
+        assert run(command, "--data", data, "--config", wrap, "--out", tmp_path / "o") == 3
+        assert "gone.json" in capsys.readouterr().err
+
 
 class TestImports:
     def test_only_gof_loads_scipy_stats(self, tmp_path):

@@ -282,9 +282,9 @@ class TestObjective:
         calls = []
         columns = Objective.columns
 
-        def counting(self, kernel, atoms, pos=None):
+        def counting(self, kernel, atoms):
             calls.append(len(atoms))
-            return columns(self, kernel, atoms, pos)
+            return columns(self, kernel, atoms)
 
         monkeypatch.setattr(Objective, "columns", counting)
         for link in (exponential_link(0.1), linear_link(1.0)):

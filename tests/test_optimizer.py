@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from glppm import likelihood, optimizer
+from glppm import filters, likelihood, optimizer
 from glppm.data import AtRiskProcess, DriverChannel, DriverSeries, EventSeries
 from glppm.errors import ConfigError, InfeasibleError, SolverError
 from glppm.filters import (
@@ -27,9 +27,11 @@ from glppm.likelihood import (
     softplus_link,
 )
 from glppm.optimizer import (
+    STEP_FIELDS,
     FitResult,
     LineSearchConfig,
     _Core,
+    _Hinge,
     _QuadratureCompensator,
     _Workspace,
     _solve_spd,
@@ -38,6 +40,7 @@ from glppm.optimizer import (
 )
 
 from oracles import (
+    ascending_ladder,
     atom_columns,
     full_gram,
     gradient,
@@ -47,6 +50,7 @@ from oracles import (
     integral_atoms_one_by_one,
     same_bits,
     solve_spd_cho_factor,
+    sorted_normal_forms,
     wolfe_angle_step,
 )
 
@@ -624,8 +628,8 @@ class TestBulkDictionary:
             assert same_bits(a.h1_value(u), b.h1_value(u))
             # the index's search positions of the pair lags give the bits
             # of the search
-            pos = obj.node_lag_index(a.channel).pos
-            assert same_bits(obj.columns(kernel, [a], pos), obj.columns(kernel, [b]))
+            x, x1 = obj.columns(kernel, [b])
+            assert same_bits(obj.integral_column(a), x) and same_bits(x, x1)
         # the full-kernel atoms carry the same polynomial content
         for a, b in zip(
             build_f_atoms(kernel, obj, part="r", link_weights=steps[2]),
@@ -658,7 +662,9 @@ class TestBulkDictionary:
 
 class TestColumns:
     """``Objective.columns`` is the one route from atoms to predictor
-    columns, and it gives the columns of ``Atom.value`` atom by atom."""
+    columns, save the integral atom of node weights, whose column
+    ``Objective.integral_column`` reads from the pair-lag index; both give
+    the columns of ``Atom.value`` atom by atom."""
 
     @staticmethod
     def mixed_block(kernel, obj):
@@ -705,9 +711,11 @@ class TestColumns:
             # node_column and event_column are the two halves
             assert same_bits(obj.node_column(kernel, a), want[0][:q, 0])
             assert same_bits(obj.event_column(kernel, a), want[0][q:, 0])
-        for a in integral:
-            pos = obj.node_lag_index(a.channel).pos
-            assert same_bits(obj.columns(kernel, [a], pos), atom_columns(kernel, obj, [a]))
+        # the quiet channel's integral atom is zero, which the workspace
+        # never appends
+        for a in (a for a in integral if not a.is_zero):
+            x, x1 = atom_columns(kernel, obj, [a])
+            assert same_bits(obj.integral_column(a), x) and same_bits(x, x1)
         # a block's smooth part drops each atom's polynomial part, and only
         # that: the full-kernel atoms differ from their smooth parts
         assert not same_bits(X, X1)
@@ -718,11 +726,18 @@ class TestColumns:
         calls = []
         real = Objective.columns
 
-        def spy(self, kernel, atoms, pos=None):
-            calls.append((len(atoms), pos is not None))
-            return real(self, kernel, atoms, pos)
+        def spy(self, kernel, atoms):
+            calls.append((len(atoms), False))
+            return real(self, kernel, atoms)
+
+        real_integral = Objective.integral_column
+
+        def integral_spy(self, atom):
+            calls.append((1, True))
+            return real_integral(self, atom)
 
         monkeypatch.setattr(Objective, "columns", spy)
+        monkeypatch.setattr(Objective, "integral_column", integral_spy)
         ws = _Workspace(kernel, obj)
         ws.add_polynomials()
         assert calls == [(1, False)] * (obj.n_channels * kernel.m)
@@ -855,15 +870,229 @@ class TestCoreDirection:
         e[0], e[-1] = 0.01, 1.0
         gam = V @ ((Q @ e) / np.sqrt(w))
         gn = float(np.sqrt(gam @ ws1.G @ gam))
-        d1, d0_1, cos1, kind1 = _Core(ws1, None, 1e-6, 1).direction(H, ws1.G @ gam, gam, gn)
-        d2, d0_2, cos2, kind2 = _Core(ws2, None, 1e-6, 1).direction(
+        d1, d0_1, cos1, kind1, sigma1 = _Core(ws1, None, 1e-6, 1).direction(H, ws1.G @ gam, gam, gn)
+        d2, d0_2, cos2, kind2, sigma2 = _Core(ws2, None, 1e-6, 1).direction(
             s * s * H, s * (ws1.G @ gam), gam / s, gn
         )
         assert kind1 == kind2 == "damped_newton"
         assert cos1 >= DELTA
         assert cos2 == pytest.approx(cos1, rel=1e-9)
         assert d0_2 == pytest.approx(d0_1, rel=1e-9)
+        assert sigma2 == pytest.approx(sigma1, rel=1e-9) and sigma1 > 0.0
         assert_allclose(s * d2, d1, rtol=0, atol=1e-9 * np.abs(d1).max())
+
+
+class TestResumedLadder:
+    """``_Core.direction`` resumes the damping ladder one rung below the
+    rung it last accepted and steps down while rungs pass, up while they
+    fail.  Where passing is monotone in sigma, that is the rung a climb from
+    the bottom finds, with the same direction, slope, cosine and sigma."""
+
+    @staticmethod
+    def assert_same_direction(got, want):
+        assert same_bits(got[0], want[0])
+        assert same_bits(np.array(got[1:3]), np.array(want[1:3]))
+        assert got[3] == want[3]
+        assert (got[4] is None and want[4] is None) or same_bits(np.float64(got[4]), np.float64(want[4]))
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_fit_directions_equal_the_ascending_ladder(self, m, monkeypatch):
+        k, obj = dense_objective(lam=1.0, link=exponential_link(), m=m)
+        real, seen = _Core.direction, []
+
+        def checked(core, H, grad_c, gam, gn):
+            want = ascending_ladder(core, H, grad_c, gam, gn)
+            start = max(core._rung - 1, 0)
+            got = real(core, H, grad_c, gam, gn)
+            self.assert_same_direction(got, want)
+            seen.append((got[3], start, core._rung))
+            return got
+
+        monkeypatch.setattr(_Core, "direction", checked)
+        res = fit_descent(k, obj, tol=1e-6, max_iter=300)
+        assert res.converged
+        damped = [(start, rung) for kind, start, rung in seen if kind == "damped_newton"]
+        # some damped steps resume above the bottom of the ladder, where the
+        # climb would have solved every rung below
+        assert len(damped) >= 3 and any(start > 0 for start, _ in damped)
+        # each record carries the sigma of its direction, which trace.csv
+        # does not write
+        records = res.diagnostics["iterations"]
+        assert len(records) == len(seen) and "sigma" not in STEP_FIELDS
+        for r in records:
+            assert (r["sigma"] == 0.0) == (r["direction"] == "newton")
+            assert r["direction"] == "newton" or r["sigma"] > 0.0
+
+    def test_a_rung_two_below_the_last_is_found_by_stepping_down(self):
+        # Hessians whose eigenvalues relative to G span 10^-a..10^a, with
+        # the gradient mostly along the stiffest: the spread and the weight
+        # e0 on the softest set the rung that passes the angle test
+        k, obj = dense_objective(lam=2.0, link=exponential_link(), m=1)
+        ws = _Workspace(k, obj)
+        for a in fit_descent(k, obj, tol=1e-6, max_iter=300).g_hat.atoms[:6]:
+            ws.add(a)
+        n = len(ws)
+        w, V = np.linalg.eigh(ws.G)
+        L = V * np.sqrt(w)
+        Q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((n, n)))
+        core, rungs = _Core(ws, None, 1e-6, 1), []
+        for a, e0 in [(3, 0.01), (3, 0.1), (1, 0.01), (3, 0.01), (3, 0.001), (4, 0.1)]:
+            H = L @ Q @ np.diag(np.logspace(-a, a, n)) @ Q.T @ L.T
+            H = 0.5 * (H + H.T)
+            e = np.zeros(n)
+            e[0], e[-1] = e0, 1.0
+            gam = V @ ((Q @ e) / np.sqrt(w))
+            gn = float(np.sqrt(gam @ ws.G @ gam))
+            want = ascending_ladder(core, H, ws.G @ gam, gam, gn)
+            got = core.direction(H, ws.G @ gam, gam, gn)
+            self.assert_same_direction(got, want)
+            rungs.append(core._rung if got[3] == "damped_newton" else got[3])
+        # 4 -> 2 starts at 3 and steps down to 2, below which 1 fails; a
+        # Newton step keeps the rung; 2 -> 4 climbs from 1; 4 -> 3 stops
+        # when 2 fails; 3 -> 2 starts at 2 and stops when 1 fails
+        assert rungs == [4, 2, "newton", 4, 3, 2]
+
+
+class TestCoreValue:
+    @pytest.mark.parametrize("link", [exponential_link(), softplus_link(), linear_link(0.5)])
+    def test_value_is_the_line_at_alpha_zero(self, link):
+        # F at gamma has the bits of the line search's closed form at alpha
+        # = 0 along delta = 0, with which every trial compares; a zero
+        # gamma of either sign is where a -0.0 could part them
+        k, obj = dense_objective(lam=2.0, link=link, m=2)
+        if link.kind == "linear":
+            fit = fit_linear(k, obj)
+            psi = _Hinge(np.full(obj.nodes.size, 0.5), 10.0, link)
+        else:
+            fit = fit_descent(k, obj, tol=1e-6, max_iter=300)
+            psi = _QuadratureCompensator(obj)
+        ws = _Workspace(k, obj)
+        for a in fit.g_hat.atoms:
+            ws.add(a)
+        core = _Core(ws, None, 1e-6, 1)
+        c = fit.g_hat.coefficients
+        for gamma in (np.zeros(c.size), -np.zeros(c.size), c, 0.9 * c):
+            xn, xe = ws.U @ gamma, ws.E @ gamma
+            g_gp_g = float(gamma @ (ws.Gp @ gamma))
+            feasible, want, _ = core.line(psi, gamma, np.zeros(c.size), xn, xe, g_gp_g)(0.0)
+            assert feasible
+            assert same_bits(np.float64(core.value(psi, gamma, xn, xe, g_gp_g)), np.float64(want))
+
+
+class TestLeanIntegralAtoms:
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_lean_route_equals_the_block_path(self, m):
+        # the integral atom's column from the pair-lag index and its Gram
+        # entries leave U, E, G and Gp as appending it through
+        # ``Objective.columns`` does, beside atoms that represent nothing
+        kernel, obj = history_objective(m, quiet_channel=True)
+        rng = np.random.default_rng(43)
+        ws, ref = _Workspace(kernel, obj), _Workspace(kernel, obj)
+        for w in (ws, ref):
+            w.add_polynomials()
+            w.add_history_atoms()
+            w.add(kernel_section(kernel, 1, 2.5, part="r"))
+        for weights in (rng.uniform(0.1, 1.0, obj.nodes.size), rng.uniform(-1.0, 1.0, obj.nodes.size)):
+            cols = ws.add_integral_atoms(weights)
+            functional = np.zeros(ref._n_points)
+            functional[: ref._n_nodes] = weights
+            want = [
+                ref.add(a, functional)
+                for a in build_f_atoms(kernel, obj, part="r1", link_weights=weights)
+                if not a.is_zero
+            ]
+            assert cols == want and len(cols) == 2
+            for name in ("U", "E", "G", "Gp"):
+                assert same_bits(getattr(ws, name), getattr(ref, name)), name
+        assert_same_workspace(ws, ref)
+
+
+class TestNormalForms:
+    """``FilterFunction.normal_forms`` sums the atoms that share one
+    sections array before the merge, with the bits of one stable sort and
+    ``bincount`` of every section (``sorted_normal_forms``)."""
+
+    @staticmethod
+    def merged_sizes(monkeypatch):
+        sizes, real = [], filters._merge_starts
+
+        def spy(lags, owner=None):
+            sizes.append(lags.size)
+            return real(lags, owner)
+
+        monkeypatch.setattr(filters, "_merge_starts", spy)
+        return sizes
+
+    @staticmethod
+    def assert_forms(g, forms=None):
+        for form, want in zip(forms or g.normal_forms, sorted_normal_forms(g)):
+            for name, arr in zip(("sec_lags", "sec_weights", "seg_nodes", "seg_weights", "h0"), want):
+                assert same_bits(getattr(form, name), arr), name
+
+    @staticmethod
+    def dictionary(kernel, obj, rng, n_integral=4):
+        """Polynomials, part "r" history atoms and integral atoms of random
+        node weights on two channels, the segment-only integral atom on one."""
+        atoms = [h0_poly(kernel, ch, k) for ch in range(2) for k in range(1, kernel.m + 1)]
+        atoms += [a for a in build_h_atoms(kernel, obj.events, obj.drivers, part="r") if not a.is_zero]
+        atoms.append(build_f_atoms(kernel, obj, part="r1")[1])
+        for _ in range(n_integral):
+            weights = rng.uniform(-1.0, 1.0, obj.nodes.size)
+            atoms += build_f_atoms(kernel, obj, part="r1", link_weights=weights)
+        return atoms
+
+    @staticmethod
+    def objective(m):
+        """A driver and the target, whose event-pair lags keep clear of
+        their node-pair lags."""
+        events, z, tgt, _ = two_channel_objective()
+        obj = Objective(exponential_link(-0.5), 2.0, events, DriverSeries(8.0, (z, tgt)))
+        return SobolevKernel(m=m, horizon=8.0), obj
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_shared_lags_are_sorted_once(self, m, monkeypatch):
+        kernel, obj = self.objective(m)
+        rng = np.random.default_rng(41)
+        atoms = self.dictionary(kernel, obj, rng)
+        g = FilterFunction(kernel, 2, tuple(atoms), rng.normal(size=len(atoms)))
+        sizes = self.merged_sizes(monkeypatch)
+        forms, sorted_sizes = g.normal_forms, list(sizes)
+        self.assert_forms(g, forms)
+        # one copy of each channel's node lags went into its sort
+        n_lags = [obj.node_lag_index(ch).lags.size for ch in range(2)]
+        assert max(sorted_sizes) < 2 * max(n_lags)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_lags_within_the_tolerance_take_the_sort(self, m, monkeypatch):
+        kernel, obj = self.objective(m)
+        rng = np.random.default_rng(47)
+        atoms = self.dictionary(kernel, obj, rng)
+        # a warm start's normal form holds the node lags themselves, in an
+        # array of its own; a section 5e-13 above a node lag joins it
+        warm = FilterFunction(kernel, 2, tuple(atoms), rng.normal(size=len(atoms))).compact()
+        lag = float(obj.node_lag_index(0).lags[7])
+        for extra in (list(warm.atoms), [kernel_section(kernel, 0, lag + 5e-13)]):
+            mixed = atoms + extra
+            g = FilterFunction(kernel, 2, tuple(mixed), rng.normal(size=len(mixed)))
+            sizes = self.merged_sizes(monkeypatch)
+            forms, sorted_sizes = g.normal_forms, list(sizes)
+            self.assert_forms(g, forms)
+            # the sort of every copy, on channel 0 at least
+            assert max(sorted_sizes) >= 4 * obj.node_lag_index(0).lags.size
+        # history lags within 1e-14 of node lags, and node lags that merge
+        kernel, obj = history_objective(m)
+        atoms = self.dictionary(kernel, obj, rng)
+        self.assert_forms(FilterFunction(kernel, 2, tuple(atoms), rng.normal(size=len(atoms))))
+
+    def test_a_warm_started_fit(self):
+        # a fit from the compacted fit on the same data: its dictionary holds
+        # the warm start's form beside integral atoms on the same lags
+        k, obj = dense_objective(lam=1.0, link=exponential_link(), m=2)
+        cold = fit_descent(k, obj, tol=1e-6, max_iter=300)
+        warm = fit_descent(k, obj, init=cold.g_hat.compact(), tol=1e-6, max_iter=300)
+        for res in (cold, warm):
+            g = FilterFunction(k, 1, res.g_hat.atoms, res.g_hat.coefficients)
+            self.assert_forms(g)
 
 
 class TestCoreNoiseFloor:
