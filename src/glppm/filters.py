@@ -176,35 +176,34 @@ class Atom:
 
     # -- H1 algebra ----------------------------------------------------------
 
-    def _table(self, p: int, q: int, lags, weights):
-        """The prefix table of K[p,q] over the sections or segments, built
-        on first use and kept.  Sections and segments never share a (p, q),
-        so it keys the table."""
+    def _table(self, p: int, q: int):
+        """The prefix table of K[p,q] over the sections (p = m) or the
+        segments (p = m + 1), built on first use and kept."""
         table = self._tables.get((p, q))
         if table is None:
+            lags, weights = (
+                (self.sec_lags, self.sec_weights) if p == self.m else (self.seg_nodes, self.seg_weights)
+            )
             table = self._tables[p, q] = _prefix_table(p, q, lags, weights)
         return table
 
-    def _kernel_sum(self, p: int, q: int, lags, weights, x):
-        """``_cross_weighted_sum`` of K[p,q] over the sections or segments,
-        from their kept prefix table."""
-        table = self._table(p, q, lags, weights)
-        return _cross_weighted_sum(p, q, lags, weights, x, table=table)
-
     def h1_value(self, u):
-        """Smooth-part value at lag(s) u."""
+        """Smooth-part value at lag(s) u: K[m,m] over the sections plus
+        K[m+1,m] over the segments, each from its kept prefix table."""
         m = self.m
-        out = self._kernel_sum(m, m, self.sec_lags, self.sec_weights, u)
+        out = _cross_weighted_sum(m, m, self.sec_lags, self.sec_weights, u, self._table(m, m))
         if self.seg_nodes.size:
-            out = out + self._kernel_sum(m + 1, m, self.seg_nodes, self.seg_weights, u)
+            table = self._table(m + 1, m)
+            out = out + _cross_weighted_sum(m + 1, m, self.seg_nodes, self.seg_weights, u, table)
         return out
 
     def h1_antiderivative(self, x):
         """int_0^x of the smooth part, exactly (cross-order kernels)."""
         m = self.m
-        out = self._kernel_sum(m, m + 1, self.sec_lags, self.sec_weights, x)
+        out = _cross_weighted_sum(m, m + 1, self.sec_lags, self.sec_weights, x, self._table(m, m + 1))
         if self.seg_nodes.size:
-            out = out + self._kernel_sum(m + 1, m + 1, self.seg_nodes, self.seg_weights, x)
+            table = self._table(m + 1, m + 1)
+            out = out + _cross_weighted_sum(m + 1, m + 1, self.seg_nodes, self.seg_weights, x, table)
         return out
 
     def value(self, kernel: SobolevKernel, u):

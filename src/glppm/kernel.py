@@ -110,37 +110,32 @@ def _cross_weighted_sum(p: int, q: int, lags, weights, queries, table=None):
     sums over each side of the diagonal, so large weighted families of kernel
     sections (quadrature atoms, event histories) stay linear-time.  A
     ``table`` from ``_prefix_table(p, q, lags, weights)`` saves rebuilding
-    the prefix sums and gives the same bits.
+    the prefix sums and gives the same bits.  The sums themselves are one
+    search of the queries in the lags and ``_family_sums``.
     """
     lags = np.asarray(lags, dtype=float)
     if table is None:
         table = _prefix_table(p, q, lags, weights)
     queries = np.asarray(queries, dtype=float)
-    pos = lags.searchsorted(queries, side="right")
-    out = np.zeros(queries.shape)
-    for scaled, e in table:
-        # x ** 0 is 1 and x ** 1 is x exactly, so those products are skipped
-        if e == 0:
-            out += scaled[pos]
-        elif e == 1:
-            out += scaled[pos] * queries
-        else:
-            out += scaled[pos] * queries**e
-    return out
+    return _family_sums(table, lags.searchsorted(queries, side="right"), queries)
 
 
 def _family_sums(table, pos, queries) -> np.ndarray:
-    """``_cross_weighted_sum`` of every family of a ``_prefix_table`` at
-    queries whose search positions in its lags are ``pos``: one row of sums
-    per row of weights, each with the bits of that family's own sum, or the
-    sums alone for a table of one family's own weights."""
-    out = np.zeros(table[0][0].shape[:-1] + pos.shape)
+    """The kernel sums of every family of a ``_prefix_table`` at queries
+    whose search positions in its lags are ``pos``, summed from 0.0 term by
+    term: one row of sums per row of weights, each with the bits of that
+    family's own sum, or the sums alone for a table of one family's own
+    weights."""
+    out = 0.0
     for scaled, e in table:
-        vals = scaled.take(pos, axis=-1)
+        vals = scaled.take(pos, -1)
         # x ** 0 is 1 and x ** 1 is x exactly, so those products are skipped
         if e:
             vals *= queries if e == 1 else queries**e
-        out += vals
+        # the running sum is added to the new term in place, as term + sum
+        # has the bits of sum + term
+        vals += out
+        out = vals
     return out
 
 

@@ -163,10 +163,9 @@ class QuadratureConfig:
     nodes_per_interval: int = 8
 
     def __post_init__(self):
-        if not isinstance(self.nodes_per_interval, int) or self.nodes_per_interval < 2:
-            raise ConfigError(
-                f"nodes_per_interval must be an integer >= 2, got {self.nodes_per_interval!r}"
-            )
+        n = self.nodes_per_interval
+        if not isinstance(n, (int, np.integer)) or n < 2:
+            raise ConfigError(f"nodes_per_interval must be an integer >= 2, got {n!r}")
 
 
 @lru_cache(maxsize=None)
@@ -253,15 +252,8 @@ def _smooth_values(m: int, atoms, lags: np.ndarray):
     lags, one row per atom from ``atoms[start]`` on, as ``Atom.h1_value``
     sums them.  A family's sums over another atom's lags add zeros, which
     keep its bits."""
-    if len(atoms) == 1:  # sorted and merged already, with its own tables
-        a, h1 = atoms[0], np.zeros(lags.size)
-        if a.sec_lags.size:
-            pos = np.searchsorted(a.sec_lags, lags, side="right")
-            h1 = _family_sums(a._table(m, m, a.sec_lags, a.sec_weights), pos, lags)
-        if a.seg_nodes.size:
-            seg_pos = np.searchsorted(a.seg_nodes, lags, side="right")
-            h1 = h1 + _family_sums(a._table(m + 1, m, a.seg_nodes, a.seg_weights), seg_pos, lags)
-        yield 0, h1[None, :]
+    if len(atoms) == 1:  # sorted and merged already: ``h1_value`` reads its kept tables
+        yield 0, atoms[0].h1_value(lags)[None, :]
         return
     flat, parts = _flatten(atoms), []
     for p, (a_lags, a_w, owner) in ((m, flat[:3]), (m + 1, flat[3:])):
@@ -421,8 +413,7 @@ class Objective:
         alone, whose X and X1 agree, as a (points, 1) array: its sections are
         the merged node lags, so each search position is read from the index."""
         point, lags, dz = self._pairs[atom.channel]
-        table = atom._table(atom.m, atom.m, atom.sec_lags, atom.sec_weights)
-        h1 = _family_sums(table, self.node_lag_index(atom.channel).pos, lags)
+        h1 = _family_sums(atom._table(atom.m, atom.m), self.node_lag_index(atom.channel).pos, lags)
         return np.bincount(point, h1 * dz, self.nodes.size + len(self.events)).reshape(-1, 1)
 
     def node_column(self, kernel: SobolevKernel, atom: Atom) -> np.ndarray:
@@ -544,25 +535,21 @@ def objective_value(g: FilterFunction, obj: Objective) -> float:
 # -- representer atoms ----------------------------------------------------------
 
 
-def build_h_atoms(
-    kernel: SobolevKernel,
-    events: EventSeries,
-    drivers: DriverSeries,
-    part: str = "r1",
-) -> list[Atom]:
+def build_h_atoms(kernel: SobolevKernel, obj: Objective, part: str = "r1") -> list[Atom]:
     """Event history atoms, event-major then channel-minor.
 
     Atom (i, j) is sum_{sigma < tau_i} dZ_j R^part(tau_i - sigma, .) on
-    channel j; zero (empty) when the event has no earlier jumps there.  All
-    atoms of a channel come from one pass: its event-pair lags are sorted
-    once by event and then lag, stably, and merged with one ``bincount``,
-    which sums each atom's sections in the order ``section_sum`` does.
+    channel j; zero (empty) when the event has no earlier jumps there.  The
+    lags are the objective's event pairs (``Objective._event_pairs``), in
+    the kernel's domain once ``_check_kernel`` passes.  All atoms of a
+    channel come from one pass: its event-pair lags are sorted once by
+    event and then lag, stably, and merged with one ``bincount``, which
+    sums each atom's sections in the order ``section_sum`` does.
     """
-    n_ev, n_ch = len(events), drivers.n_channels
+    obj._check_kernel(kernel)
+    n_ev, n_ch = len(obj.events), obj.n_channels
     atoms: list = [None] * (n_ev * n_ch)
-    for j, ch in enumerate(drivers.channels):
-        owner, _, lags, dz = _history_pairs(events.times, ch.times, ch.sizes)
-        kernel._check_domain(lags)
+    for j, (owner, _, lags, dz) in enumerate(obj._event_pairs):
         order = np.lexsort((lags, owner))
         owner, lags = owner[order], lags[order]
         starts = _merge_starts(lags, owner)
@@ -630,9 +617,11 @@ def compensator(
     depends on s alone, not on the other times asked for.  A linear link
     with a FilterFunction integrates exactly: antiderivatives of the normal
     forms over the lag segments of each interval.  Anything else uses
-    composite Gauss-Legendre quadrature with this many nodes per interval.
+    composite Gauss-Legendre quadrature with this many nodes per interval,
+    which ``QuadratureConfig`` validates on either route.
     """
     _check_channels(g, drivers)
+    QuadratureConfig(nodes_per_interval)
     s_arr = np.asarray(s, dtype=float)
     if not np.all((s_arr >= 0.0) & (s_arr <= drivers.horizon)):
         raise DomainError(f"compensator endpoint {s} outside [0, horizon]")

@@ -17,6 +17,10 @@ events, and Gp the dictionary's H1 Gram.  Only psi, r and the atoms differ:
   multipliers y_q, over the representer basis (``_Workspace.add_representers``)
   and one atom per forced node.
 
+The gradient of F is a sum of data atoms: -phi'/phi(X) times an event's
+history atom, the integral atom, and psi' times a node's atom.  The
+workspace records each atom's role as it appends it; the core reads them.
+
 The core (``_Core.run``) forms the coordinate gradient and Hessian of F,
 takes a direction that passes the angle test cos(direction, -gradient) >=
 delta (Newton, else Levenberg-damped in the function-space metric G on a
@@ -64,6 +68,11 @@ STEP_FIELDS = (
     "pass", "mu", "direction", "cosine", "accepted_alpha",
     "n_trials", "deriv0", "step_norm", "n_atoms",
 )
+
+# an atom's role in the gradient of F (``_Workspace.role``), whose
+# coefficient there is 0 (free), -phi'/phi(X) at its event (history), 1
+# (integral) or psi' at its quadrature node (node)
+FREE, HISTORY, INTEGRAL, NODE = range(4)
 
 
 @dataclass(frozen=True)
@@ -180,6 +189,12 @@ class _Workspace:
     the only one whose compensator is linear in the coefficients; on the
     other links it is None.
 
+    Each atom also records its ``role`` in the gradient of F: ``HISTORY`` of
+    event ``datum``, ``INTEGRAL``, ``NODE`` of quadrature node ``datum``, or
+    ``FREE`` (polynomials, warm starts); and, as ``completion``, the
+    polynomial content ``Atom.sections_h0`` that a part "r1" atom lacks
+    against its full-kernel version, zero for the other parts.
+
     An atom added by ``add_history_atoms`` or ``add_integral_atoms`` is the
     Riesz representer of a data functional on the H1 parts of predictor
     columns: the history atom of event i and channel j represents the
@@ -191,12 +206,13 @@ class _Workspace:
     where U1 and E1 are the H1 parts of a's columns.  Atoms join in blocks:
     one ``Objective.columns`` call gives a block's U, E, U1 and E1, and
     ``_append`` its Gram entries, which against represented atoms are
-    products of functionals with columns.  ``add`` appends a block of one,
-    ``add_history_atoms`` and ``add_representers`` each kind of data atom as
-    one block, and ``add_integral_atoms`` each integral atom as a block of
-    one whose column is ``Objective.integral_column``.  Every column and
-    Gram entry has the bits of appending the atoms one at a time.  Only
-    pairs of atoms that represent nothing (polynomials, warm starts, the
+    products of functionals with columns.  ``add`` and ``add_node_atoms``
+    append blocks of one, ``add_history_atoms`` and ``add_representers``
+    each kind of data atom as one block, and ``add_integral_atoms`` each
+    integral atom as a block of one whose column is
+    ``Objective.integral_column``.  Every column and Gram entry has the bits
+    of appending the atoms one at a time.  Only pairs of atoms that
+    represent no functional (polynomials, warm starts, node atoms, the
     representer basis of ``add_representers``) take ``h1_inner_row``.
     """
 
@@ -220,17 +236,16 @@ class _Workspace:
         buf = {
             "X": np.zeros((p, cap)), "X1": np.zeros((p, cap)), "F": np.zeros((cap, p)),
             "G": np.zeros((cap, cap)), "Gp": np.zeros((cap, cap)),
-            "h0": np.zeros((cap, m)), "comp": np.zeros(cap),
+            "h0": np.zeros((cap, m)), "completion": np.zeros((cap, m)), "comp": np.zeros(cap),
             "channel": np.zeros(cap, dtype=int), "non_poly": np.zeros(cap, dtype=bool),
-            "rep": np.zeros(cap, dtype=bool),
+            "rep": np.zeros(cap, dtype=bool), "role": np.zeros(cap, dtype=int),
+            "datum": np.zeros(cap, dtype=int),
         }
         if old is not None:
-            for key in ("X", "X1"):
-                buf[key][:, :n] = old[key][:, :n]
-            for key in ("G", "Gp"):
-                buf[key][:n, :n] = old[key][:n, :n]
-            for key in ("F", "h0", "comp", "channel", "non_poly", "rep"):
-                buf[key][:n] = old[key][:n]
+            for key, arr in buf.items():
+                kept = (np.s_[:, :n] if key in ("X", "X1")
+                        else np.s_[:n, :n] if key in ("G", "Gp") else np.s_[:n])
+                arr[kept] = old[key][kept]
         self._buf = buf
 
     def __len__(self) -> int:
@@ -243,6 +258,17 @@ class _Workspace:
         self.G, self.Gp = b["G"][:n, :n], b["Gp"][:n, :n]
         self.comp = b["comp"][:n] if self.obj.link.kind == "linear" else None
         self.h0_mat, self.channel, self.non_poly = b["h0"][:n], b["channel"][:n], b["non_poly"][:n]
+        self.role, self.datum, self.completion = b["role"][:n], b["datum"][:n], b["completion"][:n]
+        self._rows = None  # ``channel_rows`` builds them on its next call
+
+    def channel_rows(self) -> list[tuple]:
+        """Per channel, its non-polynomial columns with their completion and
+        h0 rows, built once per dictionary size."""
+        if self._rows is None:
+            chs = range(self.obj.n_channels)
+            cols = [np.flatnonzero(self.non_poly & (self.channel == ch)) for ch in chs]
+            self._rows = [(idx, self.completion[idx], self.h0_mat[idx]) for idx in cols]
+        return self._rows
 
     def add_polynomials(self) -> None:
         """Append phi_1..phi_m of every channel, channel-major, where
@@ -268,54 +294,62 @@ class _Workspace:
         are the smooth parts of the event and compensator design
         functionals.  An event with no strictly earlier jump on a channel
         gives an identically zero atom, which is kept in place so that the
-        indexing stays uniform; it has no row in any Gram.  Returns the
-        columns of the history atoms and of the integral atoms, each kind
-        appended as one block."""
+        indexing stays uniform; it has no row in any Gram, but keeps its
+        role.  Returns the columns of the history atoms and of the integral
+        atoms, each kind appended as one block."""
         self.add_polynomials()
-        cols = []
-        for atoms in (
-            build_h_atoms(self.kernel, self.obj.events, self.obj.drivers, part="r1"),
-            build_f_atoms(self.kernel, self.obj, part="r1"),
-        ):
-            cols.append(slice(len(self), len(self) + len(atoms)))
-            self._append(atoms, *self.obj.columns(self.kernel, atoms))
-        return tuple(cols)
+        h_atoms = build_h_atoms(self.kernel, self.obj, part="r1")
+        n0, n1 = len(self), len(self) + len(h_atoms)
+        events = np.arange(len(h_atoms)) // self.obj.n_channels
+        self._append(h_atoms, *self.obj.columns(self.kernel, h_atoms), role=HISTORY, datum=events)
+        f_atoms = build_f_atoms(self.kernel, self.obj, part="r1")
+        self._append(f_atoms, *self.obj.columns(self.kernel, f_atoms), role=INTEGRAL)
+        return slice(n0, n1), slice(n1, len(self))
 
-    def add_history_atoms(self) -> tuple[np.ndarray, np.ndarray]:
+    def add_history_atoms(self) -> None:
         """Append the full-kernel history atom of every (event, channel)
         with earlier jumps, each representing its event's predictor, as one
-        block.  Returns the event index and the column of each."""
-        atoms = build_h_atoms(self.kernel, self.obj.events, self.obj.drivers, part="r")
+        block."""
+        atoms = build_h_atoms(self.kernel, self.obj, part="r")
         keep = [pos for pos, atom in enumerate(atoms) if not atom.is_zero]
         block = [atoms[pos] for pos in keep]
         events = np.array(keep, dtype=int) // self.obj.n_channels
         functionals = np.zeros((len(block), self._n_points))
         functionals[np.arange(len(block)), self._n_nodes + events] = 1.0
-        return events, self._append(block, *self.obj.columns(self.kernel, block), functionals)
+        self._append(block, *self.obj.columns(self.kernel, block), functionals, HISTORY, events)
 
-    def add_integral_atoms(self, link_weights: np.ndarray) -> list[int]:
+    def add_integral_atoms(self, link_weights: np.ndarray) -> None:
         """Append the nonzero smooth-part integral atoms of these node
-        weights, each representing sum_q w_q X(s_q) on its channel.
-        Returns their columns."""
+        weights, each representing sum_q w_q X(s_q) on its channel."""
         functional = np.zeros((1, self._n_points))
         functional[0, : self._n_nodes] = link_weights
-        cols = []
         for atom in build_f_atoms(self.kernel, self.obj, part="r1", link_weights=link_weights):
             if not atom.is_zero:
                 x = self.obj.integral_column(atom)
-                cols += self._append([atom], x, x, functional).tolist()
-        return cols
+                self._append([atom], x, x, functional, INTEGRAL)
 
-    def add(self, atom: Atom, functional: np.ndarray | None = None) -> int:
-        """Append an atom, with the weights over nodes and events of the
-        functional it represents, if any; returns its column."""
-        rows = None if functional is None else functional[None, :]
-        return int(self._append([atom], *self.obj.columns(self.kernel, [atom]), rows)[0])
+    def add_node_atoms(self, nodes) -> None:
+        """Append, node by node, the nonzero full-kernel integral atoms of
+        each node's one-hot weights: on each channel, the representer of
+        the predictor at that quadrature node."""
+        onehot = np.zeros(self._n_nodes)
+        for q in nodes:
+            onehot[q] = 1.0
+            for atom in build_f_atoms(self.kernel, self.obj, part="r", link_weights=onehot):
+                if not atom.is_zero:
+                    self._append([atom], *self.obj.columns(self.kernel, [atom]), role=NODE, datum=q)
+            onehot[q] = 0.0
 
-    def _append(self, atoms: list[Atom], x, x1, functionals=None) -> np.ndarray:
+    def add(self, atom: Atom) -> None:
+        """Append an atom that represents no functional and carries no
+        gradient weight."""
+        self._append([atom], *self.obj.columns(self.kernel, [atom]))
+
+    def _append(self, atoms: list[Atom], x, x1, functionals=None, role=FREE, datum=0) -> None:
         """Append a block of atoms with their predictor columns x and H1
-        parts x1, and the weights of the functionals they represent (one row
-        per atom), if any; returns their columns.
+        parts x1, the weights of the functionals they represent (one row per
+        atom), if any, and their gradient role and datum (one for the block,
+        or one datum per atom).
 
         The one Gram rule: for atoms i <= a, <P i, P a> is i's functional of
         a's H1 columns when i represents one, else a's functional of i's
@@ -341,8 +375,11 @@ class _Workspace:
             b["F"][self._n_rep : self._n_rep + k] = functionals
             self._n_rep += k
         b["rep"][n0:n] = functionals is not None
+        b["role"][n0:n], b["datum"][n0:n] = role, datum
         for i, atom in enumerate(atoms, start=n0):
             b["h0"][i] = atom.h0
+            if atom.part == "r1":
+                b["completion"][i] = atom.sections_h0(self.kernel)
             b["channel"][i] = atom.channel
             b["non_poly"][i] = atom.kind != "h0"
             if self.obj.link.kind == "linear":
@@ -371,7 +408,6 @@ class _Workspace:
             b[key][:n, n0:n] = rows
             b[key][n0:n, :n] = rows.T
         self._expose()
-        return np.arange(n0, n)
 
 
 @dataclass(frozen=True)
@@ -419,13 +455,10 @@ class _Core:
     """Safeguarded Newton descent on F over a workspace dictionary.
 
     The dictionary starts with the polynomial atoms phi_1..phi_m of every
-    channel, channel-major.  The fitter lists where the data atoms of the
-    gradient sit: ``eta_cols`` hold the history atoms of events
-    ``eta_events`` (coefficient -phi'/phi(X) there), ``integral_cols`` the
-    integral atoms (coefficient 1), and ``node_cols`` the atoms of nodes
-    ``node_idx`` (coefficient psi' there).  A data atom stored as its smooth
-    part (part "r1") stands for its full-kernel version, whose polynomial
-    content goes on the phi columns.
+    channel, channel-major.  The gradient's data atoms and their weights
+    are the ones the workspace records (``_Workspace.role``); a data atom
+    stored as its smooth part stands for its full-kernel version, whose
+    polynomial content (``_Workspace.completion``) goes on the phi columns.
 
     One core serves all passes of a fit and keeps their traces, step
     records and iteration count.
@@ -444,14 +477,7 @@ class _Core:
         self.cfg = line_search if line_search is not None else LineSearchConfig()
         obj = ws.obj
         self.link, self.lam = obj.link, obj.penalty_weight
-        m = ws.kernel.m
-        self.phi_cols = np.arange(obj.n_channels * m).reshape(obj.n_channels, m)
-        self.eta_cols = self.eta_events = np.empty(0, dtype=int)
-        self.integral_cols: list[int] = []
-        self.node_cols: list[int] = []
-        self.node_idx: list[int] = []
-        self._completions = np.zeros((0, m))
-        self._channel_rows: list[tuple] = []
+        self.phi_cols = np.arange(obj.n_channels * ws.kernel.m).reshape(obj.n_channels, -1)
         self.log_y = float(np.sum(np.log(obj.y_events))) if len(obj.events) else 0.0
         self.const = obj.link.d * obj.int_y if ws.comp is not None else 0.0
         self.gn0: float | None = None
@@ -521,26 +547,17 @@ class _Core:
         the penalty 2 lam P g less the polynomial content that full-kernel
         atoms carry.  Exact when the dictionary spans the gradient."""
         ws, lam = self.ws, self.lam
-        n = len(ws)
-        if self._completions.shape[0] < n:
-            # once per dictionary size: each channel's data atoms, completions and h0 rows
-            self._completions = np.vstack([self._completions] + [
-                a.sections_h0(ws.kernel) if a.part == "r1" else np.zeros(ws.kernel.m)
-                for a in ws.atoms[self._completions.shape[0]:]
-            ])
-            idxs = [np.flatnonzero(ws.non_poly & (ws.channel == ch)) for ch in range(len(self.phi_cols))]
-            self._channel_rows = [(idx, self._completions[idx], ws.h0_mat[idx]) for idx in idxs]
-        coeff = np.zeros(n)
-        if rho.size and self.eta_cols.size:
-            coeff[self.eta_cols] -= rho[self.eta_events]
-        coeff[self.integral_cols] += 1.0
-        coeff[self.node_cols] += dpsi[self.node_idx]
+        history, node = ws.role == HISTORY, ws.role == NODE
+        coeff = np.zeros(len(ws))
+        coeff[history] -= rho[ws.datum[history]]
+        coeff[ws.role == INTEGRAL] += 1.0
+        coeff[node] += dpsi[ws.datum[node]]
         gam = coeff.copy()
         if lam != 0.0:
             gam += 2.0 * lam * np.where(ws.non_poly, gamma, 0.0)
-        for cols, (idx, completions, h0) in zip(self.phi_cols, self._channel_rows):
+        for cols, (idx, completion, h0) in zip(self.phi_cols, ws.channel_rows()):
             if idx.size:
-                gam[cols] += completions.T @ coeff[idx]
+                gam[cols] += completion.T @ coeff[idx]
                 if lam != 0.0:
                     gam[cols] -= 2.0 * lam * (h0.T @ gamma[idx])
         return gam
@@ -709,9 +726,7 @@ class _Core:
             self.n_iter += 1
             steps += 1
 
-    def result(
-        self, gamma: np.ndarray, reason: str, feasible: bool = True, **diagnostics
-    ) -> FitResult:
+    def result(self, gamma: np.ndarray, reason: str, feasible: bool = True, **diagnostics) -> FitResult:
         """The fit at gamma, stopped for ``reason``; objective and gradient
         norm are the traces' last entries, and ``grad_norm_scale`` is the
         stopping scale ||grad F(g_0)||.  The one status rule: only the
@@ -770,22 +785,8 @@ def fit_linear(
 
     ws = _Workspace(kernel, obj)
     core = _Core(ws, line_search, tol, max_iter)
-    h_cols, f_cols = ws.add_representers()
-    core.eta_cols = np.arange(h_cols.start, h_cols.stop)
-    core.eta_events = np.arange(core.eta_cols.size) // obj.n_channels
-    core.integral_cols = list(range(f_cols.start, f_cols.stop))
+    ws.add_representers()
     node_added = np.zeros(obj.nodes.size, dtype=bool)
-
-    def add_node_atoms(nodes_new: np.ndarray) -> None:
-        onehot = np.zeros(obj.nodes.size)
-        for q in nodes_new:
-            node_added[q] = True
-            onehot[q] = 1.0
-            for atom in build_f_atoms(kernel, obj, part="r", link_weights=onehot):
-                if not atom.is_zero:
-                    core.node_idx.append(int(q))
-                    core.node_cols.append(ws.add(atom))
-            onehot[q] = 0.0
 
     # with d = 0 start at phi_1 = 1, positive at every event with some
     # driver history; the core rejects an event with none
@@ -793,10 +794,7 @@ def fit_linear(
     if d == 0.0 and len(obj.events):
         c[core.phi_cols[:, 0]] = 1.0
 
-    y_mult = np.zeros(obj.nodes.size)
-    mu = 1.0
-    slack = _boundary_slack(d)
-    viol_prev = np.inf
+    y_mult, mu, slack, viol_prev = np.zeros(obj.nodes.size), 1.0, _boundary_slack(d), np.inf
     while True:
         hinge = _Hinge(y_mult, mu, obj.link)
         # the forces on nodes with no atom yet are gradient mass the basis lacks
@@ -810,7 +808,9 @@ def fit_linear(
         feasible = v <= slack and comp <= 1e-6 * max(1.0, y_top)
         if (feasible and reason in ("grad", "noise_floor", "stationary")) or core.passes >= 20:
             break
-        add_node_atoms(np.flatnonzero((w > 0.0) & ~node_added))
+        nodes_new = np.flatnonzero((w > 0.0) & ~node_added)
+        node_added[nodes_new] = True
+        ws.add_node_atoms(nodes_new)
         y_mult = w
         if v > slack and v > 0.25 * viol_prev and mu < 1e4:
             mu *= 10.0
@@ -825,7 +825,7 @@ def fit_linear(
     core.grad_norm_trace.append(float(np.sqrt(max(gam @ ws.G @ gam, 0.0))))
     return core.result(
         c, reason, feasible, hinge_passes=core.passes, hinge_mu=mu, max_node_violation=v,
-        kkt_residual=kkt, n_node_atoms=len(core.node_cols),
+        kkt_residual=kkt, n_node_atoms=int(np.count_nonzero(ws.role == NODE)),
     )
 
 
@@ -880,11 +880,11 @@ def fit_descent(
     ws = _Workspace(kernel, obj)
     core = _Core(ws, line_search, tol, max_iter)
     ws.add_polynomials()
-    core.eta_events, core.eta_cols = ws.add_history_atoms()
+    ws.add_history_atoms()
     psi = _QuadratureCompensator(obj)
 
     last_f_weights = psi.deriv(np.zeros(obj.nodes.size))
-    core.integral_cols += ws.add_integral_atoms(last_f_weights)
+    ws.add_integral_atoms(last_f_weights)
     gamma = np.zeros(len(ws))
 
     if init is not None:
@@ -914,9 +914,8 @@ def fit_descent(
             return None, False
         if len(ws) + obj.n_channels > max_atoms:
             return w_link - last_f_weights, True
-        core.integral_cols += ws.add_integral_atoms(w_link - last_f_weights)
+        ws.add_integral_atoms(w_link - last_f_weights)
         last_f_weights = w_link
         return None, False
 
-    gamma, reason = core.run(gamma, psi, grow=grow)
-    return core.result(gamma, reason)
+    return core.result(*core.run(gamma, psi, grow=grow))

@@ -269,7 +269,7 @@ def gradient(g: FilterFunction, obj: Objective) -> FilterFunction:
     link_weights = None
     if obj.link.kind != "linear":
         link_weights = obj.weights * obj.y_nodes * obj.link.deriv(x_nodes)
-    h_atoms = build_h_atoms(g.kernel, obj.events, obj.drivers, part="r")
+    h_atoms = build_h_atoms(g.kernel, obj, part="r")
     terms = [(a, 1.0) for a in build_f_atoms(g.kernel, obj, part="r", link_weights=link_weights)]
     terms += [(a, -rho[pos // obj.n_channels]) for pos, a in enumerate(h_atoms)]
     if obj.penalty_weight != 0.0:

@@ -26,6 +26,7 @@ from glppm.filters import FilterFunction, h0_poly
 from glppm.kernel import SobolevKernel
 from glppm.likelihood import (
     Objective,
+    QuadratureConfig,
     build_f_atoms,
     build_h_atoms,
     exponential_link,
@@ -304,13 +305,30 @@ class TestFitCommand:
         missing = tmp_path / "nope.json"
         assert run("fit", "--data", missing, "--config", cfg, "--out", tmp_path / "o") == 2
 
+    def test_quadrature_key_sets_the_nodes_per_interval(self, tmp_path):
+        raw, link = LINKS[1]
+        data = make_dataset(tmp_path, DENSE_TIMES)
+        quad = {"nodes_per_interval": 16}
+        cfg = fit_config(tmp_path, link=raw, max_iter=100, max_atoms=60, quadrature=quad)
+        out = tmp_path / "out"
+        assert run("fit", "--data", data, "--config", cfg, "--out", out) == 0
+        result = json.loads((out / "fit_result.json").read_text())
+        want = library_fit(data, link, QuadratureConfig(16))[0].objective
+        assert result["objective"] == want != library_fit(data, link)[0].objective
 
-def library_fit(data, link):
+    @pytest.mark.parametrize("quad", [{"nodes_per_interval": 1}, {}])
+    def test_bad_quadrature_exits_2(self, tmp_path, quad):
+        data = make_dataset(tmp_path, DENSE_TIMES)
+        cfg = fit_config(tmp_path, link=LINKS[1][0], quadrature=quad)
+        assert run("fit", "--data", data, "--config", cfg, "--out", tmp_path / "o") == 2
+
+
+def library_fit(data, link, quadrature=None):
     """The fit ``fit`` runs on ``data`` under ``fit_config(link=link,
-    max_iter=100, max_atoms=60)``, through the library."""
+    max_iter=100, max_atoms=60)``, with this quadrature, through the library."""
     manifest = load_manifest(data)
     events, drivers = load_events(data.parent / "events.csv", manifest)
-    obj = Objective(link, 5.0, events, drivers)
+    obj = Objective(link, 5.0, events, drivers, quadrature=quadrature)
     kernel = SobolevKernel(m=1, horizon=events.horizon)
     if link.kind == "linear":
         res = fit_linear(kernel, obj, tol=1e-6, max_iter=100)
@@ -546,7 +564,7 @@ class TestBasisCommand:
         obj = Objective(link, 5.0, events, drivers)
         k = SobolevKernel(m=2, horizon=8.0)
         poly = [h0_poly(k, 0, i) for i in (1, 2)]
-        h_atoms = build_h_atoms(k, events, drivers, part="r1")
+        h_atoms = build_h_atoms(k, obj, part="r1")
         atoms = poly + h_atoms + build_f_atoms(k, obj, part="r1")
         assert basis["atoms"] == [a.to_dict() for a in atoms]
         assert basis["slices"] == {
@@ -773,9 +791,11 @@ class TestDispatch:
             tmp_path / "g.json",
             zero_filter_payload(horizon=8.0, link={"kind": "linear", "d": 0.7}),
         )
-        with pytest.raises(SystemExit) as exc:
-            run("intensity", "--data", data, "--config", cfg, "--grid", -5, "--out", tmp_path / "o")
-        assert exc.value.code == 2
+        # a count of points is a whole number, too
+        for grid in (-5, 1.5):
+            with pytest.raises(SystemExit) as exc:
+                run("intensity", "--data", data, "--config", cfg, "--grid", grid, "--out", tmp_path / "o")
+            assert exc.value.code == 2
 
     def test_out_naming_a_file_exits_2(self, tmp_path, capsys):
         cfg = write_json(

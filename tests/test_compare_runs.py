@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -58,3 +59,30 @@ def test_bench_files_compare_their_fit_records(tmp_path, compare_runs):
         f"fit-exp: fit-d0: {fit} != {dict(fit, objective='22.8')}",
     ]
     assert compare_runs.main(["bench", str(a), str(c)]) == 1
+
+
+def test_fit_records_differ_by_fit_and_by_field(compare_runs):
+    ra = {"exp-m1-d0": {"status": "converged", "n_iter": 7}, "exp-m2-d0": {"status": "stalled"}}
+    rb = {"exp-m1-d0": {"status": "converged", "n_iter": 8}, "linear-m1-d0": {"error": "x"}}
+    assert compare_runs.record_differences(ra, ra) == []
+    assert compare_runs.record_differences(ra, rb, "a", "b") == [
+        "exp-m2-d0 only in a",
+        "linear-m1-d0 only in b",
+        "exp-m1-d0: n_iter differs",
+    ]
+
+
+def test_fits_run_the_suite_under_each_source_tree(tmp_path, compare_runs, capsys):
+    src = TOOL.parents[1] / "src"
+    small = ["--datasets", "1"]
+    assert compare_runs.main(["fits", str(src), str(src), *small]) == 0
+    assert "10 fits compared" in capsys.readouterr().err
+    # a tree whose line search asks for more curvature takes other steps
+    changed = tmp_path / "src"
+    shutil.copytree(src / "glppm", changed / "glppm", ignore=shutil.ignore_patterns("__pycache__"))
+    optimizer = changed / "glppm" / "optimizer.py"
+    optimizer.write_text(optimizer.read_text().replace("c2: float = 0.4", "c2: float = 0.3"))
+    assert compare_runs.main(["fits", str(src), str(changed), *small]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines and all(" differs" in line for line in lines)
+    assert any(line.startswith("exp-m1-d0: objective_trace") for line in lines)

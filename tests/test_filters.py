@@ -20,7 +20,7 @@ from glppm.filters import (
     kernel_section,
     section_sum,
 )
-from glppm.kernel import SobolevKernel, _cross_weighted_sum, _prefix_table
+from glppm.kernel import SobolevKernel, _cross_weighted_sum, _family_sums, _prefix_table
 from glppm.likelihood import linear_predictor
 
 from oracles import (
@@ -172,6 +172,13 @@ class TestPrefixTables:
                 want = prefix_sum_reference(p, q, lags, w, u)
                 assert same_bits(_cross_weighted_sum(p, q, lags, w, u), want)
                 assert same_bits(_cross_weighted_sum(p, q, lags, w, u, table=table), want)
+
+    def test_family_sums_start_from_zero(self):
+        # a sum from 0.0, as a zeros array plus the terms: terms that are all
+        # -0.0 sum to +0.0
+        table = ((np.array([-0.0, 1.0]), 0), (np.array([-0.0, 2.0]), 1))
+        got = _family_sums(table, np.array([0, 1]), np.array([3.0, 3.0]))
+        assert same_bits(got, np.array([0.0, 7.0]))
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_cached_evaluation_matches_a_fresh_one(self, m):

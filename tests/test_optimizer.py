@@ -27,6 +27,10 @@ from glppm.likelihood import (
     softplus_link,
 )
 from glppm.optimizer import (
+    FREE,
+    HISTORY,
+    INTEGRAL,
+    NODE,
     STEP_FIELDS,
     FitResult,
     LineSearchConfig,
@@ -98,7 +102,17 @@ def history_objective(m: int, quiet_channel: bool = False):
     return SobolevKernel(m=m, horizon=8.0), obj
 
 
-WORKSPACE_BUFFERS = ("X", "X1", "F", "G", "Gp", "h0", "comp", "channel", "non_poly", "rep")
+WORKSPACE_BUFFERS = (
+    "X", "X1", "F", "G", "Gp", "h0", "completion", "comp", "channel", "non_poly", "rep", "role", "datum",
+)
+
+
+def append_one(ws, atom, role, datum=0, functional=None):
+    """Append one atom with its gradient role and datum, and the weights of
+    the functional it represents, if any: the reference for the bulk
+    builders, which record them per block."""
+    rows = None if functional is None else functional[None, :]
+    ws._append([atom], *ws.obj.columns(ws.kernel, [atom]), rows, role, datum)
 
 
 def assert_same_workspace(ws, ref):
@@ -385,6 +399,12 @@ class TestFitDescent:
             res_cold.diagnostics["grad_norm_scale"], rel=1e-12
         )
 
+    def test_init_on_another_space_is_config_error(self):
+        k, obj = dense_objective(lam=2.0, link=exponential_link(), m=1)
+        for init in (FilterFunction.zero(SobolevKernel(m=2, horizon=8.0)), FilterFunction.zero(k, 2)):
+            with pytest.raises(ConfigError, match="init filter"):
+                fit_descent(k, obj, init=init)
+
     def test_polynomial_init_adds_no_second_copy(self):
         # the polynomial of an init is already spanned by the phi columns
         k, obj = dense_objective(lam=2.0, link=exponential_link(), m=2)
@@ -469,7 +489,7 @@ class TestWorkspace:
         kernel = SobolevKernel(m=2, horizon=8.0)
         weights = np.random.default_rng(16).uniform(0.1, 1.0, obj.nodes.size)
         atoms = [h0_poly(kernel, ch, k) for ch in range(2) for k in (1, 2)]
-        atoms += [a for a in build_h_atoms(kernel, events, drivers, part="r") if not a.is_zero]
+        atoms += [a for a in build_h_atoms(kernel, obj, part="r") if not a.is_zero]
         atoms += build_f_atoms(kernel, obj, part="r")
         atoms += build_f_atoms(kernel, obj, part="r1", link_weights=weights)
         atoms += [kernel_section(kernel, 1, 2.5, part="r"), kernel_section(kernel, 0, 7.0)]
@@ -502,7 +522,7 @@ class TestWorkspace:
         obj = Objective(link, lam, events, drivers)
         kernel = SobolevKernel(m=2, horizon=8.0)
         rng = np.random.default_rng(17)
-        h_atoms = build_h_atoms(kernel, events, drivers, part="r")
+        h_atoms = build_h_atoms(kernel, obj, part="r")
         compact = FilterFunction(kernel, 2, tuple(h_atoms[4:10]), rng.normal(size=6)).compact()
         ws = _Workspace(kernel, obj)
         for ch in range(2):
@@ -524,6 +544,60 @@ class TestWorkspace:
         assert np.array_equal(ws.E, X[obj.nodes.size :])
 
 
+class TestGradientRoles:
+    """Each atom records its role in the gradient, with its event or node,
+    and the polynomial completion of a smooth-part atom; ``_Core`` reads
+    the gradient from these records alone."""
+
+    def test_a_linear_dictionary_records_every_role(self):
+        # the representer basis (polynomials, a history atom per event and
+        # channel, zero ones kept, an integral atom per channel), then the
+        # atoms of three nodes in the order asked for
+        events, z, tgt, lam = two_channel_objective()
+        obj = Objective(linear_link(0.5), lam, events, DriverSeries(8.0, (z, tgt)))
+        k = SobolevKernel(m=2, horizon=8.0)
+        ws = _Workspace(k, obj)
+        h_cols, f_cols = ws.add_representers()
+        ws.add_node_atoms([5, 0, 40])
+        n_ev = len(events)
+        assert ws.role[: h_cols.start].tolist() == [FREE] * (2 * k.m)
+        assert ws.role[h_cols].tolist() == [HISTORY] * (2 * n_ev)
+        assert ws.datum[h_cols].tolist() == [i for i in range(n_ev) for _ in range(2)]
+        assert ws.role[f_cols].tolist() == [INTEGRAL] * 2
+        nodes = []
+        for q in (5, 0, 40):
+            onehot = np.zeros(obj.nodes.size)
+            onehot[q] = 1.0
+            nodes += [q for a in build_f_atoms(k, obj, part="r", link_weights=onehot) if not a.is_zero]
+        assert ws.role[f_cols.stop :].tolist() == [NODE] * len(nodes)
+        assert ws.datum[f_cols.stop :].tolist() == nodes and nodes[0] == 5
+        for a, completion in zip(ws.atoms, ws.completion):
+            want = a.sections_h0(k) if a.part == "r1" else np.zeros(k.m)
+            assert same_bits(completion, want)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_gradient_coords_are_the_gradient(self, m):
+        # history atoms weighted -phi'/phi, the integral atom of the current
+        # node weights and the penalty less the polynomial content of the
+        # full-kernel atoms give the oracle's gradient as a function; the
+        # smooth-part section, as a warm start adds it, carries no weight
+        kernel, obj = history_objective(m)
+        ws = _Workspace(kernel, obj)
+        ws.add_polynomials()
+        ws.add_history_atoms()
+        ws.add(kernel_section(kernel, 1, 2.5))
+        gamma = 0.05 * np.random.default_rng(5).normal(size=len(ws))
+        psi = _QuadratureCompensator(obj)
+        ws.add_integral_atoms(psi.deriv(ws.U @ gamma))
+        gamma = np.append(gamma, np.zeros(len(ws) - gamma.size))
+        core = _Core(ws, None, 1e-6, 1)
+        _, rho = core.event_terms(ws.E @ gamma)
+        gam = core.gradient_coords(gamma, rho, psi.deriv(ws.U @ gamma))
+        grad = gradient(FilterFunction(kernel, obj.n_channels, tuple(ws.atoms), gamma), obj)
+        diff = FilterFunction(kernel, obj.n_channels, tuple(ws.atoms), gam) - grad
+        assert diff.inner_product(diff) <= 1e-20 * grad.inner_product(grad)
+
+
 class TestBulkDictionary:
     """The bulk builders give the bits of atoms added one at a time."""
 
@@ -536,25 +610,26 @@ class TestBulkDictionary:
         kernel, obj = history_objective(m)
         ws = _Workspace(kernel, obj)
         ws.add_polynomials()
-        events, cols = ws.add_history_atoms()
+        ws.add_history_atoms()
 
         ref = _Workspace(kernel, obj)
         ref.add_polynomials()
         atoms = history_atoms_one_by_one(kernel, obj.events, obj.drivers, part="r")
         n_ch = obj.n_channels
-        want_events, want_cols = [], []
+        want_events = []
         for pos, atom in enumerate(atoms):
             if not atom.is_zero:
                 functional = np.zeros(ref._n_points)
                 functional[ref._n_nodes + pos // n_ch] = 1.0
                 want_events.append(pos // n_ch)
-                want_cols.append(ref.add(atom, functional))
+                append_one(ref, atom, HISTORY, pos // n_ch, functional)
         # the first event has no history, so its atoms are skipped
-        assert 0 not in want_events and len(want_cols) < len(atoms)
-        assert events.tolist() == want_events and cols.tolist() == want_cols
+        assert 0 not in want_events and len(want_events) < len(atoms)
+        history = ws.role == HISTORY
+        assert ws.datum[history].tolist() == want_events and np.flatnonzero(~history).size == n_ch * m
         assert_same_workspace(ws, ref)
         # event 3 (t = 3.0) has six jumps on z before it in three groups
-        z_atom = [ws.atoms[c] for e, c in zip(events, cols) if e == 3][0]
+        z_atom = [ws.atoms[c] for c in np.flatnonzero(history & (ws.datum == 3))][0]
         assert z_atom.channel == 0 and z_atom.sec_lags.size == 3
 
     def test_history_chunks_split_the_atoms(self, monkeypatch):
@@ -585,10 +660,10 @@ class TestBulkDictionary:
         ws.add_representers()
         ref = _Workspace(kernel, obj)
         ref.add_polynomials()
-        for atom in history_atoms_one_by_one(kernel, obj.events, obj.drivers, part="r1"):
-            ref.add(atom)
+        for pos, atom in enumerate(history_atoms_one_by_one(kernel, obj.events, obj.drivers, part="r1")):
+            append_one(ref, atom, HISTORY, pos // obj.n_channels)
         for atom in build_f_atoms(kernel, obj, part="r1"):
-            ref.add(atom)
+            append_one(ref, atom, INTEGRAL)
         assert_same_workspace(ws, ref)
 
     @pytest.mark.parametrize("m", [1, 2])
@@ -606,16 +681,15 @@ class TestBulkDictionary:
             w.add_polynomials()
             w.add_history_atoms()
         for weights in steps:
-            cols = ws.add_integral_atoms(weights)
+            n = len(ws)
+            ws.add_integral_atoms(weights)
             functional = np.zeros(ref._n_points)
             functional[: ref._n_nodes] = weights
-            want = [
-                ref.add(atom, functional)
-                for atom in integral_atoms_one_by_one(kernel, obj, weights, "r1")
-                if not atom.is_zero
-            ]
+            for atom in integral_atoms_one_by_one(kernel, obj, weights, "r1"):
+                if not atom.is_zero:
+                    append_one(ref, atom, INTEGRAL, functional=functional)
             # the quiet channel has no node pairs, so no integral atom
-            assert cols == want and len(cols) == obj.n_channels - 1
+            assert len(ws) - n == obj.n_channels - 1 and len(ws) == len(ref)
         assert_same_workspace(ws, ref)
         u = np.linspace(0.0, 8.0, 41)
         for a, b in zip(ws.atoms, ref.atoms):
@@ -674,7 +748,7 @@ class TestColumns:
         node weights; the quiet channel has no pairs at all."""
         rng = np.random.default_rng(31)
         h_atoms = [
-            a for a in build_h_atoms(kernel, obj.events, obj.drivers, part="r") if not a.is_zero
+            a for a in build_h_atoms(kernel, obj, part="r") if not a.is_zero
         ]
         segments = build_f_atoms(kernel, obj, part="r1")
         weights = rng.uniform(0.1, 1.0, obj.nodes.size)
@@ -742,11 +816,11 @@ class TestColumns:
         ws.add_polynomials()
         assert calls == [(1, False)] * (obj.n_channels * kernel.m)
         del calls[:]
-        events, _ = ws.add_history_atoms()
-        assert calls == [(events.size, False)]
+        ws.add_history_atoms()
+        assert calls == [(int(np.sum(ws.role == HISTORY)), False)]
         del calls[:]
-        cols = ws.add_integral_atoms(np.ones(obj.nodes.size))
-        assert len(cols) == 2 and calls == [(1, True)] * 2
+        ws.add_integral_atoms(np.ones(obj.nodes.size))
+        assert np.sum(ws.role == INTEGRAL) == 2 and calls == [(1, True)] * 2
         del calls[:]
         ws.add(kernel_section(kernel, 1, 2.5))
         assert calls == [(1, False)]
@@ -993,15 +1067,14 @@ class TestLeanIntegralAtoms:
             w.add_history_atoms()
             w.add(kernel_section(kernel, 1, 2.5, part="r"))
         for weights in (rng.uniform(0.1, 1.0, obj.nodes.size), rng.uniform(-1.0, 1.0, obj.nodes.size)):
-            cols = ws.add_integral_atoms(weights)
+            n = len(ws)
+            ws.add_integral_atoms(weights)
             functional = np.zeros(ref._n_points)
             functional[: ref._n_nodes] = weights
-            want = [
-                ref.add(a, functional)
-                for a in build_f_atoms(kernel, obj, part="r1", link_weights=weights)
-                if not a.is_zero
-            ]
-            assert cols == want and len(cols) == 2
+            for a in build_f_atoms(kernel, obj, part="r1", link_weights=weights):
+                if not a.is_zero:
+                    append_one(ref, a, INTEGRAL, functional=functional)
+            assert len(ws) - n == 2
             for name in ("U", "E", "G", "Gp"):
                 assert same_bits(getattr(ws, name), getattr(ref, name)), name
         assert_same_workspace(ws, ref)
@@ -1034,7 +1107,7 @@ class TestNormalForms:
         """Polynomials, part "r" history atoms and integral atoms of random
         node weights on two channels, the segment-only integral atom on one."""
         atoms = [h0_poly(kernel, ch, k) for ch in range(2) for k in range(1, kernel.m + 1)]
-        atoms += [a for a in build_h_atoms(kernel, obj.events, obj.drivers, part="r") if not a.is_zero]
+        atoms += [a for a in build_h_atoms(kernel, obj, part="r") if not a.is_zero]
         atoms.append(build_f_atoms(kernel, obj, part="r1")[1])
         for _ in range(n_integral):
             weights = rng.uniform(-1.0, 1.0, obj.nodes.size)

@@ -86,7 +86,7 @@ class TestEventAtoms:
     def test_knots_are_interdistances(self, tiny):
         events, drivers = tiny
         k = SobolevKernel(m=2, horizon=8.0)
-        atoms = build_h_atoms(k, events, drivers, "r1")
+        atoms = build_h_atoms(k, Objective(linear_link(0.5), 1.0, events, drivers), "r1")
         # atoms are grouped per event, channels side by side
         got = {}
         for a in atoms:
@@ -102,7 +102,7 @@ class TestEventAtoms:
         ev = EventSeries(2.0, np.array([1.0]))
         dr = DriverSeries(2.0, (DriverChannel("z", np.array([0.0]), np.ones(1)),))
         k = SobolevKernel(m=2, horizon=2.0)
-        atoms = build_h_atoms(k, ev, dr, "r1")
+        atoms = build_h_atoms(k, Objective(linear_link(0.5), 1.0, ev, dr), "r1")
         assert len(atoms) == 1
         g = FilterFunction(k, 1, (atoms[0],), np.ones(1))
         assert_allclose(g.evaluate(0, 1.0), 1.0 / 3.0, rtol=0, atol=1e-15)
@@ -113,7 +113,7 @@ class TestEventAtoms:
         events, drivers = tiny
         k = SobolevKernel(m=2, horizon=8.0)
         rng = np.random.default_rng(1)
-        atoms = build_h_atoms(k, events, drivers, "r1")
+        atoms = build_h_atoms(k, Objective(linear_link(0.5), 1.0, events, drivers), "r1")
         h = small_filter(k, rng, 2)
         ph = h.project()
         for a in atoms:
@@ -129,7 +129,7 @@ class TestEventAtoms:
         k = SobolevKernel(m=2, horizon=8.0)
         rng = np.random.default_rng(2)
         h = small_filter(k, rng, 2)
-        atoms = build_h_atoms(k, events, drivers, "r")
+        atoms = build_h_atoms(k, Objective(linear_link(0.5), 1.0, events, drivers), "r")
         for a in atoms:
             af = FilterFunction(k, 2, (a,), np.ones(1))
             want = sum(
@@ -264,7 +264,7 @@ class TestSplineStructure:
         k = SobolevKernel(m=2, horizon=6.0)
         ev = EventSeries(6.0, np.array([2.0, 4.5]))
         dr = DriverSeries(6.0, (DriverChannel("target", ev.times, np.ones(2)),))
-        atoms = build_h_atoms(k, ev, dr, "r1")
+        atoms = build_h_atoms(k, Objective(linear_link(0.5), 1.0, ev, dr), "r1")
         atom = atoms[1]
         g = FilterFunction(k, 1, (atom,), np.ones(1))
 
