@@ -39,7 +39,7 @@ from .likelihood import (
     objective_value,
     softplus_link,
 )
-from .optimizer import FitResult, LineSearchConfig, fit_descent, fit_linear
+from .optimizer import FitResult, fit_descent, fit_linear
 from .simulator import SimSpec, simulate, time_rescale
 
 __version__ = "0.1.0"
@@ -57,7 +57,6 @@ __all__ = [
     "FitResult",
     "GlppmError",
     "InfeasibleError",
-    "LineSearchConfig",
     "LinkSpec",
     "Objective",
     "QuadratureConfig",

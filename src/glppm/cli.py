@@ -60,7 +60,7 @@ from .errors import ConfigError, DataError, DomainError, InfeasibleError, Solver
 from .filters import FilterFunction
 from .kernel import SobolevKernel
 from .likelihood import LinkSpec, Objective, QuadratureConfig, intensity
-from .optimizer import STEP_FIELDS, LineSearchConfig, _Workspace
+from .optimizer import STEP_FIELDS, _Workspace
 from .simulator import SimSpec
 
 __all__ = ["main"]
@@ -284,7 +284,6 @@ def _fit_config(cfg):
             "tol",
             "max_iter",
             "max_atoms",
-            "line_search",
             "quadrature",
             "at_risk",
         },
@@ -306,20 +305,13 @@ def _fit_config(cfg):
             cfg["quadrature"]["nodes_per_interval"], "nodes_per_interval", integer=True
         ))
 
-    ls_raw = cfg.get("line_search", {})
-    _check_keys(ls_raw, {"c1", "c2", "delta", "max_step_trials"}, "line_search")
-    line_search = LineSearchConfig(**{
-        k: _as_number(v, f"line_search {k}", integer=k == "max_step_trials")
-        for k, v in ls_raw.items()
-    })
-
     at_risk = _parse_at_risk(cfg["at_risk"]) if "at_risk" in cfg else None
-    return link, lam, m, tol, quad, line_search, at_risk
+    return link, lam, m, tol, quad, at_risk
 
 
 def cmd_fit(args) -> int:
     cfg = _read_json(args.config)
-    link, lam, m, tol, quad, line_search, at_risk = _fit_config(cfg)
+    link, lam, m, tol, quad, at_risk = _fit_config(cfg)
     manifest, events, drivers = _load_dataset(args.data)
 
     obj = Objective(link, lam, events, drivers, at_risk=at_risk, quadrature=quad)
@@ -330,7 +322,6 @@ def cmd_fit(args) -> int:
             obj,
             tol=tol,
             max_iter=_as_number(cfg.get("max_iter", 100), "max_iter", integer=True),
-            line_search=line_search,
         )
     else:
         res = optimizer.fit_descent(
@@ -339,7 +330,6 @@ def cmd_fit(args) -> int:
             tol=tol,
             max_iter=_as_number(cfg.get("max_iter", 500), "max_iter", integer=True),
             max_atoms=_as_number(cfg.get("max_atoms", 200), "max_atoms", integer=True),
-            line_search=line_search,
         )
 
     out = Path(args.out)
@@ -446,7 +436,7 @@ def cmd_gof(args) -> int:
 
 def cmd_basis(args) -> int:
     cfg = _read_json(args.config)
-    link, lam, m, _, quad, _, at_risk = _fit_config(cfg)
+    link, lam, m, _, quad, at_risk = _fit_config(cfg)
     _, events, drivers = _load_dataset(args.data)
     obj = Objective(link, lam, events, drivers, at_risk=at_risk, quadrature=quad)
     kernel = SobolevKernel(m=m, horizon=events.horizon)

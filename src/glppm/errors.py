@@ -12,7 +12,7 @@ class GlppmError(Exception):
 
 
 class ConfigError(GlppmError):
-    """Invalid configuration: bad link kind, non-ordered Wolfe constants, ..."""
+    """Invalid configuration: bad link kind, a stopping rule that is never met, ..."""
 
 
 class DataError(GlppmError):

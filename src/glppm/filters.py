@@ -557,8 +557,8 @@ class FilterFunction:
 
     @staticmethod
     def from_dict(payload) -> "FilterFunction":
-        """Inverse of ``to_dict``; extra keys are ignored, and a missing or
-        mistyped field raises DataError."""
+        """Inverse of ``to_dict``; extra keys are ignored, and a missing,
+        mistyped or out-of-range field raises DataError."""
         fmt = payload.get("format") if isinstance(payload, dict) else None
         if fmt != "glppm.filter.v1":
             raise DataError(f"unrecognized filter format {fmt!r}")
@@ -575,9 +575,11 @@ class FilterFunction:
             for entry in payload["atoms"]:
                 atoms.append(Atom.from_dict(kernel, entry))
                 coeffs.append(_as_number(entry["coefficient"], "atom coefficient", DataError))
+            return FilterFunction(kernel, n_channels, tuple(atoms), np.array(coeffs))
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"malformed filter payload: {exc!r}") from None
-        return FilterFunction(kernel, n_channels, tuple(atoms), np.array(coeffs))
+        except ConfigError as exc:
+            raise DataError(f"invalid filter payload: {exc}") from None
 
     @staticmethod
     def from_json(text: str) -> "FilterFunction":

@@ -23,11 +23,12 @@ workspace records each atom's role as it appends it; the core reads them.
 
 The core (``_Core.run``) forms the coordinate gradient and Hessian of F,
 takes a direction that passes the angle test cos(direction, -gradient) >=
-delta (Newton, else Levenberg-damped in the function-space metric G on a
+DELTA (Newton, else Levenberg-damped in the function-space metric G on a
 ladder of sigma rising tenfold from 1e-6 tr(H) / tr(G), searched from one
 rung below the rung it last accepted, else function-space steepest
-descent), and moves by a weak Wolfe step on F's closed form along it;
-Zoutendijk's argument needs both conditions (Nocedal & Wright 2006, ch. 3).
+descent), and moves by a weak Wolfe step (C1, C2, at most MAX_STEP_TRIALS
+trials) on F's closed form along it; Zoutendijk's argument needs both
+conditions (Nocedal & Wright 2006, ch. 3).
 It stops with a reason: "grad" when ||grad F|| <= tol * max(1, ||grad
 F(g_0)||), "noise_floor" when the squared gradient norm rounds below
 zero, "stationary" when no trial decreases F and the directional
@@ -56,7 +57,6 @@ from .likelihood import LinkSpec, Objective, _boundary_slack, _event_phi, build_
 __all__ = [
     "STEP_FIELDS",
     "FitResult",
-    "LineSearchConfig",
     "fit_descent",
     "fit_linear",
 ]
@@ -75,29 +75,13 @@ STEP_FIELDS = (
 FREE, HISTORY, INTEGRAL, NODE = range(4)
 
 
-@dataclass(frozen=True)
-class LineSearchConfig:
-    """Weak Wolfe line search with an angle safeguard on the direction.
-
-    Accepts a step alpha with
-        f(alpha) <= f(0) + c1 alpha f'(0)      (sufficient decrease)
-        f'(alpha) >= c2 f'(0)                  (weak curvature)
-    after checking once per direction that
-        cos(direction, -gradient) >= delta.
-    """
-
-    c1: float = 1e-4
-    c2: float = 0.4
-    delta: float = 0.1
-    max_step_trials: int = 60
-
-    def __post_init__(self):
-        if not 0.0 < self.c1 < self.c2 < 1.0:
-            raise ConfigError(f"need 0 < c1 < c2 < 1, got c1={self.c1}, c2={self.c2}")
-        if not 0.0 < self.delta < 1.0:
-            raise ConfigError(f"need 0 < delta < 1, got delta={self.delta}")
-        if self.max_step_trials < 1:
-            raise ConfigError("max_step_trials must be >= 1")
+# the line search's constants (Nocedal & Wright 2006, ch. 3): a step alpha
+# along a direction with slope f'(0) < 0 passes the weak Wolfe conditions
+#     f(alpha) <= f(0) + C1 alpha f'(0)      (sufficient decrease)
+#     f'(alpha) >= C2 f'(0)                  (weak curvature)
+# within MAX_STEP_TRIALS trials, and the direction first passes the angle
+# test cos(direction, -gradient) >= DELTA
+C1, C2, DELTA, MAX_STEP_TRIALS = 1e-4, 0.4, 0.1, 60
 
 
 @dataclass
@@ -126,8 +110,9 @@ class FitResult:
         return self.status == "converged"
 
 
-def _weak_wolfe_search(trial, f0: float, d0: float, cfg: LineSearchConfig):
-    """Bracketing weak Wolfe search along a descent direction.
+def _weak_wolfe_search(trial, f0: float, d0: float):
+    """Bracketing weak Wolfe search (C1, C2, MAX_STEP_TRIALS) along a
+    descent direction.
 
     ``trial(alpha) -> (feasible, value, deriv)``; infeasible trials shrink
     the bracket like Armijo failures.  Returns (alpha, value, deriv, log,
@@ -136,10 +121,10 @@ def _weak_wolfe_search(trial, f0: float, d0: float, cfg: LineSearchConfig):
     lo, hi = 0.0, np.inf
     alpha = 1.0
     log = []
-    for _ in range(cfg.max_step_trials):
+    for _ in range(MAX_STEP_TRIALS):
         feasible, f_a, d_a = trial(alpha)
-        armijo = feasible and f_a <= f0 + cfg.c1 * alpha * d0
-        curvature = feasible and d_a >= cfg.c2 * d0
+        armijo = feasible and f_a <= f0 + C1 * alpha * d0
+        curvature = feasible and d_a >= C2 * d0
         log.append({
             "alpha": alpha, "value": f_a if feasible else np.nan, "deriv": d_a if feasible else np.nan,
             "feasible": feasible, "armijo": bool(armijo), "curvature": bool(curvature),
@@ -329,14 +314,15 @@ class _Workspace:
                 self._append([atom], x, x, functional, INTEGRAL)
 
     def add_node_atoms(self, nodes) -> None:
-        """Append, node by node, the nonzero full-kernel integral atoms of
-        each node's one-hot weights: on each channel, the representer of
-        the predictor at that quadrature node."""
+        """Append, node by node, the full-kernel integral atoms of each
+        node's one-hot weights: on each channel, the representer of the
+        predictor at that quadrature node, skipped when no jump precedes the
+        node there and so all its section weights are zero."""
         onehot = np.zeros(self._n_nodes)
         for q in nodes:
             onehot[q] = 1.0
             for atom in build_f_atoms(self.kernel, self.obj, part="r", link_weights=onehot):
-                if not atom.is_zero:
+                if atom.sec_weights.any():
                     self._append([atom], *self.obj.columns(self.kernel, [atom]), role=NODE, datum=q)
             onehot[q] = 0.0
 
@@ -464,9 +450,7 @@ class _Core:
     records and iteration count.
     """
 
-    def __init__(
-        self, ws: "_Workspace", line_search: LineSearchConfig | None, tol: float, max_iter: int
-    ):
+    def __init__(self, ws: "_Workspace", tol: float, max_iter: int):
         # one check of the stopping rule for both fitters: reject one that
         # can never be met or never runs
         if not (np.isfinite(tol) and tol > 0.0) or max_iter < 1:
@@ -474,7 +458,6 @@ class _Core:
                 f"need a finite tol > 0 and max_iter >= 1, got tol={tol}, max_iter={max_iter}"
             )
         self.ws, self.tol, self.max_iter = ws, tol, max_iter
-        self.cfg = line_search if line_search is not None else LineSearchConfig()
         obj = ws.obj
         self.link, self.lam = obj.link, obj.penalty_weight
         self.phi_cols = np.arange(obj.n_channels * ws.kernel.m).reshape(obj.n_channels, -1)
@@ -495,25 +478,14 @@ class _Core:
         rho = self.link.deriv(xe) / phi_e if phi_e.size else np.empty(0)
         return phi_e, rho
 
-    def value(self, psi, gamma: np.ndarray, xn: np.ndarray, xe: np.ndarray, g_gp_g: float) -> float:
-        """F at a gamma with positive intensities at the events, from its
-        predictors xn, xe and penalty form gamma' Gp gamma, with the bits of
-        ``line(..., delta=0, ...)(0.0)``, to which every trial compares: its
-        zero products only turn a sum's -0.0 into +0.0, as ``+ 0.0`` does."""
-        phi = self.link.value(xe)
-        f = psi.value(xn) + self.lam * (g_gp_g + 0.0)
-        f += (float(self.ws.comp @ gamma) + self.const if self.ws.comp is not None else 0.0) + 0.0
-        if phi.size:
-            f -= float(np.sum(np.log(phi))) + self.log_y
-        return f
-
     def line(
         self, psi, gamma: np.ndarray, delta: np.ndarray, xn: np.ndarray, xe: np.ndarray, g_gp_g: float
     ):
         """F and its derivative along gamma + alpha delta in closed form, as
         ``trial(alpha) -> (feasible, value, deriv)``, from the predictors xn
         and xe and the penalty form g_gp_g at gamma; infeasible where an
-        intensity is not positive."""
+        intensity is not positive.  Along delta = 0 its trial at 0 is F at
+        gamma, to which every trial compares."""
         ws, obj, link, lam = self.ws, self.ws.obj, self.link, self.lam
         Ud, Ed, Gp_d = ws.U @ delta, ws.E @ delta, ws.Gp @ delta
         g_gp_d = float(gamma @ Gp_d)
@@ -592,7 +564,7 @@ class _Core:
             delta[free], used = _solve_spd(H_free + sigma * G_free, -grad_c[free])
             d0, dn2 = float(grad_c @ delta), float(delta @ ws.G @ delta)
             cos = cosine(d0, dn2)
-            return (delta, d0, cos, used, sigma) if d0 < 0.0 and dn2 > 0.0 and cos >= self.cfg.delta else None
+            return (delta, d0, cos, used, sigma) if d0 < 0.0 and dn2 > 0.0 and cos >= DELTA else None
 
         # Newton (sigma = 0), then Levenberg damping in the function-space
         # metric G, which turns the direction toward the best in-span descent
@@ -645,7 +617,7 @@ class _Core:
         full dictionary stops with "atom_cap" once the iterate fails the
         gradient test.  Returns (gamma, reason).
         """
-        ws, lam, cfg = self.ws, self.lam, self.cfg
+        ws, lam = self.ws, self.lam
         self.passes += 1
         steps = 0
         while True:
@@ -666,7 +638,8 @@ class _Core:
             gn = float(np.sqrt(max(gn2, 0.0)))
             gp_g = ws.Gp @ gamma
             g_gp_g = float(gamma @ gp_g)
-            f0 = self.value(psi, gamma, xn, xe, g_gp_g)
+            # feasible at 0: event_terms has checked the event intensities
+            f0 = self.line(psi, gamma, np.zeros(gamma.size), xn, xe, g_gp_g)(0.0)[1]
             self.objective_trace.append(f0)
             self.grad_norm_trace.append(gn)
             if self.gn0 is None:
@@ -694,7 +667,7 @@ class _Core:
                 return gamma, "stationary"
 
             alpha, f_a, d_a, log, ok = _weak_wolfe_search(
-                self.line(psi, gamma, delta, xn, xe, g_gp_g), f0, d0, cfg
+                self.line(psi, gamma, delta, xn, xe, g_gp_g), f0, d0
             )
             self.records.append({
                 "iteration": len(self.objective_trace) - 1,
@@ -758,7 +731,6 @@ def fit_linear(
     obj: Objective,
     tol: float = 1e-6,
     max_iter: int = 100,
-    line_search: LineSearchConfig | None = None,
 ) -> FitResult:
     """Exact penalized fit for the linear link in the representer basis.
 
@@ -776,7 +748,8 @@ def fit_linear(
     rather than in the unconstrained representer span.
 
     The fit converges when a pass ends on the gradient test of its KKT
-    residual with the nodes feasible and complementary.
+    residual with the nodes feasible and complementary.  Steps use the
+    line search constants C1, C2, DELTA and MAX_STEP_TRIALS.
     """
     if obj.link.kind != "linear":
         raise ConfigError("fit_linear requires the linear link")
@@ -784,7 +757,7 @@ def fit_linear(
     d = obj.link.d
 
     ws = _Workspace(kernel, obj)
-    core = _Core(ws, line_search, tol, max_iter)
+    core = _Core(ws, tol, max_iter)
     ws.add_representers()
     node_added = np.zeros(obj.nodes.size, dtype=bool)
 
@@ -836,7 +809,6 @@ def fit_descent(
     tol: float = 1e-6,
     max_iter: int = 500,
     max_atoms: int = 200,
-    line_search: LineSearchConfig | None = None,
 ) -> FitResult:
     """Dictionary descent for the exponential and softplus links.
 
@@ -860,7 +832,8 @@ def fit_descent(
     atom would carry; unless it passes the gradient test, the fit stops as
     "stalled" with reason "atom_cap".  A ``max_atoms`` that cannot hold the
     initial dictionary plus one integral atom per channel raises
-    ConfigError before any predictor column is evaluated.
+    ConfigError before any predictor column is evaluated.  Steps use the
+    line search constants C1, C2, DELTA and MAX_STEP_TRIALS.
     """
     if obj.link.kind == "linear":
         raise ConfigError("fit_descent serves the non-linear links; use fit_linear")
@@ -878,7 +851,7 @@ def fit_descent(
             f"({n_init} atoms) plus one integral atom per channel"
         )
     ws = _Workspace(kernel, obj)
-    core = _Core(ws, line_search, tol, max_iter)
+    core = _Core(ws, tol, max_iter)
     ws.add_polynomials()
     ws.add_history_atoms()
     psi = _QuadratureCompensator(obj)

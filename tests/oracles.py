@@ -25,6 +25,7 @@ from math import factorial
 import numpy as np
 import scipy.linalg
 
+from glppm import optimizer
 from glppm.errors import DomainError, InfeasibleError, SolverError
 from glppm.filters import (
     FilterFunction,
@@ -43,7 +44,7 @@ from glppm.likelihood import (
     build_h_atoms,
     objective_value,
 )
-from glppm.optimizer import LineSearchConfig, _solve_spd, _weak_wolfe_search
+from glppm.optimizer import _solve_spd, _weak_wolfe_search
 
 
 def cross_eval(p: int, q: int, x, y):
@@ -316,7 +317,6 @@ def wolfe_angle_step(
     g: FilterFunction,
     direction: FilterFunction,
     obj: Objective,
-    config: LineSearchConfig | None = None,
 ) -> tuple[FilterFunction, dict]:
     """One safeguarded line search step along a filter-space direction,
     through the library's weak Wolfe search.
@@ -325,9 +325,9 @@ def wolfe_angle_step(
     weak Wolfe step alpha and returns (g + alpha * direction, stats).  The
     stats record alpha, the cosine, the directional derivatives and the full
     trial log.  Raises SolverError for non-descent directions, angle
-    failures or exhausted trials (reporting the last bracket).
+    failures or exhausted trials (reporting the last bracket).  The
+    constants are the library's, read at each call.
     """
-    cfg = config if config is not None else LineSearchConfig()
     grad = gradient(g, obj)
     gn = np.sqrt(max(grad.inner_product(grad), 0.0))
     dn = np.sqrt(max(direction.inner_product(direction), 0.0))
@@ -337,8 +337,8 @@ def wolfe_angle_step(
     if d0 >= 0.0:
         raise SolverError(f"not a descent direction: directional derivative {d0}")
     cosine = -d0 / (gn * dn) if gn > 0 else 1.0
-    if cosine < cfg.delta:
-        raise SolverError(f"angle condition failed: cos {cosine:.3g} < delta {cfg.delta}")
+    if cosine < optimizer.DELTA:
+        raise SolverError(f"angle condition failed: cos {cosine:.3g} < delta {optimizer.DELTA}")
     f0 = objective_value(g, obj)
 
     def trial(alpha: float):
@@ -350,10 +350,10 @@ def wolfe_angle_step(
             return False, np.nan, np.nan
         return True, f_a, grad_a.inner_product(direction)
 
-    alpha, f_a, d_a, log, ok = _weak_wolfe_search(trial, f0, d0, cfg)
+    alpha, f_a, d_a, log, ok = _weak_wolfe_search(trial, f0, d0)
     if not ok:
         raise SolverError(
-            f"no weak Wolfe step within {cfg.max_step_trials} trials; "
+            f"no weak Wolfe step within {len(log)} trials; "
             f"last bracket near alpha={log[-1]['alpha']:.3g}"
         )
     stats = {
@@ -387,7 +387,7 @@ def ascending_ladder(core, H: np.ndarray, grad_c: np.ndarray, gam: np.ndarray, g
         d0 = float(grad_c @ delta)
         dn2 = float(delta @ ws.G @ delta)
         cos = cosine(d0, dn2)
-        if d0 < 0.0 and dn2 > 0.0 and cos >= core.cfg.delta:
+        if d0 < 0.0 and dn2 > 0.0 and cos >= optimizer.DELTA:
             return delta, d0, cos, "damped_newton" if sigma else "newton", sigma
         sigma = 10.0 * sigma if sigma else 1e-6 * float(np.trace(H) / np.trace(ws.G))
     d0 = -float(grad_c @ gam)

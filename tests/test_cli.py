@@ -21,8 +21,8 @@ from scipy.stats import kstest
 import glppm
 from glppm import cli, data as data_module, optimizer, simulator
 from glppm.cli import main
-from glppm.data import load_events, load_manifest
-from glppm.filters import FilterFunction, h0_poly
+from glppm.data import AtRiskProcess, load_events, load_manifest
+from glppm.filters import FilterFunction, h0_poly, kernel_section
 from glppm.kernel import SobolevKernel
 from glppm.likelihood import (
     Objective,
@@ -33,7 +33,7 @@ from glppm.likelihood import (
     linear_link,
 )
 from glppm.optimizer import STEP_FIELDS, fit_descent, fit_linear
-from glppm.simulator import time_rescale
+from glppm.simulator import SimSpec, time_rescale
 
 from oracles import full_gram, h1_gram, same_bits
 
@@ -159,6 +159,39 @@ class TestSimulateCommand:
         )
         assert run("simulate", "--config", cfg, "--seed", 0, "--out", tmp_path / "o") == 0
 
+    @pytest.mark.parametrize(
+        "key, raw, value",
+        [
+            ("at_risk", {"breakpoints": [4.0, 8.0], "values": [1.0, 0.0, 2.0]},
+             AtRiskProcess([4.0, 8.0], [1.0, 0.0, 2.0])),
+            ("bound", 3.0, 3.0),
+            ("target_name", "spikes", "spikes"),
+        ],
+        ids=["at_risk", "bound", "target_name"],
+    )
+    def test_spec_keys_give_the_library_simulation(self, tmp_path, key, raw, value):
+        g = zero_filter_payload()
+        sim = {"link": {"kind": "linear", "d": 0.7}, "filters": g, "horizon": 12.0, key: raw}
+        out = tmp_path / "out"
+        cfg = write_json(tmp_path / "sim.json", sim)
+        assert run("simulate", "--config", cfg, "--seed", 5, "--out", out) == 0
+        manifest = load_manifest(out / "dataset.json")
+        events, drivers = load_events(out / "events.csv", manifest)
+        spec = SimSpec(linear_link(0.7), FilterFunction.from_dict(g), 12.0, **{key: value})
+        want, want_drivers = simulator.simulate(spec, seed=5)
+        assert same_bits(events.times, want.times) and len(events) > 0
+        assert manifest.driver_names() == [ch.name for ch in want_drivers.channels]
+        assert manifest.target_channel == spec.target_name
+        # each key changes the run: no event while not at risk, another
+        # candidate stream, another channel name
+        if key == "at_risk":
+            assert not ((events.times > 4.0) & (events.times <= 8.0)).any()
+        elif key == "bound":
+            default, _ = simulator.simulate(SimSpec(linear_link(0.7), spec.filters, 12.0), seed=5)
+            assert not np.array_equal(events.times, default.times)
+        else:
+            assert drivers.channels[0].name == "spikes"
+
     def test_unknown_config_key_is_config_error(self, tmp_path):
         cfg = write_json(
             tmp_path / "sim.json",
@@ -260,17 +293,6 @@ class TestFitCommand:
         FilterFunction.load(out / "filter.json")
         assert (out / "trace.csv").exists()
 
-    def test_linear_fit_honors_line_search(self, tmp_path):
-        # at the default delta = 0.1 this fit takes Newton steps at cosines
-        # 0.16 and 0.40
-        data = make_dataset(tmp_path, DENSE_TIMES)
-        cfg = fit_config(tmp_path, line_search={"delta": 0.5})
-        out = tmp_path / "out"
-        assert run("fit", "--data", data, "--config", cfg, "--out", out) == 0
-        cosines = [float(row["cosine"]) for row in trace_rows(out) if row["cosine"]]
-        assert cosines
-        assert min(cosines) >= 0.5
-
     def test_infeasible_model_exits_5(self, tmp_path):
         # zero baseline and no history before the first event: the intensity
         # vanishes at an observed point, which no filter can repair
@@ -278,10 +300,12 @@ class TestFitCommand:
         cfg = fit_config(tmp_path, link={"kind": "linear", "d": 0.0})
         assert run("fit", "--data", data, "--config", cfg, "--out", tmp_path / "o") == 5
 
-    def test_bad_line_search_constants_exit_2(self, tmp_path):
+    def test_bad_line_search_constants_exit_2(self, tmp_path, capsys):
+        # the line search constants are the method's, not a config key
         data = make_dataset(tmp_path, DENSE_TIMES)
         cfg = fit_config(tmp_path, line_search={"c1": 0.5, "c2": 0.1})
         assert run("fit", "--data", data, "--config", cfg, "--out", tmp_path / "o") == 2
+        assert "unknown fit config keys ['line_search']" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind", ["linear", "exponential"])
     def test_zero_tolerance_exits_2(self, tmp_path, kind):
@@ -613,6 +637,7 @@ def section_atom(lags, weights) -> list:
 # filter payloads 3 (DataError)
 MALFORMED = {
     "quadrature-empty": ("fit", set_key("quadrature", {}), 2),
+    # line_search is an unknown key whatever its value
     "line_search-int": ("fit", set_key("line_search", 3), 2),
     "line_search-c1-str": ("fit", set_key("line_search", {"c1": "a"}), 2),
     "penalty_weight-str": ("fit", set_key("penalty_weight", "x"), 2),
@@ -720,6 +745,48 @@ class TestUnreadableInput:
         )
         assert run("simulate", "--config", cfg, "--out", tmp_path / "o") == 3
         assert "gone.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "place, value",
+        [
+            (("atoms", 0, "channel"), 1),
+            (("atoms", 1, "k"), 2),
+            (("atoms", 0, "part"), "x"),
+            (("kernel", "m"), 0),
+            (("n_channels",), 0),
+            (("atoms", 0, "coefficient"), float("nan")),
+        ],
+        ids=["atom-channel", "k-above-m", "part-x", "m-zero", "n_channels-zero", "coefficient-nan"],
+    )
+    def test_out_of_range_filter_file_exits_3(self, tmp_path, capsys, place, value):
+        # a well-typed filter field out of range is bad data, as a mistyped
+        # one is, not a bad configuration
+        data = make_dataset(tmp_path, [0.5, 1.0, 2.0], horizon=3.0)
+        k = SobolevKernel(m=1, horizon=3.0)
+        atoms = (kernel_section(k, 0, 1.0), h0_poly(k, 0, 1))
+        payload = dict(FilterFunction(k, 1, atoms, np.array([0.5, 0.25])).to_dict())
+        payload["link"] = {"kind": "linear", "d": 0.5}
+        inner = payload
+        for key in place[:-1]:
+            inner = inner[key]
+        inner[place[-1]] = value
+        cfg = write_json(tmp_path / "g.json", payload)
+        assert run("gof", "--data", data, "--config", cfg, "--out", tmp_path / "o") == 3
+        assert "invalid filter payload" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "row", ["2.0,target", "2.0,target,1.0,1.0", "9.0,z,1.0"],
+        ids=["short-row", "long-row", "driver-after-horizon"],
+    )
+    def test_bad_csv_row_exits_3(self, tmp_path, capsys, row):
+        # a row with the wrong field count, or a driver jump past the
+        # horizon, is bad data
+        data = make_dataset(tmp_path, [1.0], horizon=8.0)
+        write_json(data, dict(json.loads(data.read_text()), driver_channels=["z"]))
+        (tmp_path / "events.csv").write_text(f"time,channel,mark\n1.0,target,1.0\n{row}\n")
+        cfg = fit_config(tmp_path)
+        assert run("fit", "--data", data, "--config", cfg, "--out", tmp_path / "o") == 3
+        assert "line 3" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["gof", "intensity"])
     @pytest.mark.parametrize("text", [None, "{not json", "[1, 2]"], ids=["missing", "bad-json", "not-object"])

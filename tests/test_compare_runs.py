@@ -81,7 +81,10 @@ def test_fits_run_the_suite_under_each_source_tree(tmp_path, compare_runs, capsy
     changed = tmp_path / "src"
     shutil.copytree(src / "glppm", changed / "glppm", ignore=shutil.ignore_patterns("__pycache__"))
     optimizer = changed / "glppm" / "optimizer.py"
-    optimizer.write_text(optimizer.read_text().replace("c2: float = 0.4", "c2: float = 0.3"))
+    constants = "C1, C2, DELTA, MAX_STEP_TRIALS = 1e-4, {}, 0.1, 60"
+    text = optimizer.read_text()
+    assert constants.format(0.4) in text
+    optimizer.write_text(text.replace(constants.format(0.4), constants.format(0.3)))
     assert compare_runs.main(["fits", str(src), str(changed), *small]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines and all(" differs" in line for line in lines)

@@ -590,7 +590,49 @@ BAD_ARRAYS = {
 BAD_ARRAYS["list-two-dimensional"] = ("list", [[1.0]], [[1.0]])
 
 
+# (place, value) of a well-typed filter payload field out of range: the
+# channel or polynomial index of atom 0 or 1, the part, the kernel order,
+# the channel count and a coefficient
+OUT_OF_RANGE = {
+    "atom-channel": (("atoms", 0, "channel"), 1),
+    "k-above-m": (("atoms", 1, "k"), 2),
+    "part-x": (("atoms", 0, "part"), "x"),
+    "m-zero": (("kernel", "m"), 0),
+    "n_channels-zero": (("n_channels",), 0),
+    "coefficient-nan": (("atoms", 0, "coefficient"), float("nan")),
+}
+
+
+def out_of_range_payload(place, value) -> dict:
+    """A section and a polynomial on one channel at m = 1, one field set to
+    ``value``."""
+    k = SobolevKernel(m=1, horizon=3.0)
+    g = FilterFunction(k, 1, (kernel_section(k, 0, 1.0), h0_poly(k, 0, 1)), np.array([0.5, 0.25]))
+    payload = g.to_dict()
+    inner = payload
+    for key in place[:-1]:
+        inner = inner[key]
+    inner[place[-1]] = value
+    return payload
+
+
 class TestValidation:
+    @pytest.mark.parametrize("place, value", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE.keys())
+    def test_out_of_range_payload_raises_data_error(self, place, value):
+        # a filter payload that cannot be read is bad data, whether a field
+        # is mistyped or well-typed and out of range
+        with pytest.raises(DataError):
+            FilterFunction.from_dict(out_of_range_payload(place, value))
+
+    @pytest.mark.parametrize("payload", [[], {}, {"format": "glppm.filter.v2"}])
+    def test_unknown_format_raises_data_error(self, payload):
+        with pytest.raises(DataError, match="unrecognized filter format"):
+            FilterFunction.from_dict(payload)
+
+    def test_bad_json_raises_data_error(self):
+        with pytest.raises(DataError, match="bad filter JSON"):
+            FilterFunction.from_json('{"format": "glppm.filter.v1",')
+
     def test_coefficient_count(self):
         k = SobolevKernel(m=1, horizon=3.0)
         with pytest.raises(ConfigError):

@@ -33,7 +33,6 @@ from glppm.optimizer import (
     NODE,
     STEP_FIELDS,
     FitResult,
-    LineSearchConfig,
     _Core,
     _Hinge,
     _QuadratureCompensator,
@@ -126,19 +125,6 @@ def assert_same_workspace(ws, ref):
             assert same_bits(getattr(a, name), getattr(b, name)), name
 
 
-class TestLineSearchConfig:
-    def test_validation(self):
-        LineSearchConfig(c1=1e-4, c2=0.4, delta=0.1)
-        with pytest.raises(ConfigError):
-            LineSearchConfig(c1=0.5, c2=0.4)
-        with pytest.raises(ConfigError):
-            LineSearchConfig(c1=0.0)
-        with pytest.raises(ConfigError):
-            LineSearchConfig(c2=1.0)
-        with pytest.raises(ConfigError):
-            LineSearchConfig(delta=-0.1)
-
-
 class TestWolfeAngleStep:
     def test_steepest_descent_step(self):
         k, obj = dense_objective(lam=5.0, m=1)
@@ -183,14 +169,6 @@ class TestWolfeAngleStep:
         with pytest.raises(SolverError) as err:
             wolfe_angle_step(g0, direction, obj)
         assert "angle" in str(err.value)
-
-    def test_honors_custom_config(self):
-        k, obj = dense_objective(lam=5.0, m=1)
-        g0 = FilterFunction.zero(k, 1)
-        grad = gradient(g0, obj)
-        cfg = LineSearchConfig(c1=1e-3, c2=0.9, delta=0.5, max_step_trials=40)
-        g1, stats = wolfe_angle_step(g0, grad.scale(-1.0), obj, config=cfg)
-        assert stats["deriv"] >= 0.9 * stats["deriv0"]
 
 
 class TestFitLinear:
@@ -298,6 +276,23 @@ class TestFitLinear:
 
 
 class TestFitDescent:
+    def test_no_decreasing_trial_stalls(self, monkeypatch):
+        # with one trial per line search the first step, alpha = 1 from the
+        # zero filter, overshoots: no trial decreases F, at a slope far from
+        # rounding level; the default budget converges in 5 iterations
+        k, obj = dense_objective(lam=5.0, link=exponential_link(-1.0), m=1)
+        res = fit_descent(k, obj)
+        assert (res.status, res.reason, res.n_iter) == ("converged", "grad", 5)
+        monkeypatch.setattr(optimizer, "MAX_STEP_TRIALS", 1)
+        res = fit_descent(k, obj)
+        assert (res.status, res.reason, res.n_iter) == ("stalled", "stall", 0)
+        [step] = res.diagnostics["iterations"]
+        [trial] = step["trials"]
+        assert step["accepted_alpha"] is None and trial["alpha"] == 1.0
+        assert trial["feasible"] and not trial["armijo"]
+        assert trial["value"] > step["objective"] == res.objective
+        assert -step["deriv0"] > 1e-14 * max(1.0, abs(step["objective"]))
+
     def test_linear_link_rejected(self):
         # the linear link has its own exact solver
         k, obj = dense_objective(lam=5.0)
@@ -552,28 +547,48 @@ class TestGradientRoles:
     def test_a_linear_dictionary_records_every_role(self):
         # the representer basis (polynomials, a history atom per event and
         # channel, zero ones kept, an integral atom per channel), then the
-        # atoms of three nodes in the order asked for
+        # atoms of three nodes in the order asked for, each with a nonzero
+        # section weight: node 8 follows z's first jump but no event, node 0
+        # precedes every jump
         events, z, tgt, lam = two_channel_objective()
         obj = Objective(linear_link(0.5), lam, events, DriverSeries(8.0, (z, tgt)))
         k = SobolevKernel(m=2, horizon=8.0)
         ws = _Workspace(k, obj)
         h_cols, f_cols = ws.add_representers()
-        ws.add_node_atoms([5, 0, 40])
+        ws.add_node_atoms([8, 0, 40])
         n_ev = len(events)
         assert ws.role[: h_cols.start].tolist() == [FREE] * (2 * k.m)
         assert ws.role[h_cols].tolist() == [HISTORY] * (2 * n_ev)
         assert ws.datum[h_cols].tolist() == [i for i in range(n_ev) for _ in range(2)]
         assert ws.role[f_cols].tolist() == [INTEGRAL] * 2
         nodes = []
-        for q in (5, 0, 40):
+        for q in (8, 0, 40):
             onehot = np.zeros(obj.nodes.size)
             onehot[q] = 1.0
-            nodes += [q for a in build_f_atoms(k, obj, part="r", link_weights=onehot) if not a.is_zero]
+            atoms = build_f_atoms(k, obj, part="r", link_weights=onehot)
+            nodes += [q for a in atoms if a.sec_weights.any()]
         assert ws.role[f_cols.stop :].tolist() == [NODE] * len(nodes)
-        assert ws.datum[f_cols.stop :].tolist() == nodes and nodes[0] == 5
+        assert ws.datum[f_cols.stop :].tolist() == nodes == [8, 40, 40]
         for a, completion in zip(ws.atoms, ws.completion):
             want = a.sections_h0(k) if a.part == "r1" else np.zeros(k.m)
             assert same_bits(completion, want)
+
+    def test_a_node_with_no_earlier_jump_adds_no_atom(self):
+        # node 0 lies before every jump of both channels: its one-hot
+        # weights give each channel an atom whose section weights are all
+        # zero, a dead column that the dictionary does not take
+        events, z, tgt, lam = two_channel_objective()
+        obj = Objective(linear_link(0.5), lam, events, DriverSeries(8.0, (z, tgt)))
+        k = SobolevKernel(m=2, horizon=8.0)
+        ws = _Workspace(k, obj)
+        ws.add_representers()
+        n = len(ws)
+        ws.add_node_atoms([0])
+        assert len(ws) == n
+        ws.add_node_atoms([5, 40])
+        node = np.flatnonzero(ws.role == NODE)
+        assert node.size > 0
+        assert (np.diag(ws.G)[node] > 0.0).all()
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_gradient_coords_are_the_gradient(self, m):
@@ -590,7 +605,7 @@ class TestGradientRoles:
         psi = _QuadratureCompensator(obj)
         ws.add_integral_atoms(psi.deriv(ws.U @ gamma))
         gamma = np.append(gamma, np.zeros(len(ws) - gamma.size))
-        core = _Core(ws, None, 1e-6, 1)
+        core = _Core(ws, 1e-6, 1)
         _, rho = core.event_terms(ws.E @ gamma)
         gam = core.gradient_coords(gamma, rho, psi.deriv(ws.U @ gamma))
         grad = gradient(FilterFunction(kernel, obj.n_channels, tuple(ws.atoms), gamma), obj)
@@ -911,7 +926,7 @@ class TestCoreHessian:
             ws.add(a)
         gamma = res.g_hat.coefficients
         xn, xe = ws.U @ gamma, ws.E @ gamma
-        core = _Core(ws, None, 1e-6, 1)
+        core = _Core(ws, 1e-6, 1)
         H = core.hessian(_QuadratureCompensator(obj), xn, xe, link.value(xe))
         want = hessian_coords(res.g_hat, obj, res.g_hat.atoms)
         assert H.shape == (len(res.g_hat.atoms),) * 2
@@ -944,8 +959,8 @@ class TestCoreDirection:
         e[0], e[-1] = 0.01, 1.0
         gam = V @ ((Q @ e) / np.sqrt(w))
         gn = float(np.sqrt(gam @ ws1.G @ gam))
-        d1, d0_1, cos1, kind1, sigma1 = _Core(ws1, None, 1e-6, 1).direction(H, ws1.G @ gam, gam, gn)
-        d2, d0_2, cos2, kind2, sigma2 = _Core(ws2, None, 1e-6, 1).direction(
+        d1, d0_1, cos1, kind1, sigma1 = _Core(ws1, 1e-6, 1).direction(H, ws1.G @ gam, gam, gn)
+        d2, d0_2, cos2, kind2, sigma2 = _Core(ws2, 1e-6, 1).direction(
             s * s * H, s * (ws1.G @ gam), gam / s, gn
         )
         assert kind1 == kind2 == "damped_newton"
@@ -1009,7 +1024,7 @@ class TestResumedLadder:
         w, V = np.linalg.eigh(ws.G)
         L = V * np.sqrt(w)
         Q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((n, n)))
-        core, rungs = _Core(ws, None, 1e-6, 1), []
+        core, rungs = _Core(ws, 1e-6, 1), []
         for a, e0 in [(3, 0.01), (3, 0.1), (1, 0.01), (3, 0.01), (3, 0.001), (4, 0.1)]:
             H = L @ Q @ np.diag(np.logspace(-a, a, n)) @ Q.T @ L.T
             H = 0.5 * (H + H.T)
@@ -1030,9 +1045,11 @@ class TestResumedLadder:
 class TestCoreValue:
     @pytest.mark.parametrize("link", [exponential_link(), softplus_link(), linear_link(0.5)])
     def test_value_is_the_line_at_alpha_zero(self, link):
-        # F at gamma has the bits of the line search's closed form at alpha
-        # = 0 along delta = 0, with which every trial compares; a zero
-        # gamma of either sign is where a -0.0 could part them
+        # F at gamma, as ``run`` takes it, is the line's trial at alpha = 0
+        # along delta = 0: feasible, with the bits of the trial at 0 along
+        # any direction, and the library's objective plus, on the linear
+        # link, the hinge term; a zero gamma of either sign is where a -0.0
+        # could part them
         k, obj = dense_objective(lam=2.0, link=link, m=2)
         if link.kind == "linear":
             fit = fit_linear(k, obj)
@@ -1043,14 +1060,19 @@ class TestCoreValue:
         ws = _Workspace(k, obj)
         for a in fit.g_hat.atoms:
             ws.add(a)
-        core = _Core(ws, None, 1e-6, 1)
+        core = _Core(ws, 1e-6, 1)
         c = fit.g_hat.coefficients
+        delta = np.random.default_rng(3).normal(size=c.size)
         for gamma in (np.zeros(c.size), -np.zeros(c.size), c, 0.9 * c):
             xn, xe = ws.U @ gamma, ws.E @ gamma
             g_gp_g = float(gamma @ (ws.Gp @ gamma))
-            feasible, want, _ = core.line(psi, gamma, np.zeros(c.size), xn, xe, g_gp_g)(0.0)
+            feasible, f0, _ = core.line(psi, gamma, np.zeros(c.size), xn, xe, g_gp_g)(0.0)
             assert feasible
-            assert same_bits(np.float64(core.value(psi, gamma, xn, xe, g_gp_g)), np.float64(want))
+            along = core.line(psi, gamma, delta, xn, xe, g_gp_g)(0.0)[1]
+            assert same_bits(np.float64(along), np.float64(f0))
+            hinge = psi.value(xn) if link.kind == "linear" else 0.0
+            g = FilterFunction(k, 1, tuple(ws.atoms), gamma)
+            assert_allclose(f0, objective_value(g, obj) + hinge, rtol=1e-10)
 
 
 class TestLeanIntegralAtoms:
@@ -1178,7 +1200,7 @@ class TestCoreNoiseFloor:
             ws.add(a)
         psi = _QuadratureCompensator(obj)
         gamma = np.full(len(ws), 0.01)
-        core = _Core(ws, None, 1e-6, 50)
+        core = _Core(ws, 1e-6, 50)
         _, rho = core.event_terms(ws.E @ gamma)
         gam = core.gradient_coords(gamma, rho, psi.deriv(ws.U @ gamma))
         gn2 = gam @ ws.G @ gam

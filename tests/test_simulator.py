@@ -193,6 +193,22 @@ class TestSimulate:
         assert not inside.any()
         assert len(ev.times) > 5
 
+    def test_zero_bound_window_has_no_candidate(self):
+        # linear link with d = 0: before the driver's first jump the
+        # predictor and its envelope bound are 0, so the window is skipped
+        drivers = DriverSeries(
+            20.0, (DriverChannel("z", np.array([6.0, 9.0]), np.array([1.0, 2.0])),)
+        )
+        spec = SimSpec(
+            link=linear_link(0.0),
+            filters=[lambda u: 2.0 * np.exp(-u), lambda u: 0.2 * np.exp(-u)],
+            horizon=20.0,
+            drivers=drivers,
+        )
+        for seed in range(5):
+            ev, _ = simulate(spec, seed=seed)
+            assert len(ev) > 0 and ev.times.min() > 6.0
+
     def test_exogenous_drivers_carried_through(self):
         drivers = DriverSeries(
             20.0, (DriverChannel("z", np.array([2.0, 9.0]), np.array([1.0, 2.0])),)
