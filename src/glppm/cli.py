@@ -283,7 +283,6 @@ def _fit_config(cfg):
             "m",
             "tol",
             "max_iter",
-            "max_atoms",
             "quadrature",
             "at_risk",
         },
@@ -329,7 +328,6 @@ def cmd_fit(args) -> int:
             obj,
             tol=tol,
             max_iter=_as_number(cfg.get("max_iter", 500), "max_iter", integer=True),
-            max_atoms=_as_number(cfg.get("max_atoms", 200), "max_atoms", integer=True),
         )
 
     out = Path(args.out)

@@ -60,10 +60,8 @@ __all__ = [
     "full_inner_row",
     "h0_poly",
     "h1_inner_row",
-    "integrated_points",
     "integrated_segments",
     "kernel_section",
-    "section_sum",
 ]
 
 _MERGE_TOL = 1e-12
@@ -310,6 +308,8 @@ class Atom:
         channel = _as_number(d["channel"], "atom channel", DataError, integer=True)
         if kind == "h0":
             return h0_poly(kernel, channel, _as_number(d["k"], "atom k", DataError, integer=True))
+        if kind not in ("section", "integrated", "normal"):
+            raise DataError(f"atom kind must be 'h0', 'section', 'integrated' or 'normal', got {kind!r}")
         sec = d.get("sections", {"lags": [], "weights": []})
         seg = d.get("segments", {"nodes": [], "weights": []})
         return _normal_form_atom(
@@ -375,29 +375,6 @@ def kernel_section(kernel: SobolevKernel, channel: int, lag: float, part: str = 
     return _normal_form_atom(
         kernel, channel, "section", part,
         np.array([float(lag)]), np.array([1.0]), np.empty(0), np.empty(0),
-    )
-
-
-def section_sum(kernel: SobolevKernel, channel: int, lags, weights, part: str = "r1") -> Atom:
-    """Weighted sum of kernel slices sharing one coefficient (event atoms)."""
-    lags = np.asarray(lags, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    if lags.shape != weights.shape:
-        raise ConfigError("section lags and weights must have matching shapes")
-    return _normal_form_atom(
-        kernel, channel, "section", part, lags, weights, np.empty(0), np.empty(0)
-    )
-
-
-def integrated_points(kernel: SobolevKernel, channel: int, lags, weights, part: str = "r1") -> Atom:
-    """Quadrature representation of a time-integrated kernel slice:
-    sum of pointwise R^part(lag, .) terms with quadrature weights."""
-    lags = np.asarray(lags, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    if lags.shape != weights.shape:
-        raise ConfigError("point lags and weights must have matching shapes")
-    return _normal_form_atom(
-        kernel, channel, "integrated", part, lags, weights, np.empty(0), np.empty(0)
     )
 
 

@@ -544,7 +544,8 @@ def build_h_atoms(kernel: SobolevKernel, obj: Objective, part: str = "r1") -> li
     the kernel's domain once ``_check_kernel`` passes.  All atoms of a
     channel come from one pass: its event-pair lags are sorted once by
     event and then lag, stably, and merged with one ``bincount``, which
-    sums each atom's sections in the order ``section_sum`` does.
+    sums each atom's sections in the order that ``_merge_sorted`` sums one
+    atom's.
     """
     obj._check_kernel(kernel)
     n_ev, n_ch = len(obj.events), obj.n_channels

@@ -33,10 +33,8 @@ It stops with a reason: "grad" when ||grad F|| <= tol * max(1, ||grad
 F(g_0)||), "noise_floor" when the squared gradient norm rounds below
 zero, "stationary" when no trial decreases F and the directional
 derivative is at rounding level, "stall" when no trial decreases F
-otherwise, "max_iter" at the step budget, and "atom_cap" when
-``fit_descent``'s dictionary is full and the iterate, measured with the
-gradient atom it could not add, fails the gradient test.  Only "grad"
-gives the status "converged", on the linear link only with feasible nodes.
+otherwise, and "max_iter" at the step budget.  Only "grad" gives the
+status "converged", on the linear link only with feasible nodes.
 g_0 is the solver's start: the zero filter, or phi_1 = 1 for ``fit_linear``
 when d = 0.  ``fit_descent`` takes it at the zero filter also when given an
 ``init``, so that a warm start cannot set its own stopping scale.
@@ -97,7 +95,7 @@ class FitResult:
 
     g_hat: FilterFunction
     status: str  # "converged" | "max_iter" | "stalled"
-    reason: str  # "grad" | "noise_floor" | "stationary" | "stall" | "max_iter" | "atom_cap"
+    reason: str  # "grad" | "noise_floor" | "stationary" | "stall" | "max_iter"
     n_iter: int
     objective: float
     grad_norm: float
@@ -484,8 +482,7 @@ class _Core:
         """F and its derivative along gamma + alpha delta in closed form, as
         ``trial(alpha) -> (feasible, value, deriv)``, from the predictors xn
         and xe and the penalty form g_gp_g at gamma; infeasible where an
-        intensity is not positive.  Along delta = 0 its trial at 0 is F at
-        gamma, to which every trial compares."""
+        intensity is not positive."""
         ws, obj, link, lam = self.ws, self.ws.obj, self.link, self.lam
         Ud, Ed, Gp_d = ws.U @ delta, ws.E @ delta, ws.Gp @ delta
         g_gp_d = float(gamma @ Gp_d)
@@ -613,9 +610,7 @@ class _Core:
         ``grow(psi')`` may append atoms before each iterate is measured.  It
         returns the node weights of the gradient's integral mass that the
         dictionary still lacks (None for none), whose atom ``unrepresented``
-        adds to the measured norm, and whether the dictionary is full; a
-        full dictionary stops with "atom_cap" once the iterate fails the
-        gradient test.  Returns (gamma, reason).
+        adds to the measured norm.  Returns (gamma, reason).
         """
         ws, lam = self.ws, self.lam
         self.passes += 1
@@ -626,11 +621,14 @@ class _Core:
             xn, xe = ws.U @ gamma, ws.E @ gamma
             phi_e, rho = self.event_terms(xe)
             dpsi = psi.deriv(xn)
-            lacking, full = grow(dpsi) if grow is not None else (None, False)
+            lacking = grow(dpsi) if grow is not None else None
+            phi = phi_e
             if len(ws) > gamma.size:
+                # products over the grown dictionary can round apart from
+                # the first ones; F takes phi at these predictors
                 gamma = np.append(gamma, np.zeros(len(ws) - gamma.size))
                 xn, xe = ws.U @ gamma, ws.E @ gamma
-                dpsi = psi.deriv(xn)
+                dpsi, phi = psi.deriv(xn), self.link.value(xe)
             gam = self.gradient_coords(gamma, rho, dpsi)
             gn2 = float(gam @ ws.G @ gam)
             if lacking is not None:
@@ -638,8 +636,12 @@ class _Core:
             gn = float(np.sqrt(max(gn2, 0.0)))
             gp_g = ws.Gp @ gamma
             g_gp_g = float(gamma @ gp_g)
-            # feasible at 0: event_terms has checked the event intensities
-            f0 = self.line(psi, gamma, np.zeros(gamma.size), xn, xe, g_gp_g)(0.0)[1]
+            # F at gamma, in the order of operations of ``line``'s trials
+            f0 = psi.value(xn) + lam * g_gp_g
+            if ws.comp is not None:
+                f0 += float(ws.comp @ gamma) + self.const
+            if phi.size:
+                f0 -= float(np.sum(np.log(phi))) + self.log_y
             self.objective_trace.append(f0)
             self.grad_norm_trace.append(gn)
             if self.gn0 is None:
@@ -650,8 +652,6 @@ class _Core:
                 return gamma, "noise_floor"
             if gn <= self.tol * max(1.0, self.gn0):
                 return gamma, "grad"
-            if full:
-                return gamma, "atom_cap"
             if steps >= self.max_iter:
                 return gamma, "max_iter"
 
@@ -771,7 +771,7 @@ def fit_linear(
     while True:
         hinge = _Hinge(y_mult, mu, obj.link)
         # the forces on nodes with no atom yet are gradient mass the basis lacks
-        c, reason = core.run(c, hinge, grow=lambda dpsi: (np.where(node_added, 0.0, dpsi), False))
+        c, reason = core.run(c, hinge, grow=lambda dpsi: np.where(node_added, 0.0, dpsi))
         xn = ws.U @ c
         gaps = obj.link.value(xn)
         v = float(max(0.0, -gaps.min())) if gaps.size else 0.0
@@ -808,7 +808,6 @@ def fit_descent(
     init: FilterFunction | None = None,
     tol: float = 1e-6,
     max_iter: int = 500,
-    max_atoms: int = 200,
 ) -> FitResult:
     """Dictionary descent for the exponential and softplus links.
 
@@ -825,31 +824,19 @@ def fit_descent(
     systems are singular to working precision near the optimum.  The Newton
     core runs on this dictionary, growing it before each iterate.
 
+    Each iterate adds at most one integral atom per channel, so for d
+    channels and N events the dictionary holds at most
+    d (m + N + max_iter + 2) atoms, plus the atoms of ``init``: ``max_iter``
+    bounds the fit's memory as well as its steps.
+
     The fit starts at the zero filter, or at ``init``.  The stopping scale
     ||grad F(0)|| is taken at the zero filter either way, so a poor start
-    cannot loosen the test.  When the dictionary has no room left for the
-    next integral atom, the iterate is measured with the gradient mass that
-    atom would carry; unless it passes the gradient test, the fit stops as
-    "stalled" with reason "atom_cap".  A ``max_atoms`` that cannot hold the
-    initial dictionary plus one integral atom per channel raises
-    ConfigError before any predictor column is evaluated.  Steps use the
-    line search constants C1, C2, DELTA and MAX_STEP_TRIALS.
+    cannot loosen the test.  Steps use the line search constants C1, C2,
+    DELTA and MAX_STEP_TRIALS.
     """
     if obj.link.kind == "linear":
         raise ConfigError("fit_descent serves the non-linear links; use fit_linear")
     obj._check_kernel(kernel)
-    # the initial dictionary, counted from the pairs before any column is
-    # evaluated: the polynomials, a history atom per event with an earlier
-    # jump on its channel, and an integral atom per channel with node pairs
-    n_init = obj.n_channels * kernel.m + sum(
-        np.unique(e_idx).size + bool(n_lags.size)
-        for (e_idx, *_), (_, _, n_lags, _) in zip(obj._event_pairs, obj._node_pairs)
-    )
-    if n_init + obj.n_channels > max_atoms:
-        raise ConfigError(
-            f"max_atoms={max_atoms} cannot hold the initial dictionary "
-            f"({n_init} atoms) plus one integral atom per channel"
-        )
     ws = _Workspace(kernel, obj)
     core = _Core(ws, tol, max_iter)
     ws.add_polynomials()
@@ -876,19 +863,14 @@ def fit_descent(
                 ws.add(atom)
                 gamma = np.append(gamma, coeff)
 
-    def grow(w_link: np.ndarray):
+    def grow(w_link: np.ndarray) -> None:
         """Integral atom of the gradient at the current iterate: the atom
         for the weights Y phi'(X) is the sum of all integral atoms so far,
-        the newest one carrying only the change of weights since the last.
-        When the dictionary has no room for it, that change is what the
-        dictionary lacks, and it is full."""
+        the newest one carrying only the change of weights since the last,
+        so the dictionary lacks none of the gradient."""
         nonlocal last_f_weights
-        if np.array_equal(w_link, last_f_weights):
-            return None, False
-        if len(ws) + obj.n_channels > max_atoms:
-            return w_link - last_f_weights, True
-        ws.add_integral_atoms(w_link - last_f_weights)
-        last_f_weights = w_link
-        return None, False
+        if not np.array_equal(w_link, last_f_weights):
+            ws.add_integral_atoms(w_link - last_f_weights)
+            last_f_weights = w_link
 
     return core.result(*core.run(gamma, psi, grow=grow))

@@ -158,7 +158,9 @@ def _envelope_sum(grid, env, reach, times, sizes, t: float) -> float:
 
 def simulate(spec: SimSpec, seed=None) -> tuple[EventSeries, DriverSeries]:
     """Draw one realization; returns the events and the full driver series
-    (exogenous channels plus, when self-exciting, the target as a driver)."""
+    (exogenous channels plus, when self-exciting, the target as a driver).
+    An explosive process raises SolverError: at more than ``max_events``
+    events, or where the thinning bound is not finite."""
     rng = np.random.default_rng(seed)
     horizon = spec.horizon
     if spec.bound is None:
@@ -204,6 +206,11 @@ def simulate(spec: SimSpec, seed=None) -> tuple[EventSeries, DriverSeries]:
             bound = spec.bound
         else:
             bound = y_val * float(spec.link.value(x_bound(cur)))
+            if not np.isfinite(bound):
+                # candidates would come at rate inf, all at cur
+                raise SolverError(
+                    f"thinning bound {bound} at t={cur}; the process is explosive under this link"
+                )
         if bound <= 0.0:
             cur = nxt
             continue

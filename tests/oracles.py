@@ -9,7 +9,9 @@ solvers' dictionary workspace: ``gradient`` builds the gradient of the
 penalized objective as one filter from the likelihood's atom builders, and
 the others use it with ``objective_value`` and the predictor columns.
 The atom builders construct the history and integral atoms one at a time
-from the public constructors, and ``solve_spd_cho_factor`` solves a Newton
+as ``section_sum`` and ``integrated_points`` atoms, sums of kernel slices
+made here through the filters' normal-form constructor, and
+``solve_spd_cho_factor`` solves a Newton
 system through ``scipy.linalg``'s Cholesky wrappers, as references for the
 library's bulk builders and direct LAPACK calls.  ``atom_columns`` builds
 predictor columns atom by atom from ``Atom.value`` and ``Atom.h1_value``,
@@ -27,14 +29,7 @@ import scipy.linalg
 
 from glppm import optimizer
 from glppm.errors import DomainError, InfeasibleError, SolverError
-from glppm.filters import (
-    FilterFunction,
-    _flatten,
-    _merge_sorted,
-    h1_inner_row,
-    integrated_points,
-    section_sum,
-)
+from glppm.filters import FilterFunction, _flatten, _merge_sorted, _normal_form_atom, h1_inner_row
 from glppm.kernel import SobolevKernel, _branch_coeffs, _cross_weighted_sum
 from glppm.likelihood import (
     Objective,
@@ -163,6 +158,20 @@ def same_bits(a, b) -> bool:
     """Equal shape, dtype and bytes: -0.0 differs from 0.0, NaN equals NaN."""
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def section_sum(kernel: SobolevKernel, channel: int, lags, weights, part: str = "r1"):
+    """The "section" atom sum_l w_l R^part(lag_l, .): an event's history
+    atom, with one coefficient for all its slices."""
+    lags, weights = np.asarray(lags, dtype=float), np.asarray(weights, dtype=float)
+    return _normal_form_atom(kernel, channel, "section", part, lags, weights, np.empty(0), np.empty(0))
+
+
+def integrated_points(kernel: SobolevKernel, channel: int, lags, weights, part: str = "r1"):
+    """The "integrated" atom sum_l w_l R^part(lag_l, .): a time-integrated
+    kernel slice as a quadrature sum of pointwise slices."""
+    lags, weights = np.asarray(lags, dtype=float), np.asarray(weights, dtype=float)
+    return _normal_form_atom(kernel, channel, "integrated", part, lags, weights, np.empty(0), np.empty(0))
 
 
 def history_atoms_one_by_one(kernel: SobolevKernel, events, drivers, part: str):

@@ -274,7 +274,6 @@ class TestFitCommand:
             tmp_path,
             link={"kind": "exp", "d": np.log(0.5)},
             max_iter=100,
-            max_atoms=60,
         )
         out = tmp_path / "out"
         assert run("fit", "--data", data, "--config", cfg, "--out", out) == 0
@@ -333,7 +332,7 @@ class TestFitCommand:
         raw, link = LINKS[1]
         data = make_dataset(tmp_path, DENSE_TIMES)
         quad = {"nodes_per_interval": 16}
-        cfg = fit_config(tmp_path, link=raw, max_iter=100, max_atoms=60, quadrature=quad)
+        cfg = fit_config(tmp_path, link=raw, max_iter=100, quadrature=quad)
         out = tmp_path / "out"
         assert run("fit", "--data", data, "--config", cfg, "--out", out) == 0
         result = json.loads((out / "fit_result.json").read_text())
@@ -349,7 +348,7 @@ class TestFitCommand:
 
 def library_fit(data, link, quadrature=None):
     """The fit ``fit`` runs on ``data`` under ``fit_config(link=link,
-    max_iter=100, max_atoms=60)``, with this quadrature, through the library."""
+    max_iter=100)``, with this quadrature, through the library."""
     manifest = load_manifest(data)
     events, drivers = load_events(data.parent / "events.csv", manifest)
     obj = Objective(link, 5.0, events, drivers, quadrature=quadrature)
@@ -357,7 +356,7 @@ def library_fit(data, link, quadrature=None):
     if link.kind == "linear":
         res = fit_linear(kernel, obj, tol=1e-6, max_iter=100)
     else:
-        res = fit_descent(kernel, obj, tol=1e-6, max_iter=100, max_atoms=60)
+        res = fit_descent(kernel, obj, tol=1e-6, max_iter=100)
     return res, obj, kernel
 
 
@@ -374,7 +373,7 @@ class TestFilterFile:
     @staticmethod
     def fit(tmp_path, raw, link):
         data = make_dataset(tmp_path, DENSE_TIMES)
-        cfg = fit_config(tmp_path, link=raw, max_iter=100, max_atoms=60)
+        cfg = fit_config(tmp_path, link=raw, max_iter=100)
         out = tmp_path / "out"
         assert run("fit", "--data", data, "--config", cfg, "--out", out) == 0
         res, obj, kernel = library_fit(data, link)
@@ -405,7 +404,7 @@ class TestFilterFile:
     def test_warm_starts_the_descent_at_its_optimum(self, tmp_path):
         out, res, obj, kernel = self.fit(tmp_path, *LINKS[1])
         g = FilterFunction.load(out / "filter.json")
-        again = fit_descent(kernel, obj, init=g, tol=1e-6, max_iter=100, max_atoms=60)
+        again = fit_descent(kernel, obj, init=g, tol=1e-6, max_iter=100)
         assert again.converged and again.n_iter == 0
         assert abs(again.objective - res.objective) <= 1e-9
 
@@ -644,6 +643,8 @@ MALFORMED = {
     "m-str": ("fit", set_key("m", "x"), 2),
     "m-fraction": ("fit", set_key("m", 1.7), 2),
     "max_iter-str": ("fit", set_key("max_iter", "x"), 2),
+    # max_atoms is an unknown key: max_iter bounds the dictionary
+    "max_atoms-int": ("fit", set_key("max_atoms", 200), 2),
     "link-d-str": ("fit", set_key("link.d", "x"), 2),
     "at_risk-values-str": ("fit", set_key("at_risk", {"breakpoints": [], "values": "x"}), 2),
     "manifest-horizon-str": ("manifest", set_key("horizon", "x"), 2),
@@ -667,6 +668,9 @@ MALFORMED = {
     ),
     "filter-lag-nan": (
         "simulate", set_key("filters.atoms", section_atom(b64([np.nan]), b64([1.0]))), 3
+    ),
+    "filter-kind-bogus": (
+        "simulate", set_key("filters.atoms", [dict(section_atom([1.0], [0.5])[0], kind="bogus")]), 3
     ),
     **{
         f"{target}-self_exciting-{name}": (target, set_key("self_exciting", value), 2)
@@ -808,7 +812,7 @@ class TestImports:
         # in real use each command runs in its own process, where importing
         # scipy.stats costs most of a second; fit and simulate must not pay it
         data = make_dataset(tmp_path, DENSE_TIMES)
-        fit = fit_config(tmp_path, link={"kind": "exp", "d": float(np.log(0.5))}, max_atoms=60)
+        fit = fit_config(tmp_path, link={"kind": "exp", "d": float(np.log(0.5))})
         sim = write_json(
             tmp_path / "sim.json",
             {
@@ -910,7 +914,7 @@ class TestDispatch:
                 "horizon": 8.0,
             },
         )
-        fit = fit_config(tmp_path, link={"kind": "exp", "d": 0.0}, max_atoms=60)
+        fit = fit_config(tmp_path, link={"kind": "exp", "d": 0.0})
         out = tmp_path / "out"
         stages = [
             ("simulate", "--config", sim, "--seed", 5, "--out", out / "sim"),
@@ -942,7 +946,7 @@ class TestDispatch:
                 "horizon": 8.0,
             },
         )
-        good = fit_config(tmp_path, link={"kind": "exp", "d": np.log(0.5)}, max_atoms=60)
+        good = fit_config(tmp_path, link={"kind": "exp", "d": np.log(0.5)})
         bad = write_json(tmp_path / "bad.json", {"link": {"kind": "linear"}, "penalty": 1.0})
 
         def commands(out):

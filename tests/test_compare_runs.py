@@ -89,3 +89,18 @@ def test_fits_run_the_suite_under_each_source_tree(tmp_path, compare_runs, capsy
     lines = capsys.readouterr().out.splitlines()
     assert lines and all(" differs" in line for line in lines)
     assert any(line.startswith("exp-m1-d0: objective_trace") for line in lines)
+
+
+def test_a_fit_record_holds_the_dictionary_size(compare_runs):
+    # ``fits`` shows a change in dictionary size as a field of its own
+    import numpy as np
+
+    import glppm
+    from glppm.data import DriverChannel, DriverSeries, EventSeries
+
+    times = np.arange(0.5, 8.0, 0.5)
+    drivers = DriverSeries(8.0, (DriverChannel("target", times, np.ones(times.size)),))
+    obj = glppm.Objective(glppm.LinkSpec("exponential", 0.0), 5.0, EventSeries(8.0, times), drivers)
+    res = glppm.fit_descent(glppm.SobolevKernel(1, 8.0), obj)
+    record = compare_runs._fit_record(res)
+    assert record["n_atoms"] == res.diagnostics["n_atoms"] == len(res.g_hat.atoms)

@@ -15,10 +15,8 @@ from glppm.errors import ConfigError, DataError, DomainError
 from glppm.filters import (
     FilterFunction,
     h0_poly,
-    integrated_points,
     integrated_segments,
     kernel_section,
-    section_sum,
 )
 from glppm.kernel import SobolevKernel, _cross_weighted_sum, _family_sums, _prefix_table
 from glppm.likelihood import linear_predictor
@@ -28,11 +26,13 @@ from oracles import (
     fresh_value,
     full_gram,
     h1_gram,
+    integrated_points,
     prefix_sum_reference,
     r1,
     r1_time_integral,
     r_full,
     same_bits,
+    section_sum,
 )
 
 

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from glppm.data import AtRiskProcess, DriverChannel, DriverSeries, EventSeries
 from glppm.errors import ConfigError, DomainError, InfeasibleError
-from glppm.filters import FilterFunction, h0_poly, kernel_section, section_sum
+from glppm.filters import FilterFunction, h0_poly, kernel_section
 from glppm.kernel import SobolevKernel
 from glppm.likelihood import (
     LinkSpec,
@@ -24,7 +24,7 @@ from glppm.likelihood import (
     softplus_link,
 )
 
-from oracles import atom_columns, gradient, hessian_coords, same_bits
+from oracles import atom_columns, gradient, hessian_coords, same_bits, section_sum
 
 
 def small_filter(kernel, rng, n_channels, scale=0.01):

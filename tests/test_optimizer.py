@@ -422,39 +422,16 @@ class TestFitDescent:
             res_cold.diagnostics["grad_norm_scale"], rel=1e-12
         )
 
-    @pytest.mark.parametrize(
-        "link, m, max_atoms",
-        [
-            (exponential_link(), 1, 20),
-            (exponential_link(), 2, 22),
-            (softplus_link(), 1, 17),
-            (softplus_link(), 2, 21),
-        ],
-        ids=["exp-m1", "exp-m2", "softplus-m1", "softplus-m2"],
-    )
-    def test_atom_cap_reported(self, link, m, max_atoms):
-        # each cap stops the fit while its gradient norm is >= 1e-4
-        k, obj = dense_objective(lam=2.0, link=link, m=m)
-        res = fit_descent(k, obj, tol=1e-10, max_iter=60, max_atoms=max_atoms)
-        assert res.reason == "atom_cap"
-        assert res.diagnostics["n_atoms"] <= max_atoms
-        assert res.status == "stalled"
-        assert res.n_iter < 60
-        assert res.grad_norm_trace[-1] == res.grad_norm
-        # the fit reports the norm of the true gradient, with the mass of
-        # the integral atom it had no room for
-        grad = gradient(res.g_hat, obj)
-        assert res.grad_norm == pytest.approx(np.sqrt(grad.inner_product(grad)), rel=1e-6)
-        # and read off a fine grid: sum_{k<m} |D^k g(0)|^2 + int |D^m g|^2
-        u = np.linspace(0.0, 8.0, 80_001)
-        h = u[1] - u[0]
-        v = grad.evaluate(0, u)
-        grid_sq = 0.0
-        for _ in range(m):
-            grid_sq += v[0] ** 2
-            v = np.diff(v) / h
-        grid_sq += np.sum(v**2) * h
-        assert res.grad_norm == pytest.approx(np.sqrt(grid_sq), rel=0.02)
+    def test_max_iter_bounds_the_dictionary(self):
+        # 260 events after one driver jump: a history atom each, so the
+        # initial dictionary holds 262 atoms, and the step budget bounds
+        # the rest, at most d (m + N + max_iter + 2) atoms in all
+        times = np.arange(0.5, 130.5, 0.5)
+        drivers = DriverSeries(131.0, (DriverChannel("z", np.zeros(1), np.ones(1)),))
+        obj = Objective(exponential_link(), 1.0, EventSeries(131.0, times), drivers)
+        res = fit_descent(SobolevKernel(m=1, horizon=131.0), obj, max_iter=2)
+        assert (res.status, res.reason, res.n_iter) == ("max_iter", "max_iter", 2)
+        assert 262 < res.diagnostics["n_atoms"] <= 1 + times.size + 2 + 2
 
     def test_unpenalized_flagged(self):
         k, obj = dense_objective(lam=0.0, link=softplus_link(), m=1)
@@ -725,28 +702,6 @@ class TestBulkDictionary:
             integral_atoms_one_by_one(kernel, obj, steps[2], "r"),
         ):
             assert same_bits(a.h0, b.h0) and same_bits(a.sec_weights, b.sec_weights)
-
-    @pytest.mark.parametrize("quiet", [False, True])
-    def test_max_atoms_is_checked_before_any_column(self, quiet, monkeypatch):
-        kernel, obj = history_objective(1, quiet_channel=quiet)
-        ws = _Workspace(kernel, obj)
-        ws.add_polynomials()
-        ws.add_history_atoms()
-        ws.add_integral_atoms(np.ones(obj.nodes.size))
-        n_init = len(ws)
-
-        def no_columns(*args, **kwargs):
-            raise AssertionError("a predictor column was evaluated")
-
-        monkeypatch.setattr(Objective, "columns", no_columns)
-        # the initial dictionary plus one integral atom per channel is one
-        # more than the cap; the message keeps the dictionary's count
-        cap = n_init + obj.n_channels - 1
-        with pytest.raises(ConfigError, match=rf"max_atoms={cap} .*\({n_init} atoms\)"):
-            fit_descent(kernel, obj, max_atoms=cap)
-        # with room for it the fit goes on to evaluate columns
-        with pytest.raises(AssertionError, match="column"):
-            fit_descent(kernel, obj, max_atoms=n_init + obj.n_channels)
 
 
 class TestColumns:
@@ -1045,11 +1000,10 @@ class TestResumedLadder:
 class TestCoreValue:
     @pytest.mark.parametrize("link", [exponential_link(), softplus_link(), linear_link(0.5)])
     def test_value_is_the_line_at_alpha_zero(self, link):
-        # F at gamma, as ``run`` takes it, is the line's trial at alpha = 0
-        # along delta = 0: feasible, with the bits of the trial at 0 along
-        # any direction, and the library's objective plus, on the linear
-        # link, the hinge term; a zero gamma of either sign is where a -0.0
-        # could part them
+        # F at gamma, as ``run`` traces it, has the bits of the line's trial
+        # at alpha = 0 along delta = 0 and along any direction, and is the
+        # library's objective plus, on the linear link, the hinge term; a
+        # zero gamma of either sign is where a -0.0 could part them
         k, obj = dense_objective(lam=2.0, link=link, m=2)
         if link.kind == "linear":
             fit = fit_linear(k, obj)
@@ -1060,16 +1014,19 @@ class TestCoreValue:
         ws = _Workspace(k, obj)
         for a in fit.g_hat.atoms:
             ws.add(a)
-        core = _Core(ws, 1e-6, 1)
+        # every iterate passes the gradient test, so ``run`` stops where it
+        # starts, with F there as its last traced objective
+        core = _Core(ws, 1e300, 1)
         c = fit.g_hat.coefficients
         delta = np.random.default_rng(3).normal(size=c.size)
         for gamma in (np.zeros(c.size), -np.zeros(c.size), c, 0.9 * c):
+            assert core.run(gamma, psi)[1] == "grad"
+            f0 = core.objective_trace[-1]
             xn, xe = ws.U @ gamma, ws.E @ gamma
             g_gp_g = float(gamma @ (ws.Gp @ gamma))
-            feasible, f0, _ = core.line(psi, gamma, np.zeros(c.size), xn, xe, g_gp_g)(0.0)
-            assert feasible
-            along = core.line(psi, gamma, delta, xn, xe, g_gp_g)(0.0)[1]
-            assert same_bits(np.float64(along), np.float64(f0))
+            for direction in (np.zeros(c.size), delta):
+                feasible, at0, _ = core.line(psi, gamma, direction, xn, xe, g_gp_g)(0.0)
+                assert feasible and same_bits(np.float64(at0), np.float64(f0))
             hinge = psi.value(xn) if link.kind == "linear" else 0.0
             g = FilterFunction(k, 1, tuple(ws.atoms), gamma)
             assert_allclose(f0, objective_value(g, obj) + hinge, rtol=1e-10)

@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from glppm.data import DriverChannel, DriverSeries, EventSeries
-from glppm.filters import FilterFunction, integrated_points
+from glppm.filters import FilterFunction
 from glppm.kernel import SobolevKernel
 from glppm.likelihood import (
     Objective,
@@ -17,7 +17,7 @@ from glppm.likelihood import (
 )
 from glppm.optimizer import _Workspace
 
-from oracles import full_gram, h1_gram
+from oracles import full_gram, h1_gram, integrated_points
 
 
 def representer_basis(kernel, obj):

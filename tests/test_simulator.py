@@ -169,6 +169,23 @@ class TestSimulate:
         with pytest.raises(SolverError):
             simulate(spec, seed=0)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_bound_that_overflows_raises_at_once(self):
+        # the envelope at lag 0 is 1.01 * 800, and exp(808) overflows to
+        # inf: every candidate would land on t = 0, where the intensity is
+        # exp(0), until the candidate budget ran out
+        drivers = DriverSeries(10.0, (DriverChannel("z", np.zeros(1), np.ones(1)),))
+        spec = SimSpec(
+            link=exponential_link(),
+            filters=[lambda u: np.where(u < 1.0, 0.0, 800.0)],
+            horizon=10.0,
+            self_exciting=False,
+            drivers=drivers,
+            max_events=10,
+        )
+        with pytest.raises(SolverError, match=r"bound inf at t=0\.0; the process is explosive"):
+            simulate(spec, seed=0)
+
     def test_supplied_bound_enforced(self):
         # a bound below the true intensity must be reported, not ignored
         spec = SimSpec(

@@ -14,8 +14,9 @@
         runs one suite of library fits under each source tree (a directory
         that holds the ``glppm`` package, such as ``src``), each in a
         subprocess pinned to one BLAS thread, and compares them fit by fit:
-        status, reason, iterations, the objective and gradient-norm traces,
-        the coefficients and the bytes of ``compact().to_dict()``.  The
+        status, reason, iterations, dictionary size
+        (``diagnostics["n_atoms"]``), the objective and gradient-norm
+        traces, the coefficients and the bytes of ``compact().to_dict()``.  The
         suite, at penalty weight 5: cold ``fit_descent`` fits on the
         exponential link (20-event datasets) and the softplus link
         (12-event datasets) at m = 1 and 2, on N = ``--datasets`` datasets
@@ -94,6 +95,7 @@ def _fit_record(res) -> dict:
 
     return {
         "status": res.status, "reason": res.reason, "n_iter": res.n_iter,
+        "n_atoms": res.diagnostics["n_atoms"],
         "objective_trace": b64(res.objective_trace), "grad_norm_trace": b64(res.grad_norm_trace),
         "coefficients": b64(res.g_hat.coefficients),
         "compact": json.dumps(res.g_hat.compact().to_dict(), sort_keys=True),
