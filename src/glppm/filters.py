@@ -26,8 +26,10 @@ per channel over them, and so do the likelihood's predictors and exact
 compensator.  An atom builds the prefix table of each of its kernel sums
 (``kernel._prefix_table``) on first use and keeps it, so evaluating a fixed
 filter again, as the thinning simulator does at every candidate, reads the
-tables instead of summing anew; the simulator also skips the domain check
-(``Atom._value``), as its lags lie in the domain by construction.
+tables instead of summing anew.  ``Atom._bound_value`` binds an atom's
+lags, tables and h0 to the one function that evaluates them
+(``_atom_value``), with no domain check: the simulator binds it once per
+channel, as its lags lie in the domain by construction.
 ``FilterFunction.compact`` rewrites a
 filter as its normal forms in at most 1 + m serializable atoms per channel.
 
@@ -45,14 +47,14 @@ from __future__ import annotations
 import base64
 import json
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
 
 from .data import _as_float_array, _as_number
 from .errors import ConfigError, DataError, DomainError
-from .kernel import SobolevKernel, _cross_weighted_sum, _h0_stack, _prefix_table
+from .kernel import SobolevKernel, _cross_weighted_sum, _family_sums, _h0_stack, _prefix_table
 
 __all__ = [
     "Atom",
@@ -211,20 +213,19 @@ class Atom:
         return self._value(u)
 
     def _value(self, u):
-        """Value at lag(s) u, unchecked.  Only a caller whose lags lie in
-        [0, horizon] by construction calls it directly: the thinning
-        simulator, once per candidate.  The polynomial part is the
-        ``np.dot`` that ``np.tensordot(h0, kernel.h0_basis(u), axes=(0, 0))``
-        makes; at m = 1 that product is h0[0] * phi_1 with phi_1 = 1, which
-        is h0[0] exactly, so it is added as such."""
-        out = self.h1_value(u)
-        if self.m == 1:
-            return out + self.h0[0] if self.h0[0] else out
-        if not self.h0.any():
-            return out
-        u = np.asarray(u, dtype=float)
-        basis = _h0_stack(u, self.m).reshape(self.m, u.size)
-        return out + np.dot(self.h0.reshape(1, self.m), basis).reshape(u.shape)
+        """Value at lag(s) u, unchecked: ``_atom_value`` of this atom's
+        lags, prefix tables and h0.  Only a caller whose lags lie in
+        [0, horizon] by construction skips ``value``'s check."""
+        return self._bound_value()(np.asarray(u, dtype=float))
+
+    def _bound_value(self):
+        """``_value`` on lag arrays as one function of the lags alone:
+        ``_atom_value`` with this atom's lags, prefix tables and h0 bound.
+        The thinning simulator binds it once per channel and calls it at
+        every candidate."""
+        m = self.m
+        seg_table = self._table(m + 1, m) if self.seg_nodes.size else None
+        return partial(_atom_value, self.sec_lags, self._table(m, m), self.seg_nodes, seg_table, self.h0)
 
     def antiderivative(self, kernel: SobolevKernel, x):
         """int_0^x atom(v) dv including the polynomial part, exactly."""
@@ -315,6 +316,27 @@ class Atom:
         return _normal_form_atom(
             kernel, channel, kind, d["part"], *_read_pair(sec, "lags"), *_read_pair(seg, "nodes")
         )
+
+
+def _atom_value(sec_lags, sec_table, seg_nodes, seg_table, h0, u: np.ndarray) -> np.ndarray:
+    """Value at an array of lags u of the atom with these sections,
+    segments and polynomial coefficients h0, unchecked: K[m,m] over the
+    sections and, unless ``seg_table`` is None, K[m+1,m] over the segments,
+    each from its prefix table (``kernel._family_sums``, with the bits of
+    ``_cross_weighted_sum``), plus the polynomial part.  That part is the
+    ``np.dot`` that ``np.tensordot(h0, kernel.h0_basis(u), axes=(0, 0))``
+    makes; at m = 1 that product is h0[0] * phi_1 with phi_1 = 1, which is
+    h0[0] exactly, so it is added as such."""
+    out = _family_sums(sec_table, sec_lags.searchsorted(u, side="right"), u)
+    if seg_table is not None:
+        out = out + _family_sums(seg_table, seg_nodes.searchsorted(u, side="right"), u)
+    m = h0.size
+    if m == 1:
+        return out + h0[0] if h0[0] else out
+    if not h0.any():
+        return out
+    basis = _h0_stack(u, m).reshape(m, u.size)
+    return out + np.dot(h0.reshape(1, m), basis).reshape(u.shape)
 
 
 def _normal_form_atom(kernel, channel, kind, part, sec_lags, sec_weights, seg_nodes, seg_weights) -> Atom:

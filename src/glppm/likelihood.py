@@ -116,10 +116,18 @@ class LinkSpec:
         return -self.d if self.kind == "linear" else -np.inf
 
     def value(self, x):
-        x = np.asarray(x, dtype=float) + self.d
-        if self.family == "linear":
+        """phi(x), elementwise.  A Python float, as the thinning simulator
+        passes twice per candidate, skips ``np.asarray``: it adds d in
+        float arithmetic and goes through the same ufunc, which gives the
+        bits of the array path (``math.exp`` does not on every host)."""
+        if isinstance(x, float):
+            x += self.d
+        else:
+            x = np.asarray(x, dtype=float) + self.d
+        family = _LINK_FAMILIES[self.kind]
+        if family == "linear":
             return x
-        if self.family == "exponential":
+        if family == "exponential":
             return np.exp(x)
         return np.logaddexp(0.0, x)
 

@@ -11,13 +11,17 @@ jump or breakpoint the lags only grow, so the envelope terms only fall.  A
 candidate is drawn at that rate and accepted with probability
 lambda/bound; the bound is recomputed at every step, so it decays with the
 age of the past jumps instead of holding the sup of g for every one of them.
-The next window edge and the at-risk level change only at an edge, and are
-kept until the next one.  Each candidate evaluates the filter once per
-channel at the lags of the past jumps, through ``SimSpec.filter_values``.
-A FilterFunction does so from the prefix tables its normal forms keep
-(``filters``), with no domain check: every lag lies in [0, horizon] by
-construction.  So the per-candidate cost is one search and a multiply-add
-per kernel term, not a rebuild of the kernel sums.
+The next window edge, the at-risk level and each driver's count of jumps
+so far change only at an edge, and are kept until the next one.  Each
+channel's envelope sum keeps its first jump within reach, as candidates
+only move forward, and searches only the grid.  Each candidate reads the
+filter once per channel at the lags of the past jumps, through
+``SimSpec.filter_values``, which calls a function bound once per spec: for
+a FilterFunction, ``Atom._bound_value``, which holds its normal form's
+prefix tables and skips the domain check, as every lag lies in [0, horizon]
+by construction.  The link is read on Python floats.  So a candidate costs
+one grid search, one search of the lags with a multiply-add per kernel
+term, and two link reads.
 
 ``time_rescale`` maps observed events through the fitted compensator; under
 a correct model the rescaled gaps are unit exponentials.  It is the
@@ -111,15 +115,24 @@ class SimSpec:
         """g_channel at an array of lags in [0, horizon].
 
         The envelope grid and every thinning candidate read the filter
-        here.  A FilterFunction is read from its normal form with no domain
-        check (``Atom._value``): candidates lie below the horizon, driver
-        and event times are >= 0, and ``__post_init__`` rejects a kernel
-        whose horizon is shorter than the simulation, so every lag is in
-        the kernel's domain.
+        here, through the function ``_readers`` bound for the channel.
+        """
+        return self._readers[channel](lags)
+
+    @cached_property
+    def _readers(self) -> tuple[Callable, ...]:
+        """One function of a lag array per channel, bound once per spec.
+
+        A FilterFunction is read from its normal form's prefix tables with
+        no domain check (``Atom._bound_value``): candidates lie below the
+        horizon, driver and event times are >= 0, and ``__post_init__``
+        rejects a kernel whose horizon is shorter than the simulation, so
+        every lag is in the kernel's domain.  A callable's values are taken
+        as a float array.
         """
         if isinstance(self.filters, FilterFunction):
-            return self.filters.normal_forms[channel]._value(lags)
-        return np.asarray(self.filters[channel](lags), dtype=float)
+            return tuple(f._bound_value() for f in self.filters.normal_forms)
+        return tuple(lambda lags, f=f: np.asarray(f(lags), dtype=float) for f in self.filters)
 
     @cached_property
     def envelopes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -143,17 +156,30 @@ class SimSpec:
         return grid, env, reach
 
 
-def _envelope_sum(grid, env, reach, times, sizes, t: float) -> float:
-    """sum over jumps sigma <= t of dZ * env(t - sigma), env read at the grid
-    point at or below each lag; ``sizes`` None means unit jumps."""
+def _envelope_sum(grid, env, reach, sizes):
+    """One channel's envelope sum as a function of (times, end, t): the sum
+    over its jumps ``times[:end]``, those at or before t, of
+    dZ * env(t - sigma), env read at the grid point at or below each lag;
+    ``sizes`` None means unit jumps.  t must not decrease from call to
+    call: a jump older than the reach then never comes back into it, so
+    the first jump within reach is kept between calls instead of searched
+    for, and one search of the lags in the grid is left."""
     if env[0] == 0.0:  # a nonincreasing envelope that starts at 0 is 0
-        return 0.0
-    lo = times.searchsorted(t - reach)
-    hi = times.searchsorted(t, side="right")
-    if lo == hi:
-        return 0.0
-    vals = env[grid.searchsorted(t - times[lo:hi], side="right") - 1]
-    return float(vals.sum() if sizes is None else sizes[lo:hi] @ vals)
+        return lambda times, end, t: 0.0
+    shifted = np.concatenate([env[-1:], env])  # shifted[i] is env[i - 1]
+    start = 0
+
+    def envelope_sum(times, end: int, t: float) -> float:
+        nonlocal start
+        cut = t - reach
+        while start < end and times[start] < cut:
+            start += 1
+        if start == end:
+            return 0.0
+        vals = shifted.take(grid.searchsorted(t - times[start:end], side="right"))
+        return float(np.add.reduce(vals) if sizes is None else sizes[start:end] @ vals)
+
+    return envelope_sum
 
 
 def simulate(spec: SimSpec, seed=None) -> tuple[EventSeries, DriverSeries]:
@@ -163,10 +189,13 @@ def simulate(spec: SimSpec, seed=None) -> tuple[EventSeries, DriverSeries]:
     events, or where the thinning bound is not finite."""
     rng = np.random.default_rng(seed)
     horizon = spec.horizon
-    if spec.bound is None:
-        grid, env, reach = spec.envelopes
     exo = list(spec.drivers.channels) if spec.drivers else []
     self_ch = spec.n_channels - 1 if spec.self_exciting else None
+    if spec.bound is None:
+        grid, env, reach = spec.envelopes
+        env_sums = [_envelope_sum(grid, env[j], reach[j], ch.sizes) for j, ch in enumerate(exo)]
+        if self_ch is not None:
+            env_sums.append(_envelope_sum(grid, env[self_ch], reach[self_ch], None))
 
     edges = _partition(horizon, spec.at_risk.breakpoints, *(ch.times for ch in exo))
 
@@ -182,23 +211,25 @@ def simulate(spec: SimSpec, seed=None) -> tuple[EventSeries, DriverSeries]:
             if n:
                 x += float(ch.sizes[:n] @ spec.filter_values(j, s - ch.times[:n]))
         if self_ch is not None and n_events:
-            x += float(spec.filter_values(self_ch, s - events[:n_events]).sum())
+            x += float(np.add.reduce(spec.filter_values(self_ch, s - events[:n_events])))
         return x
 
     def x_bound(t: float) -> float:
         x = 0.0
         for j, ch in enumerate(exo):
-            x += _envelope_sum(grid, env[j], reach[j], ch.times, ch.sizes, t)
+            x += env_sums[j](ch.times, ends[j], t)
         if self_ch is not None:
-            x += _envelope_sum(grid, env[self_ch], reach[self_ch], events[:n_events], None, t)
+            x += env_sums[self_ch](events, n_events, t)
         return x
 
     nxt = cur
     while cur < horizon:
         if cur == nxt:
-            # at a window edge: the next edge, and the at-risk level up to it
+            # at a window edge: the next edge, the at-risk level up to it,
+            # and how many of each driver's jumps lie at or before it
             nxt = float(edges[edges.searchsorted(cur, side="right")])  # edges[-1] is horizon
             y_val = float(spec.at_risk.at(0.5 * (cur + nxt)))
+            ends = [int(ch.times.searchsorted(cur, side="right")) for ch in exo]
         if y_val == 0.0:
             cur = nxt
             continue

@@ -20,6 +20,10 @@ damped Newton direction by a climb from the bottom of the damping ladder,
 the reference for ``_Core.direction``'s resumed search, and
 ``sorted_normal_forms`` merges every section of a filter in one stable
 sort, the reference for ``FilterFunction.normal_forms``.
+``thinning_reference`` runs the thinning loop with every candidate's
+envelope sum, filter read (``unchecked_value``, through
+``_cross_weighted_sum``) and link read done afresh, the reference for
+``simulate``'s kept positions and bound tables, and counts its filter reads.
 """
 
 from math import factorial
@@ -27,19 +31,21 @@ from math import factorial
 import numpy as np
 import scipy.linalg
 
-from glppm import optimizer
+from glppm import optimizer, simulator
 from glppm.errors import DomainError, InfeasibleError, SolverError
 from glppm.filters import FilterFunction, _flatten, _merge_sorted, _normal_form_atom, h1_inner_row
-from glppm.kernel import SobolevKernel, _branch_coeffs, _cross_weighted_sum
+from glppm.kernel import SobolevKernel, _branch_coeffs, _cross_weighted_sum, _h0_stack
 from glppm.likelihood import (
     Objective,
     _check_domain,
     _event_phi,
+    _partition,
     build_f_atoms,
     build_h_atoms,
     objective_value,
 )
 from glppm.optimizer import _solve_spd, _weak_wolfe_search
+from glppm.simulator import SimSpec
 
 
 def cross_eval(p: int, q: int, x, y):
@@ -420,3 +426,118 @@ def sorted_normal_forms(g: FilterFunction):
             h0,
         ))
     return forms
+
+
+def unchecked_value(form, u):
+    """A normal form's value at lags u, unchecked, as ``Atom._value`` gave it
+    before its arithmetic moved into ``filters._atom_value``: ``h1_value``
+    through ``_cross_weighted_sum``, then the polynomial part."""
+    out = form.h1_value(u)
+    if form.m == 1:
+        return out + form.h0[0] if form.h0[0] else out
+    if not form.h0.any():
+        return out
+    u = np.asarray(u, dtype=float)
+    basis = _h0_stack(u, form.m).reshape(form.m, u.size)
+    return out + np.dot(form.h0.reshape(1, form.m), basis).reshape(u.shape)
+
+
+def thinning_reference(spec: SimSpec, seed):
+    """The thinning loop of ``simulate`` with every candidate read afresh:
+    the envelope sum searches the grid, the start and the end of the jumps
+    in reach anew at each call, the link is read on arrays, and the filter
+    through ``unchecked_value`` (a FilterFunction) or ``np.asarray`` of the
+    callable.  Returns the event times and the number of filter reads,
+    the envelope grid's included: the ``SimSpec.filter_values`` calls of a
+    ``simulate`` on a spec whose envelope is not built yet."""
+    calls = 0
+
+    def filter_values(channel, lags):
+        nonlocal calls
+        calls += 1
+        if isinstance(spec.filters, FilterFunction):
+            return unchecked_value(spec.filters.normal_forms[channel], lags)
+        return np.asarray(spec.filters[channel](lags), dtype=float)
+
+    def link_value(x):
+        return float(spec.link.value(np.asarray(x)))
+
+    def envelope_sum(grid, env, reach, times, sizes, t):
+        if env[0] == 0.0:
+            return 0.0
+        lo = times.searchsorted(t - reach)
+        hi = times.searchsorted(t, side="right")
+        if lo == hi:
+            return 0.0
+        vals = env[grid.searchsorted(t - times[lo:hi], side="right") - 1]
+        return float(vals.sum() if sizes is None else sizes[lo:hi] @ vals)
+
+    rng = np.random.default_rng(seed)
+    horizon = spec.horizon
+    if spec.bound is None:
+        grid = np.linspace(0.0, horizon, simulator._BOUND_GRID)
+        env = np.empty((spec.n_channels, grid.size))
+        reach = np.full(spec.n_channels, np.inf)
+        for ch in range(spec.n_channels):
+            vals = np.maximum(filter_values(ch, grid), 0.0)
+            env[ch] = np.maximum.accumulate(vals[::-1])[::-1] * simulator._BOUND_MARGIN
+            if env[ch, -1] == 0.0:
+                reach[ch] = grid[int(np.argmin(env[ch] > 0.0))]
+    exo = list(spec.drivers.channels) if spec.drivers else []
+    self_ch = spec.n_channels - 1 if spec.self_exciting else None
+    edges = _partition(horizon, spec.at_risk.breakpoints, *(ch.times for ch in exo))
+    events = []
+    cur = 0.0
+    candidate_budget = 50 * spec.max_events + 1_000_000
+
+    def predictor(s):
+        x = 0.0
+        for j, ch in enumerate(exo):
+            n = int(ch.times.searchsorted(s))
+            if n:
+                x += float(ch.sizes[:n] @ filter_values(j, s - ch.times[:n]))
+        if self_ch is not None and events:
+            x += float(filter_values(self_ch, s - np.array(events)).sum())
+        return x
+
+    def x_bound(t):
+        x = 0.0
+        for j, ch in enumerate(exo):
+            x += envelope_sum(grid, env[j], reach[j], ch.times, ch.sizes, t)
+        if self_ch is not None:
+            x += envelope_sum(grid, env[self_ch], reach[self_ch], np.array(events), None, t)
+        return x
+
+    nxt = cur
+    while cur < horizon:
+        if cur == nxt:
+            nxt = float(edges[edges.searchsorted(cur, side="right")])
+            y_val = float(spec.at_risk.at(0.5 * (cur + nxt)))
+        if y_val == 0.0:
+            cur = nxt
+            continue
+        if spec.bound is not None:
+            bound = spec.bound
+        else:
+            bound = y_val * link_value(x_bound(cur))
+            if not np.isfinite(bound):
+                raise SolverError(f"thinning bound {bound} at t={cur}")
+        if bound <= 0.0:
+            cur = nxt
+            continue
+        candidate_budget -= 1
+        if candidate_budget < 0:
+            raise SolverError("thinning candidate budget exhausted")
+        cand = cur + rng.exponential(1.0 / bound)
+        if cand >= nxt:
+            cur = nxt
+            continue
+        lam = y_val * link_value(predictor(cand))
+        if lam > bound * (1.0 + 1e-9):
+            raise SolverError(f"thinning bound {bound} exceeded by intensity {lam} at t={cand}")
+        if lam > 0.0 and rng.uniform() * bound <= lam:
+            if len(events) == spec.max_events:
+                raise SolverError(f"simulation exceeded max_events={spec.max_events}")
+            events.append(cand)
+        cur = cand
+    return np.array(events, dtype=float), calls

@@ -122,6 +122,20 @@ class TestLinkSpec:
         assert_allclose(link.deriv(x), sig, rtol=1e-14)
         assert_allclose(link.deriv2(x), sig * (1.0 - sig), rtol=1e-13)
 
+    @pytest.mark.parametrize("kind, d", [("linear", 0.5), ("exp", math.log(0.5)), ("softplus", -0.5)])
+    def test_value_on_a_float_has_the_bits_of_the_array_path(self, kind, d):
+        # the simulator reads the link on Python floats; math.exp in place
+        # of np.exp differs in the last bit on part of these draws on some
+        # hosts (AVX-512), and exp overflows to inf beyond about 709
+        rng = np.random.default_rng(5)
+        x = np.concatenate([rng.normal(0.0, 3.0, 100_000), rng.uniform(-800.0, 800.0, 100_000)])
+        special = [0.0, -0.0, math.inf, -math.inf, math.nan]
+        for link, xs in ((LinkSpec(kind, d), x.tolist() + special), (LinkSpec(kind), special)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = [link.value(v) for v in xs]
+                want = [link.value(np.array([v]))[0] for v in xs]
+            assert same_bits(np.array(got, dtype=float), np.array(want)), link
+
     @pytest.mark.parametrize("kind", ["linear", "exponential", "exp", "softplus"])
     @pytest.mark.parametrize("d", [math.nan, math.inf, -math.inf])
     def test_non_finite_offset_rejected(self, kind, d):

@@ -9,10 +9,11 @@ from glppm.data import AtRiskProcess, DriverChannel, DriverSeries, EventSeries
 from glppm.errors import ConfigError, SolverError
 from glppm.filters import FilterFunction, h0_poly, kernel_section
 from glppm.kernel import SobolevKernel
-from glppm.likelihood import exponential_link, linear_link
+from glppm.likelihood import Objective, exponential_link, linear_link, softplus_link
+from glppm.optimizer import fit_descent
 from glppm.simulator import SimSpec, simulate, time_rescale
 
-from oracles import fresh_value, r1, same_bits
+from oracles import fresh_value, r1, same_bits, thinning_reference
 
 
 class TestSpecValidation:
@@ -355,6 +356,83 @@ class TestFilterSpec:
         assert len(grid) == 3 and len(ev) > 20
         assert len(values) - len(grid) >= 3 * len(ev) - 1
         assert len(checks) <= 3
+
+
+def hat(k: SobolevKernel, channel: int, height: float):
+    """Atoms and coefficients of height * max(0, 1 - u) at m = 1."""
+    return [h0_poly(k, channel, 1), kernel_section(k, channel, 1.0)], [height, -height]
+
+
+def reference_spec(case: str) -> SimSpec:
+    """A spec that exercises one branch of the thinning loop."""
+    k = SobolevKernel(m=1, horizon=60.0)
+    atoms, coeffs = hat(k, 0, 0.5)
+    self_hat = FilterFunction(k, 1, tuple(atoms), np.array(coeffs))
+    if case in ("linear", "exp", "softplus"):
+        link = {"linear": linear_link(0.5), "exp": exponential_link(np.log(0.5)),
+                "softplus": softplus_link(-0.5)}[case]
+        return SimSpec(link=link, filters=self_hat, horizon=60.0)
+    if case == "driver":
+        z = DriverChannel("z", np.array([3.0, 11.0, 12.5, 30.0]), np.array([1.0, 2.0, 0.5, 1.5]))
+        a0, c0 = hat(k, 0, 0.8)
+        a1, c1 = hat(k, 1, 0.4)
+        g = FilterFunction(k, 2, tuple(a0 + a1), np.array(c0 + c1))
+        return SimSpec(
+            link=linear_link(0.5), filters=g, horizon=60.0, drivers=DriverSeries(60.0, (z,))
+        )
+    if case == "at_risk":
+        return SimSpec(
+            link=linear_link(0.5), filters=self_hat, horizon=60.0,
+            at_risk=AtRiskProcess([15.0, 20.0], [1.0, 0.0, 1.0]),
+        )
+    if case == "bound":
+        return SimSpec(link=linear_link(0.5), filters=self_hat, horizon=60.0, bound=3.0)
+    if case == "callables":
+        z = DriverChannel("z", np.array([2.0, 9.0]), np.array([1.0, 2.0]))
+        return SimSpec(
+            link=linear_link(0.3),
+            filters=[lambda u: np.exp(-u), lambda u: 0.4 * np.exp(-2.0 * u)],
+            horizon=60.0,
+            drivers=DriverSeries(60.0, (z,)),
+        )
+    if case == "m2":
+        # 0.5 ((1 - u)+)^3 = 0.5 phi_1 - 1.5 phi_2 + 3 R1(1, .) at m = 2
+        k2 = SobolevKernel(m=2, horizon=60.0)
+        atoms = (h0_poly(k2, 0, 1), h0_poly(k2, 0, 2), kernel_section(k2, 0, 1.0))
+        g = FilterFunction(k2, 1, atoms, np.array([0.5, -1.5, 3.0]))
+        return SimSpec(link=linear_link(0.5), filters=g, horizon=60.0)
+    assert case == "fitted", case
+    # an exp-link filter fitted by fit_descent to the exp-link hat process;
+    # on a longer window the fit rises towards its end, and the envelope,
+    # which holds g's sup over the later lags, makes thinning slow
+    link = exponential_link(np.log(0.5))
+    k = SobolevKernel(m=1, horizon=30.0)
+    atoms, coeffs = hat(k, 0, 0.5)
+    g = FilterFunction(k, 1, tuple(atoms), np.array(coeffs))
+    events, drivers = simulate(SimSpec(link=link, filters=g, horizon=30.0), seed=4)
+    res = fit_descent(k, Objective(link, 5.0, events, drivers))
+    assert res.converged and len(res.g_hat.atoms) > 10
+    return SimSpec(link=link, filters=res.g_hat, horizon=30.0)
+
+
+class TestThinningReference:
+    @pytest.mark.parametrize(
+        "case",
+        ["linear", "exp", "softplus", "driver", "at_risk", "bound", "callables", "m2", "fitted"],
+    )
+    def test_draws_the_reference_events(self, case):
+        # simulate keeps its envelope positions, binds the filter's prefix
+        # tables once per spec and reads the link on floats; the reference
+        # searches, evaluates and converts anew at every candidate, and must
+        # draw the same events, bit for bit
+        spec = reference_spec(case)
+        total = 0
+        for seed in range(3):
+            ev, _ = simulate(spec, seed=seed)
+            want, _ = thinning_reference(spec, seed)
+            assert same_bits(ev.times, want), (case, seed)
+            total += len(want)
+        assert total > 30
 
 
 class TestThinningLaw:
