@@ -16,9 +16,10 @@ written compactly.
 
 Every run writes ``run_manifest.json`` into the output directory with the
 command name, resolved input paths and their content hashes, the embedded
-configuration, the seed, the tool version, the wall time and the BLAS
-thread variables the process saw (``thread_env``), which is enough to
-reproduce the outputs exactly.
+configuration, the seed, the tool version, the wall time, the BLAS
+thread variables the process saw (``thread_env``), and the numpy and scipy
+versions with the name and version of the BLAS numpy was built against
+(``numeric_env``), which is enough to reproduce the outputs exactly.
 
 Exit codes: 0 success; 2 a usage error (argparse's, such as a negative
 ``--grid``), bad configuration, a missing or unreadable config or dataset
@@ -52,6 +53,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 from scipy.special import expm1
 
 from . import __version__, data, optimizer, simulator
@@ -180,6 +182,7 @@ def _load_filter_bundle(path):
 
 
 def _write_run_manifest(args, command: str, config_obj, seed=None) -> None:
+    blas = {key: np.__config__.CONFIG["Build Dependencies"]["blas"].get(key) for key in ("name", "version")}
     inputs = {}
     for name in ("data", "config"):
         p = getattr(args, name, None)
@@ -193,6 +196,7 @@ def _write_run_manifest(args, command: str, config_obj, seed=None) -> None:
         "seed": seed,
         "output_dir": str(Path(args.out).resolve()),
         "thread_env": {var: os.environ.get(var) for var in _THREAD_VARS},
+        "numeric_env": {"numpy": np.__version__, "scipy": scipy.__version__, "blas": blas},
         "wall_time_s": time.perf_counter() - args.t0,
     }
     _write_json(Path(args.out) / "run_manifest.json", payload)
@@ -456,6 +460,7 @@ def cmd_basis(args) -> int:
             "compensator": [obj.comp_row(kernel, a) for a in ws.atoms],
             "gram": ws.G.tolist(),
             "gram_penalty": ws.Gp.tolist(),
+            # all false: the basis leaves out every atom that is the zero function
             "zero_mask": [a.is_zero for a in ws.atoms],
         },
     )

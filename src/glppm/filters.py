@@ -168,11 +168,9 @@ class Atom:
 
     @property
     def is_zero(self) -> bool:
-        return (
-            self.sec_lags.size == 0
-            and self.seg_nodes.size == 0
-            and not np.any(self.h0)
-        )
+        """True when the atom is the zero function: no section, segment or
+        polynomial weight is nonzero."""
+        return not (self.sec_weights.any() or self.seg_weights.any() or self.h0.any())
 
     # -- H1 algebra ----------------------------------------------------------
 

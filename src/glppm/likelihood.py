@@ -382,55 +382,53 @@ class Objective:
 
     # -- predictor columns ---------------------------------------------------
 
-    def columns(self, kernel: SobolevKernel, atoms):
-        """(X, X1): the predictors of a block of atoms at the quadrature
-        nodes, then the events (strict left limits), one column per atom,
-        and their H1 parts.  Per channel, the block's sections and its
-        segments each form one prefix table with a row per atom (K[m,m],
-        K[m+1,m]), and each pair lag is searched once; a block of one atom
-        reads its own tables.
-        ``_family_sums`` gives the values in chunks of ``_HISTORY_BLOCK``
-        entries, the polynomial parts follow per atom and half, and one
-        ``bincount`` sums each (point, atom) bin in pair order: the bits of
+    def columns(self, kernel: SobolevKernel, atoms) -> np.ndarray:
+        """The predictors of a block of atoms at the quadrature nodes, then
+        the events (strict left limits), one column per atom.  Per channel,
+        the block's sections and its segments each form one prefix table
+        with a row per atom (K[m,m], K[m+1,m]), and each pair lag is searched
+        once; a block of one atom reads its own tables.
+        ``_family_sums`` gives the smooth parts in chunks of
+        ``_HISTORY_BLOCK`` entries, an atom with polynomial content (a
+        polynomial or a normal form) adds it per half, and one ``bincount``
+        per chunk sums each (point, atom) bin in pair order: the bits of
         ``atom.value`` at the pair lags times the jump sizes."""
         self._check_kernel(kernel)
         m, n_pts = kernel.m, self.nodes.size + len(self.events)
-        xt, x1t = np.empty((len(atoms), n_pts)), np.empty((len(atoms), n_pts))
+        xt = np.empty((len(atoms), n_pts))
         for ch in sorted({a.channel for a in atoms}):
             cols = [c for c, a in enumerate(atoms) if a.channel == ch]
             point, lags, dz = self._pairs[ch]
             n_node, phi = self._node_pairs[ch][2].size, None
-            for start, h1 in _smooth_values(m, [atoms[c] for c in cols], lags):
-                chunk = cols[start : start + len(h1)]
+            for start, vals in _smooth_values(m, [atoms[c] for c in cols], lags):
+                chunk = cols[start : start + len(vals)]
+                for i, c in enumerate(chunk):
+                    h0 = atoms[c].h0[None, :]
+                    if h0.any():
+                        phi = phi or (_h0_stack(lags[:n_node], m), _h0_stack(lags[n_node:], m))
+                        vals[i, :n_node] += np.dot(h0, phi[0])[0]
+                        vals[i, n_node:] += np.dot(h0, phi[1])[0]
                 rows = slice(chunk[0], chunk[-1] + 1) if len(cols) == len(atoms) else chunk
                 bins = point if len(chunk) == 1 else (point + n_pts * np.arange(len(chunk))[:, None])
-                size, scaled = n_pts * len(chunk), np.multiply(h1, dz)
-                xt[rows] = x1t[rows] = np.bincount(bins.ravel(), scaled.ravel(), size).reshape(-1, n_pts)
-                poly = [(i, atoms[c].h0[None, :]) for i, c in enumerate(chunk) if atoms[c].h0.any()]
-                if poly:
-                    phi = phi or (_h0_stack(lags[:n_node], m), _h0_stack(lags[n_node:], m))
-                    for i, h0 in poly:
-                        h1[i, :n_node] += np.dot(h0, phi[0])[0]
-                        h1[i, n_node:] += np.dot(h0, phi[1])[0]
-                    np.multiply(h1, dz, out=scaled)
-                    xt[rows] = np.bincount(bins.ravel(), scaled.ravel(), size).reshape(-1, n_pts)
-        return xt.T, x1t.T
+                size, scaled = n_pts * len(chunk), np.multiply(vals, dz)
+                xt[rows] = np.bincount(bins.ravel(), scaled.ravel(), size).reshape(-1, n_pts)
+        return xt.T
 
     def integral_column(self, atom: Atom) -> np.ndarray:
         """``columns`` of a nonzero part "r1" integral atom of node weights
-        alone, whose X and X1 agree, as a (points, 1) array: its sections are
-        the merged node lags, so each search position is read from the index."""
+        alone, as a (points, 1) array: its sections are the merged node
+        lags, so each search position is read from the index."""
         point, lags, dz = self._pairs[atom.channel]
         h1 = _family_sums(atom._table(atom.m, atom.m), self.node_lag_index(atom.channel).pos, lags)
         return np.bincount(point, h1 * dz, self.nodes.size + len(self.events)).reshape(-1, 1)
 
     def node_column(self, kernel: SobolevKernel, atom: Atom) -> np.ndarray:
         """Predictor of the atom at all quadrature nodes."""
-        return self.columns(kernel, [atom])[0][: self.nodes.size, 0]
+        return self.columns(kernel, [atom])[: self.nodes.size, 0]
 
     def event_column(self, kernel: SobolevKernel, atom: Atom) -> np.ndarray:
         """Predictor of the atom at all event times (strict left limits)."""
-        return self.columns(kernel, [atom])[0][self.nodes.size :, 0]
+        return self.columns(kernel, [atom])[self.nodes.size :, 0]
 
     def comp_row(self, kernel: SobolevKernel, atom: Atom) -> float:
         """Exact int_0^t Y_s X_s-(atom) ds via atom antiderivatives."""
@@ -447,7 +445,7 @@ class Objective:
         limits): one ``columns`` call over the normal forms, whose columns
         are summed in channel order."""
         _check_channels(g, self.drivers)
-        x = self.columns(g.kernel, g.normal_forms)[0]
+        x = self.columns(g.kernel, g.normal_forms)
         x = sum(x[:, ch] for ch in range(g.n_channels))
         return x[: self.nodes.size], x[self.nodes.size :]
 

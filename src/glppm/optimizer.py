@@ -18,8 +18,12 @@ events, and Gp the dictionary's H1 Gram.  Only psi, r and the atoms differ:
   and one atom per forced node.
 
 The gradient of F is a sum of data atoms: -phi'/phi(X) times an event's
-history atom, the integral atom, and psi' times a node's atom.  The
-workspace records each atom's role as it appends it; the core reads them.
+history atom, the integral atom, and psi' times a node's atom.  Both
+fitters build their dictionary from two kinds of atom: each channel's
+polynomials phi_1..phi_m, and H1 (part "r1") atoms.  A data atom is the H1
+part of its gradient atom and declares the functional it represents; its
+polynomial part goes on the phi coefficients.  The workspace records each
+atom's role as it appends it; the core reads them.
 
 The core (``_Core.run``) forms the coordinate gradient and Hessian of F,
 takes a direction that passes the angle test cos(direction, -gradient) >=
@@ -165,38 +169,33 @@ def _solve_spd(H: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
 class _Workspace:
     """Growing dictionary with cached predictor columns and Gram matrices.
 
-    ``U`` and ``E`` hold each atom's predictor at the quadrature nodes and at
-    the events, ``G`` and ``Gp`` its full and H1 inner products with every
-    atom, all in buffers that double in capacity as the dictionary grows.
-    ``comp`` holds the exact compensator row of each atom on the linear link,
-    the only one whose compensator is linear in the coefficients; on the
-    other links it is None.
+    The dictionary holds each channel's polynomials phi_1..phi_m and H1
+    (part "r1") atoms, none of them the zero function.  ``U`` and ``E`` hold
+    each atom's predictor at the quadrature nodes and at the events, ``G``
+    and ``Gp`` its full and H1 inner products with every atom, all in
+    buffers that double in capacity as the dictionary grows.  ``comp``
+    holds the exact compensator row of each atom on the linear link, the
+    only one whose compensator is linear in the coefficients; on the other
+    links it is None.
 
     Each atom also records its ``role`` in the gradient of F: ``HISTORY`` of
     event ``datum``, ``INTEGRAL``, ``NODE`` of quadrature node ``datum``, or
     ``FREE`` (polynomials, warm starts); and, as ``completion``, the
-    polynomial content ``Atom.sections_h0`` that a part "r1" atom lacks
-    against its full-kernel version, zero for the other parts.
+    polynomial content ``Atom.sections_h0`` that an H1 atom lacks against
+    its full-kernel version, at its channel's phi columns.
 
-    An atom added by ``add_history_atoms`` or ``add_integral_atoms`` is the
-    Riesz representer of a data functional on the H1 parts of predictor
-    columns: the history atom of event i and channel j represents the
-    predictor at event i, and the integral atom of node weights w
-    represents sum_q w_q X(s_q).  For any atom a on channel j, then,
+    The history atom of event i (``add_history_atoms``) represents the
+    predictor at event i on its channel, and the integral atom of node
+    weights w (``add_integral_atoms``, and ``add_node_atoms`` with one-hot
+    weights) represents sum_q w_q X(s_q): for any H1 atom a there,
 
-        <P a, P eta_i> = E1(a)_i,    <P a, P f_w> = w . U1(a),
+        <a, eta_i> = E(a)_i,    <a, f_w> = w . U(a).
 
-    where U1 and E1 are the H1 parts of a's columns.  Atoms join in blocks:
-    one ``Objective.columns`` call gives a block's U, E, U1 and E1, and
+    Atoms join in blocks: one ``Objective.columns`` call gives a block's U
+    and E (``Objective.integral_column`` an integral atom's), and
     ``_append`` its Gram entries, which against represented atoms are
-    products of functionals with columns.  ``add`` and ``add_node_atoms``
-    append blocks of one, ``add_history_atoms`` and ``add_representers``
-    each kind of data atom as one block, and ``add_integral_atoms`` each
-    integral atom as a block of one whose column is
-    ``Objective.integral_column``.  Every column and Gram entry has the bits
-    of appending the atoms one at a time.  Only pairs of atoms that
-    represent no functional (polynomials, warm starts, node atoms, the
-    representer basis of ``add_representers``) take ``h1_inner_row``.
+    products of functionals with columns.  Every column and Gram entry has
+    the bits of appending the atoms one at a time.
     """
 
     def __init__(self, kernel: SobolevKernel, obj: Objective):
@@ -211,23 +210,22 @@ class _Workspace:
 
     def _reserve(self, cap: int) -> None:
         """Buffers for ``cap`` atoms, keeping the rows and columns in use:
-        predictor columns X (nodes, then events) and their H1 parts X1, the
-        functional weights F over the same points of the atoms that
-        represent one, in column order, and the per-atom attributes."""
+        predictor columns X (nodes, then events), the functional weights F
+        over the same points of the atoms that represent one, in column
+        order, and the per-atom attributes."""
         n, p, m = len(self.atoms), self._n_points, self.kernel.m
         old = getattr(self, "_buf", None)
         buf = {
-            "X": np.zeros((p, cap)), "X1": np.zeros((p, cap)), "F": np.zeros((cap, p)),
-            "G": np.zeros((cap, cap)), "Gp": np.zeros((cap, cap)),
-            "h0": np.zeros((cap, m)), "completion": np.zeros((cap, m)), "comp": np.zeros(cap),
+            "X": np.zeros((p, cap)), "F": np.zeros((cap, p)),
+            "G": np.zeros((cap, cap)), "Gp": np.zeros((cap, cap)), "h0": np.zeros((cap, m)),
+            "completion": np.zeros((cap, self.obj.n_channels * m)), "comp": np.zeros(cap),
             "channel": np.zeros(cap, dtype=int), "non_poly": np.zeros(cap, dtype=bool),
             "rep": np.zeros(cap, dtype=bool), "role": np.zeros(cap, dtype=int),
             "datum": np.zeros(cap, dtype=int),
         }
         if old is not None:
             for key, arr in buf.items():
-                kept = (np.s_[:, :n] if key in ("X", "X1")
-                        else np.s_[:n, :n] if key in ("G", "Gp") else np.s_[:n])
+                kept = np.s_[:, :n] if key == "X" else np.s_[:n, :n] if key in ("G", "Gp") else np.s_[:n]
                 arr[kept] = old[key][kept]
         self._buf = buf
 
@@ -240,18 +238,8 @@ class _Workspace:
         self.U, self.E = b["X"][:q, :n], b["X"][q:, :n]
         self.G, self.Gp = b["G"][:n, :n], b["Gp"][:n, :n]
         self.comp = b["comp"][:n] if self.obj.link.kind == "linear" else None
-        self.h0_mat, self.channel, self.non_poly = b["h0"][:n], b["channel"][:n], b["non_poly"][:n]
+        self.non_poly = b["non_poly"][:n]
         self.role, self.datum, self.completion = b["role"][:n], b["datum"][:n], b["completion"][:n]
-        self._rows = None  # ``channel_rows`` builds them on its next call
-
-    def channel_rows(self) -> list[tuple]:
-        """Per channel, its non-polynomial columns with their completion and
-        h0 rows, built once per dictionary size."""
-        if self._rows is None:
-            chs = range(self.obj.n_channels)
-            cols = [np.flatnonzero(self.non_poly & (self.channel == ch)) for ch in chs]
-            self._rows = [(idx, self.completion[idx], self.h0_mat[idx]) for idx in cols]
-        return self._rows
 
     def add_polynomials(self) -> None:
         """Append phi_1..phi_m of every channel, channel-major, where
@@ -266,86 +254,82 @@ class _Workspace:
         spanned by
 
         * the m polynomials phi_1..phi_m (``add_polynomials``),
-        * one history atom per event:
+        * one history atom per event with an earlier jump there
+          (``add_history_atoms``):
           h_i(u) = sum_{sigma < tau_i} dZ R1(tau_i - sigma, u),
-        * one integral atom:
+        * one exact integral atom:
           f(u) = int_0^t Y_s sum_{sigma < s} dZ R1(s - sigma, u) ds,
 
-        d(m + N + 1) atoms in all for N events, in that order: polynomials
-        channel-major, then history atoms event-major with the channels
-        side by side, then one integral atom per channel.  The h and f atoms
-        are the smooth parts of the event and compensator design
-        functionals.  An event with no strictly earlier jump on a channel
-        gives an identically zero atom, which is kept in place so that the
-        indexing stays uniform; it has no row in any Gram, but keeps its
-        role.  Returns the columns of the history atoms and of the integral
-        atoms, each kind appended as one block."""
+        in that order: polynomials channel-major, then history atoms
+        event-major with the channels side by side, then the integral atoms.
+        The h and f atoms are the smooth parts of the event and compensator
+        design functionals; one that is the zero function is left out.
+        Returns the columns of the history atoms and of the integral atoms,
+        each kind appended as one block."""
         self.add_polynomials()
-        h_atoms = build_h_atoms(self.kernel, self.obj, part="r1")
-        n0, n1 = len(self), len(self) + len(h_atoms)
-        events = np.arange(len(h_atoms)) // self.obj.n_channels
-        self._append(h_atoms, *self.obj.columns(self.kernel, h_atoms), role=HISTORY, datum=events)
-        f_atoms = build_f_atoms(self.kernel, self.obj, part="r1")
-        self._append(f_atoms, *self.obj.columns(self.kernel, f_atoms), role=INTEGRAL)
+        n0 = len(self)
+        self.add_history_atoms()
+        n1 = len(self)
+        f_atoms = [a for a in build_f_atoms(self.kernel, self.obj, part="r1") if not a.is_zero]
+        self._append(f_atoms, self.obj.columns(self.kernel, f_atoms), role=INTEGRAL)
         return slice(n0, n1), slice(n1, len(self))
 
     def add_history_atoms(self) -> None:
-        """Append the full-kernel history atom of every (event, channel)
-        with earlier jumps, each representing its event's predictor, as one
-        block."""
-        atoms = build_h_atoms(self.kernel, self.obj, part="r")
+        """Append the H1 history atom of every (event, channel) with a
+        nonzero earlier jump, each representing its event's predictor, as
+        one block."""
+        atoms = build_h_atoms(self.kernel, self.obj, part="r1")
         keep = [pos for pos, atom in enumerate(atoms) if not atom.is_zero]
         block = [atoms[pos] for pos in keep]
         events = np.array(keep, dtype=int) // self.obj.n_channels
         functionals = np.zeros((len(block), self._n_points))
         functionals[np.arange(len(block)), self._n_nodes + events] = 1.0
-        self._append(block, *self.obj.columns(self.kernel, block), functionals, HISTORY, events)
+        self._append(block, self.obj.columns(self.kernel, block), functionals, HISTORY, events)
 
-    def add_integral_atoms(self, link_weights: np.ndarray) -> None:
-        """Append the nonzero smooth-part integral atoms of these node
-        weights, each representing sum_q w_q X(s_q) on its channel."""
+    def add_integral_atoms(self, link_weights: np.ndarray, role: int = INTEGRAL, datum: int = 0) -> None:
+        """Append the nonzero H1 integral atoms of these node weights, each
+        representing sum_q w_q X(s_q) on its channel."""
         functional = np.zeros((1, self._n_points))
         functional[0, : self._n_nodes] = link_weights
         for atom in build_f_atoms(self.kernel, self.obj, part="r1", link_weights=link_weights):
             if not atom.is_zero:
-                x = self.obj.integral_column(atom)
-                self._append([atom], x, x, functional, INTEGRAL)
+                self._append([atom], self.obj.integral_column(atom), functional, role, datum)
 
     def add_node_atoms(self, nodes) -> None:
-        """Append, node by node, the full-kernel integral atoms of each
-        node's one-hot weights: on each channel, the representer of the
-        predictor at that quadrature node, skipped when no jump precedes the
-        node there and so all its section weights are zero."""
-        onehot = np.zeros(self._n_nodes)
+        """Append, node by node, the integral atoms of each node's one-hot
+        weights: on each channel, the representer of the predictor at that
+        quadrature node, skipped when no jump precedes the node there."""
         for q in nodes:
-            onehot[q] = 1.0
-            for atom in build_f_atoms(self.kernel, self.obj, part="r", link_weights=onehot):
-                if atom.sec_weights.any():
-                    self._append([atom], *self.obj.columns(self.kernel, [atom]), role=NODE, datum=q)
-            onehot[q] = 0.0
+            self.add_integral_atoms(np.eye(1, self._n_nodes, q)[0], NODE, q)
 
     def add(self, atom: Atom) -> None:
-        """Append an atom that represents no functional and carries no
-        gradient weight."""
-        self._append([atom], *self.obj.columns(self.kernel, [atom]))
+        """Append a polynomial, or an H1 atom that represents no functional
+        and carries no gradient weight (a warm start's).  Any other atom
+        with polynomial content is a ConfigError: that content belongs on
+        the phi columns."""
+        if atom.kind != "h0" and atom.h0.any():
+            raise ConfigError("an atom with polynomial content must be a polynomial; add its projected()")
+        self._append([atom], self.obj.columns(self.kernel, [atom]))
 
-    def _append(self, atoms: list[Atom], x, x1, functionals=None, role=FREE, datum=0) -> None:
-        """Append a block of atoms with their predictor columns x and H1
-        parts x1, the weights of the functionals they represent (one row per
-        atom), if any, and their gradient role and datum (one for the block,
-        or one datum per atom).
+    def _append(self, atoms: list[Atom], x, functionals=None, role=FREE, datum=0) -> None:
+        """Append a block of atoms of one kind, polynomials or H1 atoms,
+        with their predictor columns x, the weights of the functionals they
+        represent (one row per atom), if any, and their gradient role and
+        datum (one for the block, or one datum per atom).
 
-        The one Gram rule: for atoms i <= a, <P i, P a> is i's functional of
-        a's H1 columns when i represents one, else a's functional of i's
-        when a does, else ``h1_inner_row``; 0 across channels.  The full
-        Gram adds the same-channel h0 term with the arithmetic of
-        ``full_inner_row``.  A block takes its atoms' entries against every
-        atom in one product and keeps, within the block, the upper
-        triangle: each atom's entries against itself and the atoms before
-        it.  One-hot functionals, as the history atoms have, make every
-        product exact, so such a block stores the bits that appending its
-        atoms one at a time stores."""
-        n0, k = len(self.atoms), len(atoms)
+        The one Gram rule: a polynomial's H1 products are 0 and its full
+        ones its h0 products.  For H1 atoms i <= a, <i, a> is i's functional
+        of a's columns when i represents one, else a's functional of i's
+        when a does, else ``h1_inner_row``, which only the exact integral
+        and warm-start atoms take; 0 across channels.  A block takes its
+        atoms' entries against every atom in one product and keeps, within
+        the block, the upper triangle: each atom's entries against itself
+        and the atoms before it.  One-hot functionals, as the history and
+        node atoms have, make every product exact, so such a block stores
+        the bits that appending its atoms one at a time stores."""
+        if not atoms:
+            return
+        n0, k, m = len(self.atoms), len(atoms), self.kernel.m
         n = n0 + k
         cap = self._buf["G"].shape[0]
         while cap < n:
@@ -354,38 +338,39 @@ class _Workspace:
             self._reserve(cap)
         b = self._buf
         b["X"][:, n0:n] = x
-        b["X1"][:, n0:n] = x1
         if functionals is not None:
             b["F"][self._n_rep : self._n_rep + k] = functionals
             self._n_rep += k
         b["rep"][n0:n] = functionals is not None
         b["role"][n0:n], b["datum"][n0:n] = role, datum
+        poly = atoms[0].kind == "h0"
         for i, atom in enumerate(atoms, start=n0):
-            b["h0"][i] = atom.h0
-            if atom.part == "r1":
-                b["completion"][i] = atom.sections_h0(self.kernel)
-            b["channel"][i] = atom.channel
-            b["non_poly"][i] = atom.kind != "h0"
+            ch = b["channel"][i] = atom.channel
+            if poly:
+                b["h0"][i] = atom.h0
+            else:
+                b["non_poly"][i] = True
+                b["completion"][i, ch * m : (ch + 1) * m] = atom.sections_h0(self.kernel)
             if self.obj.link.kind == "linear":
                 b["comp"][i] = self.obj.comp_row(self.kernel, atom)
         self.atoms.extend(atoms)
-        with_h0 = [i for i, atom in enumerate(atoms, start=n0) if atom.h0.any()]
 
-        rep, channel = b["rep"][:n], b["channel"][:n]
-        rows_p = np.zeros((n, k))
-        if self._n_rep:
-            rows_p[rep] = b["F"][: self._n_rep] @ x1
-        if functionals is not None:
-            rows_p[~rep] = (functionals @ b["X1"][:, :n][:, ~rep]).T
-        else:
-            for a, atom in enumerate(atoms):
-                others = np.flatnonzero(~rep[: n0 + a + 1])
-                rows_p[others, a] = h1_inner_row(atom, [self.atoms[i] for i in others])
+        rep, channel, h1 = b["rep"][:n], b["channel"][:n], b["non_poly"][:n]
         same = channel[:, None] == channel[n0:]
-        rows_p[~same] = 0.0
-        rows_f = rows_p.copy() if with_h0 else rows_p
-        for i in with_h0:
-            rows_f[: i + 1, i - n0] += same[: i + 1, i - n0] * (b["h0"][: i + 1] @ b["h0"][i])
+        rows_p = np.zeros((n, k))
+        if poly:
+            rows_f = same * (b["h0"][:n] @ b["h0"][n0:n].T)
+        else:
+            if self._n_rep:
+                rows_p[rep] = b["F"][: self._n_rep] @ x
+            if functionals is not None:
+                rows_p[~rep & h1] = (functionals @ b["X"][:, :n][:, ~rep & h1]).T
+            else:
+                for a, atom in enumerate(atoms):
+                    others = np.flatnonzero(~rep[: n0 + a + 1] & h1[: n0 + a + 1])
+                    rows_p[others, a] = h1_inner_row(atom, [self.atoms[i] for i in others])
+            rows_p[~same] = 0.0
+            rows_f = rows_p
         for key, rows in (("G", rows_f), ("Gp", rows_p)):
             if k > 1:
                 rows[n0:] = np.where(np.tri(k, dtype=bool).T, rows[n0:], rows[n0:].T)
@@ -439,10 +424,11 @@ class _Core:
     """Safeguarded Newton descent on F over a workspace dictionary.
 
     The dictionary starts with the polynomial atoms phi_1..phi_m of every
-    channel, channel-major.  The gradient's data atoms and their weights
-    are the ones the workspace records (``_Workspace.role``); a data atom
-    stored as its smooth part stands for its full-kernel version, whose
-    polynomial content (``_Workspace.completion``) goes on the phi columns.
+    channel, channel-major; every other atom is an H1 atom.  The gradient's
+    data atoms and their weights are the ones the workspace records
+    (``_Workspace.role``); a data atom stands for its full-kernel version,
+    whose polynomial content (``_Workspace.completion``) goes on the phi
+    columns.
 
     One core serves all passes of a fit and keeps their traces, step
     records and iteration count.
@@ -513,8 +499,8 @@ class _Core:
     def gradient_coords(self, gamma: np.ndarray, rho: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
         """Function-space gradient of F in dictionary coordinates: the data
         atoms' coefficients, their completions onto the phi columns, and
-        the penalty 2 lam P g less the polynomial content that full-kernel
-        atoms carry.  Exact when the dictionary spans the gradient."""
+        the penalty 2 lam P g, which is 2 lam times the H1 atoms'
+        coefficients.  Exact when the dictionary spans the gradient."""
         ws, lam = self.ws, self.lam
         history, node = ws.role == HISTORY, ws.role == NODE
         coeff = np.zeros(len(ws))
@@ -524,11 +510,7 @@ class _Core:
         gam = coeff.copy()
         if lam != 0.0:
             gam += 2.0 * lam * np.where(ws.non_poly, gamma, 0.0)
-        for cols, (idx, completion, h0) in zip(self.phi_cols, ws.channel_rows()):
-            if idx.size:
-                gam[cols] += completion.T @ coeff[idx]
-                if lam != 0.0:
-                    gam[cols] -= 2.0 * lam * (h0.T @ gamma[idx])
+        gam[: self.phi_cols.size] += ws.completion.T @ coeff
         return gam
 
     def hessian(self, psi, xn: np.ndarray, xe: np.ndarray, phi_e: np.ndarray) -> np.ndarray:
@@ -547,18 +529,12 @@ class _Core:
         coordinates gam and norm gn.  Returns (delta, grad_c . delta,
         cosine, kind, sigma), sigma None for steepest descent."""
         ws = self.ws
-        # identically zero atoms (kept in place in the representer basis)
-        # have no row in any Gram; solve on the others
-        free = np.diag(ws.G) > 0.0
-        free = slice(None) if free.all() else free
-        H_free, G_free = H[free][:, free], ws.G[free][:, free]
 
         def cosine(slope: float, norm2: float) -> float:
             return -slope / max(gn * np.sqrt(max(norm2, 0.0)), 1e-300)
 
         def attempt(sigma: float):
-            delta = np.zeros(len(ws))
-            delta[free], used = _solve_spd(H_free + sigma * G_free, -grad_c[free])
+            delta, used = _solve_spd(H + sigma * ws.G, -grad_c)
             d0, dn2 = float(grad_c @ delta), float(delta @ ws.G @ delta)
             cos = cosine(d0, dn2)
             return (delta, d0, cos, used, sigma) if d0 < 0.0 and dn2 > 0.0 and cos >= DELTA else None
@@ -648,7 +624,7 @@ class _Core:
                 self.gn0 = gn
             if gn2 < 0.0:
                 # only rounding makes a squared norm negative; an exact 0
-                # can be a true one, as zero atoms stay in the dictionary
+                # can be a true one, as on data with no jumps
                 return gamma, "noise_floor"
             if gn <= self.tol * max(1.0, self.gn0):
                 return gamma, "grad"
@@ -734,16 +710,17 @@ def fit_linear(
 ) -> FitResult:
     """Exact penalized fit for the linear link in the representer basis.
 
-    Builds the d(m + N + 1) atoms of the finite representer basis, in which
-    the unconstrained minimizer lies (``_Workspace.add_representers``), and
+    Builds the finite representer basis, in which the unconstrained
+    minimizer lies (``_Workspace.add_representers``), and
     runs the Newton core on them, with at most ``max_iter`` steps per pass.
     If the minimizer would let the predictor dip below -d between events,
     hinge-squared penalties on the violating quadrature nodes push it back.
     The penalties are warm-started with multiplier estimates updated after
     every pass (an augmented Lagrangian), so the penalty weight stays
     bounded and the passes converge to exact node feasibility.  Each pass
-    also grows the basis by one kernel atom per newly forced node and
-    channel: an active node constraint contributes its own representer to
+    also grows the basis by one H1 atom per newly forced node and channel
+    (``_Workspace.add_node_atoms``): an active node constraint contributes
+    its own representer to
     the solution, so the constrained optimum lies in this enlarged span
     rather than in the unconstrained representer span.
 
@@ -814,8 +791,8 @@ def fit_descent(
     The linear link is solved exactly in the representer basis by
     ``fit_linear``; passing it here raises ConfigError.
 
-    The dictionary holds the polynomial atoms, one full-kernel history atom
-    per (event, channel), and a growing family of smooth-part integral atoms
+    The dictionary holds the polynomial atoms, one H1 history atom per
+    (event, channel) with earlier jumps, and a growing family of H1 integral atoms
     produced by the gradient: the weights Y phi'(X) at the start, followed
     by one difference atom per iteration for the change of those weights
     since the previous one.  The gradient's integral atom is then the sum
@@ -829,7 +806,9 @@ def fit_descent(
     d (m + N + max_iter + 2) atoms, plus the atoms of ``init``: ``max_iter``
     bounds the fit's memory as well as its steps.
 
-    The fit starts at the zero filter, or at ``init``.  The stopping scale
+    The fit starts at the zero filter, or at ``init``: the polynomial
+    content of each of its atoms goes on the phi columns, and its H1 part,
+    unless zero, joins the dictionary.  The stopping scale
     ||grad F(0)|| is taken at the zero filter either way, so a poor start
     cannot loosen the test.  Steps use the line search constants C1, C2,
     DELTA and MAX_STEP_TRIALS.
@@ -855,12 +834,12 @@ def fit_descent(
         gam0 = core.gradient_coords(gamma, rho0, last_f_weights)
         core.gn0 = float(np.sqrt(max(float(gam0 @ ws.G @ gam0), 0.0)))
         for atom, coeff in zip(init.atoms, init.coefficients):
-            if atom.kind == "h0":
-                # a polynomial is already spanned by the phi columns; a
-                # second copy would leave the Newton systems singular
-                gamma[core.phi_cols[atom.channel]] += coeff * atom.h0
-            elif coeff != 0.0:
-                ws.add(atom)
+            # polynomials are already spanned by the phi columns; a second
+            # copy would leave the Newton systems singular
+            gamma[core.phi_cols[atom.channel]] += coeff * atom.h0
+            smooth = atom.projected()
+            if coeff != 0.0 and not smooth.is_zero:
+                ws.add(smooth)
                 gamma = np.append(gamma, coeff)
 
     def grow(w_link: np.ndarray) -> None:

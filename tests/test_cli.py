@@ -97,6 +97,17 @@ def thread_env():
     return {var: os.environ.get(var) for var in THREAD_VARS}
 
 
+def numeric_env():
+    """The numpy, scipy and BLAS versions as ``run_manifest.json`` records them."""
+    import scipy
+
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    return {
+        "numpy": np.__version__, "scipy": scipy.__version__,
+        "blas": {"name": blas["name"], "version": blas["version"]},
+    }
+
+
 class TestSimulateCommand:
     def test_writes_reloadable_dataset_and_manifest(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OMP_NUM_THREADS", "3")
@@ -128,6 +139,12 @@ class TestSimulateCommand:
         assert meta["thread_env"] == thread_env()
         assert meta["thread_env"]["OMP_NUM_THREADS"] == "3"
         assert meta["thread_env"]["MKL_NUM_THREADS"] is None
+        # next to the thread variables, the library versions the bits depend on
+        assert meta["numeric_env"] == numeric_env()
+        assert all(isinstance(v, str) and v for v in (
+            meta["numeric_env"]["numpy"], meta["numeric_env"]["scipy"],
+            meta["numeric_env"]["blas"]["name"], meta["numeric_env"]["blas"]["version"],
+        ))
         digest = hashlib.sha256(cfg.read_bytes()).hexdigest()
         assert meta["inputs"]["config"]["sha256"] == digest
 
@@ -267,6 +284,7 @@ class TestFitCommand:
             data.read_bytes()
         ).hexdigest()
         assert meta["thread_env"] == thread_env()
+        assert meta["numeric_env"] == numeric_env()
 
     def test_exponential_link_fit_converges(self, tmp_path):
         data = make_dataset(tmp_path, DENSE_TIMES)
@@ -587,7 +605,7 @@ class TestBasisCommand:
         obj = Objective(link, 5.0, events, drivers)
         k = SobolevKernel(m=2, horizon=8.0)
         poly = [h0_poly(k, 0, i) for i in (1, 2)]
-        h_atoms = build_h_atoms(k, obj, part="r1")
+        h_atoms = [a for a in build_h_atoms(k, obj, part="r1") if not a.is_zero]
         atoms = poly + h_atoms + build_f_atoms(k, obj, part="r1")
         assert basis["atoms"] == [a.to_dict() for a in atoms]
         assert basis["slices"] == {
@@ -598,8 +616,9 @@ class TestBasisCommand:
         comp = np.array([obj.comp_row(k, a) for a in atoms])
         assert same_bits(np.array(basis["compensator"]), comp)
         assert np.any(comp != 0.0)
-        assert basis["zero_mask"] == [a.is_zero for a in atoms]
-        assert basis["zero_mask"][2]  # the first event has no history
+        # the first event has no history, so it has no atom, and no atom is zero
+        assert len(h_atoms) == len(times) - 1
+        assert basis["zero_mask"] == [False] * len(atoms)
         for key, oracle in (("gram", full_gram), ("gram_penalty", h1_gram)):
             G = np.array(basis[key])
             assert np.array_equal(G, G.T)

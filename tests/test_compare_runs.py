@@ -1,5 +1,6 @@
 """tools/compare_runs.py: bit identity of two benchmark runs."""
 
+import base64
 import importlib.util
 import json
 import shutil
@@ -57,6 +58,7 @@ def test_bench_files_compare_their_fit_records(tmp_path, compare_runs):
     assert compare_runs.fit_differences(a, c) == [
         f"fit-exp: fit-d1 only in {c}",
         f"fit-exp: fit-d0: {fit} != {dict(fit, objective='22.8')}",
+        "fit-exp: fit-d0: status converged / converged, n_iter 7 / 7, objective differs by 0.0044 relative",
     ]
     assert compare_runs.main(["bench", str(a), str(c)]) == 1
 
@@ -69,6 +71,22 @@ def test_fit_records_differ_by_fit_and_by_field(compare_runs):
         "exp-m2-d0 only in a",
         "linear-m1-d0 only in b",
         "exp-m1-d0: n_iter differs",
+        "exp-m1-d0: status converged / converged, n_iter 7 / 8, objective differs by nan relative",
+    ]
+    # a fit whose last bits moved: its summary reads the objective from the
+    # last entry of each trace
+    import numpy as np
+
+    def trace(*values):
+        return base64.b64encode(np.array(values, "<f8").tobytes()).decode("ascii")
+
+    ra = {"exp-m1-d0": {"status": "converged", "n_iter": 7, "objective_trace": trace(9.0, 4.0)}}
+    rb = {"exp-m1-d0": {"status": "stalled", "n_iter": 9, "objective_trace": trace(9.0, 4.0 + 4e-12)}}
+    assert compare_runs.record_differences(ra, rb) == [
+        "exp-m1-d0: n_iter differs",
+        "exp-m1-d0: objective_trace differs",
+        "exp-m1-d0: status differs",
+        "exp-m1-d0: status converged / stalled, n_iter 7 / 9, objective differs by 1e-12 relative",
     ]
 
 

@@ -50,36 +50,40 @@ def small_filter(kernel, rng, n_channels, scale=0.05):
 
 class TestBasisShape:
     def test_single_channel_count(self):
-        # order + one section per event + one compensator atom
+        # order + one section per event with an earlier jump + one
+        # compensator atom
         ev, dr, obj = two_event_objective()
         k = SobolevKernel(m=2, horizon=4.0)
         ws, h_cols, f_cols = representer_basis(k, obj)
-        assert len(ws) == 2 + 2 + 1
+        assert len(ws) == 2 + 1 + 1
         assert len(ws.atoms) == len(ws)
-        assert h_cols == slice(2, 4)
-        assert f_cols == slice(4, 5)
-        assert ws.E.shape == (2, 5)
-        assert ws.comp.shape == (5,)
-        assert ws.G.shape == (5, 5)
-        assert ws.Gp.shape == (5, 5)
+        assert h_cols == slice(2, 3)
+        assert f_cols == slice(3, 4)
+        assert ws.E.shape == (2, 4)
+        assert ws.comp.shape == (4,)
+        assert ws.G.shape == (4, 4)
+        assert ws.Gp.shape == (4, 4)
 
     def test_two_channel_count(self, tiny):
         events, drivers = tiny
         k = SobolevKernel(m=2, horizon=8.0)
         obj = Objective(linear_link(0.5), 1.0, events, drivers)
         ws, _, _ = representer_basis(k, obj)
-        # per channel: m polynomials, one section per event, one compensator
-        assert len(ws) == 2 * (2 + 3 + 1)
+        # per channel: m polynomials, one section per event with an earlier
+        # jump (every event on z, all but the first on the target), one
+        # compensator
+        assert len(ws) == 2 * (2 + 1) + 3 + 2
 
-    def test_zero_atom_flagged(self):
-        # the first event has an empty strict history, so its atom vanishes
+    def test_no_atom_is_zero(self):
+        # the first event has an empty strict history, so it has no atom;
+        # every atom has a row in the Grams
         ev, dr, obj = two_event_objective()
         k = SobolevKernel(m=2, horizon=4.0)
-        ws, _, _ = representer_basis(k, obj)
-        zero_idx = np.flatnonzero([a.is_zero for a in ws.atoms])
-        assert list(zero_idx) == [2]
-        assert_allclose(ws.G[2], np.zeros(5), atol=1e-15)
-        assert_allclose(ws.E[:, 2], np.zeros(2), atol=1e-15)
+        ws, h_cols, _ = representer_basis(k, obj)
+        assert not any(a.is_zero for a in ws.atoms)
+        assert ws.datum[h_cols].tolist() == [1]
+        assert np.diag(ws.G).min() > 0.0
+        assert_allclose(ws.E[0], np.zeros(4), atol=1e-15)
 
 
 class TestEventAtoms:

@@ -27,6 +27,9 @@
         compacted filter.  ``suite`` prints the records of this suite, as
         one JSON object, under the ``glppm`` that Python imports.
 
+``bench`` and ``fits`` follow each fit that differs with its status and
+iterations on both sides and the relative difference of its objectives.
+
 Each difference is printed; the exit code is 1 if there is any, else 0.
 Typical use, with the parent commit checked out in a second directory and
 one run of the same workload and seed in each:
@@ -77,13 +80,36 @@ def fit_differences(a: Path, b: Path) -> list[str]:
         ra = {r["op"]: r for r in wa[name].get("fits", [])}
         rb = {r["op"]: r for r in wb[name].get("fits", [])}
         out += [f"{name}: {op} only in {a if op in ra else b}" for op in sorted(set(ra) ^ set(rb))]
-        out += [
-            f"{name}: {op}: {ra[op]} != {rb[op]}"
-            for op in sorted(set(ra) & set(rb)) if ra[op] != rb[op]
-        ]
+        for op in sorted(set(ra) & set(rb)):
+            if ra[op] != rb[op]:
+                out += [f"{name}: {op}: {ra[op]} != {rb[op]}", f"{name}: {op}: {fit_summary(ra[op], rb[op])}"]
         if not ra:
             out.append(f"{name}: no fits records")
     return out
+
+
+def _objective(record: dict) -> float:
+    """A fit record's final objective: a BENCH record's ``objective``, or
+    the last entry of a ``fits`` record's objective trace; NaN for none."""
+    import numpy as np
+
+    if record.get("objective") is not None:
+        return float(record["objective"])
+    if record.get("objective_trace"):
+        return float(np.frombuffer(base64.b64decode(record["objective_trace"]), "<f8")[-1])
+    return float("nan")
+
+
+def fit_summary(ra: dict, rb: dict) -> str:
+    """The status and iterations of one fit's two records, and their
+    relative objective difference, so that a change that moves last bits
+    can be reviewed from the output."""
+    fa, fb = _objective(ra), _objective(rb)
+    rel = abs(fa - fb) / max(abs(fa), abs(fb), 1e-300)
+    return (
+        f"status {ra.get('status')} / {rb.get('status')}, n_iter {ra.get('n_iter')} / {rb.get('n_iter')}, "
+        f"objective differs by {rel:.2g} relative"
+    )
 
 
 def _fit_record(res) -> dict:
@@ -161,12 +187,13 @@ def fit_records(src: Path, datasets: int) -> dict:
 
 
 def record_differences(ra: dict, rb: dict, a="A", b="B") -> list[str]:
-    """Fit by fit, the fits that only one suite holds and the fields of the
-    others that differ."""
+    """Fit by fit, the fits that only one suite holds and, for the others,
+    the fields that differ and the ``fit_summary`` of a fit that does."""
     out = [f"{key} only in {a if key in ra else b}" for key in sorted(set(ra) ^ set(rb))]
     for key in sorted(set(ra) & set(rb)):
         fields = sorted(set(ra[key]) | set(rb[key]))
-        out += [f"{key}: {f} differs" for f in fields if ra[key].get(f) != rb[key].get(f)]
+        differs = [f"{key}: {f} differs" for f in fields if ra[key].get(f) != rb[key].get(f)]
+        out += differs + [f"{key}: {fit_summary(ra[key], rb[key])}"] * bool(differs)
     return out
 
 
