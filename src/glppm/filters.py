@@ -47,7 +47,7 @@ from __future__ import annotations
 import base64
 import json
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -149,6 +149,18 @@ def _ro(arr) -> np.ndarray:
     return out
 
 
+# the segments of an atom that has none, shared by every such atom that
+# ``_merged_atom`` builds
+_NO_SEGMENTS = _ro(np.empty(0))
+
+
+@lru_cache(maxsize=None)
+def _zero_h0(m: int) -> np.ndarray:
+    """The read-only zero polynomial coefficients of order m, shared by
+    every atom without polynomial content."""
+    return _ro(np.zeros(m))
+
+
 @dataclass(frozen=True, eq=False)
 class Atom:
     """One basis element of a filter function.  Use the constructors below."""
@@ -170,7 +182,8 @@ class Atom:
     def is_zero(self) -> bool:
         """True when the atom is the zero function: no section, segment or
         polynomial weight is nonzero."""
-        return not (self.sec_weights.any() or self.seg_weights.any() or self.h0.any())
+        count = np.count_nonzero
+        return not (count(self.sec_weights) or count(self.seg_weights) or count(self.h0))
 
     # -- H1 algebra ----------------------------------------------------------
 
@@ -266,7 +279,7 @@ class Atom:
             sec_weights=self.sec_weights,
             seg_nodes=self.seg_nodes,
             seg_weights=self.seg_weights,
-            h0=_ro(np.zeros(self.m)),
+            h0=_zero_h0(self.m),
             k=self.k,
         )
 
@@ -339,16 +352,18 @@ def _atom_value(sec_lags, sec_table, seg_nodes, seg_table, h0, u: np.ndarray) ->
 
 def _normal_form_atom(kernel, channel, kind, part, sec_lags, sec_weights, seg_nodes, seg_weights) -> Atom:
     kernel._check_domain(sec_lags, seg_nodes)
-    return _merged_atom(
-        kernel, channel, kind, part,
-        *_merge_sorted(sec_lags, sec_weights), *_merge_sorted(seg_nodes, seg_weights),
-    )
+    arrays = (*_merge_sorted(sec_lags, sec_weights), *_merge_sorted(seg_nodes, seg_weights))
+    return _merged_atom(kernel, channel, kind, part, *map(_ro, arrays))
 
 
-def _merged_atom(kernel, channel, kind, part, sec_lags, sec_weights, seg_nodes=(), seg_weights=()) -> Atom:
-    """The atom of sections and segments already sorted, merged and inside
-    the kernel's domain, kept read-only; part "r" gives it the polynomial
-    content of its sections and segments as ``h0``."""
+def _merged_atom(
+    kernel, channel, kind, part, sec_lags, sec_weights, seg_nodes=_NO_SEGMENTS, seg_weights=_NO_SEGMENTS
+) -> Atom:
+    """The atom of read-only float arrays of sections and segments already
+    sorted, merged and inside the kernel's domain, taken as they are; an
+    atom with no segments shares ``_NO_SEGMENTS``.  Part "r1" gives it the
+    shared zero ``h0``, part "r" the polynomial content of its sections and
+    segments."""
     if part not in ("r1", "r"):
         raise ConfigError(f"atom part must be 'r1' or 'r', got {part!r}")
     atom = Atom(
@@ -356,11 +371,11 @@ def _merged_atom(kernel, channel, kind, part, sec_lags, sec_weights, seg_nodes=(
         kind=kind,
         part=part,
         m=kernel.m,
-        sec_lags=_ro(sec_lags),
-        sec_weights=_ro(sec_weights),
-        seg_nodes=_ro(seg_nodes),
-        seg_weights=_ro(seg_weights),
-        h0=_ro(np.zeros(kernel.m)),
+        sec_lags=sec_lags,
+        sec_weights=sec_weights,
+        seg_nodes=seg_nodes,
+        seg_weights=seg_weights,
+        h0=_zero_h0(kernel.m),
     )
     if part == "r":
         object.__setattr__(atom, "h0", _ro(atom.sections_h0(kernel)))
@@ -462,10 +477,9 @@ class FilterFunction:
             atoms = [self.atoms[i] for i in on]
             seg_nodes, seg_w, seg_owner = _flatten(atoms)[3:]
             # an r1 atom of the merged support, then given the combined h0
-            form = _merged_atom(
-                self.kernel, ch, "normal", "r1", *_merged_sections(self.kernel, atoms, c, seg_nodes),
-                *_merge_sorted(seg_nodes, c[seg_owner] * seg_w),
-            )
+            sections = _merged_sections(self.kernel, atoms, c, seg_nodes)
+            segments = _merge_sorted(seg_nodes, c[seg_owner] * seg_w)
+            form = _merged_atom(self.kernel, ch, "normal", "r1", *map(_ro, sections + segments))
             h0 = c @ np.array([a.h0 for a in atoms]).reshape(-1, self.kernel.m)
             forms.append(replace(form, part="r", h0=_ro(h0)))
         return tuple(forms)

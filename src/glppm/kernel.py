@@ -87,11 +87,16 @@ def _prefix_table(p: int, q: int, lags, weights) -> tuple[tuple[np.ndarray, int]
     lags = np.asarray(lags, dtype=float)
     weights = np.asarray(weights, dtype=float)
     low, high = _branch_coeffs(p, q)
+
+    def weighted(e: int) -> np.ndarray:
+        # x ** 0 is 1 and x ** 1 is x exactly, so those powers are skipped
+        return weights if e == 0 else weights * (lags if e == 1 else lags**e)
+
     terms = []
     for j, cj in enumerate(low):
-        terms.append((cj * _prefix_sums(weights * lags ** (p + j)), q - 1 - j))
+        terms.append((cj * _prefix_sums(weighted(p + j)), q - 1 - j))
     for i, ci in enumerate(high):
-        pre = _prefix_sums(weights * lags ** (p - 1 - i))
+        pre = _prefix_sums(weighted(p - 1 - i))
         terms.append((ci * (pre[..., -1:] - pre), q + i))
     return tuple(terms)
 

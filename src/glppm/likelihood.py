@@ -40,7 +40,7 @@ from scipy.special import expit
 
 from .data import AtRiskProcess, DriverSeries, EventSeries
 from .errors import ConfigError, DomainError, InfeasibleError
-from .filters import Atom, FilterFunction, _flatten, _merge_starts, _merged_atom, integrated_segments
+from .filters import Atom, FilterFunction, _flatten, _merge_starts, _merged_atom, _ro, integrated_segments
 from .kernel import SobolevKernel, _family_sums, _h0_stack, _prefix_table
 
 __all__ = [
@@ -227,11 +227,15 @@ def _lag_segments(a: np.ndarray, b: np.ndarray, levels: np.ndarray, times: np.nd
 class _NodeLagIndex:
     """A channel's node-pair lags as every integral atom of node weights
     holds them: in a stable sort, merged.
-    ``lags`` are the merged lags, read-only and shared by the atoms;
-    ``group``, ``node`` and ``dz`` give the merge group, quadrature node and
-    jump size of each sorted pair, so that an atom's section weights are
-    one ``bincount``; ``pos`` holds the search position in ``lags`` of each
-    node-pair lag and then each event-pair lag, in the pairs' own order."""
+    ``lags`` are the merged lags, read-only and shared by the atoms, which
+    take them as they are; ``group``, ``node`` and ``dz`` give the merge
+    group, quadrature node and jump size of each sorted pair, so that an
+    atom's section weights are one ``bincount``; ``pos`` holds the search
+    position in ``lags`` of each node-pair lag and then each event-pair
+    lag, in the pairs' own order.  The lags lie in the kernel's domain by
+    construction, so a fit's workspace takes their h0 stack once, unchecked,
+    and each atom's polynomial content is one product with it
+    (``_Workspace.add_integral_atoms``)."""
 
     lags: np.ndarray
     group: np.ndarray
@@ -259,8 +263,10 @@ def _smooth_values(m: int, atoms, lags: np.ndarray):
     """(start, values): the smooth parts of atoms on one channel at its pair
     lags, one row per atom from ``atoms[start]`` on, as ``Atom.h1_value``
     sums them.  A family's sums over another atom's lags add zeros, which
-    keep its bits."""
-    if len(atoms) == 1:  # sorted and merged already: ``h1_value`` reads its kept tables
+    keep its bits, and atoms with no sections or segments, as polynomials,
+    have zeros."""
+    if len(atoms) == 1 and (atoms[0].sec_lags.size or atoms[0].seg_nodes.size):
+        # sorted and merged already: ``h1_value`` reads its kept tables
         yield 0, atoms[0].h1_value(lags)[None, :]
         return
     flat, parts = _flatten(atoms), []
@@ -403,14 +409,14 @@ class Objective:
             for start, vals in _smooth_values(m, [atoms[c] for c in cols], lags):
                 chunk = cols[start : start + len(vals)]
                 for i, c in enumerate(chunk):
-                    h0 = atoms[c].h0[None, :]
-                    if h0.any():
+                    if np.count_nonzero(atoms[c].h0):
+                        h0 = atoms[c].h0[None, :]
                         phi = phi or (_h0_stack(lags[:n_node], m), _h0_stack(lags[n_node:], m))
                         vals[i, :n_node] += np.dot(h0, phi[0])[0]
                         vals[i, n_node:] += np.dot(h0, phi[1])[0]
                 rows = slice(chunk[0], chunk[-1] + 1) if len(cols) == len(atoms) else chunk
                 bins = point if len(chunk) == 1 else (point + n_pts * np.arange(len(chunk))[:, None])
-                size, scaled = n_pts * len(chunk), np.multiply(vals, dz)
+                size, scaled = n_pts * len(chunk), np.multiply(vals, dz, out=vals)
                 xt[rows] = np.bincount(bins.ravel(), scaled.ravel(), size).reshape(-1, n_pts)
         return xt.T
 
@@ -551,7 +557,8 @@ def build_h_atoms(kernel: SobolevKernel, obj: Objective, part: str = "r1") -> li
     channel come from one pass: its event-pair lags are sorted once by
     event and then lag, stably, and merged with one ``bincount``, which
     sums each atom's sections in the order that ``_merge_sorted`` sums one
-    atom's.
+    atom's.  Each atom's sections are read-only slices of the channel's
+    merged lags and weights, laid end to end in atom order.
     """
     obj._check_kernel(kernel)
     n_ev, n_ch = len(obj.events), obj.n_channels
@@ -560,8 +567,8 @@ def build_h_atoms(kernel: SobolevKernel, obj: Objective, part: str = "r1") -> li
         order = np.lexsort((lags, owner))
         owner, lags = owner[order], lags[order]
         starts = _merge_starts(lags, owner)
-        merged_lags, merged_owner = lags[starts], owner[starts]
-        merged_w = np.bincount(np.cumsum(starts) - 1, weights=dz[order])
+        merged_lags, merged_owner = _ro(lags[starts]), owner[starts]
+        merged_w = _ro(np.bincount(np.cumsum(starts) - 1, weights=dz[order]))
         bounds = np.searchsorted(merged_owner, np.arange(n_ev + 1))
         for i in range(n_ev):
             cut = slice(bounds[i], bounds[i + 1])
@@ -599,10 +606,10 @@ def build_f_atoms(
         obj._check_kernel(kernel)
         for j in range(obj.n_channels):
             index = obj.node_lag_index(j)
-            weights = np.bincount(
+            weights = _ro(np.bincount(
                 index.group, weights=link_weights[index.node] * index.dz,
                 minlength=index.lags.size,
-            )
+            ))
             atoms.append(_merged_atom(kernel, j, "integrated", part, index.lags, weights))
     return atoms
 

@@ -53,7 +53,7 @@ import scipy.linalg
 
 from .errors import ConfigError, SolverError
 from .filters import Atom, FilterFunction, full_inner_row, h0_poly, h1_inner_row
-from .kernel import SobolevKernel
+from .kernel import SobolevKernel, _h0_stack
 from .likelihood import LinkSpec, Objective, _boundary_slack, _event_phi, build_f_atoms, build_h_atoms
 
 __all__ = [
@@ -141,6 +141,10 @@ def _weak_wolfe_search(trial, f0: float, d0: float):
 def _solve_spd(H: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
     """Solve H x = rhs for symmetric positive semidefinite H.
 
+    A coordinate whose row of H and entry of rhs are both exactly 0 takes a
+    zero step, and the rest of the system is solved on its own: such a
+    coordinate, as a phi column of a channel with no nonzero jump is, has
+    no data and no penalty, and a ridge there would bend the whole step.
     Jacobi-scales the system first (kernel Grams over long horizons are
     badly conditioned), then tries Cholesky (LAPACK's ``dpotrf`` on the
     upper triangle and ``dpotrs``, as ``scipy.linalg.cho_factor`` /
@@ -152,7 +156,17 @@ def _solve_spd(H: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
             "non-finite values in the Newton system; the objective may be "
             "unbounded (zero penalty weight?)"
         )
-    s = np.sqrt(np.maximum(np.diag(H), 1e-300))
+    diag = np.diag(H)
+    if not diag.all():
+        # a zero row of a semidefinite H has a zero diagonal entry
+        live = (diag != 0.0) | (rhs != 0.0)
+        live[~live] = H[~live].any(axis=1)
+        if not live.all():
+            x, used = np.zeros(rhs.shape), False
+            if live.any():
+                x[live], used = _solve_spd(H[np.ix_(live, live)], rhs[live])
+            return x, used
+    s = np.sqrt(np.maximum(diag, 1e-300))
     Hs = H / np.outer(s, s)
     rs = rhs / s
     for ridge_used in (False, True):
@@ -194,8 +208,12 @@ class _Workspace:
     Atoms join in blocks: one ``Objective.columns`` call gives a block's U
     and E (``Objective.integral_column`` an integral atom's), and
     ``_append`` its Gram entries, which against represented atoms are
-    products of functionals with columns.  Every column and Gram entry has
-    the bits of appending the atoms one at a time.
+    products of functionals with columns.  The builders take the
+    completions, unchecked, from h0 stacks of lags that lie in the kernel's
+    domain by construction: one per history block, and one per channel and
+    fit for the integral atoms.  Every column, completion and Gram entry
+    has the bits of appending the atoms one at a time with their
+    ``Atom.sections_h0``.
     """
 
     def __init__(self, kernel: SobolevKernel, obj: Objective):
@@ -204,7 +222,9 @@ class _Workspace:
         self.atoms: list[Atom] = []
         self._n_nodes = obj.nodes.size
         self._n_points = obj.nodes.size + len(obj.events)
-        self._n_rep = 0
+        self._n_rep = 0  # atoms that represent a functional, rows of F
+        self._n_free_h1 = 0  # H1 atoms that represent none
+        self._node_h0: dict[int, np.ndarray] = {}  # h0 stack of each channel's node lags
         self._reserve(32)
         self._expose()
 
@@ -212,7 +232,8 @@ class _Workspace:
         """Buffers for ``cap`` atoms, keeping the rows and columns in use:
         predictor columns X (nodes, then events), the functional weights F
         over the same points of the atoms that represent one, in column
-        order, and the per-atom attributes."""
+        order, with their columns ``rep_col``, and the per-atom
+        attributes."""
         n, p, m = len(self.atoms), self._n_points, self.kernel.m
         old = getattr(self, "_buf", None)
         buf = {
@@ -220,7 +241,7 @@ class _Workspace:
             "G": np.zeros((cap, cap)), "Gp": np.zeros((cap, cap)), "h0": np.zeros((cap, m)),
             "completion": np.zeros((cap, self.obj.n_channels * m)), "comp": np.zeros(cap),
             "channel": np.zeros(cap, dtype=int), "non_poly": np.zeros(cap, dtype=bool),
-            "rep": np.zeros(cap, dtype=bool), "role": np.zeros(cap, dtype=int),
+            "rep_col": np.zeros(cap, dtype=int), "role": np.zeros(cap, dtype=int),
             "datum": np.zeros(cap, dtype=int),
         }
         if old is not None:
@@ -243,10 +264,10 @@ class _Workspace:
 
     def add_polynomials(self) -> None:
         """Append phi_1..phi_m of every channel, channel-major, where
-        ``_Core.phi_cols`` expects them."""
-        for ch in range(self.obj.n_channels):
-            for k in range(1, self.kernel.m + 1):
-                self.add(h0_poly(self.kernel, ch, k))
+        ``_Core.phi_cols`` expects them, as one block."""
+        m = self.kernel.m
+        atoms = [h0_poly(self.kernel, ch, k) for ch in range(self.obj.n_channels) for k in range(1, m + 1)]
+        self._append(atoms, self.obj.columns(self.kernel, atoms))
 
     def add_representers(self) -> tuple[slice, slice]:
         """Append the finite representer basis of the linear link, in which
@@ -277,23 +298,36 @@ class _Workspace:
     def add_history_atoms(self) -> None:
         """Append the H1 history atom of every (event, channel) with a
         nonzero earlier jump, each representing its event's predictor, as
-        one block."""
+        one block.  Its completions come from one h0 stack over the block's
+        lags laid end to end: each is the product of the atom's slice of
+        that stack with its weights."""
         atoms = build_h_atoms(self.kernel, self.obj, part="r1")
         keep = [pos for pos, atom in enumerate(atoms) if not atom.is_zero]
         block = [atoms[pos] for pos in keep]
         events = np.array(keep, dtype=int) // self.obj.n_channels
         functionals = np.zeros((len(block), self._n_points))
         functionals[np.arange(len(block)), self._n_nodes + events] = 1.0
-        self._append(block, self.obj.columns(self.kernel, block), functionals, HISTORY, events)
+        ends = np.cumsum([0] + [atom.sec_lags.size for atom in block])
+        stack = _h0_stack(np.concatenate([np.empty(0)] + [atom.sec_lags for atom in block]), self.kernel.m)
+        completion = [stack[:, lo:hi] @ atom.sec_weights for atom, lo, hi in zip(block, ends, ends[1:])]
+        self._append(block, self.obj.columns(self.kernel, block), functionals, HISTORY, events, completion)
 
     def add_integral_atoms(self, link_weights: np.ndarray, role: int = INTEGRAL, datum: int = 0) -> None:
         """Append the nonzero H1 integral atoms of these node weights, each
-        representing sum_q w_q X(s_q) on its channel."""
+        representing sum_q w_q X(s_q) on its channel.  An atom's sections
+        are its channel's merged node lags (``Objective.node_lag_index``), so
+        its column reads the index (``Objective.integral_column``) and its
+        completion is one product with the h0 stack of those lags, taken
+        once per channel and fit."""
         functional = np.zeros((1, self._n_points))
         functional[0, : self._n_nodes] = link_weights
         for atom in build_f_atoms(self.kernel, self.obj, part="r1", link_weights=link_weights):
             if not atom.is_zero:
-                self._append([atom], self.obj.integral_column(atom), functional, role, datum)
+                stack = self._node_h0.get(atom.channel)
+                if stack is None:
+                    stack = self._node_h0[atom.channel] = _h0_stack(atom.sec_lags, self.kernel.m)
+                completion = [stack @ atom.sec_weights]
+                self._append([atom], self.obj.integral_column(atom), functional, role, datum, completion)
 
     def add_node_atoms(self, nodes) -> None:
         """Append, node by node, the integral atoms of each node's one-hot
@@ -311,11 +345,13 @@ class _Workspace:
             raise ConfigError("an atom with polynomial content must be a polynomial; add its projected()")
         self._append([atom], self.obj.columns(self.kernel, [atom]))
 
-    def _append(self, atoms: list[Atom], x, functionals=None, role=FREE, datum=0) -> None:
+    def _append(self, atoms: list[Atom], x, functionals=None, role=FREE, datum=0, completion=None) -> None:
         """Append a block of atoms of one kind, polynomials or H1 atoms,
         with their predictor columns x, the weights of the functionals they
-        represent (one row per atom), if any, and their gradient role and
-        datum (one for the block, or one datum per atom).
+        represent (one row per atom), if any, their gradient role and datum
+        (one for the block, or one datum per atom), and, for H1 atoms,
+        their completions (one row of m per atom; by default each atom's
+        ``sections_h0``).
 
         The one Gram rule: a polynomial's H1 products are 0 and its full
         ones its h0 products.  For H1 atoms i <= a, <i, a> is i's functional
@@ -326,7 +362,11 @@ class _Workspace:
         the block, the upper triangle: each atom's entries against itself
         and the atoms before it.  One-hot functionals, as the history and
         node atoms have, make every product exact, so such a block stores
-        the bits that appending its atoms one at a time stores."""
+        the bits that appending its atoms one at a time stores.  The
+        represented atoms' columns are kept (``rep_col``) and the H1 atoms
+        that represent none counted, so a block takes no product with their
+        columns while there are none, and on one channel no cross-channel
+        mask."""
         if not atoms:
             return
         n0, k, m = len(self.atoms), len(atoms), self.kernel.m
@@ -338,42 +378,54 @@ class _Workspace:
             self._reserve(cap)
         b = self._buf
         b["X"][:, n0:n] = x
+        r0 = self._n_rep
         if functionals is not None:
-            b["F"][self._n_rep : self._n_rep + k] = functionals
+            b["F"][r0 : r0 + k] = functionals
+            b["rep_col"][r0 : r0 + k] = np.arange(n0, n)
             self._n_rep += k
-        b["rep"][n0:n] = functionals is not None
         b["role"][n0:n], b["datum"][n0:n] = role, datum
+        channel = b["channel"][:n]
+        channel[n0:] = [atom.channel for atom in atoms]
         poly = atoms[0].kind == "h0"
-        for i, atom in enumerate(atoms, start=n0):
-            ch = b["channel"][i] = atom.channel
-            if poly:
-                b["h0"][i] = atom.h0
-            else:
-                b["non_poly"][i] = True
-                b["completion"][i, ch * m : (ch + 1) * m] = atom.sections_h0(self.kernel)
-            if self.obj.link.kind == "linear":
-                b["comp"][i] = self.obj.comp_row(self.kernel, atom)
+        if poly:
+            b["h0"][n0:n] = [atom.h0 for atom in atoms]
+        else:
+            b["non_poly"][n0:n] = True
+            if completion is None:
+                completion = [atom.sections_h0(self.kernel) for atom in atoms]
+            # the completions as (atom, channel, m): each atom's phi columns
+            # on its channel are 0, so they hold 0.0 + h0, as sections_h0 does
+            per_channel = b["completion"].reshape(len(b["completion"]), -1, m)
+            per_channel[np.arange(n0, n), channel[n0:]] += completion
+        if self.obj.link.kind == "linear":
+            b["comp"][n0:n] = [self.obj.comp_row(self.kernel, atom) for atom in atoms]
         self.atoms.extend(atoms)
 
-        rep, channel, h1 = b["rep"][:n], b["channel"][:n], b["non_poly"][:n]
-        same = channel[:, None] == channel[n0:]
         rows_p = np.zeros((n, k))
         if poly:
-            rows_f = same * (b["h0"][:n] @ b["h0"][n0:n].T)
+            rows_f = b["h0"][:n] @ b["h0"][n0:n].T
         else:
             if self._n_rep:
-                rows_p[rep] = b["F"][: self._n_rep] @ x
-            if functionals is not None:
-                rows_p[~rep & h1] = (functionals @ b["X"][:, :n][:, ~rep & h1]).T
-            else:
-                for a, atom in enumerate(atoms):
-                    others = np.flatnonzero(~rep[: n0 + a + 1] & h1[: n0 + a + 1])
-                    rows_p[others, a] = h1_inner_row(atom, [self.atoms[i] for i in others])
-            rows_p[~same] = 0.0
+                rows_p[b["rep_col"][: self._n_rep]] = b["F"][: self._n_rep] @ x
+            if functionals is None or self._n_free_h1:
+                free = b["non_poly"][:n0].copy()
+                free[b["rep_col"][:r0]] = False
+                free = np.flatnonzero(free)
+                if functionals is not None:
+                    rows_p[free] = (functionals @ b["X"][:, free]).T
+                else:
+                    for a, atom in enumerate(atoms):
+                        others = np.concatenate([free, np.arange(n0, n0 + a + 1)])
+                        rows_p[others, a] = h1_inner_row(atom, [self.atoms[i] for i in others])
+                    self._n_free_h1 += k
             rows_f = rows_p
+        if self.obj.n_channels > 1:
+            rows_f[channel[:, None] != channel[n0:]] = 0.0
+        if k > 1 and not poly:
+            # the block's upper triangle, for G (rows_f is rows_p) and Gp; a
+            # polynomial block's h0 products are symmetric already
+            rows_p[n0:] = np.where(np.tri(k, dtype=bool).T, rows_p[n0:], rows_p[n0:].T)
         for key, rows in (("G", rows_f), ("Gp", rows_p)):
-            if k > 1:
-                rows[n0:] = np.where(np.tri(k, dtype=bool).T, rows[n0:], rows[n0:].T)
             b[key][:n, n0:n] = rows
             b[key][n0:n, :n] = rows.T
         self._expose()

@@ -3,6 +3,7 @@
 import base64
 import importlib.util
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -107,6 +108,27 @@ def test_fits_run_the_suite_under_each_source_tree(tmp_path, compare_runs, capsy
     lines = capsys.readouterr().out.splitlines()
     assert lines and all(" differs" in line for line in lines)
     assert any(line.startswith("exp-m1-d0: objective_trace") for line in lines)
+
+
+def test_time_runs_the_fit_batch_under_each_source_tree(tmp_path, compare_runs, capsys):
+    src = TOOL.parents[1] / "src"
+    small = ["--rounds", "1", "--datasets", "2"]
+    assert compare_runs.main(["time", str(src), str(src), *small]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for name in ("exp", "softplus"):
+        at = lines.index(f"{name}: 2 fits per pass, 1 round(s)")
+        assert lines[at + 1].startswith(f"  A {src}: ") and " ms/fit (quartiles " in lines[at + 1]
+        assert lines[at + 2].startswith(f"  B {src}: ")
+        assert re.fullmatch(r"  B faster in [01] of 1 rounds, A in [01]; objectives identical", lines[at + 3])
+    assert lines[-1] == "every objective matched"
+    # a tree whose line search asks for more curvature ends elsewhere
+    changed = tmp_path / "src"
+    shutil.copytree(src / "glppm", changed / "glppm", ignore=shutil.ignore_patterns("__pycache__"))
+    optimizer = changed / "glppm" / "optimizer.py"
+    constants = "C1, C2, DELTA, MAX_STEP_TRIALS = 1e-4, {}, 0.1, 60"
+    optimizer.write_text(optimizer.read_text().replace(constants.format(0.4), constants.format(0.3)))
+    assert compare_runs.main(["time", str(src), str(changed), *small]) == 1
+    assert capsys.readouterr().out.splitlines()[-1].startswith("objectives differ: exp")
 
 
 def test_a_fit_record_holds_the_dictionary_size(compare_runs):

@@ -1,4 +1,4 @@
-"""Compare two benchmark runs for bit identity.
+"""Compare two benchmark runs for bit identity, and time the fit batch under two source trees.
 
     python3 tools/compare_runs.py trees A B
         byte-compares two run trees that ``bench/run.py`` leaves in
@@ -27,6 +27,21 @@
         compacted filter.  ``suite`` prints the records of this suite, as
         one JSON object, under the ``glppm`` that Python imports.
 
+    python3 tools/compare_runs.py time SRC_A SRC_B [--rounds 5]
+        times the benchmark's fit batch under each source tree: the
+        ``fit-exp`` and ``fit-softplus`` datasets of ``bench/run.py``
+        (94 of 20 events and 160 of 12) at seed 401, each fitted by
+        ``fit_descent`` at m = 1 and penalty weight 5, as the ``fit``
+        command fits them.  Each round runs the batch once under each
+        tree, each in a fresh subprocess pinned to one BLAS thread after
+        one untimed fit, the trees alternating which goes first.  Per
+        family it prints the median and quartiles of milliseconds per fit
+        (objective and fit, not the data) on each side, the rounds each
+        side was the faster, and whether every fit's objective has the
+        same bits on both sides.  ``--datasets N`` fits the first N
+        datasets of each family only.  ``timing`` prints one such pass,
+        as one JSON object, under the ``glppm`` that Python imports.
+
 ``bench`` and ``fits`` follow each fit that differs with its status and
 iterations on both sides and the relative difference of its objectives.
 
@@ -48,6 +63,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from time import perf_counter
 
 SKIPPED = {"run_manifest.json", "result.json"}
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -128,21 +144,27 @@ def _fit_record(res) -> dict:
     }
 
 
+def _self_exciting(kind: str, d: float, lam: float, times, horizon: float):
+    """The ``Objective`` of a self-exciting dataset with these event times,
+    as the CLI builds it from a ``bench/generate.py`` dataset."""
+    import numpy as np
+
+    import glppm
+    from glppm.data import DriverChannel, DriverSeries, EventSeries
+
+    events = EventSeries(horizon, times)
+    drivers = DriverSeries(horizon, (DriverChannel("target", times, np.ones(times.size)),))
+    return glppm.Objective(glppm.LinkSpec(kind, d), lam, events, drivers)
+
+
 def run_suite(datasets: int) -> dict:
     """The records of the ``fits`` suite under the ``glppm`` on the path,
     keyed by fit; a fit that raises records its error."""
     linear, warm = min(datasets, 12), min(datasets, 30)
     sys.path.insert(0, str(BENCH))
     import generate
-    import numpy as np
 
     import glppm
-    from glppm.data import DriverChannel, DriverSeries, EventSeries
-
-    def objective(kind, d, lam, times, horizon):
-        events = EventSeries(horizon, times)
-        drivers = DriverSeries(horizon, (DriverChannel("target", times, np.ones(times.size)),))
-        return glppm.Objective(glppm.LinkSpec(kind, d), lam, events, drivers)
 
     def attempt(out, key, fit):
         try:
@@ -159,31 +181,102 @@ def run_suite(datasets: int) -> dict:
         for i in range(count):
             times = generate.hawkes_exactly_n(generate.dataset_rng(seed, i), n, horizon)
             for m in (1, 2):
-                kernel, obj = glppm.SobolevKernel(m, horizon), objective(kind, d, 5.0, times, horizon)
+                kernel, obj = glppm.SobolevKernel(m, horizon), _self_exciting(kind, d, 5.0, times, horizon)
                 if kind == "linear":
                     attempt(out, f"{name}-m{m}-d{i}", lambda: glppm.fit_linear(kernel, obj))
                     continue
                 cold = attempt(out, f"{name}-m{m}-d{i}", lambda: glppm.fit_descent(kernel, obj))
                 if i < warm and cold is not None:
-                    obj1, init = objective(kind, d, 1.0, times, horizon), cold.g_hat.compact()
+                    obj1, init = _self_exciting(kind, d, 1.0, times, horizon), cold.g_hat.compact()
                     attempt(out, f"{name}-m{m}-d{i}-warm",
                             lambda: glppm.fit_descent(kernel, obj1, init=init))
+    return out
+
+
+def run_timing(datasets: int | None) -> dict:
+    """One timed pass of the benchmark's fit batch under the ``glppm`` on
+    the path: per family, the seconds of its fits and each fit's objective
+    as the hex of its float, after one untimed fit."""
+    import importlib.util
+
+    sys.path.insert(0, str(BENCH))
+    import generate
+
+    import glppm
+
+    spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    out = {"glppm": glppm.__file__}
+    for name, kind, d, _, seed in DESCENT:
+        workload = bench.WORKLOADS[f"fit-{name}"]
+        n, count = workload["n_events"], workload["datasets"]
+        horizon = generate.window_for(n)
+        batch = [
+            generate.hawkes_exactly_n(generate.dataset_rng(seed, i), n, horizon)
+            for i in range(count if datasets is None else min(datasets, count))
+        ]
+
+        def fit(times):
+            obj = _self_exciting(kind, d, bench.PENALTY, times, horizon)
+            return glppm.fit_descent(glppm.SobolevKernel(bench.ORDER, horizon), obj).objective
+
+        fit(batch[0])
+        t0 = perf_counter()
+        objectives = [fit(times) for times in batch]
+        out[name] = {"seconds": perf_counter() - t0, "objectives": [f.hex() for f in objectives]}
+    return out
+
+
+def _under(src: Path, kind: str, *args: str) -> dict:
+    """The JSON that ``compare_runs.py kind args`` prints under the
+    ``glppm`` of ``src``, in a subprocess pinned to one BLAS thread."""
+    env = {**os.environ, **PINNED, "PYTHONPATH": str(Path(src).resolve())}
+    run = subprocess.run([sys.executable, __file__, kind, *args], env=env, capture_output=True, text=True)
+    if run.returncode:
+        raise RuntimeError(f"{kind} under {src} failed:\n{run.stderr}")
+    out = json.loads(run.stdout)
+    where = Path(out.pop("glppm")).resolve()
+    if Path(src).resolve() not in where.parents:
+        raise RuntimeError(f"{kind} under {src} imported glppm from {where}")
     return out
 
 
 def fit_records(src: Path, datasets: int) -> dict:
     """``run_suite`` under the ``glppm`` of ``src``, in a subprocess pinned
     to one BLAS thread."""
-    env = {**os.environ, **PINNED, "PYTHONPATH": str(Path(src).resolve())}
-    argv = [sys.executable, __file__, "suite", "--datasets", str(datasets)]
-    run = subprocess.run(argv, env=env, capture_output=True, text=True)
-    if run.returncode:
-        raise RuntimeError(f"the suite under {src} failed:\n{run.stderr}")
-    out = json.loads(run.stdout)
-    where = Path(out.pop("glppm")).resolve()
-    if Path(src).resolve() not in where.parents:
-        raise RuntimeError(f"the suite under {src} imported glppm from {where}")
-    return out
+    return _under(src, "suite", "--datasets", str(datasets))
+
+
+def compare_timings(a: Path, b: Path, rounds: int, datasets: int | None) -> list[str]:
+    """``run_timing`` under ``a`` and ``b`` for ``rounds`` rounds, the trees
+    alternating which goes first; per family, the median and quartiles of
+    milliseconds per fit on each side, the rounds each side won, and
+    whether every objective matched.  Returns the report's lines, the last
+    of them naming each family whose objectives differ."""
+    import numpy as np
+
+    passes = {a: [], b: []}
+    for r in range(rounds):
+        for src in (a, b) if r % 2 == 0 else (b, a):
+            args = ["--datasets", str(datasets)] if datasets is not None else []
+            passes[src].append(_under(src, "timing", *args))
+    lines, differ = [], []
+    for name, *_ in DESCENT:
+        count = len(passes[a][0][name]["objectives"])
+        ms = {src: np.array([p[name]["seconds"] for p in passes[src]]) * 1e3 / count for src in passes}
+        lines.append(f"{name}: {count} fits per pass, {rounds} round(s)")
+        for src, label in ((a, "A"), (b, "B")):
+            q1, med, q3 = np.percentile(ms[src], [25, 50, 75])
+            lines.append(f"  {label} {src}: {med:.3f} ms/fit (quartiles {q1:.3f}, {q3:.3f})")
+        wins = int(np.sum(ms[b] < ms[a]))
+        first = passes[a][0][name]["objectives"]
+        same = all(p[name]["objectives"] == first for side in passes.values() for p in side)
+        lines.append(f"  B faster in {wins} of {rounds} rounds, A in {rounds - wins}; "
+                     f"objectives {'identical' if same else 'DIFFER'}")
+        differ += [] if same else [name]
+    lines.append(f"objectives differ: {', '.join(differ)}" if differ else "every objective matched")
+    return lines
 
 
 def record_differences(ra: dict, rb: dict, a="A", b="B") -> list[str]:
@@ -199,19 +292,30 @@ def record_differences(ra: dict, rb: dict, a="A", b="B") -> list[str]:
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("kind", choices=("trees", "bench", "fits", "suite"))
+    p.add_argument("kind", choices=("trees", "bench", "fits", "suite", "time", "timing"))
     p.add_argument("a", type=Path, nargs="?")
     p.add_argument("b", type=Path, nargs="?")
-    p.add_argument("--datasets", type=int, default=40)
+    p.add_argument("--datasets", type=int, default=None, help="fits: 40 by default; time: the whole batch")
+    p.add_argument("--rounds", type=int, default=5)
     args = p.parse_args(argv)
+    suite_size = 40 if args.datasets is None else args.datasets
     if args.kind == "suite":
-        print(json.dumps(run_suite(args.datasets)))
+        print(json.dumps(run_suite(suite_size)))
+        return 0
+    if args.kind == "timing":
+        print(json.dumps(run_timing(args.datasets)))
         return 0
     for path in (args.a, args.b):
         if path is None or not path.exists():
             p.error(f"{args.kind} needs two existing paths, got {path}")
+    if args.kind == "time":
+        if args.rounds < 1 or (args.datasets is not None and args.datasets < 1):
+            p.error(f"time needs --rounds and --datasets >= 1, got {args.rounds} and {args.datasets}")
+        lines = compare_timings(args.a, args.b, args.rounds, args.datasets)
+        print("\n".join(lines))
+        return 0 if lines[-1] == "every objective matched" else 1
     if args.kind == "fits":
-        ra, rb = (fit_records(src, args.datasets) for src in (args.a, args.b))
+        ra, rb = (fit_records(src, suite_size) for src in (args.a, args.b))
         diffs = record_differences(ra, rb, args.a, args.b)
         print(f"{len(ra)} fits compared", file=sys.stderr)
     else:
