@@ -460,8 +460,6 @@ def cmd_basis(args) -> int:
             "compensator": [obj.comp_row(kernel, a) for a in ws.atoms],
             "gram": ws.G.tolist(),
             "gram_penalty": ws.Gp.tolist(),
-            # all false: the basis leaves out every atom that is the zero function
-            "zero_mask": [a.is_zero for a in ws.atoms],
         },
     )
     _write_run_manifest(args, "basis", cfg)

@@ -423,9 +423,11 @@ class Objective:
     def integral_column(self, atom: Atom) -> np.ndarray:
         """``columns`` of a nonzero part "r1" integral atom of node weights
         alone, as a (points, 1) array: its sections are the merged node
-        lags, so each search position is read from the index."""
+        lags, so each search position is read from the index.  It keeps no
+        prefix table in the atom, which a fit's result holds."""
         point, lags, dz = self._pairs[atom.channel]
-        h1 = _family_sums(atom._table(atom.m, atom.m), self.node_lag_index(atom.channel).pos, lags)
+        table = _prefix_table(atom.m, atom.m, atom.sec_lags, atom.sec_weights)
+        h1 = _family_sums(table, self.node_lag_index(atom.channel).pos, lags)
         return np.bincount(point, h1 * dz, self.nodes.size + len(self.events)).reshape(-1, 1)
 
     def node_column(self, kernel: SobolevKernel, atom: Atom) -> np.ndarray:
@@ -547,34 +549,38 @@ def objective_value(g: FilterFunction, obj: Objective) -> float:
 # -- representer atoms ----------------------------------------------------------
 
 
-def build_h_atoms(kernel: SobolevKernel, obj: Objective, part: str = "r1") -> list[Atom]:
-    """Event history atoms, event-major then channel-minor.
+def build_h_atoms(kernel: SobolevKernel, obj: Objective, part: str = "r1", points=None) -> list[Atom]:
+    """History atoms of points, point-major then channel-minor.
 
-    Atom (i, j) is sum_{sigma < tau_i} dZ_j R^part(tau_i - sigma, .) on
-    channel j; zero (empty) when the event has no earlier jumps there.  The
-    lags are the objective's event pairs (``Objective._event_pairs``), in
-    the kernel's domain once ``_check_kernel`` passes.  All atoms of a
-    channel come from one pass: its event-pair lags are sorted once by
-    event and then lag, stably, and merged with one ``bincount``, which
-    sums each atom's sections in the order that ``_merge_sorted`` sums one
-    atom's.  Each atom's sections are read-only slices of the channel's
-    merged lags and weights, laid end to end in atom order.
+    A point indexes the objective's pair store: a quadrature node, or an
+    event after the nodes; by default every event.  Atom (p, j), the
+    representer of the predictor at s_p on channel j, is sum_{sigma < s_p}
+    dZ_j R^part(s_p - sigma, .); zero (empty) when no jump precedes the
+    point there.  A channel's atoms come from one pass: its points' pair
+    lags, in the kernel's domain once ``_check_kernel`` passes, are sorted
+    once by point and then lag, stably, and merged with one ``bincount``,
+    which sums each atom's sections in the order that ``_merge_sorted``
+    does.  The atoms' sections are read-only slices of the merged arrays.
     """
     obj._check_kernel(kernel)
-    n_ev, n_ch = len(obj.events), obj.n_channels
-    atoms: list = [None] * (n_ev * n_ch)
-    for j, (owner, _, lags, dz) in enumerate(obj._event_pairs):
+    n_nodes, n_ch = obj.nodes.size, obj.n_channels
+    points = np.arange(n_nodes, n_nodes + len(obj.events)) if points is None else np.asarray(points, dtype=int)
+    atoms: list = [None] * (points.size * n_ch)
+    for j, (point, lags, dz) in enumerate(obj._pairs):
+        # each point's pairs are one run of the store, which is point-major
+        lo, hi = point.searchsorted(points), point.searchsorted(points, side="right")
+        owner = np.repeat(np.arange(points.size), hi - lo)
+        pairs = np.arange(owner.size) + (hi - np.cumsum(hi - lo))[owner]
+        lags, dz = lags[pairs], dz[pairs]
         order = np.lexsort((lags, owner))
         owner, lags = owner[order], lags[order]
         starts = _merge_starts(lags, owner)
         merged_lags, merged_owner = _ro(lags[starts]), owner[starts]
         merged_w = _ro(np.bincount(np.cumsum(starts) - 1, weights=dz[order]))
-        bounds = np.searchsorted(merged_owner, np.arange(n_ev + 1))
-        for i in range(n_ev):
+        bounds = np.searchsorted(merged_owner, np.arange(points.size + 1))
+        for i in range(points.size):
             cut = slice(bounds[i], bounds[i + 1])
-            atoms[i * n_ch + j] = _merged_atom(
-                kernel, j, "section", part, merged_lags[cut], merged_w[cut]
-            )
+            atoms[i * n_ch + j] = _merged_atom(kernel, j, "section", part, merged_lags[cut], merged_w[cut])
     return atoms
 
 

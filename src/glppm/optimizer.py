@@ -15,15 +15,17 @@ events, and Gp the dictionary's H1 Gram.  Only psi, r and the atoms differ:
   d int Y, and psi_q(x) = (max(0, y_q - 2 mu (x + d))^2 - y_q^2) / (4 mu)
   is the augmented-Lagrangian hinge of the node constraint x + d >= 0 with
   multipliers y_q, over the representer basis (``_Workspace.add_representers``)
-  and one atom per forced node.
+  and the history atom of each node whose hinge force has turned on.
 
-The gradient of F is a sum of data atoms: -phi'/phi(X) times an event's
-history atom, the integral atom, and psi' times a node's atom.  Both
-fitters build their dictionary from two kinds of atom: each channel's
-polynomials phi_1..phi_m, and H1 (part "r1") atoms.  A data atom is the H1
-part of its gradient atom and declares the functional it represents; its
-polynomial part goes on the phi coefficients.  The workspace records each
-atom's role as it appends it; the core reads them.
+The gradient of F is a sum of data atoms: the integral atom, and the
+history atom of each point, the representer of X there, with weight psi' at
+a quadrature node and -phi'/phi(X) at an event.  Both fitters build their
+dictionary from two kinds of atom: each channel's polynomials
+phi_1..phi_m, and H1 (part "r1") atoms.  A data atom is the H1 part of its
+gradient atom and declares the functional it represents; its polynomial
+part goes on the phi coefficients.  The workspace records each atom's role
+as it appends it; the core reads them.  Each fitter grows its dictionary
+before it measures an iterate, so that it spans the gradient there.
 
 The core (``_Core.run``) forms the coordinate gradient and Hessian of F,
 takes a direction that passes the angle test cos(direction, -gradient) >=
@@ -52,7 +54,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConfigError, SolverError
-from .filters import Atom, FilterFunction, full_inner_row, h0_poly, h1_inner_row
+# ``full_inner_row`` stays importable here, as the benchmark's tracer hooks it
+from .filters import Atom, FilterFunction, full_inner_row, h0_poly, h1_inner_row  # noqa: F401
 from .kernel import SobolevKernel, _h0_stack
 from .likelihood import LinkSpec, Objective, _boundary_slack, _event_phi, build_f_atoms, build_h_atoms
 
@@ -72,9 +75,9 @@ STEP_FIELDS = (
 )
 
 # an atom's role in the gradient of F (``_Workspace.role``), whose
-# coefficient there is 0 (free), -phi'/phi(X) at its event (history), 1
-# (integral) or psi' at its quadrature node (node)
-FREE, HISTORY, INTEGRAL, NODE = range(4)
+# coefficient there is 0 (free), psi' at its quadrature node or -phi'/phi(X)
+# at its event (point), or 1 (integral)
+FREE, POINT, INTEGRAL = range(3)
 
 
 # the line search's constants (Nocedal & Wright 2006, ch. 3): a step alpha
@@ -192,27 +195,28 @@ class _Workspace:
     only one whose compensator is linear in the coefficients; on the other
     links it is None.
 
-    Each atom also records its ``role`` in the gradient of F: ``HISTORY`` of
-    event ``datum``, ``INTEGRAL``, ``NODE`` of quadrature node ``datum``, or
-    ``FREE`` (polynomials, warm starts); and, as ``completion``, the
-    polynomial content ``Atom.sections_h0`` that an H1 atom lacks against
-    its full-kernel version, at its channel's phi columns.
+    Each atom also records its ``role`` in the gradient of F: ``POINT`` of
+    point ``datum`` (a pair-store index: the nodes, then the events),
+    ``INTEGRAL``, or ``FREE`` (polynomials, warm starts); and, as
+    ``completion``, the polynomial content ``Atom.sections_h0`` that an H1
+    atom lacks against its full-kernel version, at its channel's phi
+    columns.
 
-    The history atom of event i (``add_history_atoms``) represents the
-    predictor at event i on its channel, and the integral atom of node
-    weights w (``add_integral_atoms``, and ``add_node_atoms`` with one-hot
-    weights) represents sum_q w_q X(s_q): for any H1 atom a there,
+    The history atom of point p (``add_point_atoms``) represents the
+    predictor at p on its channel, and the integral atom of node weights w
+    (``add_integral_atoms``) represents sum_q w_q X(s_q): for any H1 atom a
+    there,
 
-        <a, eta_i> = E(a)_i,    <a, f_w> = w . U(a).
+        <a, eta_p> = X(a)_p,    <a, f_w> = w . U(a).
 
     Atoms join in blocks: one ``Objective.columns`` call gives a block's U
     and E (``Objective.integral_column`` an integral atom's), and
     ``_append`` its Gram entries, which against represented atoms are
     products of functionals with columns.  The builders take the
     completions, unchecked, from h0 stacks of lags that lie in the kernel's
-    domain by construction: one per history block, and one per channel and
-    fit for the integral atoms.  Every column, completion and Gram entry
-    has the bits of appending the atoms one at a time with their
+    domain by construction: one per block of point atoms, and one per
+    channel and fit for the integral atoms.  Every column, completion and
+    Gram entry has the bits of appending the atoms one at a time with their
     ``Atom.sections_h0``.
     """
 
@@ -276,7 +280,7 @@ class _Workspace:
 
         * the m polynomials phi_1..phi_m (``add_polynomials``),
         * one history atom per event with an earlier jump there
-          (``add_history_atoms``):
+          (``add_point_atoms``):
           h_i(u) = sum_{sigma < tau_i} dZ R1(tau_i - sigma, u),
         * one exact integral atom:
           f(u) = int_0^t Y_s sum_{sigma < s} dZ R1(s - sigma, u) ds,
@@ -289,30 +293,32 @@ class _Workspace:
         each kind appended as one block."""
         self.add_polynomials()
         n0 = len(self)
-        self.add_history_atoms()
+        self.add_point_atoms()
         n1 = len(self)
         f_atoms = [a for a in build_f_atoms(self.kernel, self.obj, part="r1") if not a.is_zero]
         self._append(f_atoms, self.obj.columns(self.kernel, f_atoms), role=INTEGRAL)
         return slice(n0, n1), slice(n1, len(self))
 
-    def add_history_atoms(self) -> None:
-        """Append the H1 history atom of every (event, channel) with a
-        nonzero earlier jump, each representing its event's predictor, as
-        one block.  Its completions come from one h0 stack over the block's
-        lags laid end to end: each is the product of the atom's slice of
-        that stack with its weights."""
-        atoms = build_h_atoms(self.kernel, self.obj, part="r1")
+    def add_point_atoms(self, points=None) -> None:
+        """Append the H1 history atom of each of these points (pair-store
+        indices: nodes first, then events; by default every event) on every
+        channel with a nonzero earlier jump, point-major, as one block: each
+        represents its point's predictor on its channel.  Its completions
+        come from one h0 stack over the block's lags laid end to end: each
+        is the product of the atom's slice of that stack with its weights."""
+        points = np.arange(self._n_nodes, self._n_points) if points is None else np.asarray(points, dtype=int)
+        atoms = build_h_atoms(self.kernel, self.obj, "r1", points)
         keep = [pos for pos, atom in enumerate(atoms) if not atom.is_zero]
         block = [atoms[pos] for pos in keep]
-        events = np.array(keep, dtype=int) // self.obj.n_channels
+        datum = points[np.array(keep, dtype=int) // self.obj.n_channels]
         functionals = np.zeros((len(block), self._n_points))
-        functionals[np.arange(len(block)), self._n_nodes + events] = 1.0
+        functionals[np.arange(len(block)), datum] = 1.0
         ends = np.cumsum([0] + [atom.sec_lags.size for atom in block])
         stack = _h0_stack(np.concatenate([np.empty(0)] + [atom.sec_lags for atom in block]), self.kernel.m)
         completion = [stack[:, lo:hi] @ atom.sec_weights for atom, lo, hi in zip(block, ends, ends[1:])]
-        self._append(block, self.obj.columns(self.kernel, block), functionals, HISTORY, events, completion)
+        self._append(block, self.obj.columns(self.kernel, block), functionals, POINT, datum, completion)
 
-    def add_integral_atoms(self, link_weights: np.ndarray, role: int = INTEGRAL, datum: int = 0) -> None:
+    def add_integral_atoms(self, link_weights: np.ndarray) -> None:
         """Append the nonzero H1 integral atoms of these node weights, each
         representing sum_q w_q X(s_q) on its channel.  An atom's sections
         are its channel's merged node lags (``Objective.node_lag_index``), so
@@ -327,14 +333,7 @@ class _Workspace:
                 if stack is None:
                     stack = self._node_h0[atom.channel] = _h0_stack(atom.sec_lags, self.kernel.m)
                 completion = [stack @ atom.sec_weights]
-                self._append([atom], self.obj.integral_column(atom), functional, role, datum, completion)
-
-    def add_node_atoms(self, nodes) -> None:
-        """Append, node by node, the integral atoms of each node's one-hot
-        weights: on each channel, the representer of the predictor at that
-        quadrature node, skipped when no jump precedes the node there."""
-        for q in nodes:
-            self.add_integral_atoms(np.eye(1, self._n_nodes, q)[0], NODE, q)
+                self._append([atom], self.obj.integral_column(atom), functional, INTEGRAL, 0, completion)
 
     def add(self, atom: Atom) -> None:
         """Append a polynomial, or an H1 atom that represents no functional
@@ -360,8 +359,8 @@ class _Workspace:
         and warm-start atoms take; 0 across channels.  A block takes its
         atoms' entries against every atom in one product and keeps, within
         the block, the upper triangle: each atom's entries against itself
-        and the atoms before it.  One-hot functionals, as the history and
-        node atoms have, make every product exact, so such a block stores
+        and the atoms before it.  One-hot functionals, as the point atoms
+        have, make every product exact, so such a block stores
         the bits that appending its atoms one at a time stores.  The
         represented atoms' columns are kept (``rep_col``) and the H1 atoms
         that represent none counted, so a block takes no product with their
@@ -550,15 +549,14 @@ class _Core:
 
     def gradient_coords(self, gamma: np.ndarray, rho: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
         """Function-space gradient of F in dictionary coordinates: the data
-        atoms' coefficients, their completions onto the phi columns, and
-        the penalty 2 lam P g, which is 2 lam times the H1 atoms'
+        atoms' coefficients (each point atom's read from one vector over the
+        points, psi' at the nodes and then -phi'/phi = -rho at the events;
+        1 on each integral atom), their completions onto the phi columns,
+        and the penalty 2 lam P g, which is 2 lam times the H1 atoms'
         coefficients.  Exact when the dictionary spans the gradient."""
         ws, lam = self.ws, self.lam
-        history, node = ws.role == HISTORY, ws.role == NODE
-        coeff = np.zeros(len(ws))
-        coeff[history] -= rho[ws.datum[history]]
-        coeff[ws.role == INTEGRAL] += 1.0
-        coeff[node] += dpsi[ws.datum[node]]
+        coeff = np.where(ws.role == POINT, np.concatenate([dpsi, -rho])[ws.datum], 0.0)
+        coeff[ws.role == INTEGRAL] = 1.0
         gam = coeff.copy()
         if lam != 0.0:
             gam += 2.0 * lam * np.where(ws.non_poly, gamma, 0.0)
@@ -619,26 +617,14 @@ class _Core:
         self.ridge_used = self.ridge_used or used
         return delta, d0, cos, kind, sigma
 
-    def unrepresented(self, gam: np.ndarray, w: np.ndarray) -> float:
-        """The squared-norm terms of the gradient's integral mass that the
-        dictionary lacks: with f_w the full-kernel integral atom of node
-        weights w, ||gam + f_w||^2 - gam'G gam = 2 w.(U gam) + ||f_w||^2,
-        as f_w represents sum_q w_q X(s_q)."""
-        if not w.any():
-            return 0.0
-        out = 2.0 * float(w @ (self.ws.U @ gam))
-        for atom in build_f_atoms(self.ws.kernel, self.ws.obj, part="r", link_weights=w):
-            out += float(full_inner_row(atom, [atom])[0])
-        return out
-
     def run(self, gamma, psi, grow=None):
         """Descend from gamma, as the next pass of the fit, for at most
         ``max_iter`` steps.
 
-        ``grow(psi')`` may append atoms before each iterate is measured.  It
-        returns the node weights of the gradient's integral mass that the
-        dictionary still lacks (None for none), whose atom ``unrepresented``
-        adds to the measured norm.  Returns (gamma, reason).
+        ``grow(psi')`` appends, before each iterate is measured, the atoms
+        that the gradient of F there needs and the dictionary lacks, so that
+        the norm is measured in a span that holds the gradient.  Returns
+        (gamma, reason).
         """
         ws, lam = self.ws, self.lam
         self.passes += 1
@@ -649,7 +635,8 @@ class _Core:
             xn, xe = ws.U @ gamma, ws.E @ gamma
             phi_e, rho = self.event_terms(xe)
             dpsi = psi.deriv(xn)
-            lacking = grow(dpsi) if grow is not None else None
+            if grow is not None:
+                grow(dpsi)
             phi = phi_e
             if len(ws) > gamma.size:
                 # products over the grown dictionary can round apart from
@@ -659,8 +646,6 @@ class _Core:
                 dpsi, phi = psi.deriv(xn), self.link.value(xe)
             gam = self.gradient_coords(gamma, rho, dpsi)
             gn2 = float(gam @ ws.G @ gam)
-            if lacking is not None:
-                gn2 += self.unrepresented(gam, lacking)
             gn = float(np.sqrt(max(gn2, 0.0)))
             gp_g = ws.Gp @ gamma
             g_gp_g = float(gamma @ gp_g)
@@ -763,22 +748,23 @@ def fit_linear(
     """Exact penalized fit for the linear link in the representer basis.
 
     Builds the finite representer basis, in which the unconstrained
-    minimizer lies (``_Workspace.add_representers``), and
-    runs the Newton core on them, with at most ``max_iter`` steps per pass.
-    If the minimizer would let the predictor dip below -d between events,
-    hinge-squared penalties on the violating quadrature nodes push it back.
-    The penalties are warm-started with multiplier estimates updated after
+    minimizer lies (``_Workspace.add_representers``), and runs the Newton
+    core on it, with at most ``max_iter`` steps per pass.  If the minimizer
+    would let the predictor dip below -d between events, hinge-squared
+    penalties on the violating quadrature nodes push it back.  The
+    penalties are warm-started with multiplier estimates updated after
     every pass (an augmented Lagrangian), so the penalty weight stays
-    bounded and the passes converge to exact node feasibility.  Each pass
-    also grows the basis by one H1 atom per newly forced node and channel
-    (``_Workspace.add_node_atoms``): an active node constraint contributes
-    its own representer to
-    the solution, so the constrained optimum lies in this enlarged span
-    rather than in the unconstrained representer span.
+    bounded and the passes converge to exact node feasibility.  An active
+    node constraint adds its node's history atom, the representer of X
+    there, to the span of the solution: it joins the dictionary
+    (``_Workspace.add_point_atoms``) before the first iterate at which the
+    node's hinge force is on is measured.
 
     The fit converges when a pass ends on the gradient test of its KKT
-    residual with the nodes feasible and complementary.  Steps use the
-    line search constants C1, C2, DELTA and MAX_STEP_TRIALS.
+    residual with the nodes feasible and complementary, feasible also by
+    the returned filter's own node predictor, which ``objective_value``
+    reads and ``max_node_violation`` reports.  Steps use the line search
+    constants C1, C2, DELTA and MAX_STEP_TRIALS.
     """
     if obj.link.kind != "linear":
         raise ConfigError("fit_linear requires the linear link")
@@ -788,7 +774,20 @@ def fit_linear(
     ws = _Workspace(kernel, obj)
     core = _Core(ws, tol, max_iter)
     ws.add_representers()
-    node_added = np.zeros(obj.nodes.size, dtype=bool)
+    joined = np.zeros(obj.nodes.size, dtype=bool)  # nodes whose atoms joined
+
+    def grow(dpsi: np.ndarray) -> None:
+        new = np.flatnonzero((dpsi != 0.0) & ~joined)
+        if new.size:
+            joined[new] = True
+            ws.add_point_atoms(new)
+
+    def filter_violation() -> float:
+        """The largest violation of X + d >= 0 at the nodes by the predictor
+        of the filter at c, which ``objective_value`` reads: with large
+        single terms it can part from U c by about the slack."""
+        gaps = obj.link.value(obj.predictors(FilterFunction(kernel, obj.n_channels, tuple(ws.atoms), c))[0])
+        return float(max(0.0, -gaps.min())) if gaps.size else 0.0
 
     # with d = 0 start at phi_1 = 1, positive at every event with some
     # driver history; the core rejects an event with none
@@ -799,20 +798,16 @@ def fit_linear(
     y_mult, mu, slack, viol_prev = np.zeros(obj.nodes.size), 1.0, _boundary_slack(d), np.inf
     while True:
         hinge = _Hinge(y_mult, mu, obj.link)
-        # the forces on nodes with no atom yet are gradient mass the basis lacks
-        c, reason = core.run(c, hinge, grow=lambda dpsi: np.where(node_added, 0.0, dpsi))
+        c, reason = core.run(c, hinge, grow)
         xn = ws.U @ c
         gaps = obj.link.value(xn)
         v = float(max(0.0, -gaps.min())) if gaps.size else 0.0
         w = hinge.force(xn)
         y_top = float(w.max()) if w.size else 0.0
         comp = float(np.max(np.minimum(w, np.maximum(gaps, 0.0)))) if w.size else 0.0
-        feasible = v <= slack and comp <= 1e-6 * max(1.0, y_top)
+        feasible = v <= slack and comp <= 1e-6 * max(1.0, y_top) and filter_violation() <= slack
         if (feasible and reason in ("grad", "noise_floor", "stationary")) or core.passes >= 20:
             break
-        nodes_new = np.flatnonzero((w > 0.0) & ~node_added)
-        node_added[nodes_new] = True
-        ws.add_node_atoms(nodes_new)
         y_mult = w
         if v > slack and v > 0.25 * viol_prev and mu < 1e4:
             mu *= 10.0
@@ -826,8 +821,8 @@ def fit_linear(
     core.objective_trace.append(core.objective_trace[-1] - hinge.value(xn))
     core.grad_norm_trace.append(float(np.sqrt(max(gam @ ws.G @ gam, 0.0))))
     return core.result(
-        c, reason, feasible, hinge_passes=core.passes, hinge_mu=mu, max_node_violation=v,
-        kkt_residual=kkt, n_node_atoms=int(np.count_nonzero(ws.role == NODE)),
+        c, reason, feasible, hinge_passes=core.passes, hinge_mu=mu, max_node_violation=filter_violation(),
+        kkt_residual=kkt, n_node_atoms=int(np.count_nonzero(ws.datum[ws.role == POINT] < obj.nodes.size)),
     )
 
 
@@ -871,7 +866,7 @@ def fit_descent(
     ws = _Workspace(kernel, obj)
     core = _Core(ws, tol, max_iter)
     ws.add_polynomials()
-    ws.add_history_atoms()
+    ws.add_point_atoms()
     psi = _QuadratureCompensator(obj)
 
     last_f_weights = psi.deriv(np.zeros(obj.nodes.size))

@@ -582,7 +582,8 @@ class TestBasisCommand:
         assert basis["slices"]["f"][1] == dim
         assert len(basis["gram"]) == dim and len(basis["gram"][0]) == dim
         assert len(basis["gram_penalty"]) == dim
-        assert len(basis["zero_mask"]) == dim
+        # no zero-atom mask: the basis leaves out every atom that is zero
+        assert "zero_mask" not in basis
         assert len(basis["compensator"]) == dim
         assert len(basis["design"]) == len(times)
         assert all(len(row) == dim for row in basis["design"])
@@ -618,7 +619,7 @@ class TestBasisCommand:
         assert np.any(comp != 0.0)
         # the first event has no history, so it has no atom, and no atom is zero
         assert len(h_atoms) == len(times) - 1
-        assert basis["zero_mask"] == [False] * len(atoms)
+        assert not any(a.is_zero for a in atoms)
         for key, oracle in (("gram", full_gram), ("gram_penalty", h1_gram)):
             G = np.array(basis[key])
             assert np.array_equal(G, G.T)

@@ -91,11 +91,52 @@ def test_fit_records_differ_by_fit_and_by_field(compare_runs):
     ]
 
 
+def test_family_totals_sum_each_family_on_both_sides(compare_runs):
+    import numpy as np
+
+    def fit(status, n_iter, objective):
+        trace = base64.b64encode(np.array([9.0, objective], "<f8").tobytes()).decode("ascii")
+        return {"status": status, "n_iter": n_iter, "objective_trace": trace}
+
+    ra = {
+        "linear-m1-d0": fit("converged", 20, 4.0), "linear-m1-d1": fit("converged", 30, 8.0),
+        "exp-m2-d0-warm": fit("max_iter", 500, 2.0), "exp-m2-d1-warm": {"error": "x"},
+        "exp-m2-d2-warm": fit("converged", 9, 1.0),
+    }
+    rb = {
+        "linear-m1-d0": fit("converged", 18, 4.0 + 4e-9), "linear-m1-d1": fit("stalled", 25, 8.0 - 8e-10),
+        "exp-m2-d0-warm": fit("converged", 300, 2.0), "exp-m2-d1-warm": fit("converged", 7, 3.0),
+        "exp-m1-d0": fit("converged", 5, 1.0),
+    }
+    # a fit in one suite only, and a fit without an objective, count in
+    # no difference; a family with no objective on both sides reads nan
+    assert compare_runs.family_totals(ra, rb) == [
+        "exp-m2-warm: 2 fits, converged 0 / 2, iterations 500 / 307, largest objective difference 0 relative",
+        "linear-m1: 2 fits, converged 2 / 1, iterations 50 / 43, largest objective difference 1e-09 relative",
+    ]
+    assert compare_runs.family_totals({"exp-m1-d0": {"error": "x"}}, {"exp-m1-d0": {"error": "y"}}) == [
+        "exp-m1: 1 fits, converged 0 / 0, iterations 0 / 0, largest objective difference nan relative",
+    ]
+
+
 def test_fits_run_the_suite_under_each_source_tree(tmp_path, compare_runs, capsys):
     src = TOOL.parents[1] / "src"
     small = ["--datasets", "1"]
     assert compare_runs.main(["fits", str(src), str(src), *small]) == 0
-    assert "10 fits compared" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert "10 fits compared" in err
+    # no differences, then one line per family: links by m, cold and warm
+    lines = out.splitlines()
+    assert lines[0] == "per family, A / B:" and len(lines) == 11
+    assert [line.split(":")[0] for line in lines[1:]] == sorted(
+        f"{link}-m{m}{warm}" for link in ("exp", "softplus", "linear") for m in (1, 2)
+        for warm in ("", "-warm") if link != "linear" or not warm
+    )
+    for line in lines[1:]:
+        assert re.fullmatch(
+            r"[a-z]+-m[12](-warm)?: 1 fits, converged ([01]) / \2, iterations (\d+) / \3, "
+            r"largest objective difference 0 relative", line
+        )
     # a tree whose line search asks for more curvature takes other steps
     changed = tmp_path / "src"
     shutil.copytree(src / "glppm", changed / "glppm", ignore=shutil.ignore_patterns("__pycache__"))
@@ -105,7 +146,8 @@ def test_fits_run_the_suite_under_each_source_tree(tmp_path, compare_runs, capsy
     assert constants.format(0.4) in text
     optimizer.write_text(text.replace(constants.format(0.4), constants.format(0.3)))
     assert compare_runs.main(["fits", str(src), str(changed), *small]) == 1
-    lines = capsys.readouterr().out.splitlines()
+    out = capsys.readouterr().out.splitlines()
+    lines = out[: out.index("per family, A / B:")]
     assert lines and all(" differs" in line for line in lines)
     assert any(line.startswith("exp-m1-d0: objective_trace") for line in lines)
 

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from glppm import filters, likelihood, optimizer
 from glppm.data import AtRiskProcess, DriverChannel, DriverSeries, EventSeries
-from glppm.errors import ConfigError, InfeasibleError, SolverError
+from glppm.errors import ConfigError, DomainError, InfeasibleError, SolverError
 from glppm.filters import (
     FilterFunction,
     full_inner_row,
@@ -28,9 +28,8 @@ from glppm.likelihood import (
 )
 from glppm.optimizer import (
     FREE,
-    HISTORY,
     INTEGRAL,
-    NODE,
+    POINT,
     STEP_FIELDS,
     FitResult,
     _Core,
@@ -272,6 +271,96 @@ class TestFitLinear:
         k = SobolevKernel(m=1, horizon=6.0)
         with pytest.raises(InfeasibleError):
             fit_linear(k, obj)
+
+    def test_node_atoms_are_the_history_atoms_of_their_nodes(self, monkeypatch):
+        # a forced node's atom comes from the pair store, as an event's
+        # does: no integral atom of node weights and no index column, and
+        # sections that are the node's own pair lags, every weight nonzero
+        events, z, tgt, lam = two_channel_objective()
+        obj = Objective(linear_link(0.5), 1.0, events, DriverSeries(8.0, (z, tgt)))
+        calls, real_f, real_column = [], optimizer.build_f_atoms, Objective.integral_column
+
+        def f_spy(*args, **kwargs):
+            calls.append(("build_f_atoms", kwargs.get("link_weights")))
+            return real_f(*args, **kwargs)
+
+        def column_spy(self, atom):
+            calls.append(("integral_column", None))
+            return real_column(self, atom)
+
+        monkeypatch.setattr(optimizer, "build_f_atoms", f_spy)
+        monkeypatch.setattr(Objective, "integral_column", column_spy)
+        res = fit_linear(SobolevKernel(m=1, horizon=8.0), obj)
+        assert res.converged and res.diagnostics["n_node_atoms"] > 0
+        # the exact integral atoms of the representer basis, once
+        assert calls == [("build_f_atoms", None)]
+        n_node = res.diagnostics["n_node_atoms"]
+        for a in res.g_hat.atoms[len(res.g_hat.atoms) - n_node :]:
+            ch = obj.drivers.channels[a.channel]
+            own = []
+            for s_q in obj.nodes:
+                earlier = ch.times < s_q
+                order = np.argsort(s_q - ch.times[earlier])
+                own.append(((s_q - ch.times[earlier])[order], ch.sizes[earlier][order]))
+            assert any(same_bits(a.sec_lags, lags) and same_bits(a.sec_weights, w) for lags, w in own)
+            assert a.kind == "section" and a.sec_weights.all()
+
+    def test_every_measured_gradient_norm_is_the_full_gradients(self, monkeypatch):
+        # the oracle's gradient of the plain objective plus the hinge's,
+        # sum_q psi'_q times the full-kernel representer of X at node q
+        # (the integral atom of the weights psi'): the dictionary spans it
+        # at every measured iterate, so the traced norm is its norm, to 1e-8
+        # relative above a rounding floor: near convergence both sums
+        # cancel to about 1e-13 of the starting norm.  The hinge iterates
+        # may cross the boundary that it penalizes, so the oracle's domain
+        # check is off
+        import oracles
+
+        monkeypatch.setattr(oracles, "_check_domain", lambda *args: None)
+        k, obj = dense_objective(lam=1.0, m=1)
+        states, real = [], _Core.gradient_coords
+
+        def spy(core, gamma, rho, dpsi):
+            states.append((tuple(core.ws.atoms), gamma.copy(), dpsi.copy()))
+            return real(core, gamma, rho, dpsi)
+
+        monkeypatch.setattr(_Core, "gradient_coords", spy)
+        res = fit_linear(k, obj)
+        assert res.converged and res.diagnostics["n_node_atoms"] > 0
+        assert len(states) == res.grad_norm_trace.size
+        assert any(dpsi.any() for _, _, dpsi in states)
+        floor = 1e-12 * res.grad_norm_trace[0]
+        for (atoms, gamma, dpsi), traced in zip(states, res.grad_norm_trace):
+            grad = gradient(FilterFunction(k, 1, atoms, gamma), obj)
+            if dpsi.any():
+                grad = grad + FilterFunction(
+                    k, 1, tuple(build_f_atoms(k, obj, part="r", link_weights=dpsi)), np.ones(1)
+                )
+            assert_allclose(traced, np.sqrt(grad.inner_product(grad)), rtol=1e-8, atol=floor)
+
+    def test_a_converged_fit_is_feasible_on_its_returned_filter(self, monkeypatch):
+        # large cancelling terms can leave the returned filter's own
+        # predictor at a node below -d by more than the slack while U c is
+        # feasible; here its predictor at the lowest node is pushed 6e-7
+        # below -d.  The fit measures its violation there, so it does not
+        # converge, and a converged fit always evaluates
+        k, obj = dense_objective(lam=1.0, m=1)
+        real = Objective.predictors
+
+        def lowered(self, g):
+            x_nodes, x_events = real(self, g)
+            x_nodes = x_nodes.copy()
+            i = int(np.argmin(x_nodes))
+            x_nodes[i] = min(x_nodes[i], -0.5 - 6e-7)
+            return x_nodes, x_events
+
+        assert fit_linear(k, obj).converged
+        monkeypatch.setattr(Objective, "predictors", lowered)
+        res = fit_linear(k, obj)
+        assert not res.converged and res.diagnostics["hinge_passes"] == 20
+        assert res.diagnostics["max_node_violation"] == pytest.approx(6e-7, rel=1e-6)
+        with pytest.raises(DomainError):
+            objective_value(res.g_hat, obj)
 
     def test_channel_order_invariance(self):
         events, z, tgt, lam = two_channel_objective()
@@ -627,12 +716,12 @@ class TestWorkspace:
             ws.add(h0_poly(kernel, ch, 1))
         ws.add(kernel_section(kernel, 1, 2.5))
         ws.add_integral_atoms(rng.uniform(0.1, 1.0, obj.nodes.size))
-        ws.add_history_atoms()
+        ws.add_point_atoms()
         ws.add(kernel_section(kernel, 0, 7.0))
         for a in compact.atoms:
             ws.add(a)
         ws.add(h0_poly(kernel, 1, 2))
-        ws.add_node_atoms([5, 40])
+        ws.add_point_atoms([5, 40])
         ws.add_integral_atoms(rng.uniform(-1.0, 1.0, obj.nodes.size))
         atoms = ws.atoms
         assert len(atoms) > 32  # past the first capacity of the buffers
@@ -644,37 +733,43 @@ class TestWorkspace:
 
 
 class TestGradientRoles:
-    """Each atom records its role in the gradient, with its event or node,
-    and the polynomial completion of a smooth-part atom; ``_Core`` reads
-    the gradient from these records alone."""
+    """Each atom records its role in the gradient, with its point (a node,
+    or an event after the nodes), and the polynomial completion of a
+    smooth-part atom; ``_Core`` reads the gradient from these records
+    alone."""
 
     def test_a_linear_dictionary_records_every_role(self):
         # the representer basis (polynomials, a history atom per event and
         # channel with an earlier jump there, an integral atom per channel),
-        # then the atoms of three nodes in the order asked for, each with a
-        # nonzero section weight: node 8 follows z's first jump but no
-        # event, node 0 precedes every jump
+        # then the point atoms of three nodes in the order asked for, one
+        # per channel with an earlier jump: node 8 follows z's first jump
+        # but no event, node 0 precedes every jump
         events, z, tgt, lam = two_channel_objective()
         obj = Objective(linear_link(0.5), lam, events, DriverSeries(8.0, (z, tgt)))
         k = SobolevKernel(m=2, horizon=8.0)
         ws = _Workspace(k, obj)
         h_cols, f_cols = ws.add_representers()
-        ws.add_node_atoms([8, 0, 40])
+        ws.add_point_atoms([8, 0, 40])
         history = [pos for pos, a in enumerate(build_h_atoms(k, obj)) if not a.is_zero]
         # the first event has no earlier jump on the target, so that atom is left out
         assert len(history) == 2 * len(events) - 1
         assert ws.role[: h_cols.start].tolist() == [FREE] * (2 * k.m)
-        assert ws.role[h_cols].tolist() == [HISTORY] * len(history)
-        assert ws.datum[h_cols].tolist() == [pos // 2 for pos in history]
+        assert ws.role[h_cols].tolist() == [POINT] * len(history)
+        assert ws.datum[h_cols].tolist() == [obj.nodes.size + pos // 2 for pos in history]
         assert ws.role[f_cols].tolist() == [INTEGRAL] * 2
         nodes = []
         for q in (8, 0, 40):
-            onehot = np.zeros(obj.nodes.size)
-            onehot[q] = 1.0
-            atoms = build_f_atoms(k, obj, link_weights=onehot)
-            nodes += [q for a in atoms if not a.is_zero]
-        assert ws.role[f_cols.stop :].tolist() == [NODE] * len(nodes)
+            nodes += [q for ch in obj.drivers.channels if (ch.times < obj.nodes[q]).any()]
+        assert ws.role[f_cols.stop :].tolist() == [POINT] * len(nodes)
         assert ws.datum[f_cols.stop :].tolist() == nodes == [8, 40, 40]
+        # a node's atom is its history atom: the node's pair lags with their
+        # jump sizes, on its channel
+        for a, q in zip(ws.atoms[f_cols.stop :], nodes):
+            ch = obj.drivers.channels[a.channel]
+            lags = obj.nodes[q] - ch.times[ch.times < obj.nodes[q]]
+            order = np.argsort(lags)
+            assert same_bits(a.sec_lags, lags[order])
+            assert same_bits(a.sec_weights, ch.sizes[: lags.size][order])
         # each H1 atom's polynomial completion sits at its channel's phi
         # columns; a polynomial has none
         for a, completion in zip(ws.atoms, ws.completion):
@@ -685,19 +780,18 @@ class TestGradientRoles:
             assert same_bits(completion, want)
 
     def test_a_node_with_no_earlier_jump_adds_no_atom(self):
-        # node 0 lies before every jump of both channels: its one-hot
-        # weights give each channel an atom whose section weights are all
-        # zero, a dead column that the dictionary does not take
+        # node 0 lies before every jump of both channels: its history atoms
+        # are empty, dead columns that the dictionary does not take
         events, z, tgt, lam = two_channel_objective()
         obj = Objective(linear_link(0.5), lam, events, DriverSeries(8.0, (z, tgt)))
         k = SobolevKernel(m=2, horizon=8.0)
         ws = _Workspace(k, obj)
         ws.add_representers()
         n = len(ws)
-        ws.add_node_atoms([0])
+        ws.add_point_atoms([0])
         assert len(ws) == n
-        ws.add_node_atoms([5, 40])
-        node = np.flatnonzero(ws.role == NODE)
+        ws.add_point_atoms([5, 40])
+        node = np.flatnonzero((ws.role == POINT) & (ws.datum < obj.nodes.size))
         assert node.size > 0
         assert (np.diag(ws.G)[node] > 0.0).all()
 
@@ -710,7 +804,7 @@ class TestGradientRoles:
         kernel, obj = history_objective(m)
         ws = _Workspace(kernel, obj)
         ws.add_polynomials()
-        ws.add_history_atoms()
+        ws.add_point_atoms()
         ws.add(kernel_section(kernel, 1, 2.5))
         gamma = 0.05 * np.random.default_rng(5).normal(size=len(ws))
         psi = _QuadratureCompensator(obj)
@@ -736,7 +830,7 @@ class TestBulkDictionary:
         kernel, obj = history_objective(m)
         ws = _Workspace(kernel, obj)
         ws.add_polynomials()
-        ws.add_history_atoms()
+        ws.add_point_atoms()
 
         ref = _Workspace(kernel, obj)
         ref.add_polynomials()
@@ -747,15 +841,16 @@ class TestBulkDictionary:
             if not atom.is_zero:
                 functional = np.zeros(ref._n_points)
                 functional[ref._n_nodes + pos // n_ch] = 1.0
-                want_events.append(pos // n_ch)
-                append_one(ref, atom, HISTORY, pos // n_ch, functional)
-        # the first event has no history, so its atoms are skipped
-        assert 0 not in want_events and len(want_events) < len(atoms)
-        history = ws.role == HISTORY
+                want_events.append(obj.nodes.size + pos // n_ch)
+                append_one(ref, atom, POINT, ref._n_nodes + pos // n_ch, functional)
+        # the first event has no history, so its atoms are skipped; each
+        # atom's datum is its event's point, after the nodes
+        assert obj.nodes.size not in want_events and len(want_events) < len(atoms)
+        history = ws.role == POINT
         assert ws.datum[history].tolist() == want_events and np.flatnonzero(~history).size == n_ch * m
         assert_same_workspace(ws, ref)
         # event 3 (t = 3.0) has six jumps on z before it in three groups
-        z_atom = [ws.atoms[c] for c in np.flatnonzero(history & (ws.datum == 3))][0]
+        z_atom = [ws.atoms[c] for c in np.flatnonzero(history & (ws.datum == obj.nodes.size + 3))][0]
         assert z_atom.channel == 0 and z_atom.sec_lags.size == 3
 
     def test_history_chunks_split_the_atoms(self, monkeypatch):
@@ -773,7 +868,7 @@ class TestBulkDictionary:
         monkeypatch.setattr(likelihood, "_family_sums", spy)
         monkeypatch.setattr(likelihood, "_HISTORY_BLOCK", 2000)
         ws = _Workspace(kernel, obj)
-        ws.add_history_atoms()
+        ws.add_point_atoms()
         assert len(sizes) > obj.n_channels and sum(sizes) == len(ws)
 
     @pytest.mark.parametrize("m", [1, 2])
@@ -791,7 +886,7 @@ class TestBulkDictionary:
             if not atom.is_zero:
                 functional = np.zeros(ref._n_points)
                 functional[ref._n_nodes + pos // n_ch] = 1.0
-                append_one(ref, atom, HISTORY, pos // n_ch, functional)
+                append_one(ref, atom, POINT, ref._n_nodes + pos // n_ch, functional)
         for atom in build_f_atoms(kernel, obj, part="r1"):
             append_one(ref, atom, INTEGRAL)
         assert_same_workspace(ws, ref)
@@ -809,7 +904,7 @@ class TestBulkDictionary:
         ws, ref = _Workspace(kernel, obj), _Workspace(kernel, obj)
         for w in (ws, ref):
             w.add_polynomials()
-            w.add_history_atoms()
+            w.add_point_atoms()
         for weights in steps:
             n = len(ws)
             ws.add_integral_atoms(weights)
@@ -925,8 +1020,8 @@ class TestColumns:
         n_poly = obj.n_channels * kernel.m
         assert calls == [(n_poly, False)]
         del calls[:]
-        ws.add_history_atoms()
-        n_history = int(np.sum(ws.role == HISTORY))
+        ws.add_point_atoms()
+        n_history = int(np.sum(ws.role == POINT))
         assert calls == [(n_history, False)]
         del calls[:]
         ws.add_integral_atoms(np.ones(obj.nodes.size))
@@ -988,15 +1083,25 @@ class TestGrowthCost:
             assert counts.get("h0_basis", 0) == counts.get("_check_domain", 0) == 0
 
     @pytest.mark.parametrize("m", [1, 2])
+    def test_a_finished_fit_holds_no_integral_prefix_table(self, m):
+        # ``Objective.integral_column`` reads an integral atom's prefix
+        # table once, so the result does not carry the tables
+        kernel, obj = history_objective(m, quiet_channel=True)
+        res = fit_descent(kernel, obj, tol=1e-6)
+        integral = [a for a in res.g_hat.atoms if a.kind == "integrated"]
+        assert res.converged and len(integral) > 3
+        assert not any(a._tables for a in integral)
+
+    @pytest.mark.parametrize("m", [1, 2])
     def test_a_history_block_takes_one_h0_stack(self, m, monkeypatch):
         kernel, obj = history_objective(m, quiet_channel=True)
         ws = _Workspace(kernel, obj)
         ws.add_polynomials()
         calls = {}
         self.spy(monkeypatch, calls)
-        ws.add_history_atoms()
+        ws.add_point_atoms()
         # one stack serves the atoms of both channels with jumps
-        assert {ws.atoms[c].channel for c in np.flatnonzero(ws.role == HISTORY)} == {0, 1}
+        assert {ws.atoms[c].channel for c in np.flatnonzero(ws.role == POINT)} == {0, 1}
         assert calls == {"_h0_stack": 1}
 
 
@@ -1262,7 +1367,7 @@ class TestLeanIntegralAtoms:
         ws, ref = _Workspace(kernel, obj), _Workspace(kernel, obj)
         for w in (ws, ref):
             w.add_polynomials()
-            w.add_history_atoms()
+            w.add_point_atoms()
             w.add(kernel_section(kernel, 1, 2.5))
         for weights in (rng.uniform(0.1, 1.0, obj.nodes.size), rng.uniform(-1.0, 1.0, obj.nodes.size)):
             n = len(ws)

@@ -81,7 +81,8 @@ class TestBasisShape:
         k = SobolevKernel(m=2, horizon=4.0)
         ws, h_cols, _ = representer_basis(k, obj)
         assert not any(a.is_zero for a in ws.atoms)
-        assert ws.datum[h_cols].tolist() == [1]
+        # its datum is the point of the second event, after the nodes
+        assert ws.datum[h_cols].tolist() == [obj.nodes.size + 1]
         assert np.diag(ws.G).min() > 0.0
         assert_allclose(ws.E[0], np.zeros(4), atol=1e-15)
 

@@ -44,6 +44,9 @@
 
 ``bench`` and ``fits`` follow each fit that differs with its status and
 iterations on both sides and the relative difference of its objectives.
+After the differences ``fits`` prints a table per family of fits (link and
+m, cold or warm): the converged count and the total iterations on each
+side, and the largest relative objective difference.
 
 Each difference is printed; the exit code is 1 if there is any, else 0.
 Typical use, with the parent commit checked out in a second directory and
@@ -60,6 +63,7 @@ import argparse
 import base64
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -116,16 +120,41 @@ def _objective(record: dict) -> float:
     return float("nan")
 
 
+def _relative_difference(ra: dict, rb: dict) -> float:
+    """The relative difference of two fit records' objectives; NaN when
+    either has none."""
+    fa, fb = _objective(ra), _objective(rb)
+    return abs(fa - fb) / max(abs(fa), abs(fb), 1e-300)
+
+
 def fit_summary(ra: dict, rb: dict) -> str:
     """The status and iterations of one fit's two records, and their
     relative objective difference, so that a change that moves last bits
     can be reviewed from the output."""
-    fa, fb = _objective(ra), _objective(rb)
-    rel = abs(fa - fb) / max(abs(fa), abs(fb), 1e-300)
     return (
         f"status {ra.get('status')} / {rb.get('status')}, n_iter {ra.get('n_iter')} / {rb.get('n_iter')}, "
-        f"objective differs by {rel:.2g} relative"
+        f"objective differs by {_relative_difference(ra, rb):.2g} relative"
     )
+
+
+def family_totals(ra: dict, rb: dict) -> list[str]:
+    """Per family of the fits that both suites hold (link and m, cold or
+    warm: a fit's key without its dataset), the fits, the converged count
+    and the total iterations on each side, and the largest relative
+    objective difference over the fits that have an objective on both."""
+    families: dict[str, list[str]] = {}
+    for key in sorted(set(ra) & set(rb)):
+        families.setdefault(re.sub(r"-d\d+", "", key), []).append(key)
+    lines = []
+    for name, keys in families.items():
+        converged = [sum(r[k].get("status") == "converged" for k in keys) for r in (ra, rb)]
+        iterations = [sum(r[k].get("n_iter") or 0 for k in keys) for r in (ra, rb)]
+        rel = max((x for x in (_relative_difference(ra[k], rb[k]) for k in keys) if x == x), default=float("nan"))
+        lines.append(
+            f"{name}: {len(keys)} fits, converged {converged[0]} / {converged[1]}, "
+            f"iterations {iterations[0]} / {iterations[1]}, largest objective difference {rel:.2g} relative"
+        )
+    return lines
 
 
 def _fit_record(res) -> dict:
@@ -317,10 +346,12 @@ def main(argv=None) -> int:
     if args.kind == "fits":
         ra, rb = (fit_records(src, suite_size) for src in (args.a, args.b))
         diffs = record_differences(ra, rb, args.a, args.b)
+        totals = ["per family, A / B:"] + family_totals(ra, rb)
         print(f"{len(ra)} fits compared", file=sys.stderr)
     else:
         diffs = (tree_differences if args.kind == "trees" else fit_differences)(args.a, args.b)
-    for line in diffs:
+        totals = []
+    for line in diffs + totals:
         print(line)
     print(f"{len(diffs)} difference(s)", file=sys.stderr)
     return 1 if diffs else 0
