@@ -442,7 +442,7 @@ def cmd_basis(args) -> int:
     _, events, drivers = _load_dataset(args.data)
     obj = Objective(link, lam, events, drivers, at_risk=at_risk, quadrature=quad)
     kernel = SobolevKernel(m=m, horizon=events.horizon)
-    ws = _Workspace(kernel, obj)
+    ws = _Workspace(kernel, obj, compensator=True)
     h_cols, f_cols = ws.add_representers()
     _write_json(
         Path(args.out) / "basis.json",
@@ -457,7 +457,7 @@ def cmd_basis(args) -> int:
             },
             "design": ws.E.tolist(),
             # the exact compensator row, on every link
-            "compensator": [obj.comp_row(kernel, a) for a in ws.atoms],
+            "compensator": ws.comp.tolist(),
             "gram": ws.G.tolist(),
             "gram_penalty": ws.Gp.tolist(),
         },

@@ -21,17 +21,18 @@ The gradient of F is a sum of data atoms: the integral atom, and the
 history atom of each point, the representer of X there, with weight psi' at
 a quadrature node and -phi'/phi(X) at an event.  Both fitters build their
 dictionary from two kinds of atom: each channel's polynomials
-phi_1..phi_m, and H1 (part "r1") atoms.  A data atom is the H1 part of its
-gradient atom and declares the functional it represents; its polynomial
-part goes on the phi coefficients.  The workspace records each atom's role
+phi_1..phi_m, and H1 (part "r1") atoms.  Every H1 atom is the H1 part of a
+data atom and declares the functional it represents; its polynomial part
+goes on the phi coefficients.  The workspace records each atom's role
 as it appends it; the core reads them.  Each fitter grows its dictionary
 before it measures an iterate, so that it spans the gradient there.
 
 The core (``_Core.run``) forms the coordinate gradient and Hessian of F,
 takes a direction that passes the angle test cos(direction, -gradient) >=
 DELTA (Newton, else Levenberg-damped in the function-space metric G on a
-ladder of sigma rising tenfold from 1e-6 tr(H) / tr(G), searched from one
-rung below the rung it last accepted, else function-space steepest
+ladder of sigma rising tenfold from 1e-6 tr(H) / tr(G), the traces over the
+coordinates where H's diagonal is nonzero, searched from one rung below
+the rung it last accepted, else function-space steepest
 descent), and moves by a weak Wolfe step (C1, C2, at most MAX_STEP_TRIALS
 trials) on F's closed form along it; Zoutendijk's argument needs both
 conditions (Nocedal & Wright 2006, ch. 3).
@@ -42,8 +43,7 @@ derivative is at rounding level, "stall" when no trial decreases F
 otherwise, and "max_iter" at the step budget.  Only "grad" gives the
 status "converged", on the linear link only with feasible nodes.
 g_0 is the solver's start: the zero filter, or phi_1 = 1 for ``fit_linear``
-when d = 0.  ``fit_descent`` takes it at the zero filter also when given an
-``init``, so that a warm start cannot set its own stopping scale.
+when d = 0.
 """
 
 from __future__ import annotations
@@ -54,7 +54,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConfigError, SolverError
-# ``full_inner_row`` stays importable here, as the benchmark's tracer hooks it
+# ``full_inner_row`` and ``h1_inner_row`` stay importable here, as the
+# benchmark's tracer hooks them
 from .filters import Atom, FilterFunction, full_inner_row, h0_poly, h1_inner_row  # noqa: F401
 from .kernel import SobolevKernel, _h0_stack
 from .likelihood import LinkSpec, Objective, _boundary_slack, _event_phi, build_f_atoms, build_h_atoms
@@ -75,8 +76,8 @@ STEP_FIELDS = (
 )
 
 # an atom's role in the gradient of F (``_Workspace.role``), whose
-# coefficient there is 0 (free), psi' at its quadrature node or -phi'/phi(X)
-# at its event (point), or 1 (integral)
+# coefficient there is 0 (free: the polynomials), psi' at its quadrature
+# node or -phi'/phi(X) at its event (point), or 1 (integral)
 FREE, POINT, INTEGRAL = range(3)
 
 
@@ -190,63 +191,61 @@ class _Workspace:
     (part "r1") atoms, none of them the zero function.  ``U`` and ``E`` hold
     each atom's predictor at the quadrature nodes and at the events, ``G``
     and ``Gp`` its full and H1 inner products with every atom, all in
-    buffers that double in capacity as the dictionary grows.  ``comp``
-    holds the exact compensator row of each atom on the linear link, the
-    only one whose compensator is linear in the coefficients; on the other
-    links it is None.
+    buffers that double in capacity as the dictionary grows.  On the linear
+    link, the only one whose compensator is linear in the coefficients, or
+    with ``compensator``, the predictor buffer holds one more row, each
+    atom's exact compensator, which ``comp`` views; else ``comp`` is None.
 
     Each atom also records its ``role`` in the gradient of F: ``POINT`` of
     point ``datum`` (a pair-store index: the nodes, then the events),
-    ``INTEGRAL``, or ``FREE`` (polynomials, warm starts); and, as
-    ``completion``, the polynomial content ``Atom.sections_h0`` that an H1
-    atom lacks against its full-kernel version, at its channel's phi
-    columns.
+    ``INTEGRAL``, or ``FREE`` (the polynomials); and, as ``completion``, the
+    polynomial content ``Atom.sections_h0`` that an H1 atom lacks against
+    its full-kernel version, at its channel's phi columns.
 
-    The history atom of point p (``add_point_atoms``) represents the
-    predictor at p on its channel, and the integral atom of node weights w
-    (``add_integral_atoms``) represents sum_q w_q X(s_q): for any H1 atom a
-    there,
+    Every H1 atom declares the functional it represents, as weights over
+    the rows of the predictor buffer.  The history atom of point p
+    (``add_point_atoms``) represents the predictor at p on its channel, the
+    integral atom of node weights w (``add_integral_atoms``) sum_q w_q
+    X(s_q), and the exact integral atom f of the linear link
+    (``add_representers``) the compensator: for any H1 atom a there,
 
-        <a, eta_p> = X(a)_p,    <a, f_w> = w . U(a).
+        <a, eta_p> = X(a)_p,    <a, f_w> = w . U(a),    <a, f> = comp(a).
 
     Atoms join in blocks: one ``Objective.columns`` call gives a block's U
     and E (``Objective.integral_column`` an integral atom's), and
-    ``_append`` its Gram entries, which against represented atoms are
-    products of functionals with columns.  The builders take the
-    completions, unchecked, from h0 stacks of lags that lie in the kernel's
-    domain by construction: one per block of point atoms, and one per
-    channel and fit for the integral atoms.  Every column, completion and
-    Gram entry has the bits of appending the atoms one at a time with their
-    ``Atom.sections_h0``.
+    ``_append`` its Gram entries, products of functionals with columns.
+    The builders take the completions, unchecked, from h0 stacks of lags
+    that lie in the kernel's domain by construction: one per block of point
+    atoms, and one per channel and fit for the integral atoms.  Every
+    column, completion and Gram entry has the bits of appending the atoms
+    one at a time with their ``Atom.sections_h0``.
     """
 
-    def __init__(self, kernel: SobolevKernel, obj: Objective):
+    def __init__(self, kernel: SobolevKernel, obj: Objective, compensator: bool = False):
         self.kernel = kernel
         self.obj = obj
         self.atoms: list[Atom] = []
         self._n_nodes = obj.nodes.size
         self._n_points = obj.nodes.size + len(obj.events)
-        self._n_rep = 0  # atoms that represent a functional, rows of F
-        self._n_free_h1 = 0  # H1 atoms that represent none
+        # the rows of the predictor buffer: the points, then the compensator
+        self._n_rows = self._n_points + (compensator or obj.link.kind == "linear")
+        self._n_rep = 0  # H1 atoms, the rows of F
         self._node_h0: dict[int, np.ndarray] = {}  # h0 stack of each channel's node lags
         self._reserve(32)
         self._expose()
 
     def _reserve(self, cap: int) -> None:
         """Buffers for ``cap`` atoms, keeping the rows and columns in use:
-        predictor columns X (nodes, then events), the functional weights F
-        over the same points of the atoms that represent one, in column
-        order, with their columns ``rep_col``, and the per-atom
-        attributes."""
-        n, p, m = len(self.atoms), self._n_points, self.kernel.m
+        predictor columns X, the functional weights F over the same rows of
+        the H1 atoms, in column order, and the per-atom attributes."""
+        n, r, m = len(self.atoms), self._n_rows, self.kernel.m
         old = getattr(self, "_buf", None)
         buf = {
-            "X": np.zeros((p, cap)), "F": np.zeros((cap, p)),
+            "X": np.zeros((r, cap)), "F": np.zeros((cap, r)),
             "G": np.zeros((cap, cap)), "Gp": np.zeros((cap, cap)), "h0": np.zeros((cap, m)),
-            "completion": np.zeros((cap, self.obj.n_channels * m)), "comp": np.zeros(cap),
+            "completion": np.zeros((cap, self.obj.n_channels * m)),
             "channel": np.zeros(cap, dtype=int), "non_poly": np.zeros(cap, dtype=bool),
-            "rep_col": np.zeros(cap, dtype=int), "role": np.zeros(cap, dtype=int),
-            "datum": np.zeros(cap, dtype=int),
+            "role": np.zeros(cap, dtype=int), "datum": np.zeros(cap, dtype=int),
         }
         if old is not None:
             for key, arr in buf.items():
@@ -259,10 +258,10 @@ class _Workspace:
 
     def _expose(self) -> None:
         """Point the public arrays at the buffers' rows and columns in use."""
-        n, b, q = len(self.atoms), self._buf, self._n_nodes
-        self.U, self.E = b["X"][:q, :n], b["X"][q:, :n]
+        n, b, q, p = len(self.atoms), self._buf, self._n_nodes, self._n_points
+        self.U, self.E = b["X"][:q, :n], b["X"][q:p, :n]
         self.G, self.Gp = b["G"][:n, :n], b["Gp"][:n, :n]
-        self.comp = b["comp"][:n] if self.obj.link.kind == "linear" else None
+        self.comp = b["X"][p, :n] if self._n_rows > p else None
         self.non_poly = b["non_poly"][:n]
         self.role, self.datum, self.completion = b["role"][:n], b["datum"][:n], b["completion"][:n]
 
@@ -282,13 +281,14 @@ class _Workspace:
         * one history atom per event with an earlier jump there
           (``add_point_atoms``):
           h_i(u) = sum_{sigma < tau_i} dZ R1(tau_i - sigma, u),
-        * one exact integral atom:
+        * one exact integral atom, which represents the compensator:
           f(u) = int_0^t Y_s sum_{sigma < s} dZ R1(s - sigma, u) ds,
 
         in that order: polynomials channel-major, then history atoms
         event-major with the channels side by side, then the integral atoms.
         The h and f atoms are the smooth parts of the event and compensator
-        design functionals; one that is the zero function is left out.
+        design functionals; one that is the zero function is left out.  The
+        workspace needs the compensator row, which f's functional reads.
         Returns the columns of the history atoms and of the integral atoms,
         each kind appended as one block."""
         self.add_polynomials()
@@ -296,7 +296,9 @@ class _Workspace:
         self.add_point_atoms()
         n1 = len(self)
         f_atoms = [a for a in build_f_atoms(self.kernel, self.obj, part="r1") if not a.is_zero]
-        self._append(f_atoms, self.obj.columns(self.kernel, f_atoms), role=INTEGRAL)
+        functionals = np.zeros((len(f_atoms), self._n_rows))
+        functionals[:, self._n_points] = 1.0
+        self._append(f_atoms, self.obj.columns(self.kernel, f_atoms), functionals, INTEGRAL)
         return slice(n0, n1), slice(n1, len(self))
 
     def add_point_atoms(self, points=None) -> None:
@@ -311,7 +313,7 @@ class _Workspace:
         keep = [pos for pos, atom in enumerate(atoms) if not atom.is_zero]
         block = [atoms[pos] for pos in keep]
         datum = points[np.array(keep, dtype=int) // self.obj.n_channels]
-        functionals = np.zeros((len(block), self._n_points))
+        functionals = np.zeros((len(block), self._n_rows))
         functionals[np.arange(len(block)), datum] = 1.0
         ends = np.cumsum([0] + [atom.sec_lags.size for atom in block])
         stack = _h0_stack(np.concatenate([np.empty(0)] + [atom.sec_lags for atom in block]), self.kernel.m)
@@ -325,7 +327,7 @@ class _Workspace:
         its column reads the index (``Objective.integral_column``) and its
         completion is one product with the h0 stack of those lags, taken
         once per channel and fit."""
-        functional = np.zeros((1, self._n_points))
+        functional = np.zeros((1, self._n_rows))
         functional[0, : self._n_nodes] = link_weights
         for atom in build_f_atoms(self.kernel, self.obj, part="r1", link_weights=link_weights):
             if not atom.is_zero:
@@ -335,37 +337,23 @@ class _Workspace:
                 completion = [stack @ atom.sec_weights]
                 self._append([atom], self.obj.integral_column(atom), functional, INTEGRAL, 0, completion)
 
-    def add(self, atom: Atom) -> None:
-        """Append a polynomial, or an H1 atom that represents no functional
-        and carries no gradient weight (a warm start's).  Any other atom
-        with polynomial content is a ConfigError: that content belongs on
-        the phi columns."""
-        if atom.kind != "h0" and atom.h0.any():
-            raise ConfigError("an atom with polynomial content must be a polynomial; add its projected()")
-        self._append([atom], self.obj.columns(self.kernel, [atom]))
-
     def _append(self, atoms: list[Atom], x, functionals=None, role=FREE, datum=0, completion=None) -> None:
-        """Append a block of atoms of one kind, polynomials or H1 atoms,
-        with their predictor columns x, the weights of the functionals they
-        represent (one row per atom), if any, their gradient role and datum
-        (one for the block, or one datum per atom), and, for H1 atoms,
-        their completions (one row of m per atom; by default each atom's
-        ``sections_h0``).
+        """Append a block of atoms of one kind: polynomials, or H1 atoms
+        with the weights of the functionals they represent (one row per
+        atom).  With them come their predictor columns x, to which the
+        compensator row adds each atom's exact compensator, their gradient
+        role and datum (one for the block, or one datum per atom), and, for
+        H1 atoms, their completions (one row of m per atom; by default each
+        atom's ``sections_h0``).
 
         The one Gram rule: a polynomial's H1 products are 0 and its full
         ones its h0 products.  For H1 atoms i <= a, <i, a> is i's functional
-        of a's columns when i represents one, else a's functional of i's
-        when a does, else ``h1_inner_row``, which only the exact integral
-        and warm-start atoms take; 0 across channels.  A block takes its
-        atoms' entries against every atom in one product and keeps, within
-        the block, the upper triangle: each atom's entries against itself
-        and the atoms before it.  One-hot functionals, as the point atoms
-        have, make every product exact, so such a block stores
-        the bits that appending its atoms one at a time stores.  The
-        represented atoms' columns are kept (``rep_col``) and the H1 atoms
-        that represent none counted, so a block takes no product with their
-        columns while there are none, and on one channel no cross-channel
-        mask."""
+        of a's column; 0 across channels.  A block takes its atoms' entries
+        against every H1 atom in one product and keeps, within the block,
+        the upper triangle: each atom's entries against itself and the
+        atoms before it.  One-hot functionals, as the point atoms have, make
+        every product exact, so such a block stores the bits that appending
+        its atoms one at a time stores."""
         if not atoms:
             return
         n0, k, m = len(self.atoms), len(atoms), self.kernel.m
@@ -376,48 +364,31 @@ class _Workspace:
         if cap > self._buf["G"].shape[0]:
             self._reserve(cap)
         b = self._buf
+        if self._n_rows > self._n_points:
+            x = np.vstack([x, [[self.obj.comp_row(self.kernel, atom) for atom in atoms]]])
         b["X"][:, n0:n] = x
-        r0 = self._n_rep
-        if functionals is not None:
-            b["F"][r0 : r0 + k] = functionals
-            b["rep_col"][r0 : r0 + k] = np.arange(n0, n)
-            self._n_rep += k
         b["role"][n0:n], b["datum"][n0:n] = role, datum
         channel = b["channel"][:n]
         channel[n0:] = [atom.channel for atom in atoms]
+        self.atoms.extend(atoms)
+
+        rows_p = np.zeros((n, k))
         poly = atoms[0].kind == "h0"
         if poly:
             b["h0"][n0:n] = [atom.h0 for atom in atoms]
+            rows_f = b["h0"][:n] @ b["h0"][n0:n].T
         else:
             b["non_poly"][n0:n] = True
+            b["F"][self._n_rep : self._n_rep + k] = functionals
+            self._n_rep += k
+            rows_p[b["non_poly"][:n]] = b["F"][: self._n_rep] @ x
+            rows_f = rows_p
             if completion is None:
                 completion = [atom.sections_h0(self.kernel) for atom in atoms]
             # the completions as (atom, channel, m): each atom's phi columns
             # on its channel are 0, so they hold 0.0 + h0, as sections_h0 does
             per_channel = b["completion"].reshape(len(b["completion"]), -1, m)
             per_channel[np.arange(n0, n), channel[n0:]] += completion
-        if self.obj.link.kind == "linear":
-            b["comp"][n0:n] = [self.obj.comp_row(self.kernel, atom) for atom in atoms]
-        self.atoms.extend(atoms)
-
-        rows_p = np.zeros((n, k))
-        if poly:
-            rows_f = b["h0"][:n] @ b["h0"][n0:n].T
-        else:
-            if self._n_rep:
-                rows_p[b["rep_col"][: self._n_rep]] = b["F"][: self._n_rep] @ x
-            if functionals is None or self._n_free_h1:
-                free = b["non_poly"][:n0].copy()
-                free[b["rep_col"][:r0]] = False
-                free = np.flatnonzero(free)
-                if functionals is not None:
-                    rows_p[free] = (functionals @ b["X"][:, free]).T
-                else:
-                    for a, atom in enumerate(atoms):
-                        others = np.concatenate([free, np.arange(n0, n0 + a + 1)])
-                        rows_p[others, a] = h1_inner_row(atom, [self.atoms[i] for i in others])
-                    self._n_free_h1 += k
-            rows_f = rows_p
         if self.obj.n_channels > 1:
             rows_f[channel[:, None] != channel[n0:]] = 0.0
         if k > 1 and not poly:
@@ -498,7 +469,6 @@ class _Core:
         self.phi_cols = np.arange(obj.n_channels * ws.kernel.m).reshape(obj.n_channels, -1)
         self.log_y = float(np.sum(np.log(obj.y_events))) if len(obj.events) else 0.0
         self.const = obj.link.d * obj.int_y if ws.comp is not None else 0.0
-        self.gn0: float | None = None
         self.objective_trace: list[float] = []
         self.grad_norm_trace: list[float] = []
         self.records: list[dict] = []
@@ -599,7 +569,11 @@ class _Core:
         # bottom finds, when passing is monotone in sigma
         found, kind = attempt(0.0), "newton"
         if found is None:
-            ladder = [1e-6 * float(np.trace(H) / np.trace(ws.G))]
+            # tr(G) over the live coordinates, those with a nonzero diagonal
+            # of H: the phi columns of a channel with no nonzero jump have
+            # neither data nor penalty, and must not set the scale
+            live = np.diag(H) != 0.0
+            ladder = [1e-6 * float(np.trace(H) / max(np.diag(ws.G)[live].sum(), 1e-300))]
             while len(ladder) < 14:
                 ladder.append(10.0 * ladder[-1])
             r, kind = max(self._rung - 1, 0), "damped_newton"
@@ -657,13 +631,11 @@ class _Core:
                 f0 -= float(np.sum(np.log(phi))) + self.log_y
             self.objective_trace.append(f0)
             self.grad_norm_trace.append(gn)
-            if self.gn0 is None:
-                self.gn0 = gn
             if gn2 < 0.0:
                 # only rounding makes a squared norm negative; an exact 0
                 # can be a true one, as on data with no jumps
                 return gamma, "noise_floor"
-            if gn <= self.tol * max(1.0, self.gn0):
+            if gn <= self.tol * max(1.0, self.grad_norm_trace[0]):
                 return gamma, "grad"
             if steps >= self.max_iter:
                 return gamma, "max_iter"
@@ -731,7 +703,7 @@ class _Core:
             diagnostics={
                 "ridge_used": self.ridge_used,
                 "n_atoms": len(ws),
-                "grad_norm_scale": self.gn0,
+                "grad_norm_scale": self.grad_norm_trace[0],
                 "iterations": self.records,
                 "unpenalized": self.lam == 0.0,
                 **diagnostics,
@@ -829,7 +801,6 @@ def fit_linear(
 def fit_descent(
     kernel: SobolevKernel,
     obj: Objective,
-    init: FilterFunction | None = None,
     tol: float = 1e-6,
     max_iter: int = 500,
 ) -> FitResult:
@@ -846,19 +817,14 @@ def fit_descent(
     of all integral atoms, with coordinate +1 on each; adding the weights
     themselves instead would leave nearly collinear atoms whose Newton
     systems are singular to working precision near the optimum.  The Newton
-    core runs on this dictionary, growing it before each iterate.
+    core runs on this dictionary from the zero filter, growing it before
+    each iterate.
 
     Each iterate adds at most one integral atom per channel, so for d
     channels and N events the dictionary holds at most
-    d (m + N + max_iter + 2) atoms, plus the atoms of ``init``: ``max_iter``
-    bounds the fit's memory as well as its steps.
-
-    The fit starts at the zero filter, or at ``init``: the polynomial
-    content of each of its atoms goes on the phi columns, and its H1 part,
-    unless zero, joins the dictionary.  The stopping scale
-    ||grad F(0)|| is taken at the zero filter either way, so a poor start
-    cannot loosen the test.  Steps use the line search constants C1, C2,
-    DELTA and MAX_STEP_TRIALS.
+    d (m + N + max_iter + 2) atoms: ``max_iter`` bounds the fit's memory as
+    well as its steps.  Steps use the line search constants C1, C2, DELTA
+    and MAX_STEP_TRIALS.
     """
     if obj.link.kind == "linear":
         raise ConfigError("fit_descent serves the non-linear links; use fit_linear")
@@ -871,23 +837,6 @@ def fit_descent(
 
     last_f_weights = psi.deriv(np.zeros(obj.nodes.size))
     ws.add_integral_atoms(last_f_weights)
-    gamma = np.zeros(len(ws))
-
-    if init is not None:
-        if init.kernel != kernel or init.n_channels != obj.n_channels:
-            raise ConfigError("init filter does not match the kernel/data")
-        # the initial dictionary spans the gradient at the zero filter
-        _, rho0 = core.event_terms(np.zeros(len(obj.events)))
-        gam0 = core.gradient_coords(gamma, rho0, last_f_weights)
-        core.gn0 = float(np.sqrt(max(float(gam0 @ ws.G @ gam0), 0.0)))
-        for atom, coeff in zip(init.atoms, init.coefficients):
-            # polynomials are already spanned by the phi columns; a second
-            # copy would leave the Newton systems singular
-            gamma[core.phi_cols[atom.channel]] += coeff * atom.h0
-            smooth = atom.projected()
-            if coeff != 0.0 and not smooth.is_zero:
-                ws.add(smooth)
-                gamma = np.append(gamma, coeff)
 
     def grow(w_link: np.ndarray) -> None:
         """Integral atom of the gradient at the current iterate: the atom
@@ -899,4 +848,4 @@ def fit_descent(
             ws.add_integral_atoms(w_link - last_f_weights)
             last_f_weights = w_link
 
-    return core.result(*core.run(gamma, psi, grow=grow))
+    return core.result(*core.run(np.zeros(len(ws)), psi, grow=grow))

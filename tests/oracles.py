@@ -384,12 +384,14 @@ def wolfe_angle_step(
 
 def ascending_ladder(core, H: np.ndarray, grad_c: np.ndarray, gam: np.ndarray, gn: float):
     """``_Core.direction`` by a climb from the bottom of the damping ladder:
-    Newton, then sigma = 1e-6 tr(H) / tr(G) rising tenfold by repeated
+    Newton, then sigma = 1e-6 tr(H) / tr(G), both traces over the
+    coordinates where H's diagonal is nonzero, rising tenfold by repeated
     ``10.0 * sigma`` over 14 rungs, the first that passes the angle test,
     else steepest descent.  Returns (delta, slope, cosine, kind, sigma),
     sigma None for steepest descent, and leaves the core as it was."""
     ws = core.ws
     free = np.diag(ws.G) > 0.0
+    live = np.diag(H) != 0.0
 
     def cosine(slope: float, norm2: float) -> float:
         return -slope / max(gn * np.sqrt(max(norm2, 0.0)), 1e-300)
@@ -404,7 +406,7 @@ def ascending_ladder(core, H: np.ndarray, grad_c: np.ndarray, gam: np.ndarray, g
         cos = cosine(d0, dn2)
         if d0 < 0.0 and dn2 > 0.0 and cos >= optimizer.DELTA:
             return delta, d0, cos, "damped_newton" if sigma else "newton", sigma
-        sigma = 10.0 * sigma if sigma else 1e-6 * float(np.trace(H) / np.trace(ws.G))
+        sigma = 10.0 * sigma if sigma else 1e-6 * float(np.trace(H) / np.trace(ws.G[np.ix_(live, live)]))
     d0 = -float(grad_c @ gam)
     return -gam, d0, cosine(d0, float(gam @ ws.G @ gam)), "steepest", None
 

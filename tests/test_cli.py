@@ -419,13 +419,6 @@ class TestFilterFile:
         expected = time_rescale(res.g_hat, obj.link, obj.events, obj.drivers)
         assert np.array_equal(gaps, expected)
 
-    def test_warm_starts_the_descent_at_its_optimum(self, tmp_path):
-        out, res, obj, kernel = self.fit(tmp_path, *LINKS[1])
-        g = FilterFunction.load(out / "filter.json")
-        again = fit_descent(kernel, obj, init=g, tol=1e-6, max_iter=100)
-        assert again.converged and again.n_iter == 0
-        assert abs(again.objective - res.objective) <= 1e-9
-
 
 class TestIntensityCommand:
     def test_zero_filter_gives_constant_baseline_column(self, tmp_path):

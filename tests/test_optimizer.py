@@ -11,9 +11,7 @@ from glppm.data import AtRiskProcess, DriverChannel, DriverSeries, EventSeries
 from glppm.errors import ConfigError, DomainError, InfeasibleError, SolverError
 from glppm.filters import (
     FilterFunction,
-    full_inner_row,
     h0_poly,
-    h1_inner_row,
     kernel_section,
 )
 from glppm.kernel import SobolevKernel
@@ -100,17 +98,39 @@ def history_objective(m: int, quiet_channel: bool = False):
     return SobolevKernel(m=m, horizon=8.0), obj
 
 
-WORKSPACE_BUFFERS = (
-    "X", "F", "G", "Gp", "h0", "completion", "comp", "channel", "non_poly", "rep_col", "role", "datum",
-)
+WORKSPACE_BUFFERS = ("X", "F", "G", "Gp", "h0", "completion", "channel", "non_poly", "role", "datum")
 
 
 def append_one(ws, atom, role, datum=0, functional=None):
-    """Append one atom with its gradient role and datum, and the weights of
-    the functional it represents, if any: the reference for the bulk
-    builders, which record them per block."""
+    """Append one atom with its gradient role and datum, and, for an H1
+    atom, the weights of the functional it represents over the rows of the
+    predictor buffer: the reference for the bulk builders, which record
+    them per block."""
     rows = None if functional is None else functional[None, :]
     ws._append([atom], ws.obj.columns(ws.kernel, [atom]), rows, role, datum)
+
+
+def fit_with_workspace(monkeypatch, fit, *args, **kwargs):
+    """A fit and the workspace it ends with, caught at ``_Core.result``."""
+    spaces, real = [], _Core.result
+
+    def result(core, *a, **kw):
+        spaces.append(core.ws)
+        return real(core, *a, **kw)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_Core, "result", result)
+        res = fit(*args, **kwargs)
+    return res, spaces[-1]
+
+
+def first_history_atoms(kernel, obj, count):
+    """A workspace of the polynomials and the history atoms of the first
+    ``count`` events that have an earlier jump, all on one channel."""
+    ws = _Workspace(kernel, obj)
+    ws.add_polynomials()
+    ws.add_point_atoms(ws._n_nodes + np.arange(1, count + 1))
+    return ws
 
 
 def assert_same_workspace(ws, ref):
@@ -233,13 +253,14 @@ class TestFitLinear:
         assert res.diagnostics["n_atoms"] == len(res.g_hat.atoms)
         assert res.diagnostics["n_atoms"] == dim + res.diagnostics["n_node_atoms"]
 
-    def test_only_the_exact_integral_atoms_take_pairwise_rows(self, monkeypatch):
-        # history and node atoms declare their functionals, so their Gram
-        # rows are products with columns; polynomials have no H1 part; the
-        # exact compensator atoms, one per channel, represent no functional
-        # over points and take one ``h1_inner_row`` each
+    @pytest.mark.parametrize("link", [linear_link(0.5), exponential_link(-0.5)], ids=["linear", "exp"])
+    def test_every_gram_entry_is_a_functional_of_a_column(self, link, monkeypatch):
+        # every H1 atom declares the functional it represents, so neither
+        # fitter takes a pairwise H1 inner product; the Grams of the fit's
+        # dictionary are the direct ones, the exact integral atoms of the
+        # linear link included, whose H1 norm is their own compensator
         events, z, tgt, lam = two_channel_objective()
-        obj = Objective(linear_link(0.5), lam, events, DriverSeries(8.0, (z, tgt)))
+        obj = Objective(link, lam, events, DriverSeries(8.0, (z, tgt)))
         calls, real = [], optimizer.h1_inner_row
 
         def spy(atom, atoms):
@@ -247,10 +268,20 @@ class TestFitLinear:
             return real(atom, atoms)
 
         monkeypatch.setattr(optimizer, "h1_inner_row", spy)
-        res = fit_linear(SobolevKernel(m=2, horizon=8.0), obj)
-        assert res.converged and res.diagnostics["n_node_atoms"] > 0
-        assert [(a.kind, a.channel) for a in calls] == [("integrated", 0), ("integrated", 1)]
-        assert all(a.seg_nodes.size and not a.sec_lags.size for a in calls)
+        k = SobolevKernel(m=2, horizon=8.0)
+        fit = fit_linear if link.kind == "linear" else fit_descent
+        res, ws = fit_with_workspace(monkeypatch, fit, k, obj)
+        assert res.converged and calls == []
+        assert_allclose(ws.G, full_gram(ws.atoms), rtol=1e-12, atol=1e-12)
+        assert_allclose(ws.Gp, h1_gram(ws.atoms), rtol=1e-12, atol=1e-12)
+        if link.kind == "linear":
+            exact = np.flatnonzero(ws.role == INTEGRAL)
+            assert res.diagnostics["n_node_atoms"] > 0
+            assert [(ws.atoms[f].kind, ws.atoms[f].channel) for f in exact] == [
+                ("integrated", 0), ("integrated", 1)
+            ]
+            for f in exact:
+                assert ws.Gp[f, f] == pytest.approx(obj.comp_row(k, ws.atoms[f]), rel=1e-12)
         assert not any(a.h0.any() for a in res.g_hat.atoms if a.kind != "h0")
 
     def test_empty_data_returns_zero_filter(self):
@@ -480,9 +511,9 @@ class TestFitDescent:
 
     @pytest.mark.parametrize("link", [exponential_link(), softplus_link()], ids=["exp", "softplus"])
     def test_cold_start_is_the_zero_filter(self, link):
-        # without init the fit starts at the zero filter: its first trace
-        # entries are the objective and the gradient norm there, and that
-        # norm is the stopping scale
+        # the fit starts at the zero filter: its first trace entries are the
+        # objective and the gradient norm there, and that norm is the
+        # stopping scale
         k, obj = dense_objective(lam=2.0, link=link, m=1)
         res = fit_descent(k, obj, tol=1e-6, max_iter=300)
         zero = FilterFunction.zero(k, 1)
@@ -492,84 +523,6 @@ class TestFitDescent:
             np.sqrt(grad.inner_product(grad)), rel=1e-8
         )
         assert res.diagnostics["grad_norm_scale"] == res.grad_norm_trace[0]
-
-    def test_warm_start_reaches_same_optimum(self):
-        k, obj = dense_objective(lam=2.0, link=exponential_link(), m=1)
-        res_cold = fit_descent(k, obj, tol=1e-6, max_iter=300)
-        init = FilterFunction(k, 1, (h0_poly(k, 0, 1),), np.array([0.4]))
-        res_warm = fit_descent(k, obj, init=init, tol=1e-6, max_iter=300)
-        assert res_warm.converged
-        assert abs(res_warm.objective - res_cold.objective) <= 1e-6
-        # the stopping scale is the cold fit's, taken at the zero filter
-        assert res_warm.diagnostics["grad_norm_scale"] == pytest.approx(
-            res_cold.diagnostics["grad_norm_scale"], rel=1e-12
-        )
-
-    def test_init_on_another_space_is_config_error(self):
-        k, obj = dense_objective(lam=2.0, link=exponential_link(), m=1)
-        for init in (FilterFunction.zero(SobolevKernel(m=2, horizon=8.0)), FilterFunction.zero(k, 2)):
-            with pytest.raises(ConfigError, match="init filter"):
-                fit_descent(k, obj, init=init)
-
-    def test_polynomial_init_adds_no_second_copy(self):
-        # the polynomial of an init is already spanned by the phi columns
-        k, obj = dense_objective(lam=2.0, link=exponential_link(), m=2)
-        init = FilterFunction(k, 1, (h0_poly(k, 0, 1), h0_poly(k, 0, 2)), np.array([0.4, 0.0]))
-        res = fit_descent(k, obj, init=init, tol=1e-6, max_iter=300)
-        assert [a.kind for a in res.g_hat.atoms].count("h0") == 2
-        assert res.converged
-
-    def test_poor_warm_start_does_not_loosen_the_stopping_test(self):
-        # the gradient at this start is about 7e7; measured against it, a
-        # fit far from the optimum would pass the relative test
-        k, obj = dense_objective(lam=2.0, link=exponential_link(), m=1)
-        res_cold = fit_descent(k, obj, tol=1e-6, max_iter=300)
-        init = FilterFunction(k, 1, (h0_poly(k, 0, 1),), np.array([1.0]))
-        res_warm = fit_descent(k, obj, init=init, tol=1e-6, max_iter=300)
-        assert not res_warm.converged or (
-            abs(res_warm.objective - res_cold.objective) <= 1e-6
-        )
-        assert res_warm.diagnostics["grad_norm_scale"] == pytest.approx(
-            res_cold.diagnostics["grad_norm_scale"], rel=1e-12
-        )
-
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 1: after this start the fit stops 'stationary' above the cold optimum",
-    )
-    def test_poor_warm_start_reaches_the_cold_optimum(self):
-        # init = 1.0 phi_1, where ||grad F|| is about 7e7: the fit stops
-        # "stationary" after a steepest step with cosine 0.002, about 6e-4
-        # above the cold fit's F, so the gradient's coordinates and the
-        # coordinate gradient disagree after this start
-        k, obj = dense_objective(lam=2.0, link=exponential_link(), m=1)
-        res_cold = fit_descent(k, obj, tol=1e-6, max_iter=300)
-        init = FilterFunction(k, 1, (h0_poly(k, 0, 1),), np.array([1.0]))
-        res_warm = fit_descent(k, obj, init=init, tol=1e-6, max_iter=300)
-        assert abs(res_warm.objective - res_cold.objective) <= 1e-6
-
-    def test_full_kernel_init_joins_as_its_h1_parts(self):
-        # an uncompacted init of part "r" history atoms: each atom's
-        # polynomial content goes on phi_1 and its H1 part joins the
-        # dictionary, so the fit starts at the init's F; the first event
-        # has no earlier jump, so its atom projects to zero and stays out
-        k, obj = dense_objective(lam=2.0, link=exponential_link(), m=1)
-        res_cold = fit_descent(k, obj, tol=1e-6, max_iter=300)
-        atoms = build_h_atoms(k, obj, part="r")
-        assert atoms[0].projected().is_zero and all(a.h0.any() for a in atoms[1:])
-        init = FilterFunction(k, 1, tuple(atoms), 0.005 * np.random.default_rng(7).uniform(-1, 1, len(atoms)))
-        res = fit_descent(k, obj, init=init, tol=1e-6, max_iter=300)
-        assert res.objective_trace[0] == pytest.approx(objective_value(init, obj), rel=1e-12)
-        assert res.converged
-        assert abs(res.objective - res_cold.objective) <= 1e-6
-        # the init's N - 1 nonzero H1 parts follow the cold dictionary's
-        # first atoms: phi_1, N - 1 history atoms and an integral atom
-        n_ev = len(obj.events)
-        warm = res.g_hat.atoms[n_ev + 1 : 2 * n_ev]
-        assert len(warm) == n_ev - 1 and all(a.sec_lags is b.sec_lags for a, b in zip(warm, atoms[1:]))
-        # no atom but a polynomial carries polynomial content
-        for fit in (res, res_cold):
-            assert not any(a.h0.any() for a in fit.g_hat.atoms if a.kind != "h0")
 
     def test_max_iter_bounds_the_dictionary(self):
         # 260 events after one driver jump: a history atom each, so the
@@ -606,7 +559,8 @@ class TestZeroMarkDriver:
     that driver.  Its jumps fall on event times, so the quadrature is the
     same with and without it.  At m = 2 its polynomials have no data and
     no penalty, so their rows of the Hessian are 0; the Newton solve gives
-    them a zero step without a ridge."""
+    them a zero step without a ridge, and they do not set the scale of the
+    damping ladder."""
 
     @staticmethod
     def objectives(link):
@@ -638,7 +592,7 @@ class TestZeroMarkDriver:
             return real(core, gamma, psi, grow)
 
         monkeypatch.setattr(_Core, "run", run)
-        for m, tol in ((1, 1e-9), (2, 1e-6)):
+        for m, tol in ((1, 1e-9), (2, 1e-6), (2, 1e-9)):
             k = SobolevKernel(m=m, horizon=8.0)
             del first[:]
             res, want = fit_descent(k, obj, tol=tol), fit_descent(k, ref, tol=tol)
@@ -651,28 +605,37 @@ class TestZeroMarkDriver:
             assert all(a.channel == 1 for a in res.g_hat.atoms if a.kind != "h0")
 
 
+    def test_the_damping_ladder_starts_as_without_the_driver(self):
+        # at m = 2 the driver's polynomials are zero rows of H, and tr(G)
+        # over the other coordinates gives the first damped sigma of the fit
+        # without the driver
+        k = SobolevKernel(m=2, horizon=8.0)
+        first = [
+            next(r["sigma"] for r in fit_descent(k, obj, tol=1e-9).diagnostics["iterations"] if r["sigma"])
+            for obj in self.objectives(exponential_link(-0.5))
+        ]
+        assert first[0] == pytest.approx(first[1], rel=1e-9)
+
+
 class TestWorkspace:
     @pytest.mark.parametrize("link", [linear_link(0.5), exponential_link(-0.5)])
     def test_grown_grams_and_compensator_rows_match_direct_ones(self, link):
         # two channels and every kind of atom the fitters add: polynomials,
-        # H1 history atoms, integral atoms, sections
+        # history atoms of events and of nodes, integral atoms of node
+        # weights and, on the linear link, the exact integral atoms
         events, z, tgt, lam = two_channel_objective()
-        drivers = DriverSeries(8.0, (z, tgt))
-        obj = Objective(link, lam, events, drivers)
+        obj = Objective(link, lam, events, DriverSeries(8.0, (z, tgt)))
         kernel = SobolevKernel(m=2, horizon=8.0)
-        weights = np.random.default_rng(16).uniform(0.1, 1.0, obj.nodes.size)
-        atoms = [h0_poly(kernel, ch, k) for ch in range(2) for k in (1, 2)]
-        atoms += [a for a in build_h_atoms(kernel, obj, part="r1") if not a.is_zero]
-        atoms += build_f_atoms(kernel, obj, part="r1")
-        atoms += build_f_atoms(kernel, obj, part="r1", link_weights=weights)
-        atoms += [kernel_section(kernel, 1, 2.5), kernel_section(kernel, 0, 7.0)]
         ws = _Workspace(kernel, obj)
-        for i, a in enumerate(atoms):
-            ws.add(a)
-            # atoms added with no functional, as warm starts are, keep the
-            # pairwise rows bit for bit
-            assert np.array_equal(ws.Gp[i], h1_inner_row(a, atoms[: i + 1]))
-            assert np.array_equal(ws.G[i], full_inner_row(a, atoms[: i + 1]))
+        if link.kind == "linear":
+            ws.add_representers()
+        else:
+            ws.add_polynomials()
+            ws.add_point_atoms()
+        ws.add_integral_atoms(np.random.default_rng(16).uniform(0.1, 1.0, obj.nodes.size))
+        ws.add_point_atoms([8, 40])
+        atoms = ws.atoms
+        assert {a.kind for a in atoms} >= {"h0", "section", "integrated"}
         assert_allclose(ws.G, full_gram(atoms), rtol=1e-12, atol=1e-12)
         assert_allclose(ws.Gp, h1_gram(atoms), rtol=1e-12, atol=1e-12)
         X = atom_columns(kernel, obj, atoms)[0]
@@ -684,47 +647,28 @@ class TestWorkspace:
             # only the linear link's compensator is linear in the coefficients
             assert ws.comp is None
 
-    def test_an_atom_with_polynomial_content_is_refused(self):
-        # a full-kernel section carries its polynomial content in h0, which
-        # belongs on the phi columns; its H1 part and the polynomials join
-        kernel, obj = dense_objective(link=exponential_link(), m=2)
-        ws = _Workspace(kernel, obj)
-        section = kernel_section(kernel, 0, 2.5, part="r")
-        assert section.h0.any()
-        with pytest.raises(ConfigError, match="polynomial"):
-            ws.add(section)
-        assert len(ws) == 0
-        ws.add(section.projected())
-        ws.add(h0_poly(kernel, 0, 2))
-        assert ws.non_poly.tolist() == [True, False]
-
     @pytest.mark.parametrize("link", [linear_link(0.5), exponential_link(-0.5)])
     def test_representers_and_plain_atoms_mixed(self, link):
         # m=2, two channels: atoms that represent a functional (history
-        # atoms, integral atoms of random node weights) interleaved with
-        # atoms that represent none (polynomials, sections, the normal form
-        # of a compacted filter)
+        # atoms of events and nodes, integral atoms of random node weights,
+        # the exact integral atoms) before and after the polynomials, which
+        # represent none
         events, z, tgt, lam = two_channel_objective()
-        drivers = DriverSeries(8.0, (z, tgt))
-        obj = Objective(link, lam, events, drivers)
+        obj = Objective(link, lam, events, DriverSeries(8.0, (z, tgt)))
         kernel = SobolevKernel(m=2, horizon=8.0)
         rng = np.random.default_rng(17)
-        h_atoms = build_h_atoms(kernel, obj, part="r")
-        compact = FilterFunction(kernel, 2, tuple(h_atoms[4:10]), rng.normal(size=6)).compact()
         ws = _Workspace(kernel, obj)
-        for ch in range(2):
-            ws.add(h0_poly(kernel, ch, 1))
-        ws.add(kernel_section(kernel, 1, 2.5))
         ws.add_integral_atoms(rng.uniform(0.1, 1.0, obj.nodes.size))
-        ws.add_point_atoms()
-        ws.add(kernel_section(kernel, 0, 7.0))
-        for a in compact.atoms:
-            ws.add(a)
-        ws.add(h0_poly(kernel, 1, 2))
+        if link.kind == "linear":
+            ws.add_representers()
+        else:
+            ws.add_polynomials()
+            ws.add_point_atoms()
         ws.add_point_atoms([5, 40])
         ws.add_integral_atoms(rng.uniform(-1.0, 1.0, obj.nodes.size))
         atoms = ws.atoms
         assert len(atoms) > 32  # past the first capacity of the buffers
+        assert ws.non_poly.tolist().count(False) == 4 and ws.non_poly[0]
         assert_allclose(ws.G, full_gram(atoms), rtol=1e-12, atol=1e-12)
         assert_allclose(ws.Gp, h1_gram(atoms), rtol=1e-12, atol=1e-12)
         X = atom_columns(kernel, obj, atoms)[0]
@@ -799,13 +743,11 @@ class TestGradientRoles:
     def test_gradient_coords_are_the_gradient(self, m):
         # history atoms weighted -phi'/phi, the integral atom of the current
         # node weights, their completions and the penalty give the oracle's
-        # gradient as a function; the H1 section, as a warm start adds it,
-        # carries no weight
+        # gradient as a function
         kernel, obj = history_objective(m)
         ws = _Workspace(kernel, obj)
         ws.add_polynomials()
         ws.add_point_atoms()
-        ws.add(kernel_section(kernel, 1, 2.5))
         gamma = 0.05 * np.random.default_rng(5).normal(size=len(ws))
         psi = _QuadratureCompensator(obj)
         ws.add_integral_atoms(psi.deriv(ws.U @ gamma))
@@ -839,7 +781,7 @@ class TestBulkDictionary:
         want_events = []
         for pos, atom in enumerate(atoms):
             if not atom.is_zero:
-                functional = np.zeros(ref._n_points)
+                functional = np.zeros(ref._n_rows)
                 functional[ref._n_nodes + pos // n_ch] = 1.0
                 want_events.append(obj.nodes.size + pos // n_ch)
                 append_one(ref, atom, POINT, ref._n_nodes + pos // n_ch, functional)
@@ -873,8 +815,9 @@ class TestBulkDictionary:
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_representer_basis_equals_atoms_added_one_at_a_time(self, m):
-        # fit_linear's basis: the history atoms of fit_descent, with their
-        # functionals, then the exact integral atoms, which represent none
+        # fit_linear's basis: the history atoms of fit_descent, then the
+        # exact integral atoms, each with its functional: the compensator,
+        # the last row of the predictors
         kernel, obj = history_objective(m)
         obj = Objective(linear_link(0.5), 2.0, obj.events, obj.drivers, at_risk=obj.at_risk)
         ws = _Workspace(kernel, obj)
@@ -884,11 +827,13 @@ class TestBulkDictionary:
         n_ch = obj.n_channels
         for pos, atom in enumerate(history_atoms_one_by_one(kernel, obj.events, obj.drivers, part="r1")):
             if not atom.is_zero:
-                functional = np.zeros(ref._n_points)
+                functional = np.zeros(ref._n_rows)
                 functional[ref._n_nodes + pos // n_ch] = 1.0
                 append_one(ref, atom, POINT, ref._n_nodes + pos // n_ch, functional)
+        compensator = np.zeros(ref._n_rows)
+        compensator[-1] = 1.0
         for atom in build_f_atoms(kernel, obj, part="r1"):
-            append_one(ref, atom, INTEGRAL)
+            append_one(ref, atom, INTEGRAL, functional=compensator)
         assert_same_workspace(ws, ref)
 
     @pytest.mark.parametrize("m", [1, 2])
@@ -908,7 +853,7 @@ class TestBulkDictionary:
         for weights in steps:
             n = len(ws)
             ws.add_integral_atoms(weights)
-            functional = np.zeros(ref._n_points)
+            functional = np.zeros(ref._n_rows)
             functional[: ref._n_nodes] = weights
             for atom in integral_atoms_one_by_one(kernel, obj, weights, "r1"):
                 if not atom.is_zero:
@@ -1027,16 +972,14 @@ class TestColumns:
         ws.add_integral_atoms(np.ones(obj.nodes.size))
         assert np.sum(ws.role == INTEGRAL) == 2 and calls == [(1, True)] * 2
         del calls[:]
-        ws.add(kernel_section(kernel, 1, 2.5))
-        assert calls == [(1, False)]
-        del calls[:]
         obj.node_column(kernel, ws.atoms[-1])
         obj.event_column(kernel, ws.atoms[-1])
         assert calls == [(1, False)] * 2
         del calls[:]
-        # the representer basis: its history and integral atoms as one block
-        # each; the quiet channel has no integral atom
-        _Workspace(kernel, obj).add_representers()
+        # the representer basis, which needs the compensator row on this
+        # link: its history and integral atoms as one block each; the quiet
+        # channel has no integral atom
+        _Workspace(kernel, obj, compensator=True).add_representers()
         assert calls == [(n_poly, False), (n_history, False), (obj.n_channels - 1, False)]
 
 
@@ -1196,13 +1139,10 @@ class TestSolveSpd:
 
 class TestCoreHessian:
     @pytest.mark.parametrize("link", [exponential_link(), softplus_link()], ids=["exp", "softplus"])
-    def test_matches_the_oracle_on_a_fitted_dictionary(self, link):
+    def test_matches_the_oracle_on_a_fitted_dictionary(self, link, monkeypatch):
         k, obj = dense_objective(lam=2.0, link=link, m=1)
-        res = fit_descent(k, obj, tol=1e-6, max_iter=300)
+        res, ws = fit_with_workspace(monkeypatch, fit_descent, k, obj, tol=1e-6, max_iter=300)
         assert res.converged
-        ws = _Workspace(k, obj)
-        for a in res.g_hat.atoms:
-            ws.add(a)
         gamma = res.g_hat.coefficients
         xn, xe = ws.U @ gamma, ws.E @ gamma
         core = _Core(ws, 1e-6, 1)
@@ -1216,15 +1156,17 @@ class TestCoreDirection:
     def test_damped_direction_does_not_depend_on_the_atoms_scale(self):
         # scaling every atom by s scales G and H by s^2; the damping ladder
         # must then give the same function-space direction, as Newton does
+        # s times an H1 atom represents s times its functional
         k, obj = dense_objective(lam=2.0, link=exponential_link(), m=1)
-        atoms = fit_descent(k, obj, tol=1e-6, max_iter=300).g_hat.atoms[:6]
+        ws1 = first_history_atoms(k, obj, 5)
+        atoms = ws1.atoms
         s = 1e3
-        ws1, ws2 = _Workspace(k, obj), _Workspace(k, obj)
-        for a in atoms:
-            ws1.add(a)
-            ws2.add(dataclasses.replace(
+        ws2, functionals = _Workspace(k, obj), iter(ws1._buf["F"])
+        for a, poly, role, datum in zip(atoms, ~ws1.non_poly, ws1.role, ws1.datum):
+            scaled = dataclasses.replace(
                 a, sec_weights=s * a.sec_weights, seg_weights=s * a.seg_weights, h0=s * a.h0
-            ))
+            )
+            append_one(ws2, scaled, role, datum, None if poly else s * next(functionals))
         # a Hessian whose eigenvalues relative to G span 1e-4..1e4, and a
         # gradient mostly along the stiffest of them: Newton fails the
         # angle test
@@ -1296,9 +1238,7 @@ class TestResumedLadder:
         # the gradient mostly along the stiffest: the spread and the weight
         # e0 on the softest set the rung that passes the angle test
         k, obj = dense_objective(lam=2.0, link=exponential_link(), m=1)
-        ws = _Workspace(k, obj)
-        for a in fit_descent(k, obj, tol=1e-6, max_iter=300).g_hat.atoms[:6]:
-            ws.add(a)
+        ws = first_history_atoms(k, obj, 5)
         n = len(ws)
         w, V = np.linalg.eigh(ws.G)
         L = V * np.sqrt(w)
@@ -1323,21 +1263,18 @@ class TestResumedLadder:
 
 class TestCoreValue:
     @pytest.mark.parametrize("link", [exponential_link(), softplus_link(), linear_link(0.5)])
-    def test_value_is_the_line_at_alpha_zero(self, link):
+    def test_value_is_the_line_at_alpha_zero(self, link, monkeypatch):
         # F at gamma, as ``run`` traces it, has the bits of the line's trial
         # at alpha = 0 along delta = 0 and along any direction, and is the
         # library's objective plus, on the linear link, the hinge term; a
         # zero gamma of either sign is where a -0.0 could part them
         k, obj = dense_objective(lam=2.0, link=link, m=2)
         if link.kind == "linear":
-            fit = fit_linear(k, obj)
+            fit, ws = fit_with_workspace(monkeypatch, fit_linear, k, obj)
             psi = _Hinge(np.full(obj.nodes.size, 0.5), 10.0, link)
         else:
-            fit = fit_descent(k, obj, tol=1e-6, max_iter=300)
+            fit, ws = fit_with_workspace(monkeypatch, fit_descent, k, obj, tol=1e-6, max_iter=300)
             psi = _QuadratureCompensator(obj)
-        ws = _Workspace(k, obj)
-        for a in fit.g_hat.atoms:
-            ws.add(a)
         # every iterate passes the gradient test, so ``run`` stops where it
         # starts, with F there as its last traced objective
         core = _Core(ws, 1e300, 1)
@@ -1361,18 +1298,17 @@ class TestLeanIntegralAtoms:
     def test_lean_route_equals_the_block_path(self, m):
         # the integral atom's column from the pair-lag index and its Gram
         # entries leave U, E, G and Gp as appending it through
-        # ``Objective.columns`` does, beside atoms that represent nothing
+        # ``Objective.columns`` does
         kernel, obj = history_objective(m, quiet_channel=True)
         rng = np.random.default_rng(43)
         ws, ref = _Workspace(kernel, obj), _Workspace(kernel, obj)
         for w in (ws, ref):
             w.add_polynomials()
             w.add_point_atoms()
-            w.add(kernel_section(kernel, 1, 2.5))
         for weights in (rng.uniform(0.1, 1.0, obj.nodes.size), rng.uniform(-1.0, 1.0, obj.nodes.size)):
             n = len(ws)
             ws.add_integral_atoms(weights)
-            functional = np.zeros(ref._n_points)
+            functional = np.zeros(ref._n_rows)
             functional[: ref._n_nodes] = weights
             for a in build_f_atoms(kernel, obj, part="r1", link_weights=weights):
                 if not a.is_zero:
@@ -1460,25 +1396,23 @@ class TestNormalForms:
         atoms = self.dictionary(kernel, obj, rng)
         self.assert_forms(FilterFunction(kernel, 2, tuple(atoms), rng.normal(size=len(atoms))))
 
-    def test_a_warm_started_fit(self):
-        # a fit from the compacted fit on the same data: its dictionary holds
-        # the warm start's form beside integral atoms on the same lags
+    def test_a_fit_beside_its_compacted_form(self):
+        # a fit's dictionary, and the same beside its own compacted form,
+        # which holds the integral atoms' node lags in an array of its own
         k, obj = dense_objective(lam=1.0, link=exponential_link(), m=2)
-        cold = fit_descent(k, obj, tol=1e-6, max_iter=300)
-        warm = fit_descent(k, obj, init=cold.g_hat.compact(), tol=1e-6, max_iter=300)
-        for res in (cold, warm):
-            g = FilterFunction(k, 1, res.g_hat.atoms, res.g_hat.coefficients)
-            self.assert_forms(g)
+        fit = fit_descent(k, obj, tol=1e-6, max_iter=300).g_hat
+        compact = fit.compact()
+        self.assert_forms(FilterFunction(k, 1, fit.atoms, fit.coefficients))
+        both = fit.atoms + compact.atoms
+        self.assert_forms(FilterFunction(k, 1, both, np.concatenate([fit.coefficients, -compact.coefficients])))
 
 
 class TestCoreNoiseFloor:
-    def test_a_norm_that_rounds_below_zero_stops_the_core(self):
+    def test_a_norm_that_rounds_below_zero_stops_the_core(self, monkeypatch):
         # a gam'G gam that rounds below zero must not read as a zero norm
         # and pass the gradient test
         k, obj = dense_objective(lam=2.0, link=exponential_link(), m=1)
-        ws = _Workspace(k, obj)
-        for a in fit_descent(k, obj, tol=1e-6, max_iter=300).g_hat.atoms:
-            ws.add(a)
+        ws = fit_with_workspace(monkeypatch, fit_descent, k, obj, tol=1e-6, max_iter=300)[1]
         psi = _QuadratureCompensator(obj)
         gamma = np.full(len(ws), 0.01)
         core = _Core(ws, 1e-6, 50)

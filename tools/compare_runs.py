@@ -17,15 +17,13 @@
         status, reason, iterations, dictionary size
         (``diagnostics["n_atoms"]``), the objective and gradient-norm
         traces, the coefficients and the bytes of ``compact().to_dict()``.  The
-        suite, at penalty weight 5: cold ``fit_descent`` fits on the
+        suite, at penalty weight 5: ``fit_descent`` fits on the
         exponential link (20-event datasets) and the softplus link
         (12-event datasets) at m = 1 and 2, on N = ``--datasets`` datasets
-        each of ``bench/generate.py`` at seed 401; cold ``fit_linear`` fits
-        with d = 0.5 at m = 1 and 2 on min(N, 12) 12-event datasets at seed
-        402; and, on the first min(N, 30) datasets of each ``fit_descent``
-        family, a fit at penalty weight 1 warm-started from the cold fit's
-        compacted filter.  ``suite`` prints the records of this suite, as
-        one JSON object, under the ``glppm`` that Python imports.
+        each of ``bench/generate.py`` at seed 401; and ``fit_linear``
+        fits with d = 0.5 at m = 1 and 2 on min(N, 12) 12-event datasets at
+        seed 402.  ``suite`` prints the records of this suite, as one JSON
+        object, under the ``glppm`` that Python imports.
 
     python3 tools/compare_runs.py time SRC_A SRC_B [--rounds 5]
         times the benchmark's fit batch under each source tree: the
@@ -45,8 +43,8 @@
 ``bench`` and ``fits`` follow each fit that differs with its status and
 iterations on both sides and the relative difference of its objectives.
 After the differences ``fits`` prints a table per family of fits (link and
-m, cold or warm): the converged count and the total iterations on each
-side, and the largest relative objective difference.
+m): the converged count and the total iterations on each side, and the
+largest relative objective difference.
 
 Each difference is printed; the exit code is 1 if there is any, else 0.
 Typical use, with the parent commit checked out in a second directory and
@@ -138,8 +136,8 @@ def fit_summary(ra: dict, rb: dict) -> str:
 
 
 def family_totals(ra: dict, rb: dict) -> list[str]:
-    """Per family of the fits that both suites hold (link and m, cold or
-    warm: a fit's key without its dataset), the fits, the converged count
+    """Per family of the fits that both suites hold (link and m: a fit's key
+    without its dataset), the fits, the converged count
     and the total iterations on each side, and the largest relative
     objective difference over the fits that have an objective on both."""
     families: dict[str, list[str]] = {}
@@ -189,36 +187,26 @@ def _self_exciting(kind: str, d: float, lam: float, times, horizon: float):
 def run_suite(datasets: int) -> dict:
     """The records of the ``fits`` suite under the ``glppm`` on the path,
     keyed by fit; a fit that raises records its error."""
-    linear, warm = min(datasets, 12), min(datasets, 30)
+    linear = min(datasets, 12)
     sys.path.insert(0, str(BENCH))
     import generate
 
     import glppm
 
-    def attempt(out, key, fit):
-        try:
-            res = fit()
-        except Exception as exc:  # noqa: BLE001 - a raise is a result to compare
-            out[key] = {"error": f"{type(exc).__name__}: {exc}"}
-            return None
-        out[key] = _fit_record(res)
-        return res
-
     out = {"glppm": glppm.__file__}
     for (name, kind, d, n, seed), count in [(f, datasets) for f in DESCENT] + [(LINEAR, linear)]:
         horizon = generate.window_for(n)
+        fit = glppm.fit_linear if kind == "linear" else glppm.fit_descent
         for i in range(count):
             times = generate.hawkes_exactly_n(generate.dataset_rng(seed, i), n, horizon)
             for m in (1, 2):
-                kernel, obj = glppm.SobolevKernel(m, horizon), _self_exciting(kind, d, 5.0, times, horizon)
-                if kind == "linear":
-                    attempt(out, f"{name}-m{m}-d{i}", lambda: glppm.fit_linear(kernel, obj))
+                key = f"{name}-m{m}-d{i}"
+                try:
+                    res = fit(glppm.SobolevKernel(m, horizon), _self_exciting(kind, d, 5.0, times, horizon))
+                except Exception as exc:  # noqa: BLE001 - a raise is a result to compare
+                    out[key] = {"error": f"{type(exc).__name__}: {exc}"}
                     continue
-                cold = attempt(out, f"{name}-m{m}-d{i}", lambda: glppm.fit_descent(kernel, obj))
-                if i < warm and cold is not None:
-                    obj1, init = _self_exciting(kind, d, 1.0, times, horizon), cold.g_hat.compact()
-                    attempt(out, f"{name}-m{m}-d{i}-warm",
-                            lambda: glppm.fit_descent(kernel, obj1, init=init))
+                out[key] = _fit_record(res)
     return out
 
 
