@@ -42,7 +42,6 @@ second, which the other commands should not pay.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
 import hashlib
@@ -57,7 +56,7 @@ import scipy
 from scipy.special import expm1
 
 from . import __version__, data, optimizer, simulator
-from .data import AtRiskProcess, DatasetManifest, _as_bool, _as_number
+from .data import AtRiskProcess, DatasetManifest, _as_bool, _as_number, _read_json
 from .errors import ConfigError, DataError, DomainError, InfeasibleError, SolverError
 from .filters import FilterFunction
 from .kernel import SobolevKernel
@@ -79,37 +78,23 @@ _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # -- small shared helpers -------------------------------------------------------
 
 
-def _read_json(path, error=ConfigError) -> dict:
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise error(f"cannot read JSON {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise error(f"{path}: expected a JSON object at top level")
-    return raw
-
-
 def _write_json(path, payload) -> None:
     Path(path).write_text(json.dumps(payload) + "\n")
 
 
 def _write_csv(path, header: list[str], rows) -> None:
+    """A CSV of rows of cell strings: each line is its cells joined by
+    commas and ended by "\r\n", as csv.writer writes cells that need no
+    quoting.  Every cell here is a number's repr, a word or empty."""
+    lines = [",".join(header), *map(",".join, rows), ""]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        fh.write("\r\n".join(lines))
 
 
 def _write_float_csv(path, header: list[str], *columns) -> None:
-    """A CSV of float columns, byte for byte what ``_write_csv`` writes of
-    the reprs of their values: a float's repr never needs quoting, so each
-    line is the reprs joined by commas and ended by csv's "\r\n"."""
+    """``_write_csv`` of float columns, one cell per value: its repr."""
     cells = (map(repr, np.asarray(c, dtype=float).tolist()) for c in columns)
-    lines = [",".join(header), *map(",".join, zip(*cells)), ""]
-    with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(lines))
+    _write_csv(path, header, zip(*cells))
 
 
 def _sha256(path) -> str:
@@ -258,10 +243,7 @@ def cmd_simulate(args) -> int:
         **kwargs,
     )
 
-    seed = args.seed if args.seed is not None else int.from_bytes(os.urandom(4), "little")
-    events, drv = simulator.simulate(spec, seed=seed)
-
-    out = Path(args.out)
+    # the manifest checks the channel names before anything is simulated
     exo_names = tuple(ch.name for ch in drivers.channels) if drivers else ()
     manifest = DatasetManifest(
         horizon=spec.horizon,
@@ -270,6 +252,10 @@ def cmd_simulate(args) -> int:
         self_exciting=spec.self_exciting,
         csv="events.csv",
     )
+    seed = args.seed if args.seed is not None else int.from_bytes(os.urandom(4), "little")
+    events, drv = simulator.simulate(spec, seed=seed)
+
+    out = Path(args.out)
     data.save_events(out / "events.csv", events, drv, manifest)
     _write_json(out / "dataset.json", manifest.to_dict())
     _write_run_manifest(args, "simulate", cfg, seed=seed)
@@ -346,14 +332,14 @@ def cmd_fit(args) -> int:
         )
 
     # one row per traced iterate; the step taken from it, if any, fills the
-    # remaining columns (empty otherwise)
+    # remaining columns (empty otherwise, as is every None)
     steps = {rec["iteration"]: rec for rec in res.diagnostics["iterations"]}
     _write_csv(
         out / "trace.csv",
         ["iteration", "objective", "grad_norm", *STEP_FIELDS],
         (
-            (i, repr(float(o)), repr(float(gn)),
-             *(steps.get(i, {}).get(key) for key in STEP_FIELDS))
+            ["" if c is None else str(c)
+             for c in (i, float(o), float(gn), *map(steps.get(i, {}).get, STEP_FIELDS))]
             for i, (o, gn) in enumerate(zip(res.objective_trace, res.grad_norm_trace))
         ),
     )

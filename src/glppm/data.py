@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -139,12 +140,6 @@ class DriverSeries:
     def n_channels(self) -> int:
         return len(self.channels)
 
-    def channel_index(self, name: str) -> int:
-        for i, c in enumerate(self.channels):
-            if c.name == name:
-                return i
-        raise DataError(f"unknown driver channel '{name}'")
-
 
 class AtRiskProcess:
     """Piecewise-constant at-risk (exposure) process.
@@ -201,6 +196,10 @@ class DatasetManifest:
 
     def __post_init__(self):
         object.__setattr__(self, "driver_channels", tuple(self.driver_channels))
+        # a channel name is part of an output file name (filter_grid_<name>.csv)
+        for name in (self.target_channel, *self.driver_channels):
+            if {"/", "\0", os.sep, os.altsep} & set(name):
+                raise ConfigError(f"channel name {name!r} contains a path separator or NUL")
         if self.target_channel in self.driver_channels:
             raise ConfigError(
                 "target channel must not be listed among driver_channels; "
@@ -229,14 +228,19 @@ class DatasetManifest:
         return out
 
 
-def load_manifest(path) -> DatasetManifest:
+def _read_json(path, error=ConfigError) -> dict:
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read dataset manifest {path}: {exc}") from exc
+        raise error(f"cannot read JSON {path}: {exc}") from exc
     if not isinstance(raw, dict):
-        raise ConfigError(f"dataset manifest {path}: expected a JSON object at top level")
+        raise error(f"{path}: expected a JSON object at top level")
+    return raw
+
+
+def load_manifest(path) -> DatasetManifest:
+    raw = _read_json(path)
     drivers = raw.get("driver_channels", ())
     if not isinstance(drivers, (list, tuple)) or not all(isinstance(n, str) for n in drivers):
         raise ConfigError(f"dataset manifest {path}: driver_channels must be a list of names")

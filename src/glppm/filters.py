@@ -219,21 +219,15 @@ class Atom:
 
     def value(self, kernel: SobolevKernel, u):
         """Value at lag(s) u in [0, horizon]: the domain check, then
-        ``_value``."""
+        ``_atom_value`` of this atom's lags, prefix tables and h0."""
         kernel._check_domain(u)
-        return self._value(u)
-
-    def _value(self, u):
-        """Value at lag(s) u, unchecked: ``_atom_value`` of this atom's
-        lags, prefix tables and h0.  Only a caller whose lags lie in
-        [0, horizon] by construction skips ``value``'s check."""
         return self._bound_value()(np.asarray(u, dtype=float))
 
     def _bound_value(self):
-        """``_value`` on lag arrays as one function of the lags alone:
-        ``_atom_value`` with this atom's lags, prefix tables and h0 bound.
-        The thinning simulator binds it once per channel and calls it at
-        every candidate."""
+        """``value`` on lag arrays as one function of the lags alone, with
+        no domain check, for a caller whose lags lie in [0, horizon] by
+        construction: the thinning simulator binds it once per channel and
+        calls it at every candidate."""
         m = self.m
         seg_table = self._table(m + 1, m) if self.seg_nodes.size else None
         return partial(_atom_value, self.sec_lags, self._table(m, m), self.seg_nodes, seg_table, self.h0)
@@ -270,18 +264,8 @@ class Atom:
     def projected(self) -> "Atom":
         """Image under the projection onto H1 (drop polynomial content)."""
         part = "r1" if self.part != "h0" else "h0"
-        return Atom(
-            channel=self.channel,
-            kind=self.kind,
-            part=part,
-            m=self.m,
-            sec_lags=self.sec_lags,
-            sec_weights=self.sec_weights,
-            seg_nodes=self.seg_nodes,
-            seg_weights=self.seg_weights,
-            h0=_zero_h0(self.m),
-            k=self.k,
-        )
+        # ``_tables`` is not an init field, so the image gets its own dict
+        return replace(self, part=part, h0=_zero_h0(self.m))
 
     # -- serialization -------------------------------------------------------
 

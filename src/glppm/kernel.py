@@ -54,25 +54,16 @@ def _branch_coeffs(p: int, q: int) -> tuple[tuple[float, ...], tuple[float, ...]
     For x <= y:  K[p,q](x, y) = sum_j low[j]  * x**(p+j)   * y**(q-1-j)
     For x >= y:  K[p,q](x, y) = sum_i high[i] * x**(p-1-i) * y**(q+i)
 
-    Coefficients are accumulated as exact rationals before conversion.
+    Both branches sum the same exact rational term(i, j), over i for
+    ``low`` and over j for ``high``, before conversion to float.
     """
     den = factorial(p - 1) * factorial(q - 1)
-    low = []
-    for j in range(q):
-        acc = Fraction(0)
-        for i in range(p):
-            acc += Fraction(
-                (-1) ** (i + j) * comb(p - 1, i) * comb(q - 1, j), den * (i + j + 1)
-            )
-        low.append(float(acc))
-    high = []
-    for i in range(p):
-        acc = Fraction(0)
-        for j in range(q):
-            acc += Fraction(
-                (-1) ** (i + j) * comb(p - 1, i) * comb(q - 1, j), den * (i + j + 1)
-            )
-        high.append(float(acc))
+
+    def term(i: int, j: int) -> Fraction:
+        return Fraction((-1) ** (i + j) * comb(p - 1, i) * comb(q - 1, j), den * (i + j + 1))
+
+    low = [float(sum(term(i, j) for i in range(p))) for j in range(q)]
+    high = [float(sum(term(i, j) for j in range(q))) for i in range(p)]
     return tuple(low), tuple(high)
 
 

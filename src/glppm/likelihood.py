@@ -178,8 +178,7 @@ class QuadratureConfig:
 
 @lru_cache(maxsize=None)
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
+    return np.polynomial.legendre.leggauss(n)
 
 
 def _partition(end: float, *cuts) -> np.ndarray:
@@ -262,13 +261,9 @@ def _filter_values(g, channel: int, lags: np.ndarray) -> np.ndarray:
 def _smooth_values(m: int, atoms, lags: np.ndarray):
     """(start, values): the smooth parts of atoms on one channel at its pair
     lags, one row per atom from ``atoms[start]`` on, as ``Atom.h1_value``
-    sums them.  A family's sums over another atom's lags add zeros, which
-    keep its bits, and atoms with no sections or segments, as polynomials,
-    have zeros."""
-    if len(atoms) == 1 and (atoms[0].sec_lags.size or atoms[0].seg_nodes.size):
-        # sorted and merged already: ``h1_value`` reads its kept tables
-        yield 0, atoms[0].h1_value(lags)[None, :]
-        return
+    sums them.  Every block, one atom included, takes this one path: a
+    family's sums over another atom's lags add zeros, which keep its bits,
+    and atoms with no sections or segments, as polynomials, have zeros."""
     flat, parts = _flatten(atoms), []
     for p, (a_lags, a_w, owner) in ((m, flat[:3]), (m + 1, flat[3:])):
         if a_lags.size:  # one stable sort by lag and one search per kind
@@ -393,7 +388,7 @@ class Objective:
         the events (strict left limits), one column per atom.  Per channel,
         the block's sections and its segments each form one prefix table
         with a row per atom (K[m,m], K[m+1,m]), and each pair lag is searched
-        once; a block of one atom reads its own tables.
+        once.
         ``_family_sums`` gives the smooth parts in chunks of
         ``_HISTORY_BLOCK`` entries, an atom with polynomial content (a
         polynomial or a normal form) adds it per half, and one ``bincount``

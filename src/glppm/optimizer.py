@@ -474,7 +474,7 @@ class _Core:
         self.records: list[dict] = []
         self.n_iter = self.passes = 0
         self.ridge_used = False
-        self._rung = 0  # the last damped rung that direction accepted
+        self._rung = 4  # the last damped rung that direction accepted; 4 at first
 
     def event_terms(self, xe: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(phi, phi'/phi) at the events; raises when an intensity is not
@@ -564,9 +564,10 @@ class _Core:
         # direction without growing the dictionary.  1e-6 tr(H) / tr(G) stays
         # put when all atoms are scaled alike; a start in units of H alone can
         # lie past the whole spectrum, where every rung is steepest descent.
-        # Resumed one rung below the last accepted rung, the search steps down
-        # while rungs pass and up while they fail: the rung a climb from the
-        # bottom finds, when passing is monotone in sigma
+        # Resumed one rung below the last accepted rung (rung 3 at first, as a
+        # fit's first accepted rung mostly lies 1-4 above the bottom), the
+        # search steps down while rungs pass and up while they fail: the rung
+        # a climb from the bottom finds, when passing is monotone in sigma
         found, kind = attempt(0.0), "newton"
         if found is None:
             # tr(G) over the live coordinates, those with a nonzero diagonal
@@ -811,9 +812,9 @@ def fit_descent(
 
     The dictionary holds the polynomial atoms, one H1 history atom per
     (event, channel) with earlier jumps, and a growing family of H1 integral atoms
-    produced by the gradient: the weights Y phi'(X) at the start, followed
-    by one difference atom per iteration for the change of those weights
-    since the previous one.  The gradient's integral atom is then the sum
+    that ``grow`` adds before each iterate: the weights Y phi'(X) at the zero
+    filter, then one difference atom per iteration for the change of those
+    weights since the previous one.  The gradient's integral atom is the sum
     of all integral atoms, with coordinate +1 on each; adding the weights
     themselves instead would leave nearly collinear atoms whose Newton
     systems are singular to working precision near the optimum.  The Newton
@@ -835,14 +836,13 @@ def fit_descent(
     ws.add_point_atoms()
     psi = _QuadratureCompensator(obj)
 
-    last_f_weights = psi.deriv(np.zeros(obj.nodes.size))
-    ws.add_integral_atoms(last_f_weights)
+    last_f_weights = np.zeros(obj.nodes.size)
 
     def grow(w_link: np.ndarray) -> None:
         """Integral atom of the gradient at the current iterate: the atom
         for the weights Y phi'(X) is the sum of all integral atoms so far,
-        the newest one carrying only the change of weights since the last,
-        so the dictionary lacks none of the gradient."""
+        the newest one carrying only the change of weights since the last
+        (zero before the first), so the dictionary lacks none of the gradient."""
         nonlocal last_f_weights
         if not np.array_equal(w_link, last_f_weights):
             ws.add_integral_atoms(w_link - last_f_weights)

@@ -229,6 +229,38 @@ class TestSimulateCommand:
         assert run("simulate", "--config", cfg, "--out", tmp_path / "o") == 2
 
 
+class TestChannelNames:
+    """A channel name becomes part of ``filter_grid_<name>.csv``, so a name
+    with a path separator is a configuration error, found before anything
+    is simulated or fitted."""
+
+    def test_simulate_refuses_a_target_name_with_a_separator(self, tmp_path, capsys):
+        cfg = write_json(
+            tmp_path / "sim.json",
+            {
+                "link": {"kind": "linear", "d": 0.7},
+                "filters": zero_filter_payload(),
+                "horizon": 12.0,
+                "target_name": "a/b",
+            },
+        )
+        out = tmp_path / "out"
+        assert run("simulate", "--config", cfg, "--seed", 3, "--out", out) == 2
+        assert "path separator" in capsys.readouterr().err
+        assert not (out / "events.csv").exists() and not (out / "dataset.json").exists()
+
+    def test_fit_refuses_a_driver_name_with_a_separator(self, tmp_path, capsys):
+        data = make_dataset(tmp_path, DENSE_TIMES)
+        manifest = json.loads(data.read_text())
+        write_json(data, {**manifest, "driver_channels": ["a/b"]})
+        with open(tmp_path / "events.csv", "a") as fh:
+            fh.write("1.25,a/b,1.0\n")
+        out = tmp_path / "out"
+        assert run("fit", "--data", data, "--config", fit_config(tmp_path), "--out", out) == 2
+        assert "path separator" in capsys.readouterr().err
+        assert not (out / "filter.json").exists()
+
+
 class TestFitCommand:
     def test_linear_fit_outputs_round_trip(self, tmp_path):
         data = make_dataset(tmp_path, DENSE_TIMES)
@@ -694,6 +726,14 @@ MALFORMED = {
 
 
 class TestFloatTables:
+    @staticmethod
+    def csv_writer_bytes(path, header, rows) -> bytes:
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+        return path.read_bytes()
+
     @pytest.mark.parametrize("n_rows", [0, 1, 7])
     def test_bytes_equal_the_csv_writer(self, tmp_path, n_rows):
         # fit's filter grids, gof's gaps and intensity's table are written
@@ -702,11 +742,23 @@ class TestFloatTables:
         cols = (values[:n_rows], np.linspace(0.0, 1.0, 7)[:n_rows] / 3.0)
         for header, columns in ((["gap"], cols[:1]), (["lag", "value"], cols)):
             cli._write_float_csv(tmp_path / "join.csv", header, *columns)
-            rows = ((repr(float(v)) for v in row) for row in zip(*columns))
-            cli._write_csv(tmp_path / "writer.csv", header, rows)
-            want = (tmp_path / "writer.csv").read_bytes()
+            rows = ([repr(float(v)) for v in row] for row in zip(*columns))
+            want = self.csv_writer_bytes(tmp_path / "writer.csv", header, rows)
             assert (tmp_path / "join.csv").read_bytes() == want
             assert want.endswith(b"\r\n") and want.count(b"\r\n") == n_rows + 1
+
+    def test_the_trace_bytes_equal_the_csv_writer(self, tmp_path):
+        # trace.csv's cells are numbers, words and empty cells for None,
+        # none of which csv.writer quotes
+        data = make_dataset(tmp_path, DENSE_TIMES)
+        cfg = fit_config(tmp_path, link={"kind": "exponential", "d": -0.5}, m=2)
+        out = tmp_path / "out"
+        assert run("fit", "--data", data, "--config", cfg, "--out", out) == 0
+        with open(out / "trace.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert any("" in row for row in rows) and any("damped_newton" in row for row in rows)
+        want = self.csv_writer_bytes(tmp_path / "writer.csv", header, rows)
+        assert (out / "trace.csv").read_bytes() == want
 
 
 class TestMalformedInput:

@@ -172,6 +172,30 @@ def test_time_runs_the_fit_batch_under_each_source_tree(tmp_path, compare_runs, 
     assert capsys.readouterr().out.splitlines()[-1].startswith("objectives differ: exp")
 
 
+def test_cli_byte_compares_the_command_outputs_of_each_source_tree(tmp_path, compare_runs, capsys):
+    src = TOOL.parents[1] / "src"
+    assert compare_runs.compare_cli(src, src, 1, tmp_path) == []
+    a, b = tmp_path / "A", tmp_path / "B"
+    # every command of the set ran and wrote its outputs
+    for label in ("basis", "sim2/gof", *(f"{link}-m{m}-d0" for link in ("exp", "softplus", "linear") for m in (1, 2))):
+        assert (a / label / "run_manifest.json").is_file(), label
+    assert (b / "exp-m2-d0" / "trace.csv").is_file() and (b / "exp-m2-d0" / "intensity" / "intensity.csv").is_file()
+    # a planted byte and a differing exit code are each reported
+    trace = b / "exp-m2-d0" / "trace.csv"
+    text = trace.read_bytes()
+    trace.write_bytes(text[:-3] + bytes([text[-3] ^ 1]) + text[-2:])
+    assert compare_runs.cli_differences(a, b, {"fit": 0}, {"fit": 4}) == [
+        "exit code of fit: 0 / 4",
+        "differs: exp-m2-d0/trace.csv",
+    ]
+    # run_manifest.json holds wall times and paths, and is not compared
+    (b / "basis" / "run_manifest.json").write_text("{}")
+    trace.write_bytes(text)
+    assert compare_runs.cli_differences(a, b, {}, {}) == []
+    with pytest.raises(SystemExit):
+        compare_runs.main(["cli", str(src), str(src), "--datasets", "0"])
+
+
 def test_a_fit_record_holds_the_dictionary_size(compare_runs):
     # ``fits`` shows a change in dictionary size as a field of its own
     import numpy as np

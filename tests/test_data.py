@@ -1,5 +1,7 @@
 """Event containers, at-risk process, manifest, and CSV round trips."""
 
+import os
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -89,14 +91,6 @@ class TestDriverSeries:
         with pytest.raises(DataError):
             DriverSeries(5.0, (a,))
 
-    def test_channel_index(self):
-        a = DriverChannel("z", np.array([1.0]), np.ones(1))
-        b = DriverChannel("w", np.array([2.0]), np.ones(1))
-        ds = DriverSeries(5.0, (a, b))
-        assert ds.channel_index("w") == 1
-        with pytest.raises(DataError):
-            ds.channel_index("nope")
-
 
 class TestAtRiskProcess:
     def test_unit(self):
@@ -148,6 +142,15 @@ class TestManifest:
     def test_needs_some_channel(self):
         with pytest.raises(ConfigError):
             DatasetManifest(10.0, "t", (), self_exciting=False)
+
+    # a channel name becomes part of an output file name: every path
+    # separator of this system is refused, and NUL
+    @pytest.mark.parametrize("char", sorted({"/", "\0", os.sep, os.altsep} - {None}))
+    def test_a_name_with_a_path_separator_is_refused(self, char):
+        for target, drivers in (("a" + char + "b", ("z",)), ("t", ("z", char + "b"))):
+            with pytest.raises(ConfigError, match="path separator"):
+                DatasetManifest(10.0, target, drivers)
+        DatasetManifest(10.0, "a.b", ("z-1", "c d"))
 
     def test_manifest_file_round_trip(self, tmp_path):
         import json

@@ -253,9 +253,9 @@ class TestPrefixTables:
 
 
 class TestUncheckedValue:
-    """``Atom.value`` is the domain check, then the unchecked ``Atom._value``
-    that the thinning simulator reads directly; at m = 1 the polynomial
-    part is h0[0], added as such."""
+    """``Atom.value`` is the domain check, then the unchecked
+    ``Atom._bound_value`` that the thinning simulator reads directly; at
+    m = 1 the polynomial part is h0[0], added as such."""
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_value_equals_a_fresh_evaluation(self, m):
@@ -270,7 +270,8 @@ class TestUncheckedValue:
                 for u in queries:
                     want = fresh_value(f, ch, u)
                     assert same_bits(form.value(k, u), want), (m, has_h0, u)
-                    assert same_bits(form._value(u), want), (m, has_h0, u)
+                    unchecked = form._bound_value()(np.asarray(u, dtype=float))
+                    assert same_bits(unchecked, want), (m, has_h0, u)
         assert same_bits(g.normal_forms[0].value(k, 0.0), g.normal_forms[0].h0[0])
 
     def test_a_signed_zero_h0_adds_nothing(self):

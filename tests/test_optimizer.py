@@ -1,6 +1,8 @@
 """Fitters: line search safeguards, Newton route, dictionary descent."""
 
 import dataclasses
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -408,8 +410,8 @@ class TestFitLinear:
         res_a, dr_a = fits[("z", "tgt")]
         res_b, dr_b = fits[("tgt", "z")]
         for name in ("z", "target"):
-            ia = dr_a.channel_index(name)
-            ib = dr_b.channel_index(name)
+            ia = [c.name for c in dr_a.channels].index(name)
+            ib = [c.name for c in dr_b.channels].index(name)
             assert_allclose(
                 res_a.g_hat.evaluate(ia, u),
                 res_b.g_hat.evaluate(ib, u),
@@ -586,10 +588,13 @@ class TestZeroMarkDriver:
         real, first = _Core.run, []
 
         def run(core, gamma, psi, grow=None):
-            if not first:  # the dictionary of fit_descent's set-up
-                first.append([a.channel for a in core.ws.atoms if a.kind != "h0"])
-                assert np.diag(core.ws.G).min() > 0.0
-            return real(core, gamma, psi, grow)
+            def spy(w_link):
+                grow(w_link)
+                if not first:  # the dictionary after fit_descent's first grow
+                    first.append([a.channel for a in core.ws.atoms if a.kind != "h0"])
+                    assert np.diag(core.ws.G).min() > 0.0
+
+            return real(core, gamma, psi, spy)
 
         monkeypatch.setattr(_Core, "run", run)
         for m, tol in ((1, 1e-9), (2, 1e-6), (2, 1e-9)):
@@ -1232,6 +1237,44 @@ class TestResumedLadder:
         for r in records:
             assert (r["sigma"] == 0.0) == (r["direction"] == "newton")
             assert r["direction"] == "newton" or r["sigma"] > 0.0
+
+    def test_a_fit_starts_its_first_damped_search_mid_ladder(self, monkeypatch):
+        # on the benchmark's exp-link datasets the first accepted rung of a
+        # fit mostly lies 1-4 above the bottom: a first search resumed as if
+        # from rung 4 solves fewer systems than a climb from the bottom, and
+        # finds the same sigma at every step
+        path = Path(__file__).resolve().parents[1] / "bench" / "generate.py"
+        spec = importlib.util.spec_from_file_location("bench_generate", path)
+        generate = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(generate)
+        horizon = generate.window_for(20)
+        real_solve, real_init, calls = optimizer._solve_spd, _Core.__init__, [0]
+
+        def counted(H, rhs):
+            calls[0] += 1
+            return real_solve(H, rhs)
+
+        def fits():
+            calls[0], sigmas = 0, []
+            for i in range(10):
+                times = generate.hawkes_exactly_n(generate.dataset_rng(401, i), 20, horizon)
+                drivers = DriverSeries(horizon, (DriverChannel("target", times, np.ones(times.size)),))
+                obj = Objective(exponential_link(), 5.0, EventSeries(horizon, times), drivers)
+                res = fit_descent(SobolevKernel(m=1, horizon=horizon), obj)
+                sigmas.append([r["sigma"] for r in res.diagnostics["iterations"]])
+            return calls[0], sigmas
+
+        def from_the_bottom(core, *args):
+            real_init(core, *args)
+            core._rung = 0
+
+        monkeypatch.setattr(optimizer, "_solve_spd", counted)
+        mid, sigmas = fits()
+        monkeypatch.setattr(_Core, "__init__", from_the_bottom)
+        bottom, want = fits()
+        assert mid < bottom
+        assert sigmas == want
+        assert any(sigma for run in sigmas for sigma in run)
 
     def test_a_rung_two_below_the_last_is_found_by_stepping_down(self):
         # Hessians whose eigenvalues relative to G span 10^-a..10^a, with

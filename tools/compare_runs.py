@@ -40,6 +40,21 @@
         datasets of each family only.  ``timing`` prints one such pass,
         as one JSON object, under the ``glppm`` that Python imports.
 
+    python3 tools/compare_runs.py cli SRC_A SRC_B [--datasets 6]
+        runs one set of CLI commands under each source tree, each in a
+        subprocess pinned to one BLAS thread that writes into a temporary
+        directory, and byte-compares the two output trees as ``trees``
+        does, skipping ``run_manifest.json``; an exit code that differs is
+        a difference too.  The set: ``fit``, then ``gof`` and
+        ``intensity`` of the fitted filter, on N = ``--datasets`` 12-event
+        datasets of ``bench/generate.py`` at seed 401, for the exponential,
+        softplus and linear (d = 0.5) links at m = 1 and 2 and penalty
+        weight 5; ``basis`` on the first dataset; and three ``simulate``
+        runs of the benchmark's hat process (seeds 0, 1 and 2), each
+        followed by ``gof`` under the true filter.  ``clirun OUT`` runs the
+        set into OUT under the ``glppm`` that Python imports and prints the
+        exit codes, as one JSON object.
+
 ``bench`` and ``fits`` follow each fit that differs with its status and
 iterations on both sides and the relative difference of its objectives.
 After the differences ``fits`` prints a table per family of fits (link and
@@ -53,17 +68,21 @@ one run of the same workload and seed in each:
     python3 tools/compare_runs.py trees ../parent/bench/.work/fit-exp-s401 \\
         bench/.work/fit-exp-s401
     python3 tools/compare_runs.py fits ../parent/src src
+    python3 tools/compare_runs.py cli ../parent/src src
 """
 
 from __future__ import annotations
 
 import argparse
 import base64
+import contextlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from time import perf_counter
 
@@ -73,6 +92,14 @@ PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS"
 # (name, link kind, d, events per dataset, dataset seed), for m = 1 and 2
 DESCENT = (("exp", "exponential", 0.0, 20, 401), ("softplus", "softplus", 0.0, 12, 401))
 LINEAR = ("linear", "linear", 0.5, 12, 402)
+# the ``cli`` set: (name, link config) at m = 1 and 2 on 12-event datasets
+# at seed 401, and the seeds of its simulations
+CLI_LINKS = (
+    ("exp", {"kind": "exponential"}),
+    ("softplus", {"kind": "softplus"}),
+    ("linear", {"kind": "linear", "d": 0.5}),
+)
+CLI_SIM_SEEDS = (0, 1, 2)
 
 
 def tree_differences(a: Path, b: Path) -> list[str]:
@@ -210,20 +237,26 @@ def run_suite(datasets: int) -> dict:
     return out
 
 
+def _bench_run():
+    """``bench/run.py`` as a module, with ``bench`` on the path."""
+    import importlib.util
+
+    sys.path.insert(0, str(BENCH))
+    spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    return bench
+
+
 def run_timing(datasets: int | None) -> dict:
     """One timed pass of the benchmark's fit batch under the ``glppm`` on
     the path: per family, the seconds of its fits and each fit's objective
     as the hex of its float, after one untimed fit."""
-    import importlib.util
-
-    sys.path.insert(0, str(BENCH))
+    bench = _bench_run()
     import generate
 
     import glppm
 
-    spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
     out = {"glppm": glppm.__file__}
     for name, kind, d, _, seed in DESCENT:
         workload = bench.WORKLOADS[f"fit-{name}"]
@@ -243,6 +276,68 @@ def run_timing(datasets: int | None) -> dict:
         objectives = [fit(times) for times in batch]
         out[name] = {"seconds": perf_counter() - t0, "objectives": [f.hex() for f in objectives]}
     return out
+
+
+def run_cli_set(out: Path, datasets: int) -> dict:
+    """The ``cli`` set under the ``glppm`` on the path, its inputs and
+    outputs written under ``out``: each command's exit code, or the name of
+    the exception it raised, keyed by its output directory."""
+    bench = _bench_run()
+    import generate
+
+    import glppm
+    import glppm.cli
+
+    codes = {"glppm": glppm.__file__}
+
+    def run(label: str, *argv: str) -> None:
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                codes[label] = glppm.cli.main([*argv, "--out", str(out / label)])
+        except Exception as exc:  # noqa: BLE001 - a raise is a result to compare
+            codes[label] = type(exc).__name__
+
+    inputs = out / "inputs"
+    data = [str(d) for d in generate.write_batch(inputs / "data", 401, datasets, 12)]
+    sim = bench.sim_config(bench.SIM_HORIZON)
+    (inputs / "simulate.json").write_text(json.dumps(sim))
+    (inputs / "true_filter.json").write_text(json.dumps({"filter": sim["filters"], "link": sim["link"]}))
+    for name, link in CLI_LINKS:
+        for m in (1, 2):
+            cfg = inputs / f"fit-{name}-m{m}.json"
+            cfg.write_text(json.dumps({"link": link, "penalty_weight": 5.0, "m": m}))
+            for i, dataset in enumerate(data):
+                label = f"{name}-m{m}-d{i}"
+                run(label, "fit", "--data", dataset, "--config", str(cfg))
+                fitted = str(out / label / "filter.json")
+                run(f"{label}/gof", "gof", "--data", dataset, "--config", fitted)
+                run(f"{label}/intensity", "intensity", "--data", dataset, "--config", fitted)
+    run("basis", "basis", "--data", data[0], "--config", str(inputs / "fit-exp-m1.json"))
+    for seed in CLI_SIM_SEEDS:
+        label = f"sim{seed}"
+        run(label, "simulate", "--config", str(inputs / "simulate.json"), "--seed", str(seed))
+        run(f"{label}/gof", "gof", "--data", str(out / label / "dataset.json"),
+            "--config", str(inputs / "true_filter.json"))
+    return codes
+
+
+def cli_differences(a: Path, b: Path, codes_a: dict, codes_b: dict) -> list[str]:
+    """The commands whose exit codes differ between two runs of the ``cli``
+    set, then the ``tree_differences`` of their output trees."""
+    out = [
+        f"exit code of {key}: {codes_a.get(key)} / {codes_b.get(key)}"
+        for key in sorted(set(codes_a) | set(codes_b))
+        if codes_a.get(key) != codes_b.get(key)
+    ]
+    return out + tree_differences(a, b)
+
+
+def compare_cli(a: Path, b: Path, datasets: int, root: Path) -> list[str]:
+    """``run_cli_set`` under the ``glppm`` of ``a`` into ``root/A`` and of
+    ``b`` into ``root/B``, each in a subprocess pinned to one BLAS thread,
+    and their ``cli_differences``."""
+    codes = [_under(src, "clirun", str(root / side), "--datasets", str(datasets)) for src, side in ((a, "A"), (b, "B"))]
+    return cli_differences(root / "A", root / "B", *codes)
 
 
 def _under(src: Path, kind: str, *args: str) -> dict:
@@ -309,18 +404,24 @@ def record_differences(ra: dict, rb: dict, a="A", b="B") -> list[str]:
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("kind", choices=("trees", "bench", "fits", "suite", "time", "timing"))
+    p.add_argument("kind", choices=("trees", "bench", "fits", "suite", "time", "timing", "cli", "clirun"))
     p.add_argument("a", type=Path, nargs="?")
     p.add_argument("b", type=Path, nargs="?")
-    p.add_argument("--datasets", type=int, default=None, help="fits: 40 by default; time: the whole batch")
+    p.add_argument(
+        "--datasets", type=int, default=None, help="fits: 40 by default; cli: 6; time: the whole batch"
+    )
     p.add_argument("--rounds", type=int, default=5)
     args = p.parse_args(argv)
     suite_size = 40 if args.datasets is None else args.datasets
+    cli_size = 6 if args.datasets is None else args.datasets
     if args.kind == "suite":
         print(json.dumps(run_suite(suite_size)))
         return 0
     if args.kind == "timing":
         print(json.dumps(run_timing(args.datasets)))
+        return 0
+    if args.kind == "clirun":
+        print(json.dumps(run_cli_set(args.a, cli_size)))
         return 0
     for path in (args.a, args.b):
         if path is None or not path.exists():
@@ -336,6 +437,12 @@ def main(argv=None) -> int:
         diffs = record_differences(ra, rb, args.a, args.b)
         totals = ["per family, A / B:"] + family_totals(ra, rb)
         print(f"{len(ra)} fits compared", file=sys.stderr)
+    elif args.kind == "cli":
+        if cli_size < 1:
+            p.error(f"cli needs --datasets >= 1, got {cli_size}")
+        with tempfile.TemporaryDirectory() as root:
+            diffs = compare_cli(args.a, args.b, cli_size, Path(root))
+        totals = []
     else:
         diffs = (tree_differences if args.kind == "trees" else fit_differences)(args.a, args.b)
         totals = []
