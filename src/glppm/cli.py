@@ -12,7 +12,8 @@ so the human-readable view of the fit is ``filter_grid_<channel>.csv``:
 the fitted filter of each driver channel on an even grid of lags over the
 horizon.  ``trace.csv`` has one row per traced iterate, with the fields of
 the step taken from it (``optimizer.STEP_FIELDS``).  All JSON outputs are
-written compactly.
+written compactly.  Fit defaults belong to the fitters: a config passes
+only what it sets, and ``FitResult.stationarity_residual`` is written as is.
 
 Every run writes ``run_manifest.json`` into the output directory with the
 command name, resolved input paths and their content hashes, the embedded
@@ -60,8 +61,8 @@ from .data import AtRiskProcess, DatasetManifest, _as_bool, _as_number, _read_js
 from .errors import ConfigError, DataError, DomainError, InfeasibleError, SolverError
 from .filters import FilterFunction
 from .kernel import SobolevKernel
-from .likelihood import LinkSpec, Objective, QuadratureConfig, intensity
-from .optimizer import STEP_FIELDS, _Workspace
+from .likelihood import LinkSpec, Objective, QuadratureConfig, intensity, linear_link
+from .optimizer import FREE, POINT, STEP_FIELDS, _Workspace
 from .simulator import SimSpec
 
 __all__ = ["main"]
@@ -233,7 +234,8 @@ def cmd_simulate(args) -> int:
     if "bound" in cfg:
         kwargs["bound"] = _as_number(cfg["bound"], "bound")
     if "target_name" in cfg:
-        kwargs["target_name"] = str(cfg["target_name"])
+        # the manifest below rejects a name that is not a string
+        kwargs["target_name"] = cfg["target_name"]
     spec = SimSpec(
         link=link,
         filters=g,
@@ -305,20 +307,9 @@ def cmd_fit(args) -> int:
 
     obj = Objective(link, lam, events, drivers, at_risk=at_risk, quadrature=quad)
     kernel = SobolevKernel(m=m, horizon=events.horizon)
-    if link.kind == "linear":
-        res = optimizer.fit_linear(
-            kernel,
-            obj,
-            tol=tol,
-            max_iter=_as_number(cfg.get("max_iter", 100), "max_iter", integer=True),
-        )
-    else:
-        res = optimizer.fit_descent(
-            kernel,
-            obj,
-            tol=tol,
-            max_iter=_as_number(cfg.get("max_iter", 500), "max_iter", integer=True),
-        )
+    fit = optimizer.fit_linear if link.kind == "linear" else optimizer.fit_descent
+    budget = {"max_iter": _as_number(cfg["max_iter"], "max_iter", integer=True)} if "max_iter" in cfg else {}
+    res = fit(kernel, obj, tol=tol, **budget)
 
     out = Path(args.out)
     payload = res.g_hat.compact().to_dict()
@@ -344,11 +335,6 @@ def cmd_fit(args) -> int:
         ),
     )
 
-    gn0 = res.diagnostics["grad_norm_scale"]
-    # at a boundary-active optimum the plain gradient equals the constraint
-    # force, so stationarity is measured on the KKT residual when the solver
-    # reports one
-    gn_res = float(res.diagnostics.get("kkt_residual", res.grad_norm))
     scalars = {}
     for key, val in res.diagnostics.items():
         if isinstance(val, (bool, int, float, str)):
@@ -364,7 +350,7 @@ def cmd_fit(args) -> int:
             "n_iter": res.n_iter,
             "objective": res.objective,
             "grad_norm": res.grad_norm,
-            "stationarity_residual": gn_res / max(1.0, gn0),
+            "stationarity_residual": res.stationarity_residual,
             "n_events": len(events),
             "n_channels": drivers.n_channels,
             "link": dataclasses.asdict(link),
@@ -424,25 +410,22 @@ def cmd_gof(args) -> int:
 
 def cmd_basis(args) -> int:
     cfg = _read_json(args.config)
-    link, lam, m, _, quad, at_risk = _fit_config(cfg)
+    _, lam, m, _, quad, at_risk = _fit_config(cfg)
     _, events, drivers = _load_dataset(args.data)
-    obj = Objective(link, lam, events, drivers, at_risk=at_risk, quadrature=quad)
+    # the basis does not depend on the link; the linear link's holds the compensator row
+    obj = Objective(linear_link(0.0), lam, events, drivers, at_risk=at_risk, quadrature=quad)
     kernel = SobolevKernel(m=m, horizon=events.horizon)
-    ws = _Workspace(kernel, obj, compensator=True)
-    h_cols, f_cols = ws.add_representers()
+    ws = _Workspace(kernel, obj)
+    ws.add_representers()
+    n_h0, n_h = (int(np.count_nonzero(ws.role == role)) for role in (FREE, POINT))
     _write_json(
         Path(args.out) / "basis.json",
         {
             "kernel": {"m": kernel.m, "horizon": kernel.horizon},
             "n_channels": obj.n_channels,
             "atoms": [a.to_dict() for a in ws.atoms],
-            "slices": {
-                "h0": [0, h_cols.start],
-                "h": [h_cols.start, h_cols.stop],
-                "f": [f_cols.start, f_cols.stop],
-            },
+            "slices": {"h0": [0, n_h0], "h": [n_h0, n_h0 + n_h], "f": [n_h0 + n_h, len(ws)]},
             "design": ws.E.tolist(),
-            # the exact compensator row, on every link
             "compensator": ws.comp.tolist(),
             "gram": ws.G.tolist(),
             "gram_penalty": ws.Gp.tolist(),

@@ -195,7 +195,17 @@ class DatasetManifest:
     csv: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "driver_channels", tuple(self.driver_channels))
+        # a field of the wrong JSON type would fail later as bad data, or run as "None"
+        names = self.driver_channels
+        if not isinstance(names, (list, tuple)) or not all(isinstance(n, str) for n in names):
+            raise ConfigError(f"driver_channels must be a list of names, got {names!r}")
+        object.__setattr__(self, "driver_channels", tuple(names))
+        if not (np.isfinite(self.horizon) and self.horizon > 0):
+            raise ConfigError(f"dataset horizon must be positive and finite, got {self.horizon!r}")
+        if not isinstance(self.target_channel, str):
+            raise ConfigError(f"target channel must be a name, got {self.target_channel!r}")
+        if not isinstance(self.csv, (str, type(None))):
+            raise ConfigError(f"dataset csv must be a path or null, got {self.csv!r}")
         # a channel name is part of an output file name (filter_grid_<name>.csv)
         for name in (self.target_channel, *self.driver_channels):
             if {"/", "\0", os.sep, os.altsep} & set(name):
@@ -241,14 +251,11 @@ def _read_json(path, error=ConfigError) -> dict:
 
 def load_manifest(path) -> DatasetManifest:
     raw = _read_json(path)
-    drivers = raw.get("driver_channels", ())
-    if not isinstance(drivers, (list, tuple)) or not all(isinstance(n, str) for n in drivers):
-        raise ConfigError(f"dataset manifest {path}: driver_channels must be a list of names")
     try:
         return DatasetManifest(
             horizon=_as_number(raw["horizon"], f"dataset manifest {path} horizon"),
-            target_channel=str(raw["target_channel"]),
-            driver_channels=tuple(drivers),
+            target_channel=raw["target_channel"],
+            driver_channels=raw.get("driver_channels", ()),
             self_exciting=_as_bool(
                 raw.get("self_exciting", True), f"dataset manifest {path} self_exciting"
             ),

@@ -23,13 +23,13 @@ node lags, are summed on it first, so that it is sorted once.
 Filters are immutable and the forms are cached.  Evaluation, inner
 products, the H1 seminorm and the projection each take one prefix-sum pass
 per channel over them, and so do the likelihood's predictors and exact
-compensator.  An atom builds the prefix table of each of its kernel sums
-(``kernel._prefix_table``) on first use and keeps it, so evaluating a fixed
-filter again, as the thinning simulator does at every candidate, reads the
-tables instead of summing anew.  ``Atom._bound_value`` binds an atom's
-lags, tables and h0 to the one function that evaluates them
-(``_atom_value``), with no domain check: the simulator binds it once per
-channel, as its lags lie in the domain by construction.
+compensator.  Atoms are values that keep no state beyond their fields:
+``Atom._bound_value`` builds the prefix tables of an atom's value
+(``kernel._prefix_table``) and binds them, with its lags and h0, to the one
+function that evaluates them (``_atom_value``), with no domain check.  The
+one cache of tables is ``FilterFunction._readers``, each channel's normal
+form bound once, which ``evaluate`` and the thinning simulator read instead
+of summing anew.
 ``FilterFunction.compact`` rewrites a
 filter as its normal forms in at most 1 + m serializable atoms per channel.
 
@@ -46,13 +46,12 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, partial
-from pathlib import Path
 
 import numpy as np
 
-from .data import _as_float_array, _as_number
+from .data import _as_float_array, _as_number, _read_json
 from .errors import ConfigError, DataError, DomainError
 from .kernel import SobolevKernel, _cross_weighted_sum, _family_sums, _h0_stack, _prefix_table
 
@@ -175,8 +174,6 @@ class Atom:
     seg_weights: np.ndarray  # signed: +w at hi, -w at lo
     h0: np.ndarray
     k: int | None = None  # 1-based polynomial index for kind "h0"
-    # prefix tables of the kernel sums, per (p, q), built on first use
-    _tables: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def is_zero(self) -> bool:
@@ -187,34 +184,21 @@ class Atom:
 
     # -- H1 algebra ----------------------------------------------------------
 
-    def _table(self, p: int, q: int):
-        """The prefix table of K[p,q] over the sections (p = m) or the
-        segments (p = m + 1), built on first use and kept."""
-        table = self._tables.get((p, q))
-        if table is None:
-            lags, weights = (
-                (self.sec_lags, self.sec_weights) if p == self.m else (self.seg_nodes, self.seg_weights)
-            )
-            table = self._tables[p, q] = _prefix_table(p, q, lags, weights)
-        return table
-
     def h1_value(self, u):
         """Smooth-part value at lag(s) u: K[m,m] over the sections plus
-        K[m+1,m] over the segments, each from its kept prefix table."""
+        K[m+1,m] over the segments."""
         m = self.m
-        out = _cross_weighted_sum(m, m, self.sec_lags, self.sec_weights, u, self._table(m, m))
+        out = _cross_weighted_sum(m, m, self.sec_lags, self.sec_weights, u)
         if self.seg_nodes.size:
-            table = self._table(m + 1, m)
-            out = out + _cross_weighted_sum(m + 1, m, self.seg_nodes, self.seg_weights, u, table)
+            out = out + _cross_weighted_sum(m + 1, m, self.seg_nodes, self.seg_weights, u)
         return out
 
     def h1_antiderivative(self, x):
         """int_0^x of the smooth part, exactly (cross-order kernels)."""
         m = self.m
-        out = _cross_weighted_sum(m, m + 1, self.sec_lags, self.sec_weights, x, self._table(m, m + 1))
+        out = _cross_weighted_sum(m, m + 1, self.sec_lags, self.sec_weights, x)
         if self.seg_nodes.size:
-            table = self._table(m + 1, m + 1)
-            out = out + _cross_weighted_sum(m + 1, m + 1, self.seg_nodes, self.seg_weights, x, table)
+            out = out + _cross_weighted_sum(m + 1, m + 1, self.seg_nodes, self.seg_weights, x)
         return out
 
     def value(self, kernel: SobolevKernel, u):
@@ -226,11 +210,12 @@ class Atom:
     def _bound_value(self):
         """``value`` on lag arrays as one function of the lags alone, with
         no domain check, for a caller whose lags lie in [0, horizon] by
-        construction: the thinning simulator binds it once per channel and
-        calls it at every candidate."""
+        construction: the prefix tables of K[m,m] over the sections and of
+        K[m+1,m] over any segments, bound to ``_atom_value``."""
         m = self.m
-        seg_table = self._table(m + 1, m) if self.seg_nodes.size else None
-        return partial(_atom_value, self.sec_lags, self._table(m, m), self.seg_nodes, seg_table, self.h0)
+        sec_table = _prefix_table(m, m, self.sec_lags, self.sec_weights)
+        seg_table = _prefix_table(m + 1, m, self.seg_nodes, self.seg_weights) if self.seg_nodes.size else None
+        return partial(_atom_value, self.sec_lags, sec_table, self.seg_nodes, seg_table, self.h0)
 
     def antiderivative(self, kernel: SobolevKernel, x):
         """int_0^x atom(v) dv including the polynomial part, exactly."""
@@ -239,17 +224,6 @@ class Atom:
         if np.any(self.h0):
             out = out + np.tensordot(self.h0, kernel.h0_antiderivative(x), axes=(0, 0))
         return out
-
-    def h1_inner(self, other: "Atom") -> float:
-        """<P self, P other> via reproducing identities; 0 across channels."""
-        if self.channel != other.channel:
-            return 0.0
-        total = 0.0
-        if other.sec_lags.size:
-            total += float(other.sec_weights @ self.h1_value(other.sec_lags))
-        if other.seg_nodes.size:
-            total += float(other.seg_weights @ self.h1_antiderivative(other.seg_nodes))
-        return total
 
     def sections_h0(self, kernel: SobolevKernel) -> np.ndarray:
         """Polynomial content the sections/segments would carry under the
@@ -264,7 +238,6 @@ class Atom:
     def projected(self) -> "Atom":
         """Image under the projection onto H1 (drop polynomial content)."""
         part = "r1" if self.part != "h0" else "h0"
-        # ``_tables`` is not an init field, so the image gets its own dict
         return replace(self, part=part, h0=_zero_h0(self.m))
 
     # -- serialization -------------------------------------------------------
@@ -468,11 +441,19 @@ class FilterFunction:
             forms.append(replace(form, part="r", h0=_ro(h0)))
         return tuple(forms)
 
+    @cached_property
+    def _readers(self) -> tuple:
+        """Each channel's normal form bound once (``Atom._bound_value``): a
+        function of a lag array in [0, horizon], unchecked.  The one cache
+        of prefix tables: ``evaluate`` and the thinning simulator read them."""
+        return tuple(f._bound_value() for f in self.normal_forms)
+
     def evaluate(self, channel: int, u):
         """g_channel(u) for scalar or array lags u in [0, horizon]."""
         if not 0 <= channel < self.n_channels:
             raise DomainError(f"unknown channel {channel}")
-        out = self.normal_forms[channel].value(self.kernel, u)
+        self.kernel._check_domain(u)
+        out = self._readers[channel](np.asarray(u, dtype=float))
         return float(out) if np.ndim(out) == 0 else out
 
     # -- linear structure ------------------------------------------------------
@@ -522,14 +503,14 @@ class FilterFunction:
 
     def h1_seminorm_sq(self) -> float:
         """||P g||^2 = sum over channels of the H1 norm of the smooth part."""
-        return sum(f.h1_inner(f) for f in self.normal_forms)
+        return sum(float(h1_inner_row(f, [f])[0]) for f in self.normal_forms)
 
     def inner_product(self, other: "FilterFunction") -> float:
         """Full Sobolev inner product; exactly symmetric in its arguments."""
         if other.kernel != self.kernel or other.n_channels != self.n_channels:
             raise ConfigError("cannot pair filters over different spaces")
         return sum(
-            0.5 * (a.h1_inner(b) + b.h1_inner(a)) + float(a.h0 @ b.h0)
+            0.5 * float(h1_inner_row(a, [b])[0] + h1_inner_row(b, [a])[0]) + float(a.h0 @ b.h0)
             for a, b in zip(self.normal_forms, other.normal_forms)
         )
 
@@ -586,11 +567,7 @@ class FilterFunction:
 
     @staticmethod
     def load(path) -> "FilterFunction":
-        try:
-            text = Path(path).read_text()
-        except OSError as exc:
-            raise DataError(f"cannot read filter {path}: {exc}") from exc
-        return FilterFunction.from_json(text)
+        return FilterFunction.from_dict(_read_json(path, DataError))
 
 
 # -- inner products over atom lists --------------------------------------------

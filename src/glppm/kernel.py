@@ -24,13 +24,13 @@ design rows and compensator integrals free of quadrature error.
 A weighted family of kernel slices, sum_l w_l K[p,q](lag_l, .), is
 evaluated by prefix sums over the sorted lags (``_cross_weighted_sum``).
 The prefix sums, scaled by the branch coefficients, do not depend on the
-query points: ``_prefix_table`` builds them once, and a caller that
-evaluates the same family again passes the table back, so each later call
-is one ``searchsorted`` plus one gather and multiply-add per term.  Both
-ways give the same bits.  Weights with one row per family give one table
-for many families over a shared sorted lag array, each row with the bits
-of that family's own table; ``_family_sums`` evaluates such a table, or a
-family's own, at queries whose search positions the caller has found.
+query points: ``_prefix_table`` builds them, and a caller that keeps the
+table evaluates the same family again with one ``searchsorted`` plus one
+gather and multiply-add per term (``_family_sums``), with the same bits.
+Weights with one row per family give one table for many families over a
+shared sorted lag array, each row with the bits of that family's own
+table; ``_family_sums`` evaluates such a table, or a family's own, at
+queries whose search positions the caller has found.
 """
 
 from __future__ import annotations
@@ -99,21 +99,19 @@ def _prefix_sums(values: np.ndarray) -> np.ndarray:
     return pre
 
 
-def _cross_weighted_sum(p: int, q: int, lags, weights, queries, table=None):
+def _cross_weighted_sum(p: int, q: int, lags, weights, queries):
     """sum_l weights[l] * K[p,q](lags[l], query) for each query.
 
     ``lags`` must be sorted ascending.  Runs in O((L + M)(p + q)) via prefix
     sums over each side of the diagonal, so large weighted families of kernel
-    sections (quadrature atoms, event histories) stay linear-time.  A
-    ``table`` from ``_prefix_table(p, q, lags, weights)`` saves rebuilding
-    the prefix sums and gives the same bits.  The sums themselves are one
-    search of the queries in the lags and ``_family_sums``.
+    sections (quadrature atoms, event histories) stay linear-time: one
+    ``_prefix_table``, one search of the queries in the lags and
+    ``_family_sums``.  A caller that evaluates one family again keeps its
+    table and calls ``_family_sums`` itself (``filters.Atom._bound_value``).
     """
     lags = np.asarray(lags, dtype=float)
-    if table is None:
-        table = _prefix_table(p, q, lags, weights)
     queries = np.asarray(queries, dtype=float)
-    return _family_sums(table, lags.searchsorted(queries, side="right"), queries)
+    return _family_sums(_prefix_table(p, q, lags, weights), lags.searchsorted(queries, side="right"), queries)
 
 
 def _family_sums(table, pos, queries) -> np.ndarray:

@@ -418,8 +418,7 @@ class Objective:
     def integral_column(self, atom: Atom) -> np.ndarray:
         """``columns`` of a nonzero part "r1" integral atom of node weights
         alone, as a (points, 1) array: its sections are the merged node
-        lags, so each search position is read from the index.  It keeps no
-        prefix table in the atom, which a fit's result holds."""
+        lags, so each search position is read from the index."""
         point, lags, dz = self._pairs[atom.channel]
         table = _prefix_table(atom.m, atom.m, atom.sec_lags, atom.sec_weights)
         h1 = _family_sums(table, self.node_lag_index(atom.channel).pos, lags)
@@ -523,6 +522,24 @@ def _event_phi(obj: Objective, x: np.ndarray) -> np.ndarray:
     return phi
 
 
+@dataclass(frozen=True)
+class _QuadratureCompensator:
+    """psi_q(x) = w_q y_q phi(x) at node predictors x: the compensator of
+    ``neg_log_lik`` and of the descent fitter on the non-linear links."""
+
+    obj: Objective
+    mu = None  # no multiplier passes
+
+    def value(self, x: np.ndarray) -> float:
+        return float(self.obj.weights @ (self.obj.y_nodes * self.obj.link.value(x)))
+
+    def deriv(self, x: np.ndarray) -> np.ndarray:
+        return self.obj.weights * self.obj.y_nodes * self.obj.link.deriv(x)
+
+    def deriv2(self, x: np.ndarray) -> np.ndarray:
+        return self.obj.weights * self.obj.y_nodes * self.obj.link.deriv2(x)
+
+
 def neg_log_lik(g: FilterFunction, obj: Objective) -> float:
     """Minus log-likelihood; exact compensator for the linear link."""
     x_nodes, x_events = obj.predictors(g)
@@ -531,7 +548,7 @@ def neg_log_lik(g: FilterFunction, obj: Objective) -> float:
         _check_domain(obj.link, x_nodes, obj.nodes)
         comp = obj.link.d * obj.int_y + sum(obj.comp_row(g.kernel, f) for f in g.normal_forms)
     else:
-        comp = float(obj.weights @ (obj.y_nodes * obj.link.value(x_nodes)))
+        comp = _QuadratureCompensator(obj).value(x_nodes)
     event_term = float(np.sum(np.log(obj.y_events * phi_events))) if phi_events.size else 0.0
     return comp - event_term
 

@@ -58,7 +58,9 @@ from .errors import ConfigError, SolverError
 # benchmark's tracer hooks them
 from .filters import Atom, FilterFunction, full_inner_row, h0_poly, h1_inner_row  # noqa: F401
 from .kernel import SobolevKernel, _h0_stack
-from .likelihood import LinkSpec, Objective, _boundary_slack, _event_phi, build_f_atoms, build_h_atoms
+from .likelihood import (
+    LinkSpec, Objective, _boundary_slack, _event_phi, _QuadratureCompensator, build_f_atoms, build_h_atoms,
+)
 
 __all__ = [
     "STEP_FIELDS",
@@ -114,6 +116,14 @@ class FitResult:
     @property
     def converged(self) -> bool:
         return self.status == "converged"
+
+    @property
+    def stationarity_residual(self) -> float:
+        """The KKT residual if the fit reports one (at a boundary-active optimum
+        the plain gradient equals the constraint force), else the gradient
+        norm, over max(1, ``diagnostics["grad_norm_scale"]``)."""
+        residual = float(self.diagnostics.get("kkt_residual", self.grad_norm))
+        return residual / max(1.0, self.diagnostics["grad_norm_scale"])
 
 
 def _weak_wolfe_search(trial, f0: float, d0: float):
@@ -191,16 +201,17 @@ class _Workspace:
     (part "r1") atoms, none of them the zero function.  ``U`` and ``E`` hold
     each atom's predictor at the quadrature nodes and at the events, ``G``
     and ``Gp`` its full and H1 inner products with every atom, all in
-    buffers that double in capacity as the dictionary grows.  On the linear
-    link, the only one whose compensator is linear in the coefficients, or
-    with ``compensator``, the predictor buffer holds one more row, each
-    atom's exact compensator, which ``comp`` views; else ``comp`` is None.
+    buffers that double in capacity as the dictionary grows.  Exactly on
+    the linear link, the only one whose compensator is linear in the
+    coefficients, the predictor buffer holds one more row, each atom's
+    exact compensator, which ``comp`` views; else ``comp`` is None.
 
     Each atom also records its ``role`` in the gradient of F: ``POINT`` of
     point ``datum`` (a pair-store index: the nodes, then the events),
-    ``INTEGRAL``, or ``FREE`` (the polynomials); and, as ``completion``, the
-    polynomial content ``Atom.sections_h0`` that an H1 atom lacks against
-    its full-kernel version, at its channel's phi columns.
+    ``INTEGRAL``, or ``FREE`` (the polynomials, so ``role != FREE`` marks
+    the H1 atoms); and, as ``completion``, the polynomial content
+    ``Atom.sections_h0`` that an H1 atom lacks against its full-kernel
+    version, at its channel's phi columns.
 
     Every H1 atom declares the functional it represents, as weights over
     the rows of the predictor buffer.  The history atom of point p
@@ -221,14 +232,15 @@ class _Workspace:
     one at a time with their ``Atom.sections_h0``.
     """
 
-    def __init__(self, kernel: SobolevKernel, obj: Objective, compensator: bool = False):
+    def __init__(self, kernel: SobolevKernel, obj: Objective):
+        obj._check_kernel(kernel)  # before any atom is built
         self.kernel = kernel
         self.obj = obj
         self.atoms: list[Atom] = []
         self._n_nodes = obj.nodes.size
         self._n_points = obj.nodes.size + len(obj.events)
         # the rows of the predictor buffer: the points, then the compensator
-        self._n_rows = self._n_points + (compensator or obj.link.kind == "linear")
+        self._n_rows = self._n_points + (obj.link.kind == "linear")
         self._n_rep = 0  # H1 atoms, the rows of F
         self._node_h0: dict[int, np.ndarray] = {}  # h0 stack of each channel's node lags
         self._reserve(32)
@@ -244,8 +256,8 @@ class _Workspace:
             "X": np.zeros((r, cap)), "F": np.zeros((cap, r)),
             "G": np.zeros((cap, cap)), "Gp": np.zeros((cap, cap)), "h0": np.zeros((cap, m)),
             "completion": np.zeros((cap, self.obj.n_channels * m)),
-            "channel": np.zeros(cap, dtype=int), "non_poly": np.zeros(cap, dtype=bool),
-            "role": np.zeros(cap, dtype=int), "datum": np.zeros(cap, dtype=int),
+            "channel": np.zeros(cap, dtype=int), "role": np.zeros(cap, dtype=int),
+            "datum": np.zeros(cap, dtype=int),
         }
         if old is not None:
             for key, arr in buf.items():
@@ -262,7 +274,6 @@ class _Workspace:
         self.U, self.E = b["X"][:q, :n], b["X"][q:p, :n]
         self.G, self.Gp = b["G"][:n, :n], b["Gp"][:n, :n]
         self.comp = b["X"][p, :n] if self._n_rows > p else None
-        self.non_poly = b["non_poly"][:n]
         self.role, self.datum, self.completion = b["role"][:n], b["datum"][:n], b["completion"][:n]
 
     def add_polynomials(self) -> None:
@@ -272,7 +283,7 @@ class _Workspace:
         atoms = [h0_poly(self.kernel, ch, k) for ch in range(self.obj.n_channels) for k in range(1, m + 1)]
         self._append(atoms, self.obj.columns(self.kernel, atoms))
 
-    def add_representers(self) -> tuple[slice, slice]:
+    def add_representers(self) -> None:
         """Append the finite representer basis of the linear link, in which
         the minimizer of the penalized objective lies.  Per channel it is
         spanned by
@@ -287,19 +298,16 @@ class _Workspace:
         in that order: polynomials channel-major, then history atoms
         event-major with the channels side by side, then the integral atoms.
         The h and f atoms are the smooth parts of the event and compensator
-        design functionals; one that is the zero function is left out.  The
-        workspace needs the compensator row, which f's functional reads.
-        Returns the columns of the history atoms and of the integral atoms,
-        each kind appended as one block."""
+        design functionals; one that is the zero function is left out.  f's
+        functional reads the compensator row, so the objective is on the
+        linear link, though the basis does not depend on the link.  Each kind
+        is one block, told apart by its atoms' ``role``."""
         self.add_polynomials()
-        n0 = len(self)
         self.add_point_atoms()
-        n1 = len(self)
         f_atoms = [a for a in build_f_atoms(self.kernel, self.obj, part="r1") if not a.is_zero]
         functionals = np.zeros((len(f_atoms), self._n_rows))
         functionals[:, self._n_points] = 1.0
         self._append(f_atoms, self.obj.columns(self.kernel, f_atoms), functionals, INTEGRAL)
-        return slice(n0, n1), slice(n1, len(self))
 
     def add_point_atoms(self, points=None) -> None:
         """Append the H1 history atom of each of these points (pair-store
@@ -378,10 +386,9 @@ class _Workspace:
             b["h0"][n0:n] = [atom.h0 for atom in atoms]
             rows_f = b["h0"][:n] @ b["h0"][n0:n].T
         else:
-            b["non_poly"][n0:n] = True
             b["F"][self._n_rep : self._n_rep + k] = functionals
             self._n_rep += k
-            rows_p[b["non_poly"][:n]] = b["F"][: self._n_rep] @ x
+            rows_p[b["role"][:n] != FREE] = b["F"][: self._n_rep] @ x
             rows_f = rows_p
             if completion is None:
                 completion = [atom.sections_h0(self.kernel) for atom in atoms]
@@ -399,23 +406,6 @@ class _Workspace:
             b[key][:n, n0:n] = rows
             b[key][n0:n, :n] = rows.T
         self._expose()
-
-
-@dataclass(frozen=True)
-class _QuadratureCompensator:
-    """psi_q(x) = w_q y_q phi(x): the quadrature compensator of a link."""
-
-    obj: Objective
-    mu = None  # no multiplier passes
-
-    def value(self, x: np.ndarray) -> float:
-        return float(self.obj.weights @ (self.obj.y_nodes * self.obj.link.value(x)))
-
-    def deriv(self, x: np.ndarray) -> np.ndarray:
-        return self.obj.weights * self.obj.y_nodes * self.obj.link.deriv(x)
-
-    def deriv2(self, x: np.ndarray) -> np.ndarray:
-        return self.obj.weights * self.obj.y_nodes * self.obj.link.deriv2(x)
 
 
 @dataclass(frozen=True)
@@ -529,7 +519,7 @@ class _Core:
         coeff[ws.role == INTEGRAL] = 1.0
         gam = coeff.copy()
         if lam != 0.0:
-            gam += 2.0 * lam * np.where(ws.non_poly, gamma, 0.0)
+            gam += 2.0 * lam * np.where(ws.role != FREE, gamma, 0.0)
         gam[: self.phi_cols.size] += ws.completion.T @ coeff
         return gam
 
@@ -741,7 +731,6 @@ def fit_linear(
     """
     if obj.link.kind != "linear":
         raise ConfigError("fit_linear requires the linear link")
-    obj._check_kernel(kernel)
     d = obj.link.d
 
     ws = _Workspace(kernel, obj)
@@ -829,7 +818,6 @@ def fit_descent(
     """
     if obj.link.kind == "linear":
         raise ConfigError("fit_descent serves the non-linear links; use fit_linear")
-    obj._check_kernel(kernel)
     ws = _Workspace(kernel, obj)
     core = _Core(ws, tol, max_iter)
     ws.add_polynomials()

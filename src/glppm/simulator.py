@@ -16,10 +16,10 @@ so far change only at an edge, and are kept until the next one.  Each
 channel's envelope sum keeps its first jump within reach, as candidates
 only move forward, and searches only the grid.  Each candidate reads the
 filter once per channel at the lags of the past jumps, through
-``SimSpec.filter_values``, which calls a function bound once per spec: for
-a FilterFunction, ``Atom._bound_value``, which holds its normal form's
-prefix tables and skips the domain check, as every lag lies in [0, horizon]
-by construction.  The link is read on Python floats.  So a candidate costs
+``SimSpec.filter_values``, which calls a function bound once: for a
+FilterFunction, its ``_readers``, which hold its normal forms' prefix
+tables and skip the domain check, as every lag lies in [0, horizon] by
+construction.  The link is read on Python floats.  So a candidate costs
 one grid search, one search of the lags with a multiply-add per kernel
 term, and two link reads.
 
@@ -121,17 +121,17 @@ class SimSpec:
 
     @cached_property
     def _readers(self) -> tuple[Callable, ...]:
-        """One function of a lag array per channel, bound once per spec.
+        """One function of a lag array per channel, bound once.
 
-        A FilterFunction is read from its normal form's prefix tables with
-        no domain check (``Atom._bound_value``): candidates lie below the
-        horizon, driver and event times are >= 0, and ``__post_init__``
-        rejects a kernel whose horizon is shorter than the simulation, so
-        every lag is in the kernel's domain.  A callable's values are taken
-        as a float array.
+        A FilterFunction is read through its own ``_readers``, from its
+        normal forms' prefix tables with no domain check: candidates lie
+        below the horizon, driver and event times are >= 0, and
+        ``__post_init__`` rejects a kernel whose horizon is shorter than the
+        simulation, so every lag is in the kernel's domain.  A callable's
+        values are taken as a float array.
         """
         if isinstance(self.filters, FilterFunction):
-            return tuple(f._bound_value() for f in self.filters.normal_forms)
+            return self.filters._readers
         return tuple(lambda lags, f=f: np.asarray(f(lags), dtype=float) for f in self.filters)
 
     @cached_property

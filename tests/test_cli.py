@@ -261,6 +261,39 @@ class TestChannelNames:
         assert not (out / "filter.json").exists()
 
 
+class TestWrongJsonTypes:
+    """A dataset-manifest or simulate-config field of the wrong JSON type,
+    or a manifest horizon that is not positive, exits 2 before any output
+    is written."""
+
+    @pytest.mark.parametrize(
+        "field, value", [("csv", 5), ("target_channel", None), ("horizon", -1.0)], ids=["csv", "target", "horizon"]
+    )
+    def test_fit_refuses_a_manifest_field(self, tmp_path, capsys, field, value):
+        data = make_dataset(tmp_path, DENSE_TIMES)
+        write_json(data, {**json.loads(data.read_text()), field: value})
+        out = tmp_path / "out"
+        assert run("fit", "--data", data, "--config", fit_config(tmp_path), "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (out / "filter.json").exists()
+
+    def test_simulate_refuses_a_null_target_name(self, tmp_path, capsys):
+        cfg = write_json(
+            tmp_path / "sim.json",
+            {
+                "link": {"kind": "linear", "d": 0.7},
+                "filters": zero_filter_payload(),
+                "horizon": 12.0,
+                "target_name": None,
+            },
+        )
+        out = tmp_path / "out"
+        assert run("simulate", "--config", cfg, "--seed", 3, "--out", out) == 2
+        assert "target channel must be a name" in capsys.readouterr().err
+        assert not (out / "events.csv").exists() and not (out / "dataset.json").exists()
+
+
 class TestFitCommand:
     def test_linear_fit_outputs_round_trip(self, tmp_path):
         data = make_dataset(tmp_path, DENSE_TIMES)

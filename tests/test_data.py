@@ -161,6 +161,29 @@ class TestManifest:
         m2 = load_manifest(p)
         assert m2 == m
 
+    # a field of the wrong JSON type or value is refused as configuration,
+    # before it can fail later as bad data or run under another name
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("csv", 5, "csv must be a path"),
+            ("csv", ["events.csv"], "csv must be a path"),
+            ("target_channel", None, "target channel must be a name"),
+            ("target_channel", 5, "target channel must be a name"),
+            ("horizon", -1.0, "horizon must be positive"),
+            ("horizon", float("inf"), "horizon must be positive"),
+            ("driver_channels", "z", "driver_channels must be a list of names"),
+        ],
+    )
+    def test_a_field_of_the_wrong_type_or_value_is_refused(self, tmp_path, field, value, match):
+        import json
+
+        raw = {"horizon": 5.0, "target_channel": "t", "driver_channels": [], "csv": "d.csv", field: value}
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match=match):
+            load_manifest(p)
+
     def test_manifest_missing_key(self, tmp_path):
         p = tmp_path / "m.json"
         p.write_text('{"horizon": 5.0}')

@@ -1,6 +1,7 @@
 """Filter atoms: evaluation, inner products, projection, serialization."""
 
 import base64
+import copy
 import json
 from dataclasses import replace
 
@@ -157,8 +158,9 @@ class TestEvaluate:
 
 
 class TestPrefixTables:
-    """A filter's normal forms keep the prefix tables of their kernel sums;
-    evaluating from them gives the same bits as building them per call."""
+    """A filter keeps the prefix tables of its normal forms' values, bound
+    once per channel (``FilterFunction._readers``); evaluating from them
+    gives the same bits as building them per call.  Atoms keep none."""
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_kernel_sums_match_the_one_pass_loop(self, m):
@@ -167,11 +169,9 @@ class TestPrefixTables:
         w = rng.normal(size=9)
         queries = [rng.uniform(0, 5, 40), 2.5, lags[3], lags[:4], np.empty(0)]
         for p, q in [(m, m), (m + 1, m), (m, m + 1), (m + 1, m + 1)]:
-            table = _prefix_table(p, q, lags, w)
             for u in queries:
                 want = prefix_sum_reference(p, q, lags, w, u)
                 assert same_bits(_cross_weighted_sum(p, q, lags, w, u), want)
-                assert same_bits(_cross_weighted_sum(p, q, lags, w, u, table=table), want)
 
     def test_family_sums_start_from_zero(self):
         # a sum from 0.0, as a zeros array plus the terms: terms that are all
@@ -181,19 +181,43 @@ class TestPrefixTables:
         assert same_bits(got, np.array([0.0, 7.0]))
 
     @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_cached_evaluation_matches_a_fresh_one(self, m):
+    def test_cached_evaluation_matches_a_fresh_one(self, m, monkeypatch):
         rng = np.random.default_rng(30 + m)
         k = SobolevKernel(m=m, horizon=5.0)
         g = random_filter(k, rng, n_channels=2)
         queries = [rng.uniform(0, 5, 40), 1.7, np.array([0.0, 5.0]), np.empty(0)]
+        built = []  # the tables that ``_bound_value`` binds
+
+        def counting(p, q, lags, weights):
+            built.append((p, q))
+            return _prefix_table(p, q, lags, weights)
+
+        monkeypatch.setattr(filters, "_prefix_table", counting)
         for ch, form in enumerate(g.normal_forms):
             assert form.sec_lags.size and form.seg_nodes.size and form.h0.any()
-            assert not form._tables
+            assert built == ([] if ch == 0 else [(m, m), (m + 1, m)] * 2)
             for call in ("builds", "reads"):
                 for u in queries:
                     assert same_bits(g.evaluate(ch, u), fresh_value(g, ch, u)), (ch, call, u)
                     assert same_bits(form.antiderivative(k, u), fresh_antiderivative(g, ch, u))
-                assert sorted(form._tables) == [(m, m), (m, m + 1), (m + 1, m), (m + 1, m + 1)]
+                # the first evaluation binds every channel's value tables
+                assert built == [(m, m), (m + 1, m)] * 2
+
+    def test_an_atom_keeps_no_state(self):
+        # values, antiderivatives and bound readers leave an atom as it was
+        k = SobolevKernel(m=2, horizon=5.0)
+        g = random_filter(k, np.random.default_rng(9))
+        u = np.linspace(0, 5, 11)
+        for atom in g.atoms + g.normal_forms:
+            before = copy.deepcopy(vars(atom))
+            atom.value(k, u)
+            atom.h1_value(u)
+            atom.antiderivative(k, u)
+            atom._bound_value()(u)
+            after = vars(atom)
+            assert after.keys() == before.keys()
+            for key, was in before.items():
+                assert same_bits(after[key], was) if isinstance(was, np.ndarray) else after[key] == was, key
 
     def test_a_hundred_evaluations_build_each_table_once(self, monkeypatch):
         k = SobolevKernel(m=2, horizon=5.0)

@@ -12,6 +12,7 @@ from glppm import filters, likelihood, optimizer
 from glppm.data import AtRiskProcess, DriverChannel, DriverSeries, EventSeries
 from glppm.errors import ConfigError, DomainError, InfeasibleError, SolverError
 from glppm.filters import (
+    Atom,
     FilterFunction,
     h0_poly,
     kernel_section,
@@ -100,7 +101,7 @@ def history_objective(m: int, quiet_channel: bool = False):
     return SobolevKernel(m=m, horizon=8.0), obj
 
 
-WORKSPACE_BUFFERS = ("X", "F", "G", "Gp", "h0", "completion", "channel", "non_poly", "role", "datum")
+WORKSPACE_BUFFERS = ("X", "F", "G", "Gp", "h0", "completion", "channel", "role", "datum")
 
 
 def append_one(ws, atom, role, datum=0, functional=None):
@@ -673,7 +674,7 @@ class TestWorkspace:
         ws.add_integral_atoms(rng.uniform(-1.0, 1.0, obj.nodes.size))
         atoms = ws.atoms
         assert len(atoms) > 32  # past the first capacity of the buffers
-        assert ws.non_poly.tolist().count(False) == 4 and ws.non_poly[0]
+        assert (ws.role != FREE).tolist().count(False) == 4 and ws.role[0] != FREE
         assert_allclose(ws.G, full_gram(atoms), rtol=1e-12, atol=1e-12)
         assert_allclose(ws.Gp, h1_gram(atoms), rtol=1e-12, atol=1e-12)
         X = atom_columns(kernel, obj, atoms)[0]
@@ -697,7 +698,9 @@ class TestGradientRoles:
         obj = Objective(linear_link(0.5), lam, events, DriverSeries(8.0, (z, tgt)))
         k = SobolevKernel(m=2, horizon=8.0)
         ws = _Workspace(k, obj)
-        h_cols, f_cols = ws.add_representers()
+        ws.add_representers()
+        n_h0, n_h = np.count_nonzero(ws.role == FREE), np.count_nonzero(ws.role == POINT)
+        h_cols, f_cols = slice(n_h0, n_h0 + n_h), slice(n_h0 + n_h, len(ws))
         ws.add_point_atoms([8, 0, 40])
         history = [pos for pos, a in enumerate(build_h_atoms(k, obj)) if not a.is_zero]
         # the first event has no earlier jump on the target, so that atom is left out
@@ -981,10 +984,11 @@ class TestColumns:
         obj.event_column(kernel, ws.atoms[-1])
         assert calls == [(1, False)] * 2
         del calls[:]
-        # the representer basis, which needs the compensator row on this
-        # link: its history and integral atoms as one block each; the quiet
-        # channel has no integral atom
-        _Workspace(kernel, obj, compensator=True).add_representers()
+        # the representer basis, which needs the compensator row of the
+        # linear link: its history and integral atoms as one block each; the
+        # quiet channel has no integral atom
+        linear = Objective(linear_link(0.0), obj.penalty_weight, obj.events, obj.drivers, at_risk=obj.at_risk)
+        _Workspace(kernel, linear).add_representers()
         assert calls == [(n_poly, False), (n_history, False), (obj.n_channels - 1, False)]
 
 
@@ -1033,12 +1037,14 @@ class TestGrowthCost:
     @pytest.mark.parametrize("m", [1, 2])
     def test_a_finished_fit_holds_no_integral_prefix_table(self, m):
         # ``Objective.integral_column`` reads an integral atom's prefix
-        # table once, so the result does not carry the tables
+        # table once, so the result does not carry the tables: an atom
+        # holds its fields and nothing else
         kernel, obj = history_objective(m, quiet_channel=True)
         res = fit_descent(kernel, obj, tol=1e-6)
         integral = [a for a in res.g_hat.atoms if a.kind == "integrated"]
         assert res.converged and len(integral) > 3
-        assert not any(a._tables for a in integral)
+        fields = {f.name for f in dataclasses.fields(Atom)}
+        assert all(vars(a).keys() == fields for a in integral)
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_a_history_block_takes_one_h0_stack(self, m, monkeypatch):
@@ -1167,7 +1173,7 @@ class TestCoreDirection:
         atoms = ws1.atoms
         s = 1e3
         ws2, functionals = _Workspace(k, obj), iter(ws1._buf["F"])
-        for a, poly, role, datum in zip(atoms, ~ws1.non_poly, ws1.role, ws1.datum):
+        for a, poly, role, datum in zip(atoms, ws1.role == FREE, ws1.role, ws1.datum):
             scaled = dataclasses.replace(
                 a, sec_weights=s * a.sec_weights, seg_weights=s * a.seg_weights, h0=s * a.h0
             )

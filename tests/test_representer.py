@@ -15,17 +15,18 @@ from glppm.likelihood import (
     linear_link,
     linear_predictor,
 )
-from glppm.optimizer import _Workspace
+from glppm.optimizer import FREE, POINT, _Workspace
 
 from oracles import full_gram, h1_gram, integrated_points
 
 
 def representer_basis(kernel, obj):
     """The workspace holding the representer basis, and the columns of its
-    history and integral atoms."""
+    history and integral atoms, counted from their roles."""
     ws = _Workspace(kernel, obj)
-    h_cols, f_cols = ws.add_representers()
-    return ws, h_cols, f_cols
+    ws.add_representers()
+    n_h0, n_h = np.count_nonzero(ws.role == FREE), np.count_nonzero(ws.role == POINT)
+    return ws, slice(n_h0, n_h0 + n_h), slice(n_h0 + n_h, len(ws))
 
 
 def basis_filter(ws, c):

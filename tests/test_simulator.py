@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.stats import kstest
 
+import glppm.filters
 from glppm.data import AtRiskProcess, DriverChannel, DriverSeries, EventSeries
 from glppm.errors import ConfigError, SolverError
 from glppm.filters import FilterFunction, h0_poly, kernel_section
@@ -250,10 +251,11 @@ def fresh_filters(g: FilterFunction):
 
 
 class TestFilterSpec:
-    def test_draws_the_events_of_fresh_evaluations(self):
+    def test_draws_the_events_of_fresh_evaluations(self, monkeypatch):
         # the predictor evaluates a FilterFunction spec from the prefix
-        # tables its normal forms keep, unchecked; callables that build
-        # every kernel sum afresh must draw the same events, bit for bit.
+        # tables the filter binds for its normal forms, unchecked; callables
+        # that build every kernel sum afresh must draw the same events, bit
+        # for bit.
         # g_ch falls from h at lag 0 to 0 at lag s and stays there:
         # h - (h/s) R1(s, .) = h (1 - u/s)+ at m = 1, and at m = 2
         # h - (3h/s) phi_2 + (6h/s^3) R1(s, .) = h ((1 - u/s)+)^3
@@ -268,7 +270,15 @@ class TestFilterSpec:
                 at_risk=AtRiskProcess([15.0, 20.0], [1.0, 0.0, 1.0]),
             )
 
+        built, real = [], glppm.filters._prefix_table  # the tables the filter binds
+
+        def counting(p, q, lags, weights):
+            built.append((p, q))
+            return real(p, q, lags, weights)
+
+        monkeypatch.setattr(glppm.filters, "_prefix_table", counting)
         for m in (1, 2):
+            del built[:]
             k = SobolevKernel(m=m, horizon=40.0)
             atoms = (
                 h0_poly(k, 0, 1), kernel_section(k, 0, 1.5),
@@ -285,7 +295,8 @@ class TestFilterSpec:
                 assert len(ev) > (10 if m == 1 else 5)
                 assert same_bits(ev.times, ev_fresh.times), (m, seed)
             assert all(f.h0.any() for f in g.normal_forms)
-            assert sorted(g.normal_forms[1]._tables) == [(m, m)]
+            # the forms have no segments: K[m,m] only, once per channel
+            assert built == [(m, m)] * 2
 
     def test_self_exciting_filter_draws_the_events_of_fresh_evaluations(self):
         # the benchmark's simulations: self-exciting only, m = 1, and the

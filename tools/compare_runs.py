@@ -49,11 +49,14 @@
         ``intensity`` of the fitted filter, on N = ``--datasets`` 12-event
         datasets of ``bench/generate.py`` at seed 401, for the exponential,
         softplus and linear (d = 0.5) links at m = 1 and 2 and penalty
-        weight 5; ``basis`` on the first dataset; and three ``simulate``
-        runs of the benchmark's hat process (seeds 0, 1 and 2), each
-        followed by ``gof`` under the true filter.  ``clirun OUT`` runs the
-        set into OUT under the ``glppm`` that Python imports and prints the
-        exit codes, as one JSON object.
+        weight 5; ``basis`` on the first dataset under the exponential and
+        the linear m = 1 configs; three ``simulate`` runs of the benchmark's
+        hat process (seeds 0, 1 and 2), each followed by ``gof`` under the
+        true filter; and one more at seed 0 (``simfile``) whose config names
+        the filter by a file path, followed by ``gof`` through a wrapper that
+        names the same file.  ``clirun OUT`` runs the set into OUT under the
+        ``glppm`` that Python imports and prints the exit codes, as one JSON
+        object.
 
 ``bench`` and ``fits`` follow each fit that differs with its status and
 iterations on both sides and the relative difference of its objectives.
@@ -302,6 +305,10 @@ def run_cli_set(out: Path, datasets: int) -> dict:
     sim = bench.sim_config(bench.SIM_HORIZON)
     (inputs / "simulate.json").write_text(json.dumps(sim))
     (inputs / "true_filter.json").write_text(json.dumps({"filter": sim["filters"], "link": sim["link"]}))
+    # the same filter read from a file that the configs name
+    (inputs / "hat_filter.json").write_text(json.dumps(sim["filters"]))
+    (inputs / "simulate_file.json").write_text(json.dumps({**sim, "filters": "hat_filter.json"}))
+    (inputs / "true_filter_file.json").write_text(json.dumps({"filter": "hat_filter.json", "link": sim["link"]}))
     for name, link in CLI_LINKS:
         for m in (1, 2):
             cfg = inputs / f"fit-{name}-m{m}.json"
@@ -313,11 +320,11 @@ def run_cli_set(out: Path, datasets: int) -> dict:
                 run(f"{label}/gof", "gof", "--data", dataset, "--config", fitted)
                 run(f"{label}/intensity", "intensity", "--data", dataset, "--config", fitted)
     run("basis", "basis", "--data", data[0], "--config", str(inputs / "fit-exp-m1.json"))
-    for seed in CLI_SIM_SEEDS:
-        label = f"sim{seed}"
-        run(label, "simulate", "--config", str(inputs / "simulate.json"), "--seed", str(seed))
-        run(f"{label}/gof", "gof", "--data", str(out / label / "dataset.json"),
-            "--config", str(inputs / "true_filter.json"))
+    run("basis-linear", "basis", "--data", data[0], "--config", str(inputs / "fit-linear-m1.json"))
+    sims = [(f"sim{seed}", seed, "simulate.json", "true_filter.json") for seed in CLI_SIM_SEEDS]
+    for label, seed, config, truth in sims + [("simfile", 0, "simulate_file.json", "true_filter_file.json")]:
+        run(label, "simulate", "--config", str(inputs / config), "--seed", str(seed))
+        run(f"{label}/gof", "gof", "--data", str(out / label / "dataset.json"), "--config", str(inputs / truth))
     return codes
 
 
