@@ -23,11 +23,11 @@ versions with the name and version of the BLAS numpy was built against
 (``numeric_env``), which is enough to reproduce the outputs exactly.
 
 Exit codes: 0 success; 2 a usage error (argparse's, such as a negative
-``--grid``), bad configuration, a missing or unreadable config or dataset
-manifest, or an ``--out`` that cannot be made a directory; 3 bad or
-out-of-domain data, including a dataset CSV or a filter file that cannot
-be read; 4 solver non-convergence (the fit outputs are still written);
-5 infeasible model.
+``--grid`` or ``--seed``), bad configuration, a missing or unreadable
+config or dataset manifest, or an ``--out`` that cannot be made a
+directory; 3 bad or out-of-domain data, including a dataset CSV or a
+filter file that cannot be read; 4 solver non-convergence (the fit
+outputs are still written); 5 infeasible model.
 
 BLAS and OpenMP read ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
 ``MKL_NUM_THREADS`` once, when numpy loads, and importing this package
@@ -438,14 +438,17 @@ def cmd_basis(args) -> int:
 # -- argument parsing and dispatch ----------------------------------------------
 
 
-def _grid_points(text: str) -> int:
-    """``--grid``: the number of evenly spaced evaluation times, 0 or more."""
+def _nonnegative(text: str) -> int:
+    """An integer of 0 or more: ``--grid``, the number of evenly spaced
+    evaluation times, and ``--seed``, which NumPy's ``default_rng`` takes
+    only when it is not negative.  Anything else is argparse's usage error,
+    exit 2, before any command runs."""
     try:
         n = int(text)
     except ValueError:
         n = -1
     if n < 0:
-        raise argparse.ArgumentTypeError(f"expected a count of 0 or more, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected an integer of 0 or more, got {text!r}")
     return n
 
 
@@ -466,9 +469,9 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--config", required=True, help="configuration JSON")
         p.add_argument("--out", default=".", help="output directory")
         if seed:
-            p.add_argument("--seed", type=int, default=None, help="RNG seed")
+            p.add_argument("--seed", type=_nonnegative, default=None, help="RNG seed, 0 or more")
         if grid:
-            p.add_argument("--grid", type=_grid_points, default=_GRID_POINTS, help="grid points")
+            p.add_argument("--grid", type=_nonnegative, default=_GRID_POINTS, help="grid points")
 
     p = sub.add_parser("simulate", help="draw events from a model spec")
     common(p, config=True, seed=True)

@@ -356,8 +356,8 @@ def save_events(path, events: EventSeries, drivers: DriverSeries, manifest: Data
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["time", "channel", "mark"] if has_mark else ["time", "channel"])
-        for t, name, mark in rows:
-            row = [repr(float(t)), name]
-            if has_mark:
-                row.append("" if mark is None else repr(float(mark)))
-            writer.writerow(row)
+        # without a mark column every mark is None, and its cell is cut off
+        writer.writerows(
+            [repr(float(t)), name, "" if mark is None else repr(float(mark))][: 2 + has_mark]
+            for t, name, mark in rows
+        )

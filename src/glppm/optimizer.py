@@ -160,10 +160,13 @@ def _solve_spd(H: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
     coordinate, as a phi column of a channel with no nonzero jump is, has
     no data and no penalty, and a ridge there would bend the whole step.
     Jacobi-scales the system first (kernel Grams over long horizons are
-    badly conditioned), then tries Cholesky (LAPACK's ``dpotrf`` on the
-    upper triangle and ``dpotrs``, as ``scipy.linalg.cho_factor`` /
-    ``cho_solve`` call them, without their checks), a tiny ridge, and least
-    squares in that order.  Returns (x, ridge_used).
+    badly conditioned).  A coordinate left whose diagonal entry is 0 has a
+    nonzero row or rhs, and is scaled by 1: a scale of sqrt(1e-300) would
+    blow its ridge step up to inf.  Then it tries Cholesky (LAPACK's
+    ``dpotrf`` on the upper triangle and ``dpotrs``, as
+    ``scipy.linalg.cho_factor`` / ``cho_solve`` call them, without their
+    checks), a tiny ridge, and least squares in that order.  Returns (x,
+    ridge_used).
     """
     if not (np.isfinite(H).all() and np.isfinite(rhs).all()):
         raise SolverError(
@@ -181,6 +184,7 @@ def _solve_spd(H: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
                 x[live], used = _solve_spd(H[np.ix_(live, live)], rhs[live])
             return x, used
     s = np.sqrt(np.maximum(diag, 1e-300))
+    s[diag == 0.0] = 1.0
     Hs = H / np.outer(s, s)
     rs = rhs / s
     for ridge_used in (False, True):

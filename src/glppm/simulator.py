@@ -20,8 +20,14 @@ filter once per channel at the lags of the past jumps, through
 FilterFunction, its ``_readers``, which hold its normal forms' prefix
 tables and skip the domain check, as every lag lies in [0, horizon] by
 construction.  The link is read on Python floats.  So a candidate costs
-one grid search, one search of the lags with a multiply-add per kernel
-term, and two link reads.
+one grid search of the lags in reach, one filter read per channel (a
+search of the lags with a multiply-add per kernel term), two link reads,
+and two draws: an exponential gap, and the acceptance uniform as
+``Generator.random()``, the double that ``uniform()`` returns after its
+argument handling, from the same one 64-bit draw.  The envelope sum's
+cut and the bound's finiteness check are Python float arithmetic.  The
+envelope itself is built once per spec, and at m = 1 reads the filter
+only up to its last lag (``SimSpec.envelopes``).
 
 ``time_rescale`` maps observed events through the fitted compensator; under
 a correct model the rescaled gaps are unit exponentials.  It is the
@@ -33,6 +39,7 @@ breakpoints and events for any other combination.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
@@ -144,13 +151,33 @@ class SimSpec:
         at the grid point at or below a lag, it stays valid while that lag
         grows.  ``reach[ch]`` is the first lag from which the envelope is 0:
         jumps older than that add nothing to the bound.
+
+        A FilterFunction at m = 1 is read only up to the first grid point
+        past the last section lag or segment node of the channel's normal
+        form, and the envelope there stands for the rest of the grid.  This
+        is exact: past its last lag every low-branch term of the kernel sums
+        (``kernel._family_sums``) is the full prefix sum, with no power of
+        the lag, and every high-branch term is its coefficient times the
+        empty suffix sum, +0.0, times a power of the lag, a zero whose sign
+        the lag does not change; the polynomial part is the constant h0[0].
+        So every grid point from the last one read on gets the same float,
+        and so does the envelope there.  At m >= 2 the tail is a polynomial
+        in the lag, and a callable is opaque: both are read on the whole
+        grid.
         """
         grid = np.linspace(0.0, self.horizon, _BOUND_GRID)
         env = np.empty((self.n_channels, grid.size))
         reach = np.full(self.n_channels, np.inf)
+        flat_tail = isinstance(self.filters, FilterFunction) and self.filters.kernel.m == 1
         for ch in range(self.n_channels):
-            vals = np.maximum(self.filter_values(ch, grid), 0.0)
-            env[ch] = np.maximum.accumulate(vals[::-1])[::-1] * _BOUND_MARGIN
+            stop = grid.size
+            if flat_tail:
+                form = self.filters.normal_forms[ch]
+                last = max((a[-1] for a in (form.sec_lags, form.seg_nodes) if a.size), default=-np.inf)
+                stop = min(int(grid.searchsorted(last, side="right")) + 1, grid.size)
+            vals = np.maximum(self.filter_values(ch, grid[:stop]), 0.0)
+            env[ch, :stop] = np.maximum.accumulate(vals[::-1])[::-1] * _BOUND_MARGIN
+            env[ch, stop:] = env[ch, stop - 1]
             if env[ch, -1] == 0.0:
                 reach[ch] = grid[int(np.argmin(env[ch] > 0.0))]
         return grid, env, reach
@@ -163,10 +190,13 @@ def _envelope_sum(grid, env, reach, sizes):
     ``sizes`` None means unit jumps.  t must not decrease from call to
     call: a jump older than the reach then never comes back into it, so
     the first jump within reach is kept between calls instead of searched
-    for, and one search of the lags in the grid is left."""
+    for, and one search of the lags in the grid is left.  ``reach`` is
+    kept as a Python float, so each call's cut ``t - reach`` is float
+    arithmetic, not that of a NumPy scalar."""
     if env[0] == 0.0:  # a nonincreasing envelope that starts at 0 is 0
         return lambda times, end, t: 0.0
     shifted = np.concatenate([env[-1:], env])  # shifted[i] is env[i - 1]
+    reach = float(reach)
     start = 0
 
     def envelope_sum(times, end: int, t: float) -> float:
@@ -237,7 +267,7 @@ def simulate(spec: SimSpec, seed=None) -> tuple[EventSeries, DriverSeries]:
             bound = spec.bound
         else:
             bound = y_val * float(spec.link.value(x_bound(cur)))
-            if not np.isfinite(bound):
+            if not math.isfinite(bound):
                 # candidates would come at rate inf, all at cur
                 raise SolverError(
                     f"thinning bound {bound} at t={cur}; the process is explosive under this link"
@@ -257,7 +287,7 @@ def simulate(spec: SimSpec, seed=None) -> tuple[EventSeries, DriverSeries]:
             raise SolverError(
                 f"thinning bound {bound} exceeded by intensity {lam} at t={cand}"
             )
-        if lam > 0.0 and rng.uniform() * bound <= lam:
+        if lam > 0.0 and rng.random() * bound <= lam:
             if n_events == spec.max_events:
                 raise SolverError(
                     f"simulation exceeded max_events={spec.max_events}; "

@@ -24,6 +24,8 @@ sort, the reference for ``FilterFunction.normal_forms``.
 envelope sum, filter read (``unchecked_value``, through
 ``_cross_weighted_sum``) and link read done afresh, the reference for
 ``simulate``'s kept positions and bound tables, and counts its filter reads.
+Its envelope, ``reference_envelopes``, reads every filter on the whole lag
+grid, the reference for ``SimSpec.envelopes``' shorter reads at m = 1.
 """
 
 from math import factorial
@@ -230,8 +232,9 @@ def atom_columns(kernel: SobolevKernel, obj: Objective, atoms):
 def solve_spd_cho_factor(H: np.ndarray, rhs: np.ndarray):
     """``_solve_spd`` of a finite system through ``scipy.linalg.cho_factor``
     / ``cho_solve``: Jacobi scaling, then Cholesky, a tiny ridge, and least
-    squares.  Returns (x, ridge_used)."""
+    squares; a zero diagonal entry is scaled by 1.  Returns (x, ridge_used)."""
     s = np.sqrt(np.maximum(np.diag(H), 1e-300))
+    s[np.diag(H) == 0.0] = 1.0
     Hs = H / np.outer(s, s)
     rs = rhs / s
     try:
@@ -444,22 +447,49 @@ def unchecked_value(form, u):
     return out + np.dot(form.h0.reshape(1, form.m), basis).reshape(u.shape)
 
 
+def reference_read(spec: SimSpec):
+    """The filter read of ``thinning_reference``, a function of (channel,
+    lags): ``unchecked_value`` of the channel's normal form (a
+    FilterFunction) or ``np.asarray`` of the channel's callable."""
+
+    def filter_values(channel, lags):
+        if isinstance(spec.filters, FilterFunction):
+            return unchecked_value(spec.filters.normal_forms[channel], lags)
+        return np.asarray(spec.filters[channel](lags), dtype=float)
+
+    return filter_values
+
+
+def reference_envelopes(spec: SimSpec, filter_values):
+    """``SimSpec.envelopes`` with every filter read by ``filter_values`` on
+    the whole lag grid: the grid, the envelopes and the reaches."""
+    grid = np.linspace(0.0, spec.horizon, simulator._BOUND_GRID)
+    env = np.empty((spec.n_channels, grid.size))
+    reach = np.full(spec.n_channels, np.inf)
+    for ch in range(spec.n_channels):
+        vals = np.maximum(filter_values(ch, grid), 0.0)
+        env[ch] = np.maximum.accumulate(vals[::-1])[::-1] * simulator._BOUND_MARGIN
+        if env[ch, -1] == 0.0:
+            reach[ch] = grid[int(np.argmin(env[ch] > 0.0))]
+    return grid, env, reach
+
+
 def thinning_reference(spec: SimSpec, seed):
     """The thinning loop of ``simulate`` with every candidate read afresh:
-    the envelope sum searches the grid, the start and the end of the jumps
-    in reach anew at each call, the link is read on arrays, and the filter
-    through ``unchecked_value`` (a FilterFunction) or ``np.asarray`` of the
-    callable.  Returns the event times and the number of filter reads,
-    the envelope grid's included: the ``SimSpec.filter_values`` calls of a
-    ``simulate`` on a spec whose envelope is not built yet."""
+    the envelope is read on the whole grid (``reference_envelopes``), the
+    envelope sum searches the grid, the start and the end of the jumps
+    in reach anew at each call, the link is read on arrays, the filter
+    through ``reference_read``, and the acceptance draw is ``uniform()``.
+    Returns the event times and the number of filter reads, the envelope
+    grid's included: the ``SimSpec.filter_values`` calls of a ``simulate``
+    on a spec whose envelope is not built yet."""
     calls = 0
+    read = reference_read(spec)
 
     def filter_values(channel, lags):
         nonlocal calls
         calls += 1
-        if isinstance(spec.filters, FilterFunction):
-            return unchecked_value(spec.filters.normal_forms[channel], lags)
-        return np.asarray(spec.filters[channel](lags), dtype=float)
+        return read(channel, lags)
 
     def link_value(x):
         return float(spec.link.value(np.asarray(x)))
@@ -477,14 +507,7 @@ def thinning_reference(spec: SimSpec, seed):
     rng = np.random.default_rng(seed)
     horizon = spec.horizon
     if spec.bound is None:
-        grid = np.linspace(0.0, horizon, simulator._BOUND_GRID)
-        env = np.empty((spec.n_channels, grid.size))
-        reach = np.full(spec.n_channels, np.inf)
-        for ch in range(spec.n_channels):
-            vals = np.maximum(filter_values(ch, grid), 0.0)
-            env[ch] = np.maximum.accumulate(vals[::-1])[::-1] * simulator._BOUND_MARGIN
-            if env[ch, -1] == 0.0:
-                reach[ch] = grid[int(np.argmin(env[ch] > 0.0))]
+        grid, env, reach = reference_envelopes(spec, filter_values)
     exo = list(spec.drivers.channels) if spec.drivers else []
     self_ch = spec.n_channels - 1 if spec.self_exciting else None
     edges = _partition(horizon, spec.at_risk.breakpoints, *(ch.times for ch in exo))

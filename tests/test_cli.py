@@ -382,6 +382,18 @@ class TestFitCommand:
         cfg = fit_config(tmp_path, link={"kind": "linear", "d": 0.0})
         assert run("fit", "--data", data, "--config", cfg, "--out", tmp_path / "o") == 5
 
+    @pytest.mark.filterwarnings("error")
+    def test_a_one_event_linear_fit_writes_nothing_to_stderr(self, tmp_path, capsys):
+        # the coordinate of the one event's history atom has a zero Hessian
+        # diagonal and a nonzero right-hand side in a Newton solve; its
+        # ridge step used to overflow, and NumPy warned on stderr
+        data = make_dataset(tmp_path, [3.0], horizon=10.0)
+        cfg = write_json(
+            tmp_path / "fit.json", {"link": {"kind": "linear", "d": 0.5}, "penalty_weight": 5.0, "m": 1}
+        )
+        assert run("fit", "--data", data, "--config", cfg, "--out", tmp_path / "o") == 0
+        assert capsys.readouterr().err == ""
+
     def test_bad_line_search_constants_exit_2(self, tmp_path, capsys):
         # the line search constants are the method's, not a config key
         data = make_dataset(tmp_path, DENSE_TIMES)
@@ -965,6 +977,22 @@ class TestDispatch:
             with pytest.raises(SystemExit) as exc:
                 run("intensity", "--data", data, "--config", cfg, "--grid", grid, "--out", tmp_path / "o")
             assert exc.value.code == 2
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "x"])
+    def test_a_seed_that_is_no_integer_of_0_or_more_is_usage_error(self, tmp_path, capsys, seed):
+        # NumPy's default_rng refuses a negative seed; the parser refuses it
+        # first, so nothing is simulated or written
+        cfg = write_json(
+            tmp_path / "sim.json",
+            {"link": {"kind": "linear", "d": 0.7}, "filters": zero_filter_payload(), "horizon": 12.0},
+        )
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            run("simulate", "--config", cfg, "--seed", seed, "--out", out)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --seed: expected an integer of 0 or more" in err and "Traceback" not in err
+        assert not (out / "events.csv").exists() and not (out / "dataset.json").exists()
 
     def test_out_naming_a_file_exits_2(self, tmp_path, capsys):
         cfg = write_json(

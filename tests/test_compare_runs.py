@@ -164,7 +164,12 @@ def test_time_runs_the_fit_batch_under_each_source_tree(tmp_path, compare_runs, 
         assert lines[at + 1].startswith(f"  A {src}: ") and " ms/fit (quartiles " in lines[at + 1]
         assert lines[at + 2].startswith(f"  B {src}: ")
         assert re.fullmatch(r"  B faster in [01] of 1 rounds, A in [01]; objectives identical", lines[at + 3])
-    assert lines[-1] == "every objective matched"
+    # the benchmark's 22 simulations, timed and compared by their events
+    at = lines.index("sim: 22 simulations per pass, 1 round(s)")
+    assert lines[at + 1].startswith(f"  A {src}: ") and " ms/simulation (quartiles " in lines[at + 1]
+    assert lines[at + 2].startswith(f"  B {src}: ")
+    assert re.fullmatch(r"  B faster in [01] of 1 rounds, A in [01]; events identical", lines[at + 3])
+    assert lines[-1] == "every output matched"
     # a tree whose line search asks for more curvature ends elsewhere
     changed = tmp_path / "src"
     shutil.copytree(src / "glppm", changed / "glppm", ignore=shutil.ignore_patterns("__pycache__"))
@@ -172,7 +177,19 @@ def test_time_runs_the_fit_batch_under_each_source_tree(tmp_path, compare_runs, 
     constants = "C1, C2, DELTA, MAX_STEP_TRIALS = 1e-4, {}, 0.1, 60"
     optimizer.write_text(optimizer.read_text().replace(constants.format(0.4), constants.format(0.3)))
     assert compare_runs.main(["time", str(src), str(changed), *small]) == 1
-    assert capsys.readouterr().out.splitlines()[-1].startswith("objectives differ: exp")
+    assert capsys.readouterr().out.splitlines()[-1].startswith("outputs differ: exp")
+    # a tree whose thinning bound has a wider margin draws other events,
+    # and fits the same
+    shutil.copy2(src / "glppm" / "optimizer.py", optimizer)
+    simulator = changed / "glppm" / "simulator.py"
+    text = simulator.read_text()
+    assert "_BOUND_MARGIN = 1.01\n" in text
+    simulator.write_text(text.replace("_BOUND_MARGIN = 1.01\n", "_BOUND_MARGIN = 1.02\n"))
+    assert compare_runs.main(["time", str(src), str(changed), *small]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    at = lines.index("sim: 22 simulations per pass, 1 round(s)")
+    assert lines[at + 3].endswith("; events DIFFER")
+    assert lines[-1] == "outputs differ: sim"
 
 
 def test_cli_byte_compares_the_command_outputs_of_each_source_tree(tmp_path, compare_runs, capsys):

@@ -1,5 +1,6 @@
 """Event containers, at-risk process, manifest, and CSV round trips."""
 
+import csv
 import os
 
 import numpy as np
@@ -208,6 +209,30 @@ class TestCsvRoundTrip:
         tgt = dr2.channels[1]
         assert np.array_equal(tgt.times, events.times)
         assert np.array_equal(tgt.sizes, np.ones(3))
+
+    @pytest.mark.parametrize("marks", [False, True])
+    def test_bytes_equal_a_row_by_row_writer(self, tmp_path, tiny, marks):
+        # one writerows call writes the bytes of one writerow per row, with
+        # an empty mark cell for each event of the target
+        events, drivers = tiny
+        m = DatasetManifest(8.0, "target", ("z",) if marks else ())
+        if not marks:
+            drivers = DriverSeries(8.0, drivers.channels[1:])
+        p = tmp_path / "d.csv"
+        save_events(p, events, drivers, m)
+        rows = [(t, "target", None) for t in events.times]
+        if marks:
+            z = drivers.channels[0]
+            rows += [(t, "z", s) for t, s in zip(z.times, z.sizes)]
+        with open(tmp_path / "want.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["time", "channel", "mark"] if marks else ["time", "channel"])
+            for t, name, mark in sorted(rows, key=lambda r: r[0]):
+                row = [repr(float(t)), name]
+                if marks:
+                    row.append("" if mark is None else repr(float(mark)))
+                writer.writerow(row)
+        assert p.read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     def test_empty_dataset(self, tmp_path):
         m = DatasetManifest(4.0, "target", ())

@@ -1138,8 +1138,16 @@ class TestSolveSpd:
         # a zero row with a nonzero right-hand side is no dead coordinate:
         # the system has no solution, and the ridge stands in
         rhs[3] = 1.0
-        with np.errstate(over="ignore"):
-            assert _solve_spd(H, rhs)[1]
+        assert _solve_spd(H, rhs)[1]
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_live_zero_diagonal_takes_a_finite_step(self):
+        # a coordinate whose diagonal is 0 but whose right-hand side is not
+        # is scaled by 1, not by a square root of a tiny floor, so that its
+        # ridge step is 1 / ridge, not an overflow to inf
+        x, used = _solve_spd(np.array([[0.0, 0.0], [0.0, 2.0]]), np.array([1.0, 1.0]))
+        assert used and np.isfinite(x).all()
+        assert_allclose(x, [1e10, 0.5], rtol=1e-9)
 
     def test_non_finite_system_raises(self):
         H = np.eye(3)

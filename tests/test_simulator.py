@@ -6,15 +6,16 @@ from numpy.testing import assert_allclose
 from scipy.stats import kstest
 
 import glppm.filters
+import glppm.simulator
 from glppm.data import AtRiskProcess, DriverChannel, DriverSeries, EventSeries
 from glppm.errors import ConfigError, SolverError
-from glppm.filters import FilterFunction, h0_poly, kernel_section
+from glppm.filters import FilterFunction, h0_poly, integrated_segments, kernel_section
 from glppm.kernel import SobolevKernel
 from glppm.likelihood import Objective, exponential_link, linear_link, softplus_link
 from glppm.optimizer import fit_descent
 from glppm.simulator import SimSpec, simulate, time_rescale
 
-from oracles import fresh_value, r1, same_bits, thinning_reference
+from oracles import fresh_value, r1, reference_envelopes, reference_read, same_bits, thinning_reference
 
 
 class TestSpecValidation:
@@ -326,7 +327,7 @@ class TestFilterSpec:
             return check(kernel, *points)
 
         def counting_values(spec, channel, lags):
-            values.append(np.size(lags))
+            values.append(np.array(lags, dtype=float))
             return filter_values(spec, channel, lags)
 
         def counting_link(link, x):
@@ -356,14 +357,17 @@ class TestFilterSpec:
         assert len(checks) <= 2  # building the normal forms, once per channel
 
         # with the automatic bound, the envelope grid adds one call per
-        # channel and still no check
+        # channel and still no check; the envelope's reads are the ones of
+        # a start of the lag grid, which no candidate's lags are, as each
+        # candidate lies past the drivers' jumps at 0
         g = FilterFunction(k, 3, atoms + (h0_poly(k, 2, 1),), np.array([0.3, -0.3, 0.2, 0.1]))
         spec = SimSpec(
             link=linear_link(0.5), filters=g, horizon=50.0, drivers=DriverSeries(50.0, (z, w)),
         )
         checks.clear(), values.clear()
         ev, _ = simulate(spec, seed=0)
-        grid = [n for n in values if n == values[0]]
+        full = np.linspace(0.0, 50.0, glppm.simulator._BOUND_GRID)
+        grid = [lags for lags in values if same_bits(lags, full[: lags.size])]
         assert len(grid) == 3 and len(ev) > 20
         assert len(values) - len(grid) >= 3 * len(ev) - 1
         assert len(checks) <= 3
@@ -444,6 +448,79 @@ class TestThinningReference:
             assert same_bits(ev.times, want), (case, seed)
             total += len(want)
         assert total > 30
+
+
+def envelope_spec(case: str) -> SimSpec:
+    """A spec at m = 1 whose envelope exercises one shape of normal form."""
+    if case in ("hat", "driver", "fitted"):
+        return reference_spec({"hat": "linear"}.get(case, case))
+    k = SobolevKernel(m=1, horizon=20.0)
+    if case == "segment":
+        # a section, and integrated slices whose last node, 4, is the
+        # filter's last lag
+        atoms = (
+            h0_poly(k, 0, 1), kernel_section(k, 0, 1.5),
+            integrated_segments(k, 0, [0.5, 1.0], [2.0, 4.0], [1.0, -0.5]),
+        )
+        coeffs = [0.3, -0.2, -0.1]
+    elif case == "horizon":
+        # a section at the horizon: the last lag is the grid's last point
+        atoms, coeffs = (h0_poly(k, 0, 1), kernel_section(k, 0, 20.0)), [0.05, 0.01]
+    else:
+        assert case == "polynomial", case
+        atoms, coeffs = (h0_poly(k, 0, 1),), [0.4]
+    g = FilterFunction(k, 1, atoms, np.array(coeffs))
+    return SimSpec(link=linear_link(0.5), filters=g, horizon=20.0)
+
+
+def envelope_reads(spec: SimSpec, monkeypatch) -> tuple:
+    """``spec.envelopes``, and the lag arrays that building it read the
+    filter at, through ``SimSpec.filter_values``."""
+    reads, filter_values = [], SimSpec.filter_values
+
+    def recording(self, channel, lags):
+        reads.append((channel, np.array(lags, dtype=float)))
+        return filter_values(self, channel, lags)
+
+    monkeypatch.setattr(SimSpec, "filter_values", recording)
+    return spec.envelopes, reads
+
+
+class TestEnvelopeGrid:
+    @pytest.mark.parametrize("case", ["hat", "driver", "segment", "horizon", "polynomial", "fitted"])
+    def test_m1_reads_stop_past_the_last_lag(self, case, monkeypatch):
+        # at m = 1 a filter is flat past its last section lag or segment
+        # node to the bit, so each channel is read up to the first grid
+        # point past it, and the envelope and reach equal the whole grid's
+        spec = envelope_spec(case)
+        (grid, env, reach), reads = envelope_reads(spec, monkeypatch)
+        want = reference_envelopes(spec, reference_read(spec))
+        assert same_bits(grid, want[0]) and same_bits(env, want[1]) and same_bits(reach, want[2])
+        assert [ch for ch, _ in reads] == list(range(spec.n_channels))
+        for ch, lags in reads:
+            form = spec.filters.normal_forms[ch]
+            last = max(np.concatenate([form.sec_lags, form.seg_nodes]), default=-np.inf)
+            assert same_bits(lags, grid[: lags.size]), (case, ch)
+            if last < grid[-1]:
+                assert lags[-1] > last and (lags.size == 1 or lags[-2] <= last), (case, ch)
+        sizes = [lags.size for _, lags in reads]
+        if case == "polynomial":
+            assert sizes == [1]
+        elif case == "horizon":
+            assert sizes == [grid.size]
+        else:
+            assert max(sizes) < grid.size
+
+    @pytest.mark.parametrize("case", ["m2", "callables"])
+    def test_other_filters_are_read_on_the_whole_grid(self, case, monkeypatch):
+        # at m = 2 a filter's tail is a polynomial, and a callable is not
+        # known past any lag: both are read at every grid point
+        spec = reference_spec(case)
+        (grid, env, reach), reads = envelope_reads(spec, monkeypatch)
+        want = reference_envelopes(spec, reference_read(spec))
+        assert same_bits(grid, want[0]) and same_bits(env, want[1]) and same_bits(reach, want[2])
+        assert [ch for ch, _ in reads] == list(range(spec.n_channels))
+        assert all(same_bits(lags, grid) for _, lags in reads)
 
 
 class TestThinningLaw:

@@ -1,4 +1,4 @@
-"""Compare two benchmark runs for bit identity, and time the fit batch under two source trees.
+"""Compare two benchmark runs for bit identity, and time fits and simulations under two source trees.
 
     python3 tools/compare_runs.py trees A B
         byte-compares two run trees that ``bench/run.py`` leaves in
@@ -26,19 +26,24 @@
         object, under the ``glppm`` that Python imports.
 
     python3 tools/compare_runs.py time SRC_A SRC_B [--rounds 5]
-        times the benchmark's fit batch under each source tree: the
-        ``fit-exp`` and ``fit-softplus`` datasets of ``bench/run.py``
-        (94 of 20 events and 160 of 12) at seed 401, each fitted by
-        ``fit_descent`` at m = 1 and penalty weight 5, as the ``fit``
-        command fits them.  Each round runs the batch once under each
-        tree, each in a fresh subprocess pinned to one BLAS thread after
-        one untimed fit, the trees alternating which goes first.  Per
-        family it prints the median and quartiles of milliseconds per fit
-        (objective and fit, not the data) on each side, the rounds each
-        side was the faster, and whether every fit's objective has the
-        same bits on both sides.  ``--datasets N`` fits the first N
-        datasets of each family only.  ``timing`` prints one such pass,
-        as one JSON object, under the ``glppm`` that Python imports.
+        times the benchmark's fit batch and simulations under each source
+        tree: the ``fit-exp`` and ``fit-softplus`` datasets of
+        ``bench/run.py`` (94 of 20 events and 160 of 12) at seed 401, each
+        fitted by ``fit_descent`` at m = 1 and penalty weight 5, as the
+        ``fit`` command fits them; then its 22 simulations of
+        ``sim_config(SIM_HORIZON)`` at the seeds of its rule for seed 401,
+        each spec built as the ``simulate`` command builds it.  Each round
+        runs the batch once under each tree, each in a fresh subprocess
+        pinned to one BLAS thread after one untimed fit per family and one
+        untimed simulation, the trees alternating which goes first.  Per
+        family, and for the simulations, it prints the median and
+        quartiles of milliseconds per fit (objective and fit, not the
+        data) or per simulation (filter, spec and simulation) on each side,
+        the rounds each side was the faster, and whether every fit's
+        objective, or every simulation's event times, have the same bits on
+        both sides.  ``--datasets N`` fits the first N datasets of each
+        family only.  ``timing`` prints one such pass, as one JSON object,
+        under the ``glppm`` that Python imports.
 
     python3 tools/compare_runs.py cli SRC_A SRC_B [--datasets 6]
         runs one set of CLI commands under each source tree, each in a
@@ -252,13 +257,19 @@ def _bench_run():
 
 
 def run_timing(datasets: int | None) -> dict:
-    """One timed pass of the benchmark's fit batch under the ``glppm`` on
-    the path: per family, the seconds of its fits and each fit's objective
-    as the hex of its float, after one untimed fit."""
+    """One timed pass of the benchmark's fit batch and simulations under the
+    ``glppm`` on the path: per family, the seconds of its fits and each
+    fit's objective as the hex of its float, after one untimed fit; under
+    ``sim``, the seconds of the simulations and each one's event times as
+    base64 of their bytes, after one untimed simulation.  Each simulation
+    builds its filter and spec from ``sim_config`` as ``simulate`` does, so
+    it pays for its envelope as the command does."""
     bench = _bench_run()
     import generate
+    import numpy as np
 
     import glppm
+    import glppm.cli
 
     out = {"glppm": glppm.__file__}
     for name, kind, d, _, seed in DESCENT:
@@ -278,6 +289,22 @@ def run_timing(datasets: int | None) -> dict:
         t0 = perf_counter()
         objectives = [fit(times) for times in batch]
         out[name] = {"seconds": perf_counter() - t0, "objectives": [f.hex() for f in objectives]}
+
+    sim = bench.sim_config(bench.SIM_HORIZON)
+
+    def simulate(seed):
+        g = glppm.FilterFunction.from_dict(sim["filters"])
+        spec = glppm.SimSpec(link=glppm.cli._parse_link(sim["link"]), filters=g, horizon=sim["horizon"])
+        return base64.b64encode(glppm.simulate(spec, seed=seed)[0].times.tobytes()).decode("ascii")
+
+    # the seeds of a 25-second benchmark run at seed 401, by bench/run.py's rule
+    seeds = [
+        int(np.random.SeedSequence([401, 1_000_000 + k]).generate_state(1)[0]) for k in range(bench.SIM_COUNT)
+    ]
+    simulate(seeds[0])
+    t0 = perf_counter()
+    events = [simulate(seed) for seed in seeds]
+    out["sim"] = {"seconds": perf_counter() - t0, "events": events}
     return out
 
 
@@ -369,10 +396,11 @@ def fit_records(src: Path, datasets: int) -> dict:
 
 def compare_timings(a: Path, b: Path, rounds: int, datasets: int | None) -> list[str]:
     """``run_timing`` under ``a`` and ``b`` for ``rounds`` rounds, the trees
-    alternating which goes first; per family, the median and quartiles of
-    milliseconds per fit on each side, the rounds each side won, and
-    whether every objective matched.  Returns the report's lines, the last
-    of them naming each family whose objectives differ."""
+    alternating which goes first; per family of fits, and for the
+    simulations, the median and quartiles of milliseconds per operation on
+    each side, the rounds each side won, and whether every objective, or
+    every simulation's event bytes, matched.  Returns the report's lines,
+    the last of them naming each part whose outputs differ."""
     import numpy as np
 
     passes = {a: [], b: []}
@@ -381,20 +409,21 @@ def compare_timings(a: Path, b: Path, rounds: int, datasets: int | None) -> list
             args = ["--datasets", str(datasets)] if datasets is not None else []
             passes[src].append(_under(src, "timing", *args))
     lines, differ = [], []
-    for name, *_ in DESCENT:
-        count = len(passes[a][0][name]["objectives"])
+    parts = [(name, "objectives", "fits", "fit") for name, *_ in DESCENT]
+    for name, key, plural, unit in parts + [("sim", "events", "simulations", "simulation")]:
+        count = len(passes[a][0][name][key])
         ms = {src: np.array([p[name]["seconds"] for p in passes[src]]) * 1e3 / count for src in passes}
-        lines.append(f"{name}: {count} fits per pass, {rounds} round(s)")
+        lines.append(f"{name}: {count} {plural} per pass, {rounds} round(s)")
         for src, label in ((a, "A"), (b, "B")):
             q1, med, q3 = np.percentile(ms[src], [25, 50, 75])
-            lines.append(f"  {label} {src}: {med:.3f} ms/fit (quartiles {q1:.3f}, {q3:.3f})")
+            lines.append(f"  {label} {src}: {med:.3f} ms/{unit} (quartiles {q1:.3f}, {q3:.3f})")
         wins = int(np.sum(ms[b] < ms[a]))
-        first = passes[a][0][name]["objectives"]
-        same = all(p[name]["objectives"] == first for side in passes.values() for p in side)
+        first = passes[a][0][name][key]
+        same = all(p[name][key] == first for side in passes.values() for p in side)
         lines.append(f"  B faster in {wins} of {rounds} rounds, A in {rounds - wins}; "
-                     f"objectives {'identical' if same else 'DIFFER'}")
+                     f"{key} {'identical' if same else 'DIFFER'}")
         differ += [] if same else [name]
-    lines.append(f"objectives differ: {', '.join(differ)}" if differ else "every objective matched")
+    lines.append(f"outputs differ: {', '.join(differ)}" if differ else "every output matched")
     return lines
 
 
@@ -438,7 +467,7 @@ def main(argv=None) -> int:
             p.error(f"time needs --rounds and --datasets >= 1, got {args.rounds} and {args.datasets}")
         lines = compare_timings(args.a, args.b, args.rounds, args.datasets)
         print("\n".join(lines))
-        return 0 if lines[-1] == "every objective matched" else 1
+        return 0 if lines[-1] == "every output matched" else 1
     if args.kind == "fits":
         ra, rb = (fit_records(src, suite_size) for src in (args.a, args.b))
         diffs = record_differences(ra, rb, args.a, args.b)
