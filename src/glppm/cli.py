@@ -13,7 +13,9 @@ the fitted filter of each driver channel on an even grid of lags over the
 horizon.  ``trace.csv`` has one row per traced iterate, with the fields of
 the step taken from it (``optimizer.STEP_FIELDS``).  All JSON outputs are
 written compactly.  Fit defaults belong to the fitters: a config passes
-only what it sets, and ``FitResult.stationarity_residual`` is written as is.
+only the ``tol`` and ``max_iter`` it sets, ``fit_result.json`` records the
+tolerance the fitter used (``FitResult.tol``), and
+``FitResult.stationarity_residual`` is written as is.
 
 Every run writes ``run_manifest.json`` into the output directory with the
 command name, resolved input paths and their content hashes, the embedded
@@ -266,7 +268,8 @@ def cmd_simulate(args) -> int:
 
 
 def _fit_config(cfg):
-    """Validated pieces of a fit/basis config, with defaults filled in."""
+    """Validated pieces of a fit/basis config, with the model's defaults
+    filled in; the stopping rule holds only the ``tol`` that it sets."""
     _check_keys(
         cfg,
         {
@@ -285,7 +288,7 @@ def _fit_config(cfg):
     link = _parse_link(cfg["link"])
     lam = _as_number(cfg.get("penalty_weight", 1.0), "penalty_weight")
     m = _as_number(cfg.get("m", 1), "m", integer=True)
-    tol = _as_number(cfg.get("tol", 1e-6), "tol")
+    stopping = {"tol": _as_number(cfg["tol"], "tol")} if "tol" in cfg else {}
 
     quad = None
     if "quadrature" in cfg:
@@ -297,19 +300,20 @@ def _fit_config(cfg):
         ))
 
     at_risk = _parse_at_risk(cfg["at_risk"]) if "at_risk" in cfg else None
-    return link, lam, m, tol, quad, at_risk
+    return link, lam, m, stopping, quad, at_risk
 
 
 def cmd_fit(args) -> int:
     cfg = _read_json(args.config)
-    link, lam, m, tol, quad, at_risk = _fit_config(cfg)
+    link, lam, m, stopping, quad, at_risk = _fit_config(cfg)
     manifest, events, drivers = _load_dataset(args.data)
 
     obj = Objective(link, lam, events, drivers, at_risk=at_risk, quadrature=quad)
     kernel = SobolevKernel(m=m, horizon=events.horizon)
     fit = optimizer.fit_linear if link.kind == "linear" else optimizer.fit_descent
-    budget = {"max_iter": _as_number(cfg["max_iter"], "max_iter", integer=True)} if "max_iter" in cfg else {}
-    res = fit(kernel, obj, tol=tol, **budget)
+    if "max_iter" in cfg:
+        stopping["max_iter"] = _as_number(cfg["max_iter"], "max_iter", integer=True)
+    res = fit(kernel, obj, **stopping)
 
     out = Path(args.out)
     payload = res.g_hat.compact().to_dict()
@@ -356,7 +360,7 @@ def cmd_fit(args) -> int:
             "link": dataclasses.asdict(link),
             "penalty_weight": lam,
             "m": m,
-            "tol": tol,
+            "tol": res.tol,
             "diagnostics": scalars,
         },
     )

@@ -201,17 +201,12 @@ class Atom:
             out = out + _cross_weighted_sum(m + 1, m + 1, self.seg_nodes, self.seg_weights, x)
         return out
 
-    def value(self, kernel: SobolevKernel, u):
-        """Value at lag(s) u in [0, horizon]: the domain check, then
-        ``_atom_value`` of this atom's lags, prefix tables and h0."""
-        kernel._check_domain(u)
-        return self._bound_value()(np.asarray(u, dtype=float))
-
     def _bound_value(self):
-        """``value`` on lag arrays as one function of the lags alone, with
-        no domain check, for a caller whose lags lie in [0, horizon] by
-        construction: the prefix tables of K[m,m] over the sections and of
-        K[m+1,m] over any segments, bound to ``_atom_value``."""
+        """The atom's value on lag arrays as one function of the lags
+        alone, with no domain check, for a caller whose lags lie in
+        [0, horizon] by construction: the prefix tables of K[m,m] over the
+        sections and of K[m+1,m] over any segments, bound to
+        ``_atom_value``."""
         m = self.m
         sec_table = _prefix_table(m, m, self.sec_lags, self.sec_weights)
         seg_table = _prefix_table(m + 1, m, self.seg_nodes, self.seg_weights) if self.seg_nodes.size else None

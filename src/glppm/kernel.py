@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from numbers import Integral
 
 import numpy as np
 
@@ -160,8 +161,11 @@ class SobolevKernel:
     horizon: float
 
     def __post_init__(self):
-        if not isinstance(self.m, int) or self.m < 1:
+        # a NumPy integer is an order as its int is; a bool is an Integral
+        # that no config means as an order
+        if isinstance(self.m, bool) or not isinstance(self.m, Integral) or self.m < 1:
             raise ConfigError(f"kernel order m must be an integer >= 1, got {self.m!r}")
+        object.__setattr__(self, "m", int(self.m))
         if not np.isfinite(self.horizon) or self.horizon <= 0:
             raise ConfigError(f"horizon must be positive and finite, got {self.horizon!r}")
 

@@ -231,10 +231,7 @@ class _NodeLagIndex:
     group, quadrature node and jump size of each sorted pair, so that an
     atom's section weights are one ``bincount``; ``pos`` holds the search
     position in ``lags`` of each node-pair lag and then each event-pair
-    lag, in the pairs' own order.  The lags lie in the kernel's domain by
-    construction, so a fit's workspace takes their h0 stack once, unchecked,
-    and each atom's polynomial content is one product with it
-    (``_Workspace.add_integral_atoms``)."""
+    lag, in the pairs' own order."""
 
     lags: np.ndarray
     group: np.ndarray
@@ -393,7 +390,8 @@ class Objective:
         ``_HISTORY_BLOCK`` entries, an atom with polynomial content (a
         polynomial or a normal form) adds it per half, and one ``bincount``
         per chunk sums each (point, atom) bin in pair order: the bits of
-        ``atom.value`` at the pair lags times the jump sizes."""
+        the atom's value (``Atom._bound_value``) at the pair lags times the
+        jump sizes."""
         self._check_kernel(kernel)
         m, n_pts = kernel.m, self.nodes.size + len(self.events)
         xt = np.empty((len(atoms), n_pts))

@@ -21,11 +21,12 @@ The gradient of F is a sum of data atoms: the integral atom, and the
 history atom of each point, the representer of X there, with weight psi' at
 a quadrature node and -phi'/phi(X) at an event.  Both fitters build their
 dictionary from two kinds of atom: each channel's polynomials
-phi_1..phi_m, and H1 (part "r1") atoms.  Every H1 atom is the H1 part of a
-data atom and declares the functional it represents; its polynomial part
-goes on the phi coefficients.  The workspace records each atom's role
-as it appends it; the core reads them.  Each fitter grows its dictionary
-before it measures an iterate, so that it spans the gradient there.
+phi_1..phi_m, and H1 (part "r1") atoms, each the H1 part of a data atom
+that declares the functional it represents.  The phi_k are orthonormal in
+H0 and orthogonal to H1 (Wahba 1990, ch. 1), so the gradient's phi_k
+coordinate is dF/dc_k.  The workspace records each atom's role as it
+appends it; the core reads them.  Each fitter grows its dictionary before
+it measures an iterate, so that it spans the gradient there.
 
 The core (``_Core.run``) forms the coordinate gradient and Hessian of F,
 takes a direction that passes the angle test cos(direction, -gradient) >=
@@ -57,7 +58,7 @@ from .errors import ConfigError, SolverError
 # ``full_inner_row`` and ``h1_inner_row`` stay importable here, as the
 # benchmark's tracer hooks them
 from .filters import Atom, FilterFunction, full_inner_row, h0_poly, h1_inner_row  # noqa: F401
-from .kernel import SobolevKernel, _h0_stack
+from .kernel import SobolevKernel
 from .likelihood import (
     LinkSpec, Objective, _boundary_slack, _event_phi, _QuadratureCompensator, build_f_atoms, build_h_atoms,
 )
@@ -111,6 +112,7 @@ class FitResult:
     grad_norm: float
     objective_trace: np.ndarray
     grad_norm_trace: np.ndarray
+    tol: float  # the stopping tolerance of the gradient test
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -201,21 +203,21 @@ def _solve_spd(H: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
 class _Workspace:
     """Growing dictionary with cached predictor columns and Gram matrices.
 
-    The dictionary holds each channel's polynomials phi_1..phi_m and H1
-    (part "r1") atoms, none of them the zero function.  ``U`` and ``E`` hold
-    each atom's predictor at the quadrature nodes and at the events, ``G``
-    and ``Gp`` its full and H1 inner products with every atom, all in
-    buffers that double in capacity as the dictionary grows.  Exactly on
-    the linear link, the only one whose compensator is linear in the
-    coefficients, the predictor buffer holds one more row, each atom's
-    exact compensator, which ``comp`` views; else ``comp`` is None.
+    The dictionary holds each channel's polynomials phi_1..phi_m, its
+    first block, and H1 (part "r1") atoms, none of them the zero function.
+    ``U`` and ``E`` hold each atom's predictor at the quadrature nodes and at
+    the events, and ``Gp`` its H1 inner products with every atom, in buffers
+    that double in capacity as the dictionary grows.  The full Gram ``G`` is
+    ``Gp`` plus 1 on the polynomials' diagonal: they are orthonormal in H0
+    and orthogonal to H1.  Exactly on the linear link, the only one whose
+    compensator is linear in the coefficients, the predictor buffer holds
+    one more row, each atom's exact compensator, which ``comp`` views; else
+    ``comp`` is None.
 
     Each atom also records its ``role`` in the gradient of F: ``POINT`` of
     point ``datum`` (a pair-store index: the nodes, then the events),
     ``INTEGRAL``, or ``FREE`` (the polynomials, so ``role != FREE`` marks
-    the H1 atoms); and, as ``completion``, the polynomial content
-    ``Atom.sections_h0`` that an H1 atom lacks against its full-kernel
-    version, at its channel's phi columns.
+    the H1 atoms).
 
     Every H1 atom declares the functional it represents, as weights over
     the rows of the predictor buffer.  The history atom of point p
@@ -229,11 +231,8 @@ class _Workspace:
     Atoms join in blocks: one ``Objective.columns`` call gives a block's U
     and E (``Objective.integral_column`` an integral atom's), and
     ``_append`` its Gram entries, products of functionals with columns.
-    The builders take the completions, unchecked, from h0 stacks of lags
-    that lie in the kernel's domain by construction: one per block of point
-    atoms, and one per channel and fit for the integral atoms.  Every
-    column, completion and Gram entry has the bits of appending the atoms
-    one at a time with their ``Atom.sections_h0``.
+    Every column and Gram entry has the bits of appending the atoms one at
+    a time.
     """
 
     def __init__(self, kernel: SobolevKernel, obj: Objective):
@@ -246,26 +245,27 @@ class _Workspace:
         # the rows of the predictor buffer: the points, then the compensator
         self._n_rows = self._n_points + (obj.link.kind == "linear")
         self._n_rep = 0  # H1 atoms, the rows of F
-        self._node_h0: dict[int, np.ndarray] = {}  # h0 stack of each channel's node lags
         self._reserve(32)
-        self._expose()
+        # phi_1..phi_m of every channel, channel-major, where
+        # ``_Core.phi_cols`` expects them; they represent no functional
+        polys = [h0_poly(kernel, ch, k) for ch in range(obj.n_channels) for k in range(1, kernel.m + 1)]
+        self._append(polys, obj.columns(kernel, polys), np.empty((0, self._n_rows)), FREE)
 
     def _reserve(self, cap: int) -> None:
         """Buffers for ``cap`` atoms, keeping the rows and columns in use:
         predictor columns X, the functional weights F over the same rows of
-        the H1 atoms, in column order, and the per-atom attributes."""
-        n, r, m = len(self.atoms), self._n_rows, self.kernel.m
+        the H1 atoms, in column order, the H1 Gram and the per-atom
+        attributes."""
+        n, r = len(self.atoms), self._n_rows
         old = getattr(self, "_buf", None)
         buf = {
-            "X": np.zeros((r, cap)), "F": np.zeros((cap, r)),
-            "G": np.zeros((cap, cap)), "Gp": np.zeros((cap, cap)), "h0": np.zeros((cap, m)),
-            "completion": np.zeros((cap, self.obj.n_channels * m)),
+            "X": np.zeros((r, cap)), "F": np.zeros((cap, r)), "Gp": np.zeros((cap, cap)),
             "channel": np.zeros(cap, dtype=int), "role": np.zeros(cap, dtype=int),
             "datum": np.zeros(cap, dtype=int),
         }
         if old is not None:
             for key, arr in buf.items():
-                kept = np.s_[:, :n] if key == "X" else np.s_[:n, :n] if key in ("G", "Gp") else np.s_[:n]
+                kept = np.s_[:, :n] if key == "X" else np.s_[:n, :n] if key == "Gp" else np.s_[:n]
                 arr[kept] = old[key][kept]
         self._buf = buf
 
@@ -273,26 +273,23 @@ class _Workspace:
         return len(self.atoms)
 
     def _expose(self) -> None:
-        """Point the public arrays at the buffers' rows and columns in use."""
+        """Point the public arrays at the buffers' rows and columns in use,
+        and form G."""
         n, b, q, p = len(self.atoms), self._buf, self._n_nodes, self._n_points
         self.U, self.E = b["X"][:q, :n], b["X"][q:p, :n]
-        self.G, self.Gp = b["G"][:n, :n], b["Gp"][:n, :n]
+        self.Gp = b["Gp"][:n, :n]
+        self.G = self.Gp.copy()
+        poly = np.arange(self.obj.n_channels * self.kernel.m)
+        self.G[poly, poly] += 1.0
         self.comp = b["X"][p, :n] if self._n_rows > p else None
-        self.role, self.datum, self.completion = b["role"][:n], b["datum"][:n], b["completion"][:n]
-
-    def add_polynomials(self) -> None:
-        """Append phi_1..phi_m of every channel, channel-major, where
-        ``_Core.phi_cols`` expects them, as one block."""
-        m = self.kernel.m
-        atoms = [h0_poly(self.kernel, ch, k) for ch in range(self.obj.n_channels) for k in range(1, m + 1)]
-        self._append(atoms, self.obj.columns(self.kernel, atoms))
+        self.role, self.datum = b["role"][:n], b["datum"][:n]
 
     def add_representers(self) -> None:
         """Append the finite representer basis of the linear link, in which
         the minimizer of the penalized objective lies.  Per channel it is
         spanned by
 
-        * the m polynomials phi_1..phi_m (``add_polynomials``),
+        * the m polynomials phi_1..phi_m, which the workspace starts with,
         * one history atom per event with an earlier jump there
           (``add_point_atoms``):
           h_i(u) = sum_{sigma < tau_i} dZ R1(tau_i - sigma, u),
@@ -306,7 +303,6 @@ class _Workspace:
         functional reads the compensator row, so the objective is on the
         linear link, though the basis does not depend on the link.  Each kind
         is one block, told apart by its atoms' ``role``."""
-        self.add_polynomials()
         self.add_point_atoms()
         f_atoms = [a for a in build_f_atoms(self.kernel, self.obj, part="r1") if not a.is_zero]
         functionals = np.zeros((len(f_atoms), self._n_rows))
@@ -317,9 +313,7 @@ class _Workspace:
         """Append the H1 history atom of each of these points (pair-store
         indices: nodes first, then events; by default every event) on every
         channel with a nonzero earlier jump, point-major, as one block: each
-        represents its point's predictor on its channel.  Its completions
-        come from one h0 stack over the block's lags laid end to end: each
-        is the product of the atom's slice of that stack with its weights."""
+        represents its point's predictor on its channel."""
         points = np.arange(self._n_nodes, self._n_points) if points is None else np.asarray(points, dtype=int)
         atoms = build_h_atoms(self.kernel, self.obj, "r1", points)
         keep = [pos for pos, atom in enumerate(atoms) if not atom.is_zero]
@@ -327,53 +321,41 @@ class _Workspace:
         datum = points[np.array(keep, dtype=int) // self.obj.n_channels]
         functionals = np.zeros((len(block), self._n_rows))
         functionals[np.arange(len(block)), datum] = 1.0
-        ends = np.cumsum([0] + [atom.sec_lags.size for atom in block])
-        stack = _h0_stack(np.concatenate([np.empty(0)] + [atom.sec_lags for atom in block]), self.kernel.m)
-        completion = [stack[:, lo:hi] @ atom.sec_weights for atom, lo, hi in zip(block, ends, ends[1:])]
-        self._append(block, self.obj.columns(self.kernel, block), functionals, POINT, datum, completion)
+        self._append(block, self.obj.columns(self.kernel, block), functionals, POINT, datum)
 
     def add_integral_atoms(self, link_weights: np.ndarray) -> None:
         """Append the nonzero H1 integral atoms of these node weights, each
         representing sum_q w_q X(s_q) on its channel.  An atom's sections
         are its channel's merged node lags (``Objective.node_lag_index``), so
-        its column reads the index (``Objective.integral_column``) and its
-        completion is one product with the h0 stack of those lags, taken
-        once per channel and fit."""
+        its column reads the index (``Objective.integral_column``)."""
         functional = np.zeros((1, self._n_rows))
         functional[0, : self._n_nodes] = link_weights
         for atom in build_f_atoms(self.kernel, self.obj, part="r1", link_weights=link_weights):
             if not atom.is_zero:
-                stack = self._node_h0.get(atom.channel)
-                if stack is None:
-                    stack = self._node_h0[atom.channel] = _h0_stack(atom.sec_lags, self.kernel.m)
-                completion = [stack @ atom.sec_weights]
-                self._append([atom], self.obj.integral_column(atom), functional, INTEGRAL, 0, completion)
+                self._append([atom], self.obj.integral_column(atom), functional, INTEGRAL)
 
-    def _append(self, atoms: list[Atom], x, functionals=None, role=FREE, datum=0, completion=None) -> None:
-        """Append a block of atoms of one kind: polynomials, or H1 atoms
-        with the weights of the functionals they represent (one row per
-        atom).  With them come their predictor columns x, to which the
-        compensator row adds each atom's exact compensator, their gradient
-        role and datum (one for the block, or one datum per atom), and, for
-        H1 atoms, their completions (one row of m per atom; by default each
-        atom's ``sections_h0``).
+    def _append(self, atoms: list[Atom], x, functionals, role, datum=0) -> None:
+        """Append a block of atoms of one role and datum (or one datum per
+        atom) with their predictor columns x, to which the compensator row
+        adds each atom's exact compensator, and the weights of the
+        functionals that its H1 atoms represent (none for the polynomials).
 
-        The one Gram rule: a polynomial's H1 products are 0 and its full
-        ones its h0 products.  For H1 atoms i <= a, <i, a> is i's functional
-        of a's column; 0 across channels.  A block takes its atoms' entries
-        against every H1 atom in one product and keeps, within the block,
-        the upper triangle: each atom's entries against itself and the
-        atoms before it.  One-hot functionals, as the point atoms have, make
-        every product exact, so such a block stores the bits that appending
-        its atoms one at a time stores."""
+        The one Gram rule: a polynomial's H1 products are 0.  For H1 atoms
+        i <= a, <i, a> is i's functional of a's column; 0 across channels.
+        A block takes its atoms' entries against every H1 atom in one
+        product and keeps, within the block, the upper triangle: each atom's
+        entries against itself and the atoms before it.  One-hot
+        functionals, as the point atoms have, make every product exact, so
+        such a block stores the bits that appending its atoms one at a time
+        stores."""
         if not atoms:
             return
-        n0, k, m = len(self.atoms), len(atoms), self.kernel.m
+        n0, k = len(self.atoms), len(atoms)
         n = n0 + k
-        cap = self._buf["G"].shape[0]
+        cap = self._buf["Gp"].shape[0]
         while cap < n:
             cap *= 2
-        if cap > self._buf["G"].shape[0]:
+        if cap > self._buf["Gp"].shape[0]:
             self._reserve(cap)
         b = self._buf
         if self._n_rows > self._n_points:
@@ -384,31 +366,16 @@ class _Workspace:
         channel[n0:] = [atom.channel for atom in atoms]
         self.atoms.extend(atoms)
 
-        rows_p = np.zeros((n, k))
-        poly = atoms[0].kind == "h0"
-        if poly:
-            b["h0"][n0:n] = [atom.h0 for atom in atoms]
-            rows_f = b["h0"][:n] @ b["h0"][n0:n].T
-        else:
-            b["F"][self._n_rep : self._n_rep + k] = functionals
-            self._n_rep += k
-            rows_p[b["role"][:n] != FREE] = b["F"][: self._n_rep] @ x
-            rows_f = rows_p
-            if completion is None:
-                completion = [atom.sections_h0(self.kernel) for atom in atoms]
-            # the completions as (atom, channel, m): each atom's phi columns
-            # on its channel are 0, so they hold 0.0 + h0, as sections_h0 does
-            per_channel = b["completion"].reshape(len(b["completion"]), -1, m)
-            per_channel[np.arange(n0, n), channel[n0:]] += completion
+        b["F"][self._n_rep : self._n_rep + len(functionals)] = functionals
+        self._n_rep += len(functionals)
+        rows = np.zeros((n, k))
+        rows[b["role"][:n] != FREE] = b["F"][: self._n_rep] @ x
         if self.obj.n_channels > 1:
-            rows_f[channel[:, None] != channel[n0:]] = 0.0
-        if k > 1 and not poly:
-            # the block's upper triangle, for G (rows_f is rows_p) and Gp; a
-            # polynomial block's h0 products are symmetric already
-            rows_p[n0:] = np.where(np.tri(k, dtype=bool).T, rows_p[n0:], rows_p[n0:].T)
-        for key, rows in (("G", rows_f), ("Gp", rows_p)):
-            b[key][:n, n0:n] = rows
-            b[key][n0:n, :n] = rows.T
+            rows[channel[:, None] != channel[n0:]] = 0.0
+        if k > 1:
+            rows[n0:] = np.where(np.tri(k, dtype=bool).T, rows[n0:], rows[n0:].T)
+        b["Gp"][:n, n0:n] = rows
+        b["Gp"][n0:n, :n] = rows.T
         self._expose()
 
 
@@ -439,12 +406,10 @@ class _Hinge:
 class _Core:
     """Safeguarded Newton descent on F over a workspace dictionary.
 
-    The dictionary starts with the polynomial atoms phi_1..phi_m of every
-    channel, channel-major; every other atom is an H1 atom.  The gradient's
-    data atoms and their weights are the ones the workspace records
-    (``_Workspace.role``); a data atom stands for its full-kernel version,
-    whose polynomial content (``_Workspace.completion``) goes on the phi
-    columns.
+    The gradient of F has two forms (``gradient``): its coordinate gradient
+    grad_c = dF/dc, which the Newton system and the line search take, and
+    its coordinates gam in the dictionary, which the norm and steepest
+    descent take.
 
     One core serves all passes of a fit and keeps their traces, step
     records and iteration count.
@@ -511,21 +476,27 @@ class _Core:
 
         return trial
 
-    def gradient_coords(self, gamma: np.ndarray, rho: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
-        """Function-space gradient of F in dictionary coordinates: the data
+    def gradient(self, gamma: np.ndarray, rho: np.ndarray, dpsi: np.ndarray):
+        """The gradient of F at gamma as (grad_c, gam): the coordinate
+        gradient dF/dc, from psi' = dpsi at the nodes and phi'/phi = rho at
+        the events, and the gradient's coordinates in the dictionary, exact
+        when the dictionary spans it.  On the H1 atoms gam holds the data
         atoms' coefficients (each point atom's read from one vector over the
-        points, psi' at the nodes and then -phi'/phi = -rho at the events;
-        1 on each integral atom), their completions onto the phi columns,
-        and the penalty 2 lam P g, which is 2 lam times the H1 atoms'
-        coefficients.  Exact when the dictionary spans the gradient."""
+        points, dpsi and then -rho; 1 on each integral atom) and the penalty
+        2 lam P g, which is 2 lam times their coefficients.  On the
+        polynomials it is grad_c, as each phi_k is a unit vector of G."""
         ws, lam = self.ws, self.lam
-        coeff = np.where(ws.role == POINT, np.concatenate([dpsi, -rho])[ws.datum], 0.0)
-        coeff[ws.role == INTEGRAL] = 1.0
-        gam = coeff.copy()
+        grad_c = ws.U.T @ dpsi + 2.0 * lam * (ws.Gp @ gamma)
+        if ws.comp is not None:
+            grad_c += ws.comp
+        if rho.size:
+            grad_c -= ws.E.T @ rho
+        gam = np.where(ws.role == POINT, np.concatenate([dpsi, -rho])[ws.datum], 0.0)
+        gam[ws.role == INTEGRAL] = 1.0
         if lam != 0.0:
             gam += 2.0 * lam * np.where(ws.role != FREE, gamma, 0.0)
-        gam[: self.phi_cols.size] += ws.completion.T @ coeff
-        return gam
+        gam[: self.phi_cols.size] = grad_c[: self.phi_cols.size]
+        return grad_c, gam
 
     def hessian(self, psi, xn: np.ndarray, xe: np.ndarray, phi_e: np.ndarray) -> np.ndarray:
         """Coordinate Hessian of F at predictors xn (nodes) and xe (events)."""
@@ -613,11 +584,10 @@ class _Core:
                 gamma = np.append(gamma, np.zeros(len(ws) - gamma.size))
                 xn, xe = ws.U @ gamma, ws.E @ gamma
                 dpsi, phi = psi.deriv(xn), self.link.value(xe)
-            gam = self.gradient_coords(gamma, rho, dpsi)
+            grad_c, gam = self.gradient(gamma, rho, dpsi)
             gn2 = float(gam @ ws.G @ gam)
             gn = float(np.sqrt(max(gn2, 0.0)))
-            gp_g = ws.Gp @ gamma
-            g_gp_g = float(gamma @ gp_g)
+            g_gp_g = float(gamma @ (ws.Gp @ gamma))
             # F at gamma, in the order of operations of ``line``'s trials
             f0 = psi.value(xn) + lam * g_gp_g
             if ws.comp is not None:
@@ -635,11 +605,6 @@ class _Core:
             if steps >= self.max_iter:
                 return gamma, "max_iter"
 
-            grad_c = ws.U.T @ dpsi + 2.0 * lam * gp_g
-            if ws.comp is not None:
-                grad_c += ws.comp
-            if rho.size:
-                grad_c -= ws.E.T @ rho
             delta, d0, cos, direction_kind, sigma = self.direction(
                 self.hessian(psi, xn, xe, phi_e), grad_c, gam, gn
             )
@@ -695,6 +660,7 @@ class _Core:
             grad_norm=float(self.grad_norm_trace[-1]),
             objective_trace=np.array(self.objective_trace),
             grad_norm_trace=np.array(self.grad_norm_trace),
+            tol=self.tol,
             diagnostics={
                 "ridge_used": self.ridge_used,
                 "n_atoms": len(ws),
@@ -783,7 +749,7 @@ def fit_linear(
 
     # the fit reports the plain objective and gradient, without the hinge
     _, rho = core.event_terms(ws.E @ c)
-    gam = core.gradient_coords(c, rho, np.zeros(obj.nodes.size))
+    gam = core.gradient(c, rho, np.zeros(obj.nodes.size))[1]
     core.objective_trace.append(core.objective_trace[-1] - hinge.value(xn))
     core.grad_norm_trace.append(float(np.sqrt(max(gam @ ws.G @ gam, 0.0))))
     return core.result(
@@ -824,7 +790,6 @@ def fit_descent(
         raise ConfigError("fit_descent serves the non-linear links; use fit_linear")
     ws = _Workspace(kernel, obj)
     core = _Core(ws, tol, max_iter)
-    ws.add_polynomials()
     ws.add_point_atoms()
     psi = _QuadratureCompensator(obj)
 

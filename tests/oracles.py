@@ -14,10 +14,12 @@ made here through the filters' normal-form constructor, and
 ``solve_spd_cho_factor`` solves a Newton
 system through ``scipy.linalg``'s Cholesky wrappers, as references for the
 library's bulk builders and direct LAPACK calls.  ``atom_columns`` builds
-predictor columns atom by atom from ``Atom.value`` and ``Atom.h1_value``,
-the reference for ``Objective.columns``.  ``ascending_ladder`` finds a
-damped Newton direction by a climb from the bottom of the damping ladder,
-the reference for ``_Core.direction``'s resumed search, and
+predictor columns atom by atom from ``checked_value``, the kernel's domain
+check and then the atom's unchecked ``Atom._bound_value``, and from
+``Atom.h1_value``, the reference for ``Objective.columns``.
+``ascending_ladder`` finds a damped Newton direction by a climb from the
+bottom of the damping ladder, the reference for ``_Core.direction``'s
+resumed search, and
 ``sorted_normal_forms`` merges every section of a filter in one stable
 sort, the reference for ``FilterFunction.normal_forms``.
 ``thinning_reference`` runs the thinning loop with every candidate's
@@ -207,6 +209,13 @@ def integral_atoms_one_by_one(kernel: SobolevKernel, obj: Objective, link_weight
     return atoms
 
 
+def checked_value(kernel: SobolevKernel, atom, u):
+    """An atom's value at lag(s) u in [0, horizon]: the kernel's domain
+    check, then the atom's unchecked reader (``Atom._bound_value``)."""
+    kernel._check_domain(u)
+    return atom._bound_value()(np.asarray(u, dtype=float))
+
+
 def atom_columns(kernel: SobolevKernel, obj: Objective, atoms):
     """(X, X1) as ``Objective.columns`` gives them: each atom's value (and
     smooth-part value) at each half's pair lags times the jump sizes, summed
@@ -214,7 +223,7 @@ def atom_columns(kernel: SobolevKernel, obj: Objective, atoms):
     first."""
     halves = ((obj._node_pairs, obj.nodes.size), (obj._event_pairs, len(obj.events)))
     out = []
-    for value in (lambda a, u: a.value(kernel, u), lambda a, u: a.h1_value(u)):
+    for value in (lambda a, u: checked_value(kernel, a, u), lambda a, u: a.h1_value(u)):
         cols = []
         for a in atoms:
             col = []

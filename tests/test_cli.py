@@ -364,6 +364,31 @@ class TestFitCommand:
         assert result["link"]["kind"] == "exp"
         assert result["converged"] is True
 
+    def test_the_fitter_owns_the_stopping_defaults(self, tmp_path, monkeypatch):
+        # a config with neither tol nor max_iter passes neither, and
+        # fit_result.json records the tolerance the fitter used, its
+        # default; one that sets both passes both, and records its tol
+        import inspect
+
+        data = make_dataset(tmp_path, DENSE_TIMES)
+        seen, real = [], optimizer.fit_descent
+
+        def spy(kernel, obj, **kwargs):
+            seen.append(kwargs)
+            return real(kernel, obj, **kwargs)
+
+        monkeypatch.setattr(optimizer, "fit_descent", spy)
+        cfg = {"link": {"kind": "exp", "d": np.log(0.5)}, "penalty_weight": 5.0}
+        write_json(tmp_path / "fit.json", cfg)
+        assert run("fit", "--data", data, "--config", tmp_path / "fit.json", "--out", tmp_path / "a") == 0
+        result = json.loads((tmp_path / "a" / "fit_result.json").read_text())
+        assert seen == [{}]
+        assert result["tol"] == inspect.signature(real).parameters["tol"].default
+        write_json(tmp_path / "fit.json", {**cfg, "tol": 1e-8, "max_iter": 50})
+        assert run("fit", "--data", data, "--config", tmp_path / "fit.json", "--out", tmp_path / "b") == 0
+        result = json.loads((tmp_path / "b" / "fit_result.json").read_text())
+        assert seen[1] == {"tol": 1e-8, "max_iter": 50} and result["tol"] == 1e-8
+
     def test_nonconvergence_exits_4_but_still_writes_outputs(self, tmp_path):
         data = make_dataset(tmp_path, DENSE_TIMES)
         cfg = fit_config(tmp_path, penalty_weight=1.0, max_iter=1)

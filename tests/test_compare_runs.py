@@ -97,9 +97,12 @@ def test_fit_records_differ_by_fit_and_by_field(compare_runs):
 def test_family_totals_sum_each_family_on_both_sides(compare_runs):
     import numpy as np
 
-    def fit(status, n_iter, objective):
-        trace = base64.b64encode(np.array([9.0, objective], "<f8").tobytes()).decode("ascii")
-        return {"status": status, "n_iter": n_iter, "objective_trace": trace}
+    def b64(values):
+        return base64.b64encode(np.array(values, "<f8").tobytes()).decode("ascii")
+
+    def fit(status, n_iter, objective, grad_norms=None):
+        record = {"status": status, "n_iter": n_iter, "objective_trace": b64([9.0, objective])}
+        return record if grad_norms is None else {**record, "grad_norm_trace": b64(grad_norms)}
 
     ra = {
         "linear-m1-d0": fit("converged", 20, 4.0), "linear-m1-d1": fit("converged", 30, 8.0),
@@ -114,11 +117,36 @@ def test_family_totals_sum_each_family_on_both_sides(compare_runs):
     # a fit in one suite only, and a fit without an objective, count in
     # no difference; a family with no objective on both sides reads nan
     assert compare_runs.family_totals(ra, rb) == [
-        "linear-m1: 2 fits, converged 2 / 1, iterations 50 / 43, largest objective difference 1e-09 relative",
-        "softplus-m2: 2 fits, converged 0 / 2, iterations 500 / 307, largest objective difference 0 relative",
+        "linear-m1: 2 fits, converged 2 / 1, iterations 50 / 43, largest objective difference 1e-09 relative, "
+        "largest gradient-norm difference nan of the stopping scale",
+        "softplus-m2: 2 fits, converged 0 / 2, iterations 500 / 307, largest objective difference 0 relative, "
+        "largest gradient-norm difference nan of the stopping scale",
     ]
     assert compare_runs.family_totals({"exp-m1-d0": {"error": "x"}}, {"exp-m1-d0": {"error": "y"}}) == [
-        "exp-m1: 1 fits, converged 0 / 0, iterations 0 / 0, largest objective difference nan relative",
+        "exp-m1: 1 fits, converged 0 / 0, iterations 0 / 0, largest objective difference nan relative, "
+        "largest gradient-norm difference nan of the stopping scale",
+    ]
+    # a change that moves only gradient-norm bits reads 0 on the objectives
+    # and reports its largest move over the iterates both fits hold, relative
+    # to max(1, A's first norm): 3e-12 of 4 here, and 2e-13 absolute below 1
+    ra = {
+        "exp-m2-d0": fit("converged", 2, 5.0, [4.0, 1e-3, 1e-7]),
+        "exp-m2-d1": fit("converged", 1, 6.0, [0.5, 1e-8]),
+    }
+    rb = {
+        "exp-m2-d0": fit("converged", 2, 5.0, [4.0, 1e-3 + 1.2e-11, 1e-7]),
+        "exp-m2-d1": fit("converged", 1, 6.0, [0.5, 1e-8 + 2e-13]),
+    }
+    [line] = compare_runs.family_totals(ra, rb)
+    assert line.startswith(
+        "exp-m2: 2 fits, converged 2 / 2, iterations 3 / 3, largest objective difference 0 relative, "
+        "largest gradient-norm difference 3e-12 of the stopping scale"
+    )
+    assert compare_runs.record_differences(ra, rb) == [
+        "exp-m2-d0: grad_norm_trace differs",
+        "exp-m2-d0: status converged / converged, n_iter 2 / 2, objective differs by 0 relative",
+        "exp-m2-d1: grad_norm_trace differs",
+        "exp-m2-d1: status converged / converged, n_iter 1 / 1, objective differs by 0 relative",
     ]
 
 
@@ -137,7 +165,8 @@ def test_fits_run_the_suite_under_each_source_tree(tmp_path, compare_runs, capsy
     for line in lines[1:]:
         assert re.fullmatch(
             r"[a-z]+-m[12]: 1 fits, converged ([01]) / \1, iterations (\d+) / \2, "
-            r"largest objective difference 0 relative", line
+            r"largest objective difference 0 relative, largest gradient-norm difference 0 of the stopping scale",
+            line,
         )
     # a tree whose line search asks for more curvature takes other steps
     changed = tmp_path / "src"

@@ -23,6 +23,7 @@ from glppm.kernel import SobolevKernel, _cross_weighted_sum, _family_sums, _pref
 from glppm.likelihood import linear_predictor
 
 from oracles import (
+    checked_value,
     fresh_antiderivative,
     fresh_value,
     full_gram,
@@ -210,7 +211,7 @@ class TestPrefixTables:
         u = np.linspace(0, 5, 11)
         for atom in g.atoms + g.normal_forms:
             before = copy.deepcopy(vars(atom))
-            atom.value(k, u)
+            FilterFunction(k, atom.channel + 1, (atom,), np.ones(1)).evaluate(atom.channel, u)
             atom.h1_value(u)
             atom.antiderivative(k, u)
             atom._bound_value()(u)
@@ -277,9 +278,10 @@ class TestPrefixTables:
 
 
 class TestUncheckedValue:
-    """``Atom.value`` is the domain check, then the unchecked
-    ``Atom._bound_value`` that the thinning simulator reads directly; at
-    m = 1 the polynomial part is h0[0], added as such."""
+    """An atom's value is the domain check, then the unchecked
+    ``Atom._bound_value`` that ``evaluate`` and the thinning simulator read
+    (``checked_value``); at m = 1 the polynomial part is h0[0], added as
+    such."""
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_value_equals_a_fresh_evaluation(self, m):
@@ -293,10 +295,10 @@ class TestUncheckedValue:
                 assert bool(form.h0.any()) == has_h0
                 for u in queries:
                     want = fresh_value(f, ch, u)
-                    assert same_bits(form.value(k, u), want), (m, has_h0, u)
+                    assert same_bits(checked_value(k, form, u), want), (m, has_h0, u)
                     unchecked = form._bound_value()(np.asarray(u, dtype=float))
                     assert same_bits(unchecked, want), (m, has_h0, u)
-        assert same_bits(g.normal_forms[0].value(k, 0.0), g.normal_forms[0].h0[0])
+        assert same_bits(checked_value(k, g.normal_forms[0], 0.0), g.normal_forms[0].h0[0])
 
     def test_a_signed_zero_h0_adds_nothing(self):
         k = SobolevKernel(m=1, horizon=5.0)
@@ -304,8 +306,8 @@ class TestUncheckedValue:
         form = g.normal_forms[0]
         signed = replace(form, h0=np.array([-0.0]))
         for u in (np.array([0.0, 1.0, 3.0]), 0.0, 3.0):
-            assert same_bits(signed.value(k, u), fresh_value(g, 0, u))
-            assert same_bits(signed.value(k, u), form.h1_value(u))
+            assert same_bits(checked_value(k, signed, u), fresh_value(g, 0, u))
+            assert same_bits(checked_value(k, signed, u), form.h1_value(u))
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_public_evaluations_still_check_the_domain(self, m):
@@ -316,7 +318,7 @@ class TestUncheckedValue:
             with pytest.raises(DomainError):
                 g.evaluate(0, bad)
             with pytest.raises(DomainError):
-                form.value(k, bad)
+                FilterFunction(k, 1, (form,), np.ones(1)).evaluate(0, bad)
         # data on a longer window than the kernel's: a lag of 8.5 > 5
         drivers = DriverSeries(10.0, (DriverChannel("z", np.array([0.5]), np.ones(1)),))
         assert linear_predictor(g, drivers, 5.5) == g.evaluate(0, 5.0)

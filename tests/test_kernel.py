@@ -176,3 +176,13 @@ class TestValidation:
             SobolevKernel(2, -1.0)
         with pytest.raises(ConfigError):
             SobolevKernel(2.0, 1.0)  # type: ignore[arg-type]
+
+    def test_order_is_any_integral_number_but_a_bool(self):
+        # a NumPy integer is the kernel of its int, stored as an int; a
+        # bool, a float and 0 are refused
+        k = SobolevKernel(np.int64(2), 5.0)
+        assert k == SobolevKernel(2, 5.0) and type(k.m) is int
+        assert hash(k) == hash(SobolevKernel(2, 5.0))
+        for bad in (True, np.bool_(True), 2.0, 0, np.int64(0)):
+            with pytest.raises(ConfigError, match="kernel order m"):
+                SobolevKernel(bad, 5.0)

@@ -9,6 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from glppm import filters, likelihood, optimizer
+from glppm import kernel as kernel_module
 from glppm.data import AtRiskProcess, DriverChannel, DriverSeries, EventSeries
 from glppm.errors import ConfigError, DomainError, InfeasibleError, SolverError
 from glppm.filters import (
@@ -101,16 +102,14 @@ def history_objective(m: int, quiet_channel: bool = False):
     return SobolevKernel(m=m, horizon=8.0), obj
 
 
-WORKSPACE_BUFFERS = ("X", "F", "G", "Gp", "h0", "completion", "channel", "role", "datum")
+WORKSPACE_BUFFERS = ("X", "F", "Gp", "channel", "role", "datum")
 
 
-def append_one(ws, atom, role, datum=0, functional=None):
-    """Append one atom with its gradient role and datum, and, for an H1
-    atom, the weights of the functional it represents over the rows of the
-    predictor buffer: the reference for the bulk builders, which record
-    them per block."""
-    rows = None if functional is None else functional[None, :]
-    ws._append([atom], ws.obj.columns(ws.kernel, [atom]), rows, role, datum)
+def append_one(ws, atom, role, datum=0, *, functional):
+    """Append one H1 atom with its gradient role and datum, and the weights
+    of the functional it represents over the rows of the predictor buffer:
+    the reference for the bulk builders, which record them per block."""
+    ws._append([atom], ws.obj.columns(ws.kernel, [atom]), functional[None, :], role, datum)
 
 
 def fit_with_workspace(monkeypatch, fit, *args, **kwargs):
@@ -131,7 +130,6 @@ def first_history_atoms(kernel, obj, count):
     """A workspace of the polynomials and the history atoms of the first
     ``count`` events that have an earlier jump, all on one channel."""
     ws = _Workspace(kernel, obj)
-    ws.add_polynomials()
     ws.add_point_atoms(ws._n_nodes + np.arange(1, count + 1))
     return ws
 
@@ -352,13 +350,13 @@ class TestFitLinear:
 
         monkeypatch.setattr(oracles, "_check_domain", lambda *args: None)
         k, obj = dense_objective(lam=1.0, m=1)
-        states, real = [], _Core.gradient_coords
+        states, real = [], _Core.gradient
 
         def spy(core, gamma, rho, dpsi):
             states.append((tuple(core.ws.atoms), gamma.copy(), dpsi.copy()))
             return real(core, gamma, rho, dpsi)
 
-        monkeypatch.setattr(_Core, "gradient_coords", spy)
+        monkeypatch.setattr(_Core, "gradient", spy)
         res = fit_linear(k, obj)
         assert res.converged and res.diagnostics["n_node_atoms"] > 0
         assert len(states) == res.grad_norm_trace.size
@@ -636,7 +634,6 @@ class TestWorkspace:
         if link.kind == "linear":
             ws.add_representers()
         else:
-            ws.add_polynomials()
             ws.add_point_atoms()
         ws.add_integral_atoms(np.random.default_rng(16).uniform(0.1, 1.0, obj.nodes.size))
         ws.add_point_atoms([8, 40])
@@ -655,10 +652,10 @@ class TestWorkspace:
 
     @pytest.mark.parametrize("link", [linear_link(0.5), exponential_link(-0.5)])
     def test_representers_and_plain_atoms_mixed(self, link):
-        # m=2, two channels: atoms that represent a functional (history
-        # atoms of events and nodes, integral atoms of random node weights,
-        # the exact integral atoms) before and after the polynomials, which
-        # represent none
+        # m=2, two channels: after the polynomials, which represent no
+        # functional and which every workspace starts with, atoms that
+        # represent one (integral atoms of random node weights, history
+        # atoms of events and nodes, the exact integral atoms) in mixed order
         events, z, tgt, lam = two_channel_objective()
         obj = Objective(link, lam, events, DriverSeries(8.0, (z, tgt)))
         kernel = SobolevKernel(m=2, horizon=8.0)
@@ -668,13 +665,12 @@ class TestWorkspace:
         if link.kind == "linear":
             ws.add_representers()
         else:
-            ws.add_polynomials()
             ws.add_point_atoms()
         ws.add_point_atoms([5, 40])
         ws.add_integral_atoms(rng.uniform(-1.0, 1.0, obj.nodes.size))
         atoms = ws.atoms
         assert len(atoms) > 32  # past the first capacity of the buffers
-        assert (ws.role != FREE).tolist().count(False) == 4 and ws.role[0] != FREE
+        assert ws.role.tolist()[:5] == [FREE] * 4 + [INTEGRAL] and (ws.role[4:] != FREE).all()
         assert_allclose(ws.G, full_gram(atoms), rtol=1e-12, atol=1e-12)
         assert_allclose(ws.Gp, h1_gram(atoms), rtol=1e-12, atol=1e-12)
         X = atom_columns(kernel, obj, atoms)[0]
@@ -682,11 +678,36 @@ class TestWorkspace:
         assert np.array_equal(ws.E, X[obj.nodes.size :])
 
 
+    @pytest.mark.parametrize("link", [linear_link(0.5), exponential_link(-0.5)])
+    def test_g_is_gp_plus_the_identity_on_the_polynomials(self, link):
+        # the polynomials are orthonormal in H0 and orthogonal to H1: their
+        # rows and columns of Gp are +0.0, and G is Gp plus the identity on
+        # their block, bit for bit, in an array of its own
+        events, z, tgt, lam = two_channel_objective()
+        obj = Objective(link, lam, events, DriverSeries(8.0, (z, tgt)))
+        kernel = SobolevKernel(m=2, horizon=8.0)
+        ws = _Workspace(kernel, obj)
+        if link.kind == "linear":
+            ws.add_representers()
+        else:
+            ws.add_point_atoms()
+        ws.add_integral_atoms(np.random.default_rng(18).uniform(-1.0, 1.0, obj.nodes.size))
+        ws.add_point_atoms([5, 40])
+        n_poly = obj.n_channels * kernel.m
+        assert len(ws) > 32 and ws.role.tolist()[: n_poly + 1] == [FREE] * n_poly + [POINT]
+        for block in (ws.Gp[:n_poly], ws.Gp[:, :n_poly]):
+            assert same_bits(block, np.zeros(block.shape))
+        want = ws.Gp.copy()
+        want[:n_poly, :n_poly] += np.eye(n_poly)
+        assert same_bits(ws.G, want)
+        assert not np.shares_memory(ws.G, ws._buf["Gp"])
+
+
 class TestGradientRoles:
     """Each atom records its role in the gradient, with its point (a node,
-    or an event after the nodes), and the polynomial completion of a
-    smooth-part atom; ``_Core`` reads the gradient from these records
-    alone."""
+    or an event after the nodes); ``_Core`` reads the gradient's H1
+    coordinates from these records alone, and its polynomial coordinates
+    from the coordinate gradient."""
 
     def test_a_linear_dictionary_records_every_role(self):
         # the representer basis (polynomials, a history atom per event and
@@ -722,14 +743,13 @@ class TestGradientRoles:
             order = np.argsort(lags)
             assert same_bits(a.sec_lags, lags[order])
             assert same_bits(a.sec_weights, ch.sizes[: lags.size][order])
-        # each H1 atom's polynomial completion sits at its channel's phi
-        # columns; a polynomial has none
-        for a, completion in zip(ws.atoms, ws.completion):
-            want = np.zeros(2 * k.m)
-            if a.kind != "h0":
+        # the polynomials phi_1..phi_m of each channel, channel-major, come
+        # first; every other atom is an H1 atom, with no polynomial content
+        for pos, a in enumerate(ws.atoms):
+            if pos < 2 * k.m:
+                assert (a.kind, a.channel, a.k) == ("h0", pos // k.m, pos % k.m + 1)
+            else:
                 assert a.part == "r1" and not a.h0.any()
-                want[a.channel * k.m : (a.channel + 1) * k.m] = a.sections_h0(k)
-            assert same_bits(completion, want)
 
     def test_a_node_with_no_earlier_jump_adds_no_atom(self):
         # node 0 lies before every jump of both channels: its history atoms
@@ -750,22 +770,56 @@ class TestGradientRoles:
     @pytest.mark.parametrize("m", [1, 2])
     def test_gradient_coords_are_the_gradient(self, m):
         # history atoms weighted -phi'/phi, the integral atom of the current
-        # node weights, their completions and the penalty give the oracle's
-        # gradient as a function
+        # node weights and the penalty on the H1 atoms, and the coordinate
+        # gradient on the polynomials, give the oracle's gradient as a
+        # function: on the descent's dictionary, and on the linear link's
+        # representer basis with the node atoms of hinge weights
         kernel, obj = history_objective(m)
+        rng = np.random.default_rng(5)
         ws = _Workspace(kernel, obj)
-        ws.add_polynomials()
         ws.add_point_atoms()
-        gamma = 0.05 * np.random.default_rng(5).normal(size=len(ws))
+        gamma = 0.05 * rng.normal(size=len(ws))
         psi = _QuadratureCompensator(obj)
         ws.add_integral_atoms(psi.deriv(ws.U @ gamma))
         gamma = np.append(gamma, np.zeros(len(ws) - gamma.size))
         core = _Core(ws, 1e-6, 1)
         _, rho = core.event_terms(ws.E @ gamma)
-        gam = core.gradient_coords(gamma, rho, psi.deriv(ws.U @ gamma))
+        grad_c, gam = core.gradient(gamma, rho, psi.deriv(ws.U @ gamma))
         grad = gradient(FilterFunction(kernel, obj.n_channels, tuple(ws.atoms), gamma), obj)
         diff = FilterFunction(kernel, obj.n_channels, tuple(ws.atoms), gam) - grad
         assert diff.inner_product(diff) <= 1e-20 * grad.inner_product(grad)
+        # the coordinate gradient is G gam, the gradient's products with
+        # the atoms, when the dictionary spans the gradient
+        assert_allclose(grad_c, ws.G @ gam, rtol=1e-10, atol=1e-12 * np.abs(grad_c).max())
+
+        linear = Objective(linear_link(0.5), 2.0, obj.events, obj.drivers, at_risk=obj.at_risk)
+        ws = _Workspace(kernel, linear)
+        ws.add_representers()
+        # phi_1 = 1 on every channel and small history coefficients,
+        # feasible at the events, with multipliers that turn the force on at
+        # about half of the nodes
+        gamma = np.where(ws.role == POINT, 1e-3 * rng.normal(size=len(ws)), 0.0)
+        gamma[np.arange(linear.n_channels) * kernel.m] = 1.0
+        y = np.maximum(2.0 * linear.link.value(ws.U @ gamma) + rng.uniform(-1.0, 1.0, linear.nodes.size), 0.0)
+        hinge = _Hinge(y, 1.0, linear.link)
+        dpsi = hinge.deriv(ws.U @ gamma)
+        ws.add_point_atoms(np.flatnonzero(dpsi))
+        gamma = np.append(gamma, np.zeros(len(ws) - gamma.size))
+        dpsi = hinge.deriv(ws.U @ gamma)
+        assert (ws.datum[ws.role == POINT] < linear.nodes.size).any()
+        core = _Core(ws, 1e-6, 1)
+        _, rho = core.event_terms(ws.E @ gamma)
+        gam = core.gradient(gamma, rho, dpsi)[1]
+        g = FilterFunction(kernel, linear.n_channels, tuple(ws.atoms), gamma)
+        hinge_atoms = tuple(build_f_atoms(kernel, linear, part="r", link_weights=dpsi))
+        grad = gradient(g, linear) + FilterFunction(kernel, linear.n_channels, hinge_atoms, np.ones(len(hinge_atoms)))
+        diff = FilterFunction(kernel, linear.n_channels, tuple(ws.atoms), gam) - grad
+        assert diff.inner_product(diff) <= 1e-20 * grad.inner_product(grad)
+        # the compensator row's share of the polynomial coordinates is the
+        # polynomial content of the oracle's compensator atoms
+        compensator = build_f_atoms(kernel, linear, part="r")
+        want = np.concatenate([a.h0 for a in sorted(compensator, key=lambda a: a.channel)])
+        assert_allclose(ws.comp[: linear.n_channels * kernel.m], want, rtol=1e-12, atol=1e-14)
 
 
 class TestBulkDictionary:
@@ -779,11 +833,9 @@ class TestBulkDictionary:
             monkeypatch.setattr(likelihood, "_HISTORY_BLOCK", block)
         kernel, obj = history_objective(m)
         ws = _Workspace(kernel, obj)
-        ws.add_polynomials()
         ws.add_point_atoms()
 
         ref = _Workspace(kernel, obj)
-        ref.add_polynomials()
         atoms = history_atoms_one_by_one(kernel, obj.events, obj.drivers, part="r1")
         n_ch = obj.n_channels
         want_events = []
@@ -792,7 +844,7 @@ class TestBulkDictionary:
                 functional = np.zeros(ref._n_rows)
                 functional[ref._n_nodes + pos // n_ch] = 1.0
                 want_events.append(obj.nodes.size + pos // n_ch)
-                append_one(ref, atom, POINT, ref._n_nodes + pos // n_ch, functional)
+                append_one(ref, atom, POINT, ref._n_nodes + pos // n_ch, functional=functional)
         # the first event has no history, so its atoms are skipped; each
         # atom's datum is its event's point, after the nodes
         assert obj.nodes.size not in want_events and len(want_events) < len(atoms)
@@ -819,7 +871,9 @@ class TestBulkDictionary:
         monkeypatch.setattr(likelihood, "_HISTORY_BLOCK", 2000)
         ws = _Workspace(kernel, obj)
         ws.add_point_atoms()
-        assert len(sizes) > obj.n_channels and sum(sizes) == len(ws)
+        # the polynomials, which every workspace starts with, have no
+        # sections to sum
+        assert len(sizes) > obj.n_channels and sum(sizes) == np.count_nonzero(ws.role == POINT)
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_representer_basis_equals_atoms_added_one_at_a_time(self, m):
@@ -831,13 +885,12 @@ class TestBulkDictionary:
         ws = _Workspace(kernel, obj)
         ws.add_representers()
         ref = _Workspace(kernel, obj)
-        ref.add_polynomials()
         n_ch = obj.n_channels
         for pos, atom in enumerate(history_atoms_one_by_one(kernel, obj.events, obj.drivers, part="r1")):
             if not atom.is_zero:
                 functional = np.zeros(ref._n_rows)
                 functional[ref._n_nodes + pos // n_ch] = 1.0
-                append_one(ref, atom, POINT, ref._n_nodes + pos // n_ch, functional)
+                append_one(ref, atom, POINT, ref._n_nodes + pos // n_ch, functional=functional)
         compensator = np.zeros(ref._n_rows)
         compensator[-1] = 1.0
         for atom in build_f_atoms(kernel, obj, part="r1"):
@@ -856,7 +909,6 @@ class TestBulkDictionary:
         ]
         ws, ref = _Workspace(kernel, obj), _Workspace(kernel, obj)
         for w in (ws, ref):
-            w.add_polynomials()
             w.add_point_atoms()
         for weights in steps:
             n = len(ws)
@@ -894,7 +946,7 @@ class TestColumns:
     """``Objective.columns`` is the one route from atoms to predictor
     columns, save the integral atom of node weights, whose column
     ``Objective.integral_column`` reads from the pair-lag index; both give
-    the columns of ``Atom.value`` atom by atom."""
+    the columns of ``oracles.checked_value`` atom by atom."""
 
     @staticmethod
     def mixed_block(kernel, obj):
@@ -968,8 +1020,8 @@ class TestColumns:
         monkeypatch.setattr(Objective, "columns", spy)
         monkeypatch.setattr(Objective, "integral_column", integral_spy)
         ws = _Workspace(kernel, obj)
-        ws.add_polynomials()
-        # every channel's polynomials as one block
+        # every channel's polynomials as one block, which the workspace
+        # starts with
         n_poly = obj.n_channels * kernel.m
         assert calls == [(n_poly, False)]
         del calls[:]
@@ -993,16 +1045,23 @@ class TestColumns:
 
 
 class TestGrowthCost:
-    """Growing the dictionary costs its arithmetic: the completions come
-    from h0 stacks of lags that lie in the kernel's domain by construction,
-    with no ``SobolevKernel.h0_basis`` and no domain check."""
+    """Growing the dictionary costs its arithmetic: an H1 atom joins with
+    its column and its functional, and the gradient's polynomial
+    coordinates come from the coordinate gradient, so growth takes no h0
+    stack, no ``SobolevKernel.h0_basis`` and no domain check.  The
+    workspace once completed each H1 atom with h0 stacks, at most one per
+    history block and one per channel and fit for the integral atoms; the
+    tests keep those bounds' names and now hold the growth to none."""
 
     @staticmethod
-    def spy(monkeypatch, calls):
-        """Count ``h0_basis``, ``_check_domain`` and the workspace's h0
-        stacks in ``calls``."""
+    def spy(monkeypatch, calls, per_call, grown):
+        """Count ``h0_basis``, ``_check_domain`` and every ``_h0_stack`` in
+        ``calls``, and append to ``per_call`` the counts that each call of
+        the ``_Workspace`` methods named in ``grown`` takes."""
+        assert not hasattr(optimizer, "_h0_stack")
         for owner, name in (
-            (SobolevKernel, "h0_basis"), (SobolevKernel, "_check_domain"), (optimizer, "_h0_stack")
+            (SobolevKernel, "h0_basis"), (SobolevKernel, "_check_domain"),
+            (kernel_module, "_h0_stack"), (filters, "_h0_stack"), (likelihood, "_h0_stack"),
         ):
             real = getattr(owner, name)
 
@@ -1011,28 +1070,50 @@ class TestGrowthCost:
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(owner, name, counted)
+        for name in grown:
+
+            def grow(ws, *args, _real=getattr(_Workspace, name), **kwargs):
+                before = dict(calls)
+                _real(ws, *args, **kwargs)
+                per_call.append({key: n - before.get(key, 0) for key, n in calls.items()})
+
+            monkeypatch.setattr(_Workspace, name, grow)
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_integral_atoms_take_one_h0_stack_per_channel_and_fit(self, m, monkeypatch):
+        # the descent's integral atoms: no call at all, on any channel
         kernel, obj = history_objective(m, quiet_channel=True)
         calls, per_call = {}, []
-        real = _Workspace.add_integral_atoms
-
-        def add_integral_atoms(ws, *args, **kwargs):
-            before = dict(calls)
-            real(ws, *args, **kwargs)
-            per_call.append({key: n - before.get(key, 0) for key, n in calls.items()})
-
-        self.spy(monkeypatch, calls)
-        monkeypatch.setattr(_Workspace, "add_integral_atoms", add_integral_atoms)
+        self.spy(monkeypatch, calls, per_call, ["add_integral_atoms"])
         res = fit_descent(kernel, obj, tol=1e-6)
         assert res.converged and len(per_call) > 3
-        # the first call stacks the node lags of the two channels with node
-        # pairs; no later call stacks again, and none evaluates or checks
-        stacks = [counts.get("_h0_stack", 0) for counts in per_call]
-        assert stacks == [obj.n_channels - 1] + [0] * (len(per_call) - 1)
+        assert all(not any(counts.values()) for counts in per_call)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_a_history_block_takes_one_h0_stack(self, m, monkeypatch):
+        kernel, obj = history_objective(m, quiet_channel=True)
+        calls, per_call = {}, []
+        self.spy(monkeypatch, calls, per_call, ["add_point_atoms"])
+        # one block holds the atoms of both channels with jumps, and takes
+        # no call at all
+        ws = _Workspace(kernel, obj)
+        ws.add_point_atoms()
+        assert {ws.atoms[c].channel for c in np.flatnonzero(ws.role == POINT)} == {0, 1}
+        assert len(per_call) == 1 and not any(per_call[0].values())
+        # so does the descent's history block
+        del per_call[:]
+        res = fit_descent(kernel, obj, tol=1e-6)
+        assert res.converged and len(per_call) == 1 and not any(per_call[0].values())
+        # the linear link's history block and the node atoms that join as
+        # their hinge forces turn on: only ``Objective.comp_row``'s domain
+        # checks of its interval ends
+        del per_call[:]
+        linear = Objective(linear_link(0.5), 1.0, obj.events, obj.drivers, at_risk=obj.at_risk)
+        res = fit_linear(kernel, linear)
+        assert res.diagnostics["n_node_atoms"] > 0 and len(per_call) >= 2
         for counts in per_call:
-            assert counts.get("h0_basis", 0) == counts.get("_check_domain", 0) == 0
+            assert counts.get("_check_domain", 0) > 0
+            assert not any(n for key, n in counts.items() if key != "_check_domain")
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_a_finished_fit_holds_no_integral_prefix_table(self, m):
@@ -1045,19 +1126,6 @@ class TestGrowthCost:
         assert res.converged and len(integral) > 3
         fields = {f.name for f in dataclasses.fields(Atom)}
         assert all(vars(a).keys() == fields for a in integral)
-
-    @pytest.mark.parametrize("m", [1, 2])
-    def test_a_history_block_takes_one_h0_stack(self, m, monkeypatch):
-        kernel, obj = history_objective(m, quiet_channel=True)
-        ws = _Workspace(kernel, obj)
-        ws.add_polynomials()
-        calls = {}
-        self.spy(monkeypatch, calls)
-        ws.add_point_atoms()
-        # one stack serves the atoms of both channels with jumps
-        assert {ws.atoms[c].channel for c in np.flatnonzero(ws.role == POINT)} == {0, 1}
-        assert calls == {"_h0_stack": 1}
-
 
 class TestKernelHorizon:
     """A kernel whose horizon is not the data's is a ConfigError, raised
@@ -1174,18 +1242,20 @@ class TestCoreHessian:
 class TestCoreDirection:
     def test_damped_direction_does_not_depend_on_the_atoms_scale(self):
         # scaling every atom by s scales G and H by s^2; the damping ladder
-        # must then give the same function-space direction, as Newton does
-        # s times an H1 atom represents s times its functional
+        # must then give the same function-space direction, as Newton does.
+        # s times an H1 atom represents s times its functional, so its Gram
+        # entries scale by s^2; a workspace starts with unit polynomials, so
+        # the G that the direction reads is scaled as a whole
         k, obj = dense_objective(lam=2.0, link=exponential_link(), m=1)
         ws1 = first_history_atoms(k, obj, 5)
         atoms = ws1.atoms
         s = 1e3
         ws2, functionals = _Workspace(k, obj), iter(ws1._buf["F"])
-        for a, poly, role, datum in zip(atoms, ws1.role == FREE, ws1.role, ws1.datum):
-            scaled = dataclasses.replace(
-                a, sec_weights=s * a.sec_weights, seg_weights=s * a.seg_weights, h0=s * a.h0
-            )
-            append_one(ws2, scaled, role, datum, None if poly else s * next(functionals))
+        for a, role, datum in zip(atoms[1:], ws1.role[1:], ws1.datum[1:]):
+            scaled = dataclasses.replace(a, sec_weights=s * a.sec_weights, seg_weights=s * a.seg_weights)
+            append_one(ws2, scaled, role, datum, functional=s * next(functionals))
+        assert_allclose(ws2.Gp, s * s * ws1.Gp, rtol=1e-12)
+        ws2.G = s * s * ws1.G
         # a Hessian whose eigenvalues relative to G span 1e-4..1e4, and a
         # gradient mostly along the stiffest of them: Newton fails the
         # angle test
@@ -1360,7 +1430,6 @@ class TestLeanIntegralAtoms:
         rng = np.random.default_rng(43)
         ws, ref = _Workspace(kernel, obj), _Workspace(kernel, obj)
         for w in (ws, ref):
-            w.add_polynomials()
             w.add_point_atoms()
         for weights in (rng.uniform(0.1, 1.0, obj.nodes.size), rng.uniform(-1.0, 1.0, obj.nodes.size)):
             n = len(ws)
@@ -1474,7 +1543,7 @@ class TestCoreNoiseFloor:
         gamma = np.full(len(ws), 0.01)
         core = _Core(ws, 1e-6, 50)
         _, rho = core.event_terms(ws.E @ gamma)
-        gam = core.gradient_coords(gamma, rho, psi.deriv(ws.U @ gamma))
+        gam = core.gradient(gamma, rho, psi.deriv(ws.U @ gamma))[1]
         gn2 = gam @ ws.G @ gam
         assert gam.any() and gn2 > 0.0
         # a Gram that takes a hair more than gam'G gam off along gam

@@ -66,8 +66,10 @@
 ``bench`` and ``fits`` follow each fit that differs with its status and
 iterations on both sides and the relative difference of its objectives.
 After the differences ``fits`` prints a table per family of fits (link and
-m): the converged count and the total iterations on each side, and the
-largest relative objective difference.
+m): the converged count and the total iterations on each side, the
+largest relative objective difference, and the largest gradient-norm
+difference relative to the stopping scale max(1, ||grad F(g_0)||), so that a
+change that moves only gradient-norm bits shows how far.
 
 Each difference is printed; the exit code is 1 if there is any, else 0.
 Typical use, with the parent commit checked out in a second directory and
@@ -141,16 +143,20 @@ def fit_differences(a: Path, b: Path) -> list[str]:
     return out
 
 
+def _trace(record: dict, name: str):
+    """A ``fits`` record's trace of this name as floats, or None."""
+    import numpy as np
+
+    return np.frombuffer(base64.b64decode(record[name]), "<f8") if record.get(name) else None
+
+
 def _objective(record: dict) -> float:
     """A fit record's final objective: a BENCH record's ``objective``, or
     the last entry of a ``fits`` record's objective trace; NaN for none."""
-    import numpy as np
-
     if record.get("objective") is not None:
         return float(record["objective"])
-    if record.get("objective_trace"):
-        return float(np.frombuffer(base64.b64decode(record["objective_trace"]), "<f8")[-1])
-    return float("nan")
+    trace = _trace(record, "objective_trace")
+    return float("nan") if trace is None else float(trace[-1])
 
 
 def _relative_difference(ra: dict, rb: dict) -> float:
@@ -158,6 +164,17 @@ def _relative_difference(ra: dict, rb: dict) -> float:
     either has none."""
     fa, fb = _objective(ra), _objective(rb)
     return abs(fa - fb) / max(abs(fa), abs(fb), 1e-300)
+
+
+def _grad_norm_difference(ra: dict, rb: dict) -> float:
+    """The largest difference of two fit records' gradient-norm traces,
+    over the iterates both hold, relative to the stopping scale max(1, the
+    first entry of A's trace); NaN when either has none."""
+    ta, tb = _trace(ra, "grad_norm_trace"), _trace(rb, "grad_norm_trace")
+    if ta is None or tb is None:
+        return float("nan")
+    n = min(ta.size, tb.size)
+    return float(abs(ta[:n] - tb[:n]).max()) / max(1.0, float(ta[0]))
 
 
 def fit_summary(ra: dict, rb: dict) -> str:
@@ -173,8 +190,10 @@ def fit_summary(ra: dict, rb: dict) -> str:
 def family_totals(ra: dict, rb: dict) -> list[str]:
     """Per family of the fits that both suites hold (link and m: a fit's key
     without its dataset), the fits, the converged count
-    and the total iterations on each side, and the largest relative
-    objective difference over the fits that have an objective on both."""
+    and the total iterations on each side, the largest relative
+    objective difference over the fits that have an objective on both, and
+    the largest gradient-norm difference (``_grad_norm_difference``) over
+    the fits that have a gradient-norm trace on both."""
     families: dict[str, list[str]] = {}
     for key in sorted(set(ra) & set(rb)):
         families.setdefault(re.sub(r"-d\d+", "", key), []).append(key)
@@ -182,10 +201,14 @@ def family_totals(ra: dict, rb: dict) -> list[str]:
     for name, keys in families.items():
         converged = [sum(r[k].get("status") == "converged" for k in keys) for r in (ra, rb)]
         iterations = [sum(r[k].get("n_iter") or 0 for k in keys) for r in (ra, rb)]
-        rel = max((x for x in (_relative_difference(ra[k], rb[k]) for k in keys) if x == x), default=float("nan"))
+        rel, grad = (
+            max((x for x in (diff(ra[k], rb[k]) for k in keys) if x == x), default=float("nan"))
+            for diff in (_relative_difference, _grad_norm_difference)
+        )
         lines.append(
             f"{name}: {len(keys)} fits, converged {converged[0]} / {converged[1]}, "
-            f"iterations {iterations[0]} / {iterations[1]}, largest objective difference {rel:.2g} relative"
+            f"iterations {iterations[0]} / {iterations[1]}, largest objective difference {rel:.2g} relative, "
+            f"largest gradient-norm difference {grad:.2g} of the stopping scale"
         )
     return lines
 
