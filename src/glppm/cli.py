@@ -18,18 +18,29 @@ tolerance the fitter used (``FitResult.tol``), and
 ``FitResult.stationarity_residual`` is written as is.
 
 Every run writes ``run_manifest.json`` into the output directory with the
-command name, resolved input paths and their content hashes, the embedded
-configuration, the seed, the tool version, the wall time, the BLAS
-thread variables the process saw (``thread_env``), and the numpy and scipy
-versions with the name and version of the BLAS numpy was built against
-(``numeric_env``), which is enough to reproduce the outputs exactly.
+command name, its inputs, the embedded configuration, the seed, the tool
+version, the wall time, the BLAS thread variables the process saw
+(``thread_env``), and the numpy and scipy versions with the name and
+version of the BLAS numpy was built against (``numeric_env``), which is
+enough to reproduce the outputs exactly.  ``inputs`` names every file the
+command read, each by its role: ``config`` and ``data`` (the
+``--config`` and ``--data`` files), ``data_csv`` (the dataset's CSV),
+``filter`` (a filter file that a ``gof``/``intensity`` wrapper or a
+``simulate`` config names), and ``drivers`` and ``drivers_csv`` (the
+driver dataset of a ``simulate`` config).  Each entry holds the
+``os.path.abspath`` of the path as given, with no link resolved, and the
+sha256 of the bytes the command read: every input is opened once, and
+hashed from those bytes (``data.recording_inputs``), so the hashes are of
+what the command used.  Every output is written once, through one
+unbuffered binary open (``data._write_text``).
 
 Exit codes: 0 success; 2 a usage error (argparse's, such as a negative
 ``--grid`` or ``--seed``), bad configuration, a missing or unreadable
-config or dataset manifest, or an ``--out`` that cannot be made a
-directory; 3 bad or out-of-domain data, including a dataset CSV or a
-filter file that cannot be read; 4 solver non-convergence (the fit
-outputs are still written); 5 infeasible model.
+config or dataset manifest (one that is not UTF-8 included), or an
+``--out`` that cannot be made a directory; 3 bad or out-of-domain data,
+including a dataset CSV or a filter file that cannot be read or is not
+UTF-8; 4 solver non-convergence (the fit outputs are still written); 5
+infeasible model.
 
 BLAS and OpenMP read ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
 ``MKL_NUM_THREADS`` once, when numpy loads, and importing this package
@@ -47,7 +58,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import hashlib
 import json
 import os
 import sys
@@ -59,7 +69,7 @@ import scipy
 from scipy.special import expm1
 
 from . import __version__, data, optimizer, simulator
-from .data import AtRiskProcess, DatasetManifest, _as_bool, _as_number, _read_json
+from .data import AtRiskProcess, DatasetManifest, _as_bool, _as_number, _read_json, _write_text
 from .errors import ConfigError, DataError, DomainError, InfeasibleError, SolverError
 from .filters import FilterFunction
 from .kernel import SobolevKernel
@@ -82,16 +92,14 @@ _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _write_json(path, payload) -> None:
-    Path(path).write_text(json.dumps(payload) + "\n")
+    _write_text(path, json.dumps(payload) + "\n")
 
 
 def _write_csv(path, header: list[str], rows) -> None:
     """A CSV of rows of cell strings: each line is its cells joined by
     commas and ended by "\r\n", as csv.writer writes cells that need no
     quoting.  Every cell here is a number's repr, a word or empty."""
-    lines = [",".join(header), *map(",".join, rows), ""]
-    with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(lines))
+    _write_text(path, "\r\n".join([",".join(header), *map(",".join, rows), ""]))
 
 
 def _write_float_csv(path, header: list[str], *columns) -> None:
@@ -100,12 +108,11 @@ def _write_float_csv(path, header: list[str], *columns) -> None:
     _write_csv(path, header, zip(*cells))
 
 
-def _sha256(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
+def _input(args, role: str, path):
+    """``path``, noted as the command's input ``role`` for its run
+    manifest."""
+    args.inputs[role] = path
+    return path
 
 
 def _check_keys(cfg: dict, allowed: set, what: str) -> None:
@@ -131,25 +138,28 @@ def _parse_at_risk(raw):
         raise ConfigError(f"bad at_risk: {exc}") from exc
 
 
-def _load_dataset(data_path):
-    """Dataset manifest plus the events/drivers from the CSV it names."""
+def _load_dataset(args, role: str, data_path):
+    """Dataset manifest plus the events/drivers from the CSV it names, the
+    two files noted as the inputs ``role`` and ``role``_csv."""
     data_path = Path(data_path)
-    manifest = data.load_manifest(data_path)
+    manifest = data.load_manifest(_input(args, role, data_path))
     # an absolute CSV path replaces the manifest's directory
     csv_path = data_path.parent / (manifest.csv or data_path.with_suffix(".csv").name)
-    events, drivers = data.load_events(csv_path, manifest)
+    events, drivers = data.load_events(_input(args, f"{role}_csv", csv_path), manifest)
     return manifest, events, drivers
 
 
-def _load_filter_bundle(path):
-    """Filter JSON plus the link and at-risk process to evaluate it under.
+def _load_filter_bundle(args):
+    """Filter JSON plus the link and at-risk process to evaluate it under,
+    from the ``--config`` file.
 
     Accepts the payload written by ``fit`` (a filter with an embedded
     ``link`` key) or a wrapper object {"filter": payload-or-path, "link":
-    {...}, "at_risk": {...}}; a filter file it names that cannot be read is
-    a DataError, as in ``FilterFunction.load``.
+    {...}, "at_risk": {...}}; a filter file it names, the input ``filter``,
+    that cannot be read is a DataError, as in ``FilterFunction.load``.
     """
-    raw = _read_json(path)
+    path = args.config
+    raw = _read_json(_input(args, "config", path))
     at_risk = AtRiskProcess.unit()
     if "format" in raw:
         payload = raw
@@ -157,7 +167,10 @@ def _load_filter_bundle(path):
     elif "filter" in raw:
         _check_keys(raw, {"filter", "link", "at_risk"}, "filter wrapper")
         inner = raw["filter"]
-        payload = _read_json(Path(path).parent / inner, DataError) if isinstance(inner, str) else inner
+        if isinstance(inner, str):
+            payload = _read_json(_input(args, "filter", Path(path).parent / inner), DataError)
+        else:
+            payload = inner
         link_raw = raw.get("link", payload.get("link") if isinstance(payload, dict) else None)
         if "at_risk" in raw:
             at_risk = _parse_at_risk(raw["at_risk"])
@@ -170,19 +183,20 @@ def _load_filter_bundle(path):
 
 
 def _write_run_manifest(args, command: str, config_obj, seed=None) -> None:
+    """``run_manifest.json``: each input the command noted, by its absolute
+    path and the sha256 that its one read recorded (``args.digests``)."""
     blas = {key: np.__config__.CONFIG["Build Dependencies"]["blas"].get(key) for key in ("name", "version")}
     inputs = {}
-    for name in ("data", "config"):
-        p = getattr(args, name, None)
-        if p:
-            inputs[name] = {"path": str(Path(p).resolve()), "sha256": _sha256(p)}
+    for role, path in args.inputs.items():
+        path = os.path.abspath(path)
+        inputs[role] = {"path": path, "sha256": args.digests[path]}
     payload = {
         "command": command,
         "tool_version": __version__,
         "inputs": inputs,
         "config": config_obj,
         "seed": seed,
-        "output_dir": str(Path(args.out).resolve()),
+        "output_dir": os.path.abspath(args.out),
         "thread_env": {var: os.environ.get(var) for var in _THREAD_VARS},
         "numeric_env": {"numpy": np.__version__, "scipy": scipy.__version__, "blas": blas},
         "wall_time_s": time.perf_counter() - args.t0,
@@ -194,7 +208,7 @@ def _write_run_manifest(args, command: str, config_obj, seed=None) -> None:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _read_json(args.config)
+    cfg = _read_json(_input(args, "config", args.config))
     _check_keys(
         cfg,
         {
@@ -216,7 +230,7 @@ def cmd_simulate(args) -> int:
 
     raw_f = cfg["filters"]
     if isinstance(raw_f, str):
-        g = FilterFunction.load(Path(args.config).parent / raw_f)
+        g = FilterFunction.load(_input(args, "filter", Path(args.config).parent / raw_f))
     elif isinstance(raw_f, dict) and raw_f.get("format"):
         g = FilterFunction.from_dict(raw_f)
     else:
@@ -226,7 +240,7 @@ def cmd_simulate(args) -> int:
     if "drivers" in cfg:
         if not isinstance(cfg["drivers"], str):
             raise ConfigError("drivers must be a path to a dataset manifest")
-        _, _, drivers = _load_dataset(Path(args.config).parent / cfg["drivers"])
+        _, _, drivers = _load_dataset(args, "drivers", Path(args.config).parent / cfg["drivers"])
 
     kwargs = {}
     if "at_risk" in cfg:
@@ -304,9 +318,9 @@ def _fit_config(cfg):
 
 
 def cmd_fit(args) -> int:
-    cfg = _read_json(args.config)
+    cfg = _read_json(_input(args, "config", args.config))
     link, lam, m, stopping, quad, at_risk = _fit_config(cfg)
-    manifest, events, drivers = _load_dataset(args.data)
+    manifest, events, drivers = _load_dataset(args, "data", args.data)
 
     obj = Objective(link, lam, events, drivers, at_risk=at_risk, quadrature=quad)
     kernel = SobolevKernel(m=m, horizon=events.horizon)
@@ -373,8 +387,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_intensity(args) -> int:
-    g, link, at_risk = _load_filter_bundle(args.config)
-    _, events, drivers = _load_dataset(args.data)
+    g, link, at_risk = _load_filter_bundle(args)
+    _, events, drivers = _load_dataset(args, "data", args.data)
     grid = np.linspace(0.0, events.horizon, args.grid)
     s_all = np.unique(np.concatenate([grid, events.times]))
     lam = intensity(g, link, at_risk, drivers, s_all)
@@ -386,8 +400,8 @@ def cmd_intensity(args) -> int:
 def cmd_gof(args) -> int:
     from scipy.stats import kstwo
 
-    g, link, at_risk = _load_filter_bundle(args.config)
-    _, events, drivers = _load_dataset(args.data)
+    g, link, at_risk = _load_filter_bundle(args)
+    _, events, drivers = _load_dataset(args, "data", args.data)
     gaps = simulator.time_rescale(g, link, events, drivers, at_risk=at_risk)
     out = Path(args.out)
     _write_float_csv(out / "gaps.csv", ["gap"], gaps)
@@ -413,9 +427,9 @@ def cmd_gof(args) -> int:
 
 
 def cmd_basis(args) -> int:
-    cfg = _read_json(args.config)
+    cfg = _read_json(_input(args, "config", args.config))
     _, lam, m, _, quad, at_risk = _fit_config(cfg)
-    _, events, drivers = _load_dataset(args.data)
+    _, events, drivers = _load_dataset(args, "data", args.data)
     # the basis does not depend on the link; the linear link's holds the compensator row
     obj = Objective(linear_link(0.0), lam, events, drivers, at_risk=at_risk, quadrature=quad)
     kernel = SobolevKernel(m=m, horizon=events.horizon)
@@ -500,14 +514,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  Its inputs are recorded as it reads them, in a
+    record that this call opens and closes: ``args.inputs`` maps each role
+    to the path read, ``args.digests`` each absolute path to its sha256."""
     args = _build_parser().parse_args(argv)
     args.t0 = time.perf_counter()
+    args.inputs = {}
     try:
         try:
             Path(args.out).mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot make output directory {args.out}: {exc}") from exc
-        return args.func(args)
+        with data.recording_inputs() as args.digests:
+            return args.func(args)
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))

@@ -5,13 +5,25 @@ manifest naming the target channel, the driver channels and the horizon.
 Target rows are the observed events of the modelled counting process; driver
 rows are jumps of the processes feeding the filter.  In self-exciting mode
 the target channel is additionally registered as a driver with unit jumps.
+
+Every input file, JSON or CSV, is read by ``_read_text``: one open, its
+bytes read whole and decoded as UTF-8, so a file that cannot be opened or
+is not UTF-8 is the reader's typed error.  While ``recording_inputs`` is
+open, as it is around each CLI command, the reader also records the sha256
+of those bytes, so the run manifest pins every input without opening it
+again.  Every output file is written by ``_write_text``: its text encoded
+once and written through one unbuffered binary open.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
 import json
 import os
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -238,11 +250,60 @@ class DatasetManifest:
         return out
 
 
-def _read_json(path, error=ConfigError) -> dict:
-    path = Path(path)
+# the files read while ``recording_inputs`` is open, {absolute path: sha256
+# of the bytes read}; None outside
+_INPUTS: ContextVar[dict | None] = ContextVar("glppm_inputs", default=None)
+
+
+@contextmanager
+def recording_inputs():
+    """A record, for the block's duration, of every file that
+    ``_read_text`` reads: the sha256 of its bytes under the path's
+    ``os.path.abspath``."""
+    record: dict[str, str] = {}
+    token = _INPUTS.set(record)
     try:
-        raw = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        yield record
+    finally:
+        _INPUTS.reset(token)
+
+
+def _read_text(path, what: str, error) -> str:
+    """The file at ``path`` as text: one unbuffered open, its bytes read
+    whole and decoded as UTF-8.  A file that cannot be read or is not
+    UTF-8 raises ``error``, "cannot read <what> <path>: ...".  Inside
+    ``recording_inputs`` the bytes' sha256 is recorded."""
+    try:
+        with open(path, "rb", buffering=0) as fh:
+            raw = fh.read()
+        text = raw.decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    record = _INPUTS.get()
+    if record is not None:
+        record[os.path.abspath(path)] = hashlib.sha256(raw).hexdigest()
+    return text
+
+
+def _write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8: encoded once, then written
+    through one unbuffered binary open."""
+    view = memoryview(text.encode("utf-8"))
+    with open(path, "wb", buffering=0) as fh:
+        while view:
+            view = view[fh.write(view) :]
+
+
+def _read_json(path, error=ConfigError) -> dict:
+    """The JSON object in the file at ``path`` (``_read_text``); a file
+    that cannot be read, is not UTF-8 or JSON, or holds no object at top
+    level raises ``error``: ConfigError for a config or dataset manifest,
+    DataError for a filter file."""
+    path = Path(path)
+    text = _read_text(path, "JSON", error)
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
         raise error(f"cannot read JSON {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise error(f"{path}: expected a JSON object at top level")
@@ -250,6 +311,9 @@ def _read_json(path, error=ConfigError) -> dict:
 
 
 def load_manifest(path) -> DatasetManifest:
+    """The dataset manifest JSON at ``path`` (``_read_json``); a file that
+    cannot be read, is not UTF-8, or holds a missing or mistyped field
+    raises ConfigError."""
     raw = _read_json(path)
     try:
         return DatasetManifest(
@@ -266,42 +330,43 @@ def load_manifest(path) -> DatasetManifest:
 
 
 def _parse_rows(path: Path):
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise DataError(f"cannot read dataset CSV {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty file")
-        cols = [c.strip().lower() for c in header]
-        if cols[:2] != ["time", "channel"] or len(cols) > 3 or (
-            len(cols) == 3 and cols[2] != "mark"
-        ):
-            raise DataError(f"{path}: expected header 'time,channel[,mark]', got {header}")
-        has_mark = len(cols) == 3
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(cols):
-                raise DataError(f"{path} line {lineno}: expected {len(cols)} fields, got {len(row)}")
+    """(line number, time, channel, mark) of each data row of the CSV at
+    ``path``, read by ``_read_text`` and split into lines as a file opened
+    with ``newline=""`` splits them."""
+    text = _read_text(path, "dataset CSV", DataError)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None:
+        raise DataError(f"{path}: empty file")
+    cols = [c.strip().lower() for c in header]
+    if cols[:2] != ["time", "channel"] or len(cols) > 3 or (
+        len(cols) == 3 and cols[2] != "mark"
+    ):
+        raise DataError(f"{path}: expected header 'time,channel[,mark]', got {header}")
+    has_mark = len(cols) == 3
+    for lineno, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != len(cols):
+            raise DataError(f"{path} line {lineno}: expected {len(cols)} fields, got {len(row)}")
+        try:
+            t = float(row[0])
+        except ValueError:
+            raise DataError(f"{path} line {lineno}: bad time {row[0]!r}") from None
+        channel = row[1].strip()
+        mark = None
+        if has_mark and row[2].strip():
             try:
-                t = float(row[0])
+                mark = float(row[2])
             except ValueError:
-                raise DataError(f"{path} line {lineno}: bad time {row[0]!r}") from None
-            channel = row[1].strip()
-            mark = None
-            if has_mark and row[2].strip():
-                try:
-                    mark = float(row[2])
-                except ValueError:
-                    raise DataError(f"{path} line {lineno}: bad mark {row[2]!r}") from None
-            yield lineno, t, channel, mark
+                raise DataError(f"{path} line {lineno}: bad mark {row[2]!r}") from None
+        yield lineno, t, channel, mark
 
 
 def load_events(path, manifest: DatasetManifest) -> tuple[EventSeries, DriverSeries]:
-    """Load a dataset CSV into (EventSeries, DriverSeries) per the manifest."""
+    """Load a dataset CSV into (EventSeries, DriverSeries) per the manifest.
+    The file is read once (``_read_text``); one that cannot be read, is not
+    UTF-8, or holds a bad row raises DataError."""
     path = Path(path)
     target_times: list[float] = []
     driver_rows: dict[str, tuple[list[float], list[float]]] = {
@@ -345,7 +410,9 @@ def load_events(path, manifest: DatasetManifest) -> tuple[EventSeries, DriverSer
 
 
 def save_events(path, events: EventSeries, drivers: DriverSeries, manifest: DatasetManifest) -> None:
-    """Write the dataset CSV; float formatting round-trips bit-exactly."""
+    """Write the dataset CSV; float formatting round-trips bit-exactly.  The
+    rows are formatted by ``csv.writer`` in memory and written once
+    (``_write_text``)."""
     rows: list[tuple[float, str, float | None]] = [(t, manifest.target_channel, None) for t in events.times]
     for ch in drivers.channels:
         if ch.name == manifest.target_channel:
@@ -353,11 +420,12 @@ def save_events(path, events: EventSeries, drivers: DriverSeries, manifest: Data
         rows.extend((t, ch.name, z) for t, z in zip(ch.times, ch.sizes))
     rows.sort(key=lambda r: r[0])
     has_mark = any(r[2] is not None for r in rows)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "channel", "mark"] if has_mark else ["time", "channel"])
-        # without a mark column every mark is None, and its cell is cut off
-        writer.writerows(
-            [repr(float(t)), name, "" if mark is None else repr(float(mark))][: 2 + has_mark]
-            for t, name, mark in rows
-        )
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["time", "channel", "mark"] if has_mark else ["time", "channel"])
+    # without a mark column every mark is None, and its cell is cut off
+    writer.writerows(
+        [repr(float(t)), name, "" if mark is None else repr(float(mark))][: 2 + has_mark]
+        for t, name, mark in rows
+    )
+    _write_text(path, buf.getvalue())

@@ -421,19 +421,31 @@ class FilterFunction:
         """One atom per channel equal to the whole filter there: the sections
         and segments of its atoms, weighted by their coefficients, sorted and
         merged (``_merged_sections``), and ``h0`` the combined polynomial
-        coefficients."""
+        coefficients.  A channel whose one atom with sections or segments
+        has coefficient 1, as every filter that ``compact`` writes and
+        ``from_dict`` reads back, takes that atom's arrays as they are:
+        every atom's are sorted, merged and nonnegative by construction,
+        with weights that a ``bincount`` summed, so the flatten, domain
+        check and merge would give them back bit for bit.  Only their last
+        entries are compared with this filter's horizon, which an atom
+        built under a longer kernel can exceed; such a channel takes the
+        merge, whose domain check raises."""
         forms = []
         for ch in range(self.n_channels):
             on = [i for i, a in enumerate(self.atoms) if a.channel == ch and self.coefficients[i] != 0.0]
             c = self.coefficients[on]
             atoms = [self.atoms[i] for i in on]
+            h0 = _ro(c @ np.array([a.h0 for a in atoms]).reshape(-1, self.kernel.m))
+            smooth = [k for k, a in enumerate(atoms) if a.sec_lags.size or a.seg_nodes.size]
+            if len(smooth) == 1 and c[smooth[0]] == 1.0 and _ends_within(atoms[smooth[0]], self.kernel.horizon):
+                forms.append(replace(atoms[smooth[0]], channel=ch, kind="normal", part="r", h0=h0))
+                continue
             seg_nodes, seg_w, seg_owner = _flatten(atoms)[3:]
             # an r1 atom of the merged support, then given the combined h0
             sections = _merged_sections(self.kernel, atoms, c, seg_nodes)
             segments = _merge_sorted(seg_nodes, c[seg_owner] * seg_w)
             form = _merged_atom(self.kernel, ch, "normal", "r1", *map(_ro, sections + segments))
-            h0 = c @ np.array([a.h0 for a in atoms]).reshape(-1, self.kernel.m)
-            forms.append(replace(form, part="r", h0=_ro(h0)))
+            forms.append(replace(form, part="r", h0=h0))
         return tuple(forms)
 
     @cached_property
@@ -582,6 +594,12 @@ def _flatten(atoms) -> tuple[np.ndarray, ...]:
         np.concatenate(empty + [a.seg_weights for a in atoms]),
         np.repeat(idx, [a.seg_nodes.size for a in atoms]),
     )
+
+
+def _ends_within(atom: Atom, horizon: float) -> bool:
+    """Whether the atom's sorted section lags and segment nodes end at or
+    before ``horizon``."""
+    return all(arr[-1] <= horizon for arr in (atom.sec_lags, atom.seg_nodes) if arr.size)
 
 
 def h1_inner_row(atom: Atom, atoms) -> np.ndarray:

@@ -33,7 +33,7 @@ the same Gauss-Legendre rule otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.special import expit
@@ -255,12 +255,14 @@ def _filter_values(g, channel: int, lags: np.ndarray) -> np.ndarray:
     return np.asarray(g[channel](lags), dtype=float)
 
 
-def _smooth_values(m: int, atoms, lags: np.ndarray):
+def _smooth_values(m: int, q: int, atoms, lags: np.ndarray):
     """(start, values): the smooth parts of atoms on one channel at its pair
     lags, one row per atom from ``atoms[start]`` on, as ``Atom.h1_value``
-    sums them.  Every block, one atom included, takes this one path: a
-    family's sums over another atom's lags add zeros, which keep its bits,
-    and atoms with no sections or segments, as polynomials, have zeros."""
+    sums them (q = m), or their antiderivatives at these points, as
+    ``Atom.h1_antiderivative`` sums them (q = m + 1).  Every block, one atom
+    included, takes this one path: a family's sums over another atom's
+    lags add zeros, which keep its bits, and atoms with no sections or
+    segments, as polynomials, have zeros."""
     flat, parts = _flatten(atoms), []
     for p, (a_lags, a_w, owner) in ((m, flat[:3]), (m + 1, flat[3:])):
         if a_lags.size:  # one stable sort by lag and one search per kind
@@ -274,7 +276,7 @@ def _smooth_values(m: int, atoms, lags: np.ndarray):
             mine = np.flatnonzero((owner >= start) & (owner < start + k))
             weights = np.zeros((k, a_lags.size))
             weights[owner[mine] - start, mine] = a_w[mine]
-            vals = _family_sums(_prefix_table(p, m, a_lags, weights), a_pos, lags)
+            vals = _family_sums(_prefix_table(p, q, a_lags, weights), a_pos, lags)
             h1 = vals if h1 is None else np.add(h1, vals, out=h1)
         yield start, np.zeros((k, lags.size)) if h1 is None else h1
 
@@ -285,10 +287,12 @@ def _smooth_values(m: int, atoms, lags: np.ndarray):
 class Objective:
     """Data, link, penalty weight and quadrature bundled for repeated evaluation.
 
-    Precomputes the quadrature grid, the lag segments of the exact
-    compensator and, for every driver channel, one store of the (evaluation
-    point, earlier jump) pairs: the pairs of the quadrature nodes, then those
-    of the event times, each as its lag, point and jump size.
+    Precomputes the quadrature grid and, for every driver channel, one
+    store of the (evaluation point, earlier jump) pairs: the pairs of the
+    quadrature nodes, then those of the event times, each as its lag, point
+    and jump size.  The lag segments of the exact compensator
+    (``_segment_support``), which only the linear link's compensator and
+    exact integral atoms read, are built on first use.
     ``_node_pairs`` and ``_event_pairs`` view its two halves.  ``columns``
     turns any block of atoms into predictor columns from this store, and
     ``predictors`` gives a filter's from one call over its normal forms.
@@ -346,11 +350,13 @@ class Objective:
             self._node_pairs.append((point[:k], jump[:k], lags[:k], dz[:k]))
             self._event_pairs.append((event[0], jump[k:], lags[k:], dz[k:]))
         self._node_index: list[_NodeLagIndex | None] = [None] * self.n_channels
-        # lag segments over the constancy pieces of Y
+
+    @cached_property
+    def _segment_support(self) -> list:
+        """Per channel, the (lo, hi, weight) lag segments over the constancy
+        pieces of Y (``_lag_segments``)."""
         a, b, levels = np.array(self.pieces).T
-        self._segment_support = [
-            _lag_segments(a, b, levels, ch.times, ch.sizes)[1:] for ch in drivers.channels
-        ]
+        return [_lag_segments(a, b, levels, ch.times, ch.sizes)[1:] for ch in self.drivers.channels]
 
     def _check_kernel(self, kernel: SobolevKernel) -> None:
         """ConfigError unless the kernel's domain is the data's lag range."""
@@ -399,7 +405,7 @@ class Objective:
             cols = [c for c, a in enumerate(atoms) if a.channel == ch]
             point, lags, dz = self._pairs[ch]
             n_node, phi = self._node_pairs[ch][2].size, None
-            for start, vals in _smooth_values(m, [atoms[c] for c in cols], lags):
+            for start, vals in _smooth_values(m, m, [atoms[c] for c in cols], lags):
                 chunk = cols[start : start + len(vals)]
                 for i, c in enumerate(chunk):
                     if np.count_nonzero(atoms[c].h0):
@@ -430,13 +436,32 @@ class Objective:
         """Predictor of the atom at all event times (strict left limits)."""
         return self.columns(kernel, [atom])[self.nodes.size :, 0]
 
-    def comp_row(self, kernel: SobolevKernel, atom: Atom) -> float:
-        """Exact int_0^t Y_s X_s-(atom) ds via atom antiderivatives."""
-        lo, hi, w = self._segment_support[atom.channel]
-        if w.size == 0:
-            return 0.0
-        vals = atom.antiderivative(kernel, hi) - atom.antiderivative(kernel, lo)
-        return float(w @ vals)
+    def comp_row(self, kernel: SobolevKernel, atoms) -> np.ndarray:
+        """Exact int_0^t Y_s X_s-(a) ds of each atom a of a block, via
+        antiderivatives at the ends of its channel's lag segments.  Per
+        channel, one domain check of the ends, and the smooth parts from
+        one prefix table per kind with a row per atom
+        (``_smooth_values``), each with the bits of
+        ``Atom.h1_antiderivative``; an atom with polynomial content adds it
+        as ``Atom.antiderivative`` does, and each atom's entry is its own
+        ``w @ vals``, as one atom's exact compensator is."""
+        row = np.zeros(len(atoms))
+        for ch in sorted({a.channel for a in atoms}):
+            lo, hi, w = self._segment_support[ch]
+            if w.size == 0:
+                continue
+            kernel._check_domain(hi, lo)
+            cols = [c for c, a in enumerate(atoms) if a.channel == ch]
+            ends, n, poly = np.concatenate([hi, lo]), hi.size, None
+            for start, vals in _smooth_values(kernel.m, kernel.m + 1, [atoms[c] for c in cols], ends):
+                for c, v in zip(cols[start : start + len(vals)], vals):
+                    v_hi, v_lo = v[:n], v[n:]
+                    if np.any(atoms[c].h0):
+                        poly = poly or (kernel.h0_antiderivative(hi), kernel.h0_antiderivative(lo))
+                        v_hi = v_hi + np.tensordot(atoms[c].h0, poly[0], axes=(0, 0))
+                        v_lo = v_lo + np.tensordot(atoms[c].h0, poly[1], axes=(0, 0))
+                    row[c] = w @ (v_hi - v_lo)
+        return row
 
     # -- predictors of a full filter -------------------------------------------
 
@@ -544,7 +569,7 @@ def neg_log_lik(g: FilterFunction, obj: Objective) -> float:
     phi_events = _event_phi(obj, x_events)
     if obj.link.kind == "linear":
         _check_domain(obj.link, x_nodes, obj.nodes)
-        comp = obj.link.d * obj.int_y + sum(obj.comp_row(g.kernel, f) for f in g.normal_forms)
+        comp = obj.link.d * obj.int_y + sum(obj.comp_row(g.kernel, g.normal_forms).tolist())
     else:
         comp = _QuadratureCompensator(obj).value(x_nodes)
     event_term = float(np.sum(np.log(obj.y_events * phi_events))) if phi_events.size else 0.0

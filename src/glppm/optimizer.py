@@ -359,7 +359,7 @@ class _Workspace:
             self._reserve(cap)
         b = self._buf
         if self._n_rows > self._n_points:
-            x = np.vstack([x, [[self.obj.comp_row(self.kernel, atom) for atom in atoms]]])
+            x = np.vstack([x, self.obj.comp_row(self.kernel, atoms)])
         b["X"][:, n0:n] = x
         b["role"][n0:n], b["datum"][n0:n] = role, datum
         channel = b["channel"][:n]

@@ -16,7 +16,9 @@ system through ``scipy.linalg``'s Cholesky wrappers, as references for the
 library's bulk builders and direct LAPACK calls.  ``atom_columns`` builds
 predictor columns atom by atom from ``checked_value``, the kernel's domain
 check and then the atom's unchecked ``Atom._bound_value``, and from
-``Atom.h1_value``, the reference for ``Objective.columns``.
+``Atom.h1_value``, the reference for ``Objective.columns``;
+``exact_compensator`` integrates one atom at a time through
+``Atom.antiderivative``, the reference for ``Objective.comp_row``.
 ``ascending_ladder`` finds a damped Newton direction by a climb from the
 bottom of the damping ladder, the reference for ``_Core.direction``'s
 resumed search, and
@@ -236,6 +238,16 @@ def atom_columns(kernel: SobolevKernel, obj: Objective, atoms):
             cols.append(np.concatenate(col))
         out.append(np.column_stack(cols))
     return tuple(out)
+
+
+def exact_compensator(kernel: SobolevKernel, obj: Objective, atom) -> float:
+    """An atom's exact int_0^t Y_s X_s-(atom) ds on its own: the weighted
+    difference of its antiderivatives at the ends of its channel's lag
+    segments."""
+    lo, hi, w = obj._segment_support[atom.channel]
+    if w.size == 0:
+        return 0.0
+    return float(w @ (atom.antiderivative(kernel, hi) - atom.antiderivative(kernel, lo)))
 
 
 def solve_spd_cho_factor(H: np.ndarray, rhs: np.ndarray):

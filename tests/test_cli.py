@@ -6,6 +6,7 @@ files are re-parsed with the library loaders so the round trips stay honest.
 """
 
 import base64
+import contextlib
 import csv
 import hashlib
 import json
@@ -35,7 +36,7 @@ from glppm.likelihood import (
 from glppm.optimizer import STEP_FIELDS, fit_descent, fit_linear
 from glppm.simulator import SimSpec, time_rescale
 
-from oracles import full_gram, h1_gram, same_bits
+from oracles import exact_compensator, full_gram, h1_gram, same_bits
 
 
 def run(*argv):
@@ -344,10 +345,11 @@ class TestFitCommand:
             assert float(row["cosine"]) == rec["cosine"]
 
         meta = json.loads((out / "run_manifest.json").read_text())
-        assert set(meta["inputs"]) == {"data", "config"}
-        assert meta["inputs"]["data"]["sha256"] == hashlib.sha256(
-            data.read_bytes()
-        ).hexdigest()
+        assert set(meta["inputs"]) == {"data", "data_csv", "config"}
+        for role, path in (("data", data), ("data_csv", data.parent / "events.csv"), ("config", cfg)):
+            assert meta["inputs"][role] == {
+                "path": os.path.abspath(path), "sha256": hashlib.sha256(path.read_bytes()).hexdigest()
+            }
         assert meta["thread_env"] == thread_env()
         assert meta["numeric_env"] == numeric_env()
 
@@ -709,7 +711,8 @@ class TestBasisCommand:
         }
         design = np.column_stack([obj.event_column(k, a) for a in atoms])
         assert same_bits(np.array(basis["design"]), design)
-        comp = np.array([obj.comp_row(k, a) for a in atoms])
+        comp = np.array([exact_compensator(k, obj, a) for a in atoms])
+        assert same_bits(obj.comp_row(k, atoms), comp)
         assert same_bits(np.array(basis["compensator"]), comp)
         assert np.any(comp != 0.0)
         # the first event has no history, so it has no atom, and no atom is zero
@@ -940,6 +943,152 @@ class TestUnreadableInput:
         )
         assert run(command, "--data", data, "--config", wrap, "--out", tmp_path / "o") == 3
         assert "gone.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "kind, code",
+        [("config", 2), ("dataset-manifest", 2), ("dataset-csv", 3), ("wrapper-filter", 3), ("simulate-filter", 3)],
+    )
+    def test_input_that_is_not_utf8_exits_with_its_readers_code(self, tmp_path, capsys, kind, code):
+        # a byte that no UTF-8 text holds is the reader's typed error, "cannot
+        # read ...", with its exit code: 2 for a config or dataset manifest,
+        # 3 for a dataset CSV or a filter file that a config names
+        data = make_dataset(tmp_path, DENSE_TIMES)
+        cfg = fit_config(tmp_path)
+        g = write_json(tmp_path / "g.json", zero_filter_payload(horizon=8.0))
+        argv = ["fit", "--data", data, "--config", cfg]
+        if kind == "wrapper-filter":
+            wrap = {"filter": "g.json", "link": {"kind": "linear", "d": 0.5}}
+            argv = ["gof", "--data", data, "--config", write_json(tmp_path / "wrap.json", wrap)]
+        elif kind == "simulate-filter":
+            sim = {"link": {"kind": "linear", "d": 0.5}, "filters": "g.json", "horizon": 8.0}
+            argv = ["simulate", "--config", write_json(tmp_path / "sim.json", sim)]
+        bad, word = {
+            "config": (cfg, b"linear"), "dataset-manifest": (data, b"target"),
+            "dataset-csv": (tmp_path / "events.csv", b"target"),
+        }.get(kind, (g, b"glppm.filter.v1"))
+        bad.write_bytes(bad.read_bytes().replace(word, word[:1] + b"\xff", 1))
+        assert run(*argv, "--out", tmp_path / "o") == code
+        err = capsys.readouterr().err
+        assert f"cannot read" in err and str(bad) in err and "0xff" in err
+        assert not (tmp_path / "o" / "run_manifest.json").exists()
+
+
+# while ``opened_paths`` is open, the list that the audit hook appends to
+_OPENED: list | None = None
+_HOOKED = False
+
+
+def _audit(event, args):
+    if event == "open" and _OPENED is not None and isinstance(args[0], (str, os.PathLike)):
+        _OPENED.append(os.path.abspath(args[0]))
+
+
+@contextlib.contextmanager
+def opened_paths():
+    """The absolute path of every file that the block opens, from the "open"
+    audit events.  An audit hook cannot be removed, so it is added on first
+    use and records nothing outside this block."""
+    global _OPENED, _HOOKED
+    if not _HOOKED:
+        sys.addaudithook(_audit)
+        _HOOKED = True
+    _OPENED = []
+    try:
+        yield _OPENED
+    finally:
+        _OPENED = None
+
+
+class TestRunManifestInputs:
+    """``run_manifest.json`` names every file that a command read, by its
+    absolute path as given and the sha256 of the bytes read; each input is
+    opened once, each output once, and no path is resolved."""
+
+    @staticmethod
+    def commands(tmp_path, monkeypatch):
+        """(argv, {role: path}) of a fit, ``gof`` of its ``filter.json``,
+        ``gof`` and ``intensity`` through a wrapper that names a filter
+        file, ``basis``, and a ``simulate`` whose filters and drivers are
+        paths; the fit names its files by relative paths, its config
+        through a symbolic link, which the manifest does not resolve."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d").mkdir()
+        data = make_dataset(tmp_path / "d", DENSE_TIMES)
+        dataset = {"data": data, "data_csv": tmp_path / "d" / "events.csv"}
+        cfg = fit_config(tmp_path)
+        (tmp_path / "link.json").symlink_to(cfg)
+        g = write_json(tmp_path / "g.json", zero_filter_payload(horizon=8.0))
+        wrap = write_json(tmp_path / "wrap.json", {"filter": "g.json", "link": {"kind": "linear", "d": 0.5}})
+        sim = write_json(tmp_path / "sim.json", {
+            "link": {"kind": "linear", "d": 0.5}, "filters": "g.json", "horizon": 8.0,
+            "drivers": "d/dataset.json", "self_exciting": False, "target_name": "y",
+        })
+        fitted = tmp_path / "fit" / "filter.json"
+        return [
+            (["fit", "--data", "d/dataset.json", "--config", "link.json", "--out", "fit"],
+             {"config": tmp_path / "link.json", **dataset}),
+            (["gof", "--data", data, "--config", fitted, "--out", tmp_path / "gof"], {"config": fitted, **dataset}),
+            (["gof", "--data", data, "--config", wrap, "--out", tmp_path / "gof-wrap"],
+             {"config": wrap, "filter": g, **dataset}),
+            (["intensity", "--data", data, "--config", wrap, "--out", tmp_path / "intensity"],
+             {"config": wrap, "filter": g, **dataset}),
+            (["basis", "--data", data, "--config", cfg, "--out", tmp_path / "basis"], {"config": cfg, **dataset}),
+            (["simulate", "--config", sim, "--seed", 1, "--out", tmp_path / "sim"],
+             {"config": sim, "filter": g, "drivers": data, "drivers_csv": dataset["data_csv"]}),
+        ]
+
+    def test_inputs_are_every_file_read_by_path_and_hash(self, tmp_path, monkeypatch):
+        for argv, roles in self.commands(tmp_path, monkeypatch):
+            assert run(*argv) == 0, argv
+            out = Path(argv[argv.index("--out") + 1])
+            meta = json.loads((out / "run_manifest.json").read_text())
+            assert meta["inputs"] == {
+                role: {"path": str(tmp_path / path), "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+                for role, path in roles.items()
+            }, argv
+            assert meta["output_dir"] == str(tmp_path / out)
+        assert (tmp_path / "link.json").is_symlink()
+
+    def test_a_changed_event_byte_changes_the_csv_hash(self, tmp_path):
+        data = make_dataset(tmp_path, DENSE_TIMES)
+        cfg = fit_config(tmp_path)
+        csv_path = tmp_path / "events.csv"
+        metas, results = [], []
+        for out in ("a", "b"):
+            if out == "b":  # the last event moves from 7.5 to 7.4: one byte
+                text = csv_path.read_bytes()
+                csv_path.write_bytes(text.replace(b"7.5,target", b"7.4,target"))
+                assert sum(x != y for x, y in zip(text, csv_path.read_bytes())) == 1
+            assert run("fit", "--data", data, "--config", cfg, "--out", tmp_path / out) == 0
+            metas.append(json.loads((tmp_path / out / "run_manifest.json").read_text())["inputs"])
+            results.append(json.loads((tmp_path / out / "fit_result.json").read_text()))
+        a, b = metas
+        assert a["data"] == b["data"] and a["config"] == b["config"]
+        assert a["data_csv"]["sha256"] != b["data_csv"]["sha256"]
+        assert b["data_csv"]["sha256"] == hashlib.sha256(csv_path.read_bytes()).hexdigest()
+        assert results[0]["objective"] != results[1]["objective"]
+
+    def test_each_file_is_opened_once_and_no_path_resolved(self, tmp_path, monkeypatch):
+        resolved = []
+        real_resolve, real_realpath = Path.resolve, os.path.realpath
+        monkeypatch.setattr(Path, "resolve", lambda self, *a, **k: resolved.append(self) or real_resolve(self, *a, **k))
+        monkeypatch.setattr(os.path, "realpath", lambda p, *a, **k: resolved.append(p) or real_realpath(p, *a, **k))
+        opens = []
+        for argv, roles in self.commands(tmp_path, monkeypatch):
+            out = tmp_path / argv[argv.index("--out") + 1]
+            with opened_paths() as opened:
+                assert run(*argv) == 0, argv
+            mine = [p for p in opened if p.startswith(str(tmp_path) + os.sep)]
+            outputs = sorted(str(p) for p in out.iterdir())
+            inputs = sorted(str(tmp_path / p) for p in roles.values())
+            # every input once, every output once, and nothing else
+            assert sorted(mine) == sorted(inputs + outputs), argv
+            opens.append(len(mine))
+        assert resolved == []
+        # fit: 3 inputs and 5 outputs; gof of filter.json: 3 and 3; through
+        # the wrapper: 4 and 3; intensity: 4 and 2; basis: 3 and 2; simulate
+        # with its filter and drivers files: 4 and 3
+        assert opens == [8, 6, 7, 6, 5, 7]
 
 
 class TestImports:

@@ -198,6 +198,14 @@ def test_time_runs_the_fit_batch_under_each_source_tree(tmp_path, compare_runs, 
     assert lines[at + 1].startswith(f"  A {src}: ") and " ms/simulation (quartiles " in lines[at + 1]
     assert lines[at + 2].startswith(f"  B {src}: ")
     assert re.fullmatch(r"  B faster in [01] of 1 rounds, A in [01]; events identical", lines[at + 3])
+    # the benchmark's CLI commands: fit and gof per family, simulate and gof
+    # of each simulation, timed and compared by exit code and output bytes
+    parts = [f"cli-{name}-{cmd}" for name in ("exp", "softplus") for cmd in ("fit", "gof")]
+    for part, count in [(part, 2) for part in parts] + [("cli-simulate", 22), ("cli-sim-gof", 22)]:
+        at = lines.index(f"{part}: {count} commands per pass, 1 round(s)")
+        assert lines[at + 1].startswith(f"  A {src}: ") and " ms/command (quartiles " in lines[at + 1]
+        assert lines[at + 2].startswith(f"  B {src}: ") and " ms/command (quartiles " in lines[at + 2]
+        assert re.fullmatch(r"  B faster in [01] of 1 rounds, A in [01]; outputs identical", lines[at + 3])
     assert lines[-1] == "every output matched"
     # a tree whose line search asks for more curvature ends elsewhere
     changed = tmp_path / "src"
@@ -218,7 +226,19 @@ def test_time_runs_the_fit_batch_under_each_source_tree(tmp_path, compare_runs, 
     lines = capsys.readouterr().out.splitlines()
     at = lines.index("sim: 22 simulations per pass, 1 round(s)")
     assert lines[at + 3].endswith("; events DIFFER")
-    assert lines[-1] == "outputs differ: sim"
+    # the simulate commands' events differ too, and so do the gofs of them
+    assert lines[-1] == "outputs differ: sim, cli-simulate, cli-sim-gof"
+    # a tree whose fitted-filter grid has one more point fits the same, and
+    # writes other fit outputs
+    shutil.copy2(src / "glppm" / "simulator.py", simulator)
+    cli = changed / "glppm" / "cli.py"
+    text = cli.read_text()
+    assert "_GRID_POINTS = 512 " in text
+    cli.write_text(text.replace("_GRID_POINTS = 512 ", "_GRID_POINTS = 513 "))
+    assert compare_runs.main(["time", str(src), str(changed), *small]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[lines.index("cli-exp-fit: 2 commands per pass, 1 round(s)") + 3].endswith("; outputs DIFFER")
+    assert lines[-1] == "outputs differ: cli-exp-fit, cli-softplus-fit"
 
 
 def test_cli_byte_compares_the_command_outputs_of_each_source_tree(tmp_path, compare_runs, capsys):

@@ -35,6 +35,7 @@ from oracles import (
     r_full,
     same_bits,
     section_sum,
+    sorted_normal_forms,
 )
 
 
@@ -541,6 +542,45 @@ class TestSerialization:
                     assert np.array_equal(getattr(f, name), getattr(f0, name))
             for ch in range(2):
                 assert np.array_equal(h.evaluate(ch, u), g.evaluate(ch, u))
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_a_written_normal_form_is_taken_as_is(self, m, monkeypatch):
+        # a channel whose one smooth atom has coefficient 1, as every channel
+        # of a compact filter and of its payload read back, takes that atom's
+        # arrays with no flatten, domain check or merge, and with the bits of
+        # the full merge; coefficient 2 takes the merge
+        k = SobolevKernel(m=m, horizon=5.0)
+        g = random_filter(k, np.random.default_rng(16), n_channels=2)
+        calls = []
+        for owner, name in ((filters, "_flatten"), (filters, "_merge_sorted"), (SobolevKernel, "_check_domain")):
+            real = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))
+        c = g.compact()
+        reread = FilterFunction.from_dict(c.to_dict())
+        for h in (c, reread):
+            del calls[:]
+            forms = h.normal_forms
+            assert calls == []
+            smooth = [a for a in h.atoms if a.kind != "h0"]
+            assert len(smooth) == 2 and [a.channel for a in smooth] == [0, 1]
+            for form, atom, want, old in zip(forms, smooth, sorted_normal_forms(h), g.normal_forms):
+                assert form.sec_lags is atom.sec_lags and form.seg_weights is atom.seg_weights
+                assert (form.kind, form.part, form.k) == ("normal", "r", None)
+                for name, arr in zip(FORM_FIELDS, want):
+                    assert same_bits(getattr(form, name), arr) and same_bits(arr, getattr(old, name)), name
+        # an atom of a longer kernel, under this filter's horizon, is outside
+        # its domain: that channel takes the merge, and its domain check raises
+        short = SobolevKernel(m=m, horizon=float(c.atoms[0].sec_lags[-1]) / 2)
+        shorter = FilterFunction(short, 2, c.atoms, c.coefficients)
+        with pytest.raises(DomainError):
+            shorter.normal_forms
+        del calls[:]
+        doubled = FilterFunction(k, 2, c.atoms, np.where([a.kind == "h0" for a in c.atoms], c.coefficients, 2.0))
+        forms = doubled.normal_forms
+        assert {"_flatten", "_merge_sorted", "_check_domain"} <= set(calls)
+        for form, want in zip(forms, sorted_normal_forms(doubled)):
+            for name, arr in zip(FORM_FIELDS, want):
+                assert same_bits(getattr(form, name), arr), name
 
     def test_compact_of_a_polynomial_has_no_r1_atom(self):
         k = SobolevKernel(m=2, horizon=5.0)

@@ -46,6 +46,7 @@ from glppm.optimizer import (
 from oracles import (
     ascending_ladder,
     atom_columns,
+    exact_compensator,
     full_gram,
     gradient,
     h1_gram,
@@ -282,7 +283,7 @@ class TestFitLinear:
                 ("integrated", 0), ("integrated", 1)
             ]
             for f in exact:
-                assert ws.Gp[f, f] == pytest.approx(obj.comp_row(k, ws.atoms[f]), rel=1e-12)
+                assert ws.Gp[f, f] == pytest.approx(exact_compensator(k, obj, ws.atoms[f]), rel=1e-12)
         assert not any(a.h0.any() for a in res.g_hat.atoms if a.kind != "h0")
 
     def test_empty_data_returns_zero_filter(self):
@@ -645,7 +646,7 @@ class TestWorkspace:
         assert np.array_equal(ws.U, X[: obj.nodes.size])
         assert np.array_equal(ws.E, X[obj.nodes.size :])
         if link.kind == "linear":
-            assert ws.comp.tolist() == [obj.comp_row(kernel, a) for a in atoms]
+            assert ws.comp.tolist() == [exact_compensator(kernel, obj, a) for a in atoms]
         else:
             # only the linear link's compensator is linear in the coefficients
             assert ws.comp is None
@@ -1126,6 +1127,40 @@ class TestGrowthCost:
         assert res.converged and len(integral) > 3
         fields = {f.name for f in dataclasses.fields(Atom)}
         assert all(vars(a).keys() == fields for a in integral)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_a_block_takes_its_compensator_row_from_one_table_per_channel(self, m, monkeypatch):
+        # the linear link's compensator row of a block: per channel one
+        # domain check and one prefix table per kind (sections, segments),
+        # no per-atom antiderivative, and each atom's entry with the bits of
+        # its own exact compensator, polynomial content included
+        kernel, obj = history_objective(m, quiet_channel=True)
+        linear = Objective(linear_link(0.5), 1.0, obj.events, obj.drivers, at_risk=obj.at_risk)
+        atoms = [h0_poly(kernel, ch, k) for ch in range(3) for k in range(1, m + 1)]
+        atoms += build_h_atoms(kernel, linear, part="r") + build_f_atoms(kernel, linear, part="r")
+        atoms += build_f_atoms(kernel, linear, "r1", link_weights=np.linspace(0.0, 1.0, linear.nodes.size))
+        want = [exact_compensator(kernel, linear, a) for a in atoms]
+        calls = {}
+        for owner, name in (
+            (SobolevKernel, "_check_domain"), (likelihood, "_prefix_table"),
+            (Atom, "antiderivative"), (Atom, "h1_antiderivative"),
+        ):
+            real = getattr(owner, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        row = linear.comp_row(kernel, atoms)
+        assert row.tolist() == want and np.count_nonzero(row) > len(atoms) // 2
+        # two channels with jumps, each with sections and segments; the
+        # polynomials' h0 antiderivatives check the domain once per end
+        assert calls == {"_check_domain": 2 * 3, "_prefix_table": 2 * 2}
+        # the workspace's row is the block's
+        ws = _Workspace(kernel, linear)
+        ws.add_representers()
+        assert ws.comp.tolist() == [exact_compensator(kernel, linear, a) for a in ws.atoms]
 
 class TestKernelHorizon:
     """A kernel whose horizon is not the data's is a ConfigError, raised

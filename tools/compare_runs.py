@@ -3,7 +3,7 @@
     python3 tools/compare_runs.py trees A B
         byte-compares two run trees that ``bench/run.py`` leaves in
         ``bench/.work/<workload>-s<seed>``, file by file, skipping
-        ``run_manifest.json`` (wall time and resolved paths) and
+        ``run_manifest.json`` (wall time and absolute paths) and
         ``result.json`` (timings); a file in one tree only is a difference.
 
     python3 tools/compare_runs.py bench A.json B.json
@@ -32,18 +32,25 @@
         fitted by ``fit_descent`` at m = 1 and penalty weight 5, as the
         ``fit`` command fits them; then its 22 simulations of
         ``sim_config(SIM_HORIZON)`` at the seeds of its rule for seed 401,
-        each spec built as the ``simulate`` command builds it.  Each round
-        runs the batch once under each tree, each in a fresh subprocess
-        pinned to one BLAS thread after one untimed fit per family and one
-        untimed simulation, the trees alternating which goes first.  Per
-        family, and for the simulations, it prints the median and
+        each spec built as the ``simulate`` command builds it.  Then the
+        same work as the benchmark's CLI commands, in process, into a
+        temporary directory: per family, ``fit`` then ``gof`` of each
+        dataset (parts ``cli-exp-fit``, ``cli-exp-gof``, ...), and
+        ``simulate`` then ``gof`` under the true filter of each simulation
+        (``cli-simulate``, ``cli-sim-gof``).  Each round runs all of it
+        once under each tree, each in a fresh subprocess pinned to one
+        BLAS thread after one untimed fit per family and one untimed
+        simulation, and one untimed run of each command, the trees
+        alternating which goes first.  Per part it prints the median and
         quartiles of milliseconds per fit (objective and fit, not the
-        data) or per simulation (filter, spec and simulation) on each side,
-        the rounds each side was the faster, and whether every fit's
-        objective, or every simulation's event times, have the same bits on
-        both sides.  ``--datasets N`` fits the first N datasets of each
-        family only.  ``timing`` prints one such pass, as one JSON object,
-        under the ``glppm`` that Python imports.
+        data), per simulation (filter, spec and simulation) or per command
+        on each side, the rounds each side was the faster, and whether
+        every fit's objective, every simulation's event times, or every
+        command's exit code and output bytes (all but
+        ``run_manifest.json``) are the same on both sides.  ``--datasets
+        N`` fits the first N datasets of each family only.  ``timing``
+        prints one such pass, as one JSON object, under the ``glppm`` that
+        Python imports.
 
     python3 tools/compare_runs.py cli SRC_A SRC_B [--datasets 6]
         runs one set of CLI commands under each source tree, each in a
@@ -86,6 +93,7 @@ from __future__ import annotations
 import argparse
 import base64
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -328,6 +336,60 @@ def run_timing(datasets: int | None) -> dict:
     t0 = perf_counter()
     events = [simulate(seed) for seed in seeds]
     out["sim"] = {"seconds": perf_counter() - t0, "events": events}
+    with tempfile.TemporaryDirectory() as root:
+        out.update(_time_cli(bench, Path(root), seeds, datasets))
+    return out
+
+
+def _time_cli(bench, root: Path, seeds: list[int], datasets: int | None) -> dict:
+    """The ``time`` CLI parts under the ``glppm`` on the path, run into
+    ``root``: per part, the seconds of its commands and, per command, the
+    sha256 of its exit code and of the bytes of its output files but
+    ``run_manifest.json``; one untimed run of each command first."""
+    import generate
+
+    import glppm.cli
+
+    out: dict = {}
+
+    def run(part: str | None, label: str, *argv: str) -> None:
+        """One command into ``root/label``, timed under ``part`` unless
+        that is None."""
+        d = root / label
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            t0 = perf_counter()
+            rc = glppm.cli.main([*argv, "--out", str(d)])
+            seconds = perf_counter() - t0
+        h = hashlib.sha256(str(rc).encode())
+        for path in sorted(d.rglob("*")):
+            if path.is_file() and path.name not in SKIPPED:
+                h.update(path.relative_to(d).as_posix().encode() + b"\0" + path.read_bytes())
+        if part is not None:
+            entry = out.setdefault(part, {"seconds": 0.0, "outputs": []})
+            entry["seconds"] += seconds
+            entry["outputs"].append(h.hexdigest())
+
+    inputs = root / "inputs"
+    for name, *_ in DESCENT:
+        workload = bench.WORKLOADS[f"fit-{name}"]
+        count = workload["datasets"] if datasets is None else min(datasets, workload["datasets"])
+        data = [str(d) for d in generate.write_batch(inputs / name, 401, count, workload["n_events"])]
+        cfg = inputs / f"{name}.json"
+        cfg.write_text(json.dumps({"link": workload["link"], "penalty_weight": bench.PENALTY, "m": bench.ORDER}))
+        for i, dataset in [("warmup", data[0])] + list(enumerate(data)):
+            label, timed = f"{name}-d{i}", i != "warmup"
+            run(f"cli-{name}-fit" if timed else None, label, "fit", "--data", dataset, "--config", str(cfg))
+            fitted = str(root / label / "filter.json")
+            run(f"cli-{name}-gof" if timed else None, f"{label}-gof", "gof", "--data", dataset, "--config", fitted)
+    sim = bench.sim_config(bench.SIM_HORIZON)
+    (inputs / "simulate.json").write_text(json.dumps(sim))
+    (inputs / "true_filter.json").write_text(json.dumps({"filter": sim["filters"], "link": sim["link"]}))
+    for k, seed in [("warmup", seeds[0])] + list(enumerate(seeds)):
+        label, timed = f"sim{k}", k != "warmup"
+        run("cli-simulate" if timed else None, label, "simulate", "--config", str(inputs / "simulate.json"),
+            "--seed", str(seed))
+        run("cli-sim-gof" if timed else None, f"{label}-gof", "gof", "--data", str(root / label / "dataset.json"),
+            "--config", str(inputs / "true_filter.json"))
     return out
 
 
@@ -419,29 +481,34 @@ def fit_records(src: Path, datasets: int) -> dict:
 
 def compare_timings(a: Path, b: Path, rounds: int, datasets: int | None) -> list[str]:
     """``run_timing`` under ``a`` and ``b`` for ``rounds`` rounds, the trees
-    alternating which goes first; per family of fits, and for the
-    simulations, the median and quartiles of milliseconds per operation on
-    each side, the rounds each side won, and whether every objective, or
-    every simulation's event bytes, matched.  Returns the report's lines,
-    the last of them naming each part whose outputs differ."""
+    alternating which goes first; per family of fits, for the simulations
+    and per CLI part, the median and quartiles of milliseconds per
+    operation on each side, the rounds each side won, and whether every
+    objective, every simulation's event bytes, or every command's exit
+    code and output bytes matched.  Returns the report's lines, the last
+    of them naming each part whose outputs differ."""
     import numpy as np
 
-    passes = {a: [], b: []}
+    # keyed by side, so that a tree compared with itself has two sides
+    trees = {"A": a, "B": b}
+    passes = {"A": [], "B": []}
+    args = ["--datasets", str(datasets)] if datasets is not None else []
     for r in range(rounds):
-        for src in (a, b) if r % 2 == 0 else (b, a):
-            args = ["--datasets", str(datasets)] if datasets is not None else []
-            passes[src].append(_under(src, "timing", *args))
+        for side in ("A", "B") if r % 2 == 0 else ("B", "A"):
+            passes[side].append(_under(trees[side], "timing", *args))
     lines, differ = [], []
     parts = [(name, "objectives", "fits", "fit") for name, *_ in DESCENT]
-    for name, key, plural, unit in parts + [("sim", "events", "simulations", "simulation")]:
-        count = len(passes[a][0][name][key])
-        ms = {src: np.array([p[name]["seconds"] for p in passes[src]]) * 1e3 / count for src in passes}
+    parts.append(("sim", "events", "simulations", "simulation"))
+    cli = [f"cli-{name}-{cmd}" for name, *_ in DESCENT for cmd in ("fit", "gof")] + ["cli-simulate", "cli-sim-gof"]
+    for name, key, plural, unit in parts + [(name, "outputs", "commands", "command") for name in cli]:
+        count = len(passes["A"][0][name][key])
+        ms = {side: np.array([p[name]["seconds"] for p in passes[side]]) * 1e3 / count for side in passes}
         lines.append(f"{name}: {count} {plural} per pass, {rounds} round(s)")
-        for src, label in ((a, "A"), (b, "B")):
-            q1, med, q3 = np.percentile(ms[src], [25, 50, 75])
-            lines.append(f"  {label} {src}: {med:.3f} ms/{unit} (quartiles {q1:.3f}, {q3:.3f})")
-        wins = int(np.sum(ms[b] < ms[a]))
-        first = passes[a][0][name][key]
+        for side, src in trees.items():
+            q1, med, q3 = np.percentile(ms[side], [25, 50, 75])
+            lines.append(f"  {side} {src}: {med:.3f} ms/{unit} (quartiles {q1:.3f}, {q3:.3f})")
+        wins = int(np.sum(ms["B"] < ms["A"]))
+        first = passes["A"][0][name][key]
         same = all(p[name][key] == first for side in passes.values() for p in side)
         lines.append(f"  B faster in {wins} of {rounds} rounds, A in {rounds - wins}; "
                      f"{key} {'identical' if same else 'DIFFER'}")
