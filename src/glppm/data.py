@@ -222,6 +222,8 @@ class DatasetManifest:
         for name in (self.target_channel, *self.driver_channels):
             if {"/", "\0", os.sep, os.altsep} & set(name):
                 raise ConfigError(f"channel name {name!r} contains a path separator or NUL")
+        if len(set(self.driver_channels)) != len(self.driver_channels):
+            raise ConfigError(f"duplicate driver channel names: {list(self.driver_channels)}")
         if self.target_channel in self.driver_channels:
             raise ConfigError(
                 "target channel must not be listed among driver_channels; "

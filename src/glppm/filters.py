@@ -20,18 +20,19 @@ Atom operations are linear, so a whole filter has the same normal form:
 sections, segments and h0 of every atom there, scaled by its coefficient;
 atoms that share one sections array, as a fit's integral atoms share their
 node lags, are summed on it first, so that it is sorted once.
-Filters are immutable and the forms are cached.  Evaluation, inner
-products, the H1 seminorm and the projection each take one prefix-sum pass
-per channel over them, and so do the likelihood's predictors and exact
-compensator.  Atoms are values that keep no state beyond their fields:
-``Atom._bound_value`` builds the prefix tables of an atom's value
-(``kernel._prefix_table``) and binds them, with its lags and h0, to the one
-function that evaluates them (``_atom_value``), with no domain check.  The
-one cache of tables is ``FilterFunction._readers``, each channel's normal
-form bound once, which ``evaluate`` and the thinning simulator read instead
-of summing anew.
-``FilterFunction.compact`` rewrites a
-filter as its normal forms in at most 1 + m serializable atoms per channel.
+A filter checks its atoms against its kernel's domain once, when it is
+built, and its normal forms take them unchecked.  Filters are immutable
+and the forms are cached.  Evaluation, inner products, the H1 seminorm and
+the projection each take one prefix-sum pass per channel over them, and so
+do the likelihood's predictors and exact compensator.  Atoms are values
+that keep no state beyond their fields: ``Atom._bound_value`` builds the
+prefix tables of an atom's value (``kernel._prefix_table``) and binds
+them, with its lags and h0, to the one function that evaluates them
+(``_atom_value``), with no domain check.  The one cache of tables is
+``FilterFunction._readers``, each channel's normal form bound once, which
+``evaluate`` and the thinning simulator read instead of summing anew.
+``FilterFunction.compact`` rewrites a filter as its normal forms in at
+most 1 + m serializable atoms per channel.
 
 In a ``glppm.filter.v1`` payload each array of an atom entry
 (``sections.lags/weights``, ``segments.nodes/weights``) is spelled either
@@ -90,20 +91,19 @@ def _merge_sorted(lags: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np
     return lags[starts], np.bincount(np.cumsum(starts) - 1, weights=weights[order])
 
 
-def _merged_sections(kernel: SobolevKernel, atoms, c: np.ndarray, seg_nodes: np.ndarray):
-    """``_merge_sorted`` of the sections of atoms with coefficients c, after
-    one domain check of them and of ``seg_nodes``.  Atoms that share one
-    sections array, as a fit's integral atoms do, enter as one copy of it
-    that carries their weights summed in atom order, as the stable sort and
-    ``bincount`` sum them; where a merge group holds one of its lags and any
-    other lag, every copy takes the sort instead."""
+def _merged_sections(atoms, c: np.ndarray):
+    """``_merge_sorted`` of the sections of atoms with coefficients c.
+    Atoms that share one sections array, as a fit's integral atoms do,
+    enter as one copy of it that carries their weights summed in atom
+    order, as the stable sort and ``bincount`` sum them; where a merge
+    group holds one of its lags and any other lag, every copy takes the
+    sort instead."""
     groups: dict = {}
     for k, a in enumerate(atoms):
         groups.setdefault(id(a.sec_lags), []).append(k)
     shared = max(groups.values(), key=len, default=[])
     keep = [k for k in range(len(atoms)) if k not in shared[1:]]
     lags, weights, owner = _flatten([atoms[k] for k in keep])[:3]
-    kernel._check_domain(lags, seg_nodes)
     weights = c[keep][owner] * weights
     if len(shared) > 1:
         mine = owner == keep.index(shared[0])
@@ -211,14 +211,6 @@ class Atom:
         sec_table = _prefix_table(m, m, self.sec_lags, self.sec_weights)
         seg_table = _prefix_table(m + 1, m, self.seg_nodes, self.seg_weights) if self.seg_nodes.size else None
         return partial(_atom_value, self.sec_lags, sec_table, self.seg_nodes, seg_table, self.h0)
-
-    def antiderivative(self, kernel: SobolevKernel, x):
-        """int_0^x atom(v) dv including the polynomial part, exactly."""
-        kernel._check_domain(x)
-        out = self.h1_antiderivative(x)
-        if np.any(self.h0):
-            out = out + np.tensordot(self.h0, kernel.h0_antiderivative(x), axes=(0, 0))
-        return out
 
     def sections_h0(self, kernel: SobolevKernel) -> np.ndarray:
         """Polynomial content the sections/segments would carry under the
@@ -402,11 +394,17 @@ class FilterFunction:
             raise ConfigError("coefficients must be finite")
         if self.n_channels < 1:
             raise ConfigError("n_channels must be >= 1")
+        horizon = self.kernel.horizon
         for a in atoms:
             if a.m != self.kernel.m:
                 raise ConfigError("atom order does not match the kernel")
             if not 0 <= a.channel < self.n_channels:
                 raise ConfigError(f"atom channel {a.channel} outside 0..{self.n_channels - 1}")
+            # sorted and nonnegative by construction, the last lag and node
+            # decide; one past the horizon or NaN takes the kernel's check
+            lags, nodes = a.sec_lags, a.seg_nodes
+            if (lags.size and not lags[-1] <= horizon) or (nodes.size and not nodes[-1] <= horizon):
+                self.kernel._check_domain(lags, nodes)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "coefficients", coeffs)
 
@@ -421,15 +419,13 @@ class FilterFunction:
         """One atom per channel equal to the whole filter there: the sections
         and segments of its atoms, weighted by their coefficients, sorted and
         merged (``_merged_sections``), and ``h0`` the combined polynomial
-        coefficients.  A channel whose one atom with sections or segments
-        has coefficient 1, as every filter that ``compact`` writes and
-        ``from_dict`` reads back, takes that atom's arrays as they are:
+        coefficients, with no domain check: the filter checked its atoms
+        when it was built.  A channel whose one atom with sections or
+        segments has coefficient 1, as every filter that ``compact`` writes
+        and ``from_dict`` reads back, takes that atom's arrays as they are:
         every atom's are sorted, merged and nonnegative by construction,
-        with weights that a ``bincount`` summed, so the flatten, domain
-        check and merge would give them back bit for bit.  Only their last
-        entries are compared with this filter's horizon, which an atom
-        built under a longer kernel can exceed; such a channel takes the
-        merge, whose domain check raises."""
+        with weights that a ``bincount`` summed, so the flatten and merge
+        would give them back bit for bit."""
         forms = []
         for ch in range(self.n_channels):
             on = [i for i, a in enumerate(self.atoms) if a.channel == ch and self.coefficients[i] != 0.0]
@@ -437,12 +433,12 @@ class FilterFunction:
             atoms = [self.atoms[i] for i in on]
             h0 = _ro(c @ np.array([a.h0 for a in atoms]).reshape(-1, self.kernel.m))
             smooth = [k for k, a in enumerate(atoms) if a.sec_lags.size or a.seg_nodes.size]
-            if len(smooth) == 1 and c[smooth[0]] == 1.0 and _ends_within(atoms[smooth[0]], self.kernel.horizon):
+            if len(smooth) == 1 and c[smooth[0]] == 1.0:
                 forms.append(replace(atoms[smooth[0]], channel=ch, kind="normal", part="r", h0=h0))
                 continue
             seg_nodes, seg_w, seg_owner = _flatten(atoms)[3:]
             # an r1 atom of the merged support, then given the combined h0
-            sections = _merged_sections(self.kernel, atoms, c, seg_nodes)
+            sections = _merged_sections(atoms, c)
             segments = _merge_sorted(seg_nodes, c[seg_owner] * seg_w)
             form = _merged_atom(self.kernel, ch, "normal", "r1", *map(_ro, sections + segments))
             forms.append(replace(form, part="r", h0=h0))
@@ -594,12 +590,6 @@ def _flatten(atoms) -> tuple[np.ndarray, ...]:
         np.concatenate(empty + [a.seg_weights for a in atoms]),
         np.repeat(idx, [a.seg_nodes.size for a in atoms]),
     )
-
-
-def _ends_within(atom: Atom, horizon: float) -> bool:
-    """Whether the atom's sorted section lags and segment nodes end at or
-    before ``horizon``."""
-    return all(arr[-1] <= horizon for arr in (atom.sec_lags, atom.seg_nodes) if arr.size)
 
 
 def h1_inner_row(atom: Atom, atoms) -> np.ndarray:

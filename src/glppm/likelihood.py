@@ -14,7 +14,8 @@ The offset d sets the baseline intensity of the zero filter.
 
 Two consistent evaluation regimes are used.  For the linear link the
 compensator integral is linear in g and every atom has an exact
-antiderivative, so the integral term is closed-form (no quadrature at all).
+antiderivative, so the integral term is closed-form (no quadrature at all),
+from one routine for every caller (``_segment_integrals``).
 For general links the integral is discretized by composite Gauss-Legendre
 quadrature on a partition split at every event, driver jump and at-risk
 breakpoint; the reported gradient is then the exact gradient of the
@@ -24,7 +25,7 @@ checks sharp in both regimes.
 A filter enters through its normal form, one merged atom per channel
 (``FilterFunction.normal_forms``): its predictors at the nodes and the
 events are one ``Objective.columns`` call over them, and its exact
-compensator one antiderivative pass per channel.
+compensator one ``_segment_integrals`` pass per channel.
 ``compensator`` evaluates Lambda at one time or at an array of times with
 one partition and one cumulative pass, exactly for the linear link and by
 the same Gauss-Legendre rule otherwise.
@@ -281,6 +282,23 @@ def _smooth_values(m: int, q: int, atoms, lags: np.ndarray):
         yield start, np.zeros((k, lags.size)) if h1 is None else h1
 
 
+def _segment_integrals(kernel: SobolevKernel, atoms, lo: np.ndarray, hi: np.ndarray):
+    """(start, values): the exact int_lo^hi of atoms on one channel over
+    each lag segment, a row per atom from ``atoms[start]`` on: one domain
+    check of the ends, the smooth parts' antiderivatives there from one
+    prefix table per kind (``_smooth_values``, q = m + 1), and each atom's
+    polynomial antiderivative added at each end before they are subtracted."""
+    kernel._check_domain(hi, lo)
+    n, poly = hi.size, None
+    for start, vals in _smooth_values(kernel.m, kernel.m + 1, atoms, np.concatenate([hi, lo])):
+        for a, v in zip(atoms[start:], vals):
+            if np.any(a.h0):
+                poly = poly or (kernel.h0_antiderivative(hi), kernel.h0_antiderivative(lo))
+                v[:n] += np.tensordot(a.h0, poly[0], axes=(0, 0))
+                v[n:] += np.tensordot(a.h0, poly[1], axes=(0, 0))
+        yield start, vals[:, :n] - vals[:, n:]
+
+
 # -- the objective -------------------------------------------------------------
 
 
@@ -437,30 +455,19 @@ class Objective:
         return self.columns(kernel, [atom])[self.nodes.size :, 0]
 
     def comp_row(self, kernel: SobolevKernel, atoms) -> np.ndarray:
-        """Exact int_0^t Y_s X_s-(a) ds of each atom a of a block, via
-        antiderivatives at the ends of its channel's lag segments.  Per
-        channel, one domain check of the ends, and the smooth parts from
-        one prefix table per kind with a row per atom
-        (``_smooth_values``), each with the bits of
-        ``Atom.h1_antiderivative``; an atom with polynomial content adds it
-        as ``Atom.antiderivative`` does, and each atom's entry is its own
-        ``w @ vals``, as one atom's exact compensator is."""
+        """Exact int_0^t Y_s X_s-(a) ds of each atom a of a block: per
+        channel, one ``_segment_integrals`` pass over its lag segments, and
+        each atom's entry its own ``w @ vals``, as one atom's exact
+        compensator is."""
         row = np.zeros(len(atoms))
         for ch in sorted({a.channel for a in atoms}):
             lo, hi, w = self._segment_support[ch]
             if w.size == 0:
                 continue
-            kernel._check_domain(hi, lo)
             cols = [c for c, a in enumerate(atoms) if a.channel == ch]
-            ends, n, poly = np.concatenate([hi, lo]), hi.size, None
-            for start, vals in _smooth_values(kernel.m, kernel.m + 1, [atoms[c] for c in cols], ends):
-                for c, v in zip(cols[start : start + len(vals)], vals):
-                    v_hi, v_lo = v[:n], v[n:]
-                    if np.any(atoms[c].h0):
-                        poly = poly or (kernel.h0_antiderivative(hi), kernel.h0_antiderivative(lo))
-                        v_hi = v_hi + np.tensordot(atoms[c].h0, poly[0], axes=(0, 0))
-                        v_lo = v_lo + np.tensordot(atoms[c].h0, poly[1], axes=(0, 0))
-                    row[c] = w @ (v_hi - v_lo)
+            for start, vals in _segment_integrals(kernel, [atoms[c] for c in cols], lo, hi):
+                for c, v in zip(cols[start:], vals):
+                    row[c] = w @ v
         return row
 
     # -- predictors of a full filter -------------------------------------------
@@ -584,13 +591,14 @@ def objective_value(g: FilterFunction, obj: Objective) -> float:
 # -- representer atoms ----------------------------------------------------------
 
 
-def build_h_atoms(kernel: SobolevKernel, obj: Objective, part: str = "r1", points=None) -> list[Atom]:
-    """History atoms of points, point-major then channel-minor.
+def build_h_atoms(kernel: SobolevKernel, obj: Objective, points=None) -> list[Atom]:
+    """H1 (part "r1") history atoms of points, point-major then channel-minor.
 
     A point indexes the objective's pair store: a quadrature node, or an
-    event after the nodes; by default every event.  Atom (p, j), the
-    representer of the predictor at s_p on channel j, is sum_{sigma < s_p}
-    dZ_j R^part(s_p - sigma, .); zero (empty) when no jump precedes the
+    event after the nodes; by default every event.  Atom (p, j), the H1
+    part of the representer of the predictor at s_p on channel j, is
+    sum_{sigma < s_p} dZ_j R1(s_p - sigma, .), whose polynomial part is the
+    fitters' phi_k coordinates; zero (empty) when no jump precedes the
     point there.  A channel's atoms come from one pass: its points' pair
     lags, in the kernel's domain once ``_check_kernel`` passes, are sorted
     once by point and then lag, stably, and merged with one ``bincount``,
@@ -615,17 +623,12 @@ def build_h_atoms(kernel: SobolevKernel, obj: Objective, part: str = "r1", point
         bounds = np.searchsorted(merged_owner, np.arange(points.size + 1))
         for i in range(points.size):
             cut = slice(bounds[i], bounds[i + 1])
-            atoms[i * n_ch + j] = _merged_atom(kernel, j, "section", part, merged_lags[cut], merged_w[cut])
+            atoms[i * n_ch + j] = _merged_atom(kernel, j, "section", "r1", merged_lags[cut], merged_w[cut])
     return atoms
 
 
-def build_f_atoms(
-    kernel: SobolevKernel,
-    obj: Objective,
-    part: str = "r1",
-    link_weights: np.ndarray | None = None,
-) -> list[Atom]:
-    """Integral atoms, one per channel.
+def build_f_atoms(kernel: SobolevKernel, obj: Objective, link_weights: np.ndarray | None = None) -> list[Atom]:
+    """H1 (part "r1") integral atoms, one per channel.
 
     Without ``link_weights`` the compensator weight Y_s is piecewise constant
     and the atom is an exact integrated-segment atom.  With ``link_weights``
@@ -634,12 +637,13 @@ def build_f_atoms(
     quadrature-discretized compensator; its sections are the channel's
     merged node-pair lags (``Objective.node_lag_index``), in the domain by
     construction and shared by every such atom, weights summed by ``bincount``.
+    The representer's polynomial part is the fitters' phi_k coordinates.
     """
     atoms = []
     if link_weights is None:
         for j in range(obj.n_channels):
             lo, hi, w = obj._segment_support[j]
-            atoms.append(integrated_segments(kernel, j, lo, hi, w, part=part))
+            atoms.append(integrated_segments(kernel, j, lo, hi, w))
     else:
         link_weights = np.asarray(link_weights, dtype=float)
         if link_weights.shape != obj.nodes.shape:
@@ -651,7 +655,7 @@ def build_f_atoms(
                 index.group, weights=link_weights[index.node] * index.dz,
                 minlength=index.lags.size,
             ))
-            atoms.append(_merged_atom(kernel, j, "integrated", part, index.lags, weights))
+            atoms.append(_merged_atom(kernel, j, "integrated", "r1", index.lags, weights))
     return atoms
 
 
@@ -670,8 +674,9 @@ def compensator(
     one cumulative pass over its intervals; an s strictly inside an interval
     adds the piece from the interval's left end to s.  So each Lambda(s)
     depends on s alone, not on the other times asked for.  A linear link
-    with a FilterFunction integrates exactly: antiderivatives of the normal
-    forms over the lag segments of each interval.  Anything else uses
+    with a FilterFunction integrates exactly: one ``_segment_integrals``
+    pass per channel over its normal form and the lag segments of every
+    interval, summed by interval.  Anything else uses
     composite Gauss-Legendre quadrature with this many nodes per interval,
     which ``QuadratureConfig`` validates on either route.
     """
@@ -696,8 +701,8 @@ def compensator(
         for ch, form in zip(drivers.channels, g.normal_forms):
             idx, lo, hi, w = _lag_segments(a, b, levels, ch.times, ch.sizes)
             if w.size:
-                vals = form.antiderivative(g.kernel, hi) - form.antiderivative(g.kernel, lo)
-                inc += np.bincount(idx, weights=w * vals, minlength=inc.size)
+                for _, vals in _segment_integrals(g.kernel, [form], lo, hi):
+                    inc += np.bincount(idx, weights=w * vals[0], minlength=inc.size)
     else:
         nodes, weights = _gauss_nodes(a, b, nodes_per_interval)
         lam = at_risk.at(nodes) * link.value(linear_predictor(g, drivers, nodes))

@@ -304,7 +304,7 @@ class _Workspace:
         linear link, though the basis does not depend on the link.  Each kind
         is one block, told apart by its atoms' ``role``."""
         self.add_point_atoms()
-        f_atoms = [a for a in build_f_atoms(self.kernel, self.obj, part="r1") if not a.is_zero]
+        f_atoms = [a for a in build_f_atoms(self.kernel, self.obj) if not a.is_zero]
         functionals = np.zeros((len(f_atoms), self._n_rows))
         functionals[:, self._n_points] = 1.0
         self._append(f_atoms, self.obj.columns(self.kernel, f_atoms), functionals, INTEGRAL)
@@ -315,7 +315,7 @@ class _Workspace:
         channel with a nonzero earlier jump, point-major, as one block: each
         represents its point's predictor on its channel."""
         points = np.arange(self._n_nodes, self._n_points) if points is None else np.asarray(points, dtype=int)
-        atoms = build_h_atoms(self.kernel, self.obj, "r1", points)
+        atoms = build_h_atoms(self.kernel, self.obj, points)
         keep = [pos for pos, atom in enumerate(atoms) if not atom.is_zero]
         block = [atoms[pos] for pos in keep]
         datum = points[np.array(keep, dtype=int) // self.obj.n_channels]
@@ -330,7 +330,7 @@ class _Workspace:
         its column reads the index (``Objective.integral_column``)."""
         functional = np.zeros((1, self._n_rows))
         functional[0, : self._n_nodes] = link_weights
-        for atom in build_f_atoms(self.kernel, self.obj, part="r1", link_weights=link_weights):
+        for atom in build_f_atoms(self.kernel, self.obj, link_weights=link_weights):
             if not atom.is_zero:
                 self._append([atom], self.obj.integral_column(atom), functional, INTEGRAL)
 

@@ -17,8 +17,14 @@ library's bulk builders and direct LAPACK calls.  ``atom_columns`` builds
 predictor columns atom by atom from ``checked_value``, the kernel's domain
 check and then the atom's unchecked ``Atom._bound_value``, and from
 ``Atom.h1_value``, the reference for ``Objective.columns``;
-``exact_compensator`` integrates one atom at a time through
-``Atom.antiderivative``, the reference for ``Objective.comp_row``.
+``atom_antiderivative`` integrates an atom from 0 with no prefix table
+(``_cross_weighted_sum``), independently of the likelihood's one exact
+integral, ``_segment_integrals``: ``exact_compensator`` integrates one atom
+at a time through it, the reference for ``Objective.comp_row``, and
+``segment_integrals_one_by_one`` the atoms of a block, the reference for
+``compensator``'s linear route.  ``full_kernel`` gives the library's H1
+atoms their polynomial content (part "r"), as the paper's representers
+of the full kernel R.
 ``ascending_ladder`` finds a damped Newton direction by a climb from the
 bottom of the damping ladder, the reference for ``_Core.direction``'s
 resumed search, and
@@ -39,7 +45,7 @@ import scipy.linalg
 
 from glppm import optimizer, simulator
 from glppm.errors import DomainError, InfeasibleError, SolverError
-from glppm.filters import FilterFunction, _flatten, _merge_sorted, _normal_form_atom, h1_inner_row
+from glppm.filters import FilterFunction, _flatten, _merge_sorted, _merged_atom, _normal_form_atom, h1_inner_row
 from glppm.kernel import SobolevKernel, _branch_coeffs, _cross_weighted_sum, _h0_stack
 from glppm.likelihood import (
     Objective,
@@ -154,22 +160,43 @@ def fresh_value(g: FilterFunction, channel: int, u):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def fresh_antiderivative(g: FilterFunction, channel: int, x):
-    """int_0^x g_channel like ``fresh_value``: no prefix table."""
-    f, k = g.normal_forms[channel], g.kernel
-    k._check_domain(x)
-    out = _cross_weighted_sum(k.m, k.m + 1, f.sec_lags, f.sec_weights, x)
-    if f.seg_nodes.size:
-        out = out + _cross_weighted_sum(k.m + 1, k.m + 1, f.seg_nodes, f.seg_weights, x)
-    if np.any(f.h0):
-        out = out + np.tensordot(f.h0, k.h0_antiderivative(x), axes=(0, 0))
+def atom_antiderivative(kernel: SobolevKernel, atom, x):
+    """int_0^x atom(v) dv, exactly, like ``fresh_value``: no prefix table,
+    and the polynomial part ``np.tensordot`` over ``kernel.h0_antiderivative``."""
+    m = kernel.m
+    kernel._check_domain(x)
+    out = _cross_weighted_sum(m, m + 1, atom.sec_lags, atom.sec_weights, x)
+    if atom.seg_nodes.size:
+        out = out + _cross_weighted_sum(m + 1, m + 1, atom.seg_nodes, atom.seg_weights, x)
+    if np.any(atom.h0):
+        out = out + np.tensordot(atom.h0, kernel.h0_antiderivative(x), axes=(0, 0))
     return out
+
+
+def fresh_antiderivative(g: FilterFunction, channel: int, x):
+    """int_0^x g_channel: the ``atom_antiderivative`` of its normal form."""
+    return atom_antiderivative(g.kernel, g.normal_forms[channel], x)
+
+
+def segment_integrals_one_by_one(kernel: SobolevKernel, atoms, lo, hi):
+    """``likelihood._segment_integrals`` atom by atom, in one chunk: the
+    difference of each atom's ``atom_antiderivative`` at the segment ends."""
+    yield 0, np.array([atom_antiderivative(kernel, a, hi) - atom_antiderivative(kernel, a, lo) for a in atoms])
 
 
 def same_bits(a, b) -> bool:
     """Equal shape, dtype and bytes: -0.0 differs from 0.0, NaN equals NaN."""
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def full_kernel(kernel: SobolevKernel, atoms) -> list:
+    """Each H1 (part "r1") atom with the polynomial content of its sections
+    and segments (part "r"): R1 slices made R slices."""
+    return [
+        _merged_atom(kernel, a.channel, a.kind, "r", a.sec_lags, a.sec_weights, a.seg_nodes, a.seg_weights)
+        for a in atoms
+    ]
 
 
 def section_sum(kernel: SobolevKernel, channel: int, lags, weights, part: str = "r1"):
@@ -247,7 +274,7 @@ def exact_compensator(kernel: SobolevKernel, obj: Objective, atom) -> float:
     lo, hi, w = obj._segment_support[atom.channel]
     if w.size == 0:
         return 0.0
-    return float(w @ (atom.antiderivative(kernel, hi) - atom.antiderivative(kernel, lo)))
+    return float(w @ (atom_antiderivative(kernel, atom, hi) - atom_antiderivative(kernel, atom, lo)))
 
 
 def solve_spd_cho_factor(H: np.ndarray, rhs: np.ndarray):
@@ -309,8 +336,8 @@ def gradient(g: FilterFunction, obj: Objective) -> FilterFunction:
     link_weights = None
     if obj.link.kind != "linear":
         link_weights = obj.weights * obj.y_nodes * obj.link.deriv(x_nodes)
-    h_atoms = build_h_atoms(g.kernel, obj, part="r")
-    terms = [(a, 1.0) for a in build_f_atoms(g.kernel, obj, part="r", link_weights=link_weights)]
+    h_atoms = full_kernel(g.kernel, build_h_atoms(g.kernel, obj))
+    terms = [(a, 1.0) for a in full_kernel(g.kernel, build_f_atoms(g.kernel, obj, link_weights=link_weights))]
     terms += [(a, -rho[pos // obj.n_channels]) for pos, a in enumerate(h_atoms)]
     if obj.penalty_weight != 0.0:
         terms += [(a, 2.0 * obj.penalty_weight) for a in g.project().atoms]

@@ -264,11 +264,13 @@ class TestChannelNames:
 
 class TestWrongJsonTypes:
     """A dataset-manifest or simulate-config field of the wrong JSON type,
-    or a manifest horizon that is not positive, exits 2 before any output
-    is written."""
+    a manifest horizon that is not positive, or a driver name listed twice
+    exits 2 before any output is written."""
 
     @pytest.mark.parametrize(
-        "field, value", [("csv", 5), ("target_channel", None), ("horizon", -1.0)], ids=["csv", "target", "horizon"]
+        "field, value",
+        [("csv", 5), ("target_channel", None), ("horizon", -1.0), ("driver_channels", ["z", "z"])],
+        ids=["csv", "target", "horizon", "duplicate-drivers"],
     )
     def test_fit_refuses_a_manifest_field(self, tmp_path, capsys, field, value):
         data = make_dataset(tmp_path, DENSE_TIMES)
@@ -703,8 +705,8 @@ class TestBasisCommand:
         obj = Objective(link, 5.0, events, drivers)
         k = SobolevKernel(m=2, horizon=8.0)
         poly = [h0_poly(k, 0, i) for i in (1, 2)]
-        h_atoms = [a for a in build_h_atoms(k, obj, part="r1") if not a.is_zero]
-        atoms = poly + h_atoms + build_f_atoms(k, obj, part="r1")
+        h_atoms = [a for a in build_h_atoms(k, obj) if not a.is_zero]
+        atoms = poly + h_atoms + build_f_atoms(k, obj)
         assert basis["atoms"] == [a.to_dict() for a in atoms]
         assert basis["slices"] == {
             "h0": [0, 2], "h": [2, 2 + len(h_atoms)], "f": [2 + len(h_atoms), len(atoms)]

@@ -15,12 +15,14 @@ from glppm.data import DriverChannel, DriverSeries
 from glppm.errors import ConfigError, DataError, DomainError
 from glppm.filters import (
     FilterFunction,
+    _merged_atom,
+    _ro,
     h0_poly,
     integrated_segments,
     kernel_section,
 )
 from glppm.kernel import SobolevKernel, _cross_weighted_sum, _family_sums, _prefix_table
-from glppm.likelihood import linear_predictor
+from glppm.likelihood import _segment_integrals, linear_predictor
 
 from oracles import (
     checked_value,
@@ -201,12 +203,17 @@ class TestPrefixTables:
             for call in ("builds", "reads"):
                 for u in queries:
                     assert same_bits(g.evaluate(ch, u), fresh_value(g, ch, u)), (ch, call, u)
-                    assert same_bits(form.antiderivative(k, u), fresh_antiderivative(g, ch, u))
+                    # the exact integral over segments (u / 2, u] reads no
+                    # value table
+                    hi = np.atleast_1d(u)
+                    ((_, got),) = _segment_integrals(k, [form], hi / 2, hi)
+                    want = fresh_antiderivative(g, ch, hi) - fresh_antiderivative(g, ch, hi / 2)
+                    assert same_bits(got[0], want)
                 # the first evaluation binds every channel's value tables
                 assert built == [(m, m), (m + 1, m)] * 2
 
     def test_an_atom_keeps_no_state(self):
-        # values, antiderivatives and bound readers leave an atom as it was
+        # values, segment integrals and bound readers leave an atom as it was
         k = SobolevKernel(m=2, horizon=5.0)
         g = random_filter(k, np.random.default_rng(9))
         u = np.linspace(0, 5, 11)
@@ -214,7 +221,7 @@ class TestPrefixTables:
             before = copy.deepcopy(vars(atom))
             FilterFunction(k, atom.channel + 1, (atom,), np.ones(1)).evaluate(atom.channel, u)
             atom.h1_value(u)
-            atom.antiderivative(k, u)
+            list(_segment_integrals(k, [atom], u / 2, u))
             atom._bound_value()(u)
             after = vars(atom)
             assert after.keys() == before.keys()
@@ -269,7 +276,7 @@ class TestPrefixTables:
         out = 5.5 if 5.5 in bad else -0.1
         for call in (
             lambda u: g.evaluate(0, u),
-            lambda u: g.normal_forms[0].antiderivative(k, u),
+            lambda u: list(_segment_integrals(k, g.normal_forms[:1], np.zeros(1), np.atleast_1d(u))),
         ):
             with pytest.raises(DomainError) as exc:
                 call(np.array(bad))
@@ -548,7 +555,8 @@ class TestSerialization:
         # a channel whose one smooth atom has coefficient 1, as every channel
         # of a compact filter and of its payload read back, takes that atom's
         # arrays with no flatten, domain check or merge, and with the bits of
-        # the full merge; coefficient 2 takes the merge
+        # the full merge; coefficient 2 takes the merge, which checks no
+        # domain either: the filter checked its atoms when it was built
         k = SobolevKernel(m=m, horizon=5.0)
         g = random_filter(k, np.random.default_rng(16), n_channels=2)
         calls = []
@@ -569,15 +577,14 @@ class TestSerialization:
                 for name, arr in zip(FORM_FIELDS, want):
                     assert same_bits(getattr(form, name), arr) and same_bits(arr, getattr(old, name)), name
         # an atom of a longer kernel, under this filter's horizon, is outside
-        # its domain: that channel takes the merge, and its domain check raises
+        # its domain: the filter is not built
         short = SobolevKernel(m=m, horizon=float(c.atoms[0].sec_lags[-1]) / 2)
-        shorter = FilterFunction(short, 2, c.atoms, c.coefficients)
         with pytest.raises(DomainError):
-            shorter.normal_forms
+            FilterFunction(short, 2, c.atoms, c.coefficients)
         del calls[:]
         doubled = FilterFunction(k, 2, c.atoms, np.where([a.kind == "h0" for a in c.atoms], c.coefficients, 2.0))
         forms = doubled.normal_forms
-        assert {"_flatten", "_merge_sorted", "_check_domain"} <= set(calls)
+        assert {"_flatten", "_merge_sorted"} <= set(calls) and "_check_domain" not in calls
         for form, want in zip(forms, sorted_normal_forms(doubled)):
             for name, arr in zip(FORM_FIELDS, want):
                 assert same_bits(getattr(form, name), arr), name
@@ -717,6 +724,49 @@ class TestValidation:
         atom = kernel_section(k, 1, 1.0)
         with pytest.raises(ConfigError):
             FilterFunction(k, 1, (atom,), np.ones(1))
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_an_atom_of_a_longer_kernel_is_refused_when_the_filter_is_built(self, m):
+        # a section lag or a segment node beyond the horizon raises at
+        # construction, before any normal form is read
+        long, short = SobolevKernel(m=m, horizon=10.0), SobolevKernel(m=m, horizon=5.0)
+        for atom in (
+            kernel_section(long, 0, 7.0),
+            section_sum(long, 0, [1.0, 6.0], [1.0, 2.0]),
+            integrated_segments(long, 0, [1.0], [6.0], [1.0]),
+        ):
+            with pytest.raises(DomainError) as exc:
+                FilterFunction(short, 1, (h0_poly(short, 0, 1), atom), np.array([1.0, 0.0]))
+            assert exc.value.at in (6.0, 7.0)
+        # the horizon itself is inside
+        at_end = kernel_section(long, 0, 5.0)
+        assert FilterFunction(short, 1, (at_end,), np.ones(1)).evaluate(0, 5.0) > 0.0
+
+    def test_a_nan_does_not_hide_an_out_of_range_lag_at_construction(self, monkeypatch):
+        # sorted, a NaN comes last, so the last lag is no bound: such an
+        # atom takes the kernel's check, which sees past the NaN, whether
+        # the NaN is a section lag or a segment node; an atom whose lags
+        # end within the horizon takes no check at all
+        long, short = SobolevKernel(m=2, horizon=10.0), SobolevKernel(m=2, horizon=5.0)
+        nan_last, ones = _ro([1.0, 7.0, np.nan]), _ro(np.ones(3))
+        for bad in (
+            _merged_atom(long, 0, "section", "r1", nan_last, ones),
+            _merged_atom(long, 0, "normal", "r1", _ro([1.0]), _ro([1.0]), _ro([7.0, np.nan]), _ro([1.0, -1.0])),
+        ):
+            with pytest.raises(DomainError) as exc:
+                FilterFunction(short, 1, (bad,), np.ones(1))
+            assert exc.value.at == 7.0
+        # a NaN beside lags in range evaluates to NaN, as before
+        nan_inside = _merged_atom(long, 0, "section", "r1", _ro([1.0, np.nan]), _ro([1.0, 1.0]))
+        g = FilterFunction(short, 1, (nan_inside,), np.ones(1))
+        assert np.isnan(g.evaluate(0, 2.0))
+        calls = []
+        real = SobolevKernel._check_domain
+        monkeypatch.setattr(SobolevKernel, "_check_domain", lambda *a: calls.append(a) or real(*a))
+        inside = random_filter(short, np.random.default_rng(3), n_channels=2)
+        calls.clear()
+        FilterFunction(short, 2, inside.atoms, inside.coefficients).normal_forms
+        assert calls == []
 
     def test_poly_index_range(self):
         k = SobolevKernel(m=2, horizon=3.0)

@@ -8,7 +8,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from glppm.data import AtRiskProcess, DriverChannel, DriverSeries, EventSeries
 from glppm.errors import ConfigError, DomainError, InfeasibleError
-from glppm.filters import FilterFunction, h0_poly, kernel_section
+from glppm import likelihood
+from glppm.filters import Atom, FilterFunction, h0_poly, integrated_segments, kernel_section
 from glppm.kernel import SobolevKernel
 from glppm.likelihood import (
     LinkSpec,
@@ -24,7 +25,14 @@ from glppm.likelihood import (
     softplus_link,
 )
 
-from oracles import atom_columns, gradient, hessian_coords, same_bits, section_sum
+from oracles import (
+    atom_columns,
+    gradient,
+    hessian_coords,
+    same_bits,
+    section_sum,
+    segment_integrals_one_by_one,
+)
 
 
 def small_filter(kernel, rng, n_channels, scale=0.01):
@@ -516,6 +524,42 @@ class TestCompensator:
         g = FilterFunction.zero(k, 2)
         with pytest.raises(DomainError):
             compensator(g, linear_link(1.0), AtRiskProcess.unit(), drivers, 8.5)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_the_linear_route_integrates_each_channel_in_one_pass(self, tiny, m, monkeypatch):
+        # per channel one domain check of the segment ends, one prefix table
+        # per kind (sections, segments) and the normal form's polynomial
+        # antiderivative at each end, with no per-atom antiderivative; the
+        # values have the bits of integrating each normal form from 0 to
+        # each end through the independent oracle
+        events, drivers = tiny
+        k = SobolevKernel(m=m, horizon=8.0)
+        rng = np.random.default_rng(47)
+        segments = tuple(integrated_segments(k, ch, [0.5, 1.0], [2.0, 4.5], [0.3, -0.2]) for ch in range(2))
+        g = small_filter(k, rng, 2, scale=0.05) + FilterFunction(k, 2, segments, np.full(2, 0.05))
+        for f in g.normal_forms:
+            assert f.sec_lags.size and f.seg_nodes.size and f.h0.any()
+        y = AtRiskProcess([4.0], [1.0, 0.5])
+        s = np.array([0.0, 0.7, 2.0, 3.0, 5.5, 8.0])
+        link = linear_link(1.0)
+        with monkeypatch.context() as patch:
+            patch.setattr(likelihood, "_segment_integrals", segment_integrals_one_by_one)
+            want = compensator(g, link, y, drivers, s)
+        calls = {}
+        for owner, name in (
+            (SobolevKernel, "_check_domain"), (likelihood, "_prefix_table"),
+            (Atom, "h1_antiderivative"), (likelihood, "_segment_integrals"),
+        ):
+            real = getattr(owner, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        got = compensator(g, link, y, drivers, s)
+        assert same_bits(got, want) and got[-1] > 0.0
+        assert calls == {"_segment_integrals": 2, "_check_domain": 2 * 3, "_prefix_table": 2 * 2}
 
     @pytest.mark.parametrize("link", [linear_link(1.0), exponential_link()])
     def test_array_call_matches_scalar_calls(self, tiny, link):

@@ -48,6 +48,7 @@ from oracles import (
     atom_columns,
     exact_compensator,
     full_gram,
+    full_kernel,
     gradient,
     h1_gram,
     hessian_coords,
@@ -367,7 +368,7 @@ class TestFitLinear:
             grad = gradient(FilterFunction(k, 1, atoms, gamma), obj)
             if dpsi.any():
                 grad = grad + FilterFunction(
-                    k, 1, tuple(build_f_atoms(k, obj, part="r", link_weights=dpsi)), np.ones(1)
+                    k, 1, tuple(full_kernel(k, build_f_atoms(k, obj, link_weights=dpsi))), np.ones(1)
                 )
             assert_allclose(traced, np.sqrt(grad.inner_product(grad)), rtol=1e-8, atol=floor)
 
@@ -812,13 +813,13 @@ class TestGradientRoles:
         _, rho = core.event_terms(ws.E @ gamma)
         gam = core.gradient(gamma, rho, dpsi)[1]
         g = FilterFunction(kernel, linear.n_channels, tuple(ws.atoms), gamma)
-        hinge_atoms = tuple(build_f_atoms(kernel, linear, part="r", link_weights=dpsi))
+        hinge_atoms = tuple(full_kernel(kernel, build_f_atoms(kernel, linear, link_weights=dpsi)))
         grad = gradient(g, linear) + FilterFunction(kernel, linear.n_channels, hinge_atoms, np.ones(len(hinge_atoms)))
         diff = FilterFunction(kernel, linear.n_channels, tuple(ws.atoms), gam) - grad
         assert diff.inner_product(diff) <= 1e-20 * grad.inner_product(grad)
         # the compensator row's share of the polynomial coordinates is the
         # polynomial content of the oracle's compensator atoms
-        compensator = build_f_atoms(kernel, linear, part="r")
+        compensator = full_kernel(kernel, build_f_atoms(kernel, linear))
         want = np.concatenate([a.h0 for a in sorted(compensator, key=lambda a: a.channel)])
         assert_allclose(ws.comp[: linear.n_channels * kernel.m], want, rtol=1e-12, atol=1e-14)
 
@@ -894,7 +895,7 @@ class TestBulkDictionary:
                 append_one(ref, atom, POINT, ref._n_nodes + pos // n_ch, functional=functional)
         compensator = np.zeros(ref._n_rows)
         compensator[-1] = 1.0
-        for atom in build_f_atoms(kernel, obj, part="r1"):
+        for atom in build_f_atoms(kernel, obj):
             append_one(ref, atom, INTEGRAL, functional=compensator)
         assert_same_workspace(ws, ref)
 
@@ -937,7 +938,7 @@ class TestBulkDictionary:
             assert same_bits(obj.integral_column(a), obj.columns(kernel, [b]))
         # the full-kernel atoms carry the same polynomial content
         for a, b in zip(
-            build_f_atoms(kernel, obj, part="r", link_weights=steps[2]),
+            full_kernel(kernel, build_f_atoms(kernel, obj, link_weights=steps[2])),
             integral_atoms_one_by_one(kernel, obj, steps[2], "r"),
         ):
             assert same_bits(a.h0, b.h0) and same_bits(a.sec_weights, b.sec_weights)
@@ -957,11 +958,11 @@ class TestColumns:
         node weights; the quiet channel has no pairs at all."""
         rng = np.random.default_rng(31)
         h_atoms = [
-            a for a in build_h_atoms(kernel, obj, part="r") if not a.is_zero
+            a for a in full_kernel(kernel, build_h_atoms(kernel, obj)) if not a.is_zero
         ]
-        segments = build_f_atoms(kernel, obj, part="r1")
+        segments = build_f_atoms(kernel, obj)
         weights = rng.uniform(0.1, 1.0, obj.nodes.size)
-        integral = build_f_atoms(kernel, obj, part="r1", link_weights=weights)
+        integral = build_f_atoms(kernel, obj, link_weights=weights)
         mix = h_atoms[:4] + segments + [h0_poly(kernel, ch, kernel.m) for ch in range(2)]
         forms = FilterFunction(
             kernel, obj.n_channels, tuple(mix), rng.normal(size=len(mix))
@@ -1132,18 +1133,18 @@ class TestGrowthCost:
     def test_a_block_takes_its_compensator_row_from_one_table_per_channel(self, m, monkeypatch):
         # the linear link's compensator row of a block: per channel one
         # domain check and one prefix table per kind (sections, segments),
-        # no per-atom antiderivative, and each atom's entry with the bits of
-        # its own exact compensator, polynomial content included
+        # no per-atom ``h1_antiderivative``, and each atom's entry with the
+        # bits of its own exact compensator, polynomial content included
         kernel, obj = history_objective(m, quiet_channel=True)
         linear = Objective(linear_link(0.5), 1.0, obj.events, obj.drivers, at_risk=obj.at_risk)
         atoms = [h0_poly(kernel, ch, k) for ch in range(3) for k in range(1, m + 1)]
-        atoms += build_h_atoms(kernel, linear, part="r") + build_f_atoms(kernel, linear, part="r")
-        atoms += build_f_atoms(kernel, linear, "r1", link_weights=np.linspace(0.0, 1.0, linear.nodes.size))
+        atoms += full_kernel(kernel, build_h_atoms(kernel, linear) + build_f_atoms(kernel, linear))
+        atoms += build_f_atoms(kernel, linear, link_weights=np.linspace(0.0, 1.0, linear.nodes.size))
         want = [exact_compensator(kernel, linear, a) for a in atoms]
         calls = {}
         for owner, name in (
             (SobolevKernel, "_check_domain"), (likelihood, "_prefix_table"),
-            (Atom, "antiderivative"), (Atom, "h1_antiderivative"),
+            (Atom, "h1_antiderivative"),
         ):
             real = getattr(owner, name)
 
@@ -1471,7 +1472,7 @@ class TestLeanIntegralAtoms:
             ws.add_integral_atoms(weights)
             functional = np.zeros(ref._n_rows)
             functional[: ref._n_nodes] = weights
-            for a in build_f_atoms(kernel, obj, part="r1", link_weights=weights):
+            for a in build_f_atoms(kernel, obj, link_weights=weights):
                 if not a.is_zero:
                     append_one(ref, a, INTEGRAL, functional=functional)
             assert len(ws) - n == 2
@@ -1507,11 +1508,11 @@ class TestNormalForms:
         """Polynomials, part "r" history atoms and integral atoms of random
         node weights on two channels, the segment-only integral atom on one."""
         atoms = [h0_poly(kernel, ch, k) for ch in range(2) for k in range(1, kernel.m + 1)]
-        atoms += [a for a in build_h_atoms(kernel, obj, part="r") if not a.is_zero]
-        atoms.append(build_f_atoms(kernel, obj, part="r1")[1])
+        atoms += [a for a in full_kernel(kernel, build_h_atoms(kernel, obj)) if not a.is_zero]
+        atoms.append(build_f_atoms(kernel, obj)[1])
         for _ in range(n_integral):
             weights = rng.uniform(-1.0, 1.0, obj.nodes.size)
-            atoms += build_f_atoms(kernel, obj, part="r1", link_weights=weights)
+            atoms += build_f_atoms(kernel, obj, link_weights=weights)
         return atoms
 
     @staticmethod

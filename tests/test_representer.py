@@ -1,6 +1,8 @@
 """The linear link's representer basis, as ``fit_linear`` builds it in its
 workspace: event atoms, compensator atoms, design, Gram."""
 
+import inspect
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -17,7 +19,7 @@ from glppm.likelihood import (
 )
 from glppm.optimizer import FREE, POINT, _Workspace
 
-from oracles import full_gram, h1_gram, integrated_points
+from oracles import full_gram, full_kernel, h1_gram, integrated_points
 
 
 def representer_basis(kernel, obj):
@@ -88,11 +90,30 @@ class TestBasisShape:
         assert_allclose(ws.E[0], np.zeros(4), atol=1e-15)
 
 
+class TestBuilders:
+    def test_the_builders_take_no_part_and_build_h1_atoms(self, tiny):
+        # the polynomial content of a representer is the fitters' phi_k
+        # coordinates, so the builders build part "r1" only; a full-kernel
+        # atom is the tests' to make (``oracles.full_kernel``)
+        params = {f: list(inspect.signature(f).parameters) for f in (build_h_atoms, build_f_atoms)}
+        assert params == {
+            build_h_atoms: ["kernel", "obj", "points"], build_f_atoms: ["kernel", "obj", "link_weights"]
+        }
+        events, drivers = tiny
+        k = SobolevKernel(m=2, horizon=8.0)
+        obj = Objective(linear_link(0.5), 1.0, events, drivers)
+        weights = np.linspace(0.0, 1.0, obj.nodes.size)
+        atoms = build_h_atoms(k, obj) + build_f_atoms(k, obj) + build_f_atoms(k, obj, link_weights=weights)
+        assert len(atoms) == 2 * len(events) + 4
+        assert all(a.part == "r1" and not a.h0.any() for a in atoms)
+        assert all(f.h0.any() for f in full_kernel(k, atoms[-4:]))
+
+
 class TestEventAtoms:
     def test_knots_are_interdistances(self, tiny):
         events, drivers = tiny
         k = SobolevKernel(m=2, horizon=8.0)
-        atoms = build_h_atoms(k, Objective(linear_link(0.5), 1.0, events, drivers), "r1")
+        atoms = build_h_atoms(k, Objective(linear_link(0.5), 1.0, events, drivers))
         # atoms are grouped per event, channels side by side
         got = {}
         for a in atoms:
@@ -108,7 +129,7 @@ class TestEventAtoms:
         ev = EventSeries(2.0, np.array([1.0]))
         dr = DriverSeries(2.0, (DriverChannel("z", np.array([0.0]), np.ones(1)),))
         k = SobolevKernel(m=2, horizon=2.0)
-        atoms = build_h_atoms(k, Objective(linear_link(0.5), 1.0, ev, dr), "r1")
+        atoms = build_h_atoms(k, Objective(linear_link(0.5), 1.0, ev, dr))
         assert len(atoms) == 1
         g = FilterFunction(k, 1, (atoms[0],), np.ones(1))
         assert_allclose(g.evaluate(0, 1.0), 1.0 / 3.0, rtol=0, atol=1e-15)
@@ -119,7 +140,7 @@ class TestEventAtoms:
         events, drivers = tiny
         k = SobolevKernel(m=2, horizon=8.0)
         rng = np.random.default_rng(1)
-        atoms = build_h_atoms(k, Objective(linear_link(0.5), 1.0, events, drivers), "r1")
+        atoms = build_h_atoms(k, Objective(linear_link(0.5), 1.0, events, drivers))
         h = small_filter(k, rng, 2)
         ph = h.project()
         for a in atoms:
@@ -135,7 +156,7 @@ class TestEventAtoms:
         k = SobolevKernel(m=2, horizon=8.0)
         rng = np.random.default_rng(2)
         h = small_filter(k, rng, 2)
-        atoms = build_h_atoms(k, Objective(linear_link(0.5), 1.0, events, drivers), "r")
+        atoms = full_kernel(k, build_h_atoms(k, Objective(linear_link(0.5), 1.0, events, drivers)))
         for a in atoms:
             af = FilterFunction(k, 2, (a,), np.ones(1))
             want = sum(
@@ -154,7 +175,7 @@ class TestCompensatorAtom:
         for sigma, r, want in [(0.0, 1.0, 17.0 / 24.0), (1.0, 2.0, 7.0 / 24.0)]:
             dr = DriverSeries(2.0, (DriverChannel("z", np.array([sigma]), np.ones(1)),))
             obj = Objective(linear_link(0.5), 1.0, ev, dr)
-            atoms = build_f_atoms(k, obj, part="r1")
+            atoms = build_f_atoms(k, obj)
             assert len(atoms) == 1
             g = FilterFunction(k, 1, (atoms[0],), np.ones(1))
             assert_allclose(g.evaluate(0, r), want, rtol=0, atol=1e-14)
@@ -165,7 +186,7 @@ class TestCompensatorAtom:
         k = SobolevKernel(m=2, horizon=8.0)
         rng = np.random.default_rng(3)
         obj = Objective(linear_link(0.5), 1.0, events, drivers)
-        atoms = build_f_atoms(k, obj, part="r1")
+        atoms = build_f_atoms(k, obj)
         h = small_filter(k, rng, 2).project()
         total = sum(
             FilterFunction(k, 2, (a,), np.ones(1)).inner_product(h) for a in atoms
@@ -186,7 +207,7 @@ class TestCompensatorAtom:
         for q in (0, len(obj.nodes) // 2, len(obj.nodes) - 1):
             w = np.zeros(len(obj.nodes))
             w[q] = 1.0
-            atoms = build_f_atoms(k, obj, part="r", link_weights=w)
+            atoms = full_kernel(k, build_f_atoms(k, obj, link_weights=w))
             eta = FilterFunction(k, 2, tuple(atoms), np.ones(len(atoms)))
             want = linear_predictor(h, drivers, float(obj.nodes[q]))
             assert_allclose(eta.inner_product(h), want, rtol=1e-11, atol=1e-12)
@@ -199,7 +220,8 @@ class TestCompensatorAtom:
         k = SobolevKernel(m=2, horizon=8.0)
         obj = Objective(linear_link(0.5), 1.0, events, drivers)
         w = np.random.default_rng(5).uniform(-1.0, 1.0, obj.nodes.size)
-        for j, atom in enumerate(build_f_atoms(k, obj, part=part, link_weights=w)):
+        atoms = build_f_atoms(k, obj, link_weights=w)
+        for j, atom in enumerate(atoms if part == "r1" else full_kernel(k, atoms)):
             eval_idx, _, lags, dz = obj._node_pairs[j]
             want = integrated_points(k, j, lags, w[eval_idx] * dz, part=part)
             for name in ("sec_lags", "sec_weights", "h0"):
@@ -270,7 +292,7 @@ class TestSplineStructure:
         k = SobolevKernel(m=2, horizon=6.0)
         ev = EventSeries(6.0, np.array([2.0, 4.5]))
         dr = DriverSeries(6.0, (DriverChannel("target", ev.times, np.ones(2)),))
-        atoms = build_h_atoms(k, Objective(linear_link(0.5), 1.0, ev, dr), "r1")
+        atoms = build_h_atoms(k, Objective(linear_link(0.5), 1.0, ev, dr))
         atom = atoms[1]
         g = FilterFunction(k, 1, (atom,), np.ones(1))
 
@@ -289,7 +311,7 @@ class TestSplineStructure:
         ev = EventSeries(4.0, np.array([2.0]))
         dr = DriverSeries(4.0, (DriverChannel("z", np.array([1.5]), np.ones(1)),))
         obj = Objective(linear_link(0.5), 1.0, ev, dr)
-        atom = build_f_atoms(k, obj, part="r1")[0]
+        atom = build_f_atoms(k, obj)[0]
         g = FilterFunction(k, 1, (atom,), np.ones(1))
         cut = 4.0 - 1.5
         u_in = np.linspace(0.0, cut, 60)

@@ -315,8 +315,8 @@ class TestFilterSpec:
 
     def test_candidates_skip_the_domain_check(self, monkeypatch):
         # each candidate reads every channel's filter once through
-        # SimSpec.filter_values, and the kernel's domain check runs a
-        # bounded number of times, however many candidates there are
+        # SimSpec.filter_values, and the kernel's domain check never runs,
+        # however many candidates there are
         checks, values, links = [], [], []
         check, filter_values, link_value = (
             SobolevKernel._check_domain, SimSpec.filter_values, type(linear_link(0.5)).value
@@ -354,7 +354,9 @@ class TestFilterSpec:
         simulate(spec, seed=0)
         assert len(links) > 100
         assert len(values) == 2 * len(links)
-        assert len(checks) <= 2  # building the normal forms, once per channel
+        # none at all: the filter checked its atoms when it was built, and
+        # its normal forms take them unchecked
+        assert checks == []
 
         # with the automatic bound, the envelope grid adds one call per
         # channel and still no check; the envelope's reads are the ones of
@@ -370,7 +372,7 @@ class TestFilterSpec:
         grid = [lags for lags in values if same_bits(lags, full[: lags.size])]
         assert len(grid) == 3 and len(ev) > 20
         assert len(values) - len(grid) >= 3 * len(ev) - 1
-        assert len(checks) <= 3
+        assert checks == []
 
 
 def hat(k: SobolevKernel, channel: int, height: float):

@@ -1,6 +1,8 @@
-"""The benchmark's tracer finds every glppm attribute it wraps, and counts
+"""The benchmark's tracer finds every glppm attribute it wraps, wraps no
+name that glppm code never reads beyond six known ones, and counts
 thinning candidates where ``simulate`` reads the filter."""
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -15,13 +17,21 @@ from glppm.likelihood import linear_link
 from oracles import same_bits, thinning_reference
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_tracing():
+    """``bench/tracing.py`` as a module, read where it stands."""
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
 def test_every_traced_hook_resolves():
     # a refactor that drops or renames a traced name fails here, not only
     # in a traced benchmark run
-    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("bench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = load_tracing()
     tracer = tracing.Tracer()
     try:
         tracer.install()
@@ -45,11 +55,7 @@ def test_candidates_are_counted_at_filter_values():
             link=linear_link(0.5), filters=g, horizon=60.0, drivers=DriverSeries(60.0, (z,))
         )
 
-    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
-    tracing_spec = importlib.util.spec_from_file_location("bench_tracing", path)
-    tracing = importlib.util.module_from_spec(tracing_spec)
-    tracing_spec.loader.exec_module(tracing)
-    tracer = tracing.Tracer()
+    tracer = load_tracing().Tracer()
     try:
         tracer.install()
         events, _ = glppm.simulator.simulate(spec(), seed=2)
@@ -59,3 +65,48 @@ def test_candidates_are_counted_at_filter_values():
     assert tracer.missing == [] and len(want) > 20
     assert same_bits(events.times, want)
     assert tracer.calls_within("simulator.predictor", "simulator.simulate") == calls
+
+
+def read_names(tree: ast.Module, module: str) -> set[str]:
+    """The bindings that the code of ``glppm.<module>`` reads, to call or
+    to pass on: ``glppm.<module>.f`` for a bare name ``f``, which is the
+    module's own global, and for an attribute ``x.f`` (``data.load_events``,
+    ``g.to_json``) ``*.f`` under any owner and ``glppm.x.f`` for a module
+    ``x``; reading a class reads its ``__init__``."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out |= {f"glppm.{module}.{node.id}", f"*.{node.id}.__init__"}
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out |= {f"*.{node.attr}", f"*.{node.attr}.__init__"}
+            if isinstance(node.value, ast.Name):
+                out.add(f"glppm.{node.value.id}.{node.attr}")
+    return out
+
+
+def test_the_hooks_that_no_glppm_code_reads_are_the_known_six():
+    # a hooked binding that no glppm code reads is never called but by the
+    # tracer and the tests, so it reads 0 in every traced run; these six
+    # are kept for them alone, and a change that makes another hook dead
+    # fails here
+    read = set()
+    for path in sorted((ROOT / "src" / "glppm").glob("*.py")):
+        read |= read_names(ast.parse(path.read_text()), path.stem)
+    dead = set()
+    for module, path, _, _ in load_tracing().HOOKS:
+        *owner, attr = path.split(".")
+        # a method is read through any instance, a module function through
+        # its module's globals or as an attribute of the module
+        names = {f"*.{attr}"} if owner else {f"{module}.{attr}"}
+        if attr == "__init__":
+            names = {f"*.{owner[-1]}.__init__"}
+        if not names & read:
+            dead.add(f"{module}.{path}")
+    assert dead == {
+        "glppm.optimizer.h1_inner_row",
+        "glppm.optimizer.full_inner_row",
+        "glppm.filters.FilterFunction.to_json",
+        "glppm.filters.FilterFunction.from_json",
+        "glppm.likelihood.Objective.node_column",
+        "glppm.likelihood.Objective.event_column",
+    }
