@@ -36,7 +36,8 @@ unbuffered binary open (``data._write_text``).
 
 Exit codes: 0 success; 2 a usage error (argparse's, such as a negative
 ``--grid`` or ``--seed``), bad configuration, a missing or unreadable
-config or dataset manifest (one that is not UTF-8 included), or an
+config or dataset manifest (one that is not UTF-8 included), a config's
+filter that is neither a path nor a payload with a ``format`` field, or an
 ``--out`` that cannot be made a directory; 3 bad or out-of-domain data,
 including a dataset CSV or a filter file that cannot be read or is not
 UTF-8; 4 solver non-convergence (the fit outputs are still written); 5
@@ -149,14 +150,26 @@ def _load_dataset(args, role: str, data_path):
     return manifest, events, drivers
 
 
+def _config_filter(args, raw, key: str):
+    """The filter payload that the config's ``key`` value names.  A string
+    is a path relative to the config's directory, read once as the input
+    ``filter``; a file that cannot be read is a DataError, as in
+    ``FilterFunction.load``.  An object with a ``format`` field is the
+    payload itself, and anything else a ConfigError."""
+    if isinstance(raw, str):
+        return _read_json(_input(args, "filter", Path(args.config).parent / raw), DataError)
+    if isinstance(raw, dict) and raw.get("format"):
+        return raw
+    raise ConfigError(f"{key} must be a filter JSON payload or a path to one")
+
+
 def _load_filter_bundle(args):
     """Filter JSON plus the link and at-risk process to evaluate it under,
     from the ``--config`` file.
 
     Accepts the payload written by ``fit`` (a filter with an embedded
     ``link`` key) or a wrapper object {"filter": payload-or-path, "link":
-    {...}, "at_risk": {...}}; a filter file it names, the input ``filter``,
-    that cannot be read is a DataError, as in ``FilterFunction.load``.
+    {...}, "at_risk": {...}}, whose filter ``_config_filter`` reads.
     """
     path = args.config
     raw = _read_json(_input(args, "config", path))
@@ -166,12 +179,8 @@ def _load_filter_bundle(args):
         link_raw = raw.get("link")
     elif "filter" in raw:
         _check_keys(raw, {"filter", "link", "at_risk"}, "filter wrapper")
-        inner = raw["filter"]
-        if isinstance(inner, str):
-            payload = _read_json(_input(args, "filter", Path(path).parent / inner), DataError)
-        else:
-            payload = inner
-        link_raw = raw.get("link", payload.get("link") if isinstance(payload, dict) else None)
+        payload = _config_filter(args, raw["filter"], "filter")
+        link_raw = raw.get("link", payload.get("link"))
         if "at_risk" in raw:
             at_risk = _parse_at_risk(raw["at_risk"])
     else:
@@ -228,13 +237,7 @@ def cmd_simulate(args) -> int:
         raise ConfigError("simulate config needs link, horizon and filters")
     link = _parse_link(cfg["link"])
 
-    raw_f = cfg["filters"]
-    if isinstance(raw_f, str):
-        g = FilterFunction.load(_input(args, "filter", Path(args.config).parent / raw_f))
-    elif isinstance(raw_f, dict) and raw_f.get("format"):
-        g = FilterFunction.from_dict(raw_f)
-    else:
-        raise ConfigError("filters must be a filter JSON payload or a path to one")
+    g = FilterFunction.from_dict(_config_filter(args, cfg["filters"], "filters"))
 
     drivers = None
     if "drivers" in cfg:

@@ -182,25 +182,6 @@ class Atom:
         count = np.count_nonzero
         return not (count(self.sec_weights) or count(self.seg_weights) or count(self.h0))
 
-    # -- H1 algebra ----------------------------------------------------------
-
-    def h1_value(self, u):
-        """Smooth-part value at lag(s) u: K[m,m] over the sections plus
-        K[m+1,m] over the segments."""
-        m = self.m
-        out = _cross_weighted_sum(m, m, self.sec_lags, self.sec_weights, u)
-        if self.seg_nodes.size:
-            out = out + _cross_weighted_sum(m + 1, m, self.seg_nodes, self.seg_weights, u)
-        return out
-
-    def h1_antiderivative(self, x):
-        """int_0^x of the smooth part, exactly (cross-order kernels)."""
-        m = self.m
-        out = _cross_weighted_sum(m, m + 1, self.sec_lags, self.sec_weights, x)
-        if self.seg_nodes.size:
-            out = out + _cross_weighted_sum(m + 1, m + 1, self.seg_nodes, self.seg_weights, x)
-        return out
-
     def _bound_value(self):
         """The atom's value on lag arrays as one function of the lags
         alone, with no domain check, for a caller whose lags lie in
@@ -295,7 +276,15 @@ def _atom_value(sec_lags, sec_table, seg_nodes, seg_table, h0, u: np.ndarray) ->
 
 
 def _normal_form_atom(kernel, channel, kind, part, sec_lags, sec_weights, seg_nodes, seg_weights) -> Atom:
+    """The atom of these sections and segments, sorted and merged.  A lag or
+    node outside the kernel's domain or not finite raises DomainError, and a
+    weight that is not finite ConfigError, before the merge: it would fold
+    a NaN into the group of the entry before it."""
     kernel._check_domain(sec_lags, seg_nodes)
+    if not (np.isfinite(sec_lags).all() and np.isfinite(seg_nodes).all()):
+        raise DomainError("atom lags and segment nodes must be finite")
+    if not (np.isfinite(sec_weights).all() and np.isfinite(seg_weights).all()):
+        raise ConfigError("atom weights must be finite")
     arrays = (*_merge_sorted(sec_lags, sec_weights), *_merge_sorted(seg_nodes, seg_weights))
     return _merged_atom(kernel, channel, kind, part, *map(_ro, arrays))
 
@@ -595,17 +584,26 @@ def _flatten(atoms) -> tuple[np.ndarray, ...]:
 def h1_inner_row(atom: Atom, atoms) -> np.ndarray:
     """<P atom, P b> for every b in atoms: the support of the atoms on
     atom's channel is flattened once, so the row is one prefix-sum pass
-    instead of a pairwise loop."""
+    instead of a pairwise loop.  The one home of the H1 pairing: atom's
+    smooth part is K[m,q] over its sections plus K[m+1,q] over its
+    segments, read with q = m (its value) at the other atoms' section lags
+    and with q = m + 1 (its integral from 0) at their segment nodes."""
     atoms = list(atoms)
     idxs = [i for i, b in enumerate(atoms) if b.channel == atom.channel]
     sec_lags, sec_w, sec_owner, seg_nodes, seg_w, seg_owner = _flatten([atoms[i] for i in idxs])
+    m = atom.m
+
+    def smooth(q: int, x: np.ndarray) -> np.ndarray:
+        out = _cross_weighted_sum(m, q, atom.sec_lags, atom.sec_weights, x)
+        if atom.seg_nodes.size:
+            out = out + _cross_weighted_sum(m + 1, q, atom.seg_nodes, atom.seg_weights, x)
+        return out
+
     row = np.zeros(len(idxs))
     if sec_lags.size:
-        row += np.bincount(sec_owner, weights=sec_w * atom.h1_value(sec_lags), minlength=len(idxs))
+        row += np.bincount(sec_owner, weights=sec_w * smooth(m, sec_lags), minlength=len(idxs))
     if seg_nodes.size:
-        row += np.bincount(
-            seg_owner, weights=seg_w * atom.h1_antiderivative(seg_nodes), minlength=len(idxs)
-        )
+        row += np.bincount(seg_owner, weights=seg_w * smooth(m + 1, seg_nodes), minlength=len(idxs))
     out = np.zeros(len(atoms))
     out[idxs] = row
     return out

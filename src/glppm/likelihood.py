@@ -241,12 +241,13 @@ class _NodeLagIndex:
     pos: np.ndarray
 
 
-def _check_channels(g, drivers: DriverSeries) -> None:
-    """Reject a filter whose channel count differs from the data's; ``g`` is
-    a FilterFunction or a sequence of callables, one per channel."""
-    n = g.n_channels if isinstance(g, FilterFunction) else len(g)
-    if n != drivers.n_channels:
-        raise ConfigError(f"filter has {n} channels, data has {drivers.n_channels}")
+def _check_channels(g, n: int) -> None:
+    """Reject a filter whose channel count is not n, the data's or a
+    simulation's; ``g`` is a FilterFunction or a sequence of callables, one
+    per channel."""
+    k = g.n_channels if isinstance(g, FilterFunction) else len(g)
+    if k != n:
+        raise ConfigError(f"filter has {k} channels, expected {n}")
 
 
 def _filter_values(g, channel: int, lags: np.ndarray) -> np.ndarray:
@@ -258,12 +259,12 @@ def _filter_values(g, channel: int, lags: np.ndarray) -> np.ndarray:
 
 def _smooth_values(m: int, q: int, atoms, lags: np.ndarray):
     """(start, values): the smooth parts of atoms on one channel at its pair
-    lags, one row per atom from ``atoms[start]`` on, as ``Atom.h1_value``
-    sums them (q = m), or their antiderivatives at these points, as
-    ``Atom.h1_antiderivative`` sums them (q = m + 1).  Every block, one atom
-    included, takes this one path: a family's sums over another atom's
-    lags add zeros, which keep its bits, and atoms with no sections or
-    segments, as polynomials, have zeros."""
+    lags, one row per atom from ``atoms[start]`` on (q = m), or their
+    antiderivatives at these points (q = m + 1), each the sum that
+    ``filters.h1_inner_row`` takes of its atom at the same q.  Every block,
+    one atom included, takes this one path: a family's sums over another
+    atom's lags add zeros, which keep its bits, and atoms with no sections
+    or segments, as polynomials, have zeros."""
     flat, parts = _flatten(atoms), []
     for p, (a_lags, a_w, owner) in ((m, flat[:3]), (m + 1, flat[3:])):
         if a_lags.size:  # one stable sort by lag and one search per kind
@@ -476,7 +477,7 @@ class Objective:
         """X(g) at all quadrature nodes and at all event times (strict left
         limits): one ``columns`` call over the normal forms, whose columns
         are summed in channel order."""
-        _check_channels(g, self.drivers)
+        _check_channels(g, self.drivers.n_channels)
         x = self.columns(g.kernel, g.normal_forms)
         x = sum(x[:, ch] for ch in range(g.n_channels))
         return x[: self.nodes.size], x[self.nodes.size :]
@@ -490,7 +491,7 @@ def linear_predictor(g, drivers: DriverSeries, s) -> np.ndarray:
 
     ``g`` is a FilterFunction or one vectorized callable per channel.
     """
-    _check_channels(g, drivers)
+    _check_channels(g, drivers.n_channels)
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
     if not np.all((s_arr >= 0.0) & (s_arr <= drivers.horizon)):  # NaN fails too
         raise DomainError("evaluation times must lie in [0, horizon]")
@@ -680,7 +681,7 @@ def compensator(
     composite Gauss-Legendre quadrature with this many nodes per interval,
     which ``QuadratureConfig`` validates on either route.
     """
-    _check_channels(g, drivers)
+    _check_channels(g, drivers.n_channels)
     QuadratureConfig(nodes_per_interval)
     s_arr = np.asarray(s, dtype=float)
     if not np.all((s_arr >= 0.0) & (s_arr <= drivers.horizon)):

@@ -406,10 +406,11 @@ class _Hinge:
 class _Core:
     """Safeguarded Newton descent on F over a workspace dictionary.
 
-    The gradient of F has two forms (``gradient``): its coordinate gradient
-    grad_c = dF/dc, which the Newton system and the line search take, and
-    its coordinates gam in the dictionary, which the norm and steepest
-    descent take.
+    F has one closed form (``objective``), which every traced iterate and
+    every line search trial takes.  The gradient of F has two forms
+    (``gradient``): its coordinate gradient grad_c = dF/dc, which the
+    Newton system and the line search take, and its coordinates gam in the
+    dictionary, which the norm and steepest descent take.
 
     One core serves all passes of a fit and keeps their traces, step
     records and iteration count.
@@ -442,13 +443,22 @@ class _Core:
         rho = self.link.deriv(xe) / phi_e if phi_e.size else np.empty(0)
         return phi_e, rho
 
+    def objective(self, psi, xn: np.ndarray, phi: np.ndarray, pen: float, r: float) -> float:
+        """F in closed form, from the predictors xn at the nodes, the
+        intensities phi at the events, the penalty form pen = c' Gp c and
+        the compensator-row term r (comp . c + d int Y, 0 without a row)."""
+        f = psi.value(xn) + self.lam * pen + r
+        if phi.size:
+            f -= float(np.sum(np.log(phi))) + self.log_y
+        return f
+
     def line(
-        self, psi, gamma: np.ndarray, delta: np.ndarray, xn: np.ndarray, xe: np.ndarray, g_gp_g: float
+        self, psi, gamma: np.ndarray, delta: np.ndarray, xn: np.ndarray, xe: np.ndarray, g_gp_g: float, r_g: float
     ):
         """F and its derivative along gamma + alpha delta in closed form, as
         ``trial(alpha) -> (feasible, value, deriv)``, from the predictors xn
-        and xe and the penalty form g_gp_g at gamma; infeasible where an
-        intensity is not positive."""
+        and xe, the penalty form g_gp_g and the compensator-row term r_g at
+        gamma; infeasible where an intensity is not positive."""
         ws, obj, link, lam = self.ws, self.ws.obj, self.link, self.lam
         Ud, Ed, Gp_d = ws.U @ delta, ws.E @ delta, ws.Gp @ delta
         g_gp_d = float(gamma @ Gp_d)
@@ -456,9 +466,7 @@ class _Core:
         # null space rounding can give negative curvature, which the line
         # search would follow to an unbounded step
         d_gp_d = max(float(delta @ Gp_d), 0.0)
-        r_g = r_d = 0.0
-        if ws.comp is not None:
-            r_g, r_d = float(ws.comp @ gamma) + self.const, float(ws.comp @ delta)
+        r_d = float(ws.comp @ delta) if ws.comp is not None else 0.0
 
         def trial(alpha: float):
             xe_a = xe + alpha * Ed
@@ -466,11 +474,10 @@ class _Core:
             if phi_a.size and (obj.y_events * phi_a).min() <= 0.0:
                 return False, np.nan, np.nan
             xn_a = xn + alpha * Ud
-            f_a = psi.value(xn_a) + lam * (g_gp_g + 2.0 * alpha * g_gp_d + alpha**2 * d_gp_d)
-            f_a += r_g + alpha * r_d
+            pen = g_gp_g + 2.0 * alpha * g_gp_d + alpha**2 * d_gp_d
+            f_a = self.objective(psi, xn_a, phi_a, pen, r_g + alpha * r_d)
             df = float(psi.deriv(xn_a) @ Ud) + 2.0 * lam * (g_gp_d + alpha * d_gp_d) + r_d
             if phi_a.size:
-                f_a -= float(np.sum(np.log(phi_a))) + self.log_y
                 df -= float((link.deriv(xe_a) / phi_a) @ Ed)
             return True, f_a, df
 
@@ -566,7 +573,7 @@ class _Core:
         the norm is measured in a span that holds the gradient.  Returns
         (gamma, reason).
         """
-        ws, lam = self.ws, self.lam
+        ws = self.ws
         self.passes += 1
         steps = 0
         while True:
@@ -588,12 +595,8 @@ class _Core:
             gn2 = float(gam @ ws.G @ gam)
             gn = float(np.sqrt(max(gn2, 0.0)))
             g_gp_g = float(gamma @ (ws.Gp @ gamma))
-            # F at gamma, in the order of operations of ``line``'s trials
-            f0 = psi.value(xn) + lam * g_gp_g
-            if ws.comp is not None:
-                f0 += float(ws.comp @ gamma) + self.const
-            if phi.size:
-                f0 -= float(np.sum(np.log(phi))) + self.log_y
+            r_g = float(ws.comp @ gamma) + self.const if ws.comp is not None else 0.0
+            f0 = self.objective(psi, xn, phi, g_gp_g, r_g)
             self.objective_trace.append(f0)
             self.grad_norm_trace.append(gn)
             if gn2 < 0.0:
@@ -612,7 +615,7 @@ class _Core:
                 return gamma, "stationary"
 
             alpha, f_a, d_a, log, ok = _weak_wolfe_search(
-                self.line(psi, gamma, delta, xn, xe, g_gp_g), f0, d0
+                self.line(psi, gamma, delta, xn, xe, g_gp_g, r_g), f0, d0
             )
             self.records.append({
                 "iteration": len(self.objective_trace) - 1,

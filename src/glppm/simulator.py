@@ -49,7 +49,7 @@ import numpy as np
 from .data import AtRiskProcess, DriverChannel, DriverSeries, EventSeries
 from .errors import ConfigError, SolverError
 from .filters import FilterFunction
-from .likelihood import LinkSpec, _partition, compensator
+from .likelihood import LinkSpec, _check_channels, _partition, compensator
 
 __all__ = ["SimSpec", "simulate", "time_rescale"]
 
@@ -101,16 +101,9 @@ class SimSpec:
             raise ConfigError("need drivers or self_exciting=True")
         if self.drivers is not None and self.drivers.horizon != self.horizon:
             raise ConfigError("drivers horizon does not match the simulation horizon")
-        n = self.n_channels
-        if isinstance(self.filters, FilterFunction):
-            if self.filters.n_channels != n:
-                raise ConfigError(
-                    f"filter has {self.filters.n_channels} channels, expected {n}"
-                )
-            if self.filters.kernel.horizon < self.horizon:
-                raise ConfigError("filter kernel horizon shorter than the simulation")
-        elif len(self.filters) != n:
-            raise ConfigError(f"expected {n} filter callables, got {len(self.filters)}")
+        _check_channels(self.filters, self.n_channels)
+        if isinstance(self.filters, FilterFunction) and self.filters.kernel.horizon < self.horizon:
+            raise ConfigError("filter kernel horizon shorter than the simulation")
         if self.max_events < 1:
             raise ConfigError("max_events must be >= 1")
 

@@ -16,7 +16,8 @@ system through ``scipy.linalg``'s Cholesky wrappers, as references for the
 library's bulk builders and direct LAPACK calls.  ``atom_columns`` builds
 predictor columns atom by atom from ``checked_value``, the kernel's domain
 check and then the atom's unchecked ``Atom._bound_value``, and from
-``Atom.h1_value``, the reference for ``Objective.columns``;
+``smooth_value``, an atom's smooth part through ``_cross_weighted_sum``
+with no prefix table, the reference for ``Objective.columns``;
 ``atom_antiderivative`` integrates an atom from 0 with no prefix table
 (``_cross_weighted_sum``), independently of the likelihood's one exact
 integral, ``_segment_integrals``: ``exact_compensator`` integrates one atom
@@ -146,15 +147,24 @@ def prefix_sum_reference(p: int, q: int, lags, weights, queries):
     return out
 
 
+def smooth_value(atom, u):
+    """An atom's smooth part at lag(s) u, unchecked and with no prefix
+    table: K[m,m] over its sections plus K[m+1,m] over its segments, each
+    sum built for the call (``_cross_weighted_sum``)."""
+    m = atom.m
+    out = _cross_weighted_sum(m, m, atom.sec_lags, atom.sec_weights, u)
+    if atom.seg_nodes.size:
+        out = out + _cross_weighted_sum(m + 1, m, atom.seg_nodes, atom.seg_weights, u)
+    return out
+
+
 def fresh_value(g: FilterFunction, channel: int, u):
-    """g_channel(u) from the normal form with no prefix table: each kernel
-    sum is built for the call, and the polynomial part is ``np.tensordot``
-    over ``kernel.h0_basis``."""
+    """g_channel(u) from the normal form with no prefix table: its
+    ``smooth_value``, and the polynomial part ``np.tensordot`` over
+    ``kernel.h0_basis``."""
     f, k = g.normal_forms[channel], g.kernel
     k._check_domain(u)
-    out = _cross_weighted_sum(k.m, k.m, f.sec_lags, f.sec_weights, u)
-    if f.seg_nodes.size:
-        out = out + _cross_weighted_sum(k.m + 1, k.m, f.seg_nodes, f.seg_weights, u)
+    out = smooth_value(f, u)
     if np.any(f.h0):
         out = out + np.tensordot(f.h0, k.h0_basis(u), axes=(0, 0))
     return float(out) if np.ndim(out) == 0 else out
@@ -252,7 +262,7 @@ def atom_columns(kernel: SobolevKernel, obj: Objective, atoms):
     first."""
     halves = ((obj._node_pairs, obj.nodes.size), (obj._event_pairs, len(obj.events)))
     out = []
-    for value in (lambda a, u: checked_value(kernel, a, u), lambda a, u: a.h1_value(u)):
+    for value in (lambda a, u: checked_value(kernel, a, u), smooth_value):
         cols = []
         for a in atoms:
             col = []
@@ -483,9 +493,9 @@ def sorted_normal_forms(g: FilterFunction):
 
 def unchecked_value(form, u):
     """A normal form's value at lags u, unchecked, as ``Atom._value`` gave it
-    before its arithmetic moved into ``filters._atom_value``: ``h1_value``
-    through ``_cross_weighted_sum``, then the polynomial part."""
-    out = form.h1_value(u)
+    before its arithmetic moved into ``filters._atom_value``: its
+    ``smooth_value``, then the polynomial part."""
+    out = smooth_value(form, u)
     if form.m == 1:
         return out + form.h0[0] if form.h0[0] else out
     if not form.h0.any():

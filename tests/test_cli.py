@@ -297,6 +297,26 @@ class TestWrongJsonTypes:
         assert not (out / "events.csv").exists() and not (out / "dataset.json").exists()
 
 
+class TestConfigFilter:
+    @pytest.mark.parametrize("command", ["simulate", "gof", "intensity"])
+    @pytest.mark.parametrize("value", [{"atoms": []}, 5], ids=["no-format", "number"])
+    def test_an_inline_filter_that_is_no_payload_exits_2(self, tmp_path, capsys, command, value):
+        # simulate's "filters" and a wrapper's "filter" are read alike: a
+        # value that is neither a path nor a payload with a format field is
+        # a bad configuration, refused before any output is written
+        data = make_dataset(tmp_path, DENSE_TIMES)
+        link = {"kind": "linear", "d": 0.5}
+        if command == "simulate":
+            argv = ["--config", write_json(tmp_path / "sim.json", {"link": link, "filters": value, "horizon": 8.0})]
+        else:
+            argv = ["--data", data, "--config", write_json(tmp_path / "wrap.json", {"filter": value, "link": link})]
+        out = tmp_path / "out"
+        assert run(command, *argv, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "must be a filter JSON payload or a path to one" in err and "Traceback" not in err
+        assert list(out.iterdir()) == []
+
+
 class TestFitCommand:
     def test_linear_fit_outputs_round_trip(self, tmp_path):
         data = make_dataset(tmp_path, DENSE_TIMES)

@@ -304,3 +304,51 @@ def test_m1_and_linear_fits_do_not_depend_on_the_blas_thread_count():
     for key in keys:
         assert "error" not in records[0][key], key
         assert records[0][key] == records[1][key], key
+
+
+def test_the_reference_gap_flags_an_early_stop_and_not_rounding(tmp_path, compare_runs, monkeypatch, capsys):
+    # one real suite fit (exp, m = 1, dataset 0), its tight reference fit,
+    # and B's fit of it stopped after two steps: B's gap grows and B
+    # converges fewer fits, each flagged; a change of 1e-13 in B's final
+    # objective moves its gap by about as much, which is no flag
+    key, fit, kernel, obj = next(compare_runs._suite(1))
+    assert key == "exp-m1-d0"
+
+    def record(**stop):
+        res = fit(kernel, obj, **stop)
+        return {**compare_runs._fit_record(res), "objective_value": compare_runs._value_of(res, obj)}
+
+    ra, early = {key: record()}, {key: record(max_iter=2)}
+    ref = {key: {"objective": fit(kernel, obj, **compare_runs.REFERENCE_STOP).objective}}
+    gap_a, gap_b = (compare_runs._gap(r[key], ref[key]) for r in (ra, early))
+    assert 0.0 <= gap_a < 1e-9 < gap_b
+    assert abs(ra[key]["objective_value"] - ref[key]["objective"]) < 1e-9 * abs(ref[key]["objective"])
+    lines, flagged = compare_runs.reference_totals(ra, early, ref)
+    assert lines == [
+        f"exp-m1: converged 1 / 0, iterations {ra[key]['n_iter']} / 2, median gap {gap_a:.2g} / {gap_b:.2g}, "
+        f"largest gap {gap_a:.2g} / {gap_b:.2g}"
+    ]
+    assert flagged == [
+        f"exp-m1: largest gap {gap_b:.2g} on B exceeds max(10 x {gap_a:.2g}, 1e-09)",
+        "exp-m1: 0 fits converged on B, 1 on A",
+    ]
+    import numpy as np
+
+    trace = np.frombuffer(base64.b64decode(ra[key]["objective_trace"]), "<f8").copy()
+    trace[-1] *= 1.0 + 1e-13
+    rounded = {key: {**ra[key], "objective_trace": base64.b64encode(trace.tobytes()).decode("ascii")}}
+    assert compare_runs.reference_totals(ra, rounded, ref)[1] == []
+    # ``fits --reference`` exits by the gap rule, and plain ``fits`` by
+    # any difference, as before, printing no gaps
+    suites = {"a": ra, "early": early, "rounded": rounded}
+    for side in suites:
+        (tmp_path / side).mkdir()
+    monkeypatch.setattr(compare_runs, "fit_records", lambda src, n, values=False: suites[src.name])
+    monkeypatch.setattr(compare_runs, "reference_records", lambda src, n: ref)
+    for b, flag, code in [("early", [], 1), ("early", ["--reference"], 1), ("rounded", [], 1),
+                          ("rounded", ["--reference"], 0), ("a", ["--reference"], 0)]:
+        assert compare_runs.main(["fits", str(tmp_path / "a"), str(tmp_path / b), *flag]) == code, (b, flag)
+        out = capsys.readouterr().out.splitlines()
+        assert ("per family, gap (F - F*) / |F*| to the reference, A / B:" in out) == bool(flag)
+    with pytest.raises(SystemExit):
+        compare_runs.main(["trees", str(tmp_path / "a"), str(tmp_path / "a"), "--reference"])

@@ -16,8 +16,10 @@ from glppm.errors import ConfigError, DataError, DomainError
 from glppm.filters import (
     FilterFunction,
     _merged_atom,
+    _normal_form_atom,
     _ro,
     h0_poly,
+    h1_inner_row,
     integrated_segments,
     kernel_section,
 )
@@ -33,10 +35,12 @@ from oracles import (
     integrated_points,
     prefix_sum_reference,
     r1,
+    r1_double_integral,
     r1_time_integral,
     r_full,
     same_bits,
     section_sum,
+    smooth_value,
     sorted_normal_forms,
 )
 
@@ -213,14 +217,15 @@ class TestPrefixTables:
                 assert built == [(m, m), (m + 1, m)] * 2
 
     def test_an_atom_keeps_no_state(self):
-        # values, segment integrals and bound readers leave an atom as it was
+        # values, H1 pairings, segment integrals and bound readers leave an
+        # atom as it was
         k = SobolevKernel(m=2, horizon=5.0)
         g = random_filter(k, np.random.default_rng(9))
         u = np.linspace(0, 5, 11)
         for atom in g.atoms + g.normal_forms:
             before = copy.deepcopy(vars(atom))
             FilterFunction(k, atom.channel + 1, (atom,), np.ones(1)).evaluate(atom.channel, u)
-            atom.h1_value(u)
+            h1_inner_row(atom, [atom])
             list(_segment_integrals(k, [atom], u / 2, u))
             atom._bound_value()(u)
             after = vars(atom)
@@ -315,7 +320,7 @@ class TestUncheckedValue:
         signed = replace(form, h0=np.array([-0.0]))
         for u in (np.array([0.0, 1.0, 3.0]), 0.0, 3.0):
             assert same_bits(checked_value(k, signed, u), fresh_value(g, 0, u))
-            assert same_bits(checked_value(k, signed, u), form.h1_value(u))
+            assert same_bits(checked_value(k, signed, u), smooth_value(form, u))
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_public_evaluations_still_check_the_domain(self, m):
@@ -362,6 +367,33 @@ class TestInnerProduct:
                 af = FilterFunction(k, 1, (kernel_section(k, 0, s, part="r"),), np.ones(1))
                 bf = FilterFunction(k, 1, (kernel_section(k, 0, r, part="r"),), np.ones(1))
                 assert_allclose(af.inner_product(bf), r_full(k, s, r), rtol=1e-12, atol=1e-13)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_the_h1_pairing_of_segments_is_the_integrated_kernel(self, m):
+        # <P a, P b> of two integrated-segment atoms is R1 integrated over
+        # both segments, and of a section with a segment atom R1 integrated
+        # over the segment at the section's lag, whichever atom leads the row
+        k = SobolevKernel(m=m, horizon=5.0)
+        a = integrated_segments(k, 0, [0.5, 2.0], [1.5, 4.5], [0.7, -0.3])
+        b = integrated_segments(k, 0, [1.0], [3.0], [1.2])
+        sec = kernel_section(k, 0, 2.5)
+
+        def double(lo1, hi1, lo2, hi2):
+            d = lambda x, y: r1_double_integral(k, x, y)  # noqa: E731
+            return d(hi1, hi2) - d(hi1, lo2) - d(lo1, hi2) + d(lo1, lo2)
+
+        def single(lo, hi, lag):
+            return r1_time_integral(k, hi, lag) - r1_time_integral(k, lo, lag)
+
+        pairs = [
+            (a, b, 1.2 * (0.7 * double(0.5, 1.5, 1.0, 3.0) - 0.3 * double(2.0, 4.5, 1.0, 3.0))),
+            (sec, b, 1.2 * single(1.0, 3.0, 2.5)),
+            (sec, a, 0.7 * single(0.5, 1.5, 2.5) - 0.3 * single(2.0, 4.5, 2.5)),
+        ]
+        for x, y, want in pairs:
+            assert abs(want) > 1e-3
+            assert_allclose(h1_inner_row(x, [y]), [want], rtol=1e-12)
+            assert_allclose(h1_inner_row(y, [x]), [want], rtol=1e-12)
 
     def test_symmetry_and_psd(self):
         rng = np.random.default_rng(5)
@@ -767,6 +799,33 @@ class TestValidation:
         calls.clear()
         FilterFunction(short, 2, inside.atoms, inside.coefficients).normal_forms
         assert calls == []
+
+    def test_a_nan_lag_node_or_weight_is_refused_before_the_merge(self):
+        # the merge compares each lag with the one before it, and a NaN
+        # compares False, so it would join that lag's group with its
+        # weight: [nan, 7, 1] would make lags [1, 7] with weights [1, 2],
+        # and a NaN segment end the zero atom
+        k = SobolevKernel(m=2, horizon=10.0)
+        nan, none = np.nan, np.empty(0)
+        for build in (
+            lambda: _normal_form_atom(k, 0, "section", "r1", np.array([nan, 7.0, 1.0]), np.ones(3), none, none),
+            lambda: section_sum(k, 0, [nan, 7.0, 1.0], np.ones(3)),
+            lambda: integrated_segments(k, 0, [0.5], [nan], [1.0]),
+            lambda: integrated_segments(k, 0, [nan], [0.5], [1.0]),
+        ):
+            with pytest.raises(DomainError, match="finite"):
+                build()
+        for build in (
+            lambda: _normal_form_atom(k, 0, "section", "r1", np.array([1.0, 7.0]), np.array([1.0, nan]), none, none),
+            lambda: integrated_segments(k, 0, [0.5], [1.0], [nan]),
+            lambda: integrated_segments(k, 0, [0.5], [1.0], [np.inf]),
+        ):
+            with pytest.raises(ConfigError, match="finite"):
+                build()
+        # an out-of-range lag beside a NaN is reported as such
+        with pytest.raises(DomainError) as exc:
+            section_sum(k, 0, [nan, 12.0], np.ones(2))
+        assert exc.value.at == 12.0
 
     def test_poly_index_range(self):
         k = SobolevKernel(m=2, horizon=3.0)

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from glppm.data import AtRiskProcess, DriverChannel, DriverSeries, EventSeries
 from glppm.errors import ConfigError, DomainError, InfeasibleError
 from glppm import likelihood
-from glppm.filters import Atom, FilterFunction, h0_poly, integrated_segments, kernel_section
+from glppm.filters import FilterFunction, h0_poly, integrated_segments, kernel_section
 from glppm.kernel import SobolevKernel
 from glppm.likelihood import (
     LinkSpec,
@@ -548,7 +548,7 @@ class TestCompensator:
         calls = {}
         for owner, name in (
             (SobolevKernel, "_check_domain"), (likelihood, "_prefix_table"),
-            (Atom, "h1_antiderivative"), (likelihood, "_segment_integrals"),
+            (likelihood, "_segment_integrals"),
         ):
             real = getattr(owner, name)
 

@@ -55,6 +55,7 @@ from oracles import (
     history_atoms_one_by_one,
     integral_atoms_one_by_one,
     same_bits,
+    smooth_value,
     solve_spd_cho_factor,
     sorted_normal_forms,
     wolfe_angle_step,
@@ -932,7 +933,7 @@ class TestBulkDictionary:
             assert a.sec_lags is obj.node_lag_index(a.channel).lags
             assert not a.sec_lags.flags.writeable
             assert same_bits(a.sections_h0(kernel), b.sections_h0(kernel))
-            assert same_bits(a.h1_value(u), b.h1_value(u))
+            assert same_bits(smooth_value(a, u), smooth_value(b, u))
             # the index's search positions of the pair lags give the bits
             # of the search
             assert same_bits(obj.integral_column(a), obj.columns(kernel, [b]))
@@ -1133,7 +1134,7 @@ class TestGrowthCost:
     def test_a_block_takes_its_compensator_row_from_one_table_per_channel(self, m, monkeypatch):
         # the linear link's compensator row of a block: per channel one
         # domain check and one prefix table per kind (sections, segments),
-        # no per-atom ``h1_antiderivative``, and each atom's entry with the
+        # and each atom's entry with the
         # bits of its own exact compensator, polynomial content included
         kernel, obj = history_objective(m, quiet_channel=True)
         linear = Objective(linear_link(0.5), 1.0, obj.events, obj.drivers, at_risk=obj.at_risk)
@@ -1144,7 +1145,6 @@ class TestGrowthCost:
         calls = {}
         for owner, name in (
             (SobolevKernel, "_check_domain"), (likelihood, "_prefix_table"),
-            (Atom, "h1_antiderivative"),
         ):
             real = getattr(owner, name)
 
@@ -1448,12 +1448,39 @@ class TestCoreValue:
             f0 = core.objective_trace[-1]
             xn, xe = ws.U @ gamma, ws.E @ gamma
             g_gp_g = float(gamma @ (ws.Gp @ gamma))
+            r_g = float(ws.comp @ gamma) + core.const if ws.comp is not None else 0.0
             for direction in (np.zeros(c.size), delta):
-                feasible, at0, _ = core.line(psi, gamma, direction, xn, xe, g_gp_g)(0.0)
+                feasible, at0, _ = core.line(psi, gamma, direction, xn, xe, g_gp_g, r_g)(0.0)
                 assert feasible and same_bits(np.float64(at0), np.float64(f0))
             hinge = psi.value(xn) if link.kind == "linear" else 0.0
             g = FilterFunction(k, 1, tuple(ws.atoms), gamma)
             assert_allclose(f0, objective_value(g, obj) + hinge, rtol=1e-10)
+
+
+    @pytest.mark.parametrize("fit", [fit_descent, fit_linear])
+    def test_every_traced_and_trial_value_is_the_one_objective(self, fit, monkeypatch):
+        # F has one home, ``_Core.objective``: the values it returns, in
+        # order, are each traced iterate's objective followed by the values
+        # of the feasible trials of the step taken from it; after them
+        # ``fit_linear`` traces one more entry, its objective without the
+        # hinge
+        link = linear_link(0.5) if fit is fit_linear else exponential_link()
+        k, obj = dense_objective(lam=2.0, link=link, m=2)
+        values, real = [], _Core.objective
+
+        def spy(core, *args):
+            values.append(real(core, *args))
+            return values[-1]
+
+        monkeypatch.setattr(_Core, "objective", spy)
+        res = fit(k, obj)
+        steps = {rec["iteration"]: rec["trials"] for rec in res.diagnostics["iterations"]}
+        traced = res.objective_trace[:-1] if fit is fit_linear else res.objective_trace
+        want = []
+        for i, f in enumerate(traced):
+            want += [f] + [t["value"] for t in steps.get(i, []) if t["feasible"]]
+        assert res.converged and len(steps) > 3 and len(want) > len(traced)
+        assert same_bits(np.array(values), np.array(want))
 
 
 class TestLeanIntegralAtoms:

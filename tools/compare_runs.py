@@ -10,7 +10,7 @@
         compares the ``fits`` records of every workload of two
         ``BENCH_*.json`` files, record by record.
 
-    python3 tools/compare_runs.py fits SRC_A SRC_B [--datasets 40]
+    python3 tools/compare_runs.py fits SRC_A SRC_B [--datasets 40] [--reference]
         runs one suite of library fits under each source tree (a directory
         that holds the ``glppm`` package, such as ``src``), each in a
         subprocess pinned to one BLAS thread, and compares them fit by fit:
@@ -24,6 +24,23 @@
         fits with d = 0.5 at m = 1 and 2 on min(N, 12) 12-event datasets at
         seed 402.  ``suite`` prints the records of this suite, as one JSON
         object, under the ``glppm`` that Python imports.
+
+        With ``--reference`` each fit is also measured against a tight
+        reference objective F* of its data and family, computed once under
+        SRC_A (``reference`` prints them, as one JSON object): a cold
+        ``fit_descent`` at tol 1e-12 with ``max_iter`` 2000, or
+        ``fit_linear`` at tol 1e-12 for the linear families.  F* is cached
+        in ``tools/.reference``, keyed by the bytes of SRC_A's ``glppm``, of
+        ``bench/generate.py`` and of the suite's definition.  Each side's
+        records then hold the ``objective_value`` of the compacted filter,
+        and after the family table comes one line per family: the
+        converged count, the total iterations, and the median and largest
+        gap (F - F*) / |F*| of the fits' final objectives on each side.  A
+        gap is negative where a fit ended below F*, as a linear fit that
+        the hinge leaves slightly infeasible can.  The exit code is then 1
+        if a family's largest gap on B exceeds max(10 x A's, 1e-9), or its
+        converged count on B is below A's, and 0 otherwise: a change that
+        moves bits but leaves no fit farther from its optimum passes.
 
     python3 tools/compare_runs.py time SRC_A SRC_B [--rounds 5]
         times the benchmark's fit batch and simulations under each source
@@ -106,6 +123,11 @@ from time import perf_counter
 
 SKIPPED = {"run_manifest.json", "result.json"}
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+# the cache of reference objectives, one JSON file per key
+REFERENCE_CACHE = Path(__file__).resolve().parent / ".reference"
+# a reference fit's stopping rule, and the gap rule of ``fits --reference``
+REFERENCE_STOP = {"tol": 1e-12, "max_iter": 2000}
+GAP_GROWTH, GAP_FLOOR = 10.0, 1e-9
 PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 # (name, link kind, d, events per dataset, dataset seed), for m = 1 and 2
 DESCENT = (("exp", "exponential", 0.0, 20, 401), ("softplus", "softplus", 0.0, 12, 401))
@@ -195,20 +217,33 @@ def fit_summary(ra: dict, rb: dict) -> str:
     )
 
 
+def _families(ra: dict, rb: dict) -> dict[str, list[str]]:
+    """The keys of the fits that both suites hold, by family (link and m: a
+    fit's key without its dataset)."""
+    families: dict[str, list[str]] = {}
+    for key in sorted(set(ra) & set(rb)):
+        families.setdefault(re.sub(r"-d\d+", "", key), []).append(key)
+    return families
+
+
+def _counts(ra: dict, rb: dict, keys: list[str]) -> tuple[list[int], list[int]]:
+    """The converged count and the total iterations of these fits on each
+    side."""
+    converged = [sum(r[k].get("status") == "converged" for k in keys) for r in (ra, rb)]
+    iterations = [sum(r[k].get("n_iter") or 0 for k in keys) for r in (ra, rb)]
+    return converged, iterations
+
+
 def family_totals(ra: dict, rb: dict) -> list[str]:
-    """Per family of the fits that both suites hold (link and m: a fit's key
-    without its dataset), the fits, the converged count
+    """Per family of the fits that both suites hold (``_families``), the
+    fits, the converged count
     and the total iterations on each side, the largest relative
     objective difference over the fits that have an objective on both, and
     the largest gradient-norm difference (``_grad_norm_difference``) over
     the fits that have a gradient-norm trace on both."""
-    families: dict[str, list[str]] = {}
-    for key in sorted(set(ra) & set(rb)):
-        families.setdefault(re.sub(r"-d\d+", "", key), []).append(key)
     lines = []
-    for name, keys in families.items():
-        converged = [sum(r[k].get("status") == "converged" for k in keys) for r in (ra, rb)]
-        iterations = [sum(r[k].get("n_iter") or 0 for k in keys) for r in (ra, rb)]
+    for name, keys in _families(ra, rb).items():
+        converged, iterations = _counts(ra, rb, keys)
         rel, grad = (
             max((x for x in (diff(ra[k], rb[k]) for k in keys) if x == x), default=float("nan"))
             for diff in (_relative_difference, _grad_norm_difference)
@@ -219,6 +254,42 @@ def family_totals(ra: dict, rb: dict) -> list[str]:
             f"largest gradient-norm difference {grad:.2g} of the stopping scale"
         )
     return lines
+
+
+def _gap(record: dict, ref: dict) -> float:
+    """(F - F*) / |F*| of a fit record's final objective F against its
+    reference record's F*; NaN when either has none."""
+    if "error" in record or ref.get("objective") is None:
+        return float("nan")
+    star = float(ref["objective"])
+    return (_objective(record) - star) / max(abs(star), 1e-300)
+
+
+def reference_totals(ra: dict, rb: dict, ref: dict) -> tuple[list[str], list[str]]:
+    """Per family of the fits that both suites hold, a line with the
+    converged count, the total iterations and the median and largest
+    ``_gap`` on each side, over the fits that have one; and the families
+    that the gap rule flags, each with its reason: a largest gap on B above
+    max(GAP_GROWTH x A's, GAP_FLOOR), or fewer converged fits on B."""
+    import numpy as np
+
+    lines, flagged = [], []
+    for name, keys in _families(ra, rb).items():
+        converged, iterations = _counts(ra, rb, keys)
+        gaps = [np.array([g for k in keys if (g := _gap(r[k], ref.get(k, {}))) == g]) for r in (ra, rb)]
+        median = [float(np.median(g)) if g.size else float("nan") for g in gaps]
+        top = [float(g.max()) if g.size else float("nan") for g in gaps]
+        lines.append(
+            f"{name}: converged {converged[0]} / {converged[1]}, iterations {iterations[0]} / {iterations[1]}, "
+            f"median gap {median[0]:.2g} / {median[1]:.2g}, largest gap {top[0]:.2g} / {top[1]:.2g}"
+        )
+        bound = max(GAP_GROWTH * top[0], GAP_FLOOR) if top[0] == top[0] else GAP_FLOOR
+        if top[1] > bound:
+            flagged.append(f"{name}: largest gap {top[1]:.2g} on B exceeds max({GAP_GROWTH:g} x {top[0]:.2g}, "
+                           f"{GAP_FLOOR:g})")
+        if converged[1] < converged[0]:
+            flagged.append(f"{name}: {converged[1]} fits converged on B, {converged[0]} on A")
+    return lines, flagged
 
 
 def _fit_record(res) -> dict:
@@ -250,29 +321,59 @@ def _self_exciting(kind: str, d: float, lam: float, times, horizon: float):
     return glppm.Objective(glppm.LinkSpec(kind, d), lam, events, drivers)
 
 
-def run_suite(datasets: int) -> dict:
-    """The records of the ``fits`` suite under the ``glppm`` on the path,
-    keyed by fit; a fit that raises records its error."""
+def _suite(datasets: int):
+    """(key, fitter, kernel, objective) of each fit of the ``fits`` suite
+    under the ``glppm`` on the path."""
     linear = min(datasets, 12)
     sys.path.insert(0, str(BENCH))
     import generate
 
     import glppm
 
-    out = {"glppm": glppm.__file__}
     for (name, kind, d, n, seed), count in [(f, datasets) for f in DESCENT] + [(LINEAR, linear)]:
         horizon = generate.window_for(n)
         fit = glppm.fit_linear if kind == "linear" else glppm.fit_descent
         for i in range(count):
             times = generate.hawkes_exactly_n(generate.dataset_rng(seed, i), n, horizon)
             for m in (1, 2):
-                key = f"{name}-m{m}-d{i}"
-                try:
-                    res = fit(glppm.SobolevKernel(m, horizon), _self_exciting(kind, d, 5.0, times, horizon))
-                except Exception as exc:  # noqa: BLE001 - a raise is a result to compare
-                    out[key] = {"error": f"{type(exc).__name__}: {exc}"}
-                    continue
-                out[key] = _fit_record(res)
+                yield f"{name}-m{m}-d{i}", fit, glppm.SobolevKernel(m, horizon), _self_exciting(
+                    kind, d, 5.0, times, horizon
+                )
+
+
+def _value_of(res, obj) -> float | str:
+    """``objective_value`` of a fit's compacted filter, or the error it
+    raises."""
+    import glppm
+
+    try:
+        return glppm.objective_value(res.g_hat.compact(), obj)
+    except Exception as exc:  # noqa: BLE001 - a raise is a result to compare
+        return f"{type(exc).__name__}: {exc}"
+
+
+def run_suite(datasets: int, values: bool = False, reference: bool = False) -> dict:
+    """The records of the ``fits`` suite under the ``glppm`` on the path,
+    keyed by fit; a fit that raises records its error.  With ``values``
+    each record also holds the ``objective_value`` of its compacted filter.
+    With ``reference`` the fits stop by ``REFERENCE_STOP`` instead of their
+    defaults, and each record holds the status, reason and iterations, the
+    final ``objective`` and that ``objective_value``."""
+    import glppm
+
+    out = {"glppm": glppm.__file__}
+    for key, fit, kernel, obj in _suite(datasets):
+        try:
+            res = fit(kernel, obj, **(REFERENCE_STOP if reference else {}))
+        except Exception as exc:  # noqa: BLE001 - a raise is a result to compare
+            out[key] = {"error": f"{type(exc).__name__}: {exc}"}
+            continue
+        if reference:
+            out[key] = {"status": res.status, "reason": res.reason, "n_iter": res.n_iter, "objective": res.objective}
+        else:
+            out[key] = _fit_record(res)
+        if values or reference:
+            out[key]["objective_value"] = _value_of(res, obj)
     return out
 
 
@@ -473,10 +574,28 @@ def _under(src: Path, kind: str, *args: str) -> dict:
     return out
 
 
-def fit_records(src: Path, datasets: int) -> dict:
+def fit_records(src: Path, datasets: int, values: bool = False) -> dict:
     """``run_suite`` under the ``glppm`` of ``src``, in a subprocess pinned
-    to one BLAS thread."""
-    return _under(src, "suite", "--datasets", str(datasets))
+    to one BLAS thread, with each fit's ``objective_value`` if ``values``."""
+    return _under(src, "suite", "--datasets", str(datasets), *["--reference"] * values)
+
+
+def reference_records(src: Path, datasets: int) -> dict:
+    """The reference fits of the suite (``run_suite`` with ``reference``)
+    under the ``glppm`` of ``src``, in a subprocess pinned to one BLAS
+    thread, read from ``REFERENCE_CACHE`` if they are there and written
+    there if not.  The key hashes the bytes of the tree's ``glppm``, of
+    ``bench/generate.py``, and of the suite's definition and size."""
+    h = hashlib.sha256(repr((DESCENT, LINEAR, REFERENCE_STOP, datasets)).encode())
+    for path in sorted((Path(src) / "glppm").glob("*.py")) + [BENCH / "generate.py"]:
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    cached = REFERENCE_CACHE / f"{h.hexdigest()[:24]}.json"
+    if cached.is_file():
+        return json.loads(cached.read_text())
+    out = _under(src, "reference", "--datasets", str(datasets))
+    REFERENCE_CACHE.mkdir(exist_ok=True)
+    cached.write_text(json.dumps(out))
+    return out
 
 
 def compare_timings(a: Path, b: Path, rounds: int, datasets: int | None) -> list[str]:
@@ -530,18 +649,25 @@ def record_differences(ra: dict, rb: dict, a="A", b="B") -> list[str]:
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("kind", choices=("trees", "bench", "fits", "suite", "time", "timing", "cli", "clirun"))
+    p.add_argument(
+        "kind", choices=("trees", "bench", "fits", "suite", "reference", "time", "timing", "cli", "clirun")
+    )
     p.add_argument("a", type=Path, nargs="?")
     p.add_argument("b", type=Path, nargs="?")
     p.add_argument(
         "--datasets", type=int, default=None, help="fits: 40 by default; cli: 6; time: the whole batch"
     )
     p.add_argument("--rounds", type=int, default=5)
+    p.add_argument(
+        "--reference", action="store_true", help="fits: measure each fit's gap to a tight reference objective"
+    )
     args = p.parse_args(argv)
+    if args.reference and args.kind not in ("fits", "suite"):
+        p.error(f"--reference serves fits and suite, not {args.kind}")
     suite_size = 40 if args.datasets is None else args.datasets
     cli_size = 6 if args.datasets is None else args.datasets
-    if args.kind == "suite":
-        print(json.dumps(run_suite(suite_size)))
+    if args.kind in ("suite", "reference"):
+        print(json.dumps(run_suite(suite_size, values=args.reference, reference=args.kind == "reference")))
         return 0
     if args.kind == "timing":
         print(json.dumps(run_timing(args.datasets)))
@@ -558,10 +684,14 @@ def main(argv=None) -> int:
         lines = compare_timings(args.a, args.b, args.rounds, args.datasets)
         print("\n".join(lines))
         return 0 if lines[-1] == "every output matched" else 1
+    flagged = None
     if args.kind == "fits":
-        ra, rb = (fit_records(src, suite_size) for src in (args.a, args.b))
+        ra, rb = (fit_records(src, suite_size, args.reference) for src in (args.a, args.b))
         diffs = record_differences(ra, rb, args.a, args.b)
         totals = ["per family, A / B:"] + family_totals(ra, rb)
+        if args.reference:
+            lines, flagged = reference_totals(ra, rb, reference_records(args.a, suite_size))
+            totals += ["per family, gap (F - F*) / |F*| to the reference, A / B:"] + lines + flagged
         print(f"{len(ra)} fits compared", file=sys.stderr)
     elif args.kind == "cli":
         if cli_size < 1:
@@ -575,6 +705,9 @@ def main(argv=None) -> int:
     for line in diffs + totals:
         print(line)
     print(f"{len(diffs)} difference(s)", file=sys.stderr)
+    if flagged is not None:
+        print(f"{len(flagged)} flag(s) by the gap rule", file=sys.stderr)
+        return 1 if flagged else 0
     return 1 if diffs else 0
 
 
