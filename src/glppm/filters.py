@@ -69,26 +69,30 @@ __all__ = [
 _MERGE_TOL = 1e-12
 
 
-def _merge_starts(lags: np.ndarray, owner: np.ndarray | None = None) -> np.ndarray:
-    """Where each merge group of these sorted lags starts, as
-    ``_merge_sorted`` forms them: a lag within 1e-12 of the one before it
-    joins its group.  With ``owner``, lags sorted within each owner, no
-    group spans two owners."""
+def _merge(lags: np.ndarray, owner: np.ndarray | None = None):
+    """(order, starts, group), the one merge rule: ``order`` sorts the lags
+    stably, or by owner and then lag; a sorted lag within 1e-12 of the one
+    before it joins its group, and no group spans two owners.  ``starts``
+    marks each group's first lag and ``group`` numbers each sorted lag's
+    group: ``lags[order][starts]`` are the merged lags, and a ``bincount``
+    over ``group`` of weights taken in ``order`` sums them."""
+    order = np.argsort(lags, kind="stable") if owner is None else np.lexsort((lags, owner))
+    lags = lags[order]
     starts = np.ones(lags.size, dtype=bool)
     np.greater(np.diff(lags), _MERGE_TOL, out=starts[1:])
     if owner is not None:
+        owner = owner[order]
         starts[1:] |= owner[1:] != owner[:-1]
-    return starts
+    return order, starts, np.cumsum(starts) - 1
 
 
 def _merge_sorted(lags: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sort ascending and merge entries whose lags agree within 1e-12."""
+    """Sort ascending and merge entries whose lags agree within 1e-12
+    (``_merge``): the merged lags and their summed weights."""
     if lags.size == 0:
         return lags, weights
-    order = np.argsort(lags, kind="stable")
-    lags = lags[order]
-    starts = _merge_starts(lags)
-    return lags[starts], np.bincount(np.cumsum(starts) - 1, weights=weights[order])
+    order, starts, group = _merge(lags)
+    return lags[order][starts], np.bincount(group, weights=weights[order])
 
 
 def _merged_sections(atoms, c: np.ndarray):
@@ -96,8 +100,8 @@ def _merged_sections(atoms, c: np.ndarray):
     Atoms that share one sections array, as a fit's integral atoms do,
     enter as one copy of it that carries their weights summed in atom
     order, as the stable sort and ``bincount`` sum them; where a merge
-    group holds one of its lags and any other lag, every copy takes the
-    sort instead."""
+    group (``_merge``) holds one of its lags and any other lag, every copy
+    takes the sort instead."""
     groups: dict = {}
     for k, a in enumerate(atoms):
         groups.setdefault(id(a.sec_lags), []).append(k)
@@ -108,10 +112,10 @@ def _merged_sections(atoms, c: np.ndarray):
     if len(shared) > 1:
         mine = owner == keep.index(shared[0])
         weights[mine] = sum((c[k] * atoms[k].sec_weights for k in shared), np.zeros(mine.sum()))
-        order = np.argsort(lags, kind="stable")
-        starts, mark = _merge_starts(lags[order]), mine[order]
+        order, starts, group = _merge(lags)
+        mark = mine[order]
         if not (~starts[1:] & (mark[1:] | mark[:-1])).any():
-            return lags[order][starts], np.bincount(np.cumsum(starts) - 1, weights=weights[order])
+            return lags[order][starts], np.bincount(group, weights=weights[order])
         lags, weights, owner = _flatten(atoms)[:3]
         weights = c[owner] * weights
     return _merge_sorted(lags, weights)

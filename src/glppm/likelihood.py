@@ -41,7 +41,7 @@ from scipy.special import expit
 
 from .data import AtRiskProcess, DriverSeries, EventSeries
 from .errors import ConfigError, DomainError, InfeasibleError
-from .filters import Atom, FilterFunction, _flatten, _merge_starts, _merged_atom, _ro, integrated_segments
+from .filters import Atom, FilterFunction, _flatten, _merge, _merged_atom, _ro, integrated_segments
 from .kernel import SobolevKernel, _family_sums, _h0_stack, _prefix_table
 
 __all__ = [
@@ -226,18 +226,17 @@ def _lag_segments(a: np.ndarray, b: np.ndarray, levels: np.ndarray, times: np.nd
 @dataclass(frozen=True)
 class _NodeLagIndex:
     """A channel's node-pair lags as every integral atom of node weights
-    holds them: in a stable sort, merged.
+    holds them: sorted and merged by ``filters._merge``.
     ``lags`` are the merged lags, read-only and shared by the atoms, which
-    take them as they are; ``group``, ``node`` and ``dz`` give the merge
-    group, quadrature node and jump size of each sorted pair, so that an
-    atom's section weights are one ``bincount``; ``pos`` holds the search
-    position in ``lags`` of each node-pair lag and then each event-pair
-    lag, in the pairs' own order."""
+    take them as they are; ``order`` is the sort of the node pairs and
+    ``group`` the merge group of each sorted pair, so that an atom's
+    section weights are one ``bincount`` of per-pair weights taken in
+    ``order``; ``pos`` holds the search position in ``lags`` of each
+    node-pair lag and then each event-pair lag, in the pairs' own order."""
 
     lags: np.ndarray
+    order: np.ndarray
     group: np.ndarray
-    node: np.ndarray
-    dz: np.ndarray
     pos: np.ndarray
 
 
@@ -307,9 +306,10 @@ class Objective:
     """Data, link, penalty weight and quadrature bundled for repeated evaluation.
 
     Precomputes the quadrature grid and, for every driver channel, one
-    store of the (evaluation point, earlier jump) pairs: the pairs of the
-    quadrature nodes, then those of the event times, each as its lag, point
-    and jump size.  The lag segments of the exact compensator
+    store of the (evaluation point, earlier jump) pairs from one
+    ``_history_pairs`` call over ``points``, the quadrature nodes and then
+    the event times: each pair as its point's index there, its lag and
+    its jump size, point-major.  The lag segments of the exact compensator
     (``_segment_support``), which only the linear link's compensator and
     exact integral atoms read, are built on first use.
     ``_node_pairs`` and ``_event_pairs`` view its two halves.  ``columns``
@@ -359,15 +359,14 @@ class Objective:
 
         # per channel (point, lag, jump size) of every pair, node pairs first;
         # an event's point is its index after the nodes
+        self.points = np.concatenate([self.nodes, events.times])
         self._pairs, self._node_pairs, self._event_pairs = [], [], []
         for ch in drivers.channels:
-            node, event = (_history_pairs(t, ch.times, ch.sizes) for t in (self.nodes, events.times))
-            point, jump, lags, dz = (np.concatenate(arrs) for arrs in zip(node, event))
-            k = node[2].size
-            point[k:] += self.nodes.size
+            point, jump, lags, dz = _history_pairs(self.points, ch.times, ch.sizes)
+            k = int(point.searchsorted(self.nodes.size))
             self._pairs.append((point, lags, dz))
             self._node_pairs.append((point[:k], jump[:k], lags[:k], dz[:k]))
-            self._event_pairs.append((event[0], jump[k:], lags[k:], dz[k:]))
+            self._event_pairs.append((point[k:] - self.nodes.size, jump[k:], lags[k:], dz[k:]))
         self._node_index: list[_NodeLagIndex | None] = [None] * self.n_channels
 
     @cached_property
@@ -383,24 +382,20 @@ class Objective:
             raise ConfigError("filter kernel horizon does not match the data horizon")
 
     def node_lag_index(self, channel: int) -> _NodeLagIndex:
-        """The channel's ``_NodeLagIndex``, built on first use."""
+        """The channel's ``_NodeLagIndex``, built on first use from one
+        ``_merge`` of its node-pair lags."""
         index = self._node_index[channel]
         if index is None:
-            node, _, lags, dz = self._node_pairs[channel]
-            order = np.argsort(lags, kind="stable")
-            starts = _merge_starts(lags[order])
-            merged = lags[order][starts]
-            merged.setflags(write=False)
-            group = np.cumsum(starts) - 1
+            lags = self._node_pairs[channel][2]
+            order, starts, group = _merge(lags)
+            merged = _ro(lags[order][starts])
             # a node-pair lag lies at or above its group's first lag and
             # below the next group's, so its position is its group + 1
             e_lags = self._event_pairs[channel][2]
             pos = np.empty(lags.size + e_lags.size, dtype=np.intp)
             pos[order] = group + 1
             pos[lags.size :] = np.searchsorted(merged, e_lags, side="right")
-            index = self._node_index[channel] = _NodeLagIndex(
-                merged, group, node[order], dz[order], pos
-            )
+            index = self._node_index[channel] = _NodeLagIndex(merged, order, group, pos)
         return index
 
     # -- predictor columns ---------------------------------------------------
@@ -595,32 +590,32 @@ def objective_value(g: FilterFunction, obj: Objective) -> float:
 def build_h_atoms(kernel: SobolevKernel, obj: Objective, points=None) -> list[Atom]:
     """H1 (part "r1") history atoms of points, point-major then channel-minor.
 
-    A point indexes the objective's pair store: a quadrature node, or an
-    event after the nodes; by default every event.  Atom (p, j), the H1
-    part of the representer of the predictor at s_p on channel j, is
+    A point is an index into ``obj.points``: a quadrature node, or an
+    event after the nodes; by default every event.  A point that is not an
+    integer in [0, len(obj.points)) raises ConfigError.  Atom (p, j), the
+    H1 part of the representer of the predictor at s_p on channel j, is
     sum_{sigma < s_p} dZ_j R1(s_p - sigma, .), whose polynomial part is the
     fitters' phi_k coordinates; zero (empty) when no jump precedes the
-    point there.  A channel's atoms come from one pass: its points' pair
-    lags, in the kernel's domain once ``_check_kernel`` passes, are sorted
-    once by point and then lag, stably, and merged with one ``bincount``,
-    which sums each atom's sections in the order that ``_merge_sorted``
-    does.  The atoms' sections are read-only slices of the merged arrays.
+    point there.  A channel's atoms come from one pass: its points' pairs,
+    generated as the store's are (``_history_pairs``) and in the kernel's
+    domain once ``_check_kernel`` passes, are merged within each point by
+    one ``_merge`` and one ``bincount``, which sum each atom's sections as
+    ``_merge_sorted`` does.  The atoms' sections are read-only slices of
+    the merged arrays.
     """
     obj._check_kernel(kernel)
-    n_nodes, n_ch = obj.nodes.size, obj.n_channels
-    points = np.arange(n_nodes, n_nodes + len(obj.events)) if points is None else np.asarray(points, dtype=int)
+    n, n_ch = obj.points.size, obj.n_channels
+    points = np.arange(obj.nodes.size, n) if points is None else np.asarray(points)
+    if points.ndim != 1 or points.size and not (
+        np.issubdtype(points.dtype, np.integer) and 0 <= points.min() and points.max() < n
+    ):
+        raise ConfigError(f"history atom points must be integer indices in [0, {n})")
     atoms: list = [None] * (points.size * n_ch)
-    for j, (point, lags, dz) in enumerate(obj._pairs):
-        # each point's pairs are one run of the store, which is point-major
-        lo, hi = point.searchsorted(points), point.searchsorted(points, side="right")
-        owner = np.repeat(np.arange(points.size), hi - lo)
-        pairs = np.arange(owner.size) + (hi - np.cumsum(hi - lo))[owner]
-        lags, dz = lags[pairs], dz[pairs]
-        order = np.lexsort((lags, owner))
-        owner, lags = owner[order], lags[order]
-        starts = _merge_starts(lags, owner)
-        merged_lags, merged_owner = _ro(lags[starts]), owner[starts]
-        merged_w = _ro(np.bincount(np.cumsum(starts) - 1, weights=dz[order]))
+    for j, ch in enumerate(obj.drivers.channels):
+        owner, _, lags, dz = _history_pairs(obj.points[points.astype(int)], ch.times, ch.sizes)
+        order, starts, group = _merge(lags, owner)
+        merged_lags, merged_owner = _ro(lags[order][starts]), owner[order][starts]
+        merged_w = _ro(np.bincount(group, weights=dz[order]))
         bounds = np.searchsorted(merged_owner, np.arange(points.size + 1))
         for i in range(points.size):
             cut = slice(bounds[i], bounds[i + 1])
@@ -637,7 +632,8 @@ def build_f_atoms(kernel: SobolevKernel, obj: Objective, link_weights: np.ndarra
     pointwise sum over (node, jump) pairs, the exact gradient of the
     quadrature-discretized compensator; its sections are the channel's
     merged node-pair lags (``Objective.node_lag_index``), in the domain by
-    construction and shared by every such atom, weights summed by ``bincount``.
+    construction and shared by every such atom, and its weights are one
+    ``bincount`` over the index's groups of w[node] * dZ in its order.
     The representer's polynomial part is the fitters' phi_k coordinates.
     """
     atoms = []
@@ -651,11 +647,9 @@ def build_f_atoms(kernel: SobolevKernel, obj: Objective, link_weights: np.ndarra
             raise ConfigError("need one link weight per quadrature node")
         obj._check_kernel(kernel)
         for j in range(obj.n_channels):
+            node, _, _, dz = obj._node_pairs[j]
             index = obj.node_lag_index(j)
-            weights = _ro(np.bincount(
-                index.group, weights=link_weights[index.node] * index.dz,
-                minlength=index.lags.size,
-            ))
+            weights = _ro(np.bincount(index.group, (link_weights[node] * dz)[index.order], index.lags.size))
             atoms.append(_merged_atom(kernel, j, "integrated", "r1", index.lags, weights))
     return atoms
 

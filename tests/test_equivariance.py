@@ -1,0 +1,105 @@
+"""Maps of the data that change the penalized objective F only by a known
+constant, checked on F itself (no fit): a permutation of the channels with
+their filters, an extra channel with no jumps, a change of time unit on the
+exponential link, and one common rescaling of every channel's marks.
+
+The data are drawn by a seeded generator: an exogenous driver with marks
+in [0.5, 2] and the self-exciting target, with an at-risk process that
+steps twice.  The filter is a few R1 sections and polynomials per channel,
+small enough that F stays of order 10."""
+
+import math
+
+import numpy as np
+import pytest
+
+from glppm.data import AtRiskProcess, DriverChannel, DriverSeries, EventSeries
+from glppm.filters import FilterFunction, h0_poly, kernel_section
+from glppm.kernel import SobolevKernel
+from glppm.likelihood import Objective, exponential_link, objective_value, softplus_link
+
+from oracles import same_bits
+
+HORIZON = 8.0
+BREAKS, LEVELS = np.array([3.0, 5.5]), np.array([1.0, 0.5, 2.0])
+LINKS = {"exp": exponential_link(-0.5), "softplus": softplus_link(-0.5)}
+
+
+def draw(seed: int):
+    """(events, channels, filter spec): event times; per channel its jump
+    times and marks; and per atom (channel, lag or None for a polynomial,
+    its index k, coefficient)."""
+    rng = np.random.default_rng(seed)
+    events = np.sort(rng.uniform(0.2, HORIZON, 12))
+    z = np.sort(rng.uniform(0.0, HORIZON, 6))
+    channels = [(z, rng.uniform(0.5, 2.0, z.size)), (events, np.ones(events.size))]
+    spec = []
+    for ch in range(2):
+        spec += [(ch, float(lag), 0, rng.normal(scale=0.02)) for lag in rng.uniform(0.2, 4.0, 3)]
+        spec += [(ch, None, k, rng.normal(scale=0.1 / HORIZON ** (k - 1))) for k in (1, 2)]
+    return events, channels, spec
+
+
+def build(link, m: int, lam: float, events, channels, spec, c: float = 1.0):
+    """F at time unit c: the times, breakpoints and horizon times c, and
+    the filter g~(u) = g(u / c): an R1 section at c * lag takes its weight
+    over c^(2m-1), and phi_k its coefficient over c^(k-1)."""
+    kernel = SobolevKernel(m, c * HORIZON)
+    drivers = DriverSeries(c * HORIZON, tuple(
+        DriverChannel(f"ch{j}", c * t, s) for j, (t, s) in enumerate(channels)
+    ))
+    obj = Objective(
+        link, lam, EventSeries(c * HORIZON, c * events), drivers, at_risk=AtRiskProcess(c * BREAKS, LEVELS)
+    )
+    atoms, coeffs = [], []
+    for ch, lag, k, w in spec:
+        if lag is not None:
+            atoms.append(kernel_section(kernel, ch, c * lag))
+            coeffs.append(w / c ** (2 * m - 1))
+        elif k <= m:
+            atoms.append(h0_poly(kernel, ch, k))
+            coeffs.append(w / c ** (k - 1))
+    g = FilterFunction(kernel, len(channels), tuple(atoms), np.array(coeffs))
+    return objective_value(g, obj)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("link", sorted(LINKS))
+class TestObjectiveSymmetries:
+    def test_swapping_two_channels_with_their_filters_keeps_every_bit(self, link, m):
+        events, channels, spec = draw(7)
+        f = build(LINKS[link], m, 2.0, events, channels, spec)
+        swapped = [(1 - ch, lag, k, w) for ch, lag, k, w in spec]
+        assert 1.0 < abs(f) < 1e3
+        assert same_bits(build(LINKS[link], m, 2.0, events, channels[::-1], swapped), f)
+
+    def test_a_channel_with_no_jumps_keeps_every_bit(self, link, m):
+        events, channels, spec = draw(8)
+        f = build(LINKS[link], m, 2.0, events, channels, spec)
+        for where in range(3):
+            more = channels[:where] + [(np.empty(0), np.empty(0))] + channels[where:]
+            moved = [(ch + (ch >= where), lag, k, w) for ch, lag, k, w in spec]
+            assert same_bits(build(LINKS[link], m, 2.0, events, more, moved), f), where
+
+    @pytest.mark.parametrize("c", [0.1, 3.0])
+    def test_a_common_scale_of_the_marks_keeps_the_value(self, link, m, c):
+        # marks times c with g / c leave every predictor, and c^2 lambda
+        # the penalty
+        events, channels, spec = draw(9)
+        f = build(LINKS[link], m, 2.0, events, channels, spec)
+        scaled = [(t, c * s) for t, s in channels]
+        f_c = build(LINKS[link], m, c * c * 2.0, events, scaled, [(ch, lag, k, w / c) for ch, lag, k, w in spec])
+        assert abs(f_c - f) <= 1e-12 * abs(f)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("c", [0.1, 3.0])
+def test_a_time_unit_shifts_the_exp_objective_by_n_log_c(m, c):
+    # d - log c divides every intensity by c, which the compensator's
+    # longer time undoes and each event's log adds; c^(2m-1) lambda keeps
+    # the penalty of g(u / c)
+    events, channels, spec = draw(10)
+    f = build(exponential_link(-0.5), m, 2.0, events, channels, spec)
+    f_c = build(exponential_link(-0.5 - math.log(c)), m, c ** (2 * m - 1) * 2.0, events, channels, spec, c)
+    assert 1.0 < abs(f) < 1e3
+    assert abs(f_c - events.size * math.log(c) - f) <= 1e-12 * abs(f)

@@ -55,6 +55,7 @@ from oracles import (
     history_atoms_one_by_one,
     integral_atoms_one_by_one,
     same_bits,
+    section_sum,
     smooth_value,
     solve_spd_cho_factor,
     sorted_normal_forms,
@@ -945,6 +946,58 @@ class TestBulkDictionary:
             assert same_bits(a.h0, b.h0) and same_bits(a.sec_weights, b.sec_weights)
 
 
+class TestPairStore:
+    """The pair store and the history atoms against a brute force per
+    point that reads nothing of the store: the jumps strictly before the
+    point, as (point, jump, t - times[:n], sizes[:n])."""
+
+    @staticmethod
+    def no_events():
+        z = DriverChannel("z", np.array([0.5, 2.0, 2.0, 5.0]), np.array([1.0, 0.5, 2.0, 1.5]))
+        return Objective(exponential_link(), 1.0, EventSeries(8.0, np.empty(0)), DriverSeries(8.0, (z,)))
+
+    @staticmethod
+    def brute_force(at, times, sizes):
+        parts = [[np.empty(0, dtype=np.intp)] * 2 + [np.empty(0)] * 2]
+        for q, t in enumerate(at):
+            n = int(np.count_nonzero(times < t))
+            parts.append([np.full(n, q, dtype=np.intp), np.arange(n), t - times[:n], sizes[:n]])
+        return [np.concatenate(arrs) for arrs in zip(*parts)]
+
+    @pytest.mark.parametrize("case", ["history", "no-events"])
+    def test_each_half_is_the_brute_force_pairs(self, case):
+        obj = history_objective(1, quiet_channel=True)[1] if case == "history" else self.no_events()
+        total = 0
+        for j, ch in enumerate(obj.drivers.channels):
+            for half, at in ((obj._node_pairs, obj.nodes), (obj._event_pairs, obj.events.times)):
+                for name, got, want in zip(("point", "jump", "lag", "size"), half[j], self.brute_force(at, ch.times, ch.sizes)):
+                    assert same_bits(got, want), (j, name)
+                total += half[j][2].size
+        assert total > 0 and same_bits(obj.points, np.concatenate([obj.nodes, obj.events.times]))
+
+    def test_history_atoms_of_any_points_are_their_section_sums(self):
+        # nodes and events, out of order and repeated
+        kernel, obj = history_objective(2, quiet_channel=True)
+        n_nodes, at = obj.nodes.size, np.concatenate([obj.nodes, obj.events.times])
+        points = np.array([n_nodes + 4, 3, n_nodes + 4, 0, n_nodes + 7, n_nodes - 1])
+        atoms = build_h_atoms(kernel, obj, points)
+        assert len(atoms) == points.size * obj.n_channels
+        for i, p in enumerate(points):
+            for j, ch in enumerate(obj.drivers.channels):
+                n = int(np.count_nonzero(ch.times < at[p]))
+                want = section_sum(kernel, j, at[p] - ch.times[:n], ch.sizes[:n])
+                for name in ("sec_lags", "sec_weights"):
+                    assert same_bits(getattr(atoms[i * obj.n_channels + j], name), getattr(want, name)), (p, j)
+        assert build_h_atoms(kernel, obj, []) == []
+
+    @pytest.mark.parametrize("points", [[-1], "n", [1.7], [True], [[0]]], ids=["negative", "n", "float", "bool", "2-d"])
+    def test_history_atoms_refuse_points_outside_the_store(self, points):
+        kernel, obj = history_objective(1)
+        n = obj.nodes.size + len(obj.events)
+        with pytest.raises(ConfigError, match="integer indices"):
+            build_h_atoms(kernel, obj, [n] if points == "n" else points)
+
+
 class TestColumns:
     """``Objective.columns`` is the one route from atoms to predictor
     columns, save the integral atom of node weights, whose column
@@ -1515,13 +1568,13 @@ class TestNormalForms:
 
     @staticmethod
     def merged_sizes(monkeypatch):
-        sizes, real = [], filters._merge_starts
+        sizes, real = [], filters._merge
 
         def spy(lags, owner=None):
             sizes.append(lags.size)
             return real(lags, owner)
 
-        monkeypatch.setattr(filters, "_merge_starts", spy)
+        monkeypatch.setattr(filters, "_merge", spy)
         return sizes
 
     @staticmethod
