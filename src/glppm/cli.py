@@ -153,9 +153,9 @@ def _load_dataset(args, role: str, data_path):
 def _config_filter(args, raw, key: str):
     """The filter payload that the config's ``key`` value names.  A string
     is a path relative to the config's directory, read once as the input
-    ``filter``; a file that cannot be read is a DataError, as in
-    ``FilterFunction.load``.  An object with a ``format`` field is the
-    payload itself, and anything else a ConfigError."""
+    ``filter``; a file that cannot be read is a DataError, as a bad filter
+    payload is.  An object with a ``format`` field is the payload itself,
+    and anything else a ConfigError."""
     if isinstance(raw, str):
         return _read_json(_input(args, "filter", Path(args.config).parent / raw), DataError)
     if isinstance(raw, dict) and raw.get("format"):

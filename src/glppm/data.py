@@ -45,15 +45,12 @@ __all__ = [
 
 def _as_number(raw, what: str, error=ConfigError, integer: bool = False):
     """``raw`` as a float, or as an int when ``integer``.  A value that is
-    not a number, a JSON boolean included, or not integral where an integer
-    is asked for raises ``error``: read as another value, it would run
-    another model silently."""
-    try:
-        if isinstance(raw, bool):
-            raise TypeError
-        value = float(raw)
-    except (TypeError, ValueError):
-        raise error(f"{what} must be a number, got {raw!r}") from None
+    not an int, a float or a NumPy real scalar (a bool or a string such as
+    "1_0" included), or not integral where an integer is asked for, raises
+    ``error``: read as another value, it would run another model silently."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float, np.integer, np.floating)):
+        raise error(f"{what} must be a number, got {raw!r}")
+    value = float(raw)
     if not integer:
         return value
     if not value.is_integer():

@@ -22,9 +22,9 @@ atoms that share one sections array, as a fit's integral atoms share their
 node lags, are summed on it first, so that it is sorted once.
 A filter checks its atoms against its kernel's domain once, when it is
 built, and its normal forms take them unchecked.  Filters are immutable
-and the forms are cached.  Evaluation, inner products, the H1 seminorm and
-the projection each take one prefix-sum pass per channel over them, and so
-do the likelihood's predictors and exact compensator.  Atoms are values
+and the forms are cached.  Evaluation and the H1 seminorm each take one
+prefix-sum pass per channel over them, and so do the likelihood's
+predictors and exact compensator.  Atoms are values
 that keep no state beyond their fields: ``Atom._bound_value`` builds the
 prefix tables of an atom's value (``kernel._prefix_table``) and binds
 them, with its lags and h0, to the one function that evaluates them
@@ -52,7 +52,7 @@ from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
-from .data import _as_float_array, _as_number, _read_json
+from .data import _as_float_array, _as_number
 from .errors import ConfigError, DataError, DomainError
 from .kernel import SobolevKernel, _cross_weighted_sum, _family_sums, _h0_stack, _prefix_table
 
@@ -63,7 +63,6 @@ __all__ = [
     "h0_poly",
     "h1_inner_row",
     "integrated_segments",
-    "kernel_section",
 ]
 
 _MERGE_TOL = 1e-12
@@ -342,16 +341,8 @@ def h0_poly(kernel: SobolevKernel, channel: int, k: int) -> Atom:
     )
 
 
-def kernel_section(kernel: SobolevKernel, channel: int, lag: float, part: str = "r1") -> Atom:
-    """Kernel slice R1(lag, .) or R(lag, .) at a fixed lag."""
-    return _normal_form_atom(
-        kernel, channel, "section", part,
-        np.array([float(lag)]), np.array([1.0]), np.empty(0), np.empty(0),
-    )
-
-
-def integrated_segments(kernel: SobolevKernel, channel: int, lo, hi, weights, part: str = "r1") -> Atom:
-    """Exact time-integrated kernel slices sum_p w_p int_lo^hi R^part(v, .) dv."""
+def integrated_segments(kernel: SobolevKernel, channel: int, lo, hi, weights) -> Atom:
+    """Exact time-integrated kernel slices sum_p w_p int_lo^hi R1(v, .) dv."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -362,7 +353,7 @@ def integrated_segments(kernel: SobolevKernel, channel: int, lo, hi, weights, pa
     nodes = np.concatenate([hi, lo])
     signed = np.concatenate([weights, -weights])
     return _normal_form_atom(
-        kernel, channel, "integrated", part, np.empty(0), np.empty(0), nodes, signed
+        kernel, channel, "integrated", "r1", np.empty(0), np.empty(0), nodes, signed
     )
 
 
@@ -400,10 +391,6 @@ class FilterFunction:
                 self.kernel._check_domain(lags, nodes)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "coefficients", coeffs)
-
-    @classmethod
-    def zero(cls, kernel: SobolevKernel, n_channels: int = 1) -> "FilterFunction":
-        return cls(kernel, n_channels, (), np.empty(0))
 
     # -- normal form ---------------------------------------------------------
 
@@ -452,34 +439,7 @@ class FilterFunction:
         out = self._readers[channel](np.asarray(u, dtype=float))
         return float(out) if np.ndim(out) == 0 else out
 
-    # -- linear structure ------------------------------------------------------
-
-    def scale(self, alpha: float) -> "FilterFunction":
-        return FilterFunction(
-            self.kernel, self.n_channels, self.atoms, alpha * self.coefficients
-        )
-
-    def __add__(self, other: "FilterFunction") -> "FilterFunction":
-        if other.kernel != self.kernel or other.n_channels != self.n_channels:
-            raise ConfigError("cannot combine filters over different spaces")
-        return FilterFunction(
-            self.kernel,
-            self.n_channels,
-            self.atoms + other.atoms,
-            np.concatenate([self.coefficients, other.coefficients]),
-        )
-
-    def __sub__(self, other: "FilterFunction") -> "FilterFunction":
-        return self + other.scale(-1.0)
-
     # -- geometry ---------------------------------------------------------------
-
-    def project(self) -> "FilterFunction":
-        """Projection onto H1: the normal forms without their polynomial part."""
-        forms = tuple(
-            f.projected() for f in self.normal_forms if f.sec_lags.size or f.seg_nodes.size
-        )
-        return FilterFunction(self.kernel, self.n_channels, forms, np.ones(len(forms)))
 
     def compact(self) -> "FilterFunction":
         """The same function in at most 1 + m atoms per channel: the H1 part
@@ -500,15 +460,6 @@ class FilterFunction:
     def h1_seminorm_sq(self) -> float:
         """||P g||^2 = sum over channels of the H1 norm of the smooth part."""
         return sum(float(h1_inner_row(f, [f])[0]) for f in self.normal_forms)
-
-    def inner_product(self, other: "FilterFunction") -> float:
-        """Full Sobolev inner product; exactly symmetric in its arguments."""
-        if other.kernel != self.kernel or other.n_channels != self.n_channels:
-            raise ConfigError("cannot pair filters over different spaces")
-        return sum(
-            0.5 * float(h1_inner_row(a, [b])[0] + h1_inner_row(b, [a])[0]) + float(a.h0 @ b.h0)
-            for a, b in zip(self.normal_forms, other.normal_forms)
-        )
 
     # -- serialization ----------------------------------------------------------
 
@@ -560,10 +511,6 @@ class FilterFunction:
         except json.JSONDecodeError as exc:
             raise DataError(f"bad filter JSON: {exc}") from exc
         return FilterFunction.from_dict(payload)
-
-    @staticmethod
-    def load(path) -> "FilterFunction":
-        return FilterFunction.from_dict(_read_json(path, DataError))
 
 
 # -- inner products over atom lists --------------------------------------------

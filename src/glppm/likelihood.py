@@ -151,14 +151,17 @@ class LinkSpec:
 
 
 def linear_link(d: float) -> LinkSpec:
+    """The linear link phi(x) = x + d, d >= 0: its family's public constructor."""
     return LinkSpec("linear", float(d))
 
 
 def exponential_link(d: float = 0.0) -> LinkSpec:
+    """The exponential link phi(x) = exp(x + d): its family's public constructor."""
     return LinkSpec("exponential", float(d))
 
 
 def softplus_link(d: float = 0.0) -> LinkSpec:
+    """The softplus link phi(x) = log(1 + exp(x + d)): its family's public constructor."""
     return LinkSpec("softplus", float(d))
 
 
@@ -481,15 +484,23 @@ class Objective:
 # -- public operations ----------------------------------------------------------
 
 
+def _check_times(s: np.ndarray, horizon: float, what: str) -> None:
+    """DomainError naming the first time s outside [0, horizon] or NaN, as ``at``."""
+    outside = ~((s >= 0.0) & (s <= horizon))
+    if outside.any():
+        at = float(s.flat[np.argmax(outside)])
+        raise DomainError(f"{what} {at} outside [0, {horizon}]", at=at)
+
+
 def linear_predictor(g, drivers: DriverSeries, s) -> np.ndarray:
     """X_s-(g) = sum_j sum_{sigma < s} dZ g_j(s - sigma) at the given times.
 
-    ``g`` is a FilterFunction or one vectorized callable per channel.
+    ``g`` is a FilterFunction or one vectorized callable per channel.  A
+    time outside [0, horizon] raises ``_check_times``' DomainError.
     """
     _check_channels(g, drivers.n_channels)
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    if not np.all((s_arr >= 0.0) & (s_arr <= drivers.horizon)):  # NaN fails too
-        raise DomainError("evaluation times must lie in [0, horizon]")
+    _check_times(s_arr, drivers.horizon, "evaluation time")
     out = np.zeros(s_arr.shape)
     for j, ch in enumerate(drivers.channels):
         eval_idx, _, lags, dz = _history_pairs(s_arr, ch.times, ch.sizes)
@@ -673,13 +684,13 @@ def compensator(
     pass per channel over its normal form and the lag segments of every
     interval, summed by interval.  Anything else uses
     composite Gauss-Legendre quadrature with this many nodes per interval,
-    which ``QuadratureConfig`` validates on either route.
+    which ``QuadratureConfig`` validates on either route.  An s outside
+    [0, horizon] raises ``_check_times``' DomainError.
     """
     _check_channels(g, drivers.n_channels)
     QuadratureConfig(nodes_per_interval)
     s_arr = np.asarray(s, dtype=float)
-    if not np.all((s_arr >= 0.0) & (s_arr <= drivers.horizon)):
-        raise DomainError(f"compensator endpoint {s} outside [0, horizon]")
+    _check_times(s_arr, drivers.horizon, "compensator endpoint")
     q = s_arr.ravel()
     edges = _partition(
         float(q.max()) if q.size else 0.0, at_risk.breakpoints,

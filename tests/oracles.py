@@ -25,7 +25,12 @@ at a time through it, the reference for ``Objective.comp_row``, and
 ``segment_integrals_one_by_one`` the atoms of a block, the reference for
 ``compensator``'s linear route.  ``full_kernel`` gives the library's H1
 atoms their polynomial content (part "r"), as the paper's representers
-of the full kernel R.
+of the full kernel R, and ``kernel_section`` builds one R1 or R slice.
+Filter algebra that only tests use lives here too: ``combine`` forms a
+linear combination of filters as one filter over their atoms,
+``project`` the H1 part of a filter from its normal forms, and
+``inner_product`` the full Sobolev inner product from ``full_inner_row``
+over the normal forms.
 ``ascending_ladder`` finds a damped Newton direction by a climb from the
 bottom of the damping ladder, the reference for ``_Core.direction``'s
 resumed search, and
@@ -46,7 +51,15 @@ import scipy.linalg
 
 from glppm import optimizer, simulator
 from glppm.errors import DomainError, InfeasibleError, SolverError
-from glppm.filters import FilterFunction, _flatten, _merge_sorted, _merged_atom, _normal_form_atom, h1_inner_row
+from glppm.filters import (
+    FilterFunction,
+    _flatten,
+    _merge_sorted,
+    _merged_atom,
+    _normal_form_atom,
+    full_inner_row,
+    h1_inner_row,
+)
 from glppm.kernel import SobolevKernel, _branch_coeffs, _cross_weighted_sum, _h0_stack
 from glppm.likelihood import (
     Objective,
@@ -209,11 +222,43 @@ def full_kernel(kernel: SobolevKernel, atoms) -> list:
     ]
 
 
+def combine(*terms) -> FilterFunction:
+    """sum_i c_i g_i over (c_i, g_i) pairs of filters on one kernel and
+    channel count: one filter over their atoms laid end to end, each
+    coefficient scaled by its filter's c_i."""
+    g = terms[0][1]
+    return FilterFunction(
+        g.kernel,
+        g.n_channels,
+        sum((h.atoms for _, h in terms), ()),
+        np.concatenate([c * h.coefficients for c, h in terms]),
+    )
+
+
+def project(g: FilterFunction) -> FilterFunction:
+    """The projection of g onto H1: its normal forms without their
+    polynomial part (``Atom.projected``)."""
+    forms = tuple(f.projected() for f in g.normal_forms)
+    return FilterFunction(g.kernel, g.n_channels, forms, np.ones(len(forms)))
+
+
+def inner_product(f: FilterFunction, g: FilterFunction) -> float:
+    """The full Sobolev inner product <f, g>: ``full_inner_row`` of each
+    channel's normal forms, summed over the channels."""
+    return sum(float(full_inner_row(a, [b])[0]) for a, b in zip(f.normal_forms, g.normal_forms))
+
+
 def section_sum(kernel: SobolevKernel, channel: int, lags, weights, part: str = "r1"):
     """The "section" atom sum_l w_l R^part(lag_l, .): an event's history
     atom, with one coefficient for all its slices."""
     lags, weights = np.asarray(lags, dtype=float), np.asarray(weights, dtype=float)
     return _normal_form_atom(kernel, channel, "section", part, lags, weights, np.empty(0), np.empty(0))
+
+
+def kernel_section(kernel: SobolevKernel, channel: int, lag: float, part: str = "r1"):
+    """The kernel slice R1(lag, .) (part "r1") or R(lag, .) (part "r") at
+    one lag: the ``section_sum`` of one slice."""
+    return section_sum(kernel, channel, [float(lag)], [1.0], part)
 
 
 def integrated_points(kernel: SobolevKernel, channel: int, lags, weights, part: str = "r1"):
@@ -350,7 +395,7 @@ def gradient(g: FilterFunction, obj: Objective) -> FilterFunction:
     terms = [(a, 1.0) for a in full_kernel(g.kernel, build_f_atoms(g.kernel, obj, link_weights=link_weights))]
     terms += [(a, -rho[pos // obj.n_channels]) for pos, a in enumerate(h_atoms)]
     if obj.penalty_weight != 0.0:
-        terms += [(a, 2.0 * obj.penalty_weight) for a in g.project().atoms]
+        terms += [(a, 2.0 * obj.penalty_weight) for a in project(g).atoms]
     terms = [(a, c) for a, c in terms if not a.is_zero]
     return FilterFunction(
         g.kernel, obj.n_channels, tuple(a for a, _ in terms), np.array([c for _, c in terms])
@@ -405,11 +450,11 @@ def wolfe_angle_step(
     constants are the library's, read at each call.
     """
     grad = gradient(g, obj)
-    gn = np.sqrt(max(grad.inner_product(grad), 0.0))
-    dn = np.sqrt(max(direction.inner_product(direction), 0.0))
+    gn = np.sqrt(max(inner_product(grad, grad), 0.0))
+    dn = np.sqrt(max(inner_product(direction, direction), 0.0))
     if dn == 0.0:
         raise SolverError("line search direction is zero")
-    d0 = grad.inner_product(direction)
+    d0 = inner_product(grad, direction)
     if d0 >= 0.0:
         raise SolverError(f"not a descent direction: directional derivative {d0}")
     cosine = -d0 / (gn * dn) if gn > 0 else 1.0
@@ -418,13 +463,13 @@ def wolfe_angle_step(
     f0 = objective_value(g, obj)
 
     def trial(alpha: float):
-        g_a = g + direction.scale(alpha)
+        g_a = combine((1.0, g), (alpha, direction))
         try:
             f_a = objective_value(g_a, obj)
             grad_a = gradient(g_a, obj)
         except (InfeasibleError, DomainError):
             return False, np.nan, np.nan
-        return True, f_a, grad_a.inner_product(direction)
+        return True, f_a, inner_product(grad_a, direction)
 
     alpha, f_a, d_a, log, ok = _weak_wolfe_search(trial, f0, d0)
     if not ok:
@@ -440,7 +485,7 @@ def wolfe_angle_step(
         "deriv0": float(d0),
         "trials": log,
     }
-    return g + direction.scale(alpha), stats
+    return combine((1.0, g), (alpha, direction)), stats
 
 
 def ascending_ladder(core, H: np.ndarray, grad_c: np.ndarray, gam: np.ndarray, gn: float):

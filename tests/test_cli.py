@@ -23,7 +23,7 @@ import glppm
 from glppm import cli, data as data_module, optimizer, simulator
 from glppm.cli import main
 from glppm.data import AtRiskProcess, load_events, load_manifest
-from glppm.filters import FilterFunction, h0_poly, kernel_section
+from glppm.filters import FilterFunction, h0_poly
 from glppm.kernel import SobolevKernel
 from glppm.likelihood import (
     Objective,
@@ -36,7 +36,7 @@ from glppm.likelihood import (
 from glppm.optimizer import STEP_FIELDS, fit_descent, fit_linear
 from glppm.simulator import SimSpec, time_rescale
 
-from oracles import exact_compensator, full_gram, h1_gram, same_bits
+from oracles import exact_compensator, full_gram, h1_gram, kernel_section, same_bits
 
 
 def run(*argv):
@@ -70,7 +70,7 @@ def trace_rows(out):
 
 
 def zero_filter_payload(m=1, horizon=12.0, link=None):
-    g = FilterFunction.zero(SobolevKernel(m=m, horizon=horizon))
+    g = FilterFunction(SobolevKernel(m=m, horizon=horizon), 1, (), np.empty(0))
     payload = json.loads(g.to_json())
     if link is not None:
         payload["link"] = link
@@ -165,7 +165,7 @@ class TestSimulateCommand:
 
     def test_filter_payload_may_live_in_its_own_file(self, tmp_path):
         (tmp_path / "g.json").write_text(
-            FilterFunction.zero(SobolevKernel(m=1, horizon=5.0)).to_json()
+            FilterFunction(SobolevKernel(m=1, horizon=5.0), 1, (), np.empty(0)).to_json()
         )
         cfg = write_json(
             tmp_path / "sim.json",
@@ -297,6 +297,30 @@ class TestWrongJsonTypes:
         assert not (out / "events.csv").exists() and not (out / "dataset.json").exists()
 
 
+class TestNumericStrings:
+    def test_a_fit_config_of_numeric_strings_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        # float() reads each of these strings as a number, "1_0" as 10
+        data = make_dataset(tmp_path, DENSE_TIMES)
+        cfg = write_json(tmp_path / "fit.json", {
+            "link": {"kind": "exponential", "d": "0.5"}, "penalty_weight": "1_0", "m": "1", "tol": "1e-6",
+        })
+        out = tmp_path / "out"
+        assert run("fit", "--data", data, "--config", cfg, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "must be a number, got '0.5'" in err and "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_a_filter_file_with_a_string_coefficient_exits_3(self, tmp_path, capsys):
+        data = make_dataset(tmp_path, [0.5, 1.0, 2.0], horizon=3.0)
+        payload = zero_filter_payload(horizon=3.0, link={"kind": "linear", "d": 0.5})
+        payload["atoms"] = [{"channel": 0, "kind": "h0", "k": 1, "coefficient": "1"}]
+        cfg = write_json(tmp_path / "g.json", payload)
+        out = tmp_path / "o"
+        assert run("gof", "--data", data, "--config", cfg, "--out", out) == 3
+        assert "atom coefficient must be a number" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+
 class TestConfigFilter:
     @pytest.mark.parametrize("command", ["simulate", "gof", "intensity"])
     @pytest.mark.parametrize("value", [{"atoms": []}, 5], ids=["no-format", "number"])
@@ -324,7 +348,7 @@ class TestFitCommand:
         out = tmp_path / "out"
         assert run("fit", "--data", data, "--config", cfg, "--out", out) == 0
 
-        g_hat = FilterFunction.load(out / "filter.json")
+        g_hat = FilterFunction.from_dict(json.loads((out / "filter.json").read_text()))
         payload = json.loads((out / "filter.json").read_text())
         assert payload["link"] == {"kind": "linear", "d": 0.5}
 
@@ -421,7 +445,7 @@ class TestFitCommand:
         result = json.loads((out / "fit_result.json").read_text())
         assert result["converged"] is False
         assert result["status"] in ("max_iter", "stalled")
-        FilterFunction.load(out / "filter.json")
+        FilterFunction.from_dict(json.loads((out / "filter.json").read_text()))
         assert (out / "trace.csv").exists()
 
     def test_infeasible_model_exits_5(self, tmp_path):
@@ -538,7 +562,7 @@ class TestFilterFile:
 
     def test_reloads_as_the_same_function(self, fitted):
         out, res, obj, _ = fitted
-        g = FilterFunction.load(out / "filter.json")
+        g = FilterFunction.from_dict(json.loads((out / "filter.json").read_text()))
         u = np.linspace(0.0, obj.horizon, 2001)
         assert np.array_equal(g.evaluate(0, u), res.g_hat.evaluate(0, u))
         gaps = time_rescale(g, obj.link, obj.events, obj.drivers)
@@ -568,7 +592,7 @@ class TestIntensityCommand:
     def test_wrapper_config_with_at_risk_window(self, tmp_path):
         data = make_dataset(tmp_path, [1.0, 2.5], horizon=8.0)
         (tmp_path / "g.json").write_text(
-            FilterFunction.zero(SobolevKernel(m=1, horizon=8.0)).to_json()
+            FilterFunction(SobolevKernel(m=1, horizon=8.0), 1, (), np.empty(0)).to_json()
         )
         cfg = write_json(
             tmp_path / "wrap.json",
@@ -817,6 +841,22 @@ MALFORMED = {
         for target in ("manifest", "simulate")
         for name, value in (("str", "false"), ("int", 0), ("null", None))
     },
+    # a number spelled as a string is no number: float("1_0") is 10
+    **{
+        f"{target}-{key}-numeric-str": (target, set_key(key, value), 2)
+        for target, key, value in (
+            ("fit", "link.d", "0.5"),
+            ("fit", "penalty_weight", "1_0"),
+            ("fit", "m", "1"),
+            ("fit", "tol", " 1e-6 "),
+            ("fit", "max_iter", "10"),
+            ("manifest", "horizon", "10"),
+            ("simulate", "horizon", "12"),
+        )
+    },
+    "filter-channel-numeric-str": (
+        "simulate", set_key("filters.atoms", [dict(section_atom([1.0], [0.5])[0], channel="0")]), 3
+    ),
 }
 
 

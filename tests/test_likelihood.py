@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from glppm.data import AtRiskProcess, DriverChannel, DriverSeries, EventSeries
 from glppm.errors import ConfigError, DomainError, InfeasibleError
 from glppm import likelihood
-from glppm.filters import FilterFunction, h0_poly, integrated_segments, kernel_section
+from glppm.filters import FilterFunction, h0_poly, integrated_segments
 from glppm.kernel import SobolevKernel
 from glppm.likelihood import (
     LinkSpec,
@@ -27,8 +27,12 @@ from glppm.likelihood import (
 
 from oracles import (
     atom_columns,
+    combine,
     gradient,
     hessian_coords,
+    inner_product,
+    kernel_section,
+    project,
     same_bits,
     section_sum,
     segment_integrals_one_by_one,
@@ -97,14 +101,14 @@ class TestLinearPredictor:
     def test_out_of_window(self, tiny):
         events, drivers = tiny
         k = SobolevKernel(m=1, horizon=8.0)
-        g = FilterFunction.zero(k, 2)
+        g = FilterFunction(k, 2, (), np.empty(0))
         with pytest.raises(DomainError):
             linear_predictor(g, drivers, 9.0)
 
     def test_nan_time_rejected(self, tiny):
         events, drivers = tiny
         k = SobolevKernel(m=1, horizon=8.0)
-        g = FilterFunction.zero(k, 2)
+        g = FilterFunction(k, 2, (), np.empty(0))
         with pytest.raises(DomainError):
             linear_predictor(g, drivers, float("nan"))
         with pytest.raises(DomainError):
@@ -167,14 +171,14 @@ class TestLinkSpec:
         empty = EventSeries(8.0, np.empty(0))
         no_drivers = DriverSeries(8.0, (DriverChannel("target", np.empty(0), np.empty(0)),))
         obj = Objective(LinkSpec("exp", math.log(0.5)), 1.0, empty, no_drivers)
-        assert_allclose(objective_value(FilterFunction.zero(k, 1), obj), 4.0, rtol=1e-14)
+        assert_allclose(objective_value(FilterFunction(k, 1, (), np.empty(0)), obj), 4.0, rtol=1e-14)
 
 
 class TestIntensity:
     def test_baseline_only(self, tiny):
         events, drivers = tiny
         k = SobolevKernel(m=1, horizon=8.0)
-        g = FilterFunction.zero(k, 2)
+        g = FilterFunction(k, 2, (), np.empty(0))
         y = AtRiskProcess.unit()
         assert intensity(g, linear_link(0.7), y, drivers, 3.3) == 0.7
         assert intensity(g, exponential_link(), y, drivers, 3.3) == 1.0
@@ -185,7 +189,7 @@ class TestIntensity:
     def test_at_risk_zero_gives_zero(self, tiny):
         events, drivers = tiny
         k = SobolevKernel(m=1, horizon=8.0)
-        g = FilterFunction.zero(k, 2)
+        g = FilterFunction(k, 2, (), np.empty(0))
         y = AtRiskProcess([7.0], [1.0, 0.0])
         assert intensity(g, linear_link(0.5), y, drivers, 7.5) == 0.0
 
@@ -215,7 +219,7 @@ class TestNegLogLik:
         events = EventSeries(10.0, np.empty(0))
         drivers = DriverSeries(10.0, (DriverChannel("target", np.empty(0), np.empty(0)),))
         obj = Objective(linear_link(0.4), 1.0, events, drivers)
-        g = FilterFunction.zero(k, 1)
+        g = FilterFunction(k, 1, (), np.empty(0))
         assert neg_log_lik(g, obj) == 0.4 * 10.0
 
     def test_single_event_exact(self):
@@ -223,7 +227,7 @@ class TestNegLogLik:
         events = EventSeries(10.0, np.array([3.7]))
         drivers = DriverSeries(10.0, (DriverChannel("target", np.array([3.7]), np.ones(1)),))
         obj = Objective(linear_link(0.4), 1.0, events, drivers)
-        g = FilterFunction.zero(k, 1)
+        g = FilterFunction(k, 1, (), np.empty(0))
         assert neg_log_lik(g, obj) == 0.4 * 10.0 - math.log(0.4)
 
     @pytest.mark.parametrize("link_name", ["linear", "exponential", "softplus"])
@@ -244,7 +248,7 @@ class TestNegLogLik:
         events, drivers = tiny
         k = SobolevKernel(m=1, horizon=8.0)
         obj = Objective(linear_link(0.0), 1.0, events, drivers)
-        g = FilterFunction.zero(k, 2)
+        g = FilterFunction(k, 2, (), np.empty(0))
         with pytest.raises(InfeasibleError):
             neg_log_lik(g, obj)
 
@@ -268,7 +272,7 @@ class TestNegLogLik:
         )
         obj1 = Objective(exponential_link(), 0.0, events, drivers)
         obj2 = Objective(exponential_link(), 0.0, events, doubled)
-        assert neg_log_lik(g, obj1) == neg_log_lik(g.scale(0.5), obj2)
+        assert neg_log_lik(g, obj1) == neg_log_lik(combine((0.5, g)), obj2)
 
 
 class TestObjective:
@@ -338,7 +342,7 @@ class TestObjective:
             f1 = objective_value(g1, obj)
             f2 = objective_value(g2, obj)
             for a in (0.25, 0.5, 0.75):
-                mix = g1.scale(a) + g2.scale(1 - a)
+                mix = combine((a, g1), (1 - a, g2))
                 assert objective_value(mix, obj) <= a * f1 + (1 - a) * f2 + 1e-9
 
     def test_quadrature_refinement_stable(self, tiny):
@@ -387,10 +391,10 @@ class TestGradient:
             g = small_filter(k, rng, 2)
             h = small_filter(k, rng, 2)
             grad = gradient(g, obj)
-            got = grad.inner_product(h)
+            got = inner_product(grad, h)
             fd = (
-                objective_value(g + h.scale(eps), obj)
-                - objective_value(g + h.scale(-eps), obj)
+                objective_value(combine((1.0, g), (eps, h)), obj)
+                - objective_value(combine((1.0, g), (-eps, h)), obj)
             ) / (2 * eps)
             assert_allclose(got, fd, rtol=1e-5, atol=1e-9)
 
@@ -401,12 +405,12 @@ class TestGradient:
         )
         k = SobolevKernel(m=1, horizon=6.0)
         obj = Objective(linear_link(0.5), 1.0, events, drivers)
-        grad = gradient(FilterFunction.zero(k, 1), obj)
+        grad = gradient(FilterFunction(k, 1, (), np.empty(0)), obj)
         # no event terms and no penalty terms survive: only the compensator part
         assert all(a.kind == "integrated" for a in grad.atoms)
         # its pairing with any h equals int_0^t h(s - 2) ds over the window
         probe = FilterFunction(k, 1, (h0_poly(k, 0, 1),), np.ones(1))
-        assert_allclose(grad.inner_product(probe), 4.0, rtol=1e-12)
+        assert_allclose(inner_product(grad, probe), 4.0, rtol=1e-12)
 
     def test_penalty_term_included(self, tiny):
         events, drivers = tiny
@@ -419,8 +423,8 @@ class TestGradient:
         g1 = gradient(g, obj1)
         h = small_filter(k, rng, 2)
         # the difference of the two gradients is 2 lambda <Pg, Ph>
-        want = 2.0 * 3.0 * g.project().inner_product(h.project())
-        assert_allclose(g1.inner_product(h) - g0.inner_product(h), want, rtol=1e-9, atol=1e-12)
+        want = 2.0 * 3.0 * inner_product(project(g), project(h))
+        assert_allclose(inner_product(g1, h) - inner_product(g0, h), want, rtol=1e-9, atol=1e-12)
 
 
 class TestHessian:
@@ -445,7 +449,7 @@ class TestHessian:
             gp = gradient(FilterFunction(k, 2, g.atoms, cp), obj)
             gm = gradient(FilterFunction(k, 2, g.atoms, cm), obj)
             for i in range(n):
-                fd = (gp.inner_product(probes[i]) - gm.inner_product(probes[i])) / (2 * eps)
+                fd = (inner_product(gp, probes[i]) - inner_product(gm, probes[i])) / (2 * eps)
                 assert_allclose(H[i, j], fd, rtol=1e-4, atol=1e-7)
 
     def test_linear_link_hessian_psd(self, tiny):
@@ -461,7 +465,7 @@ class TestHessian:
         events, drivers = tiny
         k = SobolevKernel(m=1, horizon=8.0)
         obj = Objective(linear_link(1.0), 1.0, events, drivers)
-        H = hessian_coords(FilterFunction.zero(k, 2), obj, [], kernel=k)
+        H = hessian_coords(FilterFunction(k, 2, (), np.empty(0)), obj, [], kernel=k)
         assert H.shape == (0, 0)
 
 
@@ -469,7 +473,7 @@ class TestCompensator:
     def test_baseline_is_linear_in_time(self, tiny):
         events, drivers = tiny
         k = SobolevKernel(m=1, horizon=8.0)
-        g = FilterFunction.zero(k, 2)
+        g = FilterFunction(k, 2, (), np.empty(0))
         y = AtRiskProcess.unit()
         for s in (0.0, 1.7, 8.0):
             assert compensator(g, linear_link(0.4), y, drivers, s) == pytest.approx(0.4 * s, abs=1e-14)
@@ -521,9 +525,26 @@ class TestCompensator:
     def test_out_of_window(self, tiny):
         events, drivers = tiny
         k = SobolevKernel(m=1, horizon=8.0)
-        g = FilterFunction.zero(k, 2)
+        g = FilterFunction(k, 2, (), np.empty(0))
         with pytest.raises(DomainError):
             compensator(g, linear_link(1.0), AtRiskProcess.unit(), drivers, 8.5)
+
+    @pytest.mark.parametrize("bad", [11.0, -0.5, float("nan")])
+    @pytest.mark.parametrize("route", ["compensator", "linear_predictor"])
+    def test_a_bad_time_in_a_long_array_is_named(self, tiny, route, bad):
+        # numpy's repr of 5000 times elides the middle; the error names the
+        # first bad time and the horizon, and carries that time as ``at``
+        events, drivers = tiny
+        g = FilterFunction(SobolevKernel(m=1, horizon=8.0), 2, (), np.empty(0))
+        s = np.linspace(0.0, 8.0, 5000)
+        s[[3001, 4000]] = bad, 9.0
+        with pytest.raises(DomainError) as err:
+            if route == "compensator":
+                compensator(g, exponential_link(0.0), AtRiskProcess.unit(), drivers, s)
+            else:
+                linear_predictor(g, drivers, s)
+        assert f"{bad} outside [0, 8.0]" in str(err.value)
+        assert same_bits(err.value.at, bad)
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_the_linear_route_integrates_each_channel_in_one_pass(self, tiny, m, monkeypatch):
@@ -536,7 +557,8 @@ class TestCompensator:
         k = SobolevKernel(m=m, horizon=8.0)
         rng = np.random.default_rng(47)
         segments = tuple(integrated_segments(k, ch, [0.5, 1.0], [2.0, 4.5], [0.3, -0.2]) for ch in range(2))
-        g = small_filter(k, rng, 2, scale=0.05) + FilterFunction(k, 2, segments, np.full(2, 0.05))
+        smooth = small_filter(k, rng, 2, scale=0.05)
+        g = combine((1.0, smooth), (1.0, FilterFunction(k, 2, segments, np.full(2, 0.05))))
         for f in g.normal_forms:
             assert f.sec_lags.size and f.seg_nodes.size and f.h0.any()
         y = AtRiskProcess([4.0], [1.0, 0.5])
@@ -581,7 +603,7 @@ class TestCompensator:
         from glppm.simulator import time_rescale
 
         events, drivers = tiny
-        g = FilterFunction.zero(SobolevKernel(m=1, horizon=8.0), 2)
+        g = FilterFunction(SobolevKernel(m=1, horizon=8.0), 2, (), np.empty(0))
         y = AtRiskProcess.unit()
         with pytest.raises(ConfigError, match="nodes_per_interval"):
             compensator(g, link, y, drivers, 3.0, nodes_per_interval=n)

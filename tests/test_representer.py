@@ -19,7 +19,7 @@ from glppm.likelihood import (
 )
 from glppm.optimizer import FREE, POINT, _Workspace
 
-from oracles import full_gram, full_kernel, h1_gram, integrated_points
+from oracles import full_gram, full_kernel, h1_gram, inner_product, integrated_points, kernel_section, project
 
 
 def representer_basis(kernel, obj):
@@ -42,7 +42,7 @@ def two_event_objective():
 
 
 def small_filter(kernel, rng, n_channels, scale=0.05):
-    from glppm.filters import h0_poly, kernel_section
+    from glppm.filters import h0_poly
 
     atoms = []
     for ch in range(n_channels):
@@ -142,14 +142,14 @@ class TestEventAtoms:
         rng = np.random.default_rng(1)
         atoms = build_h_atoms(k, Objective(linear_link(0.5), 1.0, events, drivers))
         h = small_filter(k, rng, 2)
-        ph = h.project()
+        ph = project(h)
         for a in atoms:
             af = FilterFunction(k, 2, (a,), np.ones(1))
             want = sum(
                 dz * ph.evaluate(a.channel, float(lag))
                 for lag, dz in zip(a.sec_lags, a.sec_weights)
             )
-            assert_allclose(af.inner_product(ph), want, rtol=1e-11, atol=1e-12)
+            assert_allclose(inner_product(af, ph), want, rtol=1e-11, atol=1e-12)
 
     def test_full_sections_reproduce_unprojected_values(self, tiny):
         events, drivers = tiny
@@ -163,7 +163,7 @@ class TestEventAtoms:
                 dz * h.evaluate(a.channel, float(lag))
                 for lag, dz in zip(a.sec_lags, a.sec_weights)
             )
-            assert_allclose(af.inner_product(h), want, rtol=1e-11, atol=1e-12)
+            assert_allclose(inner_product(af, h), want, rtol=1e-11, atol=1e-12)
 
 
 class TestCompensatorAtom:
@@ -187,9 +187,9 @@ class TestCompensatorAtom:
         rng = np.random.default_rng(3)
         obj = Objective(linear_link(0.5), 1.0, events, drivers)
         atoms = build_f_atoms(k, obj)
-        h = small_filter(k, rng, 2).project()
+        h = project(small_filter(k, rng, 2))
         total = sum(
-            FilterFunction(k, 2, (a,), np.ones(1)).inner_product(h) for a in atoms
+            inner_product(FilterFunction(k, 2, (a,), np.ones(1)), h) for a in atoms
         )
         n = 200_000
         mid = (np.arange(n) + 0.5) * (8.0 / n)
@@ -210,7 +210,7 @@ class TestCompensatorAtom:
             atoms = full_kernel(k, build_f_atoms(k, obj, link_weights=w))
             eta = FilterFunction(k, 2, tuple(atoms), np.ones(len(atoms)))
             want = linear_predictor(h, drivers, float(obj.nodes[q]))
-            assert_allclose(eta.inner_product(h), want, rtol=1e-11, atol=1e-12)
+            assert_allclose(inner_product(eta, h), want, rtol=1e-11, atol=1e-12)
 
     @pytest.mark.parametrize("part", ["r1", "r"])
     def test_pointwise_atoms_equal_the_unsorted_construction(self, tiny, part):

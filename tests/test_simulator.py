@@ -9,13 +9,21 @@ import glppm.filters
 import glppm.simulator
 from glppm.data import AtRiskProcess, DriverChannel, DriverSeries, EventSeries
 from glppm.errors import ConfigError, SolverError
-from glppm.filters import FilterFunction, h0_poly, integrated_segments, kernel_section
+from glppm.filters import FilterFunction, h0_poly, integrated_segments
 from glppm.kernel import SobolevKernel
 from glppm.likelihood import Objective, exponential_link, linear_link, softplus_link
 from glppm.optimizer import fit_descent
 from glppm.simulator import SimSpec, simulate, time_rescale
 
-from oracles import fresh_value, r1, reference_envelopes, reference_read, same_bits, thinning_reference
+from oracles import (
+    fresh_value,
+    kernel_section,
+    r1,
+    reference_envelopes,
+    reference_read,
+    same_bits,
+    thinning_reference,
+)
 
 
 class TestSpecValidation:
@@ -591,7 +599,7 @@ class TestTimeRescale:
         events = EventSeries(10.0, times)
         drivers = DriverSeries(10.0, (DriverChannel("target", times, np.ones(4)),))
         k = SobolevKernel(m=1, horizon=10.0)
-        g = FilterFunction.zero(k, 1)
+        g = FilterFunction(k, 1, (), np.empty(0))
         gaps = time_rescale(g, linear_link(2.0), events, drivers)
         want = 2.0 * np.diff(np.concatenate([[0.0], times]))
         assert_allclose(gaps, want, rtol=1e-12)
@@ -600,7 +608,7 @@ class TestTimeRescale:
         events = EventSeries(10.0, np.empty(0))
         drivers = DriverSeries(10.0, (DriverChannel("target", np.empty(0), np.empty(0)),))
         k = SobolevKernel(m=1, horizon=10.0)
-        gaps = time_rescale(FilterFunction.zero(k, 1), linear_link(1.0), events, drivers)
+        gaps = time_rescale(FilterFunction(k, 1, (), np.empty(0)), linear_link(1.0), events, drivers)
         assert gaps.size == 0
 
     def test_true_model_rescaling_is_unit_exponential(self, hawkes50):
@@ -615,8 +623,6 @@ class TestTimeRescale:
     def test_callable_and_filter_paths_agree(self, hawkes50):
         events, drivers = hawkes50
         k = SobolevKernel(m=2, horizon=50.0)
-        from glppm.filters import kernel_section
-
         g = FilterFunction(k, 1, (kernel_section(k, 0, 2.0),), np.array([0.01]))
         gaps_filter = time_rescale(g, linear_link(0.5), events, drivers)
         gaps_callable = time_rescale(

@@ -1,6 +1,8 @@
 """The benchmark's tracer finds every glppm attribute it wraps, wraps no
 name that glppm code never reads beyond six known ones, and counts
-thinning candidates where ``simulate`` reads the filter."""
+thinning candidates where ``simulate`` reads the filter; and ``glppm``
+defines nothing that no library, benchmark or tool code reads beyond
+seven known names."""
 
 import ast
 import importlib.util
@@ -10,11 +12,11 @@ import numpy as np
 
 import glppm.simulator
 from glppm.data import DriverChannel, DriverSeries
-from glppm.filters import FilterFunction, h0_poly, kernel_section
+from glppm.filters import FilterFunction, h0_poly
 from glppm.kernel import SobolevKernel
 from glppm.likelihood import linear_link
 
-from oracles import same_bits, thinning_reference
+from oracles import kernel_section, same_bits, thinning_reference
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -109,4 +111,53 @@ def test_the_hooks_that_no_glppm_code_reads_are_the_known_six():
         "glppm.filters.FilterFunction.from_json",
         "glppm.likelihood.Objective.node_column",
         "glppm.likelihood.Objective.event_column",
+    }
+
+
+def test_the_definitions_that_no_glppm_bench_or_tools_code_reads_are_the_known_seven():
+    # every module-level function and class of src/glppm, and every
+    # non-dunder method, that no non-test code of src/glppm, bench/ or
+    # tools/ reads: a definition is read under its bare name in a module
+    # that defines or imports it, a method under any owner.  The tracer
+    # hooks to_json, from_json, node_column, event_column and (through the
+    # optimizer's re-export) full_inner_row, so
+    # test_every_traced_hook_resolves needs them until the hooks go; the
+    # exponential and softplus links are, with linear_link, the exported
+    # constructors of each link family.  A change that leaves another
+    # definition to the tests alone fails here.
+    files = [
+        path
+        for folder in ("src/glppm", "bench", "tools")
+        for path in sorted((ROOT / folder).glob("*.py"))
+        if not path.name.startswith("test_")
+    ]
+    read, bound = set(), {}
+    for path in files:
+        tree = ast.parse(path.read_text())
+        read |= read_names(tree, path.stem)
+        names = [n.name for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
+        names += [a.asname or a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names]
+        for name in names:
+            bound.setdefault(name, set()).add(path.stem)
+    unread = set()
+    for path in sorted((ROOT / "src" / "glppm").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            names = {f"*.{node.name}"} | {f"glppm.{module}.{node.name}" for module in bound[node.name]}
+            if not names & read:
+                unread.add(f"{path.stem}.{node.name}")
+            methods = node.body if isinstance(node, ast.ClassDef) else []
+            for method in methods:
+                if isinstance(method, ast.FunctionDef) and not method.name.startswith("__"):
+                    if f"*.{method.name}" not in read:
+                        unread.add(f"{node.name}.{method.name}")
+    assert unread == {
+        "FilterFunction.from_json",
+        "FilterFunction.to_json",
+        "filters.full_inner_row",
+        "Objective.event_column",
+        "Objective.node_column",
+        "likelihood.exponential_link",
+        "likelihood.softplus_link",
     }
