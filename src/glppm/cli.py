@@ -286,7 +286,8 @@ def cmd_simulate(args) -> int:
 
 def _fit_config(cfg):
     """Validated pieces of a fit/basis config, with the model's defaults
-    filled in; the stopping rule holds only the ``tol`` that it sets."""
+    filled in; the stopping rule holds only the ``tol`` and ``max_iter``
+    that it sets, so ``basis`` refuses what ``fit`` refuses."""
     _check_keys(
         cfg,
         {
@@ -306,6 +307,8 @@ def _fit_config(cfg):
     lam = _as_number(cfg.get("penalty_weight", 1.0), "penalty_weight")
     m = _as_number(cfg.get("m", 1), "m", integer=True)
     stopping = {"tol": _as_number(cfg["tol"], "tol")} if "tol" in cfg else {}
+    if "max_iter" in cfg:
+        stopping["max_iter"] = _as_number(cfg["max_iter"], "max_iter", integer=True)
 
     quad = None
     if "quadrature" in cfg:
@@ -328,8 +331,6 @@ def cmd_fit(args) -> int:
     obj = Objective(link, lam, events, drivers, at_risk=at_risk, quadrature=quad)
     kernel = SobolevKernel(m=m, horizon=events.horizon)
     fit = optimizer.fit_linear if link.kind == "linear" else optimizer.fit_descent
-    if "max_iter" in cfg:
-        stopping["max_iter"] = _as_number(cfg["max_iter"], "max_iter", integer=True)
     res = fit(kernel, obj, **stopping)
 
     out = Path(args.out)

@@ -67,10 +67,19 @@ def _as_bool(raw, what: str) -> bool:
 
 
 def _as_float_array(values, name: str) -> np.ndarray:
-    try:
-        arr = np.asarray(values, dtype=float)
-    except (TypeError, ValueError):
-        raise DataError(f"{name} must be numbers, got {values!r}") from None
+    """``values`` as a read-only, one-dimensional, finite float array, or
+    DataError.  A list or tuple must hold ints, floats or NumPy real
+    scalars, and an ndarray must have an integer or float dtype: a bool or
+    a string such as "1" would otherwise be read as a number."""
+    if isinstance(values, (list, tuple)):
+        numbers = all(
+            isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool) for v in values
+        )
+    else:
+        numbers = isinstance(values, np.ndarray) and values.dtype.kind in "iuf"
+    if not numbers:
+        raise DataError(f"{name} must be numbers, got {values!r}")
+    arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
         raise DataError(f"{name} must be one-dimensional")
     if arr.size and not np.isfinite(arr).all():

@@ -857,6 +857,22 @@ MALFORMED = {
     "filter-channel-numeric-str": (
         "simulate", set_key("filters.atoms", [dict(section_atom([1.0], [0.5])[0], channel="0")]), 3
     ),
+    # nor is an array element spelled as a string or a bool: np.asarray reads
+    # "1" and true as 1.0
+    "at_risk-value-numeric-str": ("fit", set_key("at_risk", {"breakpoints": [5.0], "values": ["1", 0.5]}), 2),
+    "at_risk-breakpoint-bool": ("fit", set_key("at_risk", {"breakpoints": [True], "values": [1.0, 0.5]}), 2),
+    "filter-lag-numeric-str": ("simulate", set_key("filters.atoms", section_atom(["1.0"], [0.5])), 3),
+    "filter-weight-bool": ("simulate", set_key("filters.atoms", section_atom([1.0], [True])), 3),
+    # basis reads the fit config's stopping rule as fit does
+    **{
+        f"basis-{key}-{name}": ("basis", set_key(key, value), 2)
+        for key, name, value in (
+            ("max_iter", "str", "x"),
+            ("max_iter", "fraction", 2.5),
+            ("max_iter", "numeric-str", "10"),
+            ("tol", "str", "x"),
+        )
+    },
 }
 
 
@@ -911,11 +927,12 @@ class TestMalformedInput:
             argv = ["simulate", "--config", write_json(tmp_path / "sim.json", change(sim))]
         else:
             cfg = {"link": {"kind": "linear", "d": 0.5}, "penalty_weight": 5.0, "m": 1}
-            if target == "fit":
-                cfg = change(cfg)
-            else:
+            if target == "manifest":
                 write_json(data, change(json.loads(data.read_text())))
-            argv = ["fit", "--data", data, "--config", write_json(tmp_path / "fit.json", cfg)]
+            else:
+                cfg = change(cfg)
+            command = "basis" if target == "basis" else "fit"
+            argv = [command, "--data", data, "--config", write_json(tmp_path / "fit.json", cfg)]
         assert run(*argv, "--out", tmp_path / "o") == code
 
 

@@ -1,4 +1,4 @@
-"""tools/compare_runs.py: bit identity of two benchmark runs."""
+"""tools/compare_runs.py: bit identity of two source trees, and benchmark pairs."""
 
 import base64
 import importlib.util
@@ -183,64 +183,6 @@ def test_fits_run_the_suite_under_each_source_tree(tmp_path, compare_runs, capsy
     assert any(line.startswith("exp-m1-d0: objective_trace") for line in lines)
 
 
-def test_time_runs_the_fit_batch_under_each_source_tree(tmp_path, compare_runs, capsys):
-    src = TOOL.parents[1] / "src"
-    small = ["--rounds", "1", "--datasets", "2"]
-    assert compare_runs.main(["time", str(src), str(src), *small]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    for name in ("exp", "softplus"):
-        at = lines.index(f"{name}: 2 fits per pass, 1 round(s)")
-        assert lines[at + 1].startswith(f"  A {src}: ") and " ms/fit (quartiles " in lines[at + 1]
-        assert lines[at + 2].startswith(f"  B {src}: ")
-        assert re.fullmatch(r"  B faster in [01] of 1 rounds, A in [01]; objectives identical", lines[at + 3])
-    # the benchmark's 22 simulations, timed and compared by their events
-    at = lines.index("sim: 22 simulations per pass, 1 round(s)")
-    assert lines[at + 1].startswith(f"  A {src}: ") and " ms/simulation (quartiles " in lines[at + 1]
-    assert lines[at + 2].startswith(f"  B {src}: ")
-    assert re.fullmatch(r"  B faster in [01] of 1 rounds, A in [01]; events identical", lines[at + 3])
-    # the benchmark's CLI commands: fit and gof per family, simulate and gof
-    # of each simulation, timed and compared by exit code and output bytes
-    parts = [f"cli-{name}-{cmd}" for name in ("exp", "softplus") for cmd in ("fit", "gof")]
-    for part, count in [(part, 2) for part in parts] + [("cli-simulate", 22), ("cli-sim-gof", 22)]:
-        at = lines.index(f"{part}: {count} commands per pass, 1 round(s)")
-        assert lines[at + 1].startswith(f"  A {src}: ") and " ms/command (quartiles " in lines[at + 1]
-        assert lines[at + 2].startswith(f"  B {src}: ") and " ms/command (quartiles " in lines[at + 2]
-        assert re.fullmatch(r"  B faster in [01] of 1 rounds, A in [01]; outputs identical", lines[at + 3])
-    assert lines[-1] == "every output matched"
-    # a tree whose line search asks for more curvature ends elsewhere
-    changed = tmp_path / "src"
-    shutil.copytree(src / "glppm", changed / "glppm", ignore=shutil.ignore_patterns("__pycache__"))
-    optimizer = changed / "glppm" / "optimizer.py"
-    constants = "C1, C2, DELTA, MAX_STEP_TRIALS = 1e-4, {}, 0.1, 60"
-    optimizer.write_text(optimizer.read_text().replace(constants.format(0.4), constants.format(0.3)))
-    assert compare_runs.main(["time", str(src), str(changed), *small]) == 1
-    assert capsys.readouterr().out.splitlines()[-1].startswith("outputs differ: exp")
-    # a tree whose thinning bound has a wider margin draws other events,
-    # and fits the same
-    shutil.copy2(src / "glppm" / "optimizer.py", optimizer)
-    simulator = changed / "glppm" / "simulator.py"
-    text = simulator.read_text()
-    assert "_BOUND_MARGIN = 1.01\n" in text
-    simulator.write_text(text.replace("_BOUND_MARGIN = 1.01\n", "_BOUND_MARGIN = 1.02\n"))
-    assert compare_runs.main(["time", str(src), str(changed), *small]) == 1
-    lines = capsys.readouterr().out.splitlines()
-    at = lines.index("sim: 22 simulations per pass, 1 round(s)")
-    assert lines[at + 3].endswith("; events DIFFER")
-    # the simulate commands' events differ too, and so do the gofs of them
-    assert lines[-1] == "outputs differ: sim, cli-simulate, cli-sim-gof"
-    # a tree whose fitted-filter grid has one more point fits the same, and
-    # writes other fit outputs
-    shutil.copy2(src / "glppm" / "simulator.py", simulator)
-    cli = changed / "glppm" / "cli.py"
-    text = cli.read_text()
-    assert "_GRID_POINTS = 512 " in text
-    cli.write_text(text.replace("_GRID_POINTS = 512 ", "_GRID_POINTS = 513 "))
-    assert compare_runs.main(["time", str(src), str(changed), *small]) == 1
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[lines.index("cli-exp-fit: 2 commands per pass, 1 round(s)") + 3].endswith("; outputs DIFFER")
-    assert lines[-1] == "outputs differ: cli-exp-fit, cli-softplus-fit"
-
-
 def test_cli_byte_compares_the_command_outputs_of_each_source_tree(tmp_path, compare_runs, capsys):
     src = TOOL.parents[1] / "src"
     assert compare_runs.compare_cli(src, src, 1, tmp_path) == []
@@ -352,3 +294,186 @@ def test_the_reference_gap_flags_an_early_stop_and_not_rounding(tmp_path, compar
         assert ("per family, gap (F - F*) / |F*| to the reference, A / B:" in out) == bool(flag)
     with pytest.raises(SystemExit):
         compare_runs.main(["trees", str(tmp_path / "a"), str(tmp_path / "a"), "--reference"])
+
+
+# a stand-in for ``bench/run.py`` that imports no glppm: it logs its root,
+# arguments, ``__file__`` and the names beside it, writes the run tree and
+# prints the result line that its root's table holds for its workload and seed
+STUB = """import argparse, json, sys
+from pathlib import Path
+
+ROOT = Path({root!r})
+p = argparse.ArgumentParser()
+for flag in ("--workload", "--seed", "--seconds", "--trace"):
+    p.add_argument(flag, required=True)
+args = p.parse_args()
+here = Path(__file__).parent
+with open(ROOT.parent / "log.jsonl", "a") as log:
+    entry = [ROOT.name, args.workload, args.seed, args.seconds, args.trace, __file__]
+    log.write(json.dumps(entry + [sorted(q.name for q in here.iterdir())]) + "\\n")
+run = json.loads((ROOT / "table.json").read_text())[args.workload + " " + args.seed]
+for name, text in run["files"].items():
+    path = here / ".work" / (args.workload + "-s" + args.seed) / name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+print("a summary line")
+print(run["line"])
+print("boom", file=sys.stderr)
+sys.exit(run["rc"])
+"""
+
+
+def checkout(root: Path, workloads, metrics, seconds=3) -> Path:
+    """A stub checkout root: ``src/glppm``, the stub ``bench/run.py`` with a
+    stale ``bench/.work`` and ``__pycache__`` beside it, and a
+    ``BENCHMARK.json`` of these workloads and (name, better, bound)
+    metrics."""
+    spec = {
+        "command": [sys.executable, "bench/run.py"], "run_seconds": seconds, "paths": ["bench"],
+        "workloads": [{"name": w} for w in workloads],
+        "end_to_end": [{"name": n, "unit": "x", "better": better, "bound": bound} for n, better, bound in metrics],
+    }
+    return write_tree(root, {
+        "src/glppm/__init__.py": "", "bench/run.py": STUB.format(root=str(root)), "bench/.work/stale": "",
+        "bench/__pycache__/run.cpython.pyc": "", "BENCHMARK.json": json.dumps(spec),
+    })
+
+
+def set_runs(root: Path, runs: dict) -> None:
+    """The stub's table: per "workload seed", the result line it prints,
+    its exit code and the files of its run tree."""
+    (root / "table.json").write_text(json.dumps(runs))
+
+
+def outcome(metrics=None, line=None, rc=0, files=None, **fields) -> dict:
+    """One stub run: a result line of these metric values, ``correct`` and
+    0 failed unless ``fields`` say otherwise, or the given ``line``."""
+    result = {"correct": True, "attempted": 9, "failed": 0, **fields,
+              "metrics": {k: {"value": v, "unit": "x"} for k, v in (metrics or {}).items()}}
+    return {"line": json.dumps(result) if line is None else line, "rc": rc,
+            "files": {"timed/fit.txt": "7", "result.json": line or "r", **(files or {})}}
+
+
+def pair_roots(tmp_path, workloads, metrics):
+    return (checkout(tmp_path / side, workloads, metrics) for side in ("A", "B"))
+
+
+def test_pairs_alternate_the_first_side_and_run_each_from_a_fresh_copy(tmp_path, compare_runs, capsys):
+    a, b = pair_roots(tmp_path, ["w1", "w2"], [("m", "higher", 0.25)])
+    runs = {f"{w} {seed}": outcome({"m": 1.0}) for w in ("w1", "w2") for seed in (601, 602)}
+    set_runs(a, runs)
+    # B's run tree of w2 in pair 1 differs, which is reported and fails nothing
+    set_runs(b, {**runs, "w2 602": outcome({"m": 1.0}, files={"timed/fit.txt": "8", "result.json": "x"})})
+    assert compare_runs.main(["pairs", str(a), str(b), "--rounds", "2"]) == 0
+    log = [json.loads(line) for line in (tmp_path / "log.jsonl").read_text().splitlines()]
+    assert [entry[:5] for entry in log] == [
+        [side, w, str(seed), "3", "0"]
+        for seed, order in ((601, "AB"), (602, "BA")) for w in ("w1", "w2") for side in order
+    ]
+    files = [Path(entry[5]) for entry in log]
+    assert len({f.parent for f in files}) == len(files)
+    assert not any(f.is_relative_to(root) or f.exists() for f in files for root in (a, b))
+    # the copy holds bench/ without its .work and __pycache__
+    assert all(entry[6] == ["run.py"] for entry in log)
+    assert capsys.readouterr().out.splitlines() == [
+        f"A {a}, first in even pairs",
+        f"B {b}, first in odd pairs",
+        "w1: 2 pair(s) at seeds 601-602",
+        "  m (higher is better, bound 0.25): A 1 (1, 1), B 1 (1, 1), B won 0/2, median +0.0%: within bound",
+        "  run trees: 2/2 pair(s) identical",
+        "w2: 2 pair(s) at seeds 601-602",
+        "  m (higher is better, bound 0.25): A 1 (1, 1), B 1 (1, 1), B won 0/2, median +0.0%: within bound",
+        "  run trees: 1/2 pair(s) identical",
+        "  pair 1 (seed 602) differs in:",
+        "    differs: timed/fit.txt",
+        "all 8 runs correct, 0 failed",
+        "no metric worse than bound",
+    ]
+
+
+def test_pairs_give_each_metric_its_verdict(tmp_path, compare_runs, capsys):
+    metrics = [("gain", "higher", 0.25), ("worse", "lower", 0.1), ("wide", "lower", 0.1), ("flat", "higher", 0.25)]
+    a, b = pair_roots(tmp_path, ["w"], metrics)
+
+    def values(i, side):
+        # gain: B above A by 10 in every pair, past A's quartile distance
+        # of 4.5; worse: B's median 20 % above A's, over its bound of 10 %;
+        # wide: A's runs 1 and 2, a spread past the bound, and B better by
+        # 0.01 in every pair; flat: A and B alike, B ahead in half the pairs
+        a_values = {"gain": 100.0 + i, "worse": 1.0, "wide": 1.0 + i % 2, "flat": 10.0}
+        b_values = {"gain": 110.0 + i, "worse": 1.2, "wide": a_values["wide"] - 0.01, "flat": 10.0 + 0.1 * (i % 2)}
+        return a_values if side == "A" else b_values
+
+    for root in (a, b):
+        set_runs(root, {f"w {601 + i}": outcome(values(i, root.name)) for i in range(10)})
+    assert compare_runs.main(["pairs", str(a), str(b)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2:7] == [
+        "w: 10 pair(s) at seeds 601-610",
+        "  gain (higher is better, bound 0.25): A 104.5 (102.25, 106.75), B 114.5 (112.25, 116.75), B won 10/10, "
+        "median +9.6%: gain",
+        "  worse (lower is better, bound 0.1): A 1 (1, 1), B 1.2 (1.2, 1.2), B won 0/10, median +20.0%: "
+        "worse than bound",
+        "  wide (lower is better, bound 0.1): A 1.5 (1, 2), B 1.49 (0.99, 1.99), B won 10/10, median -0.7%: "
+        "unresolved",
+        "  flat (higher is better, bound 0.25): A 10 (10, 10), B 10.05 (10, 10.1), B won 5/10, median +0.5%: "
+        "within bound",
+    ]
+    assert lines[-2:] == ["all 20 runs correct, 0 failed", "worse than bound: w worse"]
+    # every run of B better than every run of A resolves a wide spread, short
+    # of a gain
+    for root in (a, b):
+        wide = {i: 0.95 if root is b else 1.0 + i % 2 for i in range(10)}
+        set_runs(root, {f"w {601 + i}": outcome({**values(i, "A"), "wide": wide[i]}) for i in range(10)})
+    assert compare_runs.main(["pairs", str(a), str(b), "--rounds", "4"]) == 0
+    assert capsys.readouterr().out.splitlines()[5].endswith("B won 4/4, median -36.7%: within bound")
+
+
+@pytest.mark.parametrize("run, problem", [
+    (outcome({"m": 1.0}, correct=False), "correct: false"),
+    (outcome({"m": 1.0}, failed=2), "failed: 2"),
+    (outcome(line="not a JSON line"), "no JSON result line"),
+    (outcome({"m": 1.0}, rc=3), "exit 3: boom"),
+], ids=["incorrect", "failed", "no-result", "exit-code"])
+def test_a_failed_run_fails_the_pairs(tmp_path, compare_runs, capsys, run, problem):
+    a, b = pair_roots(tmp_path, ["w"], [("m", "higher", 0.25)])
+    set_runs(a, {"w 601": outcome({"m": 1.0})})
+    set_runs(b, {"w 601": run})
+    assert compare_runs.main(["pairs", str(a), str(b), "--rounds", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert f"w pair 0 (seed 601) B: {problem}" in lines and lines[-1] == "no metric worse than bound"
+
+
+def test_pairs_refuse_a_root_that_is_no_checkout_before_any_run(tmp_path, compare_runs):
+    a, b = pair_roots(tmp_path, ["w"], [("m", "higher", 0.25)])
+    (b / "BENCHMARK.json").unlink()
+    for argv in ([str(a), str(b)], [str(a), str(a), "--rounds", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            compare_runs.main(["pairs", *argv])
+        assert exc.value.code == 2
+    assert not (tmp_path / "log.jsonl").exists()
+
+
+def test_the_docstring_has_a_usage_line_for_each_mode_and_no_other(compare_runs, capsys):
+    # the kinds main accepts, from argparse's refusal of one it does not
+    with pytest.raises(SystemExit):
+        compare_runs.main(["nothing"])
+    accepted = set(re.findall(r"'(\w+)'", capsys.readouterr().err.split("choose from")[1]))
+    internal = {"suite", "reference", "clirun"}  # what a subprocess of fits and cli runs
+    assert accepted == {"trees", "bench", "fits", "cli", "pairs"} | internal
+    usage = set(re.findall(r"^    python3 tools/compare_runs\.py (\w+) ", compare_runs.__doc__, re.M))
+    assert usage == accepted - internal
+
+
+def test_the_reference_cache_is_keyed_by_the_suite(tmp_path, compare_runs, monkeypatch):
+    calls = []
+    monkeypatch.setattr(compare_runs, "REFERENCE_CACHE", tmp_path / "cache")
+    monkeypatch.setattr(compare_runs, "_under", lambda *args: calls.append(args) or {"k": len(calls)})
+    src = TOOL.parents[1] / "src"
+    assert compare_runs.reference_records(src, 2) == compare_runs.reference_records(src, 2) == {"k": 1}
+    assert len(calls) == 1
+    for name, value in (("SUITE_PENALTY", 1.0), ("SUITE_ORDERS", (1,))):
+        with monkeypatch.context() as m:
+            m.setattr(compare_runs, name, value)
+            compare_runs.reference_records(src, 2)
+    assert len(calls) == 3 and calls[-1][1:] == ("reference", "--datasets", "2")

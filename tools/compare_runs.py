@@ -1,4 +1,4 @@
-"""Compare two benchmark runs for bit identity, and time fits and simulations under two source trees.
+"""Compare two source trees for bit identity, and run their benchmark in alternating pairs.
 
     python3 tools/compare_runs.py trees A B
         byte-compares two run trees that ``bench/run.py`` leaves in
@@ -42,33 +42,6 @@
         converged count on B is below A's, and 0 otherwise: a change that
         moves bits but leaves no fit farther from its optimum passes.
 
-    python3 tools/compare_runs.py time SRC_A SRC_B [--rounds 5]
-        times the benchmark's fit batch and simulations under each source
-        tree: the ``fit-exp`` and ``fit-softplus`` datasets of
-        ``bench/run.py`` (94 of 20 events and 160 of 12) at seed 401, each
-        fitted by ``fit_descent`` at m = 1 and penalty weight 5, as the
-        ``fit`` command fits them; then its 22 simulations of
-        ``sim_config(SIM_HORIZON)`` at the seeds of its rule for seed 401,
-        each spec built as the ``simulate`` command builds it.  Then the
-        same work as the benchmark's CLI commands, in process, into a
-        temporary directory: per family, ``fit`` then ``gof`` of each
-        dataset (parts ``cli-exp-fit``, ``cli-exp-gof``, ...), and
-        ``simulate`` then ``gof`` under the true filter of each simulation
-        (``cli-simulate``, ``cli-sim-gof``).  Each round runs all of it
-        once under each tree, each in a fresh subprocess pinned to one
-        BLAS thread after one untimed fit per family and one untimed
-        simulation, and one untimed run of each command, the trees
-        alternating which goes first.  Per part it prints the median and
-        quartiles of milliseconds per fit (objective and fit, not the
-        data), per simulation (filter, spec and simulation) or per command
-        on each side, the rounds each side was the faster, and whether
-        every fit's objective, every simulation's event times, or every
-        command's exit code and output bytes (all but
-        ``run_manifest.json``) are the same on both sides.  ``--datasets
-        N`` fits the first N datasets of each family only.  ``timing``
-        prints one such pass, as one JSON object, under the ``glppm`` that
-        Python imports.
-
     python3 tools/compare_runs.py cli SRC_A SRC_B [--datasets 6]
         runs one set of CLI commands under each source tree, each in a
         subprocess pinned to one BLAS thread that writes into a temporary
@@ -87,6 +60,22 @@
         ``glppm`` that Python imports and prints the exit codes, as one JSON
         object.
 
+    python3 tools/compare_runs.py pairs A B [--rounds 10]
+        runs the benchmark of two checkouts, roots that hold ``src/glppm``,
+        ``bench/run.py`` and ``BENCHMARK.json``, by the command, run
+        seconds, workloads and end-to-end metrics of B's
+        ``BENCHMARK.json``, in N = ``--rounds`` pairs.  In pair i each
+        workload runs at seed 601 + i on both sides, A first when i is
+        even, each run with ``--trace 0`` from a fresh temporary copy of its
+        root's ``src/``, ``bench/`` and ``BENCHMARK.json`` without
+        ``bench/.work`` and ``__pycache__`` (runs inside a working checkout
+        have read 15-35 % slower).  Per workload and metric it prints the
+        ``metric_verdict`` report and verdict, then the pairs whose run
+        trees are identical (``trees``) and the files of the first pair
+        that differs.  The exit code is 1 if a run fails
+        (``_bench_result``) or a verdict is ``worse than bound``, else 0: a
+        change that moves fit records has tree differences by design.
+
 ``bench`` and ``fits`` follow each fit that differs with its status and
 iterations on both sides and the relative difference of its objectives.
 After the differences ``fits`` prints a table per family of fits (link and
@@ -95,14 +84,16 @@ largest relative objective difference, and the largest gradient-norm
 difference relative to the stopping scale max(1, ||grad F(g_0)||), so that a
 change that moves only gradient-norm bits shows how far.
 
-Each difference is printed; the exit code is 1 if there is any, else 0.
-Typical use, with the parent commit checked out in a second directory and
-one run of the same workload and seed in each:
+``trees``, ``bench``, ``fits`` and ``cli`` print each difference; their
+exit code is 1 if there is any, else 0.  Typical use, with the parent
+commit checked out in a second directory (``git archive``) and, for
+``trees``, one run of the same workload and seed in each:
 
     python3 tools/compare_runs.py trees ../parent/bench/.work/fit-exp-s401 \\
         bench/.work/fit-exp-s401
     python3 tools/compare_runs.py fits ../parent/src src
     python3 tools/compare_runs.py cli ../parent/src src
+    python3 tools/compare_runs.py pairs ../parent .
 """
 
 from __future__ import annotations
@@ -115,11 +106,11 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from time import perf_counter
 
 SKIPPED = {"run_manifest.json", "result.json"}
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -128,8 +119,10 @@ REFERENCE_CACHE = Path(__file__).resolve().parent / ".reference"
 # a reference fit's stopping rule, and the gap rule of ``fits --reference``
 REFERENCE_STOP = {"tol": 1e-12, "max_iter": 2000}
 GAP_GROWTH, GAP_FLOOR = 10.0, 1e-9
+# the ``fits`` suite's penalty weight and orders m
+SUITE_PENALTY, SUITE_ORDERS = 5.0, (1, 2)
 PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-# (name, link kind, d, events per dataset, dataset seed), for m = 1 and 2
+# (name, link kind, d, events per dataset, dataset seed), for each m of SUITE_ORDERS
 DESCENT = (("exp", "exponential", 0.0, 20, 401), ("softplus", "softplus", 0.0, 12, 401))
 LINEAR = ("linear", "linear", 0.5, 12, 402)
 # the ``cli`` set: (name, link config) at m = 1 and 2 on 12-event datasets
@@ -140,6 +133,9 @@ CLI_LINKS = (
     ("linear", {"kind": "linear", "d": 0.5}),
 )
 CLI_SIM_SEEDS = (0, 1, 2)
+# what ``pairs`` needs in each checkout root, and the seed of its first pair
+PAIR_FILES = ("src/glppm", "bench/run.py", "BENCHMARK.json")
+PAIR_SEED = 601
 
 
 def tree_differences(a: Path, b: Path) -> list[str]:
@@ -335,9 +331,9 @@ def _suite(datasets: int):
         fit = glppm.fit_linear if kind == "linear" else glppm.fit_descent
         for i in range(count):
             times = generate.hawkes_exactly_n(generate.dataset_rng(seed, i), n, horizon)
-            for m in (1, 2):
+            for m in SUITE_ORDERS:
                 yield f"{name}-m{m}-d{i}", fit, glppm.SobolevKernel(m, horizon), _self_exciting(
-                    kind, d, 5.0, times, horizon
+                    kind, d, SUITE_PENALTY, times, horizon
                 )
 
 
@@ -386,112 +382,6 @@ def _bench_run():
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
     return bench
-
-
-def run_timing(datasets: int | None) -> dict:
-    """One timed pass of the benchmark's fit batch and simulations under the
-    ``glppm`` on the path: per family, the seconds of its fits and each
-    fit's objective as the hex of its float, after one untimed fit; under
-    ``sim``, the seconds of the simulations and each one's event times as
-    base64 of their bytes, after one untimed simulation.  Each simulation
-    builds its filter and spec from ``sim_config`` as ``simulate`` does, so
-    it pays for its envelope as the command does."""
-    bench = _bench_run()
-    import generate
-    import numpy as np
-
-    import glppm
-    import glppm.cli
-
-    out = {"glppm": glppm.__file__}
-    for name, kind, d, _, seed in DESCENT:
-        workload = bench.WORKLOADS[f"fit-{name}"]
-        n, count = workload["n_events"], workload["datasets"]
-        horizon = generate.window_for(n)
-        batch = [
-            generate.hawkes_exactly_n(generate.dataset_rng(seed, i), n, horizon)
-            for i in range(count if datasets is None else min(datasets, count))
-        ]
-
-        def fit(times):
-            obj = _self_exciting(kind, d, bench.PENALTY, times, horizon)
-            return glppm.fit_descent(glppm.SobolevKernel(bench.ORDER, horizon), obj).objective
-
-        fit(batch[0])
-        t0 = perf_counter()
-        objectives = [fit(times) for times in batch]
-        out[name] = {"seconds": perf_counter() - t0, "objectives": [f.hex() for f in objectives]}
-
-    sim = bench.sim_config(bench.SIM_HORIZON)
-
-    def simulate(seed):
-        g = glppm.FilterFunction.from_dict(sim["filters"])
-        spec = glppm.SimSpec(link=glppm.cli._parse_link(sim["link"]), filters=g, horizon=sim["horizon"])
-        return base64.b64encode(glppm.simulate(spec, seed=seed)[0].times.tobytes()).decode("ascii")
-
-    # the seeds of a 25-second benchmark run at seed 401, by bench/run.py's rule
-    seeds = [
-        int(np.random.SeedSequence([401, 1_000_000 + k]).generate_state(1)[0]) for k in range(bench.SIM_COUNT)
-    ]
-    simulate(seeds[0])
-    t0 = perf_counter()
-    events = [simulate(seed) for seed in seeds]
-    out["sim"] = {"seconds": perf_counter() - t0, "events": events}
-    with tempfile.TemporaryDirectory() as root:
-        out.update(_time_cli(bench, Path(root), seeds, datasets))
-    return out
-
-
-def _time_cli(bench, root: Path, seeds: list[int], datasets: int | None) -> dict:
-    """The ``time`` CLI parts under the ``glppm`` on the path, run into
-    ``root``: per part, the seconds of its commands and, per command, the
-    sha256 of its exit code and of the bytes of its output files but
-    ``run_manifest.json``; one untimed run of each command first."""
-    import generate
-
-    import glppm.cli
-
-    out: dict = {}
-
-    def run(part: str | None, label: str, *argv: str) -> None:
-        """One command into ``root/label``, timed under ``part`` unless
-        that is None."""
-        d = root / label
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            t0 = perf_counter()
-            rc = glppm.cli.main([*argv, "--out", str(d)])
-            seconds = perf_counter() - t0
-        h = hashlib.sha256(str(rc).encode())
-        for path in sorted(d.rglob("*")):
-            if path.is_file() and path.name not in SKIPPED:
-                h.update(path.relative_to(d).as_posix().encode() + b"\0" + path.read_bytes())
-        if part is not None:
-            entry = out.setdefault(part, {"seconds": 0.0, "outputs": []})
-            entry["seconds"] += seconds
-            entry["outputs"].append(h.hexdigest())
-
-    inputs = root / "inputs"
-    for name, *_ in DESCENT:
-        workload = bench.WORKLOADS[f"fit-{name}"]
-        count = workload["datasets"] if datasets is None else min(datasets, workload["datasets"])
-        data = [str(d) for d in generate.write_batch(inputs / name, 401, count, workload["n_events"])]
-        cfg = inputs / f"{name}.json"
-        cfg.write_text(json.dumps({"link": workload["link"], "penalty_weight": bench.PENALTY, "m": bench.ORDER}))
-        for i, dataset in [("warmup", data[0])] + list(enumerate(data)):
-            label, timed = f"{name}-d{i}", i != "warmup"
-            run(f"cli-{name}-fit" if timed else None, label, "fit", "--data", dataset, "--config", str(cfg))
-            fitted = str(root / label / "filter.json")
-            run(f"cli-{name}-gof" if timed else None, f"{label}-gof", "gof", "--data", dataset, "--config", fitted)
-    sim = bench.sim_config(bench.SIM_HORIZON)
-    (inputs / "simulate.json").write_text(json.dumps(sim))
-    (inputs / "true_filter.json").write_text(json.dumps({"filter": sim["filters"], "link": sim["link"]}))
-    for k, seed in [("warmup", seeds[0])] + list(enumerate(seeds)):
-        label, timed = f"sim{k}", k != "warmup"
-        run("cli-simulate" if timed else None, label, "simulate", "--config", str(inputs / "simulate.json"),
-            "--seed", str(seed))
-        run("cli-sim-gof" if timed else None, f"{label}-gof", "gof", "--data", str(root / label / "dataset.json"),
-            "--config", str(inputs / "true_filter.json"))
-    return out
 
 
 def run_cli_set(out: Path, datasets: int) -> dict:
@@ -586,7 +476,7 @@ def reference_records(src: Path, datasets: int) -> dict:
     thread, read from ``REFERENCE_CACHE`` if they are there and written
     there if not.  The key hashes the bytes of the tree's ``glppm``, of
     ``bench/generate.py``, and of the suite's definition and size."""
-    h = hashlib.sha256(repr((DESCENT, LINEAR, REFERENCE_STOP, datasets)).encode())
+    h = hashlib.sha256(repr((DESCENT, LINEAR, SUITE_PENALTY, SUITE_ORDERS, REFERENCE_STOP, datasets)).encode())
     for path in sorted((Path(src) / "glppm").glob("*.py")) + [BENCH / "generate.py"]:
         h.update(path.name.encode() + b"\0" + path.read_bytes())
     cached = REFERENCE_CACHE / f"{h.hexdigest()[:24]}.json"
@@ -598,42 +488,92 @@ def reference_records(src: Path, datasets: int) -> dict:
     return out
 
 
-def compare_timings(a: Path, b: Path, rounds: int, datasets: int | None) -> list[str]:
-    """``run_timing`` under ``a`` and ``b`` for ``rounds`` rounds, the trees
-    alternating which goes first; per family of fits, for the simulations
-    and per CLI part, the median and quartiles of milliseconds per
-    operation on each side, the rounds each side won, and whether every
-    objective, every simulation's event bytes, or every command's exit
-    code and output bytes matched.  Returns the report's lines, the last
-    of them naming each part whose outputs differ."""
+def _bench_result(run: subprocess.CompletedProcess) -> tuple[dict, list[str]]:
+    """A benchmark run's result, the JSON object on its last stdout line (or
+    {}), and what fails the run: a nonzero exit, no such line, ``correct``
+    not true, or ``failed`` not 0."""
+    try:
+        result = json.loads(run.stdout.splitlines()[-1])
+    except (IndexError, json.JSONDecodeError):
+        result = None
+    problems = [f"exit {run.returncode}: {' '.join(run.stderr.splitlines()[-1:])}"] * bool(run.returncode)
+    if not isinstance(result, dict):
+        return {}, problems + ["no JSON result line"]
+    problems += ["correct: false"] * (result.get("correct") is not True)
+    return result, problems + [f"failed: {result.get('failed')}"] * (result.get("failed") != 0)
+
+
+def metric_verdict(a: list, b: list, better: str, bound: float) -> tuple[str, str]:
+    """One metric's report over the pairs whose runs both hold it, from A's
+    and B's values pair by pair: the median and quartiles on each side, the
+    pairs B won (ties count for neither) and the relative move of the
+    medians; and its verdict, the first that holds of ``worse than bound``
+    (B's median worse than A's by more than ``bound`` x |A's median|),
+    ``gain`` (B better in at least 9 of 10 pairs, and the medians apart by
+    more than A's interquartile distance) and ``unresolved`` (that distance
+    above ``bound`` x |A's median|, and not every run of B better than every
+    run of A), else ``within bound``."""
     import numpy as np
 
-    # keyed by side, so that a tree compared with itself has two sides
-    trees = {"A": a, "B": b}
-    passes = {"A": [], "B": []}
-    args = ["--datasets", str(datasets)] if datasets is not None else []
-    for r in range(rounds):
-        for side in ("A", "B") if r % 2 == 0 else ("B", "A"):
-            passes[side].append(_under(trees[side], "timing", *args))
-    lines, differ = [], []
-    parts = [(name, "objectives", "fits", "fit") for name, *_ in DESCENT]
-    parts.append(("sim", "events", "simulations", "simulation"))
-    cli = [f"cli-{name}-{cmd}" for name, *_ in DESCENT for cmd in ("fit", "gof")] + ["cli-simulate", "cli-sim-gof"]
-    for name, key, plural, unit in parts + [(name, "outputs", "commands", "command") for name in cli]:
-        count = len(passes["A"][0][name][key])
-        ms = {side: np.array([p[name]["seconds"] for p in passes[side]]) * 1e3 / count for side in passes}
-        lines.append(f"{name}: {count} {plural} per pass, {rounds} round(s)")
-        for side, src in trees.items():
-            q1, med, q3 = np.percentile(ms[side], [25, 50, 75])
-            lines.append(f"  {side} {src}: {med:.3f} ms/{unit} (quartiles {q1:.3f}, {q3:.3f})")
-        wins = int(np.sum(ms["B"] < ms["A"]))
-        first = passes["A"][0][name][key]
-        same = all(p[name][key] == first for side in passes.values() for p in side)
-        lines.append(f"  B faster in {wins} of {rounds} rounds, A in {rounds - wins}; "
-                     f"{key} {'identical' if same else 'DIFFER'}")
-        differ += [] if same else [name]
-    lines.append(f"outputs differ: {', '.join(differ)}" if differ else "every output matched")
-    return lines
+    both = [(x, y) for x, y in zip(a, b) if x is not None and y is not None]
+    if not both:
+        return "no pair holds it", "no result"
+    xa, xb = np.array(both).T
+    sign = 1.0 if better == "higher" else -1.0
+    (qa1, ma, qa3), (qb1, mb, qb3) = (np.percentile(x, [25, 50, 75]) for x in (xa, xb))
+    wins, better_by, limit = int(np.sum(sign * (xb - xa) > 0)), sign * (mb - ma), bound * abs(ma)
+    if better_by < -limit:
+        verdict = "worse than bound"
+    elif wins >= 0.9 * len(both) and better_by > qa3 - qa1:
+        verdict = "gain"
+    elif qa3 - qa1 > limit and not (sign * xb).min() > (sign * xa).max():
+        verdict = "unresolved"
+    else:
+        verdict = "within bound"
+    line = (f"A {ma:.5g} ({qa1:.5g}, {qa3:.5g}), B {mb:.5g} ({qb1:.5g}, {qb3:.5g}), B won {wins}/{len(both)}, "
+            f"median {(mb - ma) / max(abs(ma), 1e-300):+.1%}")
+    return line, verdict
+
+
+def compare_pairs(a: Path, b: Path, rounds: int) -> tuple[list[str], int]:
+    """The benchmark of checkouts ``a`` and ``b`` in ``rounds`` alternating
+    pairs (see ``pairs``): the report's lines, and the exit code."""
+    spec = json.loads((b / "BENCHMARK.json").read_text())
+    roots, workloads = {"A": a, "B": b}, [w["name"] for w in spec["workloads"]]
+    results, trees, problems = {(w, side): [] for w in workloads for side in roots}, {w: [] for w in workloads}, []
+    for i, w in ((i, w) for i in range(rounds) for w in workloads):
+        seed = PAIR_SEED + i
+        with tempfile.TemporaryDirectory() as tmp:
+            for side in ("A", "B") if i % 2 == 0 else ("B", "A"):
+                copy = Path(tmp) / side
+                skip = shutil.ignore_patterns("__pycache__", ".work")
+                for name in ("src", "bench"):
+                    shutil.copytree(roots[side] / name, copy / name, ignore=skip)
+                shutil.copy2(roots[side] / "BENCHMARK.json", copy)
+                argv = ["--workload", w, "--seed", str(seed), "--seconds", str(spec["run_seconds"]), "--trace", "0"]
+                run = subprocess.run([*spec["command"], *argv], cwd=copy, capture_output=True, text=True)
+                result, bad = _bench_result(run)
+                results[w, side].append(result)
+                problems += [f"{w} pair {i} (seed {seed}) {side}: {q}" for q in bad]
+                print(f"{w} seed {seed} {side}: {'; '.join(bad) or 'ok'}", file=sys.stderr)
+            tree = Path("bench", ".work", f"{w}-s{seed}")
+            trees[w].append(tree_differences(Path(tmp) / "A" / tree, Path(tmp) / "B" / tree))
+    lines, worse = [f"A {a}, first in even pairs", f"B {b}, first in odd pairs"], []
+    for w in workloads:
+        lines.append(f"{w}: {rounds} pair(s) at seeds {PAIR_SEED}-{PAIR_SEED + rounds - 1}")
+        for metric in spec["end_to_end"]:
+            name, better, bound = metric["name"], metric["better"], metric["bound"]
+            va, vb = ([r.get("metrics", {}).get(name, {}).get("value") for r in results[w, side]] for side in roots)
+            line, verdict = metric_verdict(va, vb, better, bound)
+            lines.append(f"  {name} ({better} is better, bound {bound:g}): {line}: {verdict}")
+            worse += [f"{w} {name}"] * (verdict == "worse than bound")
+        lines.append(f"  run trees: {sum(not d for d in trees[w])}/{rounds} pair(s) identical")
+        first = next((i for i, d in enumerate(trees[w]) if d), None)
+        if first is not None:
+            lines += [f"  pair {first} (seed {PAIR_SEED + first}) differs in:"] + [f"    {d}" for d in trees[w][first]]
+    lines += problems or [f"all {2 * rounds * len(workloads)} runs correct, 0 failed"]
+    lines.append(f"worse than bound: {', '.join(worse)}" if worse else "no metric worse than bound")
+    return lines, 1 if problems or worse else 0
 
 
 def record_differences(ra: dict, rb: dict, a="A", b="B") -> list[str]:
@@ -649,15 +589,11 @@ def record_differences(ra: dict, rb: dict, a="A", b="B") -> list[str]:
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument(
-        "kind", choices=("trees", "bench", "fits", "suite", "reference", "time", "timing", "cli", "clirun")
-    )
+    p.add_argument("kind", choices=("trees", "bench", "fits", "suite", "reference", "cli", "clirun", "pairs"))
     p.add_argument("a", type=Path, nargs="?")
     p.add_argument("b", type=Path, nargs="?")
-    p.add_argument(
-        "--datasets", type=int, default=None, help="fits: 40 by default; cli: 6; time: the whole batch"
-    )
-    p.add_argument("--rounds", type=int, default=5)
+    p.add_argument("--datasets", type=int, default=None, help="fits: 40 by default; cli: 6")
+    p.add_argument("--rounds", type=int, default=10, help="pairs: the number of pairs")
     p.add_argument(
         "--reference", action="store_true", help="fits: measure each fit's gap to a tight reference objective"
     )
@@ -669,21 +605,19 @@ def main(argv=None) -> int:
     if args.kind in ("suite", "reference"):
         print(json.dumps(run_suite(suite_size, values=args.reference, reference=args.kind == "reference")))
         return 0
-    if args.kind == "timing":
-        print(json.dumps(run_timing(args.datasets)))
-        return 0
     if args.kind == "clirun":
         print(json.dumps(run_cli_set(args.a, cli_size)))
         return 0
     for path in (args.a, args.b):
         if path is None or not path.exists():
             p.error(f"{args.kind} needs two existing paths, got {path}")
-    if args.kind == "time":
-        if args.rounds < 1 or (args.datasets is not None and args.datasets < 1):
-            p.error(f"time needs --rounds and --datasets >= 1, got {args.rounds} and {args.datasets}")
-        lines = compare_timings(args.a, args.b, args.rounds, args.datasets)
+    if args.kind == "pairs":
+        missing = [str(root / name) for root in (args.a, args.b) for name in PAIR_FILES if not (root / name).exists()]
+        if missing or args.rounds < 1:
+            p.error(f"pairs needs two checkout roots and --rounds >= 1; missing {missing}, --rounds {args.rounds}")
+        lines, code = compare_pairs(args.a, args.b, args.rounds)
         print("\n".join(lines))
-        return 0 if lines[-1] == "every output matched" else 1
+        return code
     flagged = None
     if args.kind == "fits":
         ra, rb = (fit_records(src, suite_size, args.reference) for src in (args.a, args.b))
