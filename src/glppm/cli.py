@@ -287,7 +287,8 @@ def cmd_simulate(args) -> int:
 def _fit_config(cfg):
     """Validated pieces of a fit/basis config, with the model's defaults
     filled in; the stopping rule holds only the ``tol`` and ``max_iter``
-    that it sets, so ``basis`` refuses what ``fit`` refuses."""
+    that it sets, checked by the fitters' own rule, so ``basis`` refuses
+    what ``fit`` refuses."""
     _check_keys(
         cfg,
         {
@@ -309,6 +310,7 @@ def _fit_config(cfg):
     stopping = {"tol": _as_number(cfg["tol"], "tol")} if "tol" in cfg else {}
     if "max_iter" in cfg:
         stopping["max_iter"] = _as_number(cfg["max_iter"], "max_iter", integer=True)
+    optimizer._check_stopping(**stopping)
 
     quad = None
     if "quadrature" in cfg:

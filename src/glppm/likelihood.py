@@ -244,19 +244,12 @@ class _NodeLagIndex:
 
 
 def _check_channels(g, n: int) -> None:
-    """Reject a filter whose channel count is not n, the data's or a
-    simulation's; ``g`` is a FilterFunction or a sequence of callables, one
-    per channel."""
-    k = g.n_channels if isinstance(g, FilterFunction) else len(g)
-    if k != n:
-        raise ConfigError(f"filter has {k} channels, expected {n}")
-
-
-def _filter_values(g, channel: int, lags: np.ndarray) -> np.ndarray:
-    """Channel ``channel`` of a FilterFunction or of per-channel callables."""
-    if isinstance(g, FilterFunction):
-        return np.asarray(g.evaluate(channel, lags), dtype=float)
-    return np.asarray(g[channel](lags), dtype=float)
+    """Reject a filter that is not a FilterFunction, or whose channel count
+    is not n, the data's or a simulation's."""
+    if not isinstance(g, FilterFunction):
+        raise ConfigError(f"a filter must be a FilterFunction, got {type(g).__name__}")
+    if g.n_channels != n:
+        raise ConfigError(f"filter has {g.n_channels} channels, expected {n}")
 
 
 def _smooth_values(m: int, q: int, atoms, lags: np.ndarray):
@@ -492,11 +485,10 @@ def _check_times(s: np.ndarray, horizon: float, what: str) -> None:
         raise DomainError(f"{what} {at} outside [0, {horizon}]", at=at)
 
 
-def linear_predictor(g, drivers: DriverSeries, s) -> np.ndarray:
+def linear_predictor(g: FilterFunction, drivers: DriverSeries, s) -> np.ndarray:
     """X_s-(g) = sum_j sum_{sigma < s} dZ g_j(s - sigma) at the given times.
 
-    ``g`` is a FilterFunction or one vectorized callable per channel.  A
-    time outside [0, horizon] raises ``_check_times``' DomainError.
+    A time outside [0, horizon] raises ``_check_times``' DomainError.
     """
     _check_channels(g, drivers.n_channels)
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
@@ -505,7 +497,7 @@ def linear_predictor(g, drivers: DriverSeries, s) -> np.ndarray:
     for j, ch in enumerate(drivers.channels):
         eval_idx, _, lags, dz = _history_pairs(s_arr, ch.times, ch.sizes)
         if lags.size:
-            vals = _filter_values(g, j, lags) * dz
+            vals = g.evaluate(j, lags) * dz
             out += np.bincount(eval_idx, weights=vals, minlength=s_arr.size)
     return float(out[0]) if np.isscalar(s) or np.ndim(s) == 0 else out
 
@@ -665,30 +657,20 @@ def build_f_atoms(kernel: SobolevKernel, obj: Objective, link_weights: np.ndarra
     return atoms
 
 
-def compensator(
-    g,
-    link: LinkSpec,
-    at_risk: AtRiskProcess,
-    drivers: DriverSeries,
-    s,
-    nodes_per_interval: int = 8,
-):
+def compensator(g: FilterFunction, link: LinkSpec, at_risk: AtRiskProcess, drivers: DriverSeries, s):
     """Lambda(s) = int_0^s Y phi(X) du at one time or an array of times.
 
-    ``g`` is a FilterFunction or one vectorized callable per channel.  One
-    partition of [0, max s] at every driver jump and at-risk breakpoint, and
-    one cumulative pass over its intervals; an s strictly inside an interval
-    adds the piece from the interval's left end to s.  So each Lambda(s)
-    depends on s alone, not on the other times asked for.  A linear link
-    with a FilterFunction integrates exactly: one ``_segment_integrals``
-    pass per channel over its normal form and the lag segments of every
-    interval, summed by interval.  Anything else uses
-    composite Gauss-Legendre quadrature with this many nodes per interval,
-    which ``QuadratureConfig`` validates on either route.  An s outside
-    [0, horizon] raises ``_check_times``' DomainError.
+    One partition of [0, max s] at every driver jump and at-risk breakpoint,
+    and one cumulative pass over its intervals; an s strictly inside an
+    interval adds the piece from the interval's left end to s.  So each
+    Lambda(s) depends on s alone, not on the other times asked for.  The
+    linear link integrates exactly: one ``_segment_integrals`` pass per
+    channel over its normal form and the lag segments of every interval,
+    summed by interval.  The exp and softplus links use ``QuadratureConfig``'s
+    default composite Gauss-Legendre rule.  An s outside [0, horizon] raises
+    ``_check_times``' DomainError.
     """
     _check_channels(g, drivers.n_channels)
-    QuadratureConfig(nodes_per_interval)
     s_arr = np.asarray(s, dtype=float)
     _check_times(s_arr, drivers.horizon, "compensator endpoint")
     q = s_arr.ravel()
@@ -701,7 +683,7 @@ def compensator(
     # every interval of the partition, then (edges[k], s] for each s inside one
     a = np.concatenate([edges[:-1], edges[k[inside]]])
     b = np.concatenate([edges[1:], q[inside]])
-    if isinstance(g, FilterFunction) and link.kind == "linear":
+    if link.kind == "linear":
         levels = at_risk.at(0.5 * (a + b))
         inc = link.d * levels * (b - a)
         for ch, form in zip(drivers.channels, g.normal_forms):
@@ -710,9 +692,10 @@ def compensator(
                 for _, vals in _segment_integrals(g.kernel, [form], lo, hi):
                     inc += np.bincount(idx, weights=w * vals[0], minlength=inc.size)
     else:
-        nodes, weights = _gauss_nodes(a, b, nodes_per_interval)
+        n = QuadratureConfig().nodes_per_interval
+        nodes, weights = _gauss_nodes(a, b, n)
         lam = at_risk.at(nodes) * link.value(linear_predictor(g, drivers, nodes))
-        inc = (weights * lam).reshape(-1, nodes_per_interval).sum(axis=1)
+        inc = (weights * lam).reshape(-1, n).sum(axis=1)
     n_full = edges.size - 1
     cum = np.concatenate(([0.0], np.cumsum(inc[:n_full])))
     out = cum[k]

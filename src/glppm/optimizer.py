@@ -128,6 +128,14 @@ class FitResult:
         return residual / max(1.0, self.diagnostics["grad_norm_scale"])
 
 
+def _check_stopping(tol: float | None = None, max_iter: int | None = None) -> None:
+    """The one check of a stopping rule, for both fitters and for a config
+    that sets part of one: reject a rule that can never be met or never
+    runs.  None is a value left to the fitter's default."""
+    if (tol is not None and not (np.isfinite(tol) and tol > 0.0)) or (max_iter is not None and max_iter < 1):
+        raise ConfigError(f"need a finite tol > 0 and max_iter >= 1, got tol={tol}, max_iter={max_iter}")
+
+
 def _weak_wolfe_search(trial, f0: float, d0: float):
     """Bracketing weak Wolfe search (C1, C2, MAX_STEP_TRIALS) along a
     descent direction.
@@ -417,12 +425,7 @@ class _Core:
     """
 
     def __init__(self, ws: "_Workspace", tol: float, max_iter: int):
-        # one check of the stopping rule for both fitters: reject one that
-        # can never be met or never runs
-        if not (np.isfinite(tol) and tol > 0.0) or max_iter < 1:
-            raise ConfigError(
-                f"need a finite tol > 0 and max_iter >= 1, got tol={tol}, max_iter={max_iter}"
-            )
+        _check_stopping(tol, max_iter)
         self.ws, self.tol, self.max_iter = ws, tol, max_iter
         obj = ws.obj
         self.link, self.lam = obj.link, obj.penalty_weight

@@ -16,13 +16,13 @@ so far change only at an edge, and are kept until the next one.  Each
 channel's envelope sum keeps its first jump within reach, as candidates
 only move forward, and searches only the grid.  Each candidate reads the
 filter once per channel at the lags of the past jumps, through
-``SimSpec.filter_values``, which calls a function bound once: for a
-FilterFunction, its ``_readers``, which hold its normal forms' prefix
-tables and skip the domain check, as every lag lies in [0, horizon] by
-construction.  The link is read on Python floats.  So a candidate costs
-one grid search of the lags in reach, one filter read per channel (a
-search of the lags with a multiply-add per kernel term), two link reads,
-and two draws: an exponential gap, and the acceptance uniform as
+``SimSpec.filter_values``, which calls the filter's ``_readers``: they
+hold its normal forms' prefix tables and skip the domain check, as every
+lag lies in [0, horizon] by construction.  The link is read on Python
+floats.  So a candidate costs one grid search of the lags in reach, one
+filter read per channel (a search of the lags with a multiply-add per
+kernel term), two link reads, and two draws: an exponential gap, and the
+acceptance uniform as
 ``Generator.random()``, the double that ``uniform()`` returns after its
 argument handling, from the same one 64-bit draw.  The envelope sum's
 cut and the bound's finiteness check are Python float arithmetic.  The
@@ -32,9 +32,8 @@ only up to its last lag (``SimSpec.envelopes``).
 ``time_rescale`` maps observed events through the fitted compensator; under
 a correct model the rescaled gaps are unit exponentials.  It is the
 difference of one array call of ``likelihood.compensator`` at the event
-times: exact for the linear link with a filter built from kernel atoms,
-composite Gauss-Legendre quadrature between consecutive jumps, at-risk
-breakpoints and events for any other combination.
+times: exact for the linear link, composite Gauss-Legendre quadrature
+between consecutive jumps, at-risk breakpoints and events for the others.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -61,10 +59,9 @@ _BOUND_MARGIN = 1.01
 class SimSpec:
     """What to simulate.
 
-    ``filters`` is either a FilterFunction or one callable per channel
-    (vectorized lag -> value).  Channel order is: the exogenous driver
-    channels of ``drivers`` first, then, when ``self_exciting``, the target
-    itself with unit jumps as the last channel.
+    ``filters`` has one channel per driver channel: the exogenous ones
+    of ``drivers`` first, then, when ``self_exciting``, the target itself
+    with unit jumps as the last channel.
 
     The automatic dominating rate is the envelope bound of the module
     docstring, read from ``envelopes``.  It assumes nonnegative jump sizes
@@ -77,7 +74,7 @@ class SimSpec:
     """
 
     link: LinkSpec
-    filters: FilterFunction | Sequence[Callable]
+    filters: FilterFunction
     horizon: float
     self_exciting: bool = True
     drivers: DriverSeries | None = None
@@ -102,7 +99,7 @@ class SimSpec:
         if self.drivers is not None and self.drivers.horizon != self.horizon:
             raise ConfigError("drivers horizon does not match the simulation horizon")
         _check_channels(self.filters, self.n_channels)
-        if isinstance(self.filters, FilterFunction) and self.filters.kernel.horizon < self.horizon:
+        if self.filters.kernel.horizon < self.horizon:
             raise ConfigError("filter kernel horizon shorter than the simulation")
         if self.max_events < 1:
             raise ConfigError("max_events must be >= 1")
@@ -115,24 +112,13 @@ class SimSpec:
         """g_channel at an array of lags in [0, horizon].
 
         The envelope grid and every thinning candidate read the filter
-        here, through the function ``_readers`` bound for the channel.
+        here, through its ``_readers``, from its normal forms' prefix tables
+        with no domain check: candidates lie below the horizon, driver and
+        event times are >= 0, and ``__post_init__`` rejects a kernel whose
+        horizon is shorter than the simulation, so every lag is in the
+        kernel's domain.
         """
-        return self._readers[channel](lags)
-
-    @cached_property
-    def _readers(self) -> tuple[Callable, ...]:
-        """One function of a lag array per channel, bound once.
-
-        A FilterFunction is read through its own ``_readers``, from its
-        normal forms' prefix tables with no domain check: candidates lie
-        below the horizon, driver and event times are >= 0, and
-        ``__post_init__`` rejects a kernel whose horizon is shorter than the
-        simulation, so every lag is in the kernel's domain.  A callable's
-        values are taken as a float array.
-        """
-        if isinstance(self.filters, FilterFunction):
-            return self.filters._readers
-        return tuple(lambda lags, f=f: np.asarray(f(lags), dtype=float) for f in self.filters)
+        return self.filters._readers[channel](lags)
 
     @cached_property
     def envelopes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -145,7 +131,7 @@ class SimSpec:
         grows.  ``reach[ch]`` is the first lag from which the envelope is 0:
         jumps older than that add nothing to the bound.
 
-        A FilterFunction at m = 1 is read only up to the first grid point
+        At m = 1 a filter is read only up to the first grid point
         past the last section lag or segment node of the channel's normal
         form, and the envelope there stands for the rest of the grid.  This
         is exact: past its last lag every low-branch term of the kernel sums
@@ -155,13 +141,12 @@ class SimSpec:
         the lag does not change; the polynomial part is the constant h0[0].
         So every grid point from the last one read on gets the same float,
         and so does the envelope there.  At m >= 2 the tail is a polynomial
-        in the lag, and a callable is opaque: both are read on the whole
-        grid.
+        in the lag, read on the whole grid.
         """
         grid = np.linspace(0.0, self.horizon, _BOUND_GRID)
         env = np.empty((self.n_channels, grid.size))
         reach = np.full(self.n_channels, np.inf)
-        flat_tail = isinstance(self.filters, FilterFunction) and self.filters.kernel.m == 1
+        flat_tail = self.filters.kernel.m == 1
         for ch in range(self.n_channels):
             stop = grid.size
             if flat_tail:
@@ -300,20 +285,17 @@ def simulate(spec: SimSpec, seed=None) -> tuple[EventSeries, DriverSeries]:
 
 
 def time_rescale(
-    g,
+    g: FilterFunction,
     link: LinkSpec,
     events: EventSeries,
     drivers: DriverSeries,
     at_risk: AtRiskProcess | None = None,
-    nodes_per_interval: int = 8,
 ) -> np.ndarray:
     """Compensator increments between consecutive events.
 
     Returns Lambda(tau_i) - Lambda(tau_{i-1}) for every event; unit
-    exponential under the data-generating model.  ``g`` is a FilterFunction
-    (exact integration for the linear link) or a sequence of per-channel
-    callables (quadrature).
+    exponential under the data-generating model.
     """
     at_risk = at_risk if at_risk is not None else AtRiskProcess.unit()
-    vals = compensator(g, link, at_risk, drivers, events.times, nodes_per_interval)
+    vals = compensator(g, link, at_risk, drivers, events.times)
     return np.diff(vals, prepend=0.0)

@@ -1,11 +1,15 @@
-"""Shared fixtures: a small hand-built dataset and a simulated Hawkes run."""
+"""Shared fixtures: a small hand-built dataset, and a simulated Hawkes run
+with its filter."""
 
 import numpy as np
 import pytest
 
 from glppm.data import DriverChannel, DriverSeries, EventSeries
+from glppm.kernel import SobolevKernel
 from glppm.likelihood import linear_link
 from glppm.simulator import SimSpec, simulate
+
+from oracles import interpolated
 
 
 @pytest.fixture
@@ -27,11 +31,14 @@ def tiny():
 
 
 @pytest.fixture(scope="session")
-def hawkes50():
-    """Linear self-exciting run: baseline 0.5, filter 0.3 exp(-u), horizon 50."""
-    spec = SimSpec(
-        link=linear_link(0.5),
-        filters=[lambda u: 0.3 * np.exp(-u)],
-        horizon=50.0,
-    )
+def hawkes50_filter():
+    """The filter of ``hawkes50``: 0.3 exp(-u) interpolated at m = 1 on knots
+    1e-3 apart (``oracles.interpolated``), within 4e-8 of the closed form."""
+    return interpolated(SobolevKernel(m=1, horizon=50.0), lambda u: 0.3 * np.exp(-u))
+
+
+@pytest.fixture(scope="session")
+def hawkes50(hawkes50_filter):
+    """Linear self-exciting run: baseline 0.5, filter ``hawkes50_filter``, horizon 50."""
+    spec = SimSpec(link=linear_link(0.5), filters=hawkes50_filter, horizon=50.0)
     return simulate(spec, seed=0)

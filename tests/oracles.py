@@ -37,11 +37,16 @@ resumed search, and
 ``sorted_normal_forms`` merges every section of a filter in one stable
 sort, the reference for ``FilterFunction.normal_forms``.
 ``thinning_reference`` runs the thinning loop with every candidate's
-envelope sum, filter read (``unchecked_value``, through
-``_cross_weighted_sum``) and link read done afresh, the reference for
-``simulate``'s kept positions and bound tables, and counts its filter reads.
-Its envelope, ``reference_envelopes``, reads every filter on the whole lag
-grid, the reference for ``SimSpec.envelopes``' shorter reads at m = 1.
+envelope sum, filter read and link read done afresh, the reference for
+``simulate``'s kept positions and bound tables, and counts its filter reads;
+the read is ``reference_read`` (``unchecked_value``, through
+``_cross_weighted_sum``) unless another of its shape, such as
+``fresh_value``, is passed.  Its envelope, ``reference_envelopes``, reads
+every filter on the whole lag grid, the reference for
+``SimSpec.envelopes``' shorter reads at m = 1.  The simulator takes only a
+filter of kernel atoms, so a closed form is simulated as its
+``piecewise_linear`` interpolant at m = 1, exact in the kernel's own atoms;
+``interpolated`` builds one such filter from a closed form per channel.
 """
 
 from math import factorial
@@ -58,6 +63,7 @@ from glppm.filters import (
     _merged_atom,
     _normal_form_atom,
     full_inner_row,
+    h0_poly,
     h1_inner_row,
 )
 from glppm.kernel import SobolevKernel, _branch_coeffs, _cross_weighted_sum, _h0_stack
@@ -259,6 +265,33 @@ def kernel_section(kernel: SobolevKernel, channel: int, lag: float, part: str = 
     """The kernel slice R1(lag, .) (part "r1") or R(lag, .) (part "r") at
     one lag: the ``section_sum`` of one slice."""
     return section_sum(kernel, channel, [float(lag)], [1.0], part)
+
+
+def piecewise_linear(kernel: SobolevKernel, channel: int, knots, values):
+    """(atoms, coeffs) of the linear interpolant through (knots, values) at
+    m = 1, flat past the last knot; knots rise from 0.  It is
+    values[0] phi_1 + sum_k w_k R1(knot_k, .) with w_k = s_k - s_{k+1},
+    s_k the slope into knot k and s_{K+1} = 0: on each interval the slope
+    of sum_k w_k min(knot_k, u) is the sum of the w_k of the knots past it."""
+    knots, values = np.asarray(knots, dtype=float), np.asarray(values, dtype=float)
+    assert kernel.m == 1 and knots[0] == 0.0
+    slopes = np.append(np.diff(values) / np.diff(knots), 0.0)
+    weights = slopes[:-1] - slopes[1:]
+    return [h0_poly(kernel, channel, 1), section_sum(kernel, channel, knots[1:], weights)], [values[0], 1.0]
+
+
+def interpolated(kernel: SobolevKernel, *closed_forms, step: float = 1e-3) -> FilterFunction:
+    """A filter at m = 1 whose channel ch is the ``piecewise_linear``
+    interpolant of the vectorized ``closed_forms[ch]`` on the knots 0,
+    step, ..., horizon; a closed form None makes the channel zero."""
+    knots = np.linspace(0.0, kernel.horizon, int(round(kernel.horizon / step)) + 1)
+    atoms, coeffs = [], []
+    for ch, f in enumerate(closed_forms):
+        if f is not None:
+            a, c = piecewise_linear(kernel, ch, knots, f(knots))
+            atoms += a
+            coeffs += c
+    return FilterFunction(kernel, len(closed_forms), tuple(atoms), np.array(coeffs))
 
 
 def integrated_points(kernel: SobolevKernel, channel: int, lags, weights, part: str = "r1"):
@@ -550,49 +583,46 @@ def unchecked_value(form, u):
     return out + np.dot(form.h0.reshape(1, form.m), basis).reshape(u.shape)
 
 
-def reference_read(spec: SimSpec):
-    """The filter read of ``thinning_reference``, a function of (channel,
-    lags): ``unchecked_value`` of the channel's normal form (a
-    FilterFunction) or ``np.asarray`` of the channel's callable."""
-
-    def filter_values(channel, lags):
-        if isinstance(spec.filters, FilterFunction):
-            return unchecked_value(spec.filters.normal_forms[channel], lags)
-        return np.asarray(spec.filters[channel](lags), dtype=float)
-
-    return filter_values
+def reference_read(g: FilterFunction, channel: int, lags):
+    """The default filter read of ``thinning_reference``: the
+    ``unchecked_value`` of the channel's normal form.  ``fresh_value`` is
+    a read of the same shape."""
+    return unchecked_value(g.normal_forms[channel], lags)
 
 
-def reference_envelopes(spec: SimSpec, filter_values):
-    """``SimSpec.envelopes`` with every filter read by ``filter_values`` on
-    the whole lag grid: the grid, the envelopes and the reaches."""
+def reference_envelopes(spec: SimSpec, read=reference_read):
+    """``SimSpec.envelopes`` with every filter read by ``read(filters,
+    channel, lags)`` on the whole lag grid: the grid, the envelopes and
+    the reaches."""
     grid = np.linspace(0.0, spec.horizon, simulator._BOUND_GRID)
     env = np.empty((spec.n_channels, grid.size))
     reach = np.full(spec.n_channels, np.inf)
     for ch in range(spec.n_channels):
-        vals = np.maximum(filter_values(ch, grid), 0.0)
+        vals = np.maximum(read(spec.filters, ch, grid), 0.0)
         env[ch] = np.maximum.accumulate(vals[::-1])[::-1] * simulator._BOUND_MARGIN
         if env[ch, -1] == 0.0:
             reach[ch] = grid[int(np.argmin(env[ch] > 0.0))]
     return grid, env, reach
 
 
-def thinning_reference(spec: SimSpec, seed):
+def thinning_reference(spec: SimSpec, seed, read=reference_read):
     """The thinning loop of ``simulate`` with every candidate read afresh:
     the envelope is read on the whole grid (``reference_envelopes``), the
     envelope sum searches the grid, the start and the end of the jumps
     in reach anew at each call, the link is read on arrays, the filter
-    through ``reference_read``, and the acceptance draw is ``uniform()``.
-    Returns the event times and the number of filter reads, the envelope
-    grid's included: the ``SimSpec.filter_values`` calls of a ``simulate``
-    on a spec whose envelope is not built yet."""
+    through ``read(filters, channel, lags)``, and the acceptance draw is
+    ``uniform()``.  Returns the event times and the number of filter
+    reads, the envelope grid's included: the ``SimSpec.filter_values``
+    calls of a ``simulate`` on a spec whose envelope is not built yet."""
     calls = 0
-    read = reference_read(spec)
 
-    def filter_values(channel, lags):
+    def counted(g, channel, lags):
         nonlocal calls
         calls += 1
-        return read(channel, lags)
+        return read(g, channel, lags)
+
+    def filter_values(channel, lags):
+        return counted(spec.filters, channel, lags)
 
     def link_value(x):
         return float(spec.link.value(np.asarray(x)))
@@ -610,7 +640,7 @@ def thinning_reference(spec: SimSpec, seed):
     rng = np.random.default_rng(seed)
     horizon = spec.horizon
     if spec.bound is None:
-        grid, env, reach = reference_envelopes(spec, filter_values)
+        grid, env, reach = reference_envelopes(spec, counted)
     exo = list(spec.drivers.channels) if spec.drivers else []
     self_ch = spec.n_channels - 1 if spec.self_exciting else None
     edges = _partition(horizon, spec.at_risk.breakpoints, *(ch.times for ch in exo))

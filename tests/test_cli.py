@@ -871,6 +871,11 @@ MALFORMED = {
             ("max_iter", "fraction", 2.5),
             ("max_iter", "numeric-str", "10"),
             ("tol", "str", "x"),
+            # and its range: a rule that fit refuses is refused here too
+            ("tol", "negative", -1.0),
+            ("tol", "zero", 0.0),
+            ("tol", "inf", float("inf")),
+            ("max_iter", "zero", 0),
         )
     },
 }

@@ -1,9 +1,10 @@
 """Maps of the data that change the penalized objective F only by a known
 constant: a permutation of the channels with their filters, an extra
-channel with no jumps, a change of time unit on the exponential link, and
-one common rescaling of every channel's marks.  They are checked on F of a
-fixed filter, and on ``fit_descent``'s fits at m = 1, whose F and filter
-must follow the map to the fits' tolerance.
+channel with no jumps, a change of time unit on the exponential and the
+linear link, and one common rescaling of every channel's marks.  They are
+checked on F of a fixed filter, and, but for the linear link's time unit,
+on ``fit_descent``'s fits at m = 1, whose F and filter must follow the map
+to the fits' tolerance.
 
 The data are drawn by a seeded generator: an exogenous driver with marks
 in [0.5, 2] and the self-exciting target, with an at-risk process that
@@ -19,7 +20,7 @@ import pytest
 from glppm.data import AtRiskProcess, DriverChannel, DriverSeries, EventSeries
 from glppm.filters import FilterFunction, h0_poly
 from glppm.kernel import SobolevKernel
-from glppm.likelihood import Objective, exponential_link, objective_value, softplus_link
+from glppm.likelihood import Objective, exponential_link, linear_link, objective_value, softplus_link
 from glppm.optimizer import fit_descent
 
 from oracles import kernel_section, same_bits
@@ -115,6 +116,20 @@ def test_a_time_unit_shifts_the_exp_objective_by_n_log_c(m, c):
     assert abs(f_c - events.size * math.log(c) - f) <= 1e-12 * abs(f)
 
 
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("c", [0.1, 3.0])
+def test_a_time_unit_shifts_the_linear_objective_by_n_log_c(m, c):
+    # g~(c u) = g(u) / c and d / c divide every intensity by c, which the
+    # compensator's longer time undoes and each event's log adds;
+    # c^(2m+1) lambda keeps the penalty of g(u / c) / c
+    events, channels, spec = draw(10)
+    f = build(linear_link(1.0), m, 2.0, events, channels, spec)
+    scaled = [(ch, lag, k, w / c) for ch, lag, k, w in spec]
+    f_c = build(linear_link(1.0 / c), m, c ** (2 * m + 1) * 2.0, events, channels, scaled, c)
+    assert 1.0 < abs(f) < 1e3
+    assert abs(f_c - events.size * math.log(c) - f) <= 1e-12 * abs(f)
+
+
 # the fits' half: fit_descent at m = 1 and lambda = 1 on six drawn
 # datasets; m = 2 is left out, as its fits end apart between time units
 FIT_SEEDS = range(6)
@@ -125,18 +140,21 @@ GRID = np.linspace(0.0, HORIZON, 81)
 def fitted(link: str, seed: int, variant: str = "base", c: float = 1.0):
     """The fit of ``draw(seed)``'s data under a map: "base", "swap" (the
     two channels in reverse order), "empty" (a channel with no jumps
-    between them) or "unit" (time unit c on the exp link, with d - log c
-    and c lambda)."""
+    between them), "unit" (time unit c on the exp link, with d - log c
+    and c lambda) or "marks" (every channel's marks times c, with
+    c^2 lambda)."""
     events, channels, _ = draw(seed)
-    spec = LINKS[link]
+    spec, lam, unit = LINKS[link], 1.0, 1.0
     if variant == "swap":
         channels = channels[::-1]
     elif variant == "empty":
         channels = [channels[0], (np.empty(0), np.empty(0)), channels[1]]
     elif variant == "unit":
-        spec = exponential_link(spec.d - math.log(c))
-    # lambda = 1, times c^(2m - 1) = c in time unit c
-    return fit_descent(*objective(spec, 1, c, events, channels, c))
+        # lambda = 1, times c^(2m - 1) = c in time unit c
+        spec, lam, unit = exponential_link(spec.d - math.log(c)), c, c
+    elif variant == "marks":
+        channels, lam = [(t, c * s) for t, s in channels], c * c
+    return fit_descent(*objective(spec, 1, lam, events, channels, unit))
 
 
 def converged_pairs(link: str, variant: str, c: float = 1.0):
@@ -169,3 +187,13 @@ def test_an_exp_fit_follows_the_time_unit(c):
         assert abs(b.objective - n * math.log(c) - a.objective) <= 1e-7 * abs(a.objective)
         for j in range(2):
             assert np.abs(b.g_hat.evaluate(j, c * GRID) - a.g_hat.evaluate(j, GRID)).max() <= 1e-4
+
+
+@pytest.mark.parametrize("c", [0.5, 2.0])
+@pytest.mark.parametrize("link", sorted(LINKS))
+def test_a_fit_follows_a_common_scale_of_the_marks(link, c):
+    # F~ = F, and c g~ = g
+    for _, a, b in converged_pairs(link, "marks", c):
+        assert abs(b.objective - a.objective) <= 1e-7 * abs(a.objective)
+        for j in range(2):
+            assert np.abs(c * b.g_hat.evaluate(j, GRID) - a.g_hat.evaluate(j, GRID)).max() <= 1e-4

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose, assert_array_equal
+from numpy.testing import assert_allclose
 
 from glppm.data import AtRiskProcess, DriverChannel, DriverSeries, EventSeries
 from glppm.errors import ConfigError, DomainError, InfeasibleError
@@ -596,36 +596,12 @@ class TestCompensator:
         assert_allclose(got, want, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("link", [linear_link(1.0), exponential_link()])
-    @pytest.mark.parametrize("n", [0, 1, 2.0, -3])
-    def test_nodes_per_interval_is_checked_as_the_quadrature_config(self, tiny, link, n):
-        # one rule for the order of the rule, on either route: numpy's bare
-        # ValueError used to answer 0, and 1 passed
-        from glppm.simulator import time_rescale
-
-        events, drivers = tiny
-        g = FilterFunction(SobolevKernel(m=1, horizon=8.0), 2, (), np.empty(0))
-        y = AtRiskProcess.unit()
-        with pytest.raises(ConfigError, match="nodes_per_interval"):
-            compensator(g, link, y, drivers, 3.0, nodes_per_interval=n)
-        with pytest.raises(ConfigError, match="nodes_per_interval"):
-            time_rescale(g, link, events, drivers, nodes_per_interval=n)
-        assert compensator(g, link, y, drivers, 3.0, nodes_per_interval=2) > 0.0
-
-    @pytest.mark.parametrize("link", [linear_link(1.0), exponential_link()])
     def test_a_numpy_integer_order_is_accepted(self, tiny, link):
-        from glppm.simulator import time_rescale
-
         events, drivers = tiny
         g = small_filter(SobolevKernel(m=2, horizon=8.0), np.random.default_rng(46), 2)
-        y = AtRiskProcess.unit()
         assert QuadratureConfig(np.int64(8)).nodes_per_interval == 8
-        assert compensator(g, link, y, drivers, 3.0, nodes_per_interval=np.int64(8)) == compensator(
-            g, link, y, drivers, 3.0, nodes_per_interval=8
-        )
-        assert_array_equal(
-            time_rescale(g, link, events, drivers, nodes_per_interval=np.int64(8)),
-            time_rescale(g, link, events, drivers, nodes_per_interval=8),
-        )
+        quad = Objective(link, 1.0, events, drivers, quadrature=QuadratureConfig(np.int64(8)))
+        assert neg_log_lik(g, quad) == neg_log_lik(g, Objective(link, 1.0, events, drivers))
 
     @pytest.mark.parametrize("link", [linear_link(1.0), exponential_link()])
     def test_channel_count_must_match_the_data(self, tiny, link):
@@ -642,3 +618,24 @@ class TestCompensator:
             intensity(g, link, y, one, 3.0)
         with pytest.raises(ConfigError):
             compensator(g, link, y, one, 3.0)
+
+    @pytest.mark.parametrize(
+        "route", ["SimSpec", "linear_predictor", "compensator", "time_rescale", "intensity"]
+    )
+    def test_a_filter_that_is_not_a_filter_function_is_refused(self, tiny, route):
+        # every filter the program builds, fits, writes or reads is a
+        # FilterFunction; one vectorized callable per channel is refused
+        from glppm.simulator import SimSpec, time_rescale
+
+        events, drivers = tiny
+        g = [lambda u: 0.1 * np.exp(-u), lambda u: 0.2 * np.exp(-u)]
+        link, y = linear_link(1.0), AtRiskProcess.unit()
+        call = {
+            "SimSpec": lambda: SimSpec(link=link, filters=g[:1], horizon=8.0),
+            "linear_predictor": lambda: linear_predictor(g, drivers, 3.0),
+            "compensator": lambda: compensator(g, link, y, drivers, 3.0),
+            "time_rescale": lambda: time_rescale(g, link, events, drivers),
+            "intensity": lambda: intensity(g, link, y, drivers, 3.0),
+        }[route]
+        with pytest.raises(ConfigError, match="a filter must be a FilterFunction, got list"):
+            call()

@@ -16,30 +16,41 @@ from glppm.optimizer import fit_descent
 from glppm.simulator import SimSpec, simulate, time_rescale
 
 from oracles import (
+    fresh_antiderivative,
     fresh_value,
+    interpolated,
     kernel_section,
-    r1,
+    piecewise_linear,
     reference_envelopes,
-    reference_read,
     same_bits,
     thinning_reference,
 )
 
 
+def zero(horizon: float, n_channels: int = 1) -> FilterFunction:
+    """The zero filter on n_channels channels, m = 1."""
+    return FilterFunction(SobolevKernel(m=1, horizon=horizon), n_channels, (), np.empty(0))
+
+
+def exp_decay(a: float, b: float):
+    """The closed form u -> a exp(-b u)."""
+    return lambda u: a * np.exp(-b * u)
+
+
 class TestSpecValidation:
     def test_filter_count_must_match_channels(self):
-        with pytest.raises(ConfigError):
-            SimSpec(link=linear_link(1.0), filters=[], horizon=5.0)
+        with pytest.raises(ConfigError, match="filter has 2 channels, expected 1"):
+            SimSpec(link=linear_link(1.0), filters=zero(5.0, 2), horizon=5.0)
 
     def test_bad_horizon(self):
         with pytest.raises(ConfigError):
-            SimSpec(link=linear_link(1.0), filters=[lambda u: 0 * u], horizon=0.0)
+            SimSpec(link=linear_link(1.0), filters=zero(5.0), horizon=0.0)
 
     def test_needs_some_channel(self):
         with pytest.raises(ConfigError):
             SimSpec(
                 link=linear_link(1.0),
-                filters=[],
+                filters=zero(5.0),
                 horizon=5.0,
                 self_exciting=False,
             )
@@ -48,7 +59,7 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             SimSpec(
                 link=linear_link(1.0),
-                filters=[lambda u: 0 * u],
+                filters=zero(5.0),
                 horizon=5.0,
                 bound=-1.0,
             )
@@ -60,13 +71,13 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             SimSpec(
                 link=linear_link(1.0),
-                filters=[lambda u: 0 * u, lambda u: 0 * u],
+                filters=zero(5.0, 2),
                 horizon=5.0,
                 drivers=drivers,
             )
         spec = SimSpec(
             link=linear_link(1.0),
-            filters=[lambda u: np.exp(-u), lambda u: 0 * u],
+            filters=interpolated(SobolevKernel(m=1, horizon=5.0), exp_decay(1.0, 1.0), None),
             horizon=5.0,
             drivers=drivers,
             bound=2.0,
@@ -88,7 +99,7 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             SimSpec(
                 link=linear_link(1.0),
-                filters=[lambda u: 0 * u],
+                filters=zero(5.0),
                 horizon=5.0,
                 max_events=0,
             )
@@ -98,7 +109,7 @@ class TestSimulate:
     def test_seed_determinism(self):
         spec = SimSpec(
             link=linear_link(0.5),
-            filters=[lambda u: 0.3 * np.exp(-u)],
+            filters=interpolated(SobolevKernel(m=1, horizon=30.0), exp_decay(0.3, 1.0)),
             horizon=30.0,
         )
         ev1, dr1 = simulate(spec, seed=7)
@@ -117,63 +128,62 @@ class TestSimulate:
     def test_homogeneous_poisson_counts(self):
         # zero filter: unit-rate Poisson process, check the mean count
         t, n_seeds = 200.0, 40
-        spec = SimSpec(link=linear_link(1.0), filters=[lambda u: 0 * u], horizon=t)
+        spec = SimSpec(link=linear_link(1.0), filters=zero(t), horizon=t)
         counts = [len(simulate(spec, seed=s)[0].times) for s in range(n_seeds)]
         assert abs(np.mean(counts) - t) <= 4 * np.sqrt(t / n_seeds)
 
     def test_exponential_link_baseline(self):
         # exp(0) = 1: same unit-rate Poisson law
         t, n_seeds = 200.0, 40
-        spec = SimSpec(link=exponential_link(), filters=[lambda u: 0 * u], horizon=t)
+        spec = SimSpec(link=exponential_link(), filters=zero(t), horizon=t)
         counts = [len(simulate(spec, seed=100 + s)[0].times) for s in range(n_seeds)]
         assert abs(np.mean(counts) - t) <= 4 * np.sqrt(t / n_seeds)
 
     def test_hawkes_mean_rate(self):
-        # stationary rate d / (1 - int g) = 0.5 / 0.75 = 2/3
-        spec = SimSpec(
-            link=linear_link(0.5),
-            filters=[lambda u: 0.5 * np.exp(-2.0 * u)],
-            horizon=600.0,
-        )
+        # stationary rate d / (1 - int g), about 0.5 / 0.75 = 2/3 for the
+        # interpolant of 0.5 exp(-2 u)
+        g = interpolated(SobolevKernel(m=1, horizon=600.0), exp_decay(0.5, 2.0))
+        spec = SimSpec(link=linear_link(0.5), filters=g, horizon=600.0)
+        rate = 0.5 / (1.0 - fresh_antiderivative(g, 0, 600.0))
         rates = [len(simulate(spec, seed=s)[0].times) / 600.0 for s in range(4)]
-        assert abs(np.mean(rates) - 2.0 / 3.0) <= 0.1 * 2.0 / 3.0
+        assert abs(np.mean(rates) - rate) <= 0.1 * rate
 
     @pytest.mark.parametrize("horizon", [100.0, 400.0])
-    def test_candidates_per_event_do_not_grow_with_horizon(self, horizon):
-        # every candidate evaluates the filter once (plus one call for the
-        # bound envelope); a bound that ignores how old past events are
-        # draws more candidates per event the longer the run
-        calls = 0
+    def test_candidates_per_event_do_not_grow_with_horizon(self, horizon, monkeypatch):
+        # every candidate reads the filter once through SimSpec.filter_values
+        # (plus one read for the bound envelope); a bound that ignores how
+        # old past events are draws more candidates per event the longer
+        # the run
+        calls, filter_values = 0, SimSpec.filter_values
 
-        def g(u):
+        def counting(spec, channel, lags):
             nonlocal calls
             calls += 1
-            return 0.5 * np.exp(-2.0 * u)
+            return filter_values(spec, channel, lags)
 
-        spec = SimSpec(link=linear_link(0.5), filters=[g], horizon=horizon)
+        monkeypatch.setattr(SimSpec, "filter_values", counting)
+        g = interpolated(SobolevKernel(m=1, horizon=horizon), exp_decay(0.5, 2.0))
+        spec = SimSpec(link=linear_link(0.5), filters=g, horizon=horizon)
         n_events = sum(len(simulate(spec, seed=s)[0].times) for s in range(3))
         assert n_events > 0.5 * horizon
         assert calls <= 3 * n_events
 
     def test_exogenous_driver_mean_count(self):
-        # zero self filter: Poisson with rate d + sum_k z_k exp(-(s - sigma_k))
+        # zero self filter: Poisson with rate d + sum_k z_k g(s - sigma_k),
+        # g the interpolant of exp(-u)
         d, t, n_seeds = 0.5, 20.0, 40
         sigma, z = np.array([2.0, 5.0, 9.0, 15.0]), np.array([1.0, 2.0, 0.5, 3.0])
         drivers = DriverSeries(t, (DriverChannel("z", sigma, z),))
-        spec = SimSpec(
-            link=linear_link(d),
-            filters=[lambda u: np.exp(-u), lambda u: 0 * u],
-            horizon=t,
-            drivers=drivers,
-        )
+        g = interpolated(SobolevKernel(m=1, horizon=t), exp_decay(1.0, 1.0), None)
+        spec = SimSpec(link=linear_link(d), filters=g, horizon=t, drivers=drivers)
         counts = [len(simulate(spec, seed=200 + s)[0].times) for s in range(n_seeds)]
-        mean = d * t + float(z @ (1.0 - np.exp(-(t - sigma))))
+        mean = d * t + float(z @ fresh_antiderivative(g, 0, t - sigma))
         assert abs(np.mean(counts) - mean) <= 4 * np.sqrt(mean / n_seeds)
 
     def test_explosive_process_raises(self):
         spec = SimSpec(
             link=linear_link(1.0),
-            filters=[lambda u: 1.5 * np.exp(-0.1 * u)],
+            filters=interpolated(SobolevKernel(m=1, horizon=400.0), exp_decay(1.5, 0.1)),
             horizon=400.0,
             max_events=500,
         )
@@ -182,13 +192,16 @@ class TestSimulate:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_bound_that_overflows_raises_at_once(self):
+        # g is 0 up to lag 1 and rises to 800 at lag 1.001, flat after it:
         # the envelope at lag 0 is 1.01 * 800, and exp(808) overflows to
         # inf: every candidate would land on t = 0, where the intensity is
         # exp(0), until the candidate budget ran out
         drivers = DriverSeries(10.0, (DriverChannel("z", np.zeros(1), np.ones(1)),))
+        k = SobolevKernel(m=1, horizon=10.0)
+        atoms, coeffs = piecewise_linear(k, 0, [0.0, 1.0, 1.001], [0.0, 0.0, 800.0])
         spec = SimSpec(
             link=exponential_link(),
-            filters=[lambda u: np.where(u < 1.0, 0.0, 800.0)],
+            filters=FilterFunction(k, 1, tuple(atoms), np.array(coeffs)),
             horizon=10.0,
             self_exciting=False,
             drivers=drivers,
@@ -201,7 +214,7 @@ class TestSimulate:
         # a bound below the true intensity must be reported, not ignored
         spec = SimSpec(
             link=linear_link(2.0),
-            filters=[lambda u: 0 * u],
+            filters=zero(50.0),
             horizon=50.0,
             bound=1.0,
         )
@@ -212,7 +225,7 @@ class TestSimulate:
         y = AtRiskProcess([10.0, 20.0], [1.0, 0.0, 1.0])
         spec = SimSpec(
             link=linear_link(1.0),
-            filters=[lambda u: 0 * u],
+            filters=zero(30.0),
             horizon=30.0,
             at_risk=y,
         )
@@ -229,7 +242,7 @@ class TestSimulate:
         )
         spec = SimSpec(
             link=linear_link(0.0),
-            filters=[lambda u: 2.0 * np.exp(-u), lambda u: 0.2 * np.exp(-u)],
+            filters=interpolated(SobolevKernel(m=1, horizon=20.0), exp_decay(2.0, 1.0), exp_decay(0.2, 1.0)),
             horizon=20.0,
             drivers=drivers,
         )
@@ -243,7 +256,7 @@ class TestSimulate:
         )
         spec = SimSpec(
             link=linear_link(0.3),
-            filters=[lambda u: np.exp(-u), lambda u: 0.2 * np.exp(-u)],
+            filters=interpolated(SobolevKernel(m=1, horizon=20.0), exp_decay(1.0, 1.0), exp_decay(0.2, 1.0)),
             horizon=20.0,
             drivers=drivers,
         )
@@ -254,17 +267,12 @@ class TestSimulate:
         assert np.array_equal(dr.channels[1].times, ev.times)
 
 
-def fresh_filters(g: FilterFunction):
-    """One callable per channel that builds every kernel sum of ``g`` afresh."""
-    return [lambda u, ch=ch: fresh_value(g, ch, u) for ch in range(g.n_channels)]
-
-
 class TestFilterSpec:
     def test_draws_the_events_of_fresh_evaluations(self, monkeypatch):
-        # the predictor evaluates a FilterFunction spec from the prefix
-        # tables the filter binds for its normal forms, unchecked; callables
-        # that build every kernel sum afresh must draw the same events, bit
-        # for bit.
+        # the predictor evaluates the filter from the prefix tables it binds
+        # for its normal forms, unchecked; the reference thinning loop with
+        # reads that build every kernel sum afresh must draw the same
+        # events, bit for bit.
         # g_ch falls from h at lag 0 to 0 at lag s and stays there:
         # h - (h/s) R1(s, .) = h (1 - u/s)+ at m = 1, and at m = 2
         # h - (3h/s) phi_2 + (6h/s^3) R1(s, .) = h ((1 - u/s)+)^3
@@ -300,9 +308,9 @@ class TestFilterSpec:
             g = FilterFunction(k, 2, atoms, np.array(coeffs))
             for seed in range(5):
                 ev, _ = simulate(spec(g), seed=seed)
-                ev_fresh, _ = simulate(spec(fresh_filters(g)), seed=seed)
+                want, _ = thinning_reference(spec(g), seed, read=fresh_value)
                 assert len(ev) > (10 if m == 1 else 5)
-                assert same_bits(ev.times, ev_fresh.times), (m, seed)
+                assert same_bits(ev.times, want), (m, seed)
             assert all(f.h0.any() for f in g.normal_forms)
             # the forms have no segments: K[m,m] only, once per channel
             assert built == [(m, m)] * 2
@@ -315,11 +323,11 @@ class TestFilterSpec:
             k, 1, (h0_poly(k, 0, 1), kernel_section(k, 0, 1.0)), np.array([0.5, -0.5])
         )
         assert g.normal_forms[0].h0[0] == 0.5
+        spec = SimSpec(link=linear_link(0.5), filters=g, horizon=60.0)
         for seed in range(5):
-            ev, _ = simulate(SimSpec(link=linear_link(0.5), filters=g, horizon=60.0), seed=seed)
-            spec = SimSpec(link=linear_link(0.5), filters=fresh_filters(g), horizon=60.0)
+            ev, _ = simulate(spec, seed=seed)
             assert len(ev) > 30
-            assert same_bits(ev.times, simulate(spec, seed=seed)[0].times)
+            assert same_bits(ev.times, thinning_reference(spec, seed, read=fresh_value)[0])
 
     def test_candidates_skip_the_domain_check(self, monkeypatch):
         # each candidate reads every channel's filter once through
@@ -412,14 +420,6 @@ def reference_spec(case: str) -> SimSpec:
         )
     if case == "bound":
         return SimSpec(link=linear_link(0.5), filters=self_hat, horizon=60.0, bound=3.0)
-    if case == "callables":
-        z = DriverChannel("z", np.array([2.0, 9.0]), np.array([1.0, 2.0]))
-        return SimSpec(
-            link=linear_link(0.3),
-            filters=[lambda u: np.exp(-u), lambda u: 0.4 * np.exp(-2.0 * u)],
-            horizon=60.0,
-            drivers=DriverSeries(60.0, (z,)),
-        )
     if case == "m2":
         # 0.5 ((1 - u)+)^3 = 0.5 phi_1 - 1.5 phi_2 + 3 R1(1, .) at m = 2
         k2 = SobolevKernel(m=2, horizon=60.0)
@@ -443,7 +443,7 @@ def reference_spec(case: str) -> SimSpec:
 class TestThinningReference:
     @pytest.mark.parametrize(
         "case",
-        ["linear", "exp", "softplus", "driver", "at_risk", "bound", "callables", "m2", "fitted"],
+        ["linear", "exp", "softplus", "driver", "at_risk", "bound", "m2", "fitted"],
     )
     def test_draws_the_reference_events(self, case):
         # simulate keeps its envelope positions, binds the filter's prefix
@@ -504,7 +504,7 @@ class TestEnvelopeGrid:
         # point past it, and the envelope and reach equal the whole grid's
         spec = envelope_spec(case)
         (grid, env, reach), reads = envelope_reads(spec, monkeypatch)
-        want = reference_envelopes(spec, reference_read(spec))
+        want = reference_envelopes(spec)
         assert same_bits(grid, want[0]) and same_bits(env, want[1]) and same_bits(reach, want[2])
         assert [ch for ch, _ in reads] == list(range(spec.n_channels))
         for ch, lags in reads:
@@ -521,13 +521,13 @@ class TestEnvelopeGrid:
         else:
             assert max(sizes) < grid.size
 
-    @pytest.mark.parametrize("case", ["m2", "callables"])
+    @pytest.mark.parametrize("case", ["m2"])
     def test_other_filters_are_read_on_the_whole_grid(self, case, monkeypatch):
-        # at m = 2 a filter's tail is a polynomial, and a callable is not
-        # known past any lag: both are read at every grid point
+        # at m = 2 a filter's tail is a polynomial in the lag: it is read at
+        # every grid point
         spec = reference_spec(case)
         (grid, env, reach), reads = envelope_reads(spec, monkeypatch)
-        want = reference_envelopes(spec, reference_read(spec))
+        want = reference_envelopes(spec)
         assert same_bits(grid, want[0]) and same_bits(env, want[1]) and same_bits(reach, want[2])
         assert [ch for ch, _ in reads] == list(range(spec.n_channels))
         assert all(same_bits(lags, grid) for _, lags in reads)
@@ -536,12 +536,14 @@ class TestEnvelopeGrid:
 class TestThinningLaw:
     def test_matches_bernoulli_grid_discretization(self):
         # compare the law of N_1 against a fine Bernoulli grid scheme that
-        # uses the exact exponential-filter recursion for the predictor
+        # uses the exact exponential-filter recursion for the predictor; the
+        # simulated filter, its interpolant on knots 1e-3 apart, lies within
+        # 1.2e-7 of the closed form
         a, b, d, t = 0.4, 1.5, 0.5, 1.0
         n_runs, dt = 10_000, 1e-3
         spec = SimSpec(
             link=linear_link(d),
-            filters=[lambda u: a * np.exp(-b * u)],
+            filters=interpolated(SobolevKernel(m=1, horizon=t), exp_decay(a, b)),
             horizon=t,
         )
         counts_thin = np.array(
@@ -566,12 +568,16 @@ class TestThinningLaw:
     def test_rising_then_falling_filter(self):
         # g(u) = a (e^{-b1 u} - e^{-b2 u}) is 0 at lag 0 and peaks later, so
         # the bound envelope differs from g; the grid scheme carries the two
-        # exponential states exactly
+        # exponential states exactly.  The simulated filter is the
+        # interpolant on knots 2.5e-4 apart, within 6e-7 of the closed
+        # form (9e-6 at 1e-3, as g'' is -72 at lag 0)
         a, b1, b2, d, t = 3.0, 1.0, 5.0, 0.5, 1.0
         n_runs, dt = 10_000, 1e-3
         spec = SimSpec(
             link=linear_link(d),
-            filters=[lambda u: a * (np.exp(-b1 * u) - np.exp(-b2 * u))],
+            filters=interpolated(
+                SobolevKernel(m=1, horizon=t), lambda u: a * (np.exp(-b1 * u) - np.exp(-b2 * u)), step=2.5e-4
+            ),
             horizon=t,
         )
         counts_thin = np.array(
@@ -611,25 +617,28 @@ class TestTimeRescale:
         gaps = time_rescale(FilterFunction(k, 1, (), np.empty(0)), linear_link(1.0), events, drivers)
         assert gaps.size == 0
 
-    def test_true_model_rescaling_is_unit_exponential(self, hawkes50):
+    def test_true_model_rescaling_is_unit_exponential(self, hawkes50, hawkes50_filter):
         events, drivers = hawkes50
-        gaps = time_rescale(
-            [lambda u: 0.3 * np.exp(-u)], linear_link(0.5), events, drivers
-        )
+        gaps = time_rescale(hawkes50_filter, linear_link(0.5), events, drivers)
         assert gaps.size == len(events.times)
         assert np.all(gaps > 0)
         assert kstest(gaps, "expon").pvalue > 0.01
 
-    def test_callable_and_filter_paths_agree(self, hawkes50):
+    def test_the_exact_linear_route_matches_a_quadrature_of_the_filter(self, hawkes50):
+        # the partition is split at every event, the one driver's jumps, so
+        # each gap is the integral over one interval; the oracle takes it
+        # by 16-node Gauss-Legendre quadrature of g.evaluate
         events, drivers = hawkes50
         k = SobolevKernel(m=2, horizon=50.0)
         g = FilterFunction(k, 1, (kernel_section(k, 0, 2.0),), np.array([0.01]))
-        gaps_filter = time_rescale(g, linear_link(0.5), events, drivers)
-        gaps_callable = time_rescale(
-            [lambda u: 0.01 * np.asarray([r1(k, 2.0, float(v)) for v in np.atleast_1d(u)])],
-            linear_link(0.5),
-            events,
-            drivers,
-            nodes_per_interval=16,
-        )
-        assert_allclose(gaps_filter, gaps_callable, rtol=1e-6, atol=1e-9)
+        gaps = time_rescale(g, linear_link(0.5), events, drivers)
+        a = np.concatenate([[0.0], events.times[:-1]])
+        width = events.times - a
+        x, w = np.polynomial.legendre.leggauss(16)
+        nodes = a[:, None] + (x + 1.0) * width[:, None] / 2.0
+        lags = nodes[..., None] - events.times
+        past = lags > 0.0
+        x_nodes = np.zeros(lags.shape)
+        x_nodes[past] = g.evaluate(0, lags[past])
+        lam = 0.5 + x_nodes.sum(axis=-1)
+        assert_allclose(gaps, (lam * w).sum(axis=1) * width / 2.0, rtol=1e-6, atol=1e-9)

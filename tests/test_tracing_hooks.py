@@ -2,7 +2,8 @@
 name that glppm code never reads beyond six known ones, and counts
 thinning candidates where ``simulate`` reads the filter; and ``glppm``
 defines nothing that no library, benchmark or tool code reads beyond
-seven known names."""
+seven known names, and no defaulted parameter that no such code sets
+beyond the two link offsets."""
 
 import ast
 import importlib.util
@@ -161,3 +162,71 @@ def test_the_definitions_that_no_glppm_bench_or_tools_code_reads_are_the_known_s
         "likelihood.exponential_link",
         "likelihood.softplus_link",
     }
+
+
+def calls_made(tree: ast.Module):
+    """(callee names, positional count, keywords, starred) of every call in
+    the tree: the callee's bare name or attribute name, and for a bare name
+    bound as ``x = a if ... else b`` the names of a and b too; starred
+    when the call passes any ``*args`` or ``**kwargs``."""
+    branches = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.IfExp):
+            for target in node.targets:
+                for branch in (node.value.body, node.value.orelse):
+                    name = getattr(branch, "id", getattr(branch, "attr", None))
+                    if isinstance(target, ast.Name) and name:
+                        branches.setdefault(target.id, set()).add(name)
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        if isinstance(node.func, ast.Name):
+            names = {node.func.id} | branches.get(node.func.id, set())
+        elif isinstance(node.func, ast.Attribute):
+            names = {node.func.attr}
+        else:
+            continue
+        positional = [a for a in node.args if not isinstance(a, ast.Starred)]
+        starred = len(positional) < len(node.args) or any(k.arg is None for k in node.keywords)
+        yield names, len(positional), {k.arg for k in node.keywords}, starred
+
+
+def test_every_defaulted_parameter_is_set_by_library_bench_or_tool_code_but_the_two_link_offsets():
+    # a parameter with a default that no non-test code of src/glppm,
+    # bench/ or tools/ sets is a knob only the tests turn.  A call sets it
+    # when its callee is the function's name, an attribute of that name or,
+    # for __init__, its class, and it passes the parameter by keyword, by
+    # position past self, or through *args / **kwargs.  The exponential
+    # and softplus links' offsets are left, as each link's constructor
+    # takes its family's baseline; a change that leaves another default
+    # to the tests alone fails here
+    calls = [
+        call
+        for folder in ("src/glppm", "bench", "tools")
+        for path in sorted((ROOT / folder).glob("*.py"))
+        if not path.name.startswith("test_")
+        for call in calls_made(ast.parse(path.read_text()))
+    ]
+    unset = set()
+    for path in sorted((ROOT / "src" / "glppm").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        functions = [(None, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        functions += [
+            (node.name, method)
+            for node in tree.body if isinstance(node, ast.ClassDef)
+            for method in node.body if isinstance(method, ast.FunctionDef)
+        ]
+        for owner, fn in functions:
+            static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+            params = [a.arg for a in fn.args.posonlyargs + fn.args.args][owner is not None and not static:]
+            defaulted = params[len(params) - len(fn.args.defaults):] if fn.args.defaults else []
+            defaulted += [a.arg for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+            callee = owner if fn.name == "__init__" else fn.name
+            for param in defaulted:
+                at = params.index(param) if param in params else len(params)
+                if not any(
+                    callee in names and (param in keywords or starred or positional > at)
+                    for names, positional, keywords, starred in calls
+                ):
+                    unset.add(f"{path.stem}.{owner + '.' if owner else ''}{fn.name}({param})")
+    assert unset == {"likelihood.exponential_link(d)", "likelihood.softplus_link(d)"}
