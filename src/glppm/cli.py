@@ -40,8 +40,9 @@ config or dataset manifest (one that is not UTF-8 included), a config's
 filter that is neither a path nor a payload with a ``format`` field, or an
 ``--out`` that cannot be made a directory; 3 bad or out-of-domain data,
 including a dataset CSV or a filter file that cannot be read or is not
-UTF-8; 4 solver non-convergence (the fit outputs are still written); 5
-infeasible model.
+UTF-8; 4 a solver failure: a fit that stops unconverged, whose outputs
+are still written, or a ``SolverError`` raised inside a command, which
+writes none; 5 infeasible model.
 
 BLAS and OpenMP read ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
 ``MKL_NUM_THREADS`` once, when numpy loads, and importing this package

@@ -17,9 +17,8 @@ once- or twice-integrated kernel.
 
 Atom operations are linear, so a whole filter has the same normal form:
 ``FilterFunction.normal_forms`` holds one atom per channel that merges the
-sections, segments and h0 of every atom there, scaled by its coefficient;
-atoms that share one sections array, as a fit's integral atoms share their
-node lags, are summed on it first, so that it is sorted once.
+sections, segments and h0 of every atom there, scaled by its coefficient,
+by the one merge rule (``_merge``).
 A filter checks its atoms against its kernel's domain once, when it is
 built, and its normal forms take them unchecked.  Filters are immutable
 and the forms are cached.  Evaluation and the H1 seminorm each take one
@@ -78,7 +77,8 @@ def _merge(lags: np.ndarray, owner: np.ndarray | None = None):
     order = np.argsort(lags, kind="stable") if owner is None else np.lexsort((lags, owner))
     lags = lags[order]
     starts = np.ones(lags.size, dtype=bool)
-    np.greater(np.diff(lags), _MERGE_TOL, out=starts[1:])
+    # "not <=" rather than ">", so that a NaN starts a group of its own
+    np.logical_not(np.diff(lags) <= _MERGE_TOL, out=starts[1:])
     if owner is not None:
         owner = owner[order]
         starts[1:] |= owner[1:] != owner[:-1]
@@ -92,32 +92,6 @@ def _merge_sorted(lags: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np
         return lags, weights
     order, starts, group = _merge(lags)
     return lags[order][starts], np.bincount(group, weights=weights[order])
-
-
-def _merged_sections(atoms, c: np.ndarray):
-    """``_merge_sorted`` of the sections of atoms with coefficients c.
-    Atoms that share one sections array, as a fit's integral atoms do,
-    enter as one copy of it that carries their weights summed in atom
-    order, as the stable sort and ``bincount`` sum them; where a merge
-    group (``_merge``) holds one of its lags and any other lag, every copy
-    takes the sort instead."""
-    groups: dict = {}
-    for k, a in enumerate(atoms):
-        groups.setdefault(id(a.sec_lags), []).append(k)
-    shared = max(groups.values(), key=len, default=[])
-    keep = [k for k in range(len(atoms)) if k not in shared[1:]]
-    lags, weights, owner = _flatten([atoms[k] for k in keep])[:3]
-    weights = c[keep][owner] * weights
-    if len(shared) > 1:
-        mine = owner == keep.index(shared[0])
-        weights[mine] = sum((c[k] * atoms[k].sec_weights for k in shared), np.zeros(mine.sum()))
-        order, starts, group = _merge(lags)
-        mark = mine[order]
-        if not (~starts[1:] & (mark[1:] | mark[:-1])).any():
-            return lags[order][starts], np.bincount(group, weights=weights[order])
-        lags, weights, owner = _flatten(atoms)[:3]
-        weights = c[owner] * weights
-    return _merge_sorted(lags, weights)
 
 
 def _to_b64(arr: np.ndarray) -> str:
@@ -281,8 +255,8 @@ def _atom_value(sec_lags, sec_table, seg_nodes, seg_table, h0, u: np.ndarray) ->
 def _normal_form_atom(kernel, channel, kind, part, sec_lags, sec_weights, seg_nodes, seg_weights) -> Atom:
     """The atom of these sections and segments, sorted and merged.  A lag or
     node outside the kernel's domain or not finite raises DomainError, and a
-    weight that is not finite ConfigError, before the merge: it would fold
-    a NaN into the group of the entry before it."""
+    weight that is not finite ConfigError: a filter's input is checked
+    here, once, and what is built from it is not checked again."""
     kernel._check_domain(sec_lags, seg_nodes)
     if not (np.isfinite(sec_lags).all() and np.isfinite(seg_nodes).all()):
         raise DomainError("atom lags and segment nodes must be finite")
@@ -398,27 +372,18 @@ class FilterFunction:
     def normal_forms(self) -> tuple[Atom, ...]:
         """One atom per channel equal to the whole filter there: the sections
         and segments of its atoms, weighted by their coefficients, sorted and
-        merged (``_merged_sections``), and ``h0`` the combined polynomial
+        merged (``_merge_sorted``), and ``h0`` the combined polynomial
         coefficients, with no domain check: the filter checked its atoms
-        when it was built.  A channel whose one atom with sections or
-        segments has coefficient 1, as every filter that ``compact`` writes
-        and ``from_dict`` reads back, takes that atom's arrays as they are:
-        every atom's are sorted, merged and nonnegative by construction,
-        with weights that a ``bincount`` summed, so the flatten and merge
-        would give them back bit for bit."""
+        when it was built."""
         forms = []
         for ch in range(self.n_channels):
             on = [i for i, a in enumerate(self.atoms) if a.channel == ch and self.coefficients[i] != 0.0]
             c = self.coefficients[on]
             atoms = [self.atoms[i] for i in on]
             h0 = _ro(c @ np.array([a.h0 for a in atoms]).reshape(-1, self.kernel.m))
-            smooth = [k for k, a in enumerate(atoms) if a.sec_lags.size or a.seg_nodes.size]
-            if len(smooth) == 1 and c[smooth[0]] == 1.0:
-                forms.append(replace(atoms[smooth[0]], channel=ch, kind="normal", part="r", h0=h0))
-                continue
-            seg_nodes, seg_w, seg_owner = _flatten(atoms)[3:]
+            sec_lags, sec_w, sec_owner, seg_nodes, seg_w, seg_owner = _flatten(atoms)
             # an r1 atom of the merged support, then given the combined h0
-            sections = _merged_sections(atoms, c)
+            sections = _merge_sorted(sec_lags, c[sec_owner] * sec_w)
             segments = _merge_sorted(seg_nodes, c[seg_owner] * seg_w)
             form = _merged_atom(self.kernel, ch, "normal", "r1", *map(_ro, sections + segments))
             forms.append(replace(form, part="r", h0=h0))

@@ -23,9 +23,10 @@ discretized objective, which keeps line searches and finite-difference
 checks sharp in both regimes.
 
 A filter enters through its normal form, one merged atom per channel
-(``FilterFunction.normal_forms``): its predictors at the nodes and the
-events are one ``Objective.columns`` call over them, and its exact
-compensator one ``_segment_integrals`` pass per channel.
+(``FilterFunction.normal_forms``): its predictor at any times is
+``linear_predictor``, which reads the forms' prefix tables once bound
+(``FilterFunction.evaluate``), and its exact compensator one
+``_segment_integrals`` pass per channel over them.
 ``compensator`` evaluates Lambda at one time or at an array of times with
 one partition and one cumulative pass, exactly for the linear link and by
 the same Gauss-Legendre rule otherwise.
@@ -309,8 +310,7 @@ class Objective:
     (``_segment_support``), which only the linear link's compensator and
     exact integral atoms read, are built on first use.
     ``_node_pairs`` and ``_event_pairs`` view its two halves.  ``columns``
-    turns any block of atoms into predictor columns from this store, and
-    ``predictors`` gives a filter's from one call over its normal forms.
+    turns any block of atoms into predictor columns from this store.
     """
 
     def __init__(
@@ -403,9 +403,9 @@ class Objective:
         with a row per atom (K[m,m], K[m+1,m]), and each pair lag is searched
         once.
         ``_family_sums`` gives the smooth parts in chunks of
-        ``_HISTORY_BLOCK`` entries, an atom with polynomial content (a
-        polynomial or a normal form) adds it per half, and one ``bincount``
-        per chunk sums each (point, atom) bin in pair order: the bits of
+        ``_HISTORY_BLOCK`` entries, an atom with polynomial content, as the
+        polynomials, adds it per half, and one ``bincount`` per chunk sums
+        each (point, atom) bin in pair order: the bits of
         the atom's value (``Atom._bound_value``) at the pair lags times the
         jump sizes."""
         self._check_kernel(kernel)
@@ -461,17 +461,6 @@ class Objective:
                 for c, v in zip(cols[start:], vals):
                     row[c] = w @ v
         return row
-
-    # -- predictors of a full filter -------------------------------------------
-
-    def predictors(self, g: FilterFunction) -> tuple[np.ndarray, np.ndarray]:
-        """X(g) at all quadrature nodes and at all event times (strict left
-        limits): one ``columns`` call over the normal forms, whose columns
-        are summed in channel order."""
-        _check_channels(g, self.drivers.n_channels)
-        x = self.columns(g.kernel, g.normal_forms)
-        x = sum(x[:, ch] for ch in range(g.n_channels))
-        return x[: self.nodes.size], x[self.nodes.size :]
 
 
 # -- public operations ----------------------------------------------------------
@@ -571,7 +560,8 @@ class _QuadratureCompensator:
 
 def neg_log_lik(g: FilterFunction, obj: Objective) -> float:
     """Minus log-likelihood; exact compensator for the linear link."""
-    x_nodes, x_events = obj.predictors(g)
+    x = linear_predictor(g, obj.drivers, obj.points)
+    x_nodes, x_events = x[: obj.nodes.size], x[obj.nodes.size :]
     phi_events = _event_phi(obj, x_events)
     if obj.link.kind == "linear":
         _check_domain(obj.link, x_nodes, obj.nodes)

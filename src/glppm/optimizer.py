@@ -61,6 +61,7 @@ from .filters import Atom, FilterFunction, full_inner_row, h0_poly, h1_inner_row
 from .kernel import SobolevKernel
 from .likelihood import (
     LinkSpec, Objective, _boundary_slack, _event_phi, _QuadratureCompensator, build_f_atoms, build_h_atoms,
+    linear_predictor,
 )
 
 __all__ = [
@@ -179,10 +180,7 @@ def _solve_spd(H: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
     ridge_used).
     """
     if not (np.isfinite(H).all() and np.isfinite(rhs).all()):
-        raise SolverError(
-            "non-finite values in the Newton system; the objective may be "
-            "unbounded (zero penalty weight?)"
-        )
+        raise SolverError("non-finite values in the Newton system")
     diag = np.diag(H)
     if not diag.all():
         # a zero row of a semidefinite H has a zero diagonal entry
@@ -529,7 +527,11 @@ class _Core:
             return -slope / max(gn * np.sqrt(max(norm2, 0.0)), 1e-300)
 
         def attempt(sigma: float):
-            delta, used = _solve_spd(H + sigma * ws.G, -grad_c)
+            try:
+                delta, used = _solve_spd(H + sigma * ws.G, -grad_c)
+            except SolverError as exc:
+                unbounded = "; without a penalty the objective may be unbounded" if self.lam == 0.0 else ""
+                raise SolverError(f"{exc} at penalty weight {self.lam!r}{unbounded}") from None
             d0, dn2 = float(grad_c @ delta), float(delta @ ws.G @ delta)
             cos = cosine(d0, dn2)
             return (delta, d0, cos, used, sigma) if d0 < 0.0 and dn2 > 0.0 and cos >= DELTA else None
@@ -724,7 +726,8 @@ def fit_linear(
         """The largest violation of X + d >= 0 at the nodes by the predictor
         of the filter at c, which ``objective_value`` reads: with large
         single terms it can part from U c by about the slack."""
-        gaps = obj.link.value(obj.predictors(FilterFunction(kernel, obj.n_channels, tuple(ws.atoms), c))[0])
+        g = FilterFunction(kernel, obj.n_channels, tuple(ws.atoms), c)
+        gaps = obj.link.value(linear_predictor(g, obj.drivers, obj.nodes))
         return float(max(0.0, -gaps.min())) if gaps.size else 0.0
 
     # with d = 0 start at phi_1 = 1, positive at every event with some

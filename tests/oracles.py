@@ -74,6 +74,7 @@ from glppm.likelihood import (
     _partition,
     build_f_atoms,
     build_h_atoms,
+    linear_predictor,
     objective_value,
 )
 from glppm.optimizer import _solve_spd, _weak_wolfe_search
@@ -413,7 +414,8 @@ def gradient(g: FilterFunction, obj: Objective) -> FilterFunction:
     per event with coefficient -phi'/phi(X_tau-), and the penalty part
     2 lam P g as one projected normal form per channel.
     """
-    x_nodes, x_events = obj.predictors(g)
+    x = linear_predictor(g, obj.drivers, obj.points)
+    x_nodes, x_events = x[: obj.nodes.size], x[obj.nodes.size :]
     phi_events = _event_phi(obj, x_events)
     _check_domain(obj.link, x_nodes, obj.nodes)
     rho = obj.link.deriv(x_events) / phi_events if phi_events.size else np.empty(0)
@@ -448,7 +450,8 @@ def hessian_coords(g: FilterFunction, obj: Objective, basis_atoms, kernel=None) 
     n = len(basis_atoms)
     if n == 0:
         return np.zeros((0, 0))
-    x_nodes, x_events = obj.predictors(g)
+    x = linear_predictor(g, obj.drivers, obj.points)
+    x_nodes, x_events = x[: obj.nodes.size], x[obj.nodes.size :]
     phi_events = obj.link.value(x_events)
 
     U = np.column_stack([obj.node_column(kernel, a) for a in basis_atoms])

@@ -448,6 +448,25 @@ class TestFitCommand:
         FilterFunction.from_dict(json.loads((out / "filter.json").read_text()))
         assert (out / "trace.csv").exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_solver_error_in_the_fit_exits_4_names_the_weight_and_writes_nothing(self, tmp_path, capsys):
+        # the fit grows an event predictor that no quadrature node sees,
+        # until the event intensity overflows and the next Newton system is
+        # not finite; the fit raises at penalty weight 1, not 0
+        write_json(tmp_path / "dataset.json", {
+            "horizon": 10.0, "target_channel": "y", "driver_channels": ["z"], "self_exciting": True,
+            "csv": "events.csv",
+        })
+        rows = ["time,channel,mark", "1.0,z,2.0", "2.0,y,", "3.0,y,", "3.0,z,0.5", "7.5,y,"]
+        (tmp_path / "events.csv").write_text("\n".join(rows) + "\n")
+        cfg = write_json(tmp_path / "fit.json", {"link": {"kind": "exp", "d": -0.5}, "penalty_weight": 1.0, "m": 2})
+        out = tmp_path / "out"
+        assert run("fit", "--data", tmp_path / "dataset.json", "--config", cfg, "--out", out) == 4
+        assert not (out / "filter.json").exists()
+        err = capsys.readouterr().err
+        assert "non-finite values in the Newton system at penalty weight 1.0" in err
+        assert "zero penalty" not in err and "without a penalty" not in err
+
     def test_infeasible_model_exits_5(self, tmp_path):
         # zero baseline and no history before the first event: the intensity
         # vanishes at an observed point, which no filter can repair

@@ -188,9 +188,16 @@ def test_cli_byte_compares_the_command_outputs_of_each_source_tree(tmp_path, com
     assert compare_runs.compare_cli(src, src, 1, tmp_path) == []
     a, b = tmp_path / "A", tmp_path / "B"
     # every command of the set ran and wrote its outputs
-    labels = ("basis", "basis-linear", "sim2/gof", "simfile/gof")
-    for label in (*labels, *(f"{link}-m{m}-d0" for link in ("exp", "softplus", "linear") for m in (1, 2))):
+    labels = ("basis", "basis-linear", "sim2/gof", "simfile/gof", "simexo/gof")
+    fits = (f"{pre}{link}-m{m}-d0" for pre in ("", "exo-") for link in ("exp", "softplus", "linear") for m in (1, 2))
+    for label in (*labels, *fits):
         assert (a / label / "run_manifest.json").is_file(), label
+    # the exogenous set fits and simulates beside a driver of its own
+    for label in ("exo-exp-m1-d0/gof", "simexo"):
+        manifest = json.loads((a / label / "run_manifest.json").read_text())
+        data = manifest["inputs"]["data" if "gof" in label else "drivers"]["path"]
+        assert json.loads(Path(data).read_text())["driver_channels"] == ["z"], label
+    assert json.loads((a / "simexo" / "dataset.json").read_text())["driver_channels"] == ["z"]
     # a filter named by a file path simulates and tests as the one embedded
     for name in ("events.csv", "gof/ks.json"):
         assert (a / "simfile" / name).read_bytes() == (a / "sim0" / name).read_bytes(), name

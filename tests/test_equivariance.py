@@ -2,9 +2,9 @@
 constant: a permutation of the channels with their filters, an extra
 channel with no jumps, a change of time unit on the exponential and the
 linear link, and one common rescaling of every channel's marks.  They are
-checked on F of a fixed filter, and, but for the linear link's time unit,
-on ``fit_descent``'s fits at m = 1, whose F and filter must follow the map
-to the fits' tolerance.
+checked on F of a fixed filter, and on the fits at m = 1 of
+``fit_descent`` (exp and softplus links) and ``fit_linear`` (linear
+link), whose F and filter must follow the map to the fits' tolerance.
 
 The data are drawn by a seeded generator: an exogenous driver with marks
 in [0.5, 2] and the self-exciting target, with an at-risk process that
@@ -21,7 +21,7 @@ from glppm.data import AtRiskProcess, DriverChannel, DriverSeries, EventSeries
 from glppm.filters import FilterFunction, h0_poly
 from glppm.kernel import SobolevKernel
 from glppm.likelihood import Objective, exponential_link, linear_link, objective_value, softplus_link
-from glppm.optimizer import fit_descent
+from glppm.optimizer import fit_descent, fit_linear
 
 from oracles import kernel_section, same_bits
 
@@ -130,31 +130,37 @@ def test_a_time_unit_shifts_the_linear_objective_by_n_log_c(m, c):
     assert abs(f_c - events.size * math.log(c) - f) <= 1e-12 * abs(f)
 
 
-# the fits' half: fit_descent at m = 1 and lambda = 1 on six drawn
-# datasets; m = 2 is left out, as its fits end apart between time units
+# the fits' half: fit_descent and fit_linear at m = 1 and lambda = 1 on
+# six drawn datasets; m = 2 is left out, as its fits end apart between
+# time units
 FIT_SEEDS = range(6)
 GRID = np.linspace(0.0, HORIZON, 81)
+FIT_LINKS = {**LINKS, "linear": linear_link(1.0)}
 
 
 @lru_cache(maxsize=None)
 def fitted(link: str, seed: int, variant: str = "base", c: float = 1.0):
     """The fit of ``draw(seed)``'s data under a map: "base", "swap" (the
     two channels in reverse order), "empty" (a channel with no jumps
-    between them), "unit" (time unit c on the exp link, with d - log c
-    and c lambda) or "marks" (every channel's marks times c, with
-    c^2 lambda)."""
+    between them), "unit" (time unit c, on the exp link with d - log c
+    and c lambda, on the linear link with d / c and c^3 lambda) or
+    "marks" (every channel's marks times c, with c^2 lambda)."""
     events, channels, _ = draw(seed)
-    spec, lam, unit = LINKS[link], 1.0, 1.0
+    spec, lam, unit = FIT_LINKS[link], 1.0, 1.0
     if variant == "swap":
         channels = channels[::-1]
     elif variant == "empty":
         channels = [channels[0], (np.empty(0), np.empty(0)), channels[1]]
+    elif variant == "unit" and link == "linear":
+        # lambda = 1, times c^(2m + 1) = c^3 in time unit c
+        spec, lam, unit = linear_link(spec.d / c), c**3, c
     elif variant == "unit":
         # lambda = 1, times c^(2m - 1) = c in time unit c
         spec, lam, unit = exponential_link(spec.d - math.log(c)), c, c
     elif variant == "marks":
         channels, lam = [(t, c * s) for t, s in channels], c * c
-    return fit_descent(*objective(spec, 1, lam, events, channels, unit))
+    fit = fit_linear if link == "linear" else fit_descent
+    return fit(*objective(spec, 1, lam, events, channels, unit))
 
 
 def converged_pairs(link: str, variant: str, c: float = 1.0):
@@ -168,7 +174,7 @@ def converged_pairs(link: str, variant: str, c: float = 1.0):
 
 
 @pytest.mark.parametrize("variant, moved", [("swap", (1, 0)), ("empty", (0, 2))])
-@pytest.mark.parametrize("link", sorted(LINKS))
+@pytest.mark.parametrize("link", sorted(FIT_LINKS))
 def test_a_fit_follows_its_channels(link, variant, moved):
     # each channel's filter lands where its channel went, with the same F
     for _, a, b in converged_pairs(link, variant):
@@ -180,17 +186,20 @@ def test_a_fit_follows_its_channels(link, variant, moved):
 
 
 @pytest.mark.parametrize("c", [0.5, 2.0])
-def test_an_exp_fit_follows_the_time_unit(c):
-    # F~ - N log c = F, and g~(c u) = g(u)
-    for seed, a, b in converged_pairs("exp", "unit", c):
+@pytest.mark.parametrize("link", ["exp", "linear"])
+def test_a_fit_follows_the_time_unit(link, c):
+    # F~ - N log c = F, and g~(c u) = g(u) on the exp link, c g~(c u) = g(u)
+    # on the linear link
+    scale = c if link == "linear" else 1.0
+    for seed, a, b in converged_pairs(link, "unit", c):
         n = draw(seed)[0].size
         assert abs(b.objective - n * math.log(c) - a.objective) <= 1e-7 * abs(a.objective)
         for j in range(2):
-            assert np.abs(b.g_hat.evaluate(j, c * GRID) - a.g_hat.evaluate(j, GRID)).max() <= 1e-4
+            assert np.abs(scale * b.g_hat.evaluate(j, c * GRID) - a.g_hat.evaluate(j, GRID)).max() <= 1e-4
 
 
 @pytest.mark.parametrize("c", [0.5, 2.0])
-@pytest.mark.parametrize("link", sorted(LINKS))
+@pytest.mark.parametrize("link", sorted(FIT_LINKS))
 def test_a_fit_follows_a_common_scale_of_the_marks(link, c):
     # F~ = F, and c g~ = g
     for _, a, b in converged_pairs(link, "marks", c):

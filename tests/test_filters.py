@@ -588,12 +588,12 @@ class TestSerialization:
                 assert np.array_equal(h.evaluate(ch, u), g.evaluate(ch, u))
 
     @pytest.mark.parametrize("m", [1, 2])
-    def test_a_written_normal_form_is_taken_as_is(self, m, monkeypatch):
-        # a channel whose one smooth atom has coefficient 1, as every channel
-        # of a compact filter and of its payload read back, takes that atom's
-        # arrays with no flatten, domain check or merge, and with the bits of
-        # the full merge; coefficient 2 takes the merge, which checks no
-        # domain either: the filter checked its atoms when it was built
+    def test_a_written_normal_form_is_merged_again_with_the_same_bits(self, m, monkeypatch):
+        # every channel of a compact filter and of its payload read back is
+        # flattened and merged as any filter's is, with no domain check (the
+        # filter checked its atoms when it was built), and gives the bits of
+        # the full merge and of the filter it was written from; so does
+        # coefficient 2
         k = SobolevKernel(m=m, horizon=5.0)
         g = random_filter(k, np.random.default_rng(16), n_channels=2)
         calls = []
@@ -605,11 +605,10 @@ class TestSerialization:
         for h in (c, reread):
             del calls[:]
             forms = h.normal_forms
-            assert calls == []
+            assert {"_flatten", "_merge_sorted"} <= set(calls) and "_check_domain" not in calls
             smooth = [a for a in h.atoms if a.kind != "h0"]
             assert len(smooth) == 2 and [a.channel for a in smooth] == [0, 1]
-            for form, atom, want, old in zip(forms, smooth, sorted_normal_forms(h), g.normal_forms):
-                assert form.sec_lags is atom.sec_lags and form.seg_weights is atom.seg_weights
+            for form, want, old in zip(forms, sorted_normal_forms(h), g.normal_forms):
                 assert (form.kind, form.part, form.k) == ("normal", "r", None)
                 for name, arr in zip(FORM_FIELDS, want):
                     assert same_bits(getattr(form, name), arr) and same_bits(arr, getattr(old, name)), name
@@ -805,11 +804,22 @@ class TestValidation:
         FilterFunction(short, 2, inside.atoms, inside.coefficients).normal_forms
         assert calls == []
 
+    def test_the_merge_gives_a_nan_a_group_of_its_own(self):
+        # a lag starts a group unless it lies within 1e-12 of the one before
+        # it, and a NaN lies within no distance: its weight stays on it, and
+        # no finite lag takes it
+        lags, weights = filters._merge_sorted(np.array([1.0, np.nan, 7.0]), np.array([1.0, 2.0, 4.0]))
+        assert same_bits(lags, np.array([1.0, 7.0, np.nan])) and same_bits(weights, np.array([1.0, 4.0, 2.0]))
+        lags = np.array([np.nan, 1.0 + 5e-13, 1.0, np.nan, 7.0, np.nan])
+        order, starts, group = filters._merge(lags, np.array([0, 0, 0, 0, 1, 1]))
+        assert order.tolist() == [2, 1, 0, 3, 4, 5]
+        assert starts.tolist() == [True, False, True, True, True, True]
+        assert group.tolist() == [0, 0, 1, 2, 3, 4]
+
     def test_a_nan_lag_node_or_weight_is_refused_before_the_merge(self):
-        # the merge compares each lag with the one before it, and a NaN
-        # compares False, so it would join that lag's group with its
-        # weight: [nan, 7, 1] would make lags [1, 7] with weights [1, 2],
-        # and a NaN segment end the zero atom
+        # an atom's input is checked where it is built: a lag, node or
+        # weight that is not finite is refused, before the merge would give
+        # it an entry of its own
         k = SobolevKernel(m=2, horizon=10.0)
         nan, none = np.nan, np.empty(0)
         for build in (

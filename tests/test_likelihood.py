@@ -289,21 +289,21 @@ class TestObjective:
         assert objective_value(g, obj0) == neg_log_lik(g, obj0)
 
     @pytest.mark.parametrize("m", [1, 2])
-    def test_predictors_are_the_per_form_columns(self, tiny, m, monkeypatch):
-        # both predictors come from one columns call over the normal forms,
+    def test_the_predictor_has_the_bits_of_the_per_form_columns(self, tiny, m, monkeypatch):
+        # the predictor at the nodes and the events reads the normal forms,
         # each channel's column summed in channel order as the per-form
-        # oracle sums them
+        # oracle sums them; the likelihood reads it, with no columns call
         events, drivers = tiny
         k = SobolevKernel(m=m, horizon=8.0)
         g = small_filter(k, np.random.default_rng(4 + m), 2)
         obj = Objective(exponential_link(0.1), 1.0, events, drivers)
-        x_nodes, x_events = obj.predictors(g)
+        x = linear_predictor(g, drivers, obj.points)
         assert all(f.h0.any() for f in g.normal_forms)
         want = sum(atom_columns(k, obj, [f])[0][:, 0] for f in g.normal_forms)
         q = obj.nodes.size
-        assert same_bits(x_nodes, want[:q]) and same_bits(x_events, want[q:])
-        assert same_bits(x_nodes, sum(obj.node_column(k, f) for f in g.normal_forms))
-        assert same_bits(x_events, sum(obj.event_column(k, f) for f in g.normal_forms))
+        assert same_bits(x, want)
+        assert same_bits(x[:q], sum(obj.node_column(k, f) for f in g.normal_forms))
+        assert same_bits(x[q:], sum(obj.event_column(k, f) for f in g.normal_forms))
 
         calls = []
         columns = Objective.columns
@@ -314,9 +314,8 @@ class TestObjective:
 
         monkeypatch.setattr(Objective, "columns", counting)
         for link in (exponential_link(0.1), linear_link(1.0)):
-            calls.clear()
             neg_log_lik(g, Objective(link, 1.0, events, drivers))
-            assert calls == [2]
+        assert calls == []
 
     def test_horizon_mismatch(self, tiny):
         events, drivers = tiny

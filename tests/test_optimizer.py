@@ -24,6 +24,7 @@ from glppm.likelihood import (
     build_h_atoms,
     exponential_link,
     linear_link,
+    linear_predictor,
     objective_value,
     softplus_link,
 )
@@ -230,7 +231,7 @@ class TestFitLinear:
         gn_indep = float(np.sqrt(max(inner_product(grad, grad), 0.0)))
         assert_allclose(res.grad_norm, gn_indep, rtol=1e-6)
         # fitted intensity stays nonnegative on the quadrature grid
-        x_nodes = obj.predictors(res.g_hat)[0]
+        x_nodes = linear_predictor(res.g_hat, obj.drivers, obj.nodes)
         assert float(x_nodes.min()) >= -0.5 - 1e-7
 
     def test_penalty_limit_flattens_the_fit(self):
@@ -383,17 +384,18 @@ class TestFitLinear:
         # below -d.  The fit measures its violation there, so it does not
         # converge, and a converged fit always evaluates
         k, obj = dense_objective(lam=1.0, m=1)
-        real = Objective.predictors
+        real = likelihood.linear_predictor
 
-        def lowered(self, g):
-            x_nodes, x_events = real(self, g)
-            x_nodes = x_nodes.copy()
-            i = int(np.argmin(x_nodes))
-            x_nodes[i] = min(x_nodes[i], -0.5 - 6e-7)
-            return x_nodes, x_events
+        def lowered(g, drivers, s):
+            # the fit reads its nodes, and neg_log_lik the nodes and then the events
+            x = real(g, drivers, s).copy()
+            i = int(np.argmin(x[: obj.nodes.size]))
+            x[i] = min(x[i], -0.5 - 6e-7)
+            return x
 
         assert fit_linear(k, obj).converged
-        monkeypatch.setattr(Objective, "predictors", lowered)
+        for module in (optimizer, likelihood):
+            monkeypatch.setattr(module, "linear_predictor", lowered)
         res = fit_linear(k, obj)
         assert not res.converged and res.diagnostics["hinge_passes"] == 20
         assert res.diagnostics["max_node_violation"] == pytest.approx(6e-7, rel=1e-6)
@@ -554,7 +556,9 @@ class TestFitDescent:
         k, obj = dense_objective(lam=0.0, link=exponential_link(), m=1)
         try:
             res = fit_descent(k, obj, tol=1e-4, max_iter=60)
-        except SolverError:
+        except SolverError as exc:
+            # the error names the weight it ran at
+            assert "at penalty weight 0.0; without a penalty the objective may be unbounded" in str(exc)
             return
         assert not res.converged or res.diagnostics["unpenalized"]
 
@@ -1565,9 +1569,10 @@ class TestLeanIntegralAtoms:
 
 
 class TestNormalForms:
-    """``FilterFunction.normal_forms`` sums the atoms that share one
-    sections array before the merge, with the bits of one stable sort and
-    ``bincount`` of every section (``sorted_normal_forms``)."""
+    """``FilterFunction.normal_forms`` has the bits of one stable sort and
+    ``bincount`` of every section (``sorted_normal_forms``), also where
+    atoms share one sections array, as a fit's integral atoms share their
+    node lags."""
 
     @staticmethod
     def merged_sizes(monkeypatch):
@@ -1607,17 +1612,11 @@ class TestNormalForms:
         return SobolevKernel(m=m, horizon=8.0), obj
 
     @pytest.mark.parametrize("m", [1, 2])
-    def test_shared_lags_are_sorted_once(self, m, monkeypatch):
+    def test_shared_lags_merge_with_the_bits_of_one_sort(self, m):
         kernel, obj = self.objective(m)
         rng = np.random.default_rng(41)
         atoms = self.dictionary(kernel, obj, rng)
-        g = FilterFunction(kernel, 2, tuple(atoms), rng.normal(size=len(atoms)))
-        sizes = self.merged_sizes(monkeypatch)
-        forms, sorted_sizes = g.normal_forms, list(sizes)
-        self.assert_forms(g, forms)
-        # one copy of each channel's node lags went into its sort
-        n_lags = [obj.node_lag_index(ch).lags.size for ch in range(2)]
-        assert max(sorted_sizes) < 2 * max(n_lags)
+        self.assert_forms(FilterFunction(kernel, 2, tuple(atoms), rng.normal(size=len(atoms))))
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_lags_within_the_tolerance_take_the_sort(self, m, monkeypatch):

@@ -56,9 +56,17 @@
         hat process (seeds 0, 1 and 2), each followed by ``gof`` under the
         true filter; and one more at seed 0 (``simfile``) whose config names
         the filter by a file path, followed by ``gof`` through a wrapper that
-        names the same file.  ``clirun OUT`` runs the set into OUT under the
-        ``glppm`` that Python imports and prints the exit codes, as one JSON
-        object.
+        names the same file.  The exogenous part: the first min(2, N)
+        datasets beside a driver ``z`` of 8 jumps uniform on the window,
+        with marks uniform in [0.5, 2], drawn from
+        ``np.random.default_rng([403, i])`` for dataset i, each fitted as
+        above (``exo-...``) then tested by ``gof`` and ``intensity``; and
+        one ``simulate`` at seed 0 (``simexo``) of the hat filter on both
+        channels over the first one's driver, which its config names
+        through its ``drivers`` key (a dataset read with ``self_exciting``
+        false), followed by ``gof`` under the true filter.  ``clirun OUT``
+        runs the set into OUT under the ``glppm`` that Python imports and
+        prints the exit codes, as one JSON object.
 
     python3 tools/compare_runs.py pairs A B [--rounds 10]
         runs the benchmark of two checkouts, roots that hold ``src/glppm``,
@@ -133,6 +141,9 @@ CLI_LINKS = (
     ("linear", {"kind": "linear", "d": 0.5}),
 )
 CLI_SIM_SEEDS = (0, 1, 2)
+# the exogenous part of the ``cli`` set: how many datasets, the jumps of
+# their driver and the seed of its draws
+CLI_EXO_DATASETS, CLI_EXO_JUMPS, CLI_EXO_SEED = 2, 8, 403
 # what ``pairs`` needs in each checkout root, and the seed of its first pair
 PAIR_FILES = ("src/glppm", "bench/run.py", "BENCHMARK.json")
 PAIR_SEED = 601
@@ -384,12 +395,37 @@ def _bench_run():
     return bench
 
 
+def write_exogenous(dataset: Path, directory: Path, rng) -> Path:
+    """The self-exciting dataset of ``bench/generate.py`` at ``dataset``
+    with an exogenous driver ``z`` added: ``CLI_EXO_JUMPS`` jumps uniform
+    on its window, with marks uniform in [0.5, 2], drawn from ``rng``.
+    Writes ``dataset.json`` and ``events.csv`` under ``directory``, and
+    ``drivers.json``, the same rows read with ``self_exciting`` false, as
+    a ``simulate`` config's drivers; returns the ``dataset.json`` path."""
+    import numpy as np
+
+    manifest = json.loads(dataset.read_text())
+    horizon, target = manifest["horizon"], manifest["target_channel"]
+    times = [float(line.split(",")[0]) for line in (dataset.parent / manifest["csv"]).read_text().split()[1:]]
+    jumps = np.sort(rng.uniform(0.0, horizon, CLI_EXO_JUMPS))
+    marks = rng.uniform(0.5, 2.0, CLI_EXO_JUMPS)
+    rows = [(t, f"{t!r},{target},") for t in times]
+    rows = sorted(rows + [(t, f"{t!r},z,{z!r}") for t, z in zip(jumps.tolist(), marks.tolist())])
+    directory.mkdir(parents=True, exist_ok=True)
+    (directory / "events.csv").write_text("\n".join(["time,channel,mark"] + [row for _, row in rows]) + "\n")
+    exo = {**manifest, "driver_channels": ["z"], "csv": "events.csv"}
+    (directory / "dataset.json").write_text(json.dumps(exo, indent=2) + "\n")
+    (directory / "drivers.json").write_text(json.dumps({**exo, "self_exciting": False}, indent=2) + "\n")
+    return directory / "dataset.json"
+
+
 def run_cli_set(out: Path, datasets: int) -> dict:
     """The ``cli`` set under the ``glppm`` on the path, its inputs and
     outputs written under ``out``: each command's exit code, or the name of
     the exception it raised, keyed by its output directory."""
     bench = _bench_run()
     import generate
+    import numpy as np
 
     import glppm
     import glppm.cli
@@ -412,20 +448,37 @@ def run_cli_set(out: Path, datasets: int) -> dict:
     (inputs / "hat_filter.json").write_text(json.dumps(sim["filters"]))
     (inputs / "simulate_file.json").write_text(json.dumps({**sim, "filters": "hat_filter.json"}))
     (inputs / "true_filter_file.json").write_text(json.dumps({"filter": "hat_filter.json", "link": sim["link"]}))
+    # the first datasets beside an exogenous driver, and a simulation of the
+    # hat filter on both channels over the first one's driver
+    exo = [
+        str(write_exogenous(Path(d), inputs / "exo" / f"d{i}", np.random.default_rng([CLI_EXO_SEED, i])))
+        for i, d in enumerate(data[:CLI_EXO_DATASETS])
+    ]
+    horizon = generate.window_for(12)
+    hat = {**sim["filters"], "kernel": {"m": 1, "horizon": horizon}, "n_channels": 2,
+           "atoms": [{**a, "channel": ch} for ch in (0, 1) for a in sim["filters"]["atoms"]]}
+    (inputs / "simulate_exo.json").write_text(json.dumps({
+        "link": sim["link"], "horizon": horizon, "filters": hat, "drivers": "exo/d0/drivers.json",
+    }))
+    (inputs / "true_filter_exo.json").write_text(json.dumps({"filter": hat, "link": sim["link"]}))
     for name, link in CLI_LINKS:
         for m in (1, 2):
             cfg = inputs / f"fit-{name}-m{m}.json"
             cfg.write_text(json.dumps({"link": link, "penalty_weight": 5.0, "m": m}))
-            for i, dataset in enumerate(data):
-                label = f"{name}-m{m}-d{i}"
-                run(label, "fit", "--data", dataset, "--config", str(cfg))
-                fitted = str(out / label / "filter.json")
-                run(f"{label}/gof", "gof", "--data", dataset, "--config", fitted)
-                run(f"{label}/intensity", "intensity", "--data", dataset, "--config", fitted)
+            for prefix, sets in (("", data), ("exo-", exo)):
+                for i, dataset in enumerate(sets):
+                    label = f"{prefix}{name}-m{m}-d{i}"
+                    run(label, "fit", "--data", dataset, "--config", str(cfg))
+                    fitted = str(out / label / "filter.json")
+                    run(f"{label}/gof", "gof", "--data", dataset, "--config", fitted)
+                    run(f"{label}/intensity", "intensity", "--data", dataset, "--config", fitted)
     run("basis", "basis", "--data", data[0], "--config", str(inputs / "fit-exp-m1.json"))
     run("basis-linear", "basis", "--data", data[0], "--config", str(inputs / "fit-linear-m1.json"))
-    sims = [(f"sim{seed}", seed, "simulate.json", "true_filter.json") for seed in CLI_SIM_SEEDS]
-    for label, seed, config, truth in sims + [("simfile", 0, "simulate_file.json", "true_filter_file.json")]:
+    sims = [(f"sim{seed}", seed, "simulate.json", "true_filter.json") for seed in CLI_SIM_SEEDS] + [
+        ("simfile", 0, "simulate_file.json", "true_filter_file.json"),
+        ("simexo", 0, "simulate_exo.json", "true_filter_exo.json"),
+    ]
+    for label, seed, config, truth in sims:
         run(label, "simulate", "--config", str(inputs / config), "--seed", str(seed))
         run(f"{label}/gof", "gof", "--data", str(out / label / "dataset.json"), "--config", str(inputs / truth))
     return codes
