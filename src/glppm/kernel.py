@@ -144,6 +144,14 @@ def _h0_stack(r: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
+# The largest kernel order.  The paper's orders are 1 and 2, and no test,
+# tool or benchmark goes above 3.  Each order-m fit holds m polynomial atoms
+# of m coefficients per channel, and phi_m = u^(m-1)/(m-1)! leaves the float
+# range at m = 171 (the basis raises OverflowError there), long before the
+# atoms' arrays fail to allocate (at m = 1e308, "maximum allowed dimension").
+MAX_ORDER = 20
+
+
 @dataclass(frozen=True)
 class SobolevKernel:
     """Reproducing kernel of the order-m Sobolev space on [0, horizon].
@@ -163,8 +171,8 @@ class SobolevKernel:
     def __post_init__(self):
         # a NumPy integer is an order as its int is; a bool is an Integral
         # that no config means as an order
-        if isinstance(self.m, bool) or not isinstance(self.m, Integral) or self.m < 1:
-            raise ConfigError(f"kernel order m must be an integer >= 1, got {self.m!r}")
+        if isinstance(self.m, bool) or not isinstance(self.m, Integral) or not 1 <= self.m <= MAX_ORDER:
+            raise ConfigError(f"kernel order m must be an integer in 1..{MAX_ORDER}, got {self.m!r}")
         object.__setattr__(self, "m", int(self.m))
         if not np.isfinite(self.horizon) or self.horizon <= 0:
             raise ConfigError(f"horizon must be positive and finite, got {self.horizon!r}")

@@ -169,16 +169,28 @@ def softplus_link(d: float = 0.0) -> LinkSpec:
 # -- quadrature ----------------------------------------------------------------
 
 
+# The largest Gauss-Legendre rule: twice the 512 nodes per interval of the
+# dense rule that reference objectives have been taken with, and 64 times
+# the most that a test uses (16).  The
+# rule's nodes are the eigenvalues of an n x n matrix, O(n^2) memory and
+# O(n^3) time (0.15 s at 1024 nodes and 6 s at 4096 on one core of a
+# 2-vCPU Xeon host), and 10**30 nodes overflow its allocation.
+MAX_NODES_PER_INTERVAL = 1024
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Composite Gauss-Legendre rule: this many nodes per partition interval."""
+    """Composite Gauss-Legendre rule: this many nodes per partition interval,
+    from 2 to ``MAX_NODES_PER_INTERVAL``."""
 
     nodes_per_interval: int = 8
 
     def __post_init__(self):
         n = self.nodes_per_interval
-        if not isinstance(n, (int, np.integer)) or n < 2:
-            raise ConfigError(f"nodes_per_interval must be an integer >= 2, got {n!r}")
+        if not isinstance(n, (int, np.integer)) or not 2 <= n <= MAX_NODES_PER_INTERVAL:
+            raise ConfigError(
+                f"nodes_per_interval must be an integer in 2..{MAX_NODES_PER_INTERVAL}, got {n!r}"
+            )
 
 
 @lru_cache(maxsize=None)

@@ -936,28 +936,70 @@ class TestFloatTables:
         assert (out / "trace.csv").read_bytes() == want
 
 
+def changed_input_argv(dirpath, target: str, change) -> list:
+    """The command line of a fit, a basis dump or a simulation whose
+    ``target`` input (a fit config for fit and basis, the dataset manifest
+    of a fit, or a simulate config) has had ``change`` made to it."""
+    data = make_dataset(dirpath, DENSE_TIMES)
+    if target == "simulate":
+        sim = {
+            "link": {"kind": "linear", "d": 0.7},
+            "filters": zero_filter_payload(),
+            "horizon": 12.0,
+        }
+        return ["simulate", "--config", write_json(dirpath / "sim.json", change(sim))]
+    cfg = {"link": {"kind": "linear", "d": 0.5}, "penalty_weight": 5.0, "m": 1}
+    if target == "manifest":
+        write_json(data, change(json.loads(data.read_text())))
+    else:
+        cfg = change(cfg)
+    command = "basis" if target == "basis" else "fit"
+    return [command, "--data", data, "--config", write_json(dirpath / "fit.json", cfg)]
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize("target, change, code", MALFORMED.values(), ids=MALFORMED.keys())
     def test_exits_with_its_code(self, tmp_path, target, change, code):
         # a malformed value is an input error with its exit code, never a
         # traceback, and never read as another value (m = 1.7 as m = 1)
-        data = make_dataset(tmp_path, DENSE_TIMES)
-        if target == "simulate":
-            sim = {
-                "link": {"kind": "linear", "d": 0.7},
-                "filters": zero_filter_payload(),
-                "horizon": 12.0,
-            }
-            argv = ["simulate", "--config", write_json(tmp_path / "sim.json", change(sim))]
-        else:
-            cfg = {"link": {"kind": "linear", "d": 0.5}, "penalty_weight": 5.0, "m": 1}
-            if target == "manifest":
-                write_json(data, change(json.loads(data.read_text())))
-            else:
-                cfg = change(cfg)
-            command = "basis" if target == "basis" else "fit"
-            argv = [command, "--data", data, "--config", write_json(tmp_path / "fit.json", cfg)]
+        argv = changed_input_argv(tmp_path, target, change)
         assert run(*argv, "--out", tmp_path / "o") == code
+
+
+# (input, key, a size too large, the smallest refused value): each of these
+# sizes once ended in a traceback, the kernel order from the allocation of
+# its polynomial atoms and the node count from the Gauss-Legendre rule
+HUGE_SIZES = {
+    f"{target}-{key}-{name}": (target, key, value, small)
+    for target, key, small in (
+        ("fit", "m", 0),
+        ("basis", "m", 0),
+        ("simulate", "filters.kernel.m", 0),
+    )
+    for name, value in (("1e308", 1e308), ("10**30", 10**30))
+} | {
+    f"{target}-nodes_per_interval-10**30": (
+        target, "quadrature", {"nodes_per_interval": 10**30}, {"nodes_per_interval": 1}
+    )
+    for target in ("fit", "basis")
+}
+
+
+class TestHugeSizes:
+    @pytest.mark.parametrize("target, key, value, small", HUGE_SIZES.values(), ids=HUGE_SIZES.keys())
+    def test_exits_as_the_smallest_refused_value_does_and_writes_nothing(
+        self, tmp_path, capsys, target, key, value, small
+    ):
+        # a bound refuses the size where it is read: a config key exits 2,
+        # a filter payload's kernel order 3, as m = 0 and 1 node do there
+        code = 3 if target == "simulate" else 2
+        for name, raw in (("huge", value), ("small", small)):
+            (tmp_path / name).mkdir()
+            argv = changed_input_argv(tmp_path / name, target, set_key(key, raw))
+            out = tmp_path / name / "out"
+            assert run(*argv, "--out", out) == code
+            assert list(out.iterdir()) == []
+            assert "must be an integer in" in capsys.readouterr().err
 
 
 class TestUnreadableInput:
@@ -1195,9 +1237,10 @@ class TestRunManifestInputs:
 
 
 class TestImports:
-    def test_only_gof_loads_scipy_stats(self, tmp_path):
+    def test_no_command_loads_scipy_stats(self, tmp_path):
         # in real use each command runs in its own process, where importing
-        # scipy.stats costs most of a second; fit and simulate must not pay it
+        # scipy.stats costs about half a second; gof's KS record comes from
+        # glppm.ks, so no command pays it
         data = make_dataset(tmp_path, DENSE_TIMES)
         fit = fit_config(tmp_path, link={"kind": "exp", "d": float(np.log(0.5))})
         sim = write_json(
@@ -1213,6 +1256,8 @@ class TestImports:
             ["fit", "--data", data, "--config", fit, "--out", out / "fit"],
             ["simulate", "--config", sim, "--seed", 3, "--out", out / "sim"],
             ["gof", "--data", data, "--config", out / "fit" / "filter.json", "--out", out / "gof"],
+            ["intensity", "--data", data, "--config", out / "fit" / "filter.json", "--out", out / "int"],
+            ["basis", "--data", data, "--config", fit, "--out", out / "basis"],
         ]
         script = (
             "import json, sys\n"
@@ -1229,7 +1274,7 @@ class TestImports:
             timeout=300, check=True,
         )
         seen = json.loads(proc.stdout.splitlines()[-1])
-        assert seen == [[0, False], [0, False], [0, True]]
+        assert seen == [[0, False]] * 5
 
 
 class TestDispatch:
